@@ -94,6 +94,22 @@ class RunConfig:
         return cfg
 
 
+# shortest horizon each subcommand's fits accept; the oracle fits nothing
+_MIN_HORIZON = {
+    "report": (thermo.MIN_FIT_TERMS, "the pressure fit"),
+    "pressure": (thermo.MIN_FIT_TERMS, "the pressure fit"),
+    "spr": (thermo.MIN_FIT_TERMS, "the pressure fit"),
+    "hinf": (infinity.MIN_PROFILE_HORIZON, "the profile fit"),
+}
+
+
+def _check_horizon(cfg: RunConfig, command: str) -> None:
+    if command in _MIN_HORIZON:
+        least, fit = _MIN_HORIZON[command]
+        if cfg.horizon < least:
+            raise ConfigError(f"horizon must be >= {least} for {fit}")
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -314,6 +330,7 @@ def _profiles(bundle: _Bundle, cfg: RunConfig, P: float) -> dict:
 def run_report(cfg: RunConfig) -> dict:
     """Run the full diagnostics pipeline and (optionally) write report files."""
     cfg.validate()
+    _check_horizon(cfg, "report")
     bundle = _build_bundle(cfg)
     report = _diagnostics(bundle, cfg)
     P = report["pressure"]["value"]
@@ -468,12 +485,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             if Path(args.config).exists() else None
         if doc is None:
             raise ConfigError(f"config file {args.config} does not exist")
-        return RunConfig.from_dict(doc)
-    cfg = RunConfig(preset=args.preset, shift=args.shift, potential=args.potential,
-                    horizon=args.horizon, truncate=args.truncate, M=args.M,
-                    q=args.q, tol=args.tol, out=args.out, format=args.format,
-                    log2=args.log2)
-    cfg.validate()
+        cfg = RunConfig.from_dict(doc)
+    else:
+        cfg = RunConfig(preset=args.preset, shift=args.shift,
+                        potential=args.potential, horizon=args.horizon,
+                        truncate=args.truncate, M=args.M, q=args.q, tol=args.tol,
+                        out=args.out, format=args.format, log2=args.log2)
+        cfg.validate()
+    _check_horizon(cfg, args.command)
     return cfg
 
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy.optimize import brentq
-
 from .numerics import LOG_ZERO, zeta_series_with_bound
 from .potential import Potential
 from .shift import ROOT, BouquetShift, LoopCountFamily, LoopVertex
@@ -387,6 +385,9 @@ def htop_solve(a: LoopCountFamily, tol: float = 1e-9) -> float:
         lo = lo / 2 if lo > 1e-9 else lo - 1.0
         if lo < -1e6:
             raise NoSolutionError("no entropy root found above -1e6")
+    # scipy costs most of the package's import time; only this branch needs it
+    from scipy.optimize import brentq
+
     return float(brentq(g, lo, hi, xtol=tol))
 
 

@@ -9,13 +9,18 @@ coordinates of the (n+1)-word, i.e. exactly the window where the length-n
 Birkhoff sum collects its terms, compared exactly as count * M <= n + 1.
 Counts are arbitrary-precision integers; ratios and slopes live in log space.
 On bouquets with q = 1 the counting is a loop-length composition DP, so large
-families never enumerate states.
+families never enumerate states; its part-count tables stop at the largest
+visit cap (N + 1) // min(M) a grid can read.  Every other system runs one
+forward state DP per q over (low visits so far, state), which yields the count
+and the best Birkhoff sum of every (n, M) cell of the grid at once; a single
+count_B is the one-cell case of the same sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .numerics import LOG_ZERO, linear_fit
@@ -48,9 +53,12 @@ def _visits_ok(visits: int, n: int, M: int) -> bool:
 
 # -- composition DP (bouquet, q = 1) ---------------------------------------------
 
-def _composition_counts(T: BouquetShift, N: int) -> list[list[int]]:
-    """cnt[j][m] = weighted number of loop-length compositions of m into j parts."""
-    jmax = N + 1
+def _composition_counts(T: BouquetShift, N: int,
+                        jmax: int | None = None) -> list[list[int]]:
+    """cnt[j][m] = weighted number of loop-length compositions of m into j
+    parts, for j <= jmax (default N + 1) and m <= N."""
+    if jmax is None:
+        jmax = N + 1
     lengths = [k for k in T.loop_lengths() if k <= N]
     a = {k: T.a.count(k) for k in lengths}
     cnt = [[0] * (N + 1) for _ in range(jmax + 1)]
@@ -69,9 +77,12 @@ def _composition_counts(T: BouquetShift, N: int) -> list[list[int]]:
     return cnt
 
 
-def _composition_best(T: BouquetShift, loop_total, N: int) -> list[list[float]]:
-    """best[j][m] = max total loop weight over compositions of m into j parts."""
-    jmax = N + 1
+def _composition_best(T: BouquetShift, loop_total, N: int,
+                       jmax: int | None = None) -> list[list[float]]:
+    """best[j][m] = max total loop weight over compositions of m into j
+    parts, for j <= jmax (default N + 1) and m <= N."""
+    if jmax is None:
+        jmax = N + 1
     lengths = [k for k in T.loop_lengths() if k <= N]
     tau = {k: loop_total(k) for k in lengths}
     best = [[LOG_ZERO] * (N + 1) for _ in range(jmax + 1)]
@@ -129,68 +140,75 @@ def _count_B_composition(T: BouquetShift, phi: Potential | None,
 _STATE_DP_CAP = 4000
 
 
-def _count_B_state_dp(T: TransitionSystem, phi: Potential | None,
-                      n: int, M: int, q: int) -> CountB:
+def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
+                   M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
+    """CountB of every cell (n, M) with 1 <= n <= N, from one forward sweep.
+
+    The DP state is (v, i): paths that start in the low part and now sit at
+    state i, with v low visits at positions 0..k-1 (the current endpoint
+    counts only once the path steps off it).  After step n each M reads off
+    the low endpoints with v <= (n + 1) // M.  v never decreases, so a path
+    beyond the largest cap (N + 1) // min(M) can count for no cell and is
+    dropped.
+    """
     if T.state_count() > _STATE_DP_CAP:
         raise EnumerationRefusal(
             f"state DP capped at {_STATE_DP_CAP} states; only bouquets with "
             "q = 1 scale beyond (composition route)")
     states = list(T.states())
     idx = {s: i for i, s in enumerate(states)}
-    low = [T.order_index(s) <= q for s in states]
-    vmax = (n + 1) // M
-    if vmax < 1:
-        return CountB.empty(phi is not None)
-    succ = {i: [(idx[t], _edge_logweight(phi, s, t) if phi is not None else 0.0)
-                for t in T.successors(s)]
-            for i, s in enumerate(states)}
+    low = [int(T.order_index(s) <= q) for s in states]
+    lows = [i for i in range(len(states)) if low[i]]
+    succ = [[(idx[t], _edge_logweight(phi, s, t) if phi is not None else 0.0)
+             for t in T.successors(s)] for s in states]
     S = len(states)
-    # dp[v][i]: paths of the current length ending at state i having made v
-    # low visits among the coordinates consumed so far (positions 0..k-1 plus
-    # the current endpoint, which will only count once it stops being final)
-    cnt = [[0] * S for _ in range(vmax + 1)]
-    best = [[LOG_ZERO] * S for _ in range(vmax + 1)] if phi is not None else None
-    for i in range(S):
-        if low[i]:
-            v = 1
-            if v <= vmax:
-                cnt[v][i] = 1
-                if best is not None:
-                    best[v][i] = 0.0
-    for _step in range(n):
-        ncnt = [[0] * S for _ in range(vmax + 1)]
-        nbest = [[LOG_ZERO] * S for _ in range(vmax + 1)] if phi is not None else None
-        final = _step == n - 1
-        for v in range(vmax + 1):
-            row = cnt[v]
+    vcap = (N + 1) // min(M_list)
+    # cnt[v][i] counts the paths in state (v, i); best[v][i] is their maximal
+    # Birkhoff sum, left at LOG_ZERO throughout when there is no potential
+    cnt = [[0] * S for _ in range(vcap + 1)]
+    best = [[LOG_ZERO] * S for _ in range(vcap + 1)]
+    for i in lows:
+        cnt[0][i] = 1
+        if phi is not None:
+            best[0][i] = 0.0
+    cells: dict[int, list[CountB]] = {M: [] for M in M_list}
+    for n in range(1, N + 1):
+        ncnt = [[0] * S for _ in range(vcap + 1)]
+        nbest = [[LOG_ZERO] * S for _ in range(vcap + 1)]
+        for v in range(vcap + 1):
+            crow, brow = cnt[v], best[v]
             for i in range(S):
-                c = row[i]
-                b = best[v][i] if best is not None else LOG_ZERO
-                if not c and (best is None or b == LOG_ZERO):
+                c, b = crow[i], brow[i]
+                if not c and b == LOG_ZERO:
                     continue
+                nv = v + low[i]
+                if nv > vcap:
+                    continue
+                ncrow, nbrow = ncnt[nv], nbest[nv]
                 for j, w in succ[i]:
-                    nv = v + (1 if (low[j] and not final) else 0)
-                    if nv > vmax:
-                        continue
                     if c:
-                        ncnt[nv][j] += c
-                    if best is not None and b != LOG_ZERO:
+                        ncrow[j] += c
+                    if b != LOG_ZERO:
                         cand = b + w
-                        if cand > nbest[nv][j]:
-                            nbest[nv][j] = cand
+                        if cand > nbrow[j]:
+                            nbrow[j] = cand
         cnt, best = ncnt, nbest
-    total = 0
-    zbest = LOG_ZERO
-    for v in range(vmax + 1):
-        for i in range(S):
-            if low[i]:
-                total += cnt[v][i]
-                if best is not None and best[v][i] > zbest:
-                    zbest = best[v][i]
-    zphi = None
-    if phi is not None:
-        zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
-    return CountB(total, math.log(total) if total else LOG_ZERO, zphi)
+        # running totals over v of the low endpoints: entry v covers 0..v
+        totals = list(accumulate(sum(row[i] for i in lows) for row in cnt))
+        tops = list(accumulate((max((row[i] for i in lows), default=LOG_ZERO)
+                                for row in best), max))
+        for M, col in cells.items():
+            total, zbest = totals[(n + 1) // M], tops[(n + 1) // M]
+            zphi = None
+            if phi is not None:
+                zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
+            col.append(CountB(total, math.log(total) if total else LOG_ZERO, zphi))
+    return cells
+
+
+def _composition_route(T: TransitionSystem, phi: Potential | None, q: int) -> bool:
+    return (isinstance(T, BouquetShift) and q == 1
+            and (phi is None or phi.loop_total is not None))
 
 
 def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) -> CountB:
@@ -204,10 +222,9 @@ def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) 
         raise ValueError("n and M must be >= 1")
     if q <= 0:
         return CountB.empty(phi is not None)
-    if isinstance(T, BouquetShift) and q == 1 \
-            and (phi is None or phi.loop_total is not None):
+    if _composition_route(T, phi, q):
         return _count_B_composition(T, phi, n, M)
-    return _count_B_state_dp(T, phi, n, M, q)
+    return _count_B_sweep(T, phi, q, [M], n)[M][n - 1]
 
 
 def count_B_bruteforce(T: TransitionSystem, phi: Potential | None,
@@ -278,6 +295,10 @@ class InfinityProfile:
         return fit.slope if hasattr(fit, "slope") else fit[0]
 
 
+# shortest horizon whose fit window has the four points of _profile_window
+MIN_PROFILE_HORIZON = 4
+
+
 def _profile_window(N: int, min_points: int = 4) -> list[int]:
     start = max(1, int(math.ceil(0.75 * N)))
     if N - start + 1 < min_points:
@@ -287,22 +308,23 @@ def _profile_window(N: int, min_points: int = 4) -> list[int]:
 
 def _grid_rows(T, phi, q_list, M_list, N):
     rows = []
-    comp_tables = {}
+    comp_tables = None
     for q in q_list:
-        use_comp = (isinstance(T, BouquetShift) and q == 1
-                    and (phi is None or phi.loop_total is not None))
-        if use_comp and "cnt" not in comp_tables:
-            comp_tables["cnt"] = _composition_counts(T, N)
-            if phi is not None:
-                comp_tables["best"] = _composition_best(T, phi.loop_total, N)
+        if _composition_route(T, phi, q):
+            if comp_tables is None:
+                # no cell reads a part count above (N + 1) // min(M)
+                jmax = (N + 1) // min(M_list)
+                comp_tables = (
+                    _composition_counts(T, N, jmax),
+                    _composition_best(T, phi.loop_total, N, jmax)
+                    if phi is not None else None)
+            cnt, best = comp_tables
+            cells = {M: [_count_B_composition(T, phi, n, M, cnt=cnt, best=best)
+                         for n in range(1, N + 1)] for M in M_list}
+        else:
+            cells = _count_B_sweep(T, phi, q, M_list, N)
         for M in M_list:
-            for n in range(1, N + 1):
-                if use_comp:
-                    cb = _count_B_composition(T, phi, n, M,
-                                              cnt=comp_tables["cnt"],
-                                              best=comp_tables.get("best"))
-                else:
-                    cb = _count_B_state_dp(T, phi, n, M, q)
+            for n, cb in enumerate(cells[M], start=1):
                 rows.append((n, M, q, cb.count, cb.log_count, cb.z_phi))
     return rows
 
@@ -348,7 +370,7 @@ def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
     """
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
-    if N < 4:
+    if N < MIN_PROFILE_HORIZON:
         raise ValueError("horizon too small to fit")
     rows = _grid_rows(T, None, q_list, M_list, N)
     window = _profile_window(N)
@@ -388,7 +410,7 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     """
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
-    if N < 4:
+    if N < MIN_PROFILE_HORIZON:
         raise ValueError("horizon too small to fit")
     rows = _grid_rows(T, phi, q_list, M_list, N)
     window = _profile_window(N)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .numerics import (LOG_ZERO, TailFit, linear_fit, linear_fit_with_log,
-                       logsumexp, tail_window)
+from .numerics import (LOG_ZERO, TailFit, int_mat_mul, linear_fit,
+                       linear_fit_with_log, logsumexp, tail_window)
 from .potential import Potential, birkhoff_sum
 from .shift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                     LoopVertex, State, TransitionSystem, Word, periodic_points)
@@ -150,18 +150,19 @@ def partition_sums_transfer(T: FiniteShift, phi: Potential, a: State,
     idx = {s: i for i, s in enumerate(states)}
     ai = idx[a]
 
+    # Z_n is entry a of row a of the n-th matrix power, and row a of a power
+    # is row a of the previous power times the matrix, so one row is iterated
     if phi.is_zero():
         A = [[T.matrix[i][j] for j in range(S)] for i in range(S)]
         counts, star_counts = [], []
-        # closed walks via powers, first returns via interior-restricted walks
-        power = [row[:] for row in A]
-        from .numerics import int_mat_mul
+        # closed walks via row a of A^n, first returns via interior-restricted walks
+        row = A[ai][:]
         vec = [A[ai][j] if j != ai else 0 for j in range(S)]
         star_counts.append(A[ai][ai])
         counts.append(A[ai][ai])
         for n in range(2, N + 1):
-            power = int_mat_mul(power, A)
-            counts.append(power[ai][ai])
+            row = int_mat_mul([row], A)[0]
+            counts.append(row[ai])
             star_counts.append(sum(vec[j] * A[j][ai] for j in range(S)))
             vec = [sum(vec[k] * A[k][j] for k in range(S)) if j != ai else 0
                    for j in range(S)]
@@ -175,13 +176,12 @@ def partition_sums_transfer(T: FiniteShift, phi: Potential, a: State,
           for j, v in enumerate(states)] for i, u in enumerate(states)]
     log_z, log_zstar = [], []
     log_zstar.append(W[ai][ai])
-    power = [row[:] for row in W]
-    log_z.append(power[ai][ai])
+    row = W[ai][:]
+    log_z.append(row[ai])
     vec = [W[ai][j] if j != ai else LOG_ZERO for j in range(S)]
     for n in range(2, N + 1):
-        power = [[logsumexp(power[i][k] + W[k][j] for k in range(S))
-                  for j in range(S)] for i in range(S)]
-        log_z.append(power[ai][ai])
+        row = [logsumexp(row[k] + W[k][j] for k in range(S)) for j in range(S)]
+        log_z.append(row[ai])
         log_zstar.append(logsumexp(vec[j] + W[j][ai] for j in range(S)))
         vec = [logsumexp(vec[k] + W[k][j] for k in range(S)) if j != ai else LOG_ZERO
                for j in range(S)]
@@ -189,6 +189,10 @@ def partition_sums_transfer(T: FiniteShift, phi: Potential, a: State,
 
 
 # -- pressure -------------------------------------------------------------------
+
+# fewest terms of a log-sequence that the pressure and SPR tail fits accept
+MIN_FIT_TERMS = 5
+
 
 @dataclass(frozen=True)
 class PressureEstimate:
@@ -212,8 +216,8 @@ def pressure_estimate(ps: PartitionSums | Sequence[float],
     """Estimate lim (1/n) log Z_n by a linear fit over the tail of the horizon."""
     seq = ps.log_z if isinstance(ps, PartitionSums) else list(ps)
     N = len(seq)
-    if N < 5:
-        raise ValueError("pressure estimation needs at least 5 terms")
+    if N < MIN_FIT_TERMS:
+        raise ValueError(f"pressure estimation needs at least {MIN_FIT_TERMS} terms")
     if all(v == LOG_ZERO for v in seq):
         return PressureEstimate(LOG_ZERO, 0.0, math.inf, math.inf, (1, N), True)
     win = tail_window(N, window_fraction)
@@ -256,6 +260,8 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
         return ChiPerResult(best, best_n, orbit)
     best, best_w = -math.inf, None
     anchors = T.states_up_to(q_cap) if q_cap else list(T.states())
+    if isinstance(T, FiniteShift):
+        _refuse_large_periods(T, anchors, N, max_count)
     for n in range(1, N + 1):
         for a in anchors:
             for w in periodic_points(T, n, a, max_count=max_count):
@@ -263,6 +269,25 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
                 if avg > best:
                     best, best_w = avg, w
     return ChiPerResult(best, len(best_w) if best_w else 0, best_w)
+
+
+def _refuse_large_periods(T: FiniteShift, anchors: list[State], N: int,
+                          max_count: int) -> None:
+    """Raise the refusal periodic_points would raise, before any word is built.
+
+    The periodic words of period n through a number (A^n)[a][a], so the rows
+    of the anchors are iterated exactly and the first period in the
+    enumeration order with a count above max_count is refused.
+    """
+    A = [list(row) for row in T.matrix]
+    idx = [T.order_index(a) - 1 for a in anchors]
+    rows = [A[i][:] for i in idx]
+    for n in range(1, N + 1):
+        if n > 1:
+            rows = int_mat_mul(rows, A)
+        if any(row[i] > max_count for row, i in zip(rows, idx)):
+            raise EnumerationRefusal(
+                f"more than {max_count} periodic words of period {n}")
 
 
 def _loop_word(n: int, i: int = 1) -> Word:
@@ -303,8 +328,8 @@ def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
     """
     if not math.isfinite(P):
         raise ValueError("SPR check needs a finite pressure")
-    if len(log_zstar) < 5:
-        raise ValueError("SPR check needs at least 5 terms")
+    if len(log_zstar) < MIN_FIT_TERMS:
+        raise ValueError(f"SPR check needs at least {MIN_FIT_TERMS} terms")
     if tol is None:
         tol = 1e-6 if closed_form else 1e-2
     N = len(log_zstar)
@@ -542,7 +567,7 @@ def recurrence_classify(family=None, log_zstar: Sequence[float] | None = None,
     ret = math.exp(logsumexp(shifted))
     mean = math.exp(logsumexp(lw + math.log(n + 1) for n, lw in enumerate(shifted)
                               if lw != LOG_ZERO))
-    verdict = spr_check(log_zstar, P) if len(log_zstar) >= 5 else None
+    verdict = spr_check(log_zstar, P) if len(log_zstar) >= MIN_FIT_TERMS else None
     return RecurrenceClass("inconclusive", P, ret, mean,
                            evidence={"partial_return_sum": ret,
                                      "partial_mean_return": mean,

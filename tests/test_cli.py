@@ -62,6 +62,23 @@ def test_config_error_exit_codes(capsys, tmp_path):
     assert main(["report", "--config", str(cfgfile)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command,horizon,least", [
+    ("report", 3, 5), ("report", 4, 5), ("pressure", 3, 5), ("pressure", 4, 5),
+    ("spr", 3, 5), ("spr", 4, 5), ("hinf", 3, 4)])
+def test_short_horizon_is_a_config_error(command, horizon, least, capsys):
+    code = main([command, "--preset", "sec52-entry", "--truncate", "5",
+                 "--horizon", str(horizon)])
+    assert code == EXIT_CONFIG
+    assert f"horizon must be >= {least}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,horizon", [("hinf", 4), ("oracle", 3),
+                                             ("oracle", 4)])
+def test_shortest_accepted_horizons_run(command, horizon):
+    assert main([command, "--preset", "sec52-entry", "--truncate", "5",
+                 "--horizon", str(horizon), "--M", "2", "--q", "1"]) == EXIT_OK
+
+
 def test_runconfig_strict_keys():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"preset": "sec52-entry", "bogus": 1})
@@ -105,6 +122,29 @@ def test_finite_shift_report(tmp_path):
                  "--potential", str(tmp_path / "pot.json"), "--horizon", "16",
                  "--q", "2", "--M", "2"])
     assert code == EXIT_OK
+
+
+def test_chi_per_refuses_before_enumerating(tmp_path, monkeypatch, capsys):
+    # the full 3-shift has 3^12 > 500000 periodic words of period 13 through
+    # each state; the count is taken before any word is built
+    import cmshift.shift
+    import cmshift.thermo
+
+    def never(*args, **kwargs):
+        raise AssertionError("periodic words were enumerated")
+
+    monkeypatch.setattr(cmshift.shift, "periodic_points", never)
+    monkeypatch.setattr(cmshift.thermo, "periodic_points", never)
+    shift = {"kind": "finite", "matrix": [[1, 1, 1]] * 3}
+    pot = {"memory": 1, "default": 0.0, "table": []}
+    (tmp_path / "shift.json").write_text(json.dumps(shift))
+    (tmp_path / "pot.json").write_text(json.dumps(pot))
+    code = main(["report", "--shift", str(tmp_path / "shift.json"),
+                 "--potential", str(tmp_path / "pot.json"), "--horizon", "13",
+                 "--q", "1", "--M", "2"])
+    assert code == EXIT_REFUSAL
+    assert "more than 500000 periodic words of period 13" \
+        in capsys.readouterr().err
 
 
 def test_oracle_subcommand_passes(tmp_path, capsys):

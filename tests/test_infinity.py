@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmshift import (BouquetShift, FiniteShift, LoopCountFamily, Potential,
-                     bouquet_hinf_oracle, build_preset, count_B,
+from cmshift import (BouquetShift, FiniteShift, LoopCountFamily, Plain,
+                     Potential, bouquet_hinf_oracle, build_preset, count_B,
                      count_B_bruteforce, delta_profile, hinf_profile)
 from cmshift.numerics import LOG_ZERO
 
@@ -158,6 +160,38 @@ def test_composition_bound_dominates_enumerated_count(sec52):
 
 
 # -- profiles --------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_profile_rows_match_bruteforce_on_random_shifts(data):
+    # random transitive shifts (a cycle through every state plus random edges)
+    # with random memory-2 weights: every profile cell the one-sweep state DP
+    # fills must equal the enumerated count, and its z_phi the enumerated max
+    S = data.draw(st.integers(min_value=2, max_value=5))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    T = FiniteShift(matrix)
+    phi = Potential(2, {
+        (Plain(i + 1), Plain(j + 1)): data.draw(
+            st.floats(min_value=-3, max_value=2, allow_nan=False))
+        for i in range(S) for j in range(S) if matrix[i][j]})
+    q_list = sorted(data.draw(st.sets(st.integers(1, S), min_size=1, max_size=3)))
+    M_list = sorted(data.draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)))
+    N = 6
+    hp = hinf_profile(T, q_list, M_list, N)
+    dp = delta_profile(T, phi, q_list, M_list, N)
+    for hrow, drow in zip(hp.rows, dp.rows):
+        n, M, q = hrow[:3]
+        assert drow[:3] == (n, M, q)
+        bf = count_B_bruteforce(T, phi, n, M, q)
+        assert hrow[3] == drow[3] == bf.count, (n, M, q)
+        assert hrow[5] is None
+        if bf.count:
+            assert drow[5] == pytest.approx(bf.z_phi, abs=1e-12)
+        else:
+            assert drow[5] == LOG_ZERO
+
+
 
 def test_hinf_profile_finite_shift_all_low_is_empty(full3):
     # with every state low, a word of n >= 2 coordinates makes at least two

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmshift import (ROOT, BouquetShift, FiniteShift, GeometricTail,
-                     LoopCountFamily, LoopVertex, Plain, Potential, PowerTail,
-                     birkhoff_sum, build_preset, chi_per,
+from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
+                     GeometricTail, LoopCountFamily, LoopVertex, Plain,
+                     Potential, PowerTail, birkhoff_sum, build_preset, chi_per,
                      condition_witness_search, crc_profile, induced_pressure,
                      induced_system, normalizing_C, partition_sums_bruteforce,
                      partition_sums_renewal, partition_sums_transfer,
@@ -124,6 +124,33 @@ def test_transfer_zero_potential_exact_counts(full2):
     assert ps.counts == [2 ** (n - 1) for n in range(1, 21)]
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transfer_matches_brute_force_on_random_shifts(data):
+    # random transitive shifts (a cycle through every state plus random
+    # edges), a random base state, weighted and zero potentials
+    S = data.draw(st.integers(min_value=2, max_value=4))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    T = FiniteShift(matrix)
+    a = Plain(data.draw(st.integers(min_value=1, max_value=S)))
+    N = 8
+    phi = Potential(2, {
+        (Plain(i + 1), Plain(j + 1)): data.draw(
+            st.floats(min_value=-3, max_value=2, allow_nan=False))
+        for i in range(S) for j in range(S) if matrix[i][j]})
+    brute = partition_sums_bruteforce(T, phi, a, N)
+    fast = partition_sums_transfer(T, phi, a, N)
+    for n in range(1, N + 1):
+        assert fast.logz(n) == pytest.approx(brute.logz(n), abs=1e-10)
+        assert fast.logzstar(n) == pytest.approx(brute.logzstar(n), abs=1e-10)
+    zero = Potential(1, {}, 0.0)
+    brute = partition_sums_bruteforce(T, zero, a, N)
+    fast = partition_sums_transfer(T, zero, a, N)
+    assert fast.counts == brute.counts
+    assert fast.star_counts == brute.star_counts
+
+
 # -- pressure estimates --------------------------------------------------------------------
 
 def test_pressure_flat_sequence_is_zero():
@@ -181,6 +208,19 @@ def test_chi_per_self_loop_equals_pressure_and_ucs_fails():
     P = pressure_estimate(ps).value
     assert P == pytest.approx(c, abs=1e-12)
     assert ucs_check(res.value, P) == "fails"
+
+
+def test_chi_per_refusal_matches_periodic_points():
+    # 27 periodic words of period 4 through each state of the full 3-shift:
+    # chi_per refuses with the text the enumeration itself would raise
+    T = FiniteShift([[1, 1, 1]] * 3)
+    phi = Potential(1, {}, 0.0)
+    with pytest.raises(EnumerationRefusal) as enumerated:
+        periodic_points(T, 4, Plain(1), max_count=26)
+    with pytest.raises(EnumerationRefusal) as counted:
+        chi_per(T, phi, 6, max_count=26)
+    assert str(counted.value) == str(enumerated.value)
+    assert chi_per(T, phi, 6, q_cap=1, max_count=243).period == 1
 
 
 def test_chi_per_matches_exhaustive_cycles():
