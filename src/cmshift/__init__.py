@@ -10,7 +10,8 @@ from .families import (BouquetBuild, BouquetRealizationError, BouquetSpec,
                        UnknownTail, build_bouquet, build_preset, htop_solve,
                        normalizing_C, preset_names, zeta)
 from .infinity import (CountB, InfinityProfile, bouquet_hinf_oracle, count_B,
-                       count_B_bruteforce, delta_profile, hinf_profile)
+                       count_B_bruteforce, delta_profile, hinf_profile,
+                       profile_pair)
 from .potential import (BirkhoffValue, InadmissibleWordError, Potential,
                         PotentialError, birkhoff_sum, connector_constant)
 from .shift import (ROOT, BouquetShift, ConnectorNotFound, EnumerationRefusal,

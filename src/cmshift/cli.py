@@ -39,8 +39,32 @@ class InvariantBreach(Exception):
 
 # -- config ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"preset", "shift", "potential", "horizon", "truncate", "M", "q",
-                "tol", "out", "format", "log2"}
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _is_text(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+# the type each config key must have in a JSON config document
+_CONFIG_TYPES = {
+    "preset": (_is_text, "a string"),
+    "shift": (_is_text, "a string"),
+    "potential": (_is_text, "a string"),
+    "out": (_is_text, "a string"),
+    "format": (lambda v: isinstance(v, str), "a string"),
+    "horizon": (_is_int, "an integer"),
+    "truncate": (lambda v: v is None or _is_int(v), "an integer"),
+    "M": (_is_int_list, "a list of integers"),
+    "q": (_is_int_list, "a list of integers"),
+    "tol": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "log2": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass
@@ -68,7 +92,7 @@ class RunConfig:
             raise ConfigError("M grid must be non-empty positive integers")
         if not self.q or any(v < 1 for v in self.q):
             raise ConfigError("q grid must be non-empty positive integers")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError("tol must be positive")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
@@ -81,15 +105,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        unknown = set(doc) - _CONFIG_KEYS
+        if not isinstance(doc, dict):
+            raise ConfigError("a config document must be a JSON object")
+        unknown = set(doc) - set(_CONFIG_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         cfg = cls()
         for key, value in doc.items():
+            valid, kind = _CONFIG_TYPES[key]
+            if not valid(value):
+                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
             setattr(cfg, key, value)
-        cfg.M = [int(m) for m in cfg.M]
-        cfg.q = [int(v) for v in cfg.q]
-        cfg.horizon = int(cfg.horizon)
         cfg.validate()
         return cfg
 
@@ -301,8 +327,16 @@ def _profiles(bundle: _Bundle, cfg: RunConfig, P: float) -> dict:
         return out
     if bundle.profile_note:
         out["note"] = bundle.profile_note
+    P = P if math.isfinite(P) else 0.0
+    hp = dp = None
+    if phi is not None:
+        try:
+            hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=P)
+        except (EnumerationRefusal, ValueError):
+            pass  # each profile is retried alone and records its own failure
     try:
-        hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
+        if hp is None:
+            hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
         out["hinf"] = {
             "estimate": hp.estimate, "uncertainty": hp.uncertainty,
             "window": list(hp.window),
@@ -315,8 +349,8 @@ def _profiles(bundle: _Bundle, cfg: RunConfig, P: float) -> dict:
         out["hinf"] = {"skipped": str(exc)}
     if phi is not None:
         try:
-            dp = infinity.delta_profile(T, phi, cfg.q, cfg.M, cfg.horizon,
-                                        P=P if math.isfinite(P) else 0.0)
+            if dp is None:
+                dp = infinity.delta_profile(T, phi, cfg.q, cfg.M, cfg.horizon, P=P)
             out["delta"] = {
                 "estimate": dp.estimate, "band": dp.band,
                 "ci_verdict": dp.ci_verdict, "window": list(dp.window),
@@ -481,10 +515,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
-        doc = json.loads(Path(args.config).read_text()) \
-            if Path(args.config).exists() else None
-        if doc is None:
+        path = Path(args.config)
+        if not path.exists():
             raise ConfigError(f"config file {args.config} does not exist")
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         cfg = RunConfig.from_dict(doc)
     else:
         cfg = RunConfig(preset=args.preset, shift=args.shift,

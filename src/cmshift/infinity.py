@@ -32,7 +32,7 @@ from .thermo import _edge_logweight
 __all__ = [
     "CountB", "InfinityProfile",
     "count_B", "count_B_bruteforce", "hinf_profile", "delta_profile",
-    "bouquet_hinf_oracle",
+    "profile_pair", "bouquet_hinf_oracle",
 ]
 
 
@@ -358,6 +358,13 @@ def _q_direction_diagnostics(rows, q_list, M_list, N):
     return notes
 
 
+def _check_grid(q_list, M_list, N) -> None:
+    if not q_list or not M_list:
+        raise ValueError("grids must be non-empty")
+    if N < MIN_PROFILE_HORIZON:
+        raise ValueError("horizon too small to fit")
+
+
 def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
                  M_list: Sequence[int], N: int) -> InfinityProfile:
     """Fill the (n, M, q) grid of cylinder counts and fit tail growth rates.
@@ -368,11 +375,11 @@ def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
     the slope at the largest (q, M); its uncertainty includes the spread to
     the neighbouring M as a finite-M proxy.
     """
-    if not q_list or not M_list:
-        raise ValueError("grids must be non-empty")
-    if N < MIN_PROFILE_HORIZON:
-        raise ValueError("horizon too small to fit")
-    rows = _grid_rows(T, None, q_list, M_list, N)
+    _check_grid(q_list, M_list, N)
+    return _entropy_fit(_grid_rows(T, None, q_list, M_list, N), q_list, M_list, N)
+
+
+def _entropy_fit(rows, q_list, M_list, N) -> InfinityProfile:
     window = _profile_window(N)
     fits = {}
     for q in q_list:
@@ -408,11 +415,12 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     (q, M) grid point; the band is the window spread.  An empty grid cell
     yields the verdict 'no-evidence' rather than a vacuous pass.
     """
-    if not q_list or not M_list:
-        raise ValueError("grids must be non-empty")
-    if N < MIN_PROFILE_HORIZON:
-        raise ValueError("horizon too small to fit")
-    rows = _grid_rows(T, phi, q_list, M_list, N)
+    _check_grid(q_list, M_list, N)
+    return _contraction_fit(_grid_rows(T, phi, q_list, M_list, N),
+                            q_list, M_list, N, P, tol)
+
+
+def _contraction_fit(rows, q_list, M_list, N, P, tol) -> InfinityProfile:
     window = _profile_window(N)
     fits = {}
     for q in q_list:
@@ -438,6 +446,26 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
                            _monotone_M_check(rows, q_list, M_list, N),
                            _q_direction_diagnostics(rows, q_list, M_list, N),
                            pressure=P, band=band, ci_verdict=verdict)
+
+
+def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
+                 M_list: Sequence[int], N: int, P: float = 0.0,
+                 tol: float = 1e-9) -> tuple[InfinityProfile, InfinityProfile]:
+    """hinf_profile and delta_profile of the same grid, from one weighted fill.
+
+    The weighted grid carries the counts of the unweighted one whenever
+    every q takes the same route with and without phi, so the entropy
+    profile is fitted from the delta profile's rows; otherwise (a bouquet
+    potential without loop totals at q = 1) each profile fills its own grid.
+    Both profiles are those the two separate calls return.
+    """
+    if not all(_composition_route(T, phi, q) == _composition_route(T, None, q)
+               for q in q_list):
+        return (hinf_profile(T, q_list, M_list, N),
+                delta_profile(T, phi, q_list, M_list, N, P, tol))
+    dp = delta_profile(T, phi, q_list, M_list, N, P, tol)
+    counts = [r[:5] + (None,) for r in dp.rows]
+    return _entropy_fit(counts, q_list, M_list, N), dp
 
 
 def bouquet_hinf_oracle(a: LoopCountFamily) -> float:

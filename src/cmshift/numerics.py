@@ -27,10 +27,6 @@ def logsumexp(values: Iterable[float]) -> float:
     return m + math.log1p(total + float(len(xs) - 1))
 
 
-def logadd(a: float, b: float) -> float:
-    return logsumexp((a, b))
-
-
 @dataclass(frozen=True)
 class TailFit:
     """Least-squares fit of a log-sequence over a tail window."""

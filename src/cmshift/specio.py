@@ -32,7 +32,7 @@ from .potential import Potential
 from .shift import (ROOT, BouquetShift, FiniteShift, LoopCountFamily,
                     LoopVertex, Plain, State, TransitionSystem)
 
-__all__ = ["ConfigError", "parse_state", "format_state", "parse_shift_spec",
+__all__ = ["ConfigError", "parse_state", "parse_shift_spec",
            "parse_potential_spec", "load_shift", "load_potential"]
 
 
@@ -65,10 +65,6 @@ def parse_state(token) -> State:
         return Plain(int(t))
     except ValueError as exc:
         raise ConfigError(f"cannot parse state {token!r}") from exc
-
-
-def format_state(s: State) -> str:
-    return repr(s)
 
 
 def parse_loop_counts(doc: dict) -> LoopCountFamily:

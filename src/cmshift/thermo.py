@@ -127,7 +127,8 @@ def _edge_logweight(phi: Potential, u: State, v: State) -> float:
         return phi.weight((u,))
     if phi.memory == 2:
         return phi.weight((u, v))
-    raise ValueError("transfer DP supports memory <= 2 potentials only")
+    raise EnumerationRefusal(
+        f"edge-weight DPs need a potential of memory <= 2 (got memory {phi.memory})")
 
 
 def partition_sums_transfer(T: FiniteShift, phi: Potential, a: State,
@@ -136,7 +137,8 @@ def partition_sums_transfer(T: FiniteShift, phi: Potential, a: State,
 
     Zero potentials run on integer path counts, so those sums are exact to
     the last bit (counts are attached); weighted sums use log-space matrix
-    iteration.
+    iteration over edge weights, which a weighted potential of memory >= 3
+    does not have (refused).
     """
     if not isinstance(T, FiniteShift):
         raise ValueError("transfer sums need a finite-matrix shift")
@@ -243,8 +245,17 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
 
     On bouquets with per-loop total weights attached, the maximum is taken
     exactly over simple loops (orbit averages are convex combinations of
-    simple-loop averages); otherwise all periodic orbits through states of
-    order index <= q_cap are enumerated.
+    simple-loop averages).  Otherwise the periodic orbits through states of
+    order index <= q_cap are searched.  On finite shifts with a potential of
+    memory <= 2 the weights sit on edges, so the best closed walk through an
+    anchor a at each period n is a max-plus DP (the (a, a) entry of the n-th
+    max-plus power, cf. Karp 1978): one candidate per (period, anchor), found
+    in polynomial time.  Memory >= 3 potentials and bouquets without loop
+    totals enumerate every periodic word instead; finite shifts refuse up
+    front when a period has more than max_count words through an anchor.
+    Either way the candidates are scored by the same periodic Birkhoff sum
+    in the same (period, anchor) order, keeping strictly greater averages
+    only, so both routes return the same value and period.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -258,17 +269,77 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
                 best, best_n = avg, n
         orbit = _loop_word(best_n) if best_n else None
         return ChiPerResult(best, best_n, orbit)
-    best, best_w = -math.inf, None
     anchors = T.states_up_to(q_cap) if q_cap else list(T.states())
-    if isinstance(T, FiniteShift):
-        _refuse_large_periods(T, anchors, N, max_count)
-    for n in range(1, N + 1):
-        for a in anchors:
-            for w in periodic_points(T, n, a, max_count=max_count):
-                avg = birkhoff_sum(T, phi, w, mode="periodic").value / n
-                if avg > best:
-                    best, best_w = avg, w
+    if isinstance(T, FiniteShift) and phi.memory <= 2:
+        words = _best_closed_walks(T, phi, anchors, N)
+    else:
+        if isinstance(T, FiniteShift):
+            _refuse_large_periods(T, anchors, N, max_count)
+        words = (w for n in range(1, N + 1) for a in anchors
+                 for w in periodic_points(T, n, a, max_count=max_count))
+    best, best_w = -math.inf, None
+    for w in words:
+        avg = birkhoff_sum(T, phi, w, mode="periodic").value / len(w)
+        if avg > best:
+            best, best_w = avg, w
     return ChiPerResult(best, len(best_w) if best_w else 0, best_w)
+
+
+def _best_closed_walks(T: FiniteShift, phi: Potential, anchors: list[State],
+                       N: int) -> list[Word]:
+    """Per period n <= N, then per anchor a: the periodic word through a of
+    period n with the largest exact weight sum, state-order first on ties.
+
+    The edge weights become integers over one power-of-two denominator, so
+    maxima and ties are those of the exact sums, which math.fsum rounds
+    monotonically: the word scores what the best enumerated word of its
+    (period, anchor) scores.  g[k][i] is the best sum of a k-edge walk from
+    state i to a; the word is read off forwards, taking the first successor
+    that stays optimal.  Edges of weight -inf or nan are dropped (walks over
+    them never score above -inf), and an edge of weight +inf outweighs every
+    finite walk (walks over it score +inf).
+    """
+    states = list(T.states())
+    S = len(states)
+    edges = [(i, j, _edge_logweight(phi, u, v))
+             for i, u in enumerate(states) for j, v in enumerate(states)
+             if T.matrix[i][j]]
+    edges = [(i, j, w) for i, j, w in edges if w > -math.inf]  # not -inf, not nan
+    ratios = {w: w.as_integer_ratio() for _, _, w in edges if w < math.inf}
+    den = max((d for _, d in ratios.values()), default=1)
+    exact = {w: num * (den // d) for w, (num, d) in ratios.items()}
+    exact[math.inf] = 2 * N * max(map(abs, exact.values()), default=0) + 1
+    succ: list[list[tuple[int, int]]] = [[] for _ in states]
+    for i, j, w in edges:
+        succ[i].append((j, exact[w]))
+    tables = []
+    for a in anchors:
+        ai = T.order_index(a) - 1
+        g: list[list[int | None]] = [[None] * S]
+        g[0][ai] = 0
+        for _ in range(N):
+            prev, cur = g[-1], []
+            for i in range(S):
+                top = None
+                for j, w in succ[i]:
+                    p = prev[j]
+                    if p is not None and (top is None or p + w > top):
+                        top = p + w
+                cur.append(top)
+            g.append(cur)
+        tables.append((ai, g))
+    words = []
+    for n in range(1, N + 1):
+        for ai, g in tables:
+            if g[n][ai] is None:
+                continue
+            word, i = [ai], ai
+            for k in range(n, 1, -1):
+                i = next(j for j, w in succ[i]
+                         if g[k - 1][j] is not None and g[k - 1][j] + w == g[k][i])
+                word.append(i)
+            words.append(tuple(states[i] for i in word))
+    return words
 
 
 def _refuse_large_periods(T: FiniteShift, anchors: list[State], N: int,

@@ -62,6 +62,19 @@ def test_config_error_exit_codes(capsys, tmp_path):
     assert main(["report", "--config", str(cfgfile)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("doc", [
+    {"tol": "abc"}, {"tol": float("nan")}, {"horizon": "x"}, {"horizon": 40.0},
+    {"horizon": True}, {"M": 5}, {"M": ["2"]}, {"q": [1.5]}, {"truncate": "5"},
+    {"log2": 1}, {"format": 7}, {"out": 3}, "not a document", [1, 2]])
+def test_malformed_config_values_are_config_errors(doc, tmp_path, capsys):
+    if isinstance(doc, dict):
+        doc = dict({"preset": "sec52-entry", "horizon": 12}, **doc)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main(["report", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("command,horizon,least", [
     ("report", 3, 5), ("report", 4, 5), ("pressure", 3, 5), ("pressure", 4, 5),
     ("spr", 3, 5), ("spr", 4, 5), ("hinf", 3, 4)])
@@ -126,7 +139,9 @@ def test_finite_shift_report(tmp_path):
 
 def test_chi_per_refuses_before_enumerating(tmp_path, monkeypatch, capsys):
     # the full 3-shift has 3^12 > 500000 periodic words of period 13 through
-    # each state; the count is taken before any word is built
+    # each state.  A memory-1 potential is an edge weight, so chi_per runs
+    # the max-plus DP and builds no periodic word list at all; a memory-3
+    # potential is enumerated, and the count is taken before any word is built
     import cmshift.shift
     import cmshift.thermo
 
@@ -136,15 +151,43 @@ def test_chi_per_refuses_before_enumerating(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cmshift.shift, "periodic_points", never)
     monkeypatch.setattr(cmshift.thermo, "periodic_points", never)
     shift = {"kind": "finite", "matrix": [[1, 1, 1]] * 3}
-    pot = {"memory": 1, "default": 0.0, "table": []}
     (tmp_path / "shift.json").write_text(json.dumps(shift))
-    (tmp_path / "pot.json").write_text(json.dumps(pot))
-    code = main(["report", "--shift", str(tmp_path / "shift.json"),
-                 "--potential", str(tmp_path / "pot.json"), "--horizon", "13",
-                 "--q", "1", "--M", "2"])
-    assert code == EXIT_REFUSAL
+    argv = ["report", "--shift", str(tmp_path / "shift.json"),
+            "--potential", str(tmp_path / "pot.json"), "--horizon", "13",
+            "--q", "1", "--M", "2", "--out", str(tmp_path / "out")]
+    (tmp_path / "pot.json").write_text(
+        json.dumps({"memory": 1, "default": 0.0, "table": []}))
+    assert main(argv) == EXIT_OK
+    assert "chi_per: 0\n" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["chi_per"] == {"period": 1, "value": 0.0}
+    (tmp_path / "pot.json").write_text(
+        json.dumps({"memory": 3, "default": 0.0, "table": []}))
+    assert main(argv) == EXIT_REFUSAL
     assert "more than 500000 periodic words of period 13" \
         in capsys.readouterr().err
+
+
+def test_memory3_weights_refuse_edge_weight_dps(tmp_path, capsys):
+    # a weighted memory-3 potential has no edge weights for the transfer
+    # sums: the report refuses and names the memory limit
+    shift = {"kind": "finite", "matrix": [[1, 1, 1]] * 3}
+    (tmp_path / "shift.json").write_text(json.dumps(shift))
+    argv = ["report", "--shift", str(tmp_path / "shift.json"),
+            "--potential", str(tmp_path / "pot.json"), "--horizon", "6",
+            "--q", "1", "--M", "2", "--out", str(tmp_path / "out")]
+    (tmp_path / "pot.json").write_text(json.dumps({"memory": 3, "default": -0.5}))
+    assert main(argv) == EXIT_REFUSAL
+    assert "memory <= 2 (got memory 3)" in capsys.readouterr().err
+    # a zero memory-3 potential counts paths instead; the contraction
+    # profile and the delta grid, which need edge weights, are skipped
+    (tmp_path / "pot.json").write_text(json.dumps({"memory": 3, "default": 0.0}))
+    assert main(argv) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["chi_per"] == {"period": 1, "value": 0.0}
+    assert "memory <= 2" in report["crc"]["skipped"]
+    assert "memory <= 2" in report["profiles"]["delta"]["skipped"]
+    assert "rows" in report["profiles"]["hinf"]
 
 
 def test_oracle_subcommand_passes(tmp_path, capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cmshift import (BouquetShift, FiniteShift, LoopCountFamily, Plain,
                      Potential, bouquet_hinf_oracle, build_preset, count_B,
-                     count_B_bruteforce, delta_profile, hinf_profile)
+                     count_B_bruteforce, delta_profile, hinf_profile,
+                     profile_pair)
 from cmshift.numerics import LOG_ZERO
 
 LOG2 = math.log(2.0)
@@ -239,6 +240,44 @@ def test_delta_profile_no_evidence_on_empty_grid(full3):
     phi = Potential(1, {}, 0.0)
     prof = delta_profile(full3, phi, [3], [2], 10, P=0.0)
     assert prof.ci_verdict == "no-evidence"
+
+
+def _same_profile(a, b):
+    assert repr((a.rows, a.fits, a.estimate, a.uncertainty, a.window,
+                 a.monotone_M_violations, a.q_diagnostics, a.band, a.ci_verdict)) \
+        == repr((b.rows, b.fits, b.estimate, b.uncertainty, b.window,
+                 b.monotone_M_violations, b.q_diagnostics, b.band, b.ci_verdict))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_profile_pair_equals_separate_profiles_on_random_shifts(data):
+    # one weighted grid yields both profiles, bit for bit
+    S = data.draw(st.integers(min_value=2, max_value=5))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    T = FiniteShift(matrix)
+    phi = Potential(2, {
+        (Plain(i + 1), Plain(j + 1)): data.draw(
+            st.floats(min_value=-3, max_value=1, allow_nan=False))
+        for i in range(S) for j in range(S) if matrix[i][j]})
+    q_list, M_list, N = [1, 2], [2, 3], 9
+    hp, dp = profile_pair(T, phi, q_list, M_list, N, P=-0.5)
+    _same_profile(hp, hinf_profile(T, q_list, M_list, N))
+    _same_profile(dp, delta_profile(T, phi, q_list, M_list, N, P=-0.5))
+
+
+@pytest.mark.parametrize("loop_totals", [True, False])
+def test_profile_pair_equals_separate_profiles_on_a_bouquet(loop_totals):
+    # with loop totals both grids take the composition route at q = 1;
+    # without them the weighted grid runs the state DP and is filled apart
+    build = build_preset("sec52-entry", truncate_len=8)
+    T, phi = build.system, build.potential
+    if not loop_totals:
+        phi = Potential(2, {}, 0.0, fallback=phi.fallback)
+    hp, dp = profile_pair(T, phi, [1, 2], [2, 4], 12)
+    _same_profile(hp, hinf_profile(T, [1, 2], [2, 4], 12))
+    _same_profile(dp, delta_profile(T, phi, [1, 2], [2, 4], 12))
 
 
 # -- growth oracle -----------------------------------------------------------------------

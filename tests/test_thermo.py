@@ -211,10 +211,11 @@ def test_chi_per_self_loop_equals_pressure_and_ucs_fails():
 
 
 def test_chi_per_refusal_matches_periodic_points():
-    # 27 periodic words of period 4 through each state of the full 3-shift:
-    # chi_per refuses with the text the enumeration itself would raise
+    # 27 periodic words of period 4 through each state of the full 3-shift: a
+    # memory-3 potential is no edge weight, so chi_per enumerates, and it
+    # refuses with the text the enumeration itself would raise
     T = FiniteShift([[1, 1, 1]] * 3)
-    phi = Potential(1, {}, 0.0)
+    phi = Potential(3, {}, 0.0)
     with pytest.raises(EnumerationRefusal) as enumerated:
         periodic_points(T, 4, Plain(1), max_count=26)
     with pytest.raises(EnumerationRefusal) as counted:
@@ -242,6 +243,99 @@ def test_chi_per_matches_exhaustive_cycles():
                     best = max(best,
                                birkhoff_sum(T, phi, w, "periodic").value / n)
         assert res.value == pytest.approx(best, abs=1e-12)
+
+
+def _enumerated_chi_per(T, phi, N, q_cap):
+    # every periodic word in (period, anchor, state order) order, keeping
+    # strictly greater averages: the enumeration the max-plus route replaces
+    anchors = T.states_up_to(q_cap) if q_cap else list(T.states())
+    best, best_w = -math.inf, None
+    for n in range(1, N + 1):
+        for a in anchors:
+            for w in periodic_points(T, n, a):
+                avg = birkhoff_sum(T, phi, w, "periodic").value / n
+                if avg > best:
+                    best, best_w = avg, w
+    return best, len(best_w) if best_w else 0, best_w
+
+
+def _random_chi_per_case(data, weights):
+    # a random 1-5 state shift (a cycle through every state plus random
+    # edges), a memory-1 or memory-2 potential whose table may leave some
+    # windows to the default, a horizon and an anchor cap
+    S = data.draw(st.integers(min_value=1, max_value=5))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    T = FiniteShift(matrix)
+    memory = data.draw(st.sampled_from([1, 2]))
+    if memory == 1:
+        keys = [(Plain(i + 1),) for i in range(S)]
+    else:
+        keys = [(Plain(i + 1), Plain(j + 1))
+                for i in range(S) for j in range(S) if matrix[i][j]]
+    table = {k: data.draw(weights) for k in keys if data.draw(st.booleans())}
+    phi = Potential(memory, table, data.draw(weights))
+    N = data.draw(st.integers(min_value=1, max_value=7 if S <= 3 else 5))
+    q_cap = data.draw(st.sampled_from([None, 1, 2]))
+    return T, phi, N, q_cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chi_per_max_plus_equals_enumeration_on_dyadic_weights(data):
+    # k/8 weights sum exactly, so the word is the enumeration's word too; a
+    # coarse grid of values makes ties between words, broken in state order
+    dyadic = st.one_of(st.integers(min_value=-2, max_value=1),
+                       st.integers(min_value=-24, max_value=16)).map(lambda k: k / 8)
+    T, phi, N, q_cap = _random_chi_per_case(data, dyadic)
+    res = chi_per(T, phi, N, q_cap=q_cap)
+    value, period, orbit = _enumerated_chi_per(T, phi, N, q_cap)
+    assert (res.value, res.period, res.orbit) == (value, period, orbit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chi_per_max_plus_matches_enumeration_on_float_weights(data):
+    floats = st.floats(min_value=-3, max_value=2, allow_nan=False)
+    T, phi, N, q_cap = _random_chi_per_case(data, floats)
+    res = chi_per(T, phi, N, q_cap=q_cap)
+    value, period, _ = _enumerated_chi_per(T, phi, N, q_cap)
+    assert res.value == pytest.approx(value, abs=1e-12)
+    assert res.period == period
+    w = res.orbit
+    if w is None:
+        # no period up to N closes through an anchor
+        assert (res.value, res.period) == (-math.inf, 0)
+        return
+    # the orbit is an admissible periodic word of that period, through an
+    # anchor, whose periodic average is the value
+    assert len(w) == res.period
+    assert w[0] in (T.states_up_to(q_cap) if q_cap else list(T.states()))
+    assert birkhoff_sum(T, phi, w, "periodic").value / len(w) == res.value
+
+
+def test_chi_per_max_plus_builds_no_periodic_words(monkeypatch):
+    # a 32-state shift at period 40 has far too many periodic words to list;
+    # the memory-2 route scores one candidate per (period, anchor)
+    import cmshift.thermo
+
+    def never(*args, **kwargs):
+        raise AssertionError("periodic words were enumerated")
+
+    monkeypatch.setattr(cmshift.thermo, "periodic_points", never)
+    rng = random.Random(11)
+    S = 32
+    matrix = [[int(j == (i + 1) % S) for j in range(S)] for i in range(S)]
+    for i in range(S):
+        for j in rng.sample([j for j in range(S) if not matrix[i][j]], 2):
+            matrix[i][j] = 1
+    T = FiniteShift(matrix)
+    phi = Potential(2, {(Plain(i + 1), Plain(j + 1)): rng.uniform(-2, 0)
+                        for i in range(S) for j in range(S) if matrix[i][j]})
+    res = chi_per(T, phi, 40)
+    assert 1 <= res.period <= 40
+    assert birkhoff_sum(T, phi, res.orbit, "periodic").value / res.period \
+        == res.value
 
 
 # -- SPR check ------------------------------------------------------------------------------
