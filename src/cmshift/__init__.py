@@ -19,10 +19,9 @@ from .shift import (ROOT, BouquetShift, ConnectorNotFound, EnumerationRefusal,
                     ShiftError, TransitionSystem, UnknownStateError, Word,
                     enumerate_words, f_property_count, is_admissible,
                     periodic_points, shortest_connector)
-from .thermo import (ChiPerResult, CrcProfile, DiagnosticsReport,
-                     InducedPressure, InducedSystem, PartitionSums,
-                     PressureEstimate, RecurrenceClass, SprVerdict, Witness,
-                     analytic_pressure, chi_per,
+from .thermo import (ChiPerResult, CrcProfile, InducedPressure, InducedSystem,
+                     PartitionSums, PressureEstimate, RecurrenceClass,
+                     SprVerdict, Witness, analytic_pressure, chi_per,
                      condition_witness_search, crc_profile,
                      induced_pressure, induced_system,
                      partition_sums_bruteforce, partition_sums_renewal,

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import families, infinity, thermo
-from .families import (FiniteTail, GeometricTail, PowerTail, UnknownTail,
-                       build_preset, htop_solve, preset_names)
+from .families import (BouquetRealizationError, FiniteTail, GeometricTail,
+                       PowerTail, UnknownTail, build_preset, htop_solve,
+                       preset_names)
 from .numerics import LOG_ZERO
 from .potential import Potential
 from .shift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
@@ -189,6 +190,7 @@ class _Bundle:
     profile_system: TransitionSystem | None = None
     profile_potential: Potential | None = None
     profile_note: str | None = None
+    profile_skipped: str | None = None
 
 
 def _build_bundle(cfg: RunConfig) -> _Bundle:
@@ -219,8 +221,8 @@ def _build_bundle(cfg: RunConfig) -> _Bundle:
                 bundle.profile_system = mod.system
                 bundle.profile_potential = mod.potential
                 bundle.profile_note = "profiles use the a(1)=1 modified family"
-            except Exception:
-                pass
+            except (ValueError, EnumerationRefusal, BouquetRealizationError) as exc:
+                bundle.profile_skipped = f"the a(1)=1 modified family has no graph: {exc}"
         return bundle
     T = load_shift(cfg.shift)
     phi = load_potential(cfg.potential, T)
@@ -266,9 +268,20 @@ def _closed_form(bundle: _Bundle) -> bool:
     return isinstance(bundle.weights, (GeometricTail, PowerTail, FiniteTail))
 
 
-def _diagnostics(bundle: _Bundle, cfg: RunConfig) -> dict:
+def _pressure(bundle: _Bundle, cfg: RunConfig
+              ) -> tuple[thermo.PartitionSums, thermo.PressureEstimate, float]:
+    """Partition sums, their fitted pressure, and the pressure P that every
+    verdict of a run is judged against: the analytic one when the family's
+    return weights have a closed form, the fitted one otherwise."""
     ps = _partition_sums(bundle, cfg)
     pressure = thermo.pressure_estimate(ps)
+    if _closed_form(bundle):
+        return ps, pressure, thermo.analytic_pressure(bundle.weights)
+    return ps, pressure, pressure.value
+
+
+def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
+                 pressure: thermo.PressureEstimate, P: float) -> dict:
     out: dict = {
         "sequences": {
             "n": list(range(1, ps.horizon + 1)),
@@ -282,12 +295,8 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig) -> dict:
     }
     # closed-form families pin the pressure exactly; verdicts use that pin,
     # the fitted estimate stays in the report with its uncertainty
-    P = pressure.value
-    if bundle.weights is not None:
-        exact = thermo.analytic_pressure(bundle.weights)
-        if exact is not None:
-            out["pressure"]["analytic"] = exact
-            P = exact
+    if _closed_form(bundle):
+        out["pressure"]["analytic"] = P
     spr = thermo.spr_check(ps.log_zstar, P if math.isfinite(P) else 0.0,
                            closed_form=_closed_form(bundle))
     out["spr"] = {"verdict": spr.verdict, "slope": spr.slope, "tol": spr.tol}
@@ -324,6 +333,8 @@ def _profiles(bundle: _Bundle, cfg: RunConfig, P: float) -> dict:
     out: dict = {}
     T, phi = bundle.profile_system, bundle.profile_potential
     if T is None:
+        if bundle.profile_skipped:
+            out["skipped"] = bundle.profile_skipped
         return out
     if bundle.profile_note:
         out["note"] = bundle.profile_note
@@ -366,8 +377,8 @@ def run_report(cfg: RunConfig) -> dict:
     cfg.validate()
     _check_horizon(cfg, "report")
     bundle = _build_bundle(cfg)
-    report = _diagnostics(bundle, cfg)
-    P = report["pressure"]["value"]
+    ps, pressure, P = _pressure(bundle, cfg)
+    report = _diagnostics(bundle, cfg, ps, pressure, P)
     report["profiles"] = _profiles(bundle, cfg, P)
     report["config"] = {
         "label": bundle.label, "horizon": cfg.horizon,
@@ -598,16 +609,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("all rows pass")
         return EXIT_OK
     if args.command == "pressure":
-        bundle = _build_bundle(cfg)
-        ps = _partition_sums(bundle, cfg)
-        est = thermo.pressure_estimate(ps)
+        _, est, _ = _pressure(_build_bundle(cfg), cfg)
         print(f"pressure: {_fmt(_display(est.value, cfg.log2))} "
               f"± {_fmt(est.uncertainty)} (window {est.window})")
         return EXIT_OK
     if args.command == "hinf":
         bundle = _build_bundle(cfg)
         if bundle.profile_system is None:
-            raise ConfigError("profiles need a graph realization (set --truncate)")
+            raise ConfigError(bundle.profile_skipped
+                              or "profiles need a graph realization (set --truncate)")
         hp = infinity.hinf_profile(bundle.profile_system, cfg.q, cfg.M, cfg.horizon)
         if cfg.out:
             outdir = Path(cfg.out)
@@ -623,12 +633,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "spr":
         bundle = _build_bundle(cfg)
-        ps = _partition_sums(bundle, cfg)
-        P = thermo.pressure_estimate(ps).value
-        if bundle.weights is not None:
-            exact = thermo.analytic_pressure(bundle.weights)
-            if exact is not None:
-                P = exact
+        ps, _, P = _pressure(bundle, cfg)
         verdict = thermo.spr_check(ps.log_zstar, P if math.isfinite(P) else 0.0,
                                    closed_form=_closed_form(bundle))
         print(f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "

@@ -244,9 +244,6 @@ def _scheme_fallback(spec: BouquetSpec) -> Callable[[tuple], float | None]:
     return fallback
 
 
-_TABLE_CAP = 2000
-
-
 def build_bouquet(spec: BouquetSpec, graph: str | bool = "auto") -> BouquetBuild:
     """Build a bouquet family: graph, memory-2 potential, and closed-form
     aggregate return weights (the untruncated family's w*_n).
@@ -273,25 +270,15 @@ def build_bouquet(spec: BouquetSpec, graph: str | bool = "auto") -> BouquetBuild
         raise BouquetRealizationError("graph realization needs truncate_len")
     system = potential = truncated = None
     if graph is not False and has_graph:
-        system = BouquetShift(spec.a, spec.truncate_len)
-        entries: dict[tuple, float] = {}
-        fallback = _scheme_fallback(spec)
-        total_loops = sum(spec.a.count(n) for n in system.loop_lengths())
-        if total_loops <= _TABLE_CAP:
-            for n in system.loop_lengths():
-                for i in range(1, spec.a.count(n) + 1):
-                    word = (ROOT,) + tuple(LoopVertex(n, i, k) for k in range(1, n)) \
-                        + (ROOT,)
-                    for t in range(n):
-                        w = fallback((word[t], word[t + 1]))
-                        if w is not None:
-                            entries[(word[t], word[t + 1])] = w
-        potential = Potential(2, entries, 0.0, fallback=fallback, system=system)
-        potential.loop_total = spec.tau
-        potential.loop_support = system.loop_lengths()
+        # the weights first: a loop total the family cannot give fails here,
+        # before the graph materializes its loop counts
         truncated = FiniteTail(tuple(
             _aggregate_log_weight(spec.a, spec.tau, n)
             for n in range(1, spec.truncate_len + 1)))
+        system = BouquetShift(spec.a, spec.truncate_len)
+        potential = Potential(2, {}, 0.0, fallback=_scheme_fallback(spec))
+        potential.loop_total = spec.tau
+        potential.loop_support = system.loop_lengths()
     return BouquetBuild(system, potential, weights, truncated, spec)
 
 

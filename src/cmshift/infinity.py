@@ -8,12 +8,13 @@ Counting convention: the low-visit cardinality ranges over the first n
 coordinates of the (n+1)-word, i.e. exactly the window where the length-n
 Birkhoff sum collects its terms, compared exactly as count * M <= n + 1.
 Counts are arbitrary-precision integers; ratios and slopes live in log space.
-On bouquets with q = 1 the counting is a loop-length composition DP, so large
-families never enumerate states; its part-count tables stop at the largest
-visit cap (N + 1) // min(M) a grid can read.  Every other system runs one
-forward state DP per q over (low visits so far, state), which yields the count
-and the best Birkhoff sum of every (n, M) cell of the grid at once; a single
-count_B is the one-cell case of the same sweep.
+Both routes fill the whole (n, M) grid of one q at once, carrying per visit
+index the pair (count, best Birkhoff sum) up to the largest visit cap
+(N + 1) // min(M) a grid can read, and share one cell read-off.  On bouquets
+with q = 1 the fill runs over loop-length compositions (parts = low visits),
+so large families never enumerate states; every other system runs one forward
+state sweep over (low visits so far, state).  A single count_B is the
+one-cell case of the same fill.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from typing import Sequence
 from .numerics import LOG_ZERO, linear_fit
 from .potential import Potential
 from .shift import (BouquetShift, EnumerationRefusal, LoopCountFamily,
-                    TransitionSystem, enumerate_words)
-from .thermo import _edge_logweight
+                    TransitionSystem, enumerate_words, index_graph)
 
 __all__ = [
     "CountB", "InfinityProfile",
@@ -51,94 +51,74 @@ def _visits_ok(visits: int, n: int, M: int) -> bool:
     return visits * M <= n + 1
 
 
-# -- composition DP (bouquet, q = 1) ---------------------------------------------
+# -- cell read-off ----------------------------------------------------------------
 
-def _composition_counts(T: BouquetShift, N: int,
-                        jmax: int | None = None) -> list[list[int]]:
-    """cnt[j][m] = weighted number of loop-length compositions of m into j
-    parts, for j <= jmax (default N + 1) and m <= N."""
-    if jmax is None:
-        jmax = N + 1
-    lengths = [k for k in T.loop_lengths() if k <= N]
-    a = {k: T.a.count(k) for k in lengths}
-    cnt = [[0] * (N + 1) for _ in range(jmax + 1)]
-    cnt[0][0] = 1
-    for j in range(1, jmax + 1):
-        row, prev = cnt[j], cnt[j - 1]
-        for m in range(1, N + 1):
-            s = 0
-            for k in lengths:
-                if k > m:
-                    break
-                p = prev[m - k]
+def _read_off(cells: dict[int, list[CountB]], n: int, counts: Sequence[int],
+              bests: Sequence[float], with_phi: bool) -> None:
+    """Append the CountB of cell (n, M) to cells[M] for every M.
+
+    counts[v] and bests[v] are the number and the best Birkhoff sum of the
+    counted (n+1)-words with v low visits among their first n coordinates;
+    cell (n, M) admits v * M <= n + 1, i.e. the running total and maximum
+    over v read at index (n + 1) // M.
+    """
+    totals = list(accumulate(counts))
+    tops = list(accumulate(bests, max))
+    for M, col in cells.items():
+        total, zbest = totals[(n + 1) // M], tops[(n + 1) // M]
+        zphi = None
+        if with_phi:
+            zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
+        col.append(CountB(total, math.log(total) if total else LOG_ZERO, zphi))
+
+
+# -- composition fill (bouquet, q = 1) --------------------------------------------
+
+def _composition_fill(T: BouquetShift, phi: Potential | None,
+                      M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
+    """CountB of every cell (n, M) with 1 <= n <= N, from one fill over
+    loop-length compositions.
+
+    Root-anchored words decompose into complete loops, and a composition
+    with j parts visits the root at position 0 and after every part but the
+    last, i.e. j low visits.  cnt[m][j] is the number of compositions of m
+    into j parts (each part weighted by its loop count) and best[m][j] their
+    largest total loop weight, for j up to the largest visit cap
+    (N + 1) // min(M).
+    """
+    with_phi = phi is not None
+    jmax = (N + 1) // min(M_list)
+    loops = [(k, T.a.count(k), phi.loop_total(k) if with_phi else 0.0)
+             for k in T.loop_lengths() if k <= N]
+    cnt = [[1] + [0] * jmax]
+    best = [[0.0 if with_phi else LOG_ZERO] + [LOG_ZERO] * jmax]
+    cells: dict[int, list[CountB]] = {M: [] for M in M_list}
+    for n in range(1, N + 1):
+        c, b = [0] * (jmax + 1), [LOG_ZERO] * (jmax + 1)
+        for k, a, tau in loops:
+            if k > n:
+                break
+            # a composition of n - k has at most n - k parts
+            top = min(jmax, n - k + 1)
+            pc, pb = cnt[n - k], best[n - k]
+            for j in range(1, top + 1):
+                p = pc[j - 1]
                 if p:
-                    s += a[k] * p
-            row[m] = s
-    return cnt
+                    c[j] += a * p
+            if with_phi:
+                for j in range(1, top + 1):
+                    p = pb[j - 1]
+                    if p != LOG_ZERO:
+                        cand = p + tau
+                        if cand > b[j]:
+                            b[j] = cand
+        cnt.append(c)
+        best.append(b)
+        _read_off(cells, n, c, b, with_phi)
+    return cells
 
 
-def _composition_best(T: BouquetShift, loop_total, N: int,
-                       jmax: int | None = None) -> list[list[float]]:
-    """best[j][m] = max total loop weight over compositions of m into j
-    parts, for j <= jmax (default N + 1) and m <= N."""
-    if jmax is None:
-        jmax = N + 1
-    lengths = [k for k in T.loop_lengths() if k <= N]
-    tau = {k: loop_total(k) for k in lengths}
-    best = [[LOG_ZERO] * (N + 1) for _ in range(jmax + 1)]
-    best[0][0] = 0.0
-    for j in range(1, jmax + 1):
-        row, prev = best[j], best[j - 1]
-        for m in range(1, N + 1):
-            b = LOG_ZERO
-            for k in lengths:
-                if k > m:
-                    break
-                p = prev[m - k]
-                if p != LOG_ZERO:
-                    cand = p + tau[k]
-                    if cand > b:
-                        b = cand
-            row[m] = b
-    return best
-
-
-def _count_B_composition(T: BouquetShift, phi: Potential | None,
-                         n: int, M: int,
-                         cnt: list[list[int]] | None = None,
-                         best: list[list[float]] | None = None) -> CountB:
-    # root-anchored words decompose into complete loops; a composition with j
-    # parts visits the root at positions 0 and after every part except the
-    # final one inside the first n coordinates, i.e. j low visits.
-    if cnt is None:
-        cnt = _composition_counts(T, n)
-    total = 0
-    for j in range(1, n + 1):
-        if _visits_ok(j, n, M) and j < len(cnt):
-            total += cnt[j][n]
-    zphi = None
-    if phi is not None:
-        if phi.loop_total is None:
-            raise EnumerationRefusal(
-                "the composition route needs per-loop total weights on the potential")
-        if best is None:
-            best = _composition_best(T, phi.loop_total, n)
-        zbest = LOG_ZERO
-        for j in range(1, n + 1):
-            if _visits_ok(j, n, M) and j < len(best) and best[j][n] != LOG_ZERO:
-                if best[j][n] > zbest:
-                    zbest = best[j][n]
-        zphi = zbest / n if zbest != LOG_ZERO else LOG_ZERO
-    log_count = math.log(total) if total else LOG_ZERO
-    if total == 0 and zphi is not None:
-        zphi = LOG_ZERO
-    return CountB(total, log_count, zphi)
-
-
-# -- state DP (finite systems, any q) ----------------------------------------------
-
-_STATE_DP_CAP = 4000
-
+# -- state sweep (finite systems, any q) --------------------------------------------
 
 def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
                    M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
@@ -151,17 +131,14 @@ def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
     beyond the largest cap (N + 1) // min(M) can count for no cell and is
     dropped.
     """
-    if T.state_count() > _STATE_DP_CAP:
-        raise EnumerationRefusal(
-            f"state DP capped at {_STATE_DP_CAP} states; only bouquets with "
-            "q = 1 scale beyond (composition route)")
-    states = list(T.states())
-    idx = {s: i for i, s in enumerate(states)}
-    low = [int(T.order_index(s) <= q) for s in states]
-    lows = [i for i in range(len(states)) if low[i]]
-    succ = [[(idx[t], _edge_logweight(phi, s, t) if phi is not None else 0.0)
-             for t in T.successors(s)] for s in states]
-    S = len(states)
+    graph = index_graph(
+        T, 4000, "state DP capped at {cap} states; only bouquets with "
+        "q = 1 scale beyond (composition route)")
+    succ = graph.weighted(phi) if phi is not None else \
+        [[(j, 0.0) for j in js] for js in graph.succ]
+    S = len(graph.states)
+    low = [int(i < q) for i in range(S)]
+    lows = range(min(q, S))
     vcap = (N + 1) // min(M_list)
     # cnt[v][i] counts the paths in state (v, i); best[v][i] is their maximal
     # Birkhoff sum, left at LOG_ZERO throughout when there is no potential
@@ -193,22 +170,22 @@ def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
                         if cand > nbrow[j]:
                             nbrow[j] = cand
         cnt, best = ncnt, nbest
-        # running totals over v of the low endpoints: entry v covers 0..v
-        totals = list(accumulate(sum(row[i] for i in lows) for row in cnt))
-        tops = list(accumulate((max((row[i] for i in lows), default=LOG_ZERO)
-                                for row in best), max))
-        for M, col in cells.items():
-            total, zbest = totals[(n + 1) // M], tops[(n + 1) // M]
-            zphi = None
-            if phi is not None:
-                zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
-            col.append(CountB(total, math.log(total) if total else LOG_ZERO, zphi))
+        _read_off(cells, n, [sum(row[i] for i in lows) for row in cnt],
+                  [max((row[i] for i in lows), default=LOG_ZERO) for row in best],
+                  phi is not None)
     return cells
 
 
 def _composition_route(T: TransitionSystem, phi: Potential | None, q: int) -> bool:
     return (isinstance(T, BouquetShift) and q == 1
             and (phi is None or phi.loop_total is not None))
+
+
+def _grid_cells(T: TransitionSystem, phi: Potential | None, q: int,
+                M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
+    if _composition_route(T, phi, q):
+        return _composition_fill(T, phi, M_list, N)
+    return _count_B_sweep(T, phi, q, M_list, N)
 
 
 def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) -> CountB:
@@ -222,9 +199,7 @@ def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) 
         raise ValueError("n and M must be >= 1")
     if q <= 0:
         return CountB.empty(phi is not None)
-    if _composition_route(T, phi, q):
-        return _count_B_composition(T, phi, n, M)
-    return _count_B_sweep(T, phi, q, [M], n)[M][n - 1]
+    return _grid_cells(T, phi, q, [M], n)[M][n - 1]
 
 
 def count_B_bruteforce(T: TransitionSystem, phi: Potential | None,
@@ -246,7 +221,7 @@ def count_B_bruteforce(T: TransitionSystem, phi: Potential | None,
             continue
         total += 1
         if phi is not None:
-            s = math.fsum(_edge_logweight(phi, w[i], w[i + 1]) for i in range(n))
+            s = math.fsum(phi.edge_weight(w[i], w[i + 1]) for i in range(n))
             zbest = max(zbest, s / n)
     zphi = (zbest if total else LOG_ZERO) if phi is not None else None
     return CountB(total, math.log(total) if total else LOG_ZERO, zphi)
@@ -286,14 +261,6 @@ class InfinityProfile:
     def slope(self, M: int, q: int):
         return self.fits[(M, q)]
 
-    def estimate_at_q(self, q: int) -> float:
-        """Iterated-limit estimate at fixed q: the value at the largest M."""
-        Ms = [m for (m, qq) in self.fits if qq == q]
-        if not Ms:
-            raise KeyError(q)
-        fit = self.fits[(max(Ms), q)]
-        return fit.slope if hasattr(fit, "slope") else fit[0]
-
 
 # shortest horizon whose fit window has the four points of _profile_window
 MIN_PROFILE_HORIZON = 4
@@ -308,21 +275,8 @@ def _profile_window(N: int, min_points: int = 4) -> list[int]:
 
 def _grid_rows(T, phi, q_list, M_list, N):
     rows = []
-    comp_tables = None
     for q in q_list:
-        if _composition_route(T, phi, q):
-            if comp_tables is None:
-                # no cell reads a part count above (N + 1) // min(M)
-                jmax = (N + 1) // min(M_list)
-                comp_tables = (
-                    _composition_counts(T, N, jmax),
-                    _composition_best(T, phi.loop_total, N, jmax)
-                    if phi is not None else None)
-            cnt, best = comp_tables
-            cells = {M: [_count_B_composition(T, phi, n, M, cnt=cnt, best=best)
-                         for n in range(1, N + 1)] for M in M_list}
-        else:
-            cells = _count_B_sweep(T, phi, q, M_list, N)
+        cells = _grid_cells(T, phi, q, M_list, N)
         for M in M_list:
             for n, cb in enumerate(cells[M], start=1):
                 rows.append((n, M, q, cb.count, cb.log_count, cb.z_phi))

@@ -1,4 +1,5 @@
-"""Log-space arithmetic, tail fits, and certified series evaluation."""
+"""Log-space arithmetic, tail fits, certified series evaluation, and the
+two step kernels of the state DPs (exact counts and max-plus)."""
 
 from __future__ import annotations
 
@@ -198,6 +199,40 @@ def int_mat_pow(A: list[list[int]], p: int) -> list[list[int]]:
         base = int_mat_mul(base, base)
         p >>= 1
     return result
+
+
+# -- path DP steps over successor index lists ------------------------------------
+
+def count_push(succ: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
+    """One step of exact path counting: entry j of the result sums vec[i]
+    over the edges i -> j, where succ[i] lists the successor indices of i."""
+    out = [0] * len(vec)
+    for i, c in enumerate(vec):
+        if c:
+            for j in succ[i]:
+                out[j] += c
+    return out
+
+
+def maxplus_push(wsucc, vec: Sequence, parent: dict | None = None) -> list:
+    """One max-plus step: entry j of the result is the maximum of vec[i] + w
+    over the weighted edges (j, w) in wsucc[i], LOG_ZERO where none arrives.
+
+    Sources are scanned in index order and only a strictly greater sum
+    replaces an entry, so parent[j] (when a dict is given) records the first
+    source that reaches the maximum.
+    """
+    out = [LOG_ZERO] * len(vec)
+    for i, v in enumerate(vec):
+        if v == LOG_ZERO:
+            continue
+        for j, w in wsucc[i]:
+            cand = v + w
+            if cand > out[j]:
+                out[j] = cand
+                if parent is not None:
+                    parent[j] = i
+    return out
 
 
 # -- renewal pressure root ----------------------------------------------------

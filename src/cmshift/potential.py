@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .shift import TransitionSystem, Word, is_admissible
+from .shift import EnumerationRefusal, State, TransitionSystem, Word, is_admissible
 
 __all__ = [
     "PotentialError", "InadmissibleWordError",
@@ -76,6 +76,17 @@ class Potential:
             if v is not None:
                 return v
         return self.default
+
+    def edge_weight(self, u: State, v: State) -> float:
+        """Weight that the edge u -> v carries in the edge-weight DPs: the
+        window (u,) for memory 1 and (u, v) for memory 2.  Longer memories
+        have no edge weights and are refused."""
+        if self.memory == 1:
+            return self.weight((u,))
+        if self.memory == 2:
+            return self.weight((u, v))
+        raise EnumerationRefusal(
+            f"edge-weight DPs need a potential of memory <= 2 (got memory {self.memory})")
 
     def is_zero(self) -> bool:
         return (self.default == 0.0 and self.fallback is None

@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
+from .numerics import count_push
+
 __all__ = [
     "ShiftError", "UnknownStateError", "EnumerationRefusal", "ConnectorNotFound",
     "Root", "LoopVertex", "Plain", "ROOT", "State", "Word",
     "LoopCountFamily", "TransitionSystem", "FiniteShift", "BouquetShift",
-    "WordEnumeration", "FPropertyCount",
+    "WordEnumeration", "FPropertyCount", "IndexedGraph",
     "is_admissible", "enumerate_words", "periodic_points",
-    "shortest_connector", "f_property_count",
+    "shortest_connector", "f_property_count", "index_graph",
 ]
 
 
@@ -371,6 +373,40 @@ class BouquetShift(TransitionSystem):
         return self._count
 
 
+# -- indexed graphs ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class IndexedGraph:
+    """A transition system listed for the state DPs.
+
+    states[i] is the state of order index i + 1, so the low part of level q
+    is the first q indices, and succ[i] lists the indices of the successors
+    of states[i] in successor order.
+    """
+
+    states: list[State]
+    succ: list[list[int]]
+
+    def weighted(self, phi) -> list[list[tuple[int, float]]]:
+        """Successor lists carrying the potential's edge weights."""
+        return [[(j, phi.edge_weight(u, self.states[j])) for j in js]
+                for u, js in zip(self.states, self.succ)]
+
+
+def index_graph(T: TransitionSystem, cap: int | None = None,
+                refusal: str = "") -> IndexedGraph:
+    """List T in state order with successor index lists.
+
+    With a cap, a system of more states is refused before any state is
+    listed; the refusal text may name {cap} and {states} (the state count).
+    """
+    if cap is not None and T.state_count() > cap:
+        raise EnumerationRefusal(refusal.format(cap=cap, states=T.state_count()))
+    states = list(T.states())
+    index = {s: i for i, s in enumerate(states)}
+    return IndexedGraph(states, [[index[t] for t in T.successors(s)] for s in states])
+
+
 # -- word operations -------------------------------------------------------------
 
 def is_admissible(T: TransitionSystem, w: Word) -> bool:
@@ -573,7 +609,7 @@ class FPropertyCount:
 
 
 def f_property_count(T: TransitionSystem, q: int, N: int,
-                     bound: int = 10 ** 18, state_cap: int = 5000) -> FPropertyCount:
+                     bound: int = 10 ** 18) -> FPropertyCount:
     """Number of admissible words of length N that start in the low part
     (order index <= q) and admit a continuation by a low state.
 
@@ -593,22 +629,11 @@ def f_property_count(T: TransitionSystem, q: int, N: int,
         for m in range(1, N + 1):
             comp[m] = sum(T.a.count(k) * comp[m - k] for k in lengths if k <= m)
         return FPropertyCount(comp[N], comp[N] > bound, bound)
-    if T.state_count() > state_cap:
-        raise EnumerationRefusal(
-            f"path counting over {T.state_count()} states exceeds the cap "
-            f"{state_cap}; only the q=1 composition route is available here")
-    states = list(T.states())
-    index = {s: i for i, s in enumerate(states)}
-    low = [T.order_index(s) <= q for s in states]
-    vec = [1 if low[i] else 0 for i in range(len(states))]
+    graph = index_graph(
+        T, 5000, "path counting over {states} states exceeds the cap {cap}; "
+        "only the q=1 composition route is available here")
+    vec = [int(i < q) for i in range(len(graph.states))]
     for _ in range(N - 1):
-        nxt = [0] * len(states)
-        for i, s in enumerate(states):
-            c = vec[i]
-            if c:
-                for t in T.successors(s):
-                    nxt[index[t]] += c
-        vec = nxt
-    can_close = [any(low[index[t]] for t in T.successors(s)) for s in states]
-    total = sum(c for c, ok in zip(vec, can_close) if ok)
+        vec = count_push(graph.succ, vec)
+    total = sum(c for c, js in zip(vec, graph.succ) if any(j < q for j in js))
     return FPropertyCount(total, total > bound, bound)

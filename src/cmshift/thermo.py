@@ -15,16 +15,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .numerics import (LOG_ZERO, TailFit, int_mat_mul, linear_fit,
-                       linear_fit_with_log, logsumexp, tail_window)
+from .numerics import (LOG_ZERO, TailFit, count_push, linear_fit,
+                       linear_fit_with_log, logsumexp, maxplus_push, tail_window)
 from .potential import Potential, birkhoff_sum
 from .shift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
-                    LoopVertex, State, TransitionSystem, Word, periodic_points)
+                    LoopVertex, State, TransitionSystem, Word, index_graph,
+                    periodic_points)
 
 __all__ = [
     "PartitionSums", "PressureEstimate", "SprVerdict", "ChiPerResult",
     "InducedWord", "InducedSystem", "InducedPressure", "RecurrenceClass",
-    "CrcProfile", "Witness", "DiagnosticsReport",
+    "CrcProfile", "Witness",
     "analytic_pressure", "partition_sums_bruteforce", "partition_sums_renewal",
     "partition_sums_transfer", "pressure_estimate", "chi_per", "ucs_check",
     "spr_check", "induced_system", "induced_pressure", "recurrence_classify",
@@ -119,18 +120,6 @@ def partition_sums_renewal(wstar: Sequence[float] | None = None,
     return PartitionSums(base, N, log_Z[1:], log_wstar[:N], "renewal-dp")
 
 
-_TRANSFER_STATE_CAP = 128
-
-
-def _edge_logweight(phi: Potential, u: State, v: State) -> float:
-    if phi.memory == 1:
-        return phi.weight((u,))
-    if phi.memory == 2:
-        return phi.weight((u, v))
-    raise EnumerationRefusal(
-        f"edge-weight DPs need a potential of memory <= 2 (got memory {phi.memory})")
-
-
 def partition_sums_transfer(T: FiniteShift, phi: Potential, a: State,
                             N: int) -> PartitionSums:
     """Transfer DP over a finite matrix: exact log-space Z_n and Z*_n.
@@ -144,37 +133,29 @@ def partition_sums_transfer(T: FiniteShift, phi: Potential, a: State,
         raise ValueError("transfer sums need a finite-matrix shift")
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    S = T.state_count()
-    if S > _TRANSFER_STATE_CAP:
-        raise EnumerationRefusal(f"transfer DP capped at {_TRANSFER_STATE_CAP} states")
-    T.require(a)
-    states = list(T.states())
-    idx = {s: i for i, s in enumerate(states)}
-    ai = idx[a]
+    graph = index_graph(T, 128, "transfer DP capped at {cap} states")
+    states = graph.states
+    S = len(states)
+    ai = T.order_index(a) - 1
 
     # Z_n is entry a of row a of the n-th matrix power, and row a of a power
     # is row a of the previous power times the matrix, so one row is iterated
     if phi.is_zero():
-        A = [[T.matrix[i][j] for j in range(S)] for i in range(S)]
+        # row: walks from a; vec: walks from a that have not returned to a
+        row = vec = [int(j == ai) for j in range(S)]
         counts, star_counts = [], []
-        # closed walks via row a of A^n, first returns via interior-restricted walks
-        row = A[ai][:]
-        vec = [A[ai][j] if j != ai else 0 for j in range(S)]
-        star_counts.append(A[ai][ai])
-        counts.append(A[ai][ai])
-        for n in range(2, N + 1):
-            row = int_mat_mul([row], A)[0]
+        for _ in range(N):
+            row = count_push(graph.succ, row)
+            vec = count_push(graph.succ, vec)
             counts.append(row[ai])
-            star_counts.append(sum(vec[j] * A[j][ai] for j in range(S)))
-            vec = [sum(vec[k] * A[k][j] for k in range(S)) if j != ai else 0
-                   for j in range(S)]
-        # realign: counts[0] was A^1; loop appended A^2..A^N
+            star_counts.append(vec[ai])
+            vec[ai] = 0
         log_z = [math.log(c) if c else LOG_ZERO for c in counts]
         log_zstar = [math.log(c) if c else LOG_ZERO for c in star_counts]
         return PartitionSums(a, N, log_z, log_zstar, "transfer-dp",
                              counts, star_counts)
 
-    W = [[_edge_logweight(phi, u, v) if T.matrix[i][j] else LOG_ZERO
+    W = [[phi.edge_weight(u, v) if T.matrix[i][j] else LOG_ZERO
           for j, v in enumerate(states)] for i, u in enumerate(states)]
     log_z, log_zstar = [], []
     log_zstar.append(W[ai][ai])
@@ -297,46 +278,39 @@ def _best_closed_walks(T: FiniteShift, phi: Potential, anchors: list[State],
     state i to a; the word is read off forwards, taking the first successor
     that stays optimal.  Edges of weight -inf or nan are dropped (walks over
     them never score above -inf), and an edge of weight +inf outweighs every
-    finite walk (walks over it score +inf).
+    finite walk (walks over it score +inf).  The tables are filled by
+    max-plus steps along the reversed edges, with LOG_ZERO where no walk
+    reaches a.
     """
-    states = list(T.states())
-    S = len(states)
-    edges = [(i, j, _edge_logweight(phi, u, v))
-             for i, u in enumerate(states) for j, v in enumerate(states)
-             if T.matrix[i][j]]
-    edges = [(i, j, w) for i, j, w in edges if w > -math.inf]  # not -inf, not nan
+    graph = index_graph(T)
+    states = graph.states
+    edges = [(i, j, w) for i, js in enumerate(graph.weighted(phi)) for j, w in js
+             if w > -math.inf]  # not -inf, not nan
     ratios = {w: w.as_integer_ratio() for _, _, w in edges if w < math.inf}
     den = max((d for _, d in ratios.values()), default=1)
     exact = {w: num * (den // d) for w, (num, d) in ratios.items()}
     exact[math.inf] = 2 * N * max(map(abs, exact.values()), default=0) + 1
     succ: list[list[tuple[int, int]]] = [[] for _ in states]
+    pred: list[list[tuple[int, int]]] = [[] for _ in states]
     for i, j, w in edges:
         succ[i].append((j, exact[w]))
+        pred[j].append((i, exact[w]))
     tables = []
     for a in anchors:
         ai = T.order_index(a) - 1
-        g: list[list[int | None]] = [[None] * S]
-        g[0][ai] = 0
+        g = [[0 if i == ai else LOG_ZERO for i in range(len(states))]]
         for _ in range(N):
-            prev, cur = g[-1], []
-            for i in range(S):
-                top = None
-                for j, w in succ[i]:
-                    p = prev[j]
-                    if p is not None and (top is None or p + w > top):
-                        top = p + w
-                cur.append(top)
-            g.append(cur)
+            g.append(maxplus_push(pred, g[-1]))
         tables.append((ai, g))
     words = []
     for n in range(1, N + 1):
         for ai, g in tables:
-            if g[n][ai] is None:
+            if g[n][ai] == LOG_ZERO:
                 continue
             word, i = [ai], ai
             for k in range(n, 1, -1):
                 i = next(j for j, w in succ[i]
-                         if g[k - 1][j] is not None and g[k - 1][j] + w == g[k][i])
+                         if g[k - 1][j] != LOG_ZERO and g[k - 1][j] + w == g[k][i])
                 word.append(i)
             words.append(tuple(states[i] for i in word))
     return words
@@ -350,12 +324,11 @@ def _refuse_large_periods(T: FiniteShift, anchors: list[State], N: int,
     of the anchors are iterated exactly and the first period in the
     enumeration order with a count above max_count is refused.
     """
-    A = [list(row) for row in T.matrix]
+    succ = index_graph(T).succ
     idx = [T.order_index(a) - 1 for a in anchors]
-    rows = [A[i][:] for i in idx]
+    rows = [[int(j == i) for j in range(len(succ))] for i in idx]
     for n in range(1, N + 1):
-        if n > 1:
-            rows = int_mat_mul(rows, A)
+        rows = [count_push(succ, row) for row in rows]
         if any(row[i] > max_count for row, i in zip(rows, idx)):
             raise EnumerationRefusal(
                 f"more than {max_count} periodic words of period {n}")
@@ -474,7 +447,7 @@ def induced_system(T: TransitionSystem, phi: Potential, a: State, L: int,
             # the first len(w) terms of the sum on [w + (a,)] are exactly the
             # induced weight for memory <= 2 potentials
             total = math.fsum(
-                _edge_logweight(phi, (w + (a,))[i], (w + (a,))[i + 1])
+                phi.edge_weight((w + (a,))[i], (w + (a,))[i + 1])
                 for i in range(len(w)))
             words.append(InducedWord(w, total))
             if len(words) > max_words:
@@ -759,8 +732,7 @@ class CrcProfile:
 
 
 def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
-                P: float = 0.0, tol: float = 0.0,
-                state_cap: int = 5000) -> CrcProfile:
+                P: float = 0.0, tol: float = 0.0) -> CrcProfile:
     """Profile s(n) = max S_n phi over length-(n+1) words with both endpoint
     order indices <= q, plus the fitted affine majorant C_q - n*lambda_q.
 
@@ -769,7 +741,7 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
     """
     if q < 1 or N < 1:
         raise ValueError("q and N must be >= 1")
-    s = _max_birkhoff_low_to_low(T, phi, q, N, state_cap)
+    s = _max_birkhoff_low_to_low(T, phi, q, N)
     win = list(tail_window(N))
     fit = linear_fit(win, [s[n - 1] for n in win])
     lam = -fit.slope
@@ -777,7 +749,7 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
     return CrcProfile(s, cq, lam, q, lam > P + tol, P, fit)
 
 
-def _max_birkhoff_low_to_low(T, phi, q, N, state_cap) -> list[float]:
+def _max_birkhoff_low_to_low(T, phi, q, N) -> list[float]:
     if isinstance(T, BouquetShift) and q == 1 and phi.loop_total is not None:
         best = [LOG_ZERO] * (N + 1)
         best[0] = 0.0
@@ -787,29 +759,15 @@ def _max_birkhoff_low_to_low(T, phi, q, N, state_cap) -> list[float]:
                      for k in lengths if k <= m and best[m - k] != LOG_ZERO]
             best[m] = max(cands) if cands else LOG_ZERO
         return best[1:]
-    if T.state_count() > state_cap:
-        raise EnumerationRefusal(
-            f"contraction profile needs <= {state_cap} states here; only the "
-            "root-anchored composition route scales beyond")
-    states = list(T.states())
-    idx = {st: i for i, st in enumerate(states)}
-    low = [T.order_index(st) <= q for st in states]
-    succ = {i: [(idx[t], _edge_logweight(phi, st, t)) for t in T.successors(st)]
-            for i, st in enumerate(states)}
-    dp = [0.0 if low[i] else LOG_ZERO for i in range(len(states))]
+    graph = index_graph(
+        T, 5000, "contraction profile needs <= {cap} states here; only the "
+        "root-anchored composition route scales beyond")
+    wsucc = graph.weighted(phi)
+    dp = [0.0 if i < q else LOG_ZERO for i in range(len(graph.states))]
     out = []
-    for _ in range(1, N + 1):
-        nxt = [LOG_ZERO] * len(states)
-        for i, v in enumerate(dp):
-            if v == LOG_ZERO:
-                continue
-            for j, w in succ[i]:
-                cand = v + w
-                if cand > nxt[j]:
-                    nxt[j] = cand
-        dp = nxt
-        out.append(max((dp[i] for i in range(len(states)) if low[i]),
-                       default=LOG_ZERO))
+    for _ in range(N):
+        dp = maxplus_push(wsucc, dp)
+        out.append(max(dp[:q]))
     return out
 
 
@@ -825,8 +783,7 @@ class Witness:
 
 
 def condition_witness_search(T: TransitionSystem, phi: Potential, cond: str,
-                             q: int, C: float, eps: float, N: int,
-                             state_cap: int = 20_000) -> Witness | None:
+                             q: int, C: float, eps: float, N: int) -> Witness | None:
     """Search for a word violating S_n phi <= C - n*eps under a contraction
     condition's endpoint constraints.
 
@@ -842,49 +799,36 @@ def condition_witness_search(T: TransitionSystem, phi: Potential, cond: str,
         raise ValueError("q and N must be >= 1")
     if isinstance(T, BouquetShift) and T.truncate_len > N + 1:
         T = BouquetShift(T.a, N + 1)
-    if T.state_count() > state_cap:
-        raise EnumerationRefusal(
-            f"witness DP needs <= {state_cap} states (got {T.state_count()})")
-    states = list(T.states())
-    idx = {st: i for i, st in enumerate(states)}
-    low = [T.order_index(st) <= q for st in states]
-    succ = {i: [(idx[t], _edge_logweight(phi, st, t)) for t in T.successors(st)]
-            for i, st in enumerate(states)}
+    graph = index_graph(T, 20_000, "witness DP needs <= {cap} states (got {states})")
+    states = graph.states
+    wsucc = graph.weighted(phi)
+    S = len(states)
+    low = [i < q for i in range(S)]
 
     if cond == "A":
-        start_ok = [True] * len(states)
-        interior_ok = [True] * len(states)
+        start_ok = [True] * S
+        interior_ok = [True] * S
         end_ok = low
     elif cond == "B":
         start_ok = low
-        interior_ok = [True] * len(states)
-        end_ok = [True] * len(states)
+        interior_ok = [True] * S
+        end_ok = [True] * S
     else:
         start_ok = [not b for b in low]
         interior_ok = [not b for b in low]
-        end_ok = [True] * len(states)
+        end_ok = [True] * S
 
-    dp = [0.0 if start_ok[i] else LOG_ZERO for i in range(len(states))]
+    dp = [0.0 if start_ok[i] else LOG_ZERO for i in range(S)]
     parent: list[dict[int, int]] = [{}]
     for n in range(1, N + 1):
-        nxt = [LOG_ZERO] * len(states)
+        # the sources already met the start/interior constraint of their
+        # position; the parent of each state is its first optimal source
         par: dict[int, int] = {}
-        for i in sorted(range(len(states)), key=lambda k: T.order_index(states[k])):
-            v = dp[i]
-            if v == LOG_ZERO:
-                continue
-            # interior constraint applies to positions 0..n-1; position n-1 is
-            # the source of the final edge at this step, already filtered when
-            # it was a start/interior state.
-            for j, w in succ[i]:
-                cand = v + w
-                if cand > nxt[j]:
-                    nxt[j] = cand
-                    par[j] = i
+        nxt = maxplus_push(wsucc, dp, par)
         parent.append(par)
         bound = C - n * eps
         best_j, best_v = None, LOG_ZERO
-        for j in range(len(states)):
+        for j in range(S):
             if end_ok[j] and nxt[j] > bound and nxt[j] > best_v:
                 best_j, best_v = j, nxt[j]
         if best_j is not None:
@@ -895,38 +839,5 @@ def condition_witness_search(T: TransitionSystem, phi: Potential, cond: str,
             word = tuple(states[i] for i in word_idx)
             return Witness(word, n, best_v, bound, cond)
         # positions beyond the start must satisfy the interior constraint
-        dp = [nxt[j] if interior_ok[j] else LOG_ZERO for j in range(len(states))]
+        dp = [nxt[j] if interior_ok[j] else LOG_ZERO for j in range(S)]
     return None
-
-
-# -- assembled diagnostics ------------------------------------------------------------------
-
-@dataclass
-class DiagnosticsReport:
-    """Horizon-stamped verdicts with the numeric evidence behind each."""
-
-    pressure: PressureEstimate
-    chi_per: ChiPerResult
-    ucs: str
-    spr: SprVerdict
-    crc: CrcProfile | None
-    horizons: dict
-    tolerances: dict
-
-    def as_dict(self) -> dict:
-        out = {
-            "pressure": {"value": self.pressure.value,
-                         "uncertainty": self.pressure.uncertainty,
-                         "window": list(self.pressure.window)},
-            "chi_per": {"value": self.chi_per.value,
-                        "period": self.chi_per.period},
-            "ucs": self.ucs,
-            "spr": {"verdict": self.spr.verdict, "slope": self.spr.slope,
-                    "tol": self.spr.tol},
-            "horizons": self.horizons,
-            "tolerances": self.tolerances,
-        }
-        if self.crc is not None:
-            out["crc"] = {"C_q": self.crc.C_q, "lambda_q": self.crc.lambda_q,
-                          "q": self.crc.q, "verdict": self.crc.verdict}
-        return out

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -50,6 +51,37 @@ def test_report_sec53_summary(capsys):
     assert "class: positive-recurrent" in out
     assert "spr: fails" in out
     assert f"h_top: {math.log(4.0):.12g}" in out
+
+
+def test_report_judges_every_verdict_against_the_analytic_pressure(monkeypatch):
+    # the delta verdict takes the same P as SPR, UCS and CRC: the closed-form
+    # pressure 0 of sec53 at C=auto, not the fitted value (about -1.4e-4)
+    import cmshift.infinity as infinity
+
+    seen = []
+    real = infinity.profile_pair
+
+    def capture(*args, **kwargs):
+        seen.append(kwargs["P"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(infinity, "profile_pair", capture)
+    report = run_report(RunConfig(preset="sec53(beta=3,C=auto)", horizon=60))
+    assert seen == [report["pressure"]["analytic"]]
+    assert report["pressure"]["value"] != report["pressure"]["analytic"]
+    assert report["pressure"]["value"] == pytest.approx(-1.4e-4, abs=5e-5)
+
+
+def test_sec54_profiles_past_the_psi_table_are_skipped_fast(tmp_path, capsys):
+    # the a(1)=1 rebuild fails on the 16-entry default psi table before its
+    # graph materializes 2^(2^n) loop counts, and the report says why
+    start = time.perf_counter()
+    code = main(["report", "--preset", "sec54", "--truncate", "26",
+                 "--horizon", "6", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    profiles = json.loads((tmp_path / "report.json").read_text())["profiles"]
+    assert "psi table" in profiles["skipped"]
 
 
 def test_config_error_exit_codes(capsys, tmp_path):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmshift import (BouquetShift, FiniteShift, LoopCountFamily, Plain,
-                     Potential, bouquet_hinf_oracle, build_preset, count_B,
-                     count_B_bruteforce, delta_profile, hinf_profile,
-                     profile_pair)
+from cmshift import (BouquetShift, BouquetSpec, FiniteShift, LoopCountFamily,
+                     Plain, Potential, TauSpec, bouquet_hinf_oracle,
+                     build_bouquet, build_preset, count_B, count_B_bruteforce,
+                     delta_profile, hinf_profile, profile_pair)
 from cmshift.numerics import LOG_ZERO
 
 LOG2 = math.log(2.0)
@@ -192,6 +192,39 @@ def test_profile_rows_match_bruteforce_on_random_shifts(data):
         else:
             assert drow[5] == LOG_ZERO
 
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_composition_fill_matches_bruteforce_on_random_bouquets(data):
+    # up to 3 loops per length (at most one self-loop), per-loop totals from
+    # a table, any weight scheme: every q = 1 cell against enumeration
+    L = data.draw(st.integers(min_value=1, max_value=5))
+    counts = [data.draw(st.integers(min_value=0, max_value=1))] + [
+        data.draw(st.integers(min_value=0, max_value=3)) for _ in range(L - 1)]
+    if not any(counts):
+        counts[-1] = 1
+    table = tuple(data.draw(st.integers(min_value=-16, max_value=4)) / 8
+                  for _ in range(L))
+    scheme = data.draw(st.sampled_from(["entry", "exit", "midpoint", "spread"]))
+    build = build_bouquet(BouquetSpec(LoopCountFamily("list", values=tuple(counts)),
+                                      scheme, TauSpec("table", table=table), L))
+    T, phi = build.system, build.potential
+    M_list = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5]),
+                                      min_size=1, max_size=3)))
+    N = 6
+    hp = hinf_profile(T, [1], M_list, N)
+    dp = delta_profile(T, phi, [1], M_list, N)
+    for hrow, drow in zip(hp.rows, dp.rows):
+        n, M, q = hrow[:3]
+        bf = count_B_bruteforce(T, phi, n, M, q)
+        assert hrow[3] == drow[3] == bf.count, (n, M)
+        if bf.count:
+            assert drow[5] == pytest.approx(bf.z_phi, abs=1e-12)
+        else:
+            assert drow[5] == LOG_ZERO
+        one = count_B(T, phi, n, M, q)
+        assert (one.count, one.z_phi) == (drow[3], drow[5])
 
 
 def test_hinf_profile_finite_shift_all_low_is_empty(full3):

@@ -242,6 +242,21 @@ def test_f_property_state_dp_matches_composition_route(bouquet_ones):
         assert comp == manual
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_f_property_count_matches_matrix_power(data):
+    # low starts times A^(N-1) times the states with a low successor
+    S = data.draw(st.integers(min_value=1, max_value=5))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    q = data.draw(st.integers(min_value=1, max_value=S))
+    N = data.draw(st.integers(min_value=1, max_value=12))
+    power = int_mat_pow(matrix, N - 1)
+    closes = [any(matrix[j][b] for b in range(q)) for j in range(S)]
+    expected = sum(power[i][j] for i in range(q) for j in range(S) if closes[j])
+    assert f_property_count(FiniteShift(matrix), q, N).count == expected
+
+
 def test_f_property_zero_q(full2):
     assert f_property_count(full2, 0, 4).count == 0
 

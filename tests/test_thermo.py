@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      GeometricTail, LoopCountFamily, LoopVertex, Plain,
                      Potential, PowerTail, birkhoff_sum, build_preset, chi_per,
-                     condition_witness_search, crc_profile, induced_pressure,
+                     condition_witness_search, crc_profile, enumerate_words,
+                     induced_pressure, is_admissible,
                      induced_system, normalizing_C, partition_sums_bruteforce,
                      partition_sums_renewal, partition_sums_transfer,
                      periodic_points, pressure_estimate, recurrence_classify,
                      spr_check, ucs_check, zeta)
 from cmshift.families import FiniteTail, log_weight_sequence
 from cmshift.numerics import LOG_ZERO
+from cmshift.thermo import _max_birkhoff_low_to_low
 
 LOG2 = math.log(2.0)
 
@@ -196,6 +198,11 @@ def test_pressure_needs_five_terms():
 def test_chi_per_sec52_is_minus_log2(sec52):
     res = chi_per(sec52.system, sec52.potential, 12)
     assert res.value == pytest.approx(-LOG2, abs=1e-15)
+    # the verdicts a report draws from it at the exact pressure 0
+    ps = partition_sums_renewal(log_wstar=log_weight_sequence(sec52.weights, 24), N=24)
+    assert spr_check(ps.log_zstar, 0.0, closed_form=True).verdict == "holds"
+    assert ucs_check(res.value, 0.0) == "holds"
+    assert crc_profile(sec52.system, sec52.potential, 1, 12, P=0.0).verdict is True
 
 
 def test_chi_per_self_loop_equals_pressure_and_ucs_fails():
@@ -532,6 +539,64 @@ def test_crc_majorant_covers_tail(sec52):
         assert prof.s[n - 1] <= prof.C_q - n * prof.lambda_q + 1e-9
 
 
+def _random_edge_case(data):
+    # a random 1-5 state shift (a cycle through every state plus random
+    # edges) with memory-2 weights k/8, whose walk sums are exact
+    S = data.draw(st.integers(min_value=1, max_value=5))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    eighths = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
+    phi = Potential(2, {(Plain(i + 1), Plain(j + 1)): data.draw(eighths)
+                        for i in range(S) for j in range(S) if matrix[i][j]})
+    q = data.draw(st.integers(min_value=1, max_value=S))
+    N = data.draw(st.integers(min_value=1, max_value=6 if S <= 3 else 5))
+    return FiniteShift(matrix), phi, q, N
+
+
+def _walk_sum(phi, w):
+    return math.fsum(phi.weight((w[i], w[i + 1])) for i in range(len(w) - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_crc_profile_dp_matches_enumerated_low_to_low_words(data):
+    # s(n) is the best weight of an (n+1)-word with both ends low
+    T, phi, q, N = _random_edge_case(data)
+    low = set(T.states_up_to(q))
+    s = _max_birkhoff_low_to_low(T, phi, q, N)
+    for n in range(1, N + 1):
+        words = enumerate_words(T, n + 1, start=low, end=low)
+        assert s[n - 1] == max((_walk_sum(phi, w) for w in words), default=LOG_ZERO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_condition_witness_search_matches_enumeration(data):
+    # the witness sits at the first n where some admissible (n+1)-word breaks
+    # S_n phi <= C - n eps, and carries the best weight at that n
+    T, phi, q, N = _random_edge_case(data)
+    cond = data.draw(st.sampled_from("ABC"))
+    C = data.draw(st.integers(min_value=-8, max_value=16)) / 8
+    eps = data.draw(st.integers(min_value=-4, max_value=8)) / 8
+    low = set(T.states_up_to(q))
+    allowed = {"A": lambda w: w[-1] in low, "B": lambda w: w[0] in low,
+               "C": lambda w: not any(x in low for x in w[:-1])}[cond]
+    expected = None
+    for n in range(1, N + 1):
+        top = max((_walk_sum(phi, w) for w in enumerate_words(T, n + 1) if allowed(w)),
+                  default=LOG_ZERO)
+        if top > C - n * eps:
+            expected = (n, top)
+            break
+    wit = condition_witness_search(T, phi, cond, q, C, eps, N)
+    if expected is None:
+        assert wit is None
+        return
+    assert (wit.n, wit.value) == expected
+    assert len(wit.word) == wit.n + 1 and is_admissible(T, wit.word)
+    assert allowed(wit.word) and _walk_sum(phi, wit.word) == wit.value
+
+
 def test_crc_state_route_agrees_with_composition_route(sec52):
     # same profile via the generic state DP on an equivalent small system
     T, phi = sec52.system, sec52.potential
@@ -603,24 +668,3 @@ def test_witness_search_is_deterministic():
     w2 = condition_witness_search(build.system, build.potential, "A",
                                   q=1, C=1.0, eps=0.1, N=20)
     assert w1.word == w2.word and w1.n == w2.n
-
-
-def test_diagnostics_report_round_trip(sec52):
-    from cmshift import DiagnosticsReport
-    from cmshift.families import log_weight_sequence
-
-    logw = log_weight_sequence(sec52.weights, 24)
-    ps = partition_sums_renewal(log_wstar=logw, N=24)
-    est = pressure_estimate(ps)
-    chi = chi_per(sec52.system, sec52.potential, 12)
-    spr = spr_check(ps.log_zstar, 0.0, closed_form=True)
-    crc = crc_profile(sec52.system, sec52.potential, 1, 12, P=0.0)
-    report = DiagnosticsReport(est, chi, ucs_check(chi.value, 0.0), spr, crc,
-                               horizons={"N": 24, "L": 12},
-                               tolerances={"spr": spr.tol})
-    doc = report.as_dict()
-    assert doc["spr"]["verdict"] == "holds"
-    assert doc["ucs"] == "holds"
-    assert doc["crc"]["verdict"] is True
-    assert doc["chi_per"]["value"] == pytest.approx(-LOG2)
-    assert doc["horizons"] == {"N": 24, "L": 12}
