@@ -22,8 +22,7 @@ from .families import (BouquetRealizationError, FiniteTail, GeometricTail,
                        preset_names)
 from .numerics import LOG_ZERO
 from .potential import Potential
-from .shift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
-                    TransitionSystem)
+from .shift import ROOT, BouquetShift, EnumerationRefusal, TransitionSystem
 from .specio import ConfigError, load_potential, load_shift
 
 __all__ = ["RunConfig", "run_report", "compare_oracle", "main"]
@@ -245,22 +244,13 @@ def _partition_sums(bundle: _Bundle, cfg: RunConfig) -> thermo.PartitionSums:
     if bundle.weights is not None:
         logw = families.log_weight_sequence(bundle.weights, N)
         return thermo.partition_sums_renewal(log_wstar=logw, N=N)
-    if bundle.truncated_weights is not None:
-        logw = families.log_weight_sequence(bundle.truncated_weights, N)
+    T, phi = bundle.system, bundle.potential
+    if isinstance(T, BouquetShift) and phi.loop_total is not None:
+        logw = [families._aggregate_log_weight(T.a, phi.loop_total, n)
+                if n <= T.truncate_len else LOG_ZERO for n in range(1, N + 1)]
         return thermo.partition_sums_renewal(log_wstar=logw, N=N)
-    if isinstance(bundle.system, FiniteShift):
-        base = bundle.system.state_of_order(1)
-        return thermo.partition_sums_transfer(bundle.system, bundle.potential,
-                                              base, N)
-    if isinstance(bundle.system, BouquetShift):
-        phi = bundle.potential
-        if phi is not None and phi.loop_total is not None:
-            logw = [families._aggregate_log_weight(bundle.system.a, phi.loop_total, n)
-                    if n <= bundle.system.truncate_len else LOG_ZERO
-                    for n in range(1, N + 1)]
-            return thermo.partition_sums_renewal(log_wstar=logw, N=N)
-        return thermo.partition_sums_bruteforce(bundle.system, bundle.potential,
-                                                ROOT, min(N, 14))
+    if T is not None:
+        return thermo.partition_sums_transfer(T, phi, T.state_of_order(1), N)
     raise EnumerationRefusal("no computable partition-sum route for this input")
 
 
@@ -309,7 +299,7 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
                                      min(cfg.q), cfg.horizon, P=P)
             out["crc"] = {"C_q": crc.C_q, "lambda_q": crc.lambda_q,
                           "q": crc.q, "verdict": crc.verdict}
-        except EnumerationRefusal as exc:
+        except (EnumerationRefusal, ValueError) as exc:
             out["crc"] = {"skipped": str(exc)}
     if bundle.weights is not None and not isinstance(bundle.weights, UnknownTail):
         ip = thermo.induced_pressure(bundle.weights, 0.0)

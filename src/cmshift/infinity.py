@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .numerics import LOG_ZERO, linear_fit
 from .potential import Potential
-from .shift import (BouquetShift, EnumerationRefusal, LoopCountFamily,
+from .shift import (SWEEP_STATE_CAP, BouquetShift, EnumerationRefusal, LoopCountFamily,
                     TransitionSystem, enumerate_words, index_graph)
 
 __all__ = [
@@ -131,9 +131,7 @@ def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
     beyond the largest cap (N + 1) // min(M) can count for no cell and is
     dropped.
     """
-    graph = index_graph(
-        T, 4000, "state DP capped at {cap} states; only bouquets with "
-        "q = 1 scale beyond (composition route)")
+    graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
     succ = graph.weighted(phi) if phi is not None else \
         [[(j, 0.0) for j in js] for js in graph.succ]
     S = len(graph.states)

@@ -214,6 +214,16 @@ def count_push(succ: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
     return out
 
 
+def reverse_edges(wsucc) -> list[list[tuple]]:
+    """Predecessor lists of weighted successor lists: entry j lists (i, w)
+    for every edge (j, w) in wsucc[i], sources in index order."""
+    pred: list[list[tuple]] = [[] for _ in wsucc]
+    for i, js in enumerate(wsucc):
+        for j, w in js:
+            pred[j].append((i, w))
+    return pred
+
+
 def maxplus_push(wsucc, vec: Sequence, parent: dict | None = None) -> list:
     """One max-plus step: entry j of the result is the maximum of vec[i] + w
     over the weighted edges (j, w) in wsucc[i], LOG_ZERO where none arrives.

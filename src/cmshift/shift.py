@@ -92,7 +92,8 @@ Word = tuple  # tuple[State, ...]
 
 # -- loop count families -------------------------------------------------------
 
-_DOUBLE_EXP_CAP = 32
+# 2^(2^24) is a 2 MB integer; longer double-exponential counts are refused
+_DOUBLE_EXP_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -393,15 +394,20 @@ class IndexedGraph:
                 for u, js in zip(self.states, self.succ)]
 
 
-def index_graph(T: TransitionSystem, cap: int | None = None,
-                refusal: str = "") -> IndexedGraph:
-    """List T in state order with successor index lists.
+# state caps of the DPs over an indexed graph: the profile sweep carries a
+# visit dimension on top of the states, every other DP is linear in them
+SWEEP_STATE_CAP = 4000
+DP_STATE_CAP = 20_000
 
-    With a cap, a system of more states is refused before any state is
-    listed; the refusal text may name {cap} and {states} (the state count).
+
+def index_graph(T: TransitionSystem, cap: int, dp: str) -> IndexedGraph:
+    """List T in state order with successor index lists for the DP named dp.
+
+    A system of more than cap states is refused before any state is listed.
     """
-    if cap is not None and T.state_count() > cap:
-        raise EnumerationRefusal(refusal.format(cap=cap, states=T.state_count()))
+    if T.state_count() > cap:
+        raise EnumerationRefusal(
+            f"{dp} runs on at most {cap} states (this system has {T.state_count()})")
     states = list(T.states())
     index = {s: i for i, s in enumerate(states)}
     return IndexedGraph(states, [[index[t] for t in T.successors(s)] for s in states])
@@ -629,9 +635,7 @@ def f_property_count(T: TransitionSystem, q: int, N: int,
         for m in range(1, N + 1):
             comp[m] = sum(T.a.count(k) * comp[m - k] for k in lengths if k <= m)
         return FPropertyCount(comp[N], comp[N] > bound, bound)
-    graph = index_graph(
-        T, 5000, "path counting over {states} states exceeds the cap {cap}; "
-        "only the q=1 composition route is available here")
+    graph = index_graph(T, DP_STATE_CAP, "path counting")
     vec = [int(i < q) for i in range(len(graph.states))]
     for _ in range(N - 1):
         vec = count_push(graph.succ, vec)

@@ -3,7 +3,7 @@
 Three engines produce the weighted periodic-orbit sums Z_n (period-n points
 through a base state) and Z*_n (those returning for the first time at step
 n): direct enumeration, a renewal convolution over per-length return weights,
-and a transfer DP over finite matrices.  On top of these sit the growth-rate
+and a transfer DP over finite graphs.  On top of these sit the growth-rate
 estimators and the verdict operations: strong positive recurrence, uniform
 contraction (chi_per vs pressure), compact-return contraction profiles, and
 witness searches for the stronger contraction conditions.
@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from .numerics import (LOG_ZERO, TailFit, count_push, linear_fit,
-                       linear_fit_with_log, logsumexp, maxplus_push, tail_window)
+                       linear_fit_with_log, logsumexp, maxplus_push,
+                       reverse_edges, tail_window)
 from .potential import Potential, birkhoff_sum
-from .shift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
+from .shift import (DP_STATE_CAP, ROOT, BouquetShift, EnumerationRefusal,
                     LoopVertex, State, TransitionSystem, Word, index_graph,
                     periodic_points)
 
@@ -120,55 +122,48 @@ def partition_sums_renewal(wstar: Sequence[float] | None = None,
     return PartitionSums(base, N, log_Z[1:], log_wstar[:N], "renewal-dp")
 
 
-def partition_sums_transfer(T: FiniteShift, phi: Potential, a: State,
+def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
                             N: int) -> PartitionSums:
-    """Transfer DP over a finite matrix: exact log-space Z_n and Z*_n.
+    """Transfer DP over the edges of a finite graph (a finite shift or a
+    truncated bouquet): exact log-space Z_n and Z*_n.
 
     Zero potentials run on integer path counts, so those sums are exact to
-    the last bit (counts are attached); weighted sums use log-space matrix
-    iteration over edge weights, which a weighted potential of memory >= 3
-    does not have (refused).
+    the last bit (counts are attached); weighted sums push log-space vectors
+    along edge weights, which a weighted potential of memory >= 3 does not
+    have (refused).
     """
-    if not isinstance(T, FiniteShift):
-        raise ValueError("transfer sums need a finite-matrix shift")
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    graph = index_graph(T, 128, "transfer DP capped at {cap} states")
-    states = graph.states
-    S = len(states)
+    graph = index_graph(T, DP_STATE_CAP, "transfer DP")
     ai = T.order_index(a) - 1
+    exact = phi.is_zero()
+    if exact:
+        push, one, zero = partial(count_push, graph.succ), 1, 0
+    else:
+        # each entry sums its terms in source index order, a fixed order
+        # that keeps the floats (and the reports) stable
+        pred = reverse_edges(graph.weighted(phi))
+        one, zero = 0.0, LOG_ZERO
 
-    # Z_n is entry a of row a of the n-th matrix power, and row a of a power
-    # is row a of the previous power times the matrix, so one row is iterated
-    if phi.is_zero():
-        # row: walks from a; vec: walks from a that have not returned to a
-        row = vec = [int(j == ai) for j in range(S)]
-        counts, star_counts = [], []
-        for _ in range(N):
-            row = count_push(graph.succ, row)
-            vec = count_push(graph.succ, vec)
-            counts.append(row[ai])
-            star_counts.append(vec[ai])
-            vec[ai] = 0
-        log_z = [math.log(c) if c else LOG_ZERO for c in counts]
-        log_zstar = [math.log(c) if c else LOG_ZERO for c in star_counts]
-        return PartitionSums(a, N, log_z, log_zstar, "transfer-dp",
-                             counts, star_counts)
+        def push(vec):
+            return [logsumexp(vec[i] + w for i, w in p) for p in pred]
 
-    W = [[phi.edge_weight(u, v) if T.matrix[i][j] else LOG_ZERO
-          for j, v in enumerate(states)] for i, u in enumerate(states)]
-    log_z, log_zstar = [], []
-    log_zstar.append(W[ai][ai])
-    row = W[ai][:]
-    log_z.append(row[ai])
-    vec = [W[ai][j] if j != ai else LOG_ZERO for j in range(S)]
-    for n in range(2, N + 1):
-        row = [logsumexp(row[k] + W[k][j] for k in range(S)) for j in range(S)]
-        log_z.append(row[ai])
-        log_zstar.append(logsumexp(vec[j] + W[j][ai] for j in range(S)))
-        vec = [logsumexp(vec[k] + W[k][j] for k in range(S)) if j != ai else LOG_ZERO
-               for j in range(S)]
-    return PartitionSums(a, N, log_z, log_zstar, "transfer-dp")
+    # Z_n is entry a of row a of the n-th power of the (counting or log-space)
+    # transfer matrix, and row a of a power is row a of the previous power
+    # times the matrix, so one row is iterated; vec keeps the walks from a
+    # that have not returned to a
+    row = vec = [one if j == ai else zero for j in range(len(graph.states))]
+    z, zstar = [], []
+    for _ in range(N):
+        row, vec = push(row), push(vec)
+        z.append(row[ai])
+        zstar.append(vec[ai])
+        vec[ai] = zero
+    if not exact:
+        return PartitionSums(a, N, z, zstar, "transfer-dp")
+    log_z = [math.log(c) if c else LOG_ZERO for c in z]
+    log_zstar = [math.log(c) if c else LOG_ZERO for c in zstar]
+    return PartitionSums(a, N, log_z, log_zstar, "transfer-dp", z, zstar)
 
 
 # -- pressure -------------------------------------------------------------------
@@ -227,16 +222,17 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     On bouquets with per-loop total weights attached, the maximum is taken
     exactly over simple loops (orbit averages are convex combinations of
     simple-loop averages).  Otherwise the periodic orbits through states of
-    order index <= q_cap are searched.  On finite shifts with a potential of
-    memory <= 2 the weights sit on edges, so the best closed walk through an
-    anchor a at each period n is a max-plus DP (the (a, a) entry of the n-th
-    max-plus power, cf. Karp 1978): one candidate per (period, anchor), found
-    in polynomial time.  Memory >= 3 potentials and bouquets without loop
-    totals enumerate every periodic word instead; finite shifts refuse up
-    front when a period has more than max_count words through an anchor.
-    Either way the candidates are scored by the same periodic Birkhoff sum
-    in the same (period, anchor) order, keeping strictly greater averages
-    only, so both routes return the same value and period.
+    order index <= q_cap are searched; on a bouquet every orbit passes the
+    root, which comes first in state order, so the root is the only anchor.
+    With a potential of memory <= 2 the weights sit on edges, so the best
+    closed walk through an anchor a at each period n is a max-plus DP (the
+    (a, a) entry of the n-th max-plus power, cf. Karp 1978): one candidate
+    per (period, anchor), found in polynomial time.  Memory >= 3 potentials
+    enumerate every periodic word instead, refused up front when a period
+    has more than max_count words through an anchor.  Either way the
+    candidates are scored by the same periodic Birkhoff sum in the same
+    (period, anchor) order, keeping strictly greater averages only, so both
+    routes return the same value and period.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -251,11 +247,12 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
         orbit = _loop_word(best_n) if best_n else None
         return ChiPerResult(best, best_n, orbit)
     anchors = T.states_up_to(q_cap) if q_cap else list(T.states())
-    if isinstance(T, FiniteShift) and phi.memory <= 2:
+    if isinstance(T, BouquetShift):
+        anchors = anchors[:1]
+    if phi.memory <= 2:
         words = _best_closed_walks(T, phi, anchors, N)
     else:
-        if isinstance(T, FiniteShift):
-            _refuse_large_periods(T, anchors, N, max_count)
+        _refuse_large_periods(T, anchors, N, max_count)
         words = (w for n in range(1, N + 1) for a in anchors
                  for w in periodic_points(T, n, a, max_count=max_count))
     best, best_w = -math.inf, None
@@ -266,7 +263,7 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     return ChiPerResult(best, len(best_w) if best_w else 0, best_w)
 
 
-def _best_closed_walks(T: FiniteShift, phi: Potential, anchors: list[State],
+def _best_closed_walks(T: TransitionSystem, phi: Potential, anchors: list[State],
                        N: int) -> list[Word]:
     """Per period n <= N, then per anchor a: the periodic word through a of
     period n with the largest exact weight sum, state-order first on ties.
@@ -282,19 +279,16 @@ def _best_closed_walks(T: FiniteShift, phi: Potential, anchors: list[State],
     max-plus steps along the reversed edges, with LOG_ZERO where no walk
     reaches a.
     """
-    graph = index_graph(T)
+    graph = index_graph(T, DP_STATE_CAP, "max-plus chi_per")
     states = graph.states
-    edges = [(i, j, w) for i, js in enumerate(graph.weighted(phi)) for j, w in js
-             if w > -math.inf]  # not -inf, not nan
-    ratios = {w: w.as_integer_ratio() for _, _, w in edges if w < math.inf}
+    wsucc = [[(j, w) for j, w in js if w > -math.inf]  # not -inf, not nan
+             for js in graph.weighted(phi)]
+    ratios = {w: w.as_integer_ratio() for js in wsucc for _, w in js if w < math.inf}
     den = max((d for _, d in ratios.values()), default=1)
     exact = {w: num * (den // d) for w, (num, d) in ratios.items()}
     exact[math.inf] = 2 * N * max(map(abs, exact.values()), default=0) + 1
-    succ: list[list[tuple[int, int]]] = [[] for _ in states]
-    pred: list[list[tuple[int, int]]] = [[] for _ in states]
-    for i, j, w in edges:
-        succ[i].append((j, exact[w]))
-        pred[j].append((i, exact[w]))
+    succ = [[(j, exact[w]) for j, w in js] for js in wsucc]
+    pred = reverse_edges(succ)
     tables = []
     for a in anchors:
         ai = T.order_index(a) - 1
@@ -316,7 +310,7 @@ def _best_closed_walks(T: FiniteShift, phi: Potential, anchors: list[State],
     return words
 
 
-def _refuse_large_periods(T: FiniteShift, anchors: list[State], N: int,
+def _refuse_large_periods(T: TransitionSystem, anchors: list[State], N: int,
                           max_count: int) -> None:
     """Raise the refusal periodic_points would raise, before any word is built.
 
@@ -324,7 +318,7 @@ def _refuse_large_periods(T: FiniteShift, anchors: list[State], N: int,
     of the anchors are iterated exactly and the first period in the
     enumeration order with a count above max_count is refused.
     """
-    succ = index_graph(T).succ
+    succ = index_graph(T, DP_STATE_CAP, "periodic word count").succ
     idx = [T.order_index(a) - 1 for a in anchors]
     rows = [[int(j == i) for j in range(len(succ))] for i in idx]
     for n in range(1, N + 1):
@@ -738,6 +732,8 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
 
     lambda_q is minus the tail-fit slope of s; C_q is then the least constant
     majorizing every tail point.  The verdict reports lambda_q > P + tol.
+    A fit window without any low-to-low word of finite weight is a
+    ValueError.
     """
     if q < 1 or N < 1:
         raise ValueError("q and N must be >= 1")
@@ -745,7 +741,11 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
     win = list(tail_window(N))
     fit = linear_fit(win, [s[n - 1] for n in win])
     lam = -fit.slope
-    cq = max((s[n - 1] + n * lam) for n in win if math.isfinite(s[n - 1]))
+    tail = [s[n - 1] + n * lam for n in win if math.isfinite(s[n - 1])]
+    if not tail:
+        raise ValueError(f"no low-to-low word of finite weight in the fit window "
+                         f"n = {win[0]}..{win[-1]}")
+    cq = max(tail)
     return CrcProfile(s, cq, lam, q, lam > P + tol, P, fit)
 
 
@@ -759,9 +759,7 @@ def _max_birkhoff_low_to_low(T, phi, q, N) -> list[float]:
                      for k in lengths if k <= m and best[m - k] != LOG_ZERO]
             best[m] = max(cands) if cands else LOG_ZERO
         return best[1:]
-    graph = index_graph(
-        T, 5000, "contraction profile needs <= {cap} states here; only the "
-        "root-anchored composition route scales beyond")
+    graph = index_graph(T, DP_STATE_CAP, "contraction profile DP")
     wsucc = graph.weighted(phi)
     dp = [0.0 if i < q else LOG_ZERO for i in range(len(graph.states))]
     out = []
@@ -797,9 +795,7 @@ def condition_witness_search(T: TransitionSystem, phi: Potential, cond: str,
         raise ValueError("condition must be 'A', 'B' or 'C'")
     if N < 1 or q < 1:
         raise ValueError("q and N must be >= 1")
-    if isinstance(T, BouquetShift) and T.truncate_len > N + 1:
-        T = BouquetShift(T.a, N + 1)
-    graph = index_graph(T, 20_000, "witness DP needs <= {cap} states (got {states})")
+    graph = index_graph(T, DP_STATE_CAP, "witness DP")
     states = graph.states
     wsucc = graph.weighted(phi)
     S = len(states)

@@ -1,13 +1,21 @@
 """Command-line front-end: subcommands, exit codes, byte-stable reports."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cmshift.cli import (EXIT_CONFIG, EXIT_OK, EXIT_REFUSAL, RunConfig,
-                         compare_oracle, main, run_report)
+from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
+                         RunConfig, compare_oracle, main, run_report)
+from cmshift.shift import (BouquetShift, FiniteShift, LoopCountFamily,
+                           enumerate_words)
 from cmshift.specio import ConfigError
 
 LOG2 = math.log(2.0)
@@ -82,6 +90,19 @@ def test_sec54_profiles_past_the_psi_table_are_skipped_fast(tmp_path, capsys):
     assert code == EXIT_OK
     profiles = json.loads((tmp_path / "report.json").read_text())["profiles"]
     assert "psi table" in profiles["skipped"]
+
+
+def test_sec54_long_psi_table_stops_at_the_double_exponential_cap(tmp_path, capsys):
+    # the a(1)=1 rebuild refuses loop counts 2^(2^n) past n = 24 (a 2 MB
+    # integer) instead of building integers of hundreds of MB
+    psi = ",".join(["0"] * 28)
+    start = time.perf_counter()
+    code = main(["report", "--preset", f"sec54(psi=[{psi}])", "--truncate", "28",
+                 "--horizon", "6", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    profiles = json.loads((tmp_path / "report.json").read_text())["profiles"]
+    assert "beyond n=24" in profiles["skipped"]
 
 
 def test_config_error_exit_codes(capsys, tmp_path):
@@ -167,6 +188,46 @@ def test_finite_shift_report(tmp_path):
                  "--potential", str(tmp_path / "pot.json"), "--horizon", "16",
                  "--q", "2", "--M", "2"])
     assert code == EXIT_OK
+
+
+def _write_specs(tmp_path, shift, potential):
+    (tmp_path / "shift.json").write_text(json.dumps(shift))
+    (tmp_path / "pot.json").write_text(json.dumps(potential))
+    return ["--shift", str(tmp_path / "shift.json"),
+            "--potential", str(tmp_path / "pot.json")]
+
+
+def test_crc_without_low_to_low_words_is_skipped(tmp_path, capsys):
+    # on a 6-cycle the base state returns only at multiples of 6, so no word
+    # of the fit window n = 2..5 starts and ends low
+    cycle = [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]
+    specs = _write_specs(tmp_path, {"kind": "finite", "matrix": cycle},
+                         {"memory": 1, "default": -0.3, "table": []})
+    out = tmp_path / "out"
+    assert main(["report", *specs, "--horizon", "5", "--out", str(out)]) == EXIT_OK
+    crc = json.loads((out / "report.json").read_text())["crc"]
+    assert crc == {"skipped": "no low-to-low word of finite weight in the fit "
+                              "window n = 2..5"}
+
+
+def test_bouquet_without_loop_totals_runs_the_transfer_dp(tmp_path, capsys):
+    # a truncated bouquet is a finite graph: its sums come from the transfer
+    # DP at the full horizon, and the fitted P converges to log rho(W)
+    shift = {"kind": "bouquet", "a": {"form": "list", "values": [1, 1, 0, 0, 1]},
+             "truncate_len": 5}
+    pot = {"memory": 2, "default": -0.2,
+           "table": [{"word": ["r", "r"], "value": -1.0},
+                     {"word": ["r", "v(2,1,1)"], "value": -0.5},
+                     {"word": ["v(5,1,4)", "r"], "value": 0.3}]}
+    specs = _write_specs(tmp_path, shift, pot)
+    for N in (18, 200):
+        out = tmp_path / f"out{N}"
+        assert main(["report", *specs, "--horizon", str(N), "--out", str(out)]) \
+            == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["sequences"]["method"] == "transfer-dp"
+        assert len(report["sequences"]["logZ"]) == N
+    assert report["pressure"]["value"] == pytest.approx(0.138577021020, abs=1e-9)
 
 
 def test_chi_per_refuses_before_enumerating(tmp_path, monkeypatch, capsys):
@@ -282,3 +343,63 @@ def test_oracle_mismatch_exits_with_invariant_code(monkeypatch, capsys):
     code = climod.main(["oracle", "--preset", "renewal-ones", "--truncate", "4"])
     assert code == 4
     assert "invariant breach" in capsys.readouterr().err
+
+
+# -- exit-code fuzz --------------------------------------------------------------------------
+
+def _fuzz_system(data):
+    # a transitive 1-6 state matrix (a cycle through every state, sometimes
+    # nothing else) with its spec, or a list bouquet with a(1) <= 1
+    if data.draw(st.booleans()):
+        S = data.draw(st.integers(min_value=1, max_value=6))
+        pure = data.draw(st.booleans())
+        matrix = [[int(j == (i + 1) % S or (not pure and data.draw(st.booleans())))
+                   for j in range(S)] for i in range(S)]
+        return FiniteShift(matrix), {"kind": "finite", "matrix": matrix}
+    L = data.draw(st.integers(min_value=1, max_value=5))
+    values = [data.draw(st.integers(min_value=0, max_value=1))] + [
+        data.draw(st.integers(min_value=0, max_value=2)) for _ in range(L - 1)]
+    if not any(values):
+        values[-1] = 1
+    spec = {"kind": "bouquet", "a": {"form": "list", "values": values},
+            "truncate_len": L}
+    return BouquetShift(LoopCountFamily("list", values=tuple(values)), L), spec
+
+
+def _fuzz_potential(data, T):
+    # weighted or zero potentials of memory 1-2, and (less often, as they
+    # all refuse at once) weighted ones of memory 3; zero memory-3 potentials
+    # enumerate periodic words by design and are left out
+    memory = data.draw(st.sampled_from([1, 2, 1, 2, 3]))
+    weights = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
+    if memory < 3 and data.draw(st.booleans()):
+        return {"memory": memory, "default": 0.0, "table": []}
+    default = data.draw(weights.filter(lambda w: w != 0.0) if memory == 3 else weights)
+    table = [{"word": [str(s) for s in w], "value": data.draw(weights)}
+             for w in enumerate_words(T, memory).words if data.draw(st.booleans())]
+    return {"memory": memory, "default": default, "table": table}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exit_codes_fuzz(data):
+    # every input ends in a documented exit code, without a traceback, and
+    # within 10 s
+    T, shift = _fuzz_system(data)
+    pot = _fuzz_potential(data, T)
+    command = data.draw(st.sampled_from(["report", "pressure", "spr", "hinf"]))
+    horizon = data.draw(st.sampled_from(range(1, 41)))
+    small = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=2)
+    q, M = data.draw(small), data.draw(small)
+    with tempfile.TemporaryDirectory() as tmp:
+        specs = _write_specs(Path(tmp), shift, pot)
+        argv = [command, *specs, "--horizon", str(horizon),
+                "--q", ",".join(map(str, q)), "--M", ",".join(map(str, M))]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_REFUSAL, EXIT_INVARIANT), argv
+    assert elapsed < 10.0, (argv, elapsed)

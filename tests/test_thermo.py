@@ -17,7 +17,8 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      partition_sums_renewal, partition_sums_transfer,
                      periodic_points, pressure_estimate, recurrence_classify,
                      spr_check, ucs_check, zeta)
-from cmshift.families import FiniteTail, log_weight_sequence
+from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
+                              log_weight_sequence)
 from cmshift.numerics import LOG_ZERO
 from cmshift.thermo import _max_birkhoff_low_to_low
 
@@ -146,6 +147,48 @@ def test_transfer_matches_brute_force_on_random_shifts(data):
     for n in range(1, N + 1):
         assert fast.logz(n) == pytest.approx(brute.logz(n), abs=1e-10)
         assert fast.logzstar(n) == pytest.approx(brute.logzstar(n), abs=1e-10)
+    zero = Potential(1, {}, 0.0)
+    brute = partition_sums_bruteforce(T, zero, a, N)
+    fast = partition_sums_transfer(T, zero, a, N)
+    assert fast.counts == brute.counts
+    assert fast.star_counts == brute.star_counts
+
+
+def _random_list_bouquet(data):
+    # a bouquet of loop lengths 1..L (L <= 5) with a(1) <= 1, at most two
+    # loops of each longer length, and at least one loop
+    L = data.draw(st.integers(min_value=1, max_value=5))
+    values = [data.draw(st.integers(min_value=0, max_value=1))] + [
+        data.draw(st.integers(min_value=0, max_value=2)) for _ in range(L - 1)]
+    if not any(values):
+        values[-1] = 1
+    return BouquetShift(LoopCountFamily("list", values=tuple(values)), L)
+
+
+def _random_table_potential(data, T, memory, weights):
+    # every admissible window of the memory gets a weight or the default
+    windows = enumerate_words(T, memory).words
+    table = {w: data.draw(weights) for w in windows if data.draw(st.booleans())}
+    return Potential(memory, table, data.draw(weights), system=T)
+
+
+EIGHTHS = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_transfer_matches_brute_force_on_random_bouquets(data):
+    # bouquets without per-loop totals are finite graphs: the transfer DP
+    # runs on them at any horizon, from any base state
+    T = _random_list_bouquet(data)
+    a = T.state_of_order(data.draw(st.integers(min_value=1, max_value=T.state_count())))
+    N = data.draw(st.integers(min_value=1, max_value=8))
+    phi = _random_table_potential(data, T, data.draw(st.sampled_from([1, 2])), EIGHTHS)
+    brute = partition_sums_bruteforce(T, phi, a, N)
+    fast = partition_sums_transfer(T, phi, a, N)
+    for n in range(1, N + 1):
+        assert fast.logz(n) == pytest.approx(brute.logz(n), abs=1e-12)
+        assert fast.logzstar(n) == pytest.approx(brute.logzstar(n), abs=1e-12)
     zero = Potential(1, {}, 0.0)
     brute = partition_sums_bruteforce(T, zero, a, N)
     fast = partition_sums_transfer(T, zero, a, N)
@@ -319,6 +362,20 @@ def test_chi_per_max_plus_matches_enumeration_on_float_weights(data):
     assert len(w) == res.period
     assert w[0] in (T.states_up_to(q_cap) if q_cap else list(T.states()))
     assert birkhoff_sum(T, phi, w, "periodic").value / len(w) == res.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_chi_per_on_bouquets_matches_all_anchor_enumeration(data):
+    # without per-loop totals a bouquet runs the graph routes with the root as
+    # its only anchor: max-plus for memory <= 2, enumeration for memory 3
+    T = _random_list_bouquet(data)
+    memory = data.draw(st.sampled_from([1, 2, 3]))
+    phi = _random_table_potential(data, T, memory, EIGHTHS)
+    N = data.draw(st.integers(min_value=1, max_value=7))
+    q_cap = data.draw(st.sampled_from([None, 1, 2]))
+    res = chi_per(T, phi, N, q_cap=q_cap)
+    assert (res.value, res.period, res.orbit) == _enumerated_chi_per(T, phi, N, None)
 
 
 def test_chi_per_max_plus_builds_no_periodic_words(monkeypatch):
@@ -541,16 +598,19 @@ def test_crc_majorant_covers_tail(sec52):
 
 def _random_edge_case(data):
     # a random 1-5 state shift (a cycle through every state plus random
-    # edges) with memory-2 weights k/8, whose walk sums are exact
-    S = data.draw(st.integers(min_value=1, max_value=5))
-    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
-               for j in range(S)] for i in range(S)]
-    eighths = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
-    phi = Potential(2, {(Plain(i + 1), Plain(j + 1)): data.draw(eighths)
-                        for i in range(S) for j in range(S) if matrix[i][j]})
+    # edges) or a small list bouquet, with memory-2 weights k/8 on every
+    # edge, whose walk sums are exact
+    if data.draw(st.booleans()):
+        S = data.draw(st.integers(min_value=1, max_value=5))
+        T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
+                          for j in range(S)] for i in range(S)])
+    else:
+        T = _random_list_bouquet(data)
+    S = T.state_count()
+    phi = Potential(2, {w: data.draw(EIGHTHS) for w in enumerate_words(T, 2)})
     q = data.draw(st.integers(min_value=1, max_value=S))
     N = data.draw(st.integers(min_value=1, max_value=6 if S <= 3 else 5))
-    return FiniteShift(matrix), phi, q, N
+    return T, phi, q, N
 
 
 def _walk_sum(phi, w):
@@ -653,6 +713,19 @@ def test_condition_B_no_witness_on_entry_weights():
     w = condition_witness_search(build.system, build.potential, "B",
                                  q=1, C=2.0, eps=0.05, N=12)
     assert w is None
+
+
+def test_witness_search_sees_loops_longer_than_the_horizon():
+    # a length-n witness may leave the root into a loop longer than n + 1:
+    # its first n + 1 states are admissible on their own
+    spec = BouquetSpec(LoopCountFamily("ones"), "entry",
+                       TauSpec("table", table=tuple(float(k) for k in range(1, 26))),
+                       25)
+    build = build_bouquet(spec)
+    for N in (3, 30):
+        w = condition_witness_search(build.system, build.potential, "B",
+                                     q=1, C=10.0, eps=0.0, N=N)
+        assert (w.word, w.n, w.value) == ((ROOT, LoopVertex(25, 1, 1)), 1, 25.0)
 
 
 def test_condition_C_vacuous_on_full_shift(full2):
