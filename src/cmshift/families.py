@@ -323,14 +323,16 @@ class NoSolutionError(ValueError):
     """The loop generating series never reaches 1 in its convergence region."""
 
 
-def htop_solve(a: LoopCountFamily, tol: float = 1e-9) -> float:
+def htop_solve(a: LoopCountFamily) -> float:
     """Solve sum_n a(n) e^{-n h} = 1 for the topological entropy h.
 
     Closed forms: pure geometric a(n) = r^n gives h = log(2r); with an a(1)
     override the generating function is rational and solved exactly.  The
-    all-ones family gives log 2.  Finite lists use certified bracketing on the
-    monotone map h -> sum a(n) e^{-nh}.  The double-exponential family has a
-    divergent series for every h, i.e. infinite entropy.
+    all-ones family gives log 2.  Finite lists bracket the root of the
+    decreasing map h -> sum a(n) e^{-nh} - 1 in [0, hi] and bisect until the
+    midpoint no longer moves, returning the upper end of the last bracket.
+    The double-exponential family has a divergent series for every h, i.e.
+    infinite entropy.
     """
     if a.form == "double_exponential":
         return math.inf
@@ -359,23 +361,26 @@ def htop_solve(a: LoopCountFamily, tol: float = 1e-9) -> float:
     if not support:
         raise NoSolutionError("empty loop family")
 
+    if sum(a.count(n) for n in support) == 1:
+        return 0.0  # a single loop: one periodic orbit
+
     def g(h: float) -> float:
         return math.fsum(a.count(n) * math.exp(-n * h) for n in support) - 1.0
 
-    hi = 1.0
+    # g(0) = sum a(n) - 1 > 0, so the root lies in [0, hi]
+    lo, hi = 0.0, 1.0
     while g(hi) > 0:
         hi *= 2
         if hi > 1e6:
             raise NoSolutionError("no entropy root found below 1e6")
-    lo = hi
-    while g(lo) < 0:
-        lo = lo / 2 if lo > 1e-9 else lo - 1.0
-        if lo < -1e6:
-            raise NoSolutionError("no entropy root found above -1e6")
-    # scipy costs most of the package's import time; only this branch needs it
-    from scipy.optimize import brentq
-
-    return float(brentq(g, lo, hi, xtol=tol))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 # -- presets ----------------------------------------------------------------------------------

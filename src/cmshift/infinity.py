@@ -12,17 +12,22 @@ Both routes fill the whole (n, M) grid of one q at once, carrying per visit
 index the pair (count, best Birkhoff sum) up to the largest visit cap
 (N + 1) // min(M) a grid can read, and share one cell read-off.  On bouquets
 with q = 1 the fill runs over loop-length compositions (parts = low visits),
-so large families never enumerate states; every other system runs one forward
-state sweep over (low visits so far, state).  A single count_B is the
-one-cell case of the same fill.
+so large families never enumerate states: each length is one numpy step, a
+dot product of the loop counts with earlier rows of an object array of exact
+integers and an np.fmax reduction for the best loop sums.  Every other system
+runs one forward state sweep over (low visits so far, state).  A single
+count_B is the one-cell case of the same fill.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
+
+import numpy as np
 
 from .numerics import LOG_ZERO, linear_fit
 from .potential import Potential
@@ -81,40 +86,43 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
 
     Root-anchored words decompose into complete loops, and a composition
     with j parts visits the root at position 0 and after every part but the
-    last, i.e. j low visits.  cnt[m][j] is the number of compositions of m
-    into j parts (each part weighted by its loop count) and best[m][j] their
+    last, i.e. j low visits.  cnt[m, j] is the number of compositions of m
+    into j parts (each part weighted by its loop count) and best[m, j] their
     largest total loop weight, for j up to the largest visit cap
-    (N + 1) // min(M).
+    jmax = (N + 1) // min(M).
+
+    Each length n is one vectorised step over the loops of length k <= n.
+    Counts sit in an object array of Python ints, so they stay exact: row n
+    is the loop counts dotted with rows n - k, shifted by one part.  Row
+    n - k has no composition with more than n - k parts, so only its first
+    min(jmax, n) columns are read.  Best sums are float64, and np.fmax from
+    LOG_ZERO keeps the largest candidate best[n - k] + tau(k): NaN never wins,
+    +inf does, and a LOG_ZERO entry gives -inf or NaN, so it never wins.
     """
     with_phi = phi is not None
     jmax = (N + 1) // min(M_list)
-    loops = [(k, T.a.count(k), phi.loop_total(k) if with_phi else 0.0)
-             for k in T.loop_lengths() if k <= N]
-    cnt = [[1] + [0] * jmax]
-    best = [[0.0 if with_phi else LOG_ZERO] + [LOG_ZERO] * jmax]
+    lengths = [k for k in T.loop_lengths() if k <= N]
+    ks = np.array(lengths, dtype=np.intp)
+    a = np.array([T.a.count(k) for k in lengths], dtype=object)
+    tau = np.array([phi.loop_total(k) if with_phi else 0.0 for k in lengths],
+                   dtype=np.float64)[:, None]
+    cnt = np.zeros((N + 1, jmax + 1), dtype=object)
+    cnt[0, 0] = 1
+    best = np.full((N + 1, jmax + 1), LOG_ZERO)
+    if with_phi:
+        best[0, 0] = 0.0
     cells: dict[int, list[CountB]] = {M: [] for M in M_list}
-    for n in range(1, N + 1):
-        c, b = [0] * (jmax + 1), [LOG_ZERO] * (jmax + 1)
-        for k, a, tau in loops:
-            if k > n:
-                break
-            # a composition of n - k has at most n - k parts
-            top = min(jmax, n - k + 1)
-            pc, pb = cnt[n - k], best[n - k]
-            for j in range(1, top + 1):
-                p = pc[j - 1]
-                if p:
-                    c[j] += a * p
-            if with_phi:
-                for j in range(1, top + 1):
-                    p = pb[j - 1]
-                    if p != LOG_ZERO:
-                        cand = p + tau
-                        if cand > b[j]:
-                            b[j] = cand
-        cnt.append(c)
-        best.append(b)
-        _read_off(cells, n, c, b, with_phi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(1, N + 1):
+            K = bisect_right(lengths, n)
+            top = min(jmax, n)
+            if K and top:
+                rows = n - ks[:K]
+                cnt[n, 1:top + 1] = a[:K].dot(cnt[rows, :top])
+                if with_phi:
+                    cand = best[rows, :top] + tau[:K]
+                    best[n, 1:top + 1] = np.fmax.reduce(cand, axis=0, initial=LOG_ZERO)
+            _read_off(cells, n, cnt[n].tolist(), best[n].tolist(), with_phi)
     return cells
 
 

@@ -169,38 +169,6 @@ def polylog_with_bound(beta: float, log_x: float, tol: float = 1e-12,
             raise ValueError("polylog series did not converge within term budget")
 
 
-# -- integer matrix helpers (exact path counting) -----------------------------
-
-def int_mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    n = len(A)
-    m = len(B[0])
-    kk = len(B)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for k in range(kk):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(m):
-                    if Bk[j]:
-                        row[j] += a * Bk[j]
-    return out
-
-
-def int_mat_pow(A: list[list[int]], p: int) -> list[list[int]]:
-    n = len(A)
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [row[:] for row in A]
-    while p:
-        if p & 1:
-            result = int_mat_mul(result, base)
-        base = int_mat_mul(base, base)
-        p >>= 1
-    return result
-
-
 # -- path DP steps over successor index lists ------------------------------------
 
 def count_push(succ: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:

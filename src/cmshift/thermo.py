@@ -732,20 +732,20 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
 
     lambda_q is minus the tail-fit slope of s; C_q is then the least constant
     majorizing every tail point.  The verdict reports lambda_q > P + tol.
-    A fit window without any low-to-low word of finite weight is a
-    ValueError.
+    A fit window with low-to-low words of finite weight at fewer than two
+    lengths has no slope and is a ValueError.
     """
     if q < 1 or N < 1:
         raise ValueError("q and N must be >= 1")
     s = _max_birkhoff_low_to_low(T, phi, q, N)
     win = list(tail_window(N))
     fit = linear_fit(win, [s[n - 1] for n in win])
+    if fit.degenerate:
+        found = "no low-to-low word of finite weight" if fit.n_points == 0 else \
+            "low-to-low words of finite weight at only one length"
+        raise ValueError(f"{found} in the fit window n = {win[0]}..{win[-1]}")
     lam = -fit.slope
-    tail = [s[n - 1] + n * lam for n in win if math.isfinite(s[n - 1])]
-    if not tail:
-        raise ValueError(f"no low-to-low word of finite weight in the fit window "
-                         f"n = {win[0]}..{win[-1]}")
-    cq = max(tail)
+    cq = max(s[n - 1] + n * lam for n in win if math.isfinite(s[n - 1]))
     return CrcProfile(s, cq, lam, q, lam > P + tol, P, fit)
 
 

@@ -210,6 +210,45 @@ def test_crc_without_low_to_low_words_is_skipped(tmp_path, capsys):
                               "window n = 2..5"}
 
 
+def test_crc_with_low_to_low_words_at_one_length_is_skipped(tmp_path, capsys):
+    # the 6-cycle returns to its base state only at n = 6, 12: the fit window
+    # n = 7..12 holds one finite point, which gives no slope
+    cycle = [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]
+    specs = _write_specs(tmp_path, {"kind": "finite", "matrix": cycle},
+                         {"memory": 1, "default": -0.3,
+                          "table": [{"word": [2], "value": 0.5}]})
+    out = tmp_path / "out"
+    assert main(["report", *specs, "--horizon", "12", "--out", str(out)]) == EXIT_OK
+    crc = json.loads((out / "report.json").read_text())["crc"]
+    assert crc == {"skipped": "low-to-low words of finite weight at only one "
+                              "length in the fit window n = 7..12"}
+    assert "crc_lambda" not in capsys.readouterr().out
+
+
+def test_list_bouquet_report_does_not_import_scipy(tmp_path):
+    # h_top of a finite list family is a bisection; nothing in a report
+    # pulls in scipy
+    import os
+    import subprocess
+    import sys
+
+    shift = {"kind": "bouquet", "a": {"form": "list", "values": [1, 1, 0, 0, 1]},
+             "truncate_len": 5}
+    specs = _write_specs(tmp_path, shift, {"memory": 2, "default": -0.2, "table": []})
+    code = ("import json, sys\n"
+            "from cmshift.cli import main\n"
+            f"assert main(['report', *{specs!r}, '--horizon', '12', "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'h_top' in json.load(open(sys.argv[1]))\n"
+            "print('scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out" / "report.json")],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_bouquet_without_loop_totals_runs_the_transfer_dp(tmp_path, capsys):
     # a truncated bouquet is a finite graph: its sums come from the transfer
     # DP at the full horizon, and the fitted P converges to log rho(W)

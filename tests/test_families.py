@@ -38,7 +38,7 @@ def test_zeta_diverges_at_one():
 @settings(max_examples=20, deadline=None)
 @given(beta=st.floats(min_value=1.05, max_value=25.0))
 def test_zeta_certified_against_mpmath(beta):
-    z = zeta(beta, tol=1e-10)
+    z = zeta(beta)
     reference = float(mpmath.zeta(beta))
     assert abs(z.value - reference) <= z.error_bound + 1e-13
     assert z.error_bound <= 1e-10
@@ -68,6 +68,17 @@ def test_htop_single_self_loop_is_zero():
         == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("values, root", [
+    ((2,), LOG2), ((0, 2), LOG2 / 2), ((1,), 0.0), ((0, 0, 1), 0.0),
+    ((1, 1), math.log((1 + math.sqrt(5)) / 2)),
+])
+def test_htop_list_bisection_lands_on_known_roots(values, root):
+    # the bisection runs until the midpoint stops moving, so the root is
+    # met to within a few ulps
+    assert htop_solve(LoopCountFamily("list", values=values)) \
+        == pytest.approx(root, rel=1e-15, abs=1e-300)
+
+
 def test_htop_double_exponential_is_infinite():
     assert htop_solve(LoopCountFamily("double_exponential")) == math.inf
 
@@ -75,13 +86,13 @@ def test_htop_double_exponential_is_infinite():
 def test_htop_bracketing_agrees_with_closed_form():
     # long truncation of the doubling family: the root solver lands on log 4
     values = tuple(2 ** n for n in range(1, 61))
-    h = htop_solve(LoopCountFamily("list", values=values), tol=1e-12)
+    h = htop_solve(LoopCountFamily("list", values=values))
     assert h == pytest.approx(math.log(4.0), abs=1e-9)
 
 
 def test_htop_residual_bound():
     fam = LoopCountFamily("list", values=(1, 2, 0, 3))
-    h = htop_solve(fam, tol=1e-10)
+    h = htop_solve(fam)
     total = sum(fam.count(n) * math.exp(-n * h) for n in range(1, 5))
     assert abs(total - 1.0) <= 1e-8
 
@@ -91,7 +102,7 @@ def test_htop_geometric_with_a1_override():
     h = htop_solve(fam)
     # cross-check against a long truncation
     values = (1,) + tuple(2 ** n for n in range(2, 61))
-    h_list = htop_solve(LoopCountFamily("list", values=values), tol=1e-12)
+    h_list = htop_solve(LoopCountFamily("list", values=values))
     assert h == pytest.approx(h_list, abs=1e-9)
 
 

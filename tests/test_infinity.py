@@ -10,6 +10,7 @@ from cmshift import (BouquetShift, BouquetSpec, FiniteShift, LoopCountFamily,
                      Plain, Potential, TauSpec, bouquet_hinf_oracle,
                      build_bouquet, build_preset, count_B, count_B_bruteforce,
                      delta_profile, hinf_profile, profile_pair)
+from cmshift.infinity import CountB, _composition_fill, _count_B_sweep, _read_off
 from cmshift.numerics import LOG_ZERO
 
 LOG2 = math.log(2.0)
@@ -225,6 +226,98 @@ def test_composition_fill_matches_bruteforce_on_random_bouquets(data):
             assert drow[5] == LOG_ZERO
         one = count_B(T, phi, n, M, q)
         assert (one.count, one.z_phi) == (drow[3], drow[5])
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_composition_fill_matches_state_sweep_at_long_horizons(data):
+    # beyond brute-force range: the q = 1 composition route and the state
+    # sweep fill every cell of the same bouquet graph at N = 30..40
+    L = data.draw(st.integers(min_value=1, max_value=6))
+    counts = [data.draw(st.integers(min_value=0, max_value=1))] + [
+        data.draw(st.integers(min_value=0, max_value=3)) for _ in range(L - 1)]
+    if not any(counts):
+        counts[-1] = 1
+    table = tuple(data.draw(st.integers(min_value=-16, max_value=4)) / 8
+                  for _ in range(L))
+    scheme = data.draw(st.sampled_from(["entry", "exit", "midpoint", "spread"]))
+    build = build_bouquet(BouquetSpec(LoopCountFamily("list", values=tuple(counts)),
+                                      scheme, TauSpec("table", table=table), L))
+    T, phi = build.system, build.potential
+    M_list = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5, 8]),
+                                      min_size=1, max_size=3)))
+    N = data.draw(st.integers(min_value=30, max_value=40))
+    fast = _composition_fill(T, phi, M_list, N)
+    sweep = _count_B_sweep(T, phi, 1, M_list, N)
+    assert fast.keys() == sweep.keys()
+    for M in M_list:
+        for n, (a, b) in enumerate(zip(fast[M], sweep[M]), start=1):
+            assert a.count == b.count, (n, M)
+            if b.z_phi == LOG_ZERO:
+                assert a.z_phi == LOG_ZERO, (n, M)
+            else:
+                assert a.z_phi == pytest.approx(b.z_phi, abs=1e-12), (n, M)
+
+
+def _composition_fill_loops(T, phi, M_list, N):
+    # the per-entry Python loops the vectorised fill replaced, kept as an
+    # oracle for its float rules (LOG_ZERO skipped, strict > wins)
+    with_phi = phi is not None
+    jmax = (N + 1) // min(M_list)
+    loops = [(k, T.a.count(k), phi.loop_total(k) if with_phi else 0.0)
+             for k in T.loop_lengths() if k <= N]
+    cnt = [[1] + [0] * jmax]
+    best = [[0.0 if with_phi else LOG_ZERO] + [LOG_ZERO] * jmax]
+    cells = {M: [] for M in M_list}
+    for n in range(1, N + 1):
+        c, b = [0] * (jmax + 1), [LOG_ZERO] * (jmax + 1)
+        for k, a, tau in loops:
+            if k > n:
+                break
+            top = min(jmax, n - k + 1)
+            pc, pb = cnt[n - k], best[n - k]
+            for j in range(1, top + 1):
+                p = pc[j - 1]
+                if p:
+                    c[j] += a * p
+            if with_phi:
+                for j in range(1, top + 1):
+                    p = pb[j - 1]
+                    if p != LOG_ZERO:
+                        cand = p + tau
+                        if cand > b[j]:
+                            b[j] = cand
+        cnt.append(c)
+        best.append(b)
+        _read_off(cells, n, c, b, with_phi)
+    return cells
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("totals", [
+    (-0.5, _INF, 0.0, 0.25, -1.0),
+    (-0.5, _NAN, 0.0, 0.25, _NAN),
+    (-_INF, -0.5, 0.0, -_INF, 0.25),
+    (-0.0, -0.0, -0.0, -0.0, -0.0),
+    (_NAN, _INF, 0.5, -_INF, -0.0),
+    None,
+])
+def test_composition_fill_keeps_the_float_rules_of_the_loops(totals):
+    # loops of lengths 1, 2, 4, 5; totals[k - 1] is the total of length k
+    T = BouquetShift(LoopCountFamily("list", values=(1, 2, 0, 3, 1)), truncate_len=5)
+    phi = None
+    if totals is not None:
+        phi = Potential(2, {}, 0.0)
+        phi.loop_total = lambda k: totals[k - 1]
+    for M_list, N in (([1, 2, 3], 14), ([2, 5], 9), ([20], 4)):
+        fast = _composition_fill(T, phi, M_list, N)
+        assert repr(fast) == repr(_composition_fill_loops(T, phi, M_list, N))
+        for col in fast.values():
+            for cell in col:
+                assert type(cell) is CountB and type(cell.count) is int
+                assert cell.z_phi is None or type(cell.z_phi) is float
 
 
 def test_hinf_profile_finite_shift_all_low_is_empty(full3):

@@ -10,7 +10,38 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, LoopVertex, Plain, UnknownStateError,
                      enumerate_words, f_property_count, is_admissible,
                      periodic_points, shortest_connector)
-from cmshift.numerics import int_mat_pow
+
+
+# -- exact integer matrix powers (path-count oracle) ----------------------------
+
+def int_mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    n = len(A)
+    m = len(B[0])
+    kk = len(B)
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        row = out[i]
+        for k in range(kk):
+            a = Ai[k]
+            if a:
+                Bk = B[k]
+                for j in range(m):
+                    if Bk[j]:
+                        row[j] += a * Bk[j]
+    return out
+
+
+def int_mat_pow(A: list[list[int]], p: int) -> list[list[int]]:
+    n = len(A)
+    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    base = [row[:] for row in A]
+    while p:
+        if p & 1:
+            result = int_mat_mul(result, base)
+        base = int_mat_mul(base, base)
+        p >>= 1
+    return result
 
 
 @pytest.fixture
