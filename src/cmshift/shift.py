@@ -11,6 +11,7 @@ is deterministic, ordered by the state-order bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence, Union
 
 from .numerics import count_push
@@ -305,7 +306,6 @@ class BouquetShift(TransitionSystem):
         for n in range(2, self.truncate_len + 1):
             self._prefix[n] = self._prefix[n - 1] + a.count(n) * (n - 1)
         self._count = 1 + self._prefix[self.truncate_len]
-        self._root_succ: tuple[State, ...] | None = None  # built on first request
 
     def loop_lengths(self) -> list[int]:
         return list(self._support)
@@ -324,20 +324,23 @@ class BouquetShift(TransitionSystem):
             if s.position < s.loop_len - 1:
                 return (LoopVertex(s.loop_len, s.loop_index, s.position + 1),)
             return (ROOT,)
-        if self._root_succ is None:
-            total = sum(self.a.count(n) for n in self._support if n >= 2)
-            if total > _BRANCH_CAP:
-                raise EnumerationRefusal(
-                    f"the root has {total} successors at truncate_len={self.truncate_len}; "
-                    "use the composition/abstract routes or a smaller truncate_len")
-            out: list[State] = []
-            if self.a.count(1) >= 1:
-                out.append(ROOT)
-            for n in self._support:
-                if n >= 2:
-                    out.extend(LoopVertex(n, i, 1) for i in range(1, self.a.count(n) + 1))
-            self._root_succ = tuple(out)
-        return self._root_succ
+        return self._root_successors
+
+    @cached_property
+    def _root_successors(self) -> tuple[State, ...]:
+        # built on first request; a refusal stores nothing, so it is raised again
+        total = sum(self.a.count(n) for n in self._support if n >= 2)
+        if total > _BRANCH_CAP:
+            raise EnumerationRefusal(
+                f"the root has {total} successors at truncate_len={self.truncate_len}; "
+                "use the composition/abstract routes or a smaller truncate_len")
+        out: list[State] = []
+        if self.a.count(1) >= 1:
+            out.append(ROOT)
+        for n in self._support:
+            if n >= 2:
+                out.extend(LoopVertex(n, i, 1) for i in range(1, self.a.count(n) + 1))
+        return tuple(out)
 
     def has_edge(self, u: State, v: State) -> bool:
         self.require(u)
