@@ -175,6 +175,17 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_profile_csv(outdir: Path, key: str, rows: list) -> None:
+    _write_csv(outdir / f"profile_{key}.csv", ["n", "M", "q", "log_z", "z_phi"],
+               [(r[0], r[1], r[2], r[4], r[5]) for r in rows])
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 # -- building blocks ---------------------------------------------------------------------
 
 
@@ -270,6 +281,11 @@ def _pressure(bundle: _Bundle, cfg: RunConfig
     return ps, pressure, pressure.value
 
 
+def _spr(bundle: _Bundle, ps: thermo.PartitionSums, P: float) -> thermo.SprVerdict:
+    return thermo.spr_check(ps.log_zstar, P if math.isfinite(P) else 0.0,
+                            closed_form=_closed_form(bundle))
+
+
 def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
                  pressure: thermo.PressureEstimate, P: float) -> dict:
     out: dict = {
@@ -287,8 +303,7 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
     # the fitted estimate stays in the report with its uncertainty
     if _closed_form(bundle):
         out["pressure"]["analytic"] = P
-    spr = thermo.spr_check(ps.log_zstar, P if math.isfinite(P) else 0.0,
-                           closed_form=_closed_form(bundle))
+    spr = _spr(bundle, ps, P)
     out["spr"] = {"verdict": spr.verdict, "slope": spr.slope, "tol": spr.tol}
     if bundle.system is not None and bundle.potential is not None:
         chi = thermo.chi_per(bundle.system, bundle.potential, cfg.horizon)
@@ -329,12 +344,19 @@ def _profiles(bundle: _Bundle, cfg: RunConfig, P: float) -> dict:
     if bundle.profile_note:
         out["note"] = bundle.profile_note
     P = P if math.isfinite(P) else 0.0
-    hp = dp = None
+    hp = None
     if phi is not None:
+        # one weighted fill gives both profiles; when it fails, that failure
+        # is the delta skip and the entropy profile is filled alone
         try:
             hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=P)
-        except (EnumerationRefusal, ValueError):
-            pass  # each profile is retried alone and records its own failure
+            out["delta"] = {
+                "estimate": dp.estimate, "band": dp.band,
+                "ci_verdict": dp.ci_verdict, "window": list(dp.window),
+                "rows": [list(r) for r in dp.rows],
+            }
+        except (EnumerationRefusal, ValueError) as exc:
+            out["delta"] = {"skipped": str(exc)}
     try:
         if hp is None:
             hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
@@ -348,17 +370,6 @@ def _profiles(bundle: _Bundle, cfg: RunConfig, P: float) -> dict:
         }
     except (EnumerationRefusal, ValueError) as exc:
         out["hinf"] = {"skipped": str(exc)}
-    if phi is not None:
-        try:
-            if dp is None:
-                dp = infinity.delta_profile(T, phi, cfg.q, cfg.M, cfg.horizon, P=P)
-            out["delta"] = {
-                "estimate": dp.estimate, "band": dp.band,
-                "ci_verdict": dp.ci_verdict, "window": list(dp.window),
-                "rows": [list(r) for r in dp.rows],
-            }
-        except (EnumerationRefusal, ValueError) as exc:
-            out["delta"] = {"skipped": str(exc)}
     return out
 
 
@@ -378,8 +389,7 @@ def run_report(cfg: RunConfig) -> dict:
     report["tolerances"] = {"tol": cfg.tol, "spr_tol": report["spr"]["tol"]}
     report["summary"] = _summary(report)
     if cfg.out:
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _out_dir(cfg)
         seq = report["sequences"]
         rows = list(zip(seq["n"], seq["logZ"], seq["logZstar"]))
         if cfg.format == "csv":
@@ -391,9 +401,7 @@ def run_report(cfg: RunConfig) -> dict:
         for key in ("hinf", "delta"):
             prof = report["profiles"].get(key)
             if prof and "rows" in prof:
-                _write_csv(outdir / f"profile_{key}.csv",
-                           ["n", "M", "q", "log_z", "z_phi"],
-                           [(r[0], r[1], r[2], r[4], r[5]) for r in prof["rows"]])
+                _write_profile_csv(outdir, key, prof["rows"])
         _write_json(outdir / "report.json", report)
     return report
 
@@ -587,9 +595,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "oracle":
         rows, ok = compare_oracle(cfg)
         if cfg.out:
-            outdir = Path(cfg.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            _write_csv(outdir / "oracle.csv",
+            _write_csv(_out_dir(cfg) / "oracle.csv",
                        ["quantity", "n", "enumerated", "dp", "rel_err", "status"],
                        rows)
         worst = max((r[4] for r in rows if math.isfinite(r[4])), default=0.0)
@@ -610,11 +616,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                               or "profiles need a graph realization (set --truncate)")
         hp = infinity.hinf_profile(bundle.profile_system, cfg.q, cfg.M, cfg.horizon)
         if cfg.out:
-            outdir = Path(cfg.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            _write_csv(outdir / "profile_hinf.csv",
-                       ["n", "M", "q", "log_z", "z_phi"],
-                       [(r[0], r[1], r[2], r[4], r[5]) for r in hp.rows])
+            _write_profile_csv(_out_dir(cfg), "hinf", hp.rows)
         print(f"hinf estimate: {_fmt(_display(hp.estimate, cfg.log2))} "
               f"± {_fmt(hp.uncertainty)}")
         if bundle.a_family is not None:
@@ -624,8 +626,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "spr":
         bundle = _build_bundle(cfg)
         ps, _, P = _pressure(bundle, cfg)
-        verdict = thermo.spr_check(ps.log_zstar, P if math.isfinite(P) else 0.0,
-                                   closed_form=_closed_form(bundle))
+        verdict = _spr(bundle, ps, P)
         print(f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "
               f"pressure {_fmt(P)}, tol {_fmt(verdict.tol)})")
         return EXIT_OK

@@ -278,7 +278,6 @@ def build_bouquet(spec: BouquetSpec, graph: str | bool = "auto") -> BouquetBuild
         system = BouquetShift(spec.a, spec.truncate_len)
         potential = Potential(2, {}, 0.0, fallback=_scheme_fallback(spec))
         potential.loop_total = spec.tau
-        potential.loop_support = system.loop_lengths()
     return BouquetBuild(system, potential, weights, truncated, spec)
 
 

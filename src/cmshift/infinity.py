@@ -15,8 +15,10 @@ with q = 1 the fill runs over loop-length compositions (parts = low visits),
 so large families never enumerate states: each length is one numpy step, a
 dot product of the loop counts with earlier rows of an object array of exact
 integers and an np.fmax reduction for the best loop sums.  Every other system
-runs one forward state sweep over (low visits so far, state).  A single
-count_B is the one-cell case of the same fill.
+runs one forward state sweep over (low visits so far, state), each visit
+layer pushed by the two step kernels numerics.count_push and maxplus_push.
+A single count_B is the one-cell case of the same fill, and profile_pair
+fits both profiles from one weighted fill per q.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import LOG_ZERO, linear_fit
+from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from .potential import Potential
 from .shift import (SWEEP_STATE_CAP, BouquetShift, EnumerationRefusal, LoopCountFamily,
                     TransitionSystem, enumerate_words, index_graph)
@@ -134,62 +136,42 @@ def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
 
     The DP state is (v, i): paths that start in the low part and now sit at
     state i, with v low visits at positions 0..k-1 (the current endpoint
-    counts only once the path steps off it).  After step n each M reads off
-    the low endpoints with v <= (n + 1) // M.  v never decreases, so a path
-    beyond the largest cap (N + 1) // min(M) can count for no cell and is
-    dropped.
+    counts only once the path steps off it).  Each step first moves the low
+    states' entries up one visit layer, then pushes every layer along the
+    edges with the two step kernels.  After step n each M reads off the low
+    endpoints with v <= (n + 1) // M.  v never decreases, so a path beyond
+    the largest cap (N + 1) // min(M) can count for no cell and is dropped.
     """
     graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
-    succ = graph.weighted(phi) if phi is not None else \
-        [[(j, 0.0) for j in js] for js in graph.succ]
     S = len(graph.states)
-    low = [int(i < q) for i in range(S)]
-    lows = range(min(q, S))
+    lo = min(max(q, 0), S)  # the low states are indices 0..lo-1
     vcap = (N + 1) // min(M_list)
     # cnt[v][i] counts the paths in state (v, i); best[v][i] is their maximal
-    # Birkhoff sum, left at LOG_ZERO throughout when there is no potential
-    cnt = [[0] * S for _ in range(vcap + 1)]
-    best = [[LOG_ZERO] * S for _ in range(vcap + 1)]
-    for i in lows:
-        cnt[0][i] = 1
-        if phi is not None:
-            best[0][i] = 0.0
+    # Birkhoff sum, pushed only when there is a potential
+    cnt = [[1] * lo + [0] * (S - lo)] + [[0] * S for _ in range(vcap)]
+    best = [[0.0] * lo + [LOG_ZERO] * (S - lo)] + [[LOG_ZERO] * S for _ in range(vcap)]
+    wsucc = graph.weighted(phi) if phi is not None else None
     cells: dict[int, list[CountB]] = {M: [] for M in M_list}
     for n in range(1, N + 1):
-        ncnt = [[0] * S for _ in range(vcap + 1)]
-        nbest = [[LOG_ZERO] * S for _ in range(vcap + 1)]
-        for v in range(vcap + 1):
-            crow, brow = cnt[v], best[v]
-            for i in range(S):
-                c, b = crow[i], brow[i]
-                if not c and b == LOG_ZERO:
-                    continue
-                nv = v + low[i]
-                if nv > vcap:
-                    continue
-                ncrow, nbrow = ncnt[nv], nbest[nv]
-                for j, w in succ[i]:
-                    if c:
-                        ncrow[j] += c
-                    if b != LOG_ZERO:
-                        cand = b + w
-                        if cand > nbrow[j]:
-                            nbrow[j] = cand
-        cnt, best = ncnt, nbest
-        _read_off(cells, n, [sum(row[i] for i in lows) for row in cnt],
-                  [max((row[i] for i in lows), default=LOG_ZERO) for row in best],
-                  phi is not None)
+        cnt = [count_push(graph.succ, row) for row in _climb(cnt, lo, 0)]
+        if wsucc is not None:
+            best = [maxplus_push(wsucc, row) for row in _climb(best, lo, LOG_ZERO)]
+        _read_off(cells, n, [sum(row[:lo]) for row in cnt],
+                  [max(row[:lo], default=LOG_ZERO) for row in best], phi is not None)
     return cells
 
 
-def _composition_route(T: TransitionSystem, phi: Potential | None, q: int) -> bool:
-    return (isinstance(T, BouquetShift) and q == 1
-            and (phi is None or phi.loop_total is not None))
+def _climb(layers: list[list], lo: int, empty) -> list[list]:
+    """Move the entries of the low states 0..lo-1 up one visit layer; layer 0
+    gets empty ones, and those of the top layer drop out."""
+    below = [[empty] * lo] + layers[:-1]
+    return [under[:lo] + row[lo:] for under, row in zip(below, layers)]
 
 
 def _grid_cells(T: TransitionSystem, phi: Potential | None, q: int,
                 M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
-    if _composition_route(T, phi, q):
+    if isinstance(T, BouquetShift) and q == 1 \
+            and (phi is None or phi.loop_total is not None):
         return _composition_fill(T, phi, M_list, N)
     return _count_B_sweep(T, phi, q, M_list, N)
 
@@ -413,16 +395,12 @@ def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
                  tol: float = 1e-9) -> tuple[InfinityProfile, InfinityProfile]:
     """hinf_profile and delta_profile of the same grid, from one weighted fill.
 
-    The weighted grid carries the counts of the unweighted one whenever
-    every q takes the same route with and without phi, so the entropy
-    profile is fitted from the delta profile's rows; otherwise (a bouquet
-    potential without loop totals at q = 1) each profile fills its own grid.
-    Both profiles are those the two separate calls return.
+    The entropy profile is fitted from the counts of the delta profile's
+    rows: both routes count exactly in integers, so a weighted grid holds the
+    counts of the unweighted one even where the two take different routes (a
+    bouquet potential without loop totals at q = 1).  Both profiles are those
+    the two separate calls return.
     """
-    if not all(_composition_route(T, phi, q) == _composition_route(T, None, q)
-               for q in q_list):
-        return (hinf_profile(T, q_list, M_list, N),
-                delta_profile(T, phi, q_list, M_list, N, P, tol))
     dp = delta_profile(T, phi, q_list, M_list, N, P, tol)
     counts = [r[:5] + (None,) for r in dp.rows]
     return _entropy_fit(counts, q_list, M_list, N), dp

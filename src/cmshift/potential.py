@@ -64,7 +64,6 @@ class Potential:
                     raise PotentialError(f"table key {key!r} is not an admissible word")
         # optional bouquet metadata set by family builders:
         self.loop_total: Callable[[int], float] | None = None
-        self.loop_support: list[int] | None = None
 
     def weight(self, window: Word) -> float:
         """Value on the cylinder of a length-`memory` window."""

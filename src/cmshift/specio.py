@@ -114,6 +114,18 @@ def parse_shift_spec(doc: dict) -> TransitionSystem:
     raise ConfigError(f"unknown shift kind {kind!r}")
 
 
+def _number(value, where: str) -> float:
+    """value as a float; NaN is refused, as no weight compares with it (the
+    infinities stay allowed)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+    if math.isnan(x):
+        raise ConfigError(f"{where} must not be NaN")
+    return x
+
+
 _SCHEMES = {
     "bouquet_entry": "entry",
     "bouquet_exit": "exit",
@@ -128,14 +140,14 @@ def parse_potential_spec(doc: dict, T: TransitionSystem) -> Potential:
     _check_keys(doc, {"memory", "default", "table", "scheme", "scheme_params"},
                 "potential spec")
     memory = int(doc.get("memory", 2))
-    default = float(doc.get("default", 0.0))
+    default = _number(doc.get("default", 0.0), "potential default")
     entries: dict[tuple, float] = {}
     for item in doc.get("table", []):
         _check_keys(item, {"word", "value"}, "potential table entry")
         if "word" not in item or "value" not in item:
             raise ConfigError("potential table entries need 'word' and 'value'")
         word = tuple(parse_state(t) for t in item["word"])
-        entries[word] = float(item["value"])
+        entries[word] = _number(item["value"], "potential table value")
     fallback = None
     loop_total = None
     scheme = doc.get("scheme")
@@ -147,8 +159,8 @@ def parse_potential_spec(doc: dict, T: TransitionSystem) -> Potential:
             raise ConfigError("bouquet weight schemes need a bouquet shift")
         params = doc.get("scheme_params", {})
         _check_keys(params, {"C", "beta"}, "potential scheme_params")
-        C = float(params.get("C", 1.0))
-        beta = float(params.get("beta", 0.0))
+        C = _number(params.get("C", 1.0), "scheme constant C")
+        beta = _number(params.get("beta", 0.0), "scheme exponent beta")
         if C <= 0:
             raise ConfigError("scheme constant C must be positive")
         # scheme weights: log C - n log 2 - beta log n per loop, log C on the
@@ -165,7 +177,6 @@ def parse_potential_spec(doc: dict, T: TransitionSystem) -> Potential:
         raise ConfigError(f"bad potential table: {exc}") from exc
     if loop_total is not None and not entries:
         phi.loop_total = loop_total
-        phi.loop_support = T.loop_lengths() if isinstance(T, BouquetShift) else None
     return phi
 
 

@@ -226,7 +226,6 @@ def test_criterion_6_contraction_equivalence_directions():
         norm_tau = (lambda t, p: (lambda n: t(n) - n * p))(tau, P)
         norm_phi = Potential(2, {}, 0.0, fallback=None)
         norm_phi.loop_total = norm_tau
-        norm_phi.loop_support = T.loop_lengths()
         chi_norm = max(norm_tau(n) / n for n in T.loop_lengths())
         prof = crc_profile(T, norm_phi, 1, N, P=0.0)
         if prof.lambda_q > 0.05:

@@ -197,6 +197,36 @@ def _write_specs(tmp_path, shift, potential):
             "--potential", str(tmp_path / "pot.json")]
 
 
+_FULL2 = {"kind": "finite", "matrix": [[1, 1], [1, 1]]}
+_ONES = {"kind": "bouquet", "a": {"form": "ones"}, "truncate_len": 8}
+
+
+@pytest.mark.parametrize("shift,pot,error", [
+    (_FULL2, {"memory": 1, "default": 0.0,
+              "table": [{"word": [1], "value": -0.3},
+                        {"word": [2], "value": math.nan}]},
+     "potential table value must not be NaN"),
+    (_FULL2, {"memory": 1, "default": math.nan, "table": []},
+     "potential default must not be NaN"),
+    (_ONES, {"memory": 2, "scheme": "bouquet_entry",
+             "scheme_params": {"C": math.nan, "beta": 3.0}},
+     "scheme constant C must not be NaN"),
+    (_ONES, {"memory": 2, "scheme": "bouquet_entry",
+             "scheme_params": {"C": 0.5, "beta": math.nan}},
+     "scheme exponent beta must not be NaN"),
+    (_FULL2, {"memory": 1, "default": "abc", "table": []},
+     "potential default must be a number, got 'abc'"),
+], ids=["table-value", "default", "scheme-C", "scheme-beta", "not-a-number"])
+def test_nan_weights_are_config_errors(shift, pot, error, tmp_path, capsys):
+    # NaN compares with no weight, so a max over it drops its words unseen;
+    # the infinities keep their meaning
+    specs = _write_specs(tmp_path, shift, pot)
+    assert main(["report", *specs, "--horizon", "12"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {error}\n"
+
+
 def test_crc_without_low_to_low_words_is_skipped(tmp_path, capsys):
     # on a 6-cycle the base state returns only at multiples of 6, so no word
     # of the fit window n = 2..5 starts and ends low
@@ -267,6 +297,30 @@ def test_bouquet_without_loop_totals_runs_the_transfer_dp(tmp_path, capsys):
         assert report["sequences"]["method"] == "transfer-dp"
         assert len(report["sequences"]["logZ"]) == N
     assert report["pressure"]["value"] == pytest.approx(0.138577021020, abs=1e-9)
+
+
+def test_report_fills_one_profile_grid_per_q(tmp_path, monkeypatch, capsys):
+    # a bouquet potential without loop totals sends the weighted grid through
+    # the state sweep and the unweighted one through the composition fill;
+    # the report fits both profiles from the weighted grid alone
+    import cmshift.infinity
+
+    fills = []
+    for name in ("_composition_fill", "_count_B_sweep"):
+        fill = getattr(cmshift.infinity, name)
+        monkeypatch.setattr(cmshift.infinity, name,
+                            lambda *a, _fill=fill, _name=name:
+                            fills.append(_name) or _fill(*a))
+    shift = {"kind": "bouquet", "a": {"form": "list", "values": [1, 1, 0, 0, 1]},
+             "truncate_len": 5}
+    pot = {"memory": 2, "default": -0.2,
+           "table": [{"word": ["r", "v(2,1,1)"], "value": -0.5}]}
+    specs = _write_specs(tmp_path, shift, pot)
+    for q, want in (("1", ["_count_B_sweep"]), ("1,2", ["_count_B_sweep"] * 2)):
+        fills.clear()
+        assert main(["report", *specs, "--horizon", "12", "--q", q]) == EXIT_OK
+        assert fills == want, q
+    assert "hinf: " in capsys.readouterr().out
 
 
 def test_chi_per_refuses_before_enumerating(tmp_path, monkeypatch, capsys):
@@ -419,8 +473,7 @@ def _fuzz_potential(data, T):
     return {"memory": memory, "default": default, "table": table}
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_exit_codes_fuzz(data):
     # every input ends in a documented exit code, without a traceback, and

@@ -35,7 +35,7 @@ def test_zeta_diverges_at_one():
         zeta(1.0)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(beta=st.floats(min_value=1.05, max_value=25.0))
 def test_zeta_certified_against_mpmath(beta):
     z = zeta(beta, tol=1e-10)

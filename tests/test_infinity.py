@@ -12,6 +12,7 @@ from cmshift import (BouquetShift, BouquetSpec, FiniteShift, LoopCountFamily,
                      delta_profile, hinf_profile, profile_pair)
 from cmshift.infinity import CountB, _composition_fill, _count_B_sweep, _read_off
 from cmshift.numerics import LOG_ZERO
+from cmshift.shift import SWEEP_STATE_CAP, index_graph
 
 LOG2 = math.log(2.0)
 
@@ -163,7 +164,7 @@ def test_composition_bound_dominates_enumerated_count(sec52):
 
 # -- profiles --------------------------------------------------------------------------
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_profile_rows_match_bruteforce_on_random_shifts(data):
     # random transitive shifts (a cycle through every state plus random edges)
@@ -195,7 +196,7 @@ def test_profile_rows_match_bruteforce_on_random_shifts(data):
 
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_composition_fill_matches_bruteforce_on_random_bouquets(data):
     # up to 3 loops per length (at most one self-loop), per-loop totals from
@@ -228,7 +229,7 @@ def test_composition_fill_matches_bruteforce_on_random_bouquets(data):
         assert (one.count, one.z_phi) == (drow[3], drow[5])
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_composition_fill_matches_state_sweep_at_long_horizons(data):
     # beyond brute-force range: the q = 1 composition route and the state
@@ -320,6 +321,78 @@ def test_composition_fill_keeps_the_float_rules_of_the_loops(totals):
                 assert cell.z_phi is None or type(cell.z_phi) is float
 
 
+def _count_B_sweep_loops(T, phi, q, M_list, N):
+    # the hand-written edge loop the kernel sweep replaced, kept as an oracle
+    # for its float rules (LOG_ZERO skipped, strict > wins, sources in layer
+    # then state order)
+    graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
+    succ = graph.weighted(phi) if phi is not None else \
+        [[(j, 0.0) for j in js] for js in graph.succ]
+    S = len(graph.states)
+    low = [int(i < q) for i in range(S)]
+    lows = range(min(q, S))
+    vcap = (N + 1) // min(M_list)
+    cnt = [[0] * S for _ in range(vcap + 1)]
+    best = [[LOG_ZERO] * S for _ in range(vcap + 1)]
+    for i in lows:
+        cnt[0][i] = 1
+        if phi is not None:
+            best[0][i] = 0.0
+    cells = {M: [] for M in M_list}
+    for n in range(1, N + 1):
+        ncnt = [[0] * S for _ in range(vcap + 1)]
+        nbest = [[LOG_ZERO] * S for _ in range(vcap + 1)]
+        for v in range(vcap + 1):
+            crow, brow = cnt[v], best[v]
+            for i in range(S):
+                c, b = crow[i], brow[i]
+                if not c and b == LOG_ZERO:
+                    continue
+                nv = v + low[i]
+                if nv > vcap:
+                    continue
+                ncrow, nbrow = ncnt[nv], nbest[nv]
+                for j, w in succ[i]:
+                    if c:
+                        ncrow[j] += c
+                    if b != LOG_ZERO:
+                        cand = b + w
+                        if cand > nbrow[j]:
+                            nbrow[j] = cand
+        cnt, best = ncnt, nbest
+        _read_off(cells, n, [sum(row[i] for i in lows) for row in cnt],
+                  [max((row[i] for i in lows), default=LOG_ZERO) for row in best],
+                  phi is not None)
+    return cells
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_count_B_sweep_equals_the_edge_loop(data):
+    # random transitive 1-8-state shifts, memory-1/2 weights drawn partly
+    # from the float specials, with and without a potential, M lists with and
+    # without 1: every cell of the kernel sweep equals the loop's in repr
+    S = data.draw(st.integers(min_value=1, max_value=8))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    T = FiniteShift(matrix)
+    phi = None
+    if data.draw(st.booleans()):
+        weights = st.one_of(st.sampled_from([_INF, -_INF, _NAN, -0.0]),
+                            st.integers(min_value=-16, max_value=8).map(lambda k: k / 8))
+        memory = data.draw(st.sampled_from([1, 2]))
+        words = [(Plain(i + 1),) for i in range(S)] if memory == 1 else \
+            [(Plain(i + 1), Plain(j + 1)) for i in range(S) for j in range(S)
+             if matrix[i][j]]
+        phi = Potential(memory, {w: data.draw(weights) for w in words},
+                        data.draw(weights))
+    q = data.draw(st.integers(min_value=1, max_value=S + 1))
+    M_list = sorted(data.draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)))
+    N = data.draw(st.integers(min_value=1, max_value=9))
+    assert repr(_count_B_sweep(T, phi, q, M_list, N)) \
+        == repr(_count_B_sweep_loops(T, phi, q, M_list, N))
+
+
 def test_hinf_profile_finite_shift_all_low_is_empty(full3):
     # with every state low, a word of n >= 2 coordinates makes at least two
     # low visits inside the counting window, violating 2 * M <= n + 1 for
@@ -375,7 +448,7 @@ def _same_profile(a, b):
                  b.monotone_M_violations, b.q_diagnostics, b.band, b.ci_verdict))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(data=st.data())
 def test_profile_pair_equals_separate_profiles_on_random_shifts(data):
     # one weighted grid yields both profiles, bit for bit
@@ -396,7 +469,8 @@ def test_profile_pair_equals_separate_profiles_on_random_shifts(data):
 @pytest.mark.parametrize("loop_totals", [True, False])
 def test_profile_pair_equals_separate_profiles_on_a_bouquet(loop_totals):
     # with loop totals both grids take the composition route at q = 1;
-    # without them the weighted grid runs the state DP and is filled apart
+    # without them the weighted grid runs the state sweep, and its exact
+    # counts still give the entropy profile of the composition route
     build = build_preset("sec52-entry", truncate_len=8)
     T, phi = build.system, build.potential
     if not loop_totals:

@@ -74,7 +74,7 @@ def test_table_keys_validated_against_system(full2):
         Potential(2, {(Plain(1),): 1.0})  # wrong key length
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_rotation_invariance_of_periodic_sums(data):
     T = FiniteShift([[1, 1], [1, 1]])
@@ -93,7 +93,7 @@ def test_rotation_invariance_of_periodic_sums(data):
         assert birkhoff_sum(T, phi, rotated, "periodic").value == pytest.approx(base)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_concatenation_additivity_memory2(data):
     T = FiniteShift([[1, 1], [1, 1]])

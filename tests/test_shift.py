@@ -134,7 +134,7 @@ def test_enumerate_length_zero(full2):
     assert list(enumerate_words(full2, 0, limit=5)) == [()]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(length=st.integers(min_value=1, max_value=5))
 def test_generator_soundness(length):
     T = FiniteShift([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
@@ -273,7 +273,7 @@ def test_f_property_state_dp_matches_composition_route(bouquet_ones):
         assert comp == manual
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_f_property_count_matches_matrix_power(data):
     # low starts times A^(N-1) times the states with a low successor

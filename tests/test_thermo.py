@@ -82,7 +82,7 @@ def test_renewal_rejects_negative_weights():
         partition_sums_renewal(wstar=[0.5, -0.1], N=2)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(weights=st.lists(st.fractions(min_value=0, max_value=2), min_size=1,
                         max_size=8))
 def test_renewal_matches_exact_fraction_convolution(weights):
@@ -127,7 +127,7 @@ def test_transfer_zero_potential_exact_counts(full2):
     assert ps.counts == [2 ** (n - 1) for n in range(1, 21)]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_transfer_matches_brute_force_on_random_shifts(data):
     # random transitive shifts (a cycle through every state plus random
@@ -175,7 +175,7 @@ def _random_table_potential(data, T, memory, weights):
 EIGHTHS = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_transfer_matches_brute_force_on_random_bouquets(data):
     # bouquets without per-loop totals are finite graphs: the transfer DP
@@ -330,7 +330,7 @@ def _random_chi_per_case(data, weights):
     return T, phi, N, q_cap
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_chi_per_max_plus_equals_enumeration_on_dyadic_weights(data):
     # k/8 weights sum exactly, so the word is the enumeration's word too; a
@@ -343,7 +343,7 @@ def test_chi_per_max_plus_equals_enumeration_on_dyadic_weights(data):
     assert (res.value, res.period, res.orbit) == (value, period, orbit)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_chi_per_max_plus_matches_enumeration_on_float_weights(data):
     floats = st.floats(min_value=-3, max_value=2, allow_nan=False)
@@ -364,7 +364,7 @@ def test_chi_per_max_plus_matches_enumeration_on_float_weights(data):
     assert birkhoff_sum(T, phi, w, "periodic").value / len(w) == res.value
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_chi_per_on_bouquets_matches_all_anchor_enumeration(data):
     # without per-loop totals a bouquet runs the graph routes with the root as
@@ -518,7 +518,7 @@ def test_induced_pressure_numeric_divergence_heuristic():
     assert res.value == math.inf
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(ratio=st.floats(min_value=0.05, max_value=0.9),
        bump=st.floats(min_value=0.0, max_value=1.0))
 def test_pstar_monotone_under_weight_increase(ratio, bump):
@@ -617,7 +617,7 @@ def _walk_sum(phi, w):
     return math.fsum(phi.weight((w[i], w[i + 1])) for i in range(len(w) - 1))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_crc_profile_dp_matches_enumerated_low_to_low_words(data):
     # s(n) is the best weight of an (n+1)-word with both ends low
@@ -629,7 +629,7 @@ def test_crc_profile_dp_matches_enumerated_low_to_low_words(data):
         assert s[n - 1] == max((_walk_sum(phi, w) for w in words), default=LOG_ZERO)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_condition_witness_search_matches_enumeration(data):
     # the witness sits at the first n where some admissible (n+1)-word breaks
