@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import families, infinity, thermo
@@ -150,22 +151,50 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _json_ready(obj):
+def _json_text(obj, pad: str = "\n") -> str:
+    """obj as indented JSON with sorted keys, floats at 12 significant digits
+    and the non-finite ones as the strings of _fmt; pad starts each line of
+    obj's items.  An int too long for decimal text is the exact hex string
+    "0x...", and any other object is its str."""
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float(f"{obj:.12g}")
-        return _fmt(obj)
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in sorted(obj.items())}
+        return repr(float(f"{obj:.12g}")) if math.isfinite(obj) else f'"{_fmt(obj)}"'
+    if isinstance(obj, int):
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        try:
+            return int.__repr__(obj)
+        except ValueError:  # above sys.get_int_max_str_digits()
+            return f'"{hex(obj)}"'
     if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (int, str, bool)) or obj is None:
-        return obj
-    return str(obj)
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + ",".join(inner + _json_text(v, inner) for v in obj) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = (f"{inner}{_json_key(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(obj.items()))
+        return "{" + ",".join(items) + pad + "}"
+    if obj is None:
+        return "null"
+    return encode_basestring_ascii(obj if isinstance(obj, str) else str(obj))
+
+
+def _json_key(key) -> str:
+    """A dict key as JSON writes it: str as is; int, float, bool and None as
+    their JSON text."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(_json_ready(doc), indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(doc) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:

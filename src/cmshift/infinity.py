@@ -12,9 +12,15 @@ Both routes fill the whole (n, M) grid of one q at once, carrying per visit
 index the pair (count, best Birkhoff sum) up to the largest visit cap
 (N + 1) // min(M) a grid can read, and share one cell read-off.  On bouquets
 with q = 1 the fill runs over loop-length compositions (parts = low visits),
-so large families never enumerate states: each length is one numpy step, a
-dot product of the loop counts with earlier rows of an object array of exact
-integers and an np.fmax reduction for the best loop sums.  Every other system
+so large families never enumerate states.  Its counts are exact integers in
+object arrays: the loops split into runs of consecutive lengths with
+geometric counts a0 * rho**(k - k0), and convolving with a run is the
+first-order recurrence of its rational generating function
+a0 z^k0 (1 - (rho z)^m) / (1 - rho z), exact in integers, so every count
+equals the plain convolution's; it costs a few bigint row operations per
+length n however long the run (a window sliding by two additions per cell
+for rho = 1); the lengths in no run share one dot product.  The best loop
+sums are one np.fmax reduction over every length.  Every other system
 runs one forward state sweep over (low visits so far, state), each visit
 layer pushed by the two step kernels numerics.count_push and maxplus_push.
 A single count_B is the one-cell case of the same fill, and profile_pair
@@ -81,6 +87,43 @@ def _read_off(cells: dict[int, list[CountB]], n: int, counts: Sequence[int],
 
 # -- composition fill (bouquet, q = 1) --------------------------------------------
 
+def _loop_runs(lengths: Sequence[int],
+               counts: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """Split loops (ascending lengths, positive counts) into runs k0..k1 of
+    consecutive lengths with a(k) = a0 * rho**(k - k0) for one integer
+    rho >= 1, as (k0, k1, a0, rho); every other length is a run of its own
+    with rho = 0.
+
+    Stretches are grown left to right while a(k) * a(k-2) == a(k-1)**2, so
+    no count is divided until a stretch has three lengths; a pair that
+    stops there gives up its first length and starts over from its second.
+    A stretch of two lengths stays two single ones: its recurrence costs
+    three row operations where the two terms of the dot cost two.  A
+    stretch whose ratio is not an integer has no run in it, since each
+    part of it has the same ratio.
+    """
+    spans: list[list[int]] = []  # [first, last] indices into lengths
+    for i, k in enumerate(lengths):
+        if spans and lengths[i - 1] == k - 1:
+            first, last = spans[-1]
+            if last == first or counts[i] * counts[i - 2] == counts[i - 1] ** 2:
+                spans[-1][1] = i
+                continue
+            if last - first == 1:
+                spans[-1] = [first, first]
+                spans.append([last, i])
+                continue
+        spans.append([i, i])
+    runs = []
+    for first, last in spans:
+        a0 = counts[first]
+        if last - first >= 2 and counts[first + 1] % a0 == 0:
+            runs.append((lengths[first], lengths[last], a0, counts[first + 1] // a0))
+        else:
+            runs.extend((lengths[i], lengths[i], counts[i], 0) for i in range(first, last + 1))
+    return runs
+
+
 def _composition_fill(T: BouquetShift, phi: Potential | None,
                       M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
     """CountB of every cell (n, M) with 1 <= n <= N, from one fill over
@@ -93,19 +136,33 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
     largest total loop weight, for j up to the largest visit cap
     jmax = (N + 1) // min(M).
 
-    Each length n is one vectorised step over the loops of length k <= n.
-    Counts sit in an object array of Python ints, so they stay exact: row n
-    is the loop counts dotted with rows n - k, shifted by one part.  Row
-    n - k has no composition with more than n - k parts, so only its first
-    min(jmax, n) columns are read.  Best sums are float64, and np.fmax from
-    LOG_ZERO keeps the largest candidate best[n - k] + tau(k): NaN never wins,
-    +inf does, and a LOG_ZERO entry gives -inf or NaN, so it never wins.
+    Row n of the counts is sum_k a(k) * cnt[n - k], shifted by one part.
+    Counts sit in object arrays of Python ints, so they stay exact, and the
+    loops are split by _loop_runs.  A run k0..k1 with a(k) = a0 * rho**(k - k0)
+    contributes W(n) = sum_{k0 <= k <= k1} a(k) * cnt[n - k], and
+    W(n) = rho * W(n - 1) + a0 * cnt[n - k0] - rho * a(k1) * cnt[n - 1 - k1]
+    (cnt[m] = 0 for m < 0) is the same sum term by term, so each run costs a
+    few bigint row operations per row however long it is; for rho = 1 it is a
+    sliding window of two additions per cell.  The single lengths are one
+    dot product of their counts with rows n - k.  Row n - k has no
+    composition with more than n - k parts, so only the first min(jmax, n)
+    columns are read or written, and W keeps zeros beyond them.  Best sums
+    are float64 over every length, and np.fmax from LOG_ZERO keeps the
+    largest candidate best[n - k] + tau(k): NaN never wins, +inf does, and a
+    LOG_ZERO entry gives -inf or NaN, so it never wins.
     """
     with_phi = phi is not None
     jmax = (N + 1) // min(M_list)
     lengths = [k for k in T.loop_lengths() if k <= N]
+    runs = _loop_runs(lengths, [T.a.count(k) for k in lengths])
+    # each chain carries its window W(n) and rho * a(k1), the weight of the
+    # row that leaves it
+    chains = [(k0, k1, a0, rho, a0 * rho ** (k1 - k0 + 1), np.zeros(jmax, dtype=object))
+              for k0, k1, a0, rho in runs if rho]
+    singles = [k0 for k0, _, _, rho in runs if not rho]
+    sk = np.array(singles, dtype=np.intp)
+    sa = np.array([a0 for _, _, a0, rho in runs if not rho], dtype=object)
     ks = np.array(lengths, dtype=np.intp)
-    a = np.array([T.a.count(k) for k in lengths], dtype=object)
     tau = np.array([phi.loop_total(k) if with_phi else 0.0 for k in lengths],
                    dtype=np.float64)[:, None]
     cnt = np.zeros((N + 1, jmax + 1), dtype=object)
@@ -119,9 +176,22 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
             K = bisect_right(lengths, n)
             top = min(jmax, n)
             if K and top:
-                rows = n - ks[:K]
-                cnt[n, 1:top + 1] = a[:K].dot(cnt[rows, :top])
+                S = bisect_right(singles, n)
+                row = sa[:S].dot(cnt[n - sk[:S], :top]) if S else None
+                for k0, k1, a0, rho, leaving, window in chains:
+                    if n < k0:
+                        break
+                    w = window[:top]
+                    if rho != 1:
+                        w *= rho
+                    w += cnt[n - k0, :top] if a0 == 1 else a0 * cnt[n - k0, :top]
+                    if n > k1:
+                        w -= (cnt[n - 1 - k1, :top] if leaving == 1
+                              else leaving * cnt[n - 1 - k1, :top])
+                    row = w if row is None else row + w
+                cnt[n, 1:top + 1] = row
                 if with_phi:
+                    rows = n - ks[:K]
                     cand = best[rows, :top] + tau[:K]
                     best[n, 1:top + 1] = np.fmax.reduce(cand, axis=0, initial=LOG_ZERO)
             _read_off(cells, n, cnt[n].tolist(), best[n].tolist(), with_phi)

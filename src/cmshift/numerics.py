@@ -156,11 +156,13 @@ def polylog_with_bound(beta: float, log_x: float, tol: float = 1e-12,
     terms = []
     k = 1
     total = 0.0
+    t = math.exp(k * log_x - beta * math.log(k))
     while True:
-        t = math.exp(k * log_x - beta * math.log(k))
         terms.append(t)
         total += t
-        tail = math.exp((k + 1) * log_x - beta * math.log(k + 1)) / (1.0 - x)
+        # the tail test's numerator is the next term
+        t = math.exp((k + 1) * log_x - beta * math.log(k + 1))
+        tail = t / (1.0 - x)
         if tail <= tol * max(total, 1e-300):
             value = math.fsum(terms)
             return math.log(value) + math.log1p(tail / value / 2.0), tail / value

@@ -117,7 +117,8 @@ class LoopCountFamily:
             raise ValueError(f"unknown loop-count form {self.form!r}")
         if self.form == "geometric" and self.ratio < 1:
             raise ValueError("geometric ratio must be >= 1")
-        if self.form == "list" and any(v < 0 for v in self.values):
+        if (self.form == "list" and any(v < 0 for v in self.values)) \
+                or (self.a1 is not None and self.a1 < 0):
             raise ValueError("loop counts must be non-negative")
 
     def count(self, n: int) -> int:

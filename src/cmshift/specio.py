@@ -41,6 +41,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -67,23 +69,32 @@ def parse_state(token) -> State:
         raise ConfigError(f"cannot parse state {token!r}") from exc
 
 
+def _integer(value, where: str) -> int:
+    """value as a JSON integer; strings, floats and booleans are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
 def parse_loop_counts(doc: dict) -> LoopCountFamily:
     _check_keys(doc, {"form", "r", "values", "a1"}, "shift spec field 'a'")
     form = doc.get("form")
+    a1 = doc.get("a1")
+    kw = {"a1": None if a1 is None else _integer(a1, "loop count 'a1'")}
     if form == "geometric":
-        return LoopCountFamily("geometric", ratio=int(doc.get("r", 2)),
-                               a1=doc.get("a1"))
-    if form == "ones":
-        return LoopCountFamily("ones", a1=doc.get("a1"))
-    if form == "list":
+        kw["ratio"] = _integer(doc.get("r", 2), "geometric ratio 'r'")
+    elif form == "list":
         values = doc.get("values")
         if not isinstance(values, list) or not values:
             raise ConfigError("list-form loop counts need a non-empty 'values'")
-        return LoopCountFamily("list", values=tuple(int(v) for v in values),
-                               a1=doc.get("a1"))
-    if form == "double_exponential":
-        return LoopCountFamily("double_exponential", a1=doc.get("a1"))
-    raise ConfigError(f"unknown loop-count form {form!r}")
+        kw["values"] = tuple(_integer(v, "list-form loop count in 'values'")
+                             for v in values)
+    elif form not in ("ones", "double_exponential"):
+        raise ConfigError(f"unknown loop-count form {form!r}")
+    try:
+        return LoopCountFamily(form, **kw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_shift_spec(doc: dict) -> TransitionSystem:
@@ -104,11 +115,11 @@ def parse_shift_spec(doc: dict) -> TransitionSystem:
         if "a" not in doc:
             raise ConfigError("bouquet shift spec needs the loop counts 'a'")
         fam = parse_loop_counts(doc["a"])
-        L = doc.get("truncate_len")
-        if L is None:
+        if doc.get("truncate_len") is None:
             raise ConfigError("bouquet shift spec needs 'truncate_len'")
+        L = _integer(doc["truncate_len"], "bouquet 'truncate_len'")
         try:
-            return BouquetShift(fam, int(L))
+            return BouquetShift(fam, L)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown shift kind {kind!r}")
@@ -139,13 +150,19 @@ def parse_potential_spec(doc: dict, T: TransitionSystem) -> Potential:
         raise ConfigError("potential spec must be a JSON object")
     _check_keys(doc, {"memory", "default", "table", "scheme", "scheme_params"},
                 "potential spec")
-    memory = int(doc.get("memory", 2))
+    memory = _integer(doc.get("memory", 2), "potential memory")
     default = _number(doc.get("default", 0.0), "potential default")
     entries: dict[tuple, float] = {}
-    for item in doc.get("table", []):
+    table = doc.get("table", [])
+    if not isinstance(table, list):
+        raise ConfigError(f"potential table must be a list of entries, got {table!r}")
+    for item in table:
         _check_keys(item, {"word", "value"}, "potential table entry")
         if "word" not in item or "value" not in item:
             raise ConfigError("potential table entries need 'word' and 'value'")
+        if not isinstance(item["word"], list):
+            raise ConfigError(f"potential table word must be a list of states, "
+                              f"got {item['word']!r}")
         word = tuple(parse_state(t) for t in item["word"])
         entries[word] = _number(item["value"], "potential table value")
     fallback = None

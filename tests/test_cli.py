@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
-                         RunConfig, compare_oracle, main, run_report)
+                         RunConfig, _fmt, _json_text, compare_oracle, main,
+                         run_report)
 from cmshift.shift import (BouquetShift, FiniteShift, LoopCountFamily,
                            enumerate_words)
 from cmshift.specio import ConfigError
@@ -103,6 +104,66 @@ def test_sec54_long_psi_table_stops_at_the_double_exponential_cap(tmp_path, caps
     assert code == EXIT_OK
     profiles = json.loads((tmp_path / "report.json").read_text())["profiles"]
     assert "beyond n=24" in profiles["skipped"]
+
+
+def test_counts_too_long_for_decimal_are_written_as_hex(tmp_path, capsys):
+    # sec54's 2^(2^n) loop counts give boundary counts of more than 4300
+    # decimal digits at this horizon; report.json holds them as exact hex
+    # strings, and every other count as a JSON integer
+    report = run_report(RunConfig(preset="sec54", truncate=14, horizon=20,
+                                  out=str(tmp_path)))
+    written = json.loads((tmp_path / "report.json").read_text())["profiles"]
+    hexes = 0
+    for key in ("hinf", "delta"):
+        for row, out in zip(report["profiles"][key]["rows"], written[key]["rows"]):
+            if isinstance(out[3], str):
+                assert out[3] == hex(row[3])
+                assert row[3] >= 10**4300
+                hexes += 1
+            else:
+                assert out[3] == row[3]
+    assert hexes
+    assert main(["report", "--preset", "sec54", "--truncate", "14", "--horizon", "20",
+                 "--out", str(tmp_path)]) == EXIT_OK
+
+
+def _json_ready(obj):
+    # the old report writer's value pass, fed to json.dumps; kept as the
+    # oracle of _json_text
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float(f"{obj:.12g}")
+        return _fmt(obj)
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, (int, str, bool)) or obj is None:
+        return obj
+    return str(obj)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.sampled_from([-0.0, 1e16, 1e-5, 2**-1074]),
+    st.integers(), st.integers(min_value=2**64).map(lambda k: k ** 40),
+    st.text(), st.text(st.characters(codec="utf-8"), max_size=4),
+    st.sampled_from(["\"\\\n\t\x00\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]),
+    st.sampled_from([Path("a/b"), complex(1, -2), range(3)]))
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), inner, max_size=3),
+        st.dictionaries(st.sampled_from([None, True, False]), inner, max_size=1)),
+    max_leaves=30)
+
+
+@settings(max_examples=150)
+@given(doc=_JSON_DOCS)
+def test_json_text_equals_the_json_dumps_route(doc):
+    assert _json_text(doc) == json.dumps(_json_ready(doc), indent=2, sort_keys=True)
 
 
 def test_config_error_exit_codes(capsys, tmp_path):
@@ -220,6 +281,48 @@ _ONES = {"kind": "bouquet", "a": {"form": "ones"}, "truncate_len": 8}
 def test_nan_weights_are_config_errors(shift, pot, error, tmp_path, capsys):
     # NaN compares with no weight, so a max over it drops its words unseen;
     # the infinities keep their meaning
+    specs = _write_specs(tmp_path, shift, pot)
+    assert main(["report", *specs, "--horizon", "12"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {error}\n"
+
+
+_GEOM = {"kind": "bouquet", "a": {"form": "geometric", "r": 2, "a1": 1},
+         "truncate_len": 6}
+_MEM1 = {"memory": 1, "default": 0.0, "table": []}
+
+
+@pytest.mark.parametrize("shift,pot,error", [
+    (_FULL2, {"memory": "x"}, "potential memory must be an integer, got 'x'"),
+    (dict(_ONES, a={"form": "list", "values": ["a"]}), _MEM1,
+     "list-form loop count in 'values' must be an integer, got 'a'"),
+    (dict(_GEOM, a={"form": "geometric", "r": "x"}), _MEM1,
+     "geometric ratio 'r' must be an integer, got 'x'"),
+    (dict(_GEOM, a={"form": "geometric", "r": 2, "a1": "x"}), _MEM1,
+     "loop count 'a1' must be an integer, got 'x'"),
+    (dict(_GEOM, a={"form": "geometric", "r": 0, "a1": 1}), _MEM1,
+     "geometric ratio must be >= 1"),
+    (dict(_GEOM, a={"form": "geometric", "r": 2, "a1": -1}), _MEM1,
+     "loop counts must be non-negative"),
+    (dict(_ONES, a="ones"), _MEM1,
+     "shift spec field 'a' must be a JSON object, got 'ones'"),
+    (dict(_ONES, truncate_len="8"), _MEM1,
+     "bouquet 'truncate_len' must be an integer, got '8'"),
+    (_FULL2, {"memory": 1, "table": "zz"},
+     "potential table must be a list of entries, got 'zz'"),
+    (_FULL2, {"memory": 1, "table": ["zz"]},
+     "potential table entry must be a JSON object, got 'zz'"),
+    (_FULL2, {"memory": 1, "table": [{"word": 1, "value": 0.5}]},
+     "potential table word must be a list of states, got 1"),
+    (_ONES, {"memory": 2, "scheme": "bouquet_entry", "scheme_params": "C"},
+     "potential scheme_params must be a JSON object, got 'C'"),
+], ids=["memory", "list-value", "ratio", "a1", "ratio-range", "a1-range",
+        "a-not-object", "truncate-len", "table", "table-entry", "word",
+        "scheme-params"])
+def test_malformed_spec_fields_are_config_errors(shift, pot, error, tmp_path, capsys):
+    # every malformed field ends in exit 2 with a message naming it, never a
+    # traceback
     specs = _write_specs(tmp_path, shift, pot)
     assert main(["report", *specs, "--horizon", "12"]) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -488,6 +591,8 @@ def test_cli_exit_codes_fuzz(data):
         specs = _write_specs(Path(tmp), shift, pot)
         argv = [command, *specs, "--horizon", str(horizon),
                 "--q", ",".join(map(str, q)), "--M", ",".join(map(str, M))]
+        if command in ("report", "hinf"):
+            argv += ["--out", str(Path(tmp) / "out")]
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):

@@ -10,7 +10,8 @@ from cmshift import (BouquetShift, BouquetSpec, FiniteShift, LoopCountFamily,
                      Plain, Potential, TauSpec, bouquet_hinf_oracle,
                      build_bouquet, build_preset, count_B, count_B_bruteforce,
                      delta_profile, hinf_profile, profile_pair)
-from cmshift.infinity import CountB, _composition_fill, _count_B_sweep, _read_off
+from cmshift.infinity import (CountB, _composition_fill, _count_B_sweep, _loop_runs,
+                              _read_off)
 from cmshift.numerics import LOG_ZERO
 from cmshift.shift import SWEEP_STATE_CAP, index_graph
 
@@ -319,6 +320,77 @@ def test_composition_fill_keeps_the_float_rules_of_the_loops(totals):
             for cell in col:
                 assert type(cell) is CountB and type(cell.count) is int
                 assert cell.z_phi is None or type(cell.z_phi) is float
+
+
+def _runs_of(fam, L):
+    lengths = fam.support(L)
+    return _loop_runs(lengths, [fam.count(k) for k in lengths])
+
+
+def test_loop_runs_of_named_families():
+    # renewal-ones and sec52: one run of ratio 1
+    assert _runs_of(LoopCountFamily("ones"), 6) == [(1, 6, 1, 1)]
+    # sec53's a(1)=1 profile family 1, 4, 8, 16, ...: a(1) stands alone
+    assert _runs_of(LoopCountFamily("geometric", ratio=2, a1=1), 6) == [
+        (1, 1, 1, 0), (2, 6, 4, 2)]
+    # a stretch of two lengths stays two single ones
+    assert _runs_of(LoopCountFamily("geometric", ratio=3, a1=1), 3) == [
+        (1, 1, 1, 0), (2, 2, 9, 0), (3, 3, 27, 0)]
+    # sec54's a(1)=1 family 1, 2^4, 2^8, 2^16, 2^32: one run, then singles
+    assert _runs_of(LoopCountFamily("double_exponential", a1=1), 5) == [
+        (1, 3, 1, 16), (4, 4, 2**16, 0), (5, 5, 2**32, 0)]
+    assert _runs_of(LoopCountFamily("double_exponential", a1=0), 5) == [
+        (k, k, 2**2**k, 0) for k in range(2, 6)]
+    # gaps end runs; a pair that stops gives up its first length; 4, 6, 9 has
+    # the ratio 3/2, so no run
+    assert _runs_of(LoopCountFamily("list", values=(1, 2, 2, 2, 0, 4, 6, 9, 3, 1)), 10) == [
+        (1, 1, 1, 0), (2, 4, 2, 1), (6, 6, 4, 0), (7, 7, 6, 0), (8, 8, 9, 0),
+        (9, 9, 3, 0), (10, 10, 1, 0)]
+
+
+@st.composite
+def _run_heavy_family(draw):
+    kind = draw(st.sampled_from(["ones", "geometric", "stretches", "double"]))
+    if kind == "ones":
+        return LoopCountFamily("ones"), draw(st.integers(min_value=1, max_value=60))
+    if kind == "geometric":
+        r = draw(st.integers(min_value=1, max_value=3))
+        a1 = draw(st.sampled_from([1, 0] if r > 1 else [None, 1, 0]))
+        return (LoopCountFamily("geometric", ratio=r, a1=a1),
+                draw(st.integers(min_value=2, max_value=60)))
+    if kind == "double":
+        return (LoopCountFamily("double_exponential", a1=draw(st.sampled_from([1, 0]))),
+                draw(st.integers(min_value=2, max_value=5)))
+    # geometric stretches a0 * rho**i separated by runs of zero counts
+    values = [draw(st.integers(min_value=0, max_value=1))]
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        values += [0] * draw(st.integers(min_value=0, max_value=2))
+        a0 = draw(st.integers(min_value=1, max_value=4))
+        rho = draw(st.integers(min_value=1, max_value=3))
+        values += [a0 * rho**i for i in range(draw(st.integers(min_value=1, max_value=8)))]
+    return LoopCountFamily("list", values=tuple(values)), len(values)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_composition_fill_equals_the_loops_on_run_heavy_families(data):
+    # the run recurrence against the per-entry loops: counts equal as ints,
+    # log counts and best sums equal in repr
+    fam, L = data.draw(_run_heavy_family())
+    T = BouquetShift(fam, L)
+    phi = None
+    if data.draw(st.booleans()):
+        weights = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
+        totals = data.draw(st.lists(weights, min_size=L, max_size=L))
+        phi = Potential(2, {}, 0.0)
+        phi.loop_total = lambda k: totals[k - 1]
+    M_list = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5, 8]),
+                                      min_size=1, max_size=3)))
+    N = data.draw(st.integers(min_value=1, max_value=60))
+    fast = _composition_fill(T, phi, M_list, N)
+    assert repr(fast) == repr(_composition_fill_loops(T, phi, M_list, N))
+    for col in fast.values():
+        assert all(type(cell.count) is int for cell in col)
 
 
 def _count_B_sweep_loops(T, phi, q, M_list, N):
