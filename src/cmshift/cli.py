@@ -499,10 +499,10 @@ def compare_oracle(cfg: RunConfig) -> tuple[list[tuple], bool]:
             ok &= passed
             rows.append((name, n, b, d, err, "pass" if passed else "FAIL"))
     for q in cfg.q:
+        brute_cells = infinity._bruteforce_cells(T, phi, q, cfg.M, N)
+        fast_cells = infinity._grid_cells(T, phi, q, cfg.M, N)
         for M in cfg.M:
-            for n in range(1, N + 1):
-                bf = infinity.count_B_bruteforce(T, phi, n, M, q)
-                fast = infinity.count_B(T, phi, n, M, q)
+            for n, bf, fast in zip(range(1, N + 1), brute_cells[M], fast_cells[M]):
                 passed = bf.count == fast.count
                 zerr = _rel_err(bf.z_phi, fast.z_phi)
                 passed = passed and zerr <= 1e-12

@@ -24,7 +24,9 @@ sums are one np.fmax reduction over every length.  Every other system
 runs one forward state sweep over (low visits so far, state), each visit
 layer pushed by the two step kernels numerics.count_push and maxplus_push.
 A single count_B is the one-cell case of the same fill, and profile_pair
-fits both profiles from one weighted fill per q.
+fits both profiles from one weighted fill per q.  The enumerative oracle
+count_B_bruteforce is likewise the one-cell case of _bruteforce_cells, one
+walk over the words themselves that scores each word on its own.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -40,7 +43,7 @@ import numpy as np
 from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from .potential import Potential
 from .shift import (SWEEP_STATE_CAP, BouquetShift, EnumerationRefusal, LoopCountFamily,
-                    TransitionSystem, enumerate_words, index_graph)
+                    TransitionSystem, index_graph)
 
 __all__ = [
     "CountB", "InfinityProfile",
@@ -58,10 +61,6 @@ class CountB:
     @classmethod
     def empty(cls, with_phi: bool) -> "CountB":
         return cls(0, LOG_ZERO, LOG_ZERO if with_phi else None)
-
-
-def _visits_ok(visits: int, n: int, M: int) -> bool:
-    return visits * M <= n + 1
 
 
 # -- cell read-off ----------------------------------------------------------------
@@ -262,27 +261,99 @@ def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) 
 
 def count_B_bruteforce(T: TransitionSystem, phi: Potential | None,
                        n: int, M: int, q: int, limit: int = 2_000_000) -> CountB:
-    """Reference implementation by word enumeration (oracle for the DPs)."""
+    """Reference implementation by word enumeration (oracle for the DPs):
+    the one cell (n, M) of _bruteforce_cells, whose walk counts no shorter
+    words, so only the words of length n + 1 meet the limit."""
     if q <= 0:
         return CountB.empty(phi is not None)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _bruteforce_cells(T, phi, q, [M], n, limit, n_min=n)[M][-1]
+
+
+def _bruteforce_cells(T: TransitionSystem, phi: Potential | None, q: int,
+                      M_list: Sequence[int], N: int, limit: int = 2_000_000,
+                      n_min: int = 1) -> dict[int, list[CountB]]:
+    """CountB of every cell (n, M) with n_min <= n <= N, by enumerating words.
+
+    One depth-first walk from each low state, in state order, visits every
+    admissible word of length <= N + 1.  Each prefix carries its low visits
+    (at every coordinate but the last) and its edge weights, each weight
+    computed once per edge.  A word of length n + 1 with a low endpoint counts
+    in every cell (n, M) with visits * M <= n + 1, and its Birkhoff sum is one
+    math.fsum over its n edge weights, taken in word order.  Errors come as
+    the cells raise them one n after the other: a refusal when a word of
+    length n + 1 follows the `limit`-th one that ends low (where an ordered
+    enumeration capped at `limit` stops short), else the first failing sum
+    of that length.
+    """
     lowset = set(T.states_up_to(q))
-    words = enumerate_words(T, n + 1,
-                            start=lambda s: s in lowset,
-                            end=lambda s: s in lowset, limit=limit)
-    if not words.exhaustive:
-        raise EnumerationRefusal("brute-force cylinder count hit its limit")
-    total = 0
-    zbest = LOG_ZERO
-    for w in words:
-        visits = sum(1 for k in range(n) if w[k] in lowset)
-        if not _visits_ok(visits, n, M):
+    with_phi = phi is not None
+
+    @cache
+    def step(u):
+        # whether u is low, and its successors v in reverse state order, each
+        # with the weight of the edge u -> v or the error that weight raises
+        edges = []
+        for v in reversed(T.successors(u)):
+            try:
+                edges.append((v, phi.edge_weight(u, v) if with_phi else None, None))
+            except Exception as exc:
+                edges.append((v, None, exc))
+        return u in lowset, edges
+
+    M_low = min(M_list)
+    counts = {M: [0] * (N + 1) for M in M_list}
+    bests = {M: [LOG_ZERO] * (N + 1) for M in M_list}
+    ends = [0] * (N + 2)  # words with a low endpoint, per length
+    failed: dict[int, Exception] = {}
+    top, refused = N + 1, None  # a refusal at length k stops the walk below k
+    # (last state, length, edge weights, first failing edge, low visits
+    # at every coordinate but the last)
+    stack = [(u, 1, (), None, 0) for u in reversed(T.states_up_to(q))]
+    while stack:
+        u, k, ws, err, visits = stack.pop()
+        if k > top:
             continue
-        total += 1
-        if phi is not None:
-            s = math.fsum(phi.edge_weight(w[i], w[i + 1]) for i in range(n))
-            zbest = max(zbest, s / n)
-    zphi = (zbest if total else LOG_ZERO) if phi is not None else None
-    return CountB(total, math.log(total) if total else LOG_ZERO, zphi)
+        low, edges = step(u)
+        n = k - 1
+        if n >= n_min:
+            if ends[k] >= limit:
+                top, refused = n, n
+                if n <= n_min:
+                    break
+                continue
+            if low:
+                ends[k] += 1
+                if visits * M_low <= k:
+                    total = None
+                    if err is not None:
+                        failed.setdefault(n, err)
+                    elif with_phi and n not in failed:
+                        try:
+                            total = math.fsum(ws)
+                        except Exception as exc:  # raised below, in cell order
+                            failed[n] = exc
+                    for M in counts:
+                        if visits * M <= k:
+                            counts[M][n] += 1
+                            if total is not None:
+                                bests[M][n] = max(bests[M][n], total / n)
+        if k < top:
+            visits += low
+            for v, wt, verr in edges:
+                if err is None and with_phi:
+                    stack.append((v, k + 1, ws + (wt,), verr, visits))
+                else:
+                    stack.append((v, k + 1, ws, err, visits))
+    for n in range(n_min, N + 1):
+        if n == refused:
+            raise EnumerationRefusal("brute-force cylinder count hit its limit")
+        if n in failed:
+            raise failed[n]
+    return {M: [CountB(c, math.log(c) if c else LOG_ZERO, z if with_phi else None)
+                for c, z in zip(counts[M][n_min:], bests[M][n_min:])]
+            for M in M_list}
 
 
 # -- profiles -------------------------------------------------------------------------

@@ -153,6 +153,8 @@ def polylog_with_bound(beta: float, log_x: float, tol: float = 1e-12,
         v, b = zeta_series_with_bound(beta, tol)
         return math.log(v), b / v
     x = math.exp(log_x)
+    if x == 1.0:
+        raise ValueError(f"polylog tail bound is infinite: x = exp({log_x!r}) rounds to 1")
     terms = []
     k = 1
     total = 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 from .numerics import (LOG_ZERO, TailFit, count_push, linear_fit,
@@ -64,32 +64,85 @@ class PartitionSums:
         return all(zs <= z + tol for zs, z in zip(self.log_zstar, self.log_z))
 
 
-def _first_return(word: Word, a: State) -> bool:
-    return all(s != a for s in word[1:])
-
-
 def partition_sums_bruteforce(T: TransitionSystem, phi: Potential, a: State,
                               N: int, max_count: int = 2_000_000) -> PartitionSums:
-    """Exact sums over enumerated periodic words through a, up to horizon N."""
+    """Exact sums over enumerated periodic words through a, up to horizon N.
+
+    One depth-first walk visits the admissible words w that start at a, in
+    state order.  Each prefix carries the weights of its in-word windows,
+    each weight computed once per window, and whether it has left a for good.
+    A word of length n whose wrap edge leads back to a is a period-n point:
+    its Birkhoff sum is one math.fsum over those weights and the wrap
+    windows, in the window order of birkhoff_sum(..., "periodic"), so it
+    equals that sum bit for bit.  Errors come as a period-by-period
+    enumeration raises them: the smallest period that fails, a refusal (more
+    than max_count words) before the first failing sum of that period.
+    """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    log_z, log_zstar, counts, star_counts = [], [], [], []
+    T.require(a)
+    m = phi.memory
+    weight = cache(phi.weight)
+
+    @cache
+    def step(u):
+        # whether u -> a closes a word, and the successors of u in reverse
+        # state order
+        return T.has_edge(u, a), T.successors(u)[::-1]
+
+    def grown(v, ws, err):
+        # in-word window weights of v from those of v[:-1], or the first failure
+        if err is None and len(v) >= m:
+            try:
+                return ws + (weight(v[-m:]),), None
+            except Exception as exc:
+                return ws, exc
+        return ws, err
+
+    counts = [0] * (N + 1)
+    terms: list[list[float]] = [[] for _ in range(N + 1)]
+    star_terms: list[list[float]] = [[] for _ in range(N + 1)]
+    failed: dict[int, Exception] = {}
+    top, refused = N, None  # a refusal at period n stops the walk below n
+    # (word, weights of its in-word windows, first failing window, first return)
+    stack = [((a,), *grown((a,), (), None), True)]
+    while stack:
+        w, ws, err, first = stack.pop()
+        n = len(w)
+        if n > top:
+            continue
+        closes, nexts = step(w[-1])
+        if closes:
+            counts[n] += 1
+            if counts[n] > max_count:
+                top, refused = n - 1, n
+                continue
+            if err is not None:
+                failed.setdefault(n, err)
+            elif n not in failed:
+                try:
+                    total = math.fsum(ws + tuple(
+                        weight(tuple(w[(i + j) % n] for j in range(m)))
+                        for i in range(max(n - m + 1, 0), n)))
+                except Exception as exc:  # raised below, in period order
+                    failed[n] = exc
+                else:
+                    terms[n].append(total)
+                    if first:
+                        star_terms[n].append(total)
+        if n == top:
+            continue
+        for s in nexts:
+            v = w + (s,)
+            stack.append((v, *grown(v, ws, err), first and s != a))
     for n in range(1, N + 1):
-        words = periodic_points(T, n, a, max_count=max_count)
-        terms = []
-        star_terms = []
-        stars = 0
-        for w in words:
-            s = birkhoff_sum(T, phi, w, mode="periodic").value
-            terms.append(s)
-            if _first_return(w, a):
-                star_terms.append(s)
-                stars += 1
-        log_z.append(logsumexp(terms))
-        log_zstar.append(logsumexp(star_terms))
-        counts.append(len(words))
-        star_counts.append(stars)
-    return PartitionSums(a, N, log_z, log_zstar, "brute-force", counts, star_counts)
+        if n == refused:
+            raise EnumerationRefusal(f"more than {max_count} periodic words of period {n}")
+        if n in failed:
+            raise failed[n]
+    return PartitionSums(a, N, [logsumexp(t) for t in terms[1:]],
+                         [logsumexp(t) for t in star_terms[1:]], "brute-force",
+                         counts[1:], [len(t) for t in star_terms[1:]])
 
 
 def partition_sums_renewal(wstar: Sequence[float] | None = None,

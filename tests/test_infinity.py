@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmshift import (BouquetShift, BouquetSpec, FiniteShift, LoopCountFamily,
-                     Plain, Potential, TauSpec, bouquet_hinf_oracle,
+from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
+                     LoopCountFamily, Plain, Potential, TauSpec, bouquet_hinf_oracle,
                      build_bouquet, build_preset, count_B, count_B_bruteforce,
-                     delta_profile, hinf_profile, profile_pair)
-from cmshift.infinity import (CountB, _composition_fill, _count_B_sweep, _loop_runs,
-                              _read_off)
+                     delta_profile, enumerate_words, hinf_profile, profile_pair)
+from cmshift.infinity import (CountB, _bruteforce_cells, _composition_fill,
+                              _count_B_sweep, _loop_runs, _read_off)
 from cmshift.numerics import LOG_ZERO
 from cmshift.shift import SWEEP_STATE_CAP, index_graph
 
@@ -463,6 +463,129 @@ def test_count_B_sweep_equals_the_edge_loop(data):
     N = data.draw(st.integers(min_value=1, max_value=9))
     assert repr(_count_B_sweep(T, phi, q, M_list, N)) \
         == repr(_count_B_sweep_loops(T, phi, q, M_list, N))
+
+
+def _cells_per_word(T, phi, q, M_list, n, limit=2_000_000):
+    # the per-word route the prefix walk replaced, kept as its oracle: the
+    # (n+1)-words with low ends enumerated for this n alone, and each word
+    # some cell counts scored on its own by an fsum of its edge weights
+    low = set(T.states_up_to(q))
+    words = enumerate_words(T, n + 1, start=low, end=low, limit=limit)
+    if not words.exhaustive:
+        raise EnumerationRefusal("brute-force cylinder count hit its limit")
+    scored = []
+    for w in words:
+        visits = sum(1 for s in w[:n] if s in low)
+        if visits * min(M_list) <= n + 1:
+            s = None if phi is None else \
+                math.fsum(phi.edge_weight(w[i], w[i + 1]) for i in range(n))
+            scored.append((visits, s))
+    cells = {}
+    for M in M_list:
+        total, zbest = 0, LOG_ZERO
+        for visits, s in scored:
+            if visits * M <= n + 1:
+                total += 1
+                if s is not None:
+                    zbest = max(zbest, s / n)
+        cells[M] = CountB(total, math.log(total) if total else LOG_ZERO,
+                          None if phi is None else zbest)
+    return cells
+
+
+def _grid_per_word(T, phi, q, M_list, N, limit=2_000_000):
+    rows = [_cells_per_word(T, phi, q, M_list, n, limit) for n in range(1, N + 1)]
+    return {M: [row[M] for row in rows] for M in M_list}
+
+
+def _outcome(f, *args):
+    # repr of the result, or the type and text of the exception raised
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc) if isinstance(exc, EnumerationRefusal) else None
+
+
+# (n+1)-words from the low states stay in the low thousands at these horizons
+_WALK_HORIZON = {1: 10, 2: 9, 3: 7, 4: 6, 5: 5, 6: 4}
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_bruteforce_cells_equal_the_per_word_route(data):
+    # random transitive 1-6 state shifts and list bouquets, memory 1-3
+    # potentials (or none) with weights partly from the float specials, any
+    # q, M lists from {1, 2, 3, 5} in any order and with repeats, small and
+    # default limits: the prefix walk's grid and each one-cell count equal
+    # the per-word route in repr, or raise what it raises (refusals with the
+    # same text)
+    if data.draw(st.booleans()):
+        S = data.draw(st.integers(min_value=1, max_value=6))
+        T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
+                          for j in range(S)] for i in range(S)])
+        N = data.draw(st.integers(min_value=1, max_value=_WALK_HORIZON[S]))
+    else:
+        values = [data.draw(st.integers(min_value=0, max_value=1))] + [
+            data.draw(st.integers(min_value=0, max_value=2)) for _ in range(4)]
+        values[data.draw(st.integers(min_value=1, max_value=4))] += 1
+        T = BouquetShift(LoopCountFamily("list", values=tuple(values)), 5)
+        N = data.draw(st.integers(min_value=1, max_value=10))
+    phi = None
+    if data.draw(st.booleans()):
+        weights = st.one_of(st.sampled_from([_INF, -_INF, -0.0]),
+                            st.integers(min_value=-16, max_value=8).map(lambda k: k / 8))
+        memory = data.draw(st.integers(min_value=1, max_value=3))
+        phi = Potential(memory, {w: data.draw(weights) for w in enumerate_words(T, memory)
+                                 if data.draw(st.booleans())}, data.draw(weights))
+    q = data.draw(st.integers(min_value=1, max_value=T.state_count() + 1))
+    M_list = data.draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=4))
+    limit = data.draw(st.sampled_from([1, 4])) if data.draw(st.booleans()) else 2_000_000
+    assert _outcome(_bruteforce_cells, T, phi, q, M_list, N, limit) \
+        == _outcome(_grid_per_word, T, phi, q, M_list, N, limit)
+    n, M = data.draw(st.integers(min_value=1, max_value=N)), M_list[0]
+    assert _outcome(count_B_bruteforce, T, phi, n, M, q, limit) \
+        == _outcome(lambda: _cells_per_word(T, phi, q, [M], n, limit)[M])
+
+
+def test_count_B_bruteforce_refuses_at_its_limit(full3):
+    # the limit caps the low-ended words of the cell asked for, and is hit
+    # only when a word of that length comes after the limit-th one: with all
+    # three states low, the 9 words of length 2 fit a limit of 9, not of 8
+    assert count_B_bruteforce(full3, None, 1, 1, 3, limit=9).count == 9
+    assert count_B_bruteforce(full3, None, 1, 2, 2, limit=5).count == 4
+    for n, M, q, limit in ((1, 1, 3, 8), (2, 2, 2, 5), (1, 2, 1, 1)):
+        with pytest.raises(EnumerationRefusal,
+                           match="^brute-force cylinder count hit its limit$"):
+            count_B_bruteforce(full3, None, n, M, q, limit=limit)
+        with pytest.raises(EnumerationRefusal,
+                           match="^brute-force cylinder count hit its limit$"):
+            _cells_per_word(full3, None, q, [M], n, limit)
+    # cells of shorter words refuse too when the grid holds them
+    with pytest.raises(EnumerationRefusal,
+                       match="^brute-force cylinder count hit its limit$"):
+        _bruteforce_cells(full3, None, 2, [2], 3, limit=5)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        count_B_bruteforce(full3, None, 0, 2, 1)
+
+
+def test_bruteforce_cells_fail_in_cell_order():
+    # on the full 2-shift with both states low, the weight of the edge 2 -> 2
+    # raises: the cell n = 1 fails at the word (2, 2), which the walk meets
+    # after the 8 words of length 3 have hit a limit of 4 at (2, 1, 1); the
+    # shorter cell still fails first, as cells filled one n after the other do
+    def fallback(window):
+        if window == (Plain(2), Plain(2)):
+            raise KeyError(window)
+
+    T = FiniteShift([[1, 1], [1, 1]])
+    phi = Potential(2, {}, -0.5, fallback=fallback)
+    for N, limit in ((1, 4), (2, 4), (2, 8), (3, 16)):
+        assert _outcome(_bruteforce_cells, T, phi, 2, [1, 2], N, limit) \
+            == _outcome(_grid_per_word, T, phi, 2, [1, 2], N, limit) == (KeyError, None)
+    assert _outcome(count_B_bruteforce, T, phi, 2, 1, 2, 4) \
+        == (EnumerationRefusal, "brute-force cylinder count hit its limit")
+    # with M = 3 the word (2, 2) passes no cell, so its weight is never read
+    assert _bruteforce_cells(T, phi, 2, [3], 1)[3][0].count == 0
 
 
 def test_hinf_profile_finite_shift_all_low_is_empty(full3):

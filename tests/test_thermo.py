@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
-                     GeometricTail, LoopCountFamily, LoopVertex, Plain,
-                     Potential, PowerTail, birkhoff_sum, build_preset, chi_per,
-                     condition_witness_search, crc_profile, enumerate_words,
+                     GeometricTail, LoopCountFamily, LoopVertex, PartitionSums,
+                     Plain, Potential, PowerTail, UnknownStateError, birkhoff_sum,
+                     build_preset, chi_per, condition_witness_search, crc_profile,
+                     enumerate_words,
                      induced_pressure, is_admissible,
                      induced_system, normalizing_C, partition_sums_bruteforce,
                      partition_sums_renewal, partition_sums_transfer,
@@ -19,7 +20,7 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      spr_check, ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
-from cmshift.numerics import LOG_ZERO
+from cmshift.numerics import LOG_ZERO, logsumexp
 from cmshift.thermo import _max_birkhoff_low_to_low
 
 LOG2 = math.log(2.0)
@@ -61,6 +62,105 @@ def test_brute_force_single_self_loop():
 def test_star_le_z_always(sec52):
     ps = partition_sums_bruteforce(sec52.system, sec52.potential, ROOT, 10)
     assert ps.check_star_le_z()
+
+
+def _partition_sums_per_word(T, phi, a, N, max_count=2_000_000):
+    # the per-word route the prefix walk replaced, kept as its oracle: each
+    # period's words built by periodic_points and scored one by one
+    if N < 1:
+        raise ValueError("horizon must be >= 1")
+    log_z, log_zstar, counts, star_counts = [], [], [], []
+    for n in range(1, N + 1):
+        words = periodic_points(T, n, a, max_count=max_count)
+        terms = [birkhoff_sum(T, phi, w, mode="periodic").value for w in words]
+        star = [s for w, s in zip(words, terms) if all(x != a for x in w[1:])]
+        log_z.append(logsumexp(terms))
+        log_zstar.append(logsumexp(star))
+        counts.append(len(words))
+        star_counts.append(len(star))
+    return PartitionSums(a, N, log_z, log_zstar, "brute-force", counts, star_counts)
+
+
+def _outcome(f, *args, **kwargs):
+    # repr of the result, or the type and text of the exception raised
+    try:
+        return repr(f(*args, **kwargs))
+    except Exception as exc:
+        return type(exc), str(exc) if isinstance(exc, EnumerationRefusal) else None
+
+
+SPECIALS = st.sampled_from([math.inf, -math.inf, -0.0])
+# words through a of length <= N stay in the low thousands at these horizons
+_WALK_HORIZON = {1: 10, 2: 10, 3: 8, 4: 7, 5: 6, 6: 5}
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_bruteforce_walk_equals_the_per_word_route(data):
+    # random transitive 1-6 state shifts and list bouquets, memory 1-3
+    # potentials with weights partly from the float specials, small and
+    # default caps: the prefix walk returns the per-word route's sums in
+    # repr, or raises what it raises (refusals with the same text)
+    if data.draw(st.booleans()):
+        S = data.draw(st.integers(min_value=1, max_value=6))
+        T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
+                          for j in range(S)] for i in range(S)])
+        N = data.draw(st.integers(min_value=1, max_value=_WALK_HORIZON[S]))
+    else:
+        T = _random_list_bouquet(data)
+        N = data.draw(st.integers(min_value=1, max_value=10))
+    a = T.state_of_order(data.draw(st.integers(min_value=1, max_value=T.state_count())))
+    phi = _random_table_potential(data, T, data.draw(st.integers(min_value=1, max_value=3)),
+                                  st.one_of(SPECIALS, EIGHTHS))
+    max_count = data.draw(st.sampled_from([1, 3])) if data.draw(st.booleans()) \
+        else 2_000_000
+    assert _outcome(partition_sums_bruteforce, T, phi, a, N, max_count) \
+        == _outcome(_partition_sums_per_word, T, phi, a, N, max_count)
+
+
+def test_bruteforce_refusals_at_small_caps(full2):
+    # 1, 2, 4, 8 periodic words of periods 1..4 through state 1
+    phi = Potential(2, {(Plain(1), Plain(2)): 0.5}, -0.25)
+    for cap, period in ((1, 2), (3, 3), (7, 4)):
+        with pytest.raises(EnumerationRefusal,
+                           match=f"^more than {cap} periodic words of period {period}$"):
+            partition_sums_bruteforce(full2, phi, Plain(1), 6, max_count=cap)
+        with pytest.raises(EnumerationRefusal,
+                           match=f"^more than {cap} periodic words of period {period}$"):
+            _partition_sums_per_word(full2, phi, Plain(1), 6, max_count=cap)
+    assert partition_sums_bruteforce(full2, phi, Plain(1), 4, max_count=8).counts \
+        == [1, 2, 4, 8]
+    with pytest.raises(UnknownStateError):
+        partition_sums_bruteforce(full2, phi, Plain(3), 4)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        partition_sums_bruteforce(full2, phi, Plain(3), 0)
+
+
+def test_bruteforce_errors_come_in_period_order(full2):
+    # the fourth word of period 4, (1, 1, 2, 2), sums +inf and -inf: period 4
+    # fails, unless its 8 words are refused first (cap 4), as an enumeration
+    # before scoring would; periods 1-3 have 1, 2, 4 words and finite sums
+    phi = Potential(2, {(Plain(1), Plain(1)): math.inf,
+                        (Plain(2), Plain(2)): -math.inf}, 0.0)
+    assert partition_sums_bruteforce(full2, phi, Plain(1), 3, max_count=4).counts \
+        == [1, 2, 4]
+    with pytest.raises(ValueError):
+        partition_sums_bruteforce(full2, phi, Plain(1), 4, max_count=8)
+    with pytest.raises(EnumerationRefusal, match="^more than 4 periodic words of period 4$"):
+        partition_sums_bruteforce(full2, phi, Plain(1), 4, max_count=4)
+
+    # a weight that raises fails the periods whose words hold its window
+    def fallback(window):
+        if window == (Plain(2), Plain(2)):
+            raise KeyError(window)
+
+    phi = Potential(2, {}, -0.5, fallback=fallback)
+    for N, cap in ((2, 2), (3, 2), (3, 3), (3, 4), (5, 8)):
+        assert _outcome(partition_sums_bruteforce, full2, phi, Plain(1), N, cap) \
+            == _outcome(_partition_sums_per_word, full2, phi, Plain(1), N, cap)
+    assert partition_sums_bruteforce(full2, phi, Plain(1), 2).counts == [1, 2]
+    with pytest.raises(KeyError):
+        partition_sums_bruteforce(full2, phi, Plain(1), 3)
 
 
 # -- renewal DP ----------------------------------------------------------------------
