@@ -19,11 +19,10 @@ from .shift import (ROOT, BouquetShift, ConnectorNotFound, EnumerationRefusal,
                     ShiftError, TransitionSystem, UnknownStateError, Word,
                     enumerate_words, f_property_count, is_admissible,
                     periodic_points, shortest_connector)
-from .thermo import (ChiPerResult, CrcProfile, InducedPressure, InducedSystem,
-                     PartitionSums, PressureEstimate, RecurrenceClass,
-                     SprVerdict, Witness, analytic_pressure, chi_per,
-                     condition_witness_search, crc_profile,
-                     induced_pressure, induced_system,
+from .thermo import (ChiPerResult, CrcProfile, InducedPressure, PartitionSums,
+                     PressureEstimate, RecurrenceClass, SprVerdict, Witness,
+                     analytic_pressure, chi_per, condition_witness_search,
+                     crc_profile, induced_pressure,
                      partition_sums_bruteforce, partition_sums_renewal,
                      partition_sums_transfer, pressure_estimate,
                      recurrence_classify, spr_check, ucs_check)

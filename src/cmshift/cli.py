@@ -2,7 +2,8 @@
 emit CSV/JSON reports and oracle-comparison tables.
 
 Exit codes: 0 success, 2 config error, 3 computation refusal (an enumeration
-needed a truncation or exceeded its cap), 4 internal invariant breach.
+needed a truncation or exceeded its cap, or an oracle sum is undefined), 4
+internal invariant breach.
 Reports are byte-stable for a fixed config: deterministic orderings, floats
 at 12 significant digits, no timestamps.
 """
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -485,7 +487,10 @@ def compare_oracle(cfg: RunConfig) -> tuple[list[tuple], bool]:
     N = min(cfg.horizon, _ORACLE_HORIZON_CAP)
     rows: list[tuple] = []
     ok = True
-    brute = thermo.partition_sums_bruteforce(T, phi, ROOT, N)
+    try:
+        brute = thermo.partition_sums_bruteforce(T, phi, ROOT, N)
+    except ValueError as exc:  # a periodic word weighing +inf and -inf
+        raise EnumerationRefusal(f"brute-force sums: {exc}") from exc
     logw = families.log_weight_sequence(bundle.truncated_weights, N) \
         if bundle.truncated_weights is not None else None
     if logw is None:
@@ -562,10 +567,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         cfg = RunConfig.from_dict(doc)
     else:
+        # the parser's list defaults are copied: no two calls share a list
         cfg = RunConfig(preset=args.preset, shift=args.shift,
                         potential=args.potential, horizon=args.horizon,
-                        truncate=args.truncate, M=args.M, q=args.q, tol=args.tol,
-                        out=args.out, format=args.format, log2=args.log2)
+                        truncate=args.truncate, M=list(args.M), q=list(args.q),
+                        tol=args.tol, out=args.out, format=args.format,
+                        log2=args.log2)
         cfg.validate()
     _check_horizon(cfg, args.command)
     return cfg
@@ -582,7 +589,9 @@ def _print_summary(report: dict, log2: bool) -> None:
         print(f"{key}: {_fmt(_display(value, log2))}")
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cmshift",
         description="countable Markov shift diagnostics: partition sums, "
@@ -597,7 +606,11 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=hlp)
         if name != "presets":
             _add_common(p)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ConfigError as exc:

@@ -79,7 +79,9 @@ class Potential:
     def edge_weight(self, u: State, v: State) -> float:
         """Weight that the edge u -> v carries in the edge-weight DPs: the
         window (u,) for memory 1 and (u, v) for memory 2.  Longer memories
-        have no edge weights and are refused."""
+        have no edge weights on the state graph and are refused; the
+        transfer sums and chi_per take them on the higher-block graph
+        (shift.index_graph), where every window is an edge."""
         if self.memory == 1:
             return self.weight((u,))
         if self.memory == 2:

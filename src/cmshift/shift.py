@@ -1,7 +1,10 @@
 """Transition systems for countable Markov shifts.
 
 States, admissible words, ordered enumeration, periodic points, shortest
-connectors, and path counting between low-index states.  Two realizations are
+connectors, path counting between low-index states, and the indexed graphs
+the state DPs run on: the system itself, or its higher-block graph for a
+potential of memory >= 3.  Periodic points and word enumeration serve as
+test oracles of those DPs.  Two realizations are
 provided: finite 0/1 transition matrices and bouquets of simple loops attached
 to a single root (always held with an explicit truncation of the loop
 lengths).  All systems are immutable after construction and every enumeration
@@ -389,14 +392,27 @@ class IndexedGraph:
 
     states[i] is the state of order index i + 1, so the low part of level q
     is the first q indices, and succ[i] lists the indices of the successors
-    of states[i] in successor order.
+    of states[i] in successor order.  With block = k >= 2 the nodes are the
+    admissible k-words in state-order lexicographic order, with an edge
+    u -> v when u[1:] == v[:-1]: the k-block graph, conjugate to the system
+    by the first symbol (Lind-Marcus, Symbolic Dynamics and Coding, 1.4 and
+    2.3), on which a potential of memory k + 1 is an edge weight.
     """
 
-    states: list[State]
+    states: list
     succ: list[list[int]]
+    block: int = 1
+
+    def symbols(self) -> list[State]:
+        """The first symbol of every node."""
+        return [u[0] for u in self.states] if self.block > 1 else self.states
 
     def weighted(self, phi) -> list[list[tuple[int, float]]]:
-        """Successor lists carrying the potential's edge weights."""
+        """Successor lists carrying the potential's edge weights: on a block
+        graph, the edge u -> v carries the weight of the window u + v[-1:]."""
+        if self.block > 1:
+            return [[(j, phi.weight(u + self.states[j][-1:])) for j in js]
+                    for u, js in zip(self.states, self.succ)]
         return [[(j, phi.edge_weight(u, self.states[j])) for j in js]
                 for u, js in zip(self.states, self.succ)]
 
@@ -407,17 +423,36 @@ SWEEP_STATE_CAP = 4000
 DP_STATE_CAP = 20_000
 
 
-def index_graph(T: TransitionSystem, cap: int, dp: str) -> IndexedGraph:
-    """List T in state order with successor index lists for the DP named dp.
+def index_graph(T: TransitionSystem, cap: int, dp: str, memory: int = 1) -> IndexedGraph:
+    """List T in state order with successor index lists for the DP named dp;
+    for a potential of memory m >= 3, list the (m-1)-block graph of T.
 
-    A system of more than cap states is refused before any state is listed.
+    A system of more than cap states, or of more than cap admissible
+    (m-1)-words, is refused before any state or word is listed.
     """
     if T.state_count() > cap:
         raise EnumerationRefusal(
             f"{dp} runs on at most {cap} states (this system has {T.state_count()})")
     states = list(T.states())
     index = {s: i for i, s in enumerate(states)}
-    return IndexedGraph(states, [[index[t] for t in T.successors(s)] for s in states])
+    succ = [[index[t] for t in T.successors(s)] for s in states]
+    if memory <= 2:
+        return IndexedGraph(states, succ)
+    k = memory - 1
+    ends = [1] * len(states)  # admissible words of each length, by last state
+    for _ in range(k - 1):
+        ends = count_push(succ, ends)
+    if sum(ends) > cap:
+        raise EnumerationRefusal(
+            f"{dp} runs on at most {cap} states (the {k}-block graph of this "
+            f"system, for a potential of memory {memory}, has {sum(ends)})")
+    # successor lists are in state order, so the words stay lexicographic
+    blocks = [(i,) for i in range(len(states))]
+    for _ in range(k - 1):
+        blocks = [b + (j,) for b in blocks for j in succ[b[-1]]]
+    node = {b: i for i, b in enumerate(blocks)}
+    return IndexedGraph([tuple(states[i] for i in b) for b in blocks],
+                        [[node[b[1:] + (j,)] for j in succ[b[-1]]] for b in blocks], k)
 
 
 # -- word operations -------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Partition sums, pressure estimates, and recurrence diagnostics.
 
-Three engines produce the weighted periodic-orbit sums Z_n (period-n points
+Two engines produce the weighted periodic-orbit sums Z_n (period-n points
 through a base state) and Z*_n (those returning for the first time at step
-n): direct enumeration, a renewal convolution over per-length return weights,
-and a transfer DP over finite graphs.  On top of these sit the growth-rate
+n): a renewal convolution over per-length return weights, and a transfer DP
+over finite graphs (on the higher-block graph for memory >= 3), with an
+enumeration of the periodic words as their oracle.  On top sit the growth-rate
 estimators and the verdict operations: strong positive recurrence, uniform
 contraction (chi_per vs pressure), compact-return contraction profiles, and
 witness searches for the stronger contraction conditions.
@@ -21,16 +22,16 @@ from .numerics import (LOG_ZERO, TailFit, count_push, linear_fit,
                        reverse_edges, tail_window)
 from .potential import Potential, birkhoff_sum
 from .shift import (DP_STATE_CAP, ROOT, BouquetShift, EnumerationRefusal,
-                    LoopVertex, State, TransitionSystem, Word, index_graph,
-                    periodic_points)
+                    IndexedGraph, LoopVertex, State, TransitionSystem, Word,
+                    index_graph)
 
 __all__ = [
     "PartitionSums", "PressureEstimate", "SprVerdict", "ChiPerResult",
-    "InducedWord", "InducedSystem", "InducedPressure", "RecurrenceClass",
+    "InducedPressure", "RecurrenceClass",
     "CrcProfile", "Witness",
     "analytic_pressure", "partition_sums_bruteforce", "partition_sums_renewal",
     "partition_sums_transfer", "pressure_estimate", "chi_per", "ucs_check",
-    "spr_check", "induced_system", "induced_pressure", "recurrence_classify",
+    "spr_check", "induced_pressure", "recurrence_classify",
     "crc_profile", "condition_witness_search",
 ]
 
@@ -121,15 +122,22 @@ def partition_sums_bruteforce(T: TransitionSystem, phi: Potential, a: State,
                 failed.setdefault(n, err)
             elif n not in failed:
                 try:
-                    total = math.fsum(ws + tuple(
+                    wrapped = ws + tuple(
                         weight(tuple(w[(i + j) % n] for j in range(m)))
-                        for i in range(max(n - m + 1, 0), n)))
+                        for i in range(max(n - m + 1, 0), n))
                 except Exception as exc:  # raised below, in period order
                     failed[n] = exc
                 else:
-                    terms[n].append(total)
-                    if first:
-                        star_terms[n].append(total)
+                    try:
+                        total = math.fsum(wrapped)
+                    except ValueError:  # fsum of +inf and -inf
+                        failed[n] = ValueError(
+                            f"the weight of a period-{n} word through {a!r} is "
+                            "undefined: its windows weigh +inf and -inf")
+                    else:
+                        terms[n].append(total)
+                        if first:
+                            star_terms[n].append(total)
         if n == top:
             continue
         for s in nexts:
@@ -182,36 +190,46 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
 
     Zero potentials run on integer path counts, so those sums are exact to
     the last bit (counts are attached); weighted sums push log-space vectors
-    along edge weights, which a weighted potential of memory >= 3 does not
-    have (refused).
+    along edge weights, on the (m-1)-block graph for a potential of memory
+    m >= 3, where a stands for the blocks that start with a.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    graph = index_graph(T, DP_STATE_CAP, "transfer DP")
-    ai = T.order_index(a) - 1
     exact = phi.is_zero()
+    graph = index_graph(T, DP_STATE_CAP, "transfer DP", 1 if exact else phi.memory)
+    nodes = _nodes_of(graph, T, a)
     if exact:
-        push, one, zero = partial(count_push, graph.succ), 1, 0
+        push, one, zero, total = partial(count_push, graph.succ), 1, 0, sum
     else:
         # each entry sums its terms in source index order, a fixed order
-        # that keeps the floats (and the reports) stable
-        pred = reverse_edges(graph.weighted(phi))
-        one, zero = 0.0, LOG_ZERO
+        # that keeps the floats (and the reports) stable; empty sources are
+        # skipped, so a +inf edge out of one adds no -inf + inf
+        wsucc = graph.weighted(phi)
+        one, zero, total = 0.0, LOG_ZERO, logsumexp
 
         def push(vec):
-            return [logsumexp(vec[i] + w for i, w in p) for p in pred]
+            terms = [[] for _ in vec]
+            for v, js in zip(vec, wsucc):
+                if v != LOG_ZERO:
+                    for j, w in js:
+                        terms[j].append(v + w)
+            return [logsumexp(t) for t in terms]
 
-    # Z_n is entry a of row a of the n-th power of the (counting or log-space)
-    # transfer matrix, and row a of a power is row a of the previous power
-    # times the matrix, so one row is iterated; vec keeps the walks from a
-    # that have not returned to a
-    row = vec = [one if j == ai else zero for j in range(len(graph.states))]
-    z, zstar = [], []
-    for _ in range(N):
-        row, vec = push(row), push(vec)
-        z.append(row[ai])
-        zstar.append(vec[ai])
-        vec[ai] = zero
+    # Z_n sums the entries (u, u) of the n-th power of the (counting or
+    # log-space) transfer matrix over the nodes u of a, so row u is iterated;
+    # vec keeps the walks from u that have not returned to a node of a
+    z = zstar = None
+    for u in nodes:
+        row = vec = [one if j == u else zero for j in range(len(graph.states))]
+        zu, zstar_u = [], []
+        for _ in range(N):
+            row, vec = push(row), push(vec)
+            zu.append(row[u])
+            zstar_u.append(vec[u])
+            for x in nodes:
+                vec[x] = zero
+        z = zu if z is None else [total(t) for t in zip(z, zu)]
+        zstar = zstar_u if zstar is None else [total(t) for t in zip(zstar, zstar_u)]
     if not exact:
         return PartitionSums(a, N, z, zstar, "transfer-dp")
     log_z = [math.log(c) if c else LOG_ZERO for c in z]
@@ -244,11 +262,16 @@ class PressureEstimate:
 
 def pressure_estimate(ps: PartitionSums | Sequence[float],
                       window_fraction: float = 0.5) -> PressureEstimate:
-    """Estimate lim (1/n) log Z_n by a linear fit over the tail of the horizon."""
+    """Estimate lim (1/n) log Z_n by a linear fit over the tail of the horizon.
+
+    A term log Z_n = +inf makes the pressure +inf, with nothing fitted.
+    """
     seq = ps.log_z if isinstance(ps, PartitionSums) else list(ps)
     N = len(seq)
     if N < MIN_FIT_TERMS:
         raise ValueError(f"pressure estimation needs at least {MIN_FIT_TERMS} terms")
+    if math.inf in seq:
+        return PressureEstimate(math.inf, 0.0, math.inf, math.inf, (1, N))
     if all(v == LOG_ZERO for v in seq):
         return PressureEstimate(LOG_ZERO, 0.0, math.inf, math.inf, (1, N), True)
     win = tail_window(N, window_fraction)
@@ -269,7 +292,7 @@ class ChiPerResult:
 
 
 def chi_per(T: TransitionSystem, phi: Potential, N: int,
-            q_cap: int | None = None, max_count: int = 500_000) -> ChiPerResult:
+            q_cap: int | None = None) -> ChiPerResult:
     """Supremum of periodic Birkhoff averages over periods <= N.
 
     On bouquets with per-loop total weights attached, the maximum is taken
@@ -277,15 +300,14 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     simple-loop averages).  Otherwise the periodic orbits through states of
     order index <= q_cap are searched; on a bouquet every orbit passes the
     root, which comes first in state order, so the root is the only anchor.
-    With a potential of memory <= 2 the weights sit on edges, so the best
-    closed walk through an anchor a at each period n is a max-plus DP (the
-    (a, a) entry of the n-th max-plus power, cf. Karp 1978): one candidate
-    per (period, anchor), found in polynomial time.  Memory >= 3 potentials
-    enumerate every periodic word instead, refused up front when a period
-    has more than max_count words through an anchor.  Either way the
-    candidates are scored by the same periodic Birkhoff sum in the same
-    (period, anchor) order, keeping strictly greater averages only, so both
-    routes return the same value and period.
+    The weights sit on the edges of the state graph (memory <= 2) or of the
+    (m-1)-block graph (memory m >= 3), so the best closed walk through an
+    anchor a at each period n is a max-plus DP (the (a, a) entries of the
+    n-th max-plus power, cf. Karp 1978): one candidate per (period, anchor),
+    found in polynomial time.  The candidates are scored by the periodic
+    Birkhoff sum in (period, anchor) order, keeping strictly greater
+    averages only, so value and period are those of an enumeration of every
+    periodic word in that order.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -302,14 +324,8 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     anchors = T.states_up_to(q_cap) if q_cap else list(T.states())
     if isinstance(T, BouquetShift):
         anchors = anchors[:1]
-    if phi.memory <= 2:
-        words = _best_closed_walks(T, phi, anchors, N)
-    else:
-        _refuse_large_periods(T, anchors, N, max_count)
-        words = (w for n in range(1, N + 1) for a in anchors
-                 for w in periodic_points(T, n, a, max_count=max_count))
     best, best_w = -math.inf, None
-    for w in words:
+    for w in _best_closed_walks(T, phi, anchors, N):
         avg = birkhoff_sum(T, phi, w, mode="periodic").value / len(w)
         if avg > best:
             best, best_w = avg, w
@@ -321,19 +337,20 @@ def _best_closed_walks(T: TransitionSystem, phi: Potential, anchors: list[State]
     """Per period n <= N, then per anchor a: the periodic word through a of
     period n with the largest exact weight sum, state-order first on ties.
 
-    The edge weights become integers over one power-of-two denominator, so
-    maxima and ties are those of the exact sums, which math.fsum rounds
-    monotonically: the word scores what the best enumerated word of its
-    (period, anchor) scores.  g[k][i] is the best sum of a k-edge walk from
-    state i to a; the word is read off forwards, taking the first successor
-    that stays optimal.  Edges of weight -inf or nan are dropped (walks over
-    them never score above -inf), and an edge of weight +inf outweighs every
-    finite walk (walks over it score +inf).  The tables are filled by
-    max-plus steps along the reversed edges, with LOG_ZERO where no walk
-    reaches a.
+    The walks close at a node u of a on the graph that carries phi's
+    weights on its edges, and the word is their first symbols.  The edge
+    weights become integers over one power-of-two denominator, so maxima and
+    ties are those of the exact sums, which math.fsum rounds monotonically:
+    the word scores what the best enumerated word of its (period, anchor)
+    scores.  g[k][i] is the best sum of a k-edge walk from node i to u; the
+    first u (in lexicographic order) with the largest closed walk wins, and
+    the walk is read off forwards, taking the first successor that stays
+    optimal.  Edges of weight -inf or nan are dropped (walks over them never
+    score above -inf), and an edge of weight +inf outweighs every finite
+    walk (walks over it score +inf).  The tables are filled by max-plus
+    steps along the reversed edges, with LOG_ZERO where no walk reaches u.
     """
-    graph = index_graph(T, DP_STATE_CAP, "max-plus chi_per")
-    states = graph.states
+    graph = index_graph(T, DP_STATE_CAP, "max-plus chi_per", phi.memory)
     wsucc = [[(j, w) for j, w in js if w > -math.inf]  # not -inf, not nan
              for js in graph.weighted(phi)]
     ratios = {w: w.as_integer_ratio() for js in wsucc for _, w in js if w < math.inf}
@@ -344,41 +361,37 @@ def _best_closed_walks(T: TransitionSystem, phi: Potential, anchors: list[State]
     pred = reverse_edges(succ)
     tables = []
     for a in anchors:
-        ai = T.order_index(a) - 1
-        g = [[0 if i == ai else LOG_ZERO for i in range(len(states))]]
-        for _ in range(N):
-            g.append(maxplus_push(pred, g[-1]))
-        tables.append((ai, g))
+        tables.append([])
+        for u in _nodes_of(graph, T, a):
+            g = [[0 if i == u else LOG_ZERO for i in range(len(graph.states))]]
+            for _ in range(N):
+                g.append(maxplus_push(pred, g[-1]))
+            tables[-1].append((u, g))
+    symbols = graph.symbols()
     words = []
     for n in range(1, N + 1):
-        for ai, g in tables:
-            if g[n][ai] == LOG_ZERO:
+        for closing in tables:
+            u, g = closing[0]
+            for t in closing[1:]:  # the first largest closed walk
+                if t[1][n][t[0]] > g[n][u]:
+                    u, g = t
+            if g[n][u] == LOG_ZERO:
                 continue
-            word, i = [ai], ai
+            word, i = [u], u
             for k in range(n, 1, -1):
                 i = next(j for j, w in succ[i]
                          if g[k - 1][j] != LOG_ZERO and g[k - 1][j] + w == g[k][i])
                 word.append(i)
-            words.append(tuple(states[i] for i in word))
+            words.append(tuple(symbols[i] for i in word))
     return words
 
 
-def _refuse_large_periods(T: TransitionSystem, anchors: list[State], N: int,
-                          max_count: int) -> None:
-    """Raise the refusal periodic_points would raise, before any word is built.
-
-    The periodic words of period n through a number (A^n)[a][a], so the rows
-    of the anchors are iterated exactly and the first period in the
-    enumeration order with a count above max_count is refused.
-    """
-    succ = index_graph(T, DP_STATE_CAP, "periodic word count").succ
-    idx = [T.order_index(a) - 1 for a in anchors]
-    rows = [[int(j == i) for j in range(len(succ))] for i in idx]
-    for n in range(1, N + 1):
-        rows = [count_push(succ, row) for row in rows]
-        if any(row[i] > max_count for row, i in zip(rows, idx)):
-            raise EnumerationRefusal(
-                f"more than {max_count} periodic words of period {n}")
+def _nodes_of(graph: IndexedGraph, T: TransitionSystem, a: State) -> list[int]:
+    """The nodes of graph that stand for the state a: a itself, or the
+    blocks that start with a."""
+    if graph.block == 1:
+        return [T.order_index(a) - 1]
+    return [i for i, s in enumerate(graph.symbols()) if s == a]
 
 
 def _loop_word(n: int, i: int = 1) -> Word:
@@ -444,72 +457,6 @@ def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
     else:
         verdict = "inconclusive"
     return SprVerdict(verdict, slope, P, tol, fit)
-
-
-# -- induced system ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InducedWord:
-    word: Word
-    log_weight: float  # exact Birkhoff sum on [word + (base,)]
-
-
-@dataclass
-class InducedSystem:
-    """First-return words to the base state, with exact induced weights.
-
-    Each stored word w satisfies w[0] = base, w[i] != base for interior i,
-    and w + (base,) admissible.  exhaustive[L] records whether all words of
-    length L were produced (the cap can cut long lengths short).
-    """
-
-    base: State
-    horizon: int
-    words: list[InducedWord]
-    exhaustive: dict[int, bool]
-
-    def by_length(self, n: int) -> list[InducedWord]:
-        return [iw for iw in self.words if len(iw.word) == n]
-
-    def log_return_weight(self, n: int) -> float:
-        """Aggregate induced weight of length-n first returns (equals log Z*_n)."""
-        return logsumexp(iw.log_weight for iw in self.by_length(n))
-
-
-def induced_system(T: TransitionSystem, phi: Potential, a: State, L: int,
-                   max_words: int = 500_000) -> InducedSystem:
-    """Enumerate first-return words to a of length <= L with induced weights."""
-    if L < 1:
-        raise ValueError("horizon must be >= 1")
-    T.require(a)
-    words: list[InducedWord] = []
-    exhaustive = {n: True for n in range(1, L + 1)}
-    stack: list[Word] = [(a,)]
-    truncated_at: int | None = None
-    if phi.memory > 2:
-        raise ValueError("induced weights are exact only for memory <= 2")
-    while stack:
-        w = stack.pop()
-        if T.has_edge(w[-1], a):
-            # the first len(w) terms of the sum on [w + (a,)] are exactly the
-            # induced weight for memory <= 2 potentials
-            total = math.fsum(
-                phi.edge_weight((w + (a,))[i], (w + (a,))[i + 1])
-                for i in range(len(w)))
-            words.append(InducedWord(w, total))
-            if len(words) > max_words:
-                truncated_at = len(w)
-                break
-        if len(w) < L:
-            for s in reversed(T.successors(w[-1])):
-                if s != a:
-                    stack.append(w + (s,))
-    if truncated_at is not None:
-        for n in range(truncated_at, L + 1):
-            exhaustive[n] = False
-    words.sort(key=lambda iw: (len(iw.word),
-                               tuple(T.order_index(s) for s in iw.word)))
-    return InducedSystem(a, L, words, exhaustive)
 
 
 # -- induced pressure -----------------------------------------------------------------

@@ -426,57 +426,103 @@ def test_report_fills_one_profile_grid_per_q(tmp_path, monkeypatch, capsys):
     assert "hinf: " in capsys.readouterr().out
 
 
-def test_chi_per_refuses_before_enumerating(tmp_path, monkeypatch, capsys):
+def test_chi_per_builds_no_periodic_words_at_any_memory(tmp_path, monkeypatch, capsys):
     # the full 3-shift has 3^12 > 500000 periodic words of period 13 through
-    # each state.  A memory-1 potential is an edge weight, so chi_per runs
-    # the max-plus DP and builds no periodic word list at all; a memory-3
-    # potential is enumerated, and the count is taken before any word is built
+    # each state.  Every potential is an edge weight on the state graph or on
+    # its block graph, so chi_per runs the max-plus DP and builds no periodic
+    # word list at any memory
     import cmshift.shift
-    import cmshift.thermo
 
     def never(*args, **kwargs):
         raise AssertionError("periodic words were enumerated")
 
     monkeypatch.setattr(cmshift.shift, "periodic_points", never)
-    monkeypatch.setattr(cmshift.thermo, "periodic_points", never)
     shift = {"kind": "finite", "matrix": [[1, 1, 1]] * 3}
     (tmp_path / "shift.json").write_text(json.dumps(shift))
     argv = ["report", "--shift", str(tmp_path / "shift.json"),
             "--potential", str(tmp_path / "pot.json"), "--horizon", "13",
             "--q", "1", "--M", "2", "--out", str(tmp_path / "out")]
-    (tmp_path / "pot.json").write_text(
-        json.dumps({"memory": 1, "default": 0.0, "table": []}))
-    assert main(argv) == EXIT_OK
-    assert "chi_per: 0\n" in capsys.readouterr().out
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["chi_per"] == {"period": 1, "value": 0.0}
-    (tmp_path / "pot.json").write_text(
-        json.dumps({"memory": 3, "default": 0.0, "table": []}))
-    assert main(argv) == EXIT_REFUSAL
-    assert "more than 500000 periodic words of period 13" \
-        in capsys.readouterr().err
+    for memory in (1, 3, 4):
+        (tmp_path / "pot.json").write_text(
+            json.dumps({"memory": memory, "default": 0.0, "table": []}))
+        assert main(argv) == EXIT_OK
+        assert "chi_per: 0\n" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["chi_per"] == {"period": 1, "value": 0.0}
 
 
 def test_memory3_weights_refuse_edge_weight_dps(tmp_path, capsys):
-    # a weighted memory-3 potential has no edge weights for the transfer
-    # sums: the report refuses and names the memory limit
+    # a weighted memory-3 potential is an edge weight on the 2-block graph:
+    # the transfer sums and chi_per run there and equal the enumeration's,
+    # while the contraction profile and the delta grid, which need edge
+    # weights on the state graph, are skipped and name the memory limit
+    from cmshift import FiniteShift, Plain, partition_sums_bruteforce
+    from cmshift.specio import load_potential
+
     shift = {"kind": "finite", "matrix": [[1, 1, 1]] * 3}
     (tmp_path / "shift.json").write_text(json.dumps(shift))
     argv = ["report", "--shift", str(tmp_path / "shift.json"),
             "--potential", str(tmp_path / "pot.json"), "--horizon", "6",
             "--q", "1", "--M", "2", "--out", str(tmp_path / "out")]
-    (tmp_path / "pot.json").write_text(json.dumps({"memory": 3, "default": -0.5}))
-    assert main(argv) == EXIT_REFUSAL
-    assert "memory <= 2 (got memory 3)" in capsys.readouterr().err
-    # a zero memory-3 potential counts paths instead; the contraction
-    # profile and the delta grid, which need edge weights, are skipped
-    (tmp_path / "pot.json").write_text(json.dumps({"memory": 3, "default": 0.0}))
+    (tmp_path / "pot.json").write_text(json.dumps(
+        {"memory": 3, "default": -0.5,
+         "table": [{"word": ["1", "2", "3"], "value": 0.25}]}))
     assert main(argv) == EXIT_OK
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["chi_per"] == {"period": 1, "value": 0.0}
-    assert "memory <= 2" in report["crc"]["skipped"]
-    assert "memory <= 2" in report["profiles"]["delta"]["skipped"]
+    assert report["sequences"]["method"] == "transfer-dp"
+    T = FiniteShift(shift["matrix"])
+    brute = partition_sums_bruteforce(
+        T, load_potential(tmp_path / "pot.json", T), Plain(1), 6)
+    assert report["sequences"]["logZ"] == pytest.approx(brute.log_z, abs=1e-11)
+    assert report["sequences"]["logZstar"] == pytest.approx(brute.log_zstar, abs=1e-11)
+    # the 3-cycle 123 averages (0.25 - 0.5 - 0.5) / 3
+    assert report["chi_per"] == {"period": 3, "value": -0.25}
+    assert "memory <= 2 (got memory 3)" in report["crc"]["skipped"]
+    assert "memory <= 2 (got memory 3)" in report["profiles"]["delta"]["skipped"]
     assert "rows" in report["profiles"]["hinf"]
+
+
+def test_oracle_names_the_period_of_an_undefined_word_weight(tmp_path, capsys):
+    # the root self-loop weighs +inf and the edge back from v(2,1,1) -inf:
+    # the period-3 word (r, r, v(2,1,1)) holds both
+    shift = {"kind": "bouquet", "a": {"form": "list", "values": [1, 1]},
+             "truncate_len": 2}
+    (tmp_path / "shift.json").write_text(json.dumps(shift))
+    (tmp_path / "pot.json").write_text(
+        '{"memory": 2, "table": [{"word": ["r", "r"], "value": Infinity}, '
+        '{"word": ["v(2,1,1)", "r"], "value": -Infinity}]}')
+    specs = ["--shift", str(tmp_path / "shift.json"),
+             "--potential", str(tmp_path / "pot.json")]
+    assert main(["oracle", *specs, "--truncate", "2", "--horizon", "6"]) == EXIT_REFUSAL
+    assert "the weight of a period-3 word through r is undefined" \
+        in capsys.readouterr().err
+    # the pressure of a period-1 point of weight +inf is +inf
+    assert main(["pressure", *specs, "--horizon", "6"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("pressure: inf ")
+
+
+def test_parser_is_built_once_and_calls_share_no_list(monkeypatch, capsys):
+    import cmshift.cli as climod
+
+    seen = []
+
+    def fake_run_report(cfg):
+        seen.append(list(cfg.M))
+        cfg.M.append(99)  # a caller that mutates its config
+        cfg.q.append(99)
+        return {"summary": {}}
+
+    monkeypatch.setattr(climod, "run_report", fake_run_report)
+    parser = climod._parser()
+    for _ in range(2):
+        assert main(["report", "--preset", "sec52-entry"]) == EXIT_OK
+    assert seen == [[2, 4, 8], [2, 4, 8]]
+    assert climod._parser() is parser
+    assert main(["presets"]) == main(["presets"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+    with pytest.raises(SystemExit):
+        main(["report", "--horizon", "x"])
 
 
 def test_oracle_subcommand_passes(tmp_path, capsys):
@@ -563,17 +609,14 @@ def _fuzz_system(data):
 
 
 def _fuzz_potential(data, T):
-    # weighted or zero potentials of memory 1-2, and (less often, as they
-    # all refuse at once) weighted ones of memory 3; zero memory-3 potentials
-    # enumerate periodic words by design and are left out
-    memory = data.draw(st.sampled_from([1, 2, 1, 2, 3]))
+    # weighted or zero potentials of memory 1-3, or 1-4 on at most 4 states
+    memory = data.draw(st.sampled_from([1, 2, 3, 4] if T.state_count() <= 4 else [1, 2, 3]))
     weights = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
-    if memory < 3 and data.draw(st.booleans()):
+    if data.draw(st.booleans()):
         return {"memory": memory, "default": 0.0, "table": []}
-    default = data.draw(weights.filter(lambda w: w != 0.0) if memory == 3 else weights)
     table = [{"word": [str(s) for s in w], "value": data.draw(weights)}
              for w in enumerate_words(T, memory).words if data.draw(st.booleans())]
-    return {"memory": memory, "default": default, "table": table}
+    return {"memory": memory, "default": data.draw(weights), "table": table}
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])

@@ -14,7 +14,7 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      build_preset, chi_per, condition_witness_search, crc_profile,
                      enumerate_words,
                      induced_pressure, is_admissible,
-                     induced_system, normalizing_C, partition_sums_bruteforce,
+                     normalizing_C, partition_sums_bruteforce,
                      partition_sums_renewal, partition_sums_transfer,
                      periodic_points, pressure_estimate, recurrence_classify,
                      spr_check, ucs_check, zeta)
@@ -279,11 +279,13 @@ EIGHTHS = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
 @given(data=st.data())
 def test_transfer_matches_brute_force_on_random_bouquets(data):
     # bouquets without per-loop totals are finite graphs: the transfer DP
-    # runs on them at any horizon, from any base state
+    # runs on them at any horizon, from any base state, and on their block
+    # graphs for memory 3-4
     T = _random_list_bouquet(data)
     a = T.state_of_order(data.draw(st.integers(min_value=1, max_value=T.state_count())))
     N = data.draw(st.integers(min_value=1, max_value=8))
-    phi = _random_table_potential(data, T, data.draw(st.sampled_from([1, 2])), EIGHTHS)
+    phi = _random_table_potential(data, T, data.draw(st.sampled_from([1, 2, 3, 4])),
+                                  EIGHTHS)
     brute = partition_sums_bruteforce(T, phi, a, N)
     fast = partition_sums_transfer(T, phi, a, N)
     for n in range(1, N + 1):
@@ -294,6 +296,62 @@ def test_transfer_matches_brute_force_on_random_bouquets(data):
     fast = partition_sums_transfer(T, zero, a, N)
     assert fast.counts == brute.counts
     assert fast.star_counts == brute.star_counts
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_transfer_on_block_graphs_matches_brute_force(data):
+    # random transitive 1-4 state shifts, memory 3-4 potentials with k/8 or
+    # float weights: the transfer DP on the (m-1)-block graph sums what the
+    # enumeration sums, from any base state
+    S = data.draw(st.integers(min_value=1, max_value=4))
+    T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
+                      for j in range(S)] for i in range(S)])
+    a = Plain(data.draw(st.integers(min_value=1, max_value=S)))
+    N = data.draw(st.integers(min_value=1, max_value=7))
+    weights = data.draw(st.sampled_from(
+        [EIGHTHS, st.floats(min_value=-3, max_value=2, allow_nan=False)]))
+    phi = _random_table_potential(data, T, data.draw(st.sampled_from([3, 4])), weights)
+    brute = partition_sums_bruteforce(T, phi, a, N)
+    fast = partition_sums_transfer(T, phi, a, N)
+    assert fast.method == "transfer-dp"
+    for n in range(1, N + 1):
+        assert fast.logz(n) == pytest.approx(brute.logz(n), abs=1e-12)
+        assert fast.logzstar(n) == pytest.approx(brute.logzstar(n), abs=1e-12)
+
+
+def test_transfer_skips_empty_sources_of_infinite_edges():
+    # the root self-loop weighs +inf and the edge back from v(2,1,1) -inf:
+    # the only first return of length 2 weighs -inf, and no -inf + inf
+    # (from the emptied root) enters its sum
+    T = BouquetShift(LoopCountFamily("list", values=(1, 1)), 2)
+    v = LoopVertex(2, 1, 1)
+    phi = Potential(2, {(ROOT, ROOT): math.inf, (v, ROOT): -math.inf}, 0.0)
+    brute = partition_sums_bruteforce(T, phi, ROOT, 2)
+    fast = partition_sums_transfer(T, phi, ROOT, 2)
+    assert (fast.log_z, fast.log_zstar) == (brute.log_z, brute.log_zstar) \
+        == ([math.inf, math.inf], [math.inf, LOG_ZERO])
+    # period 3 holds the word (r, r, v(2,1,1)): its sum is undefined
+    with pytest.raises(ValueError, match="period-3 word through r is undefined"):
+        partition_sums_bruteforce(T, phi, ROOT, 3)
+
+
+def test_block_graph_cap_counts_blocks():
+    # the full 3-shift has 3^4 = 81 admissible 4-words, the nodes a memory-5
+    # potential needs, and 3^10 = 59049 > DP_STATE_CAP 10-words; each cap
+    # refuses before a word is listed and names the block length
+    from cmshift.shift import index_graph
+    T = FiniteShift([[1, 1, 1]] * 3)
+    graph = index_graph(T, 81, "transfer DP", 5)
+    assert graph.block == 4 and len(graph.states) == 81
+    assert graph.states[:2] == [(Plain(1),) * 4, (Plain(1),) * 3 + (Plain(2),)]
+    assert graph.succ[1] == [3, 4, 5]  # 1112 -> 1121, 1122, 1123
+    with pytest.raises(EnumerationRefusal,
+                       match=r"^transfer DP runs on at most 80 states \(the 4-block graph "
+                             r"of this system, for a potential of memory 5, has 81\)$"):
+        index_graph(T, 80, "transfer DP", 5)
+    with pytest.raises(EnumerationRefusal, match="the 10-block graph .* has 59049"):
+        partition_sums_transfer(T, Potential(11, {}, -0.5), Plain(1), 4)
 
 
 # -- pressure estimates --------------------------------------------------------------------
@@ -318,6 +376,13 @@ def test_pressure_decaying_sequence():
 def test_pressure_all_zero_flag():
     est = pressure_estimate([LOG_ZERO] * 8)
     assert est.all_zero and est.value == LOG_ZERO
+
+
+@pytest.mark.parametrize("seq", [[math.inf] * 8, [0.0, math.inf, 1.0, math.inf,
+                                                 2.0, math.inf, 3.0, math.inf]])
+def test_pressure_with_an_infinite_term_is_infinite(seq):
+    est = pressure_estimate(seq)
+    assert est.value == math.inf and not est.all_zero
 
 
 def test_pressure_fit_on_periodic_nonmixing_shift():
@@ -360,20 +425,6 @@ def test_chi_per_self_loop_equals_pressure_and_ucs_fails():
     assert ucs_check(res.value, P) == "fails"
 
 
-def test_chi_per_refusal_matches_periodic_points():
-    # 27 periodic words of period 4 through each state of the full 3-shift: a
-    # memory-3 potential is no edge weight, so chi_per enumerates, and it
-    # refuses with the text the enumeration itself would raise
-    T = FiniteShift([[1, 1, 1]] * 3)
-    phi = Potential(3, {}, 0.0)
-    with pytest.raises(EnumerationRefusal) as enumerated:
-        periodic_points(T, 4, Plain(1), max_count=26)
-    with pytest.raises(EnumerationRefusal) as counted:
-        chi_per(T, phi, 6, max_count=26)
-    assert str(counted.value) == str(enumerated.value)
-    assert chi_per(T, phi, 6, q_cap=1, max_count=243).period == 1
-
-
 def test_chi_per_matches_exhaustive_cycles():
     rng = random.Random(5)
     for _ in range(4):
@@ -410,27 +461,23 @@ def _enumerated_chi_per(T, phi, N, q_cap):
 
 
 def _random_chi_per_case(data, weights):
-    # a random 1-5 state shift (a cycle through every state plus random
-    # edges), a memory-1 or memory-2 potential whose table may leave some
-    # windows to the default, a horizon and an anchor cap
-    S = data.draw(st.integers(min_value=1, max_value=5))
+    # a random shift (a cycle through every state plus random edges) of 1-5
+    # states, or 1-4 for memory 3-4, a memory 1-4 potential whose table may
+    # leave some windows to the default, a horizon and an anchor cap
+    memory = data.draw(st.sampled_from([1, 2, 3, 4]))
+    S = data.draw(st.integers(min_value=1, max_value=5 if memory <= 2 else 4))
     matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
                for j in range(S)] for i in range(S)]
     T = FiniteShift(matrix)
-    memory = data.draw(st.sampled_from([1, 2]))
-    if memory == 1:
-        keys = [(Plain(i + 1),) for i in range(S)]
-    else:
-        keys = [(Plain(i + 1), Plain(j + 1))
-                for i in range(S) for j in range(S) if matrix[i][j]]
-    table = {k: data.draw(weights) for k in keys if data.draw(st.booleans())}
+    table = {k: data.draw(weights) for k in enumerate_words(T, memory)
+             if data.draw(st.booleans())}
     phi = Potential(memory, table, data.draw(weights))
     N = data.draw(st.integers(min_value=1, max_value=7 if S <= 3 else 5))
     q_cap = data.draw(st.sampled_from([None, 1, 2]))
     return T, phi, N, q_cap
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_chi_per_max_plus_equals_enumeration_on_dyadic_weights(data):
     # k/8 weights sum exactly, so the word is the enumeration's word too; a
@@ -467,10 +514,10 @@ def test_chi_per_max_plus_matches_enumeration_on_float_weights(data):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_chi_per_on_bouquets_matches_all_anchor_enumeration(data):
-    # without per-loop totals a bouquet runs the graph routes with the root as
-    # its only anchor: max-plus for memory <= 2, enumeration for memory 3
+    # without per-loop totals a bouquet runs the max-plus route with the root
+    # as its only anchor, on the block graph for memory 3-4
     T = _random_list_bouquet(data)
-    memory = data.draw(st.sampled_from([1, 2, 3]))
+    memory = data.draw(st.sampled_from([1, 2, 3, 4]))
     phi = _random_table_potential(data, T, memory, EIGHTHS)
     N = data.draw(st.integers(min_value=1, max_value=7))
     q_cap = data.draw(st.sampled_from([None, 1, 2]))
@@ -480,13 +527,14 @@ def test_chi_per_on_bouquets_matches_all_anchor_enumeration(data):
 
 def test_chi_per_max_plus_builds_no_periodic_words(monkeypatch):
     # a 32-state shift at period 40 has far too many periodic words to list;
-    # the memory-2 route scores one candidate per (period, anchor)
-    import cmshift.thermo
+    # the max-plus route scores one candidate per (period, anchor), on the
+    # block graph for memory 3 too
+    import cmshift.shift
 
     def never(*args, **kwargs):
         raise AssertionError("periodic words were enumerated")
 
-    monkeypatch.setattr(cmshift.thermo, "periodic_points", never)
+    monkeypatch.setattr(cmshift.shift, "periodic_points", never)
     rng = random.Random(11)
     S = 32
     matrix = [[int(j == (i + 1) % S) for j in range(S)] for i in range(S)]
@@ -496,10 +544,11 @@ def test_chi_per_max_plus_builds_no_periodic_words(monkeypatch):
     T = FiniteShift(matrix)
     phi = Potential(2, {(Plain(i + 1), Plain(j + 1)): rng.uniform(-2, 0)
                         for i in range(S) for j in range(S) if matrix[i][j]})
-    res = chi_per(T, phi, 40)
-    assert 1 <= res.period <= 40
-    assert birkhoff_sum(T, phi, res.orbit, "periodic").value / res.period \
-        == res.value
+    for phi in (phi, Potential(3, {w: rng.uniform(-2, 0) for w in enumerate_words(T, 3)})):
+        res = chi_per(T, phi, 40)
+        assert 1 <= res.period <= 40
+        assert birkhoff_sum(T, phi, res.orbit, "periodic").value / res.period \
+            == res.value
 
 
 # -- SPR check ------------------------------------------------------------------------------
@@ -532,42 +581,42 @@ def test_spr_eventually_zero_weights_hold():
     assert v.slope == LOG_ZERO
 
 
-# -- induced system --------------------------------------------------------------------------
+# -- first returns ------------------------------------------------------------------------
 
 def test_induced_words_sec52_are_loops(sec52):
+    # the first returns to the root are its simple loops, one per length,
+    # each of total weight -n log 2
     T, phi = sec52.system, sec52.potential
-    ind = induced_system(T, phi, ROOT, 3)
-    words = [iw.word for iw in ind.words]
-    assert words == [
-        (ROOT,),
-        (ROOT, LoopVertex(2, 1, 1)),
-        (ROOT, LoopVertex(3, 1, 1), LoopVertex(3, 1, 2)),
-    ]
-    for iw in ind.words:
-        assert iw.log_weight == pytest.approx(-len(iw.word) * LOG2, abs=1e-12)
-    assert all(ind.exhaustive.values())
+    ps = partition_sums_bruteforce(T, phi, ROOT, 3)
+    assert ps.star_counts == [1, 1, 1]
+    for n in range(1, 4):
+        assert ps.logzstar(n) == pytest.approx(-n * LOG2, abs=1e-12)
 
 
 def test_induced_words_full_shift(full2):
-    phi = Potential(1, {}, 0.0)
-    ind = induced_system(full2, phi, Plain(1), 2)
-    assert [iw.word for iw in ind.words] == [(Plain(1),), (Plain(1), Plain(2))]
+    # first returns to 1: the words 1 and 12
+    ps = partition_sums_bruteforce(full2, Potential(1, {}, 0.0), Plain(1), 2)
+    assert ps.star_counts == [1, 1]
+    assert ps.log_zstar == [0.0, 0.0]
 
 
 def test_induced_single_self_loop():
     T = FiniteShift([[1]])
-    phi = Potential(1, {}, 0.0)
-    ind = induced_system(T, phi, Plain(1), 5)
-    assert [iw.word for iw in ind.words] == [(Plain(1),)]
+    ps = partition_sums_bruteforce(T, Potential(1, {}, 0.0), Plain(1), 5)
+    assert ps.star_counts == [1, 0, 0, 0, 0]
+    assert ps.log_zstar == [0.0] + [LOG_ZERO] * 4
 
 
 def test_induced_weight_aggregates_equal_zstar(sec52):
+    # the enumerated first-return weights are what the transfer DP and the
+    # closed-form return weights give
     T, phi = sec52.system, sec52.potential
-    ind = induced_system(T, phi, ROOT, 8)
     brute = partition_sums_bruteforce(T, phi, ROOT, 8)
+    fast = partition_sums_transfer(T, phi, ROOT, 8)
+    logw = log_weight_sequence(sec52.truncated_weights, 8)
     for n in range(1, 9):
-        assert ind.log_return_weight(n) == pytest.approx(brute.logzstar(n),
-                                                         abs=1e-12)
+        assert fast.logzstar(n) == pytest.approx(brute.logzstar(n), abs=1e-12)
+        assert logw[n - 1] == pytest.approx(brute.logzstar(n), abs=1e-12)
 
 
 # -- induced pressure --------------------------------------------------------------------------
