@@ -292,7 +292,10 @@ def _partition_sums(bundle: _Bundle, cfg: RunConfig) -> thermo.PartitionSums:
                 if n <= T.truncate_len else LOG_ZERO for n in range(1, N + 1)]
         return thermo.partition_sums_renewal(log_wstar=logw, N=N)
     if T is not None:
-        return thermo.partition_sums_transfer(T, phi, T.state_of_order(1), N)
+        try:
+            return thermo.partition_sums_transfer(T, phi, T.state_of_order(1), N)
+        except ValueError as exc:  # a periodic word weighing +inf and -inf
+            raise EnumerationRefusal(f"transfer sums: {exc}") from exc
     raise EnumerationRefusal("no computable partition-sum route for this input")
 
 
@@ -307,14 +310,16 @@ def _pressure(bundle: _Bundle, cfg: RunConfig
     return weights have a closed form, the fitted one otherwise."""
     ps = _partition_sums(bundle, cfg)
     pressure = thermo.pressure_estimate(ps)
-    if _closed_form(bundle):
+    if not _closed_form(bundle):
+        return ps, pressure, pressure.value
+    try:
         return ps, pressure, thermo.analytic_pressure(bundle.weights)
-    return ps, pressure, pressure.value
+    except ValueError as exc:  # the root escaped its search interval
+        raise EnumerationRefusal(f"analytic pressure: {exc}") from exc
 
 
 def _spr(bundle: _Bundle, ps: thermo.PartitionSums, P: float) -> thermo.SprVerdict:
-    return thermo.spr_check(ps.log_zstar, P if math.isfinite(P) else 0.0,
-                            closed_form=_closed_form(bundle))
+    return thermo.spr_check(ps.log_zstar, P, closed_form=_closed_form(bundle))
 
 
 def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
@@ -336,6 +341,8 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
         out["pressure"]["analytic"] = P
     spr = _spr(bundle, ps, P)
     out["spr"] = {"verdict": spr.verdict, "slope": spr.slope, "tol": spr.tol}
+    if spr.reason:
+        out["spr"]["reason"] = spr.reason
     if bundle.system is not None and bundle.potential is not None:
         chi = thermo.chi_per(bundle.system, bundle.potential, cfg.horizon)
         out["chi_per"] = {"value": chi.value, "period": chi.period}
@@ -374,7 +381,6 @@ def _profiles(bundle: _Bundle, cfg: RunConfig, P: float) -> dict:
         return out
     if bundle.profile_note:
         out["note"] = bundle.profile_note
-    P = P if math.isfinite(P) else 0.0
     hp = None
     if phi is not None:
         # one weighted fill gives both profiles; when it fails, that failure
@@ -670,7 +676,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         ps, _, P = _pressure(bundle, cfg)
         verdict = _spr(bundle, ps, P)
         print(f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "
-              f"pressure {_fmt(P)}, tol {_fmt(verdict.tol)})")
+              f"pressure {_fmt(P)}, tol {_fmt(verdict.tol)})"
+              + (f": {verdict.reason}" if verdict.reason else ""))
         return EXIT_OK
     raise ConfigError(f"unknown command {args.command!r}")
 

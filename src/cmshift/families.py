@@ -401,17 +401,25 @@ def _sec52(scheme: str) -> Callable[..., BouquetSpec]:
     return build
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+        raise ValueError(f"preset argument {name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _sec53(truncate_len: int | None = None, beta: float = 3.0, C="auto",
            a1: int | None = None, **kw) -> BouquetSpec:
     if kw:
         raise ValueError(f"unknown preset arguments {sorted(kw)}")
-    beta = float(beta)
+    beta = _number(beta, "beta")
+    if a1 is not None and (isinstance(a1, bool) or not isinstance(a1, int)):
+        raise ValueError(f"preset argument a1 must be an integer, got {a1!r}")
     if isinstance(C, str):
         if C != "auto":
             raise ValueError("C must be a number or 'auto'")
         Cval = normalizing_C(beta).value
     else:
-        Cval = float(C)
+        Cval = _number(C, "C")
     fam = LoopCountFamily("geometric", ratio=2, a1=a1)
     return BouquetSpec(fam, "entry", TauSpec("power", beta=beta,
                                              log_C=math.log(Cval)), truncate_len)
@@ -421,9 +429,11 @@ def _sec54(truncate_len: int | None = None, psi: Sequence[float] = (),
            C: float = 1.0, **kw) -> BouquetSpec:
     if kw:
         raise ValueError(f"unknown preset arguments {sorted(kw)}")
-    psi = tuple(float(p) for p in psi) or tuple(0.0 for _ in range(16))
+    if not isinstance(psi, (list, tuple)):
+        raise ValueError(f"preset argument psi must be a list of numbers, got {psi!r}")
+    psi = tuple(_number(p, "psi") for p in psi) or tuple(0.0 for _ in range(16))
     return BouquetSpec(LoopCountFamily("double_exponential"), "entry",
-                       TauSpec("psi", log_C=math.log(float(C)), psi=psi),
+                       TauSpec("psi", log_C=math.log(_number(C, "C")), psi=psi),
                        truncate_len)
 
 

@@ -204,29 +204,35 @@ def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
     """CountB of every cell (n, M) with 1 <= n <= N, from one forward sweep.
 
     The DP state is (v, i): paths that start in the low part and now sit at
-    state i, with v low visits at positions 0..k-1 (the current endpoint
+    node i, with v low visits at positions 0..k-1 (the current endpoint
     counts only once the path steps off it).  Each step first moves the low
-    states' entries up one visit layer, then pushes every layer along the
+    nodes' entries up one visit layer, then pushes every layer along the
     edges with the two step kernels.  After step n each M reads off the low
     endpoints with v <= (n + 1) // M.  v never decreases, so a path beyond
     the largest cap (N + 1) // min(M) can count for no cell and is dropped.
+    Counts run on the states, as cells count (n+1)-cylinders; best sums run
+    on the potential's k-block graph, whose n-step walks are the (n+k)-words
+    S_n reads, visits and ends read on first symbols.
     """
-    graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
-    S = len(graph.states)
-    lo = min(max(q, 0), S)  # the low states are indices 0..lo-1
+    blocks = graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep",
+                                 1 if phi is None else phi.memory)
+    if blocks.block > 1:
+        graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
+    S, lo = len(graph.states), graph.low(q)
+    B, blo = len(blocks.states), blocks.low(q)
     vcap = (N + 1) // min(M_list)
-    # cnt[v][i] counts the paths in state (v, i); best[v][i] is their maximal
-    # Birkhoff sum, pushed only when there is a potential
+    # cnt[v][i] counts the paths in state (v, i); best[v][i] is the maximal
+    # Birkhoff sum of the block walks there, pushed only with a potential
     cnt = [[1] * lo + [0] * (S - lo)] + [[0] * S for _ in range(vcap)]
-    best = [[0.0] * lo + [LOG_ZERO] * (S - lo)] + [[LOG_ZERO] * S for _ in range(vcap)]
-    wsucc = graph.weighted(phi) if phi is not None else None
+    best = [[0.0] * blo + [LOG_ZERO] * (B - blo)] + [[LOG_ZERO] * B for _ in range(vcap)]
+    wsucc = blocks.weighted(phi) if phi is not None else None
     cells: dict[int, list[CountB]] = {M: [] for M in M_list}
     for n in range(1, N + 1):
         cnt = [count_push(graph.succ, row) for row in _climb(cnt, lo, 0)]
         if wsucc is not None:
-            best = [maxplus_push(wsucc, row) for row in _climb(best, lo, LOG_ZERO)]
+            best = [maxplus_push(wsucc, row) for row in _climb(best, blo, LOG_ZERO)]
         _read_off(cells, n, [sum(row[:lo]) for row in cnt],
-                  [max(row[:lo], default=LOG_ZERO) for row in best], phi is not None)
+                  [max(row[:blo], default=LOG_ZERO) for row in best], phi is not None)
     return cells
 
 
@@ -249,8 +255,8 @@ def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) 
     """Count length-(n+1) cylinders with low endpoints and rare low visits.
 
     Returns the exact count, its log, and (when a potential is given) the
-    maximum of (1/n) S_n phi over the counted cylinders, exact for potentials
-    of memory <= 2.
+    maximum of (1/n) sup S_n phi over the counted cylinders, exact at every
+    memory.
     """
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")

@@ -77,17 +77,15 @@ class Potential:
         return self.default
 
     def edge_weight(self, u: State, v: State) -> float:
-        """Weight that the edge u -> v carries in the edge-weight DPs: the
-        window (u,) for memory 1 and (u, v) for memory 2.  Longer memories
-        have no edge weights on the state graph and are refused; the
-        transfer sums and chi_per take them on the higher-block graph
-        (shift.index_graph), where every window is an edge."""
+        """The window rule of the enumerative oracles: (u,) for memory 1,
+        (u, v) for memory 2, longer memories refused.  The DPs weigh the
+        edges of shift.index_graph's block graph instead."""
         if self.memory == 1:
             return self.weight((u,))
         if self.memory == 2:
             return self.weight((u, v))
         raise EnumerationRefusal(
-            f"edge-weight DPs need a potential of memory <= 2 (got memory {self.memory})")
+            f"edge windows need a potential of memory <= 2 (got memory {self.memory})")
 
     def is_zero(self) -> bool:
         return (self.default == 0.0 and self.fallback is None

@@ -2,9 +2,9 @@
 
 States, admissible words, ordered enumeration, periodic points, shortest
 connectors, path counting between low-index states, and the indexed graphs
-the state DPs run on: the system itself, or its higher-block graph for a
-potential of memory >= 3.  Periodic points and word enumeration serve as
-test oracles of those DPs.  Two realizations are
+the state DPs run on: the block graph that carries a potential's weights
+on its edges.  Periodic points and word enumeration serve as test oracles
+of those DPs.  Two realizations are
 provided: finite 0/1 transition matrices and bouquets of simple loops attached
 to a single root (always held with an explicit truncation of the loop
 lengths).  All systems are immutable after construction and every enumeration
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence, Union
 
 from .numerics import count_push
@@ -388,32 +389,31 @@ class BouquetShift(TransitionSystem):
 
 @dataclass(frozen=True)
 class IndexedGraph:
-    """A transition system listed for the state DPs.
+    """A transition system listed for the state DPs as its k-block graph.
 
-    states[i] is the state of order index i + 1, so the low part of level q
-    is the first q indices, and succ[i] lists the indices of the successors
-    of states[i] in successor order.  With block = k >= 2 the nodes are the
-    admissible k-words in state-order lexicographic order, with an edge
-    u -> v when u[1:] == v[:-1]: the k-block graph, conjugate to the system
-    by the first symbol (Lind-Marcus, Symbolic Dynamics and Coding, 1.4 and
-    2.3), on which a potential of memory k + 1 is an edge weight.
+    The nodes are the admissible k-words in state-order lexicographic order,
+    succ[i] lists the nodes v with states[i][1:] == v[:-1] in order, and the
+    nodes starting with the state of order index i + 1 are starts[i] ..
+    starts[i + 1] - 1.  The graph is conjugate to the system by the first
+    symbol (Lind-Marcus, Symbolic Dynamics and Coding, 1.4 and 2.3), and a
+    potential of memory m <= k + 1 is a weight on its edges.
     """
 
     states: list
     succ: list[list[int]]
-    block: int = 1
+    block: int
+    starts: list[int]
 
-    def symbols(self) -> list[State]:
-        """The first symbol of every node."""
-        return [u[0] for u in self.states] if self.block > 1 else self.states
+    def low(self, q: int) -> int:
+        """The number of nodes whose first symbol has order index <= q."""
+        return self.starts[min(max(q, 0), len(self.starts) - 1)]
 
     def weighted(self, phi) -> list[list[tuple[int, float]]]:
-        """Successor lists carrying the potential's edge weights: on a block
-        graph, the edge u -> v carries the weight of the window u + v[-1:]."""
-        if self.block > 1:
-            return [[(j, phi.weight(u + self.states[j][-1:])) for j in js]
-                    for u, js in zip(self.states, self.succ)]
-        return [[(j, phi.edge_weight(u, self.states[j])) for j in js]
+        """Successor lists carrying the potential's edge weights: the edge
+        u -> v carries the weight of the first phi.memory symbols of
+        u + v[-1:]."""
+        m = phi.memory
+        return [[(j, phi.weight((u + self.states[j][-1:])[:m])) for j in js]
                 for u, js in zip(self.states, self.succ)]
 
 
@@ -424,21 +424,19 @@ DP_STATE_CAP = 20_000
 
 
 def index_graph(T: TransitionSystem, cap: int, dp: str, memory: int = 1) -> IndexedGraph:
-    """List T in state order with successor index lists for the DP named dp;
-    for a potential of memory m >= 3, list the (m-1)-block graph of T.
+    """List the k-block graph of T, k = max(memory - 1, 1), for the DP named
+    dp: the graph on which a potential of that memory is an edge weight.
 
     A system of more than cap states, or of more than cap admissible
-    (m-1)-words, is refused before any state or word is listed.
+    k-words, is refused before any state or word is listed.
     """
     if T.state_count() > cap:
         raise EnumerationRefusal(
             f"{dp} runs on at most {cap} states (this system has {T.state_count()})")
+    k = max(memory - 1, 1)
     states = list(T.states())
     index = {s: i for i, s in enumerate(states)}
     succ = [[index[t] for t in T.successors(s)] for s in states]
-    if memory <= 2:
-        return IndexedGraph(states, succ)
-    k = memory - 1
     ends = [1] * len(states)  # admissible words of each length, by last state
     for _ in range(k - 1):
         ends = count_push(succ, ends)
@@ -446,13 +444,16 @@ def index_graph(T: TransitionSystem, cap: int, dp: str, memory: int = 1) -> Inde
         raise EnumerationRefusal(
             f"{dp} runs on at most {cap} states (the {k}-block graph of this "
             f"system, for a potential of memory {memory}, has {sum(ends)})")
-    # successor lists are in state order, so the words stay lexicographic
-    blocks = [(i,) for i in range(len(states))]
+    nodes, starts = [(s,) for s in states], list(range(len(states) + 1))
     for _ in range(k - 1):
-        blocks = [b + (j,) for b in blocks for j in succ[b[-1]]]
-    node = {b: i for i, b in enumerate(blocks)}
-    return IndexedGraph([tuple(states[i] for i in b) for b in blocks],
-                        [[node[b[1:] + (j,)] for j in succ[b[-1]]] for b in blocks], k)
+        # the (j+1)-words are the edges u -> v of the j-block graph in (u, v)
+        # order, so lexicographic; those out of u v are those out of v
+        first = list(accumulate(map(len, succ), initial=0))
+        edges = [(i, j) for i, js in enumerate(succ) for j in js]
+        nodes = [nodes[i] + nodes[j][-1:] for i, j in edges]
+        succ = [list(range(first[j], first[j + 1])) for _, j in edges]
+        starts = [first[i] for i in starts]
+    return IndexedGraph(nodes, succ, k, starts)
 
 
 # -- word operations -------------------------------------------------------------

@@ -3,7 +3,7 @@
 Two engines produce the weighted periodic-orbit sums Z_n (period-n points
 through a base state) and Z*_n (those returning for the first time at step
 n): a renewal convolution over per-length return weights, and a transfer DP
-over finite graphs (on the higher-block graph for memory >= 3), with an
+over the block graphs of finite systems, with an
 enumeration of the periodic words as their oracle.  On top sit the growth-rate
 estimators and the verdict operations: strong positive recurrence, uniform
 contraction (chi_per vs pressure), compact-return contraction profiles, and
@@ -190,8 +190,9 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
 
     Zero potentials run on integer path counts, so those sums are exact to
     the last bit (counts are attached); weighted sums push log-space vectors
-    along edge weights, on the (m-1)-block graph for a potential of memory
-    m >= 3, where a stands for the blocks that start with a.
+    along the edge weights of the block graph, where a stands for the blocks
+    that start with a.  As in the brute force, a ValueError names the least
+    period whose words through a have windows of weight +inf and -inf.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -206,6 +207,10 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
         # skipped, so a +inf edge out of one adds no -inf + inf
         wsucc = graph.weighted(phi)
         one, zero, total = 0.0, LOG_ZERO, logsumexp
+        n = _undefined_period(wsucc, nodes, N)
+        if n is not None:
+            raise ValueError(f"the weight of a period-{n} word through {a!r} is "
+                             "undefined: its windows weigh +inf and -inf")
 
         def push(vec):
             terms = [[] for _ in vec]
@@ -235,6 +240,25 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
     log_z = [math.log(c) if c else LOG_ZERO for c in z]
     log_zstar = [math.log(c) if c else LOG_ZERO for c in zstar]
     return PartitionSums(a, N, log_z, log_zstar, "transfer-dp", z, zstar)
+
+
+def _undefined_period(wsucc, nodes, N: int) -> int | None:
+    """The least n <= N with a closed n-step walk from one of nodes back to
+    itself over edges of weight +inf and -inf, or None: a boolean sweep over
+    (node, saw +inf, saw -inf), run only when both kinds of edge exist."""
+    kinds = {w for js in wsucc for _, w in js}
+    if math.inf not in kinds or -math.inf not in kinds:
+        return None
+    least = None
+    for u in nodes:
+        reach = {(u, False, False)}
+        for n in range(1, N + 1 if least is None else least):
+            reach = {(j, up or w == math.inf, down or w == -math.inf)
+                     for i, up, down in reach for j, w in wsucc[i]}
+            if (u, True, True) in reach:
+                least = n
+                break
+    return least
 
 
 # -- pressure -------------------------------------------------------------------
@@ -300,14 +324,13 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     simple-loop averages).  Otherwise the periodic orbits through states of
     order index <= q_cap are searched; on a bouquet every orbit passes the
     root, which comes first in state order, so the root is the only anchor.
-    The weights sit on the edges of the state graph (memory <= 2) or of the
-    (m-1)-block graph (memory m >= 3), so the best closed walk through an
-    anchor a at each period n is a max-plus DP (the (a, a) entries of the
-    n-th max-plus power, cf. Karp 1978): one candidate per (period, anchor),
-    found in polynomial time.  The candidates are scored by the periodic
-    Birkhoff sum in (period, anchor) order, keeping strictly greater
-    averages only, so value and period are those of an enumeration of every
-    periodic word in that order.
+    The weights sit on the edges of the block graph, so the best closed
+    walk through an anchor a at each period n is a max-plus DP (the (a, a)
+    entries of the n-th max-plus power, cf. Karp 1978): one candidate per
+    (period, anchor), found in polynomial time.  The candidates are scored
+    by the periodic Birkhoff sum in (period, anchor) order, keeping strictly
+    greater averages only, so value and period are those of an enumeration
+    of every periodic word in that order.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -367,7 +390,6 @@ def _best_closed_walks(T: TransitionSystem, phi: Potential, anchors: list[State]
             for _ in range(N):
                 g.append(maxplus_push(pred, g[-1]))
             tables[-1].append((u, g))
-    symbols = graph.symbols()
     words = []
     for n in range(1, N + 1):
         for closing in tables:
@@ -382,16 +404,14 @@ def _best_closed_walks(T: TransitionSystem, phi: Potential, anchors: list[State]
                 i = next(j for j, w in succ[i]
                          if g[k - 1][j] != LOG_ZERO and g[k - 1][j] + w == g[k][i])
                 word.append(i)
-            words.append(tuple(symbols[i] for i in word))
+            words.append(tuple(graph.states[i][0] for i in word))
     return words
 
 
-def _nodes_of(graph: IndexedGraph, T: TransitionSystem, a: State) -> list[int]:
-    """The nodes of graph that stand for the state a: a itself, or the
-    blocks that start with a."""
-    if graph.block == 1:
-        return [T.order_index(a) - 1]
-    return [i for i, s in enumerate(graph.symbols()) if s == a]
+def _nodes_of(graph: IndexedGraph, T: TransitionSystem, a: State) -> range:
+    """The nodes of graph that stand for the state a: the blocks that start with a."""
+    i = T.order_index(a)
+    return range(graph.starts[i - 1], graph.starts[i])
 
 
 def _loop_word(n: int, i: int = 1) -> Word:
@@ -418,6 +438,7 @@ class SprVerdict:
     pressure: float
     tol: float
     fit: TailFit | None = None
+    reason: str | None = None  # why an inconclusive verdict has no slope
 
 
 def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
@@ -428,14 +449,16 @@ def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
     on the tail half, so polynomial prefactors do not bias the rate (power-law
     sequences fit slope 0 exactly).  Verdict bands: holds when slope < P - tol,
     fails when |slope - P| <= tol, inconclusive otherwise.  Default tolerance
-    is 1e-6 for closed-form inputs and 1e-2 for fitted ones.
+    is 1e-6 for closed-form inputs and 1e-2 for fitted ones.  A pressure of
+    +inf or -inf leaves nothing to compare with: the verdict is inconclusive.
     """
-    if not math.isfinite(P):
-        raise ValueError("SPR check needs a finite pressure")
     if len(log_zstar) < MIN_FIT_TERMS:
         raise ValueError(f"SPR check needs at least {MIN_FIT_TERMS} terms")
     if tol is None:
         tol = 1e-6 if closed_form else 1e-2
+    if not math.isfinite(P):
+        return SprVerdict("inconclusive", math.nan, P, tol, None,
+                          "the pressure is not finite")
     N = len(log_zstar)
     win = list(tail_window(N))
     ys = [log_zstar[n - 1] for n in win]
@@ -716,7 +739,7 @@ class CrcProfile:
     """Maximal Birkhoff sums over words pinned to the low part, with the
     least affine majorant of the tail."""
 
-    s: list[float]  # s[n-1] = max S_n over words of length n+1 with low ends
+    s: list[float]  # s[n-1] = max S_n over (n+k)-words with x_0, x_n low
     C_q: float
     lambda_q: float
     q: int
@@ -727,8 +750,11 @@ class CrcProfile:
 
 def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
                 P: float = 0.0, tol: float = 0.0) -> CrcProfile:
-    """Profile s(n) = max S_n phi over length-(n+1) words with both endpoint
-    order indices <= q, plus the fitted affine majorant C_q - n*lambda_q.
+    """Profile s(n) = max S_n phi over words whose x_0 and x_n have order
+    index <= q, plus the fitted affine majorant C_q - n*lambda_q.
+
+    S_n of a potential of memory m is read on the (n+k)-words, k =
+    max(m - 1, 1): the n-step walks of the k-block graph.
 
     lambda_q is minus the tail-fit slope of s; C_q is then the least constant
     majorizing every tail point.  The verdict reports lambda_q > P + tol.
@@ -759,13 +785,14 @@ def _max_birkhoff_low_to_low(T, phi, q, N) -> list[float]:
                      for k in lengths if k <= m and best[m - k] != LOG_ZERO]
             best[m] = max(cands) if cands else LOG_ZERO
         return best[1:]
-    graph = index_graph(T, DP_STATE_CAP, "contraction profile DP")
+    graph = index_graph(T, DP_STATE_CAP, "contraction profile DP", phi.memory)
     wsucc = graph.weighted(phi)
-    dp = [0.0 if i < q else LOG_ZERO for i in range(len(graph.states))]
+    lo = graph.low(q)
+    dp = [0.0 if i < lo else LOG_ZERO for i in range(len(graph.states))]
     out = []
     for _ in range(N):
         dp = maxplus_push(wsucc, dp)
-        out.append(max(dp[:q]))
+        out.append(max(dp[:lo]))
     return out
 
 
@@ -786,34 +813,27 @@ def condition_witness_search(T: TransitionSystem, phi: Potential, cond: str,
     condition's endpoint constraints.
 
     cond 'A': the landing state x_n lies in the low part; 'B': the starting
-    state x_0 does; 'C': all of x_0..x_{n-1} lie outside it.  Words of length
-    n+1 are searched for 1 <= n <= N and the first (smallest-n, then maximal
-    value with order-first tie break) witness is returned, or None when the
-    horizon is clean.
+    state x_0 does; 'C': all of x_0..x_{n-1} lie outside it.  For a
+    potential of memory m, S_n is a sum over the (n+k)-words, k =
+    max(m - 1, 1), so the n-step walks of the k-block graph are searched,
+    for 1 <= n <= N, with each rule read on the first symbol of a node.  The
+    first witness (smallest n, then maximal value) is returned as its
+    (n+k)-word, or None when the horizon is clean.  Ties go to the word
+    whose last k symbols come first in state-order lexicographic order, then
+    to the earliest x_{n-1}, x_{n-2}, ... in turn.
     """
     if cond not in ("A", "B", "C"):
         raise ValueError("condition must be 'A', 'B' or 'C'")
     if N < 1 or q < 1:
         raise ValueError("q and N must be >= 1")
-    graph = index_graph(T, DP_STATE_CAP, "witness DP")
-    states = graph.states
+    graph = index_graph(T, DP_STATE_CAP, "witness DP", phi.memory)
     wsucc = graph.weighted(phi)
-    S = len(states)
-    low = [i < q for i in range(S)]
-
-    if cond == "A":
-        start_ok = [True] * S
-        interior_ok = [True] * S
-        end_ok = low
-    elif cond == "B":
-        start_ok = low
-        interior_ok = [True] * S
-        end_ok = [True] * S
-    else:
-        start_ok = [not b for b in low]
-        interior_ok = [not b for b in low]
-        end_ok = [True] * S
-
+    S, lo = len(graph.states), graph.low(q)
+    low = [i < lo for i in range(S)]
+    anywhere, outside = [True] * S, [not b for b in low]
+    start_ok, interior_ok, end_ok = {"A": (anywhere, anywhere, low),
+                                     "B": (low, anywhere, anywhere),
+                                     "C": (outside, outside, anywhere)}[cond]
     dp = [0.0 if start_ok[i] else LOG_ZERO for i in range(S)]
     parent: list[dict[int, int]] = [{}]
     for n in range(1, N + 1):
@@ -832,7 +852,7 @@ def condition_witness_search(T: TransitionSystem, phi: Potential, cond: str,
             for step in range(n, 0, -1):
                 word_idx.append(parent[step][word_idx[-1]])
             word_idx.reverse()
-            word = tuple(states[i] for i in word_idx)
+            word = tuple(graph.states[i][0] for i in word_idx[:-1]) + graph.states[best_j]
             return Witness(word, n, best_v, bound, cond)
         # positions beyond the start must satisfy the interior constraint
         dp = [nxt[j] if interior_ok[j] else LOG_ZERO for j in range(S)]

@@ -451,12 +451,12 @@ def test_chi_per_builds_no_periodic_words_at_any_memory(tmp_path, monkeypatch, c
         assert report["chi_per"] == {"period": 1, "value": 0.0}
 
 
-def test_memory3_weights_refuse_edge_weight_dps(tmp_path, capsys):
+def test_memory3_weights_run_every_edge_weight_dp(tmp_path, capsys):
     # a weighted memory-3 potential is an edge weight on the 2-block graph:
-    # the transfer sums and chi_per run there and equal the enumeration's,
-    # while the contraction profile and the delta grid, which need edge
-    # weights on the state graph, are skipped and name the memory limit
+    # the transfer sums, chi_per, the contraction profile and the delta grid
+    # all run there and equal an enumeration of the words
     from cmshift import FiniteShift, Plain, partition_sums_bruteforce
+    from cmshift.numerics import linear_fit, tail_window
     from cmshift.specio import load_potential
 
     shift = {"kind": "finite", "matrix": [[1, 1, 1]] * 3}
@@ -468,18 +468,41 @@ def test_memory3_weights_refuse_edge_weight_dps(tmp_path, capsys):
         {"memory": 3, "default": -0.5,
          "table": [{"word": ["1", "2", "3"], "value": 0.25}]}))
     assert main(argv) == EXIT_OK
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    text = (tmp_path / "out" / "report.json").read_text()
+    report = json.loads(text)
     assert report["sequences"]["method"] == "transfer-dp"
     T = FiniteShift(shift["matrix"])
-    brute = partition_sums_bruteforce(
-        T, load_potential(tmp_path / "pot.json", T), Plain(1), 6)
+    phi = load_potential(tmp_path / "pot.json", T)
+    brute = partition_sums_bruteforce(T, phi, Plain(1), 6)
     assert report["sequences"]["logZ"] == pytest.approx(brute.log_z, abs=1e-11)
     assert report["sequences"]["logZstar"] == pytest.approx(brute.log_zstar, abs=1e-11)
     # the 3-cycle 123 averages (0.25 - 0.5 - 0.5) / 3
     assert report["chi_per"] == {"period": 3, "value": -0.25}
-    assert "memory <= 2 (got memory 3)" in report["crc"]["skipped"]
-    assert "memory <= 2 (got memory 3)" in report["profiles"]["delta"]["skipped"]
-    assert "rows" in report["profiles"]["hinf"]
+    assert "memory <= 2" not in text and "skipped" not in text
+
+    # S_n of a memory-3 potential reads the (n+2)-words
+    low = {Plain(1)}
+
+    def scored(n):
+        for w in enumerate_words(T, n + 2):
+            yield w, math.fsum(phi.weight(w[i:i + 3]) for i in range(n))
+
+    s = [max(v for w, v in scored(n) if w[0] in low and w[n] in low) for n in range(1, 7)]
+    win = list(tail_window(6))
+    lam = -linear_fit(win, [s[n - 1] for n in win]).slope
+    assert report["crc"]["lambda_q"] == pytest.approx(lam, abs=1e-11)
+    assert report["crc"]["C_q"] == pytest.approx(max(s[n - 1] + n * lam for n in win),
+                                                 abs=1e-11)
+    rows = report["profiles"]["delta"]["rows"]
+    assert [r[:3] for r in rows] == [[n, 2, 1] for n in range(1, 7)]
+    for n, _, _, count, _, z_phi in rows:
+        best = {}
+        for w, v in scored(n):
+            if w[0] in low and w[n] in low and sum(x in low for x in w[:n]) * 2 <= n + 1:
+                best[w[:n + 1]] = max(best.get(w[:n + 1], -math.inf), v)
+        assert count == len(best)
+        assert z_phi == pytest.approx(max(best.values()) / n, abs=1e-11)
+    assert report["profiles"]["delta"]["estimate"] == max(r[5] for r in rows[-4:])
 
 
 def test_oracle_names_the_period_of_an_undefined_word_weight(tmp_path, capsys):
@@ -496,9 +519,50 @@ def test_oracle_names_the_period_of_an_undefined_word_weight(tmp_path, capsys):
     assert main(["oracle", *specs, "--truncate", "2", "--horizon", "6"]) == EXIT_REFUSAL
     assert "the weight of a period-3 word through r is undefined" \
         in capsys.readouterr().err
-    # the pressure of a period-1 point of weight +inf is +inf
-    assert main(["pressure", *specs, "--horizon", "6"]) == EXIT_OK
+    # the transfer sums raise the same error at the same period
+    for command in ("pressure", "spr", "report"):
+        assert main([command, *specs, "--horizon", "6"]) == EXIT_REFUSAL
+        assert "refused: transfer sums: the weight of a period-3 word through r " \
+            "is undefined" in capsys.readouterr().err
+
+
+def test_preset_argument_errors_name_the_argument(capsys):
+    # an argument of the wrong type, NaN or a fractional loop count is a
+    # config error naming the argument; a pressure root out of reach is a refusal
+    for expr, name in (("sec53(beta=[1,2])", "beta"), ("sec53(C=[1])", "C"),
+                       ("sec54(psi=3)", "psi"), ("sec53(a1=1.5)", "a1"),
+                       ("sec53(C=nan)", "C"), ("sec54(psi=[0,nan])", "psi")):
+        assert main(["report", "--preset", expr, "--horizon", "8"]) == EXIT_CONFIG
+        assert f"preset argument {name} must be" in capsys.readouterr().err
+    for command in ("report", "spr", "pressure"):
+        assert main([command, "--preset", "sec53(C=1e300)", "--horizon", "8"]) \
+            == EXIT_REFUSAL
+        assert capsys.readouterr().err == "refused: analytic pressure: pressure root " \
+            "escaped the search interval\n"
+
+
+def test_infinite_pressure_leaves_spr_inconclusive(tmp_path, capsys):
+    # the root self-loop weighs +inf, so every Z_n is +inf and so is P; no
+    # verdict is judged against a stand-in pressure of 0
+    shift = {"kind": "bouquet", "a": {"form": "list", "values": [1, 1]},
+             "truncate_len": 2}
+    (tmp_path / "shift.json").write_text(json.dumps(shift))
+    (tmp_path / "pot.json").write_text(
+        '{"memory": 2, "table": [{"word": ["r", "r"], "value": Infinity}]}')
+    specs = ["--shift", str(tmp_path / "shift.json"),
+             "--potential", str(tmp_path / "pot.json"), "--horizon", "6"]
+    assert main(["pressure", *specs]) == EXIT_OK
     assert capsys.readouterr().out.startswith("pressure: inf ")
+    assert main(["spr", *specs]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        "spr: inconclusive (slope nan, pressure inf, tol 0.01): the pressure is not finite")
+    assert main(["report", *specs, "--out", str(tmp_path / "out")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "pressure: inf\n" in out and "spr: inconclusive\n" in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["spr"] == {"verdict": "inconclusive", "slope": "nan", "tol": 0.01,
+                             "reason": "the pressure is not finite"}
+    assert report["ucs"] == "inconclusive"  # chi_per = P = +inf
 
 
 def test_parser_is_built_once_and_calls_share_no_list(monkeypatch, capsys):
@@ -619,20 +683,48 @@ def _fuzz_potential(data, T):
     return {"memory": memory, "default": data.draw(weights), "table": table}
 
 
-@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+_PRESET_VALUES = st.sampled_from(["3", "2", "0", "-1", "1.5", "1e300", "1e-300", "inf",
+                                  "nan", "auto", "abc", "[]", "[1,2]", "[0,0.5]", "[x]"])
+
+
+def _fuzz_preset(data):
+    # a preset expression, well formed or not: any name, positional and
+    # keyword arguments of any kind, brackets that may not close
+    name = data.draw(st.sampled_from(["sec52-entry", "sec52-mid", "sec53", "sec54",
+                                      "renewal-ones", "sec99"]))
+    args = data.draw(st.lists(st.one_of(
+        _PRESET_VALUES,
+        st.tuples(st.sampled_from(["beta", "C", "a1", "psi", "x"]), _PRESET_VALUES)
+        .map("=".join)), max_size=3))
+    text = f"{name}({','.join(args)})" if args or data.draw(st.booleans()) else name
+    return data.draw(st.sampled_from([text, text, text[:-1], text + ")", " " + text]))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_exit_codes_fuzz(data):
     # every input ends in a documented exit code, without a traceback, and
-    # within 10 s
-    T, shift = _fuzz_system(data)
-    pot = _fuzz_potential(data, T)
-    command = data.draw(st.sampled_from(["report", "pressure", "spr", "hinf"]))
+    # within 10 s; no memory-3 or memory-4 report has a memory skip
+    memory = None
+    if data.draw(st.booleans()):
+        source = ["--preset", _fuzz_preset(data)]
+        truncate = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
+        if truncate is not None:
+            source += ["--truncate", str(truncate)]
+        commands = ["report", "pressure", "spr", "hinf", "oracle"]
+    else:
+        T, shift = _fuzz_system(data)
+        pot = _fuzz_potential(data, T)
+        memory = pot["memory"]
+        commands = ["report", "pressure", "spr", "hinf"]
+    command = data.draw(st.sampled_from(commands))
     horizon = data.draw(st.sampled_from(range(1, 41)))
     small = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=2)
     q, M = data.draw(small), data.draw(small)
     with tempfile.TemporaryDirectory() as tmp:
-        specs = _write_specs(Path(tmp), shift, pot)
-        argv = [command, *specs, "--horizon", str(horizon),
+        if memory is not None:
+            source = _write_specs(Path(tmp), shift, pot)
+        argv = [command, *source, "--horizon", str(horizon),
                 "--q", ",".join(map(str, q)), "--M", ",".join(map(str, M))]
         if command in ("report", "hinf"):
             argv += ["--out", str(Path(tmp) / "out")]
@@ -641,5 +733,8 @@ def test_cli_exit_codes_fuzz(data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         elapsed = time.perf_counter() - start
+        report = Path(tmp) / "out" / "report.json"
+        if command == "report" and code == EXIT_OK and memory in (3, 4):
+            assert "memory <= 2" not in report.read_text(), argv
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_REFUSAL, EXIT_INVARIANT), argv
     assert elapsed < 10.0, (argv, elapsed)

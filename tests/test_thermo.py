@@ -298,6 +298,53 @@ def test_transfer_matches_brute_force_on_random_bouquets(data):
     assert fast.star_counts == brute.star_counts
 
 
+def test_transfer_names_the_least_undefined_period(full2):
+    # 11 weighs +inf, 12 -0.5 and 22 -inf: the first word holding 11 and 22
+    # is (1, 1, 2, 2), of period 4, while (1, 1, 2) weighs +inf
+    phi = Potential(2, {(Plain(1), Plain(1)): math.inf, (Plain(1), Plain(2)): -0.5,
+                        (Plain(2), Plain(2)): -math.inf}, 0.0)
+    fast = partition_sums_transfer(full2, phi, Plain(1), 3)
+    assert fast.log_z == partition_sums_bruteforce(full2, phi, Plain(1), 3).log_z \
+        == [math.inf] * 3
+    for sums in (partition_sums_transfer, partition_sums_bruteforce):
+        with pytest.raises(ValueError, match="^the weight of a period-4 word through 1 is "
+                                             "undefined: its windows weigh"):
+            sums(full2, phi, Plain(1), 6)
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_transfer_with_infinite_weights_matches_brute_force(data):
+    # random transitive 1-4 state shifts and list bouquets, memory 1-3
+    # weights partly +inf, -inf or -0.0: the transfer DP returns the brute
+    # force's sums (the non-finite ones in repr, the others to 1e-12), or
+    # raises the same exception with the same text
+    if data.draw(st.booleans()):
+        S = data.draw(st.integers(min_value=1, max_value=4))
+        T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
+                          for j in range(S)] for i in range(S)])
+    else:
+        T = _random_list_bouquet(data)
+    a = T.state_of_order(data.draw(st.integers(min_value=1, max_value=T.state_count())))
+    N = data.draw(st.integers(min_value=1, max_value=6))
+    phi = _random_table_potential(data, T, data.draw(st.integers(min_value=1, max_value=3)),
+                                  st.one_of(SPECIALS, EIGHTHS))
+
+    def outcome(sums):
+        try:
+            ps = sums(T, phi, a, N)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return ps.log_z + ps.log_zstar
+
+    fast, brute = outcome(partition_sums_transfer), outcome(partition_sums_bruteforce)
+    if isinstance(brute, tuple) or isinstance(fast, tuple):
+        assert fast == brute
+        return
+    for x, y in zip(fast, brute, strict=True):
+        assert repr(x) == repr(y) if not math.isfinite(y) else x == pytest.approx(y, abs=1e-12)
+
+
 @settings(max_examples=60)
 @given(data=st.data())
 def test_transfer_on_block_graphs_matches_brute_force(data):
@@ -804,6 +851,89 @@ def test_condition_witness_search_matches_enumeration(data):
     assert (wit.n, wit.value) == expected
     assert len(wit.word) == wit.n + 1 and is_admissible(T, wit.word)
     assert allowed(wit.word) and _walk_sum(phi, wit.word) == wit.value
+
+
+def _block_case(data):
+    # a random transitive 1-4 state shift and a memory 1-4 potential with k/8
+    # weights, whose sums are exact, or with float weights
+    S = data.draw(st.integers(min_value=1, max_value=4))
+    T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
+                      for j in range(S)] for i in range(S)])
+    memory = data.draw(st.integers(min_value=1, max_value=4))
+    exact = data.draw(st.booleans())
+    weights = EIGHTHS if exact else st.floats(min_value=-3, max_value=1)
+    phi = _random_table_potential(data, T, memory, weights)
+    q = data.draw(st.integers(min_value=1, max_value=S))
+    N = data.draw(st.integers(min_value=1, max_value=5 if S <= 3 else 4))
+    return T, phi, q, N, exact
+
+
+def _scored_words(T, phi, n):
+    # every (n+k)-word, k = max(m - 1, 1), with its S_n: the sum of the n
+    # windows of length m that start at x_0 .. x_{n-1}
+    m = phi.memory
+    for w in enumerate_words(T, n + max(m - 1, 1)):
+        yield w, math.fsum(phi.weight(w[i:i + m]) for i in range(n))
+
+
+def _same(a, b, exact):
+    return a == b if exact or not math.isfinite(a) else a == pytest.approx(b, abs=1e-12)
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_block_graph_dps_match_enumerated_words(data):
+    # crc s(n), the A/B/C witnesses and every profile cell of a memory 1-4
+    # potential equal an enumeration of the (n+k)-words that S_n reads
+    from cmshift.infinity import CountB, _grid_cells
+
+    T, phi, q, N, exact = _block_case(data)
+    low = set(T.states_up_to(q))
+    M_list = sorted(data.draw(st.sets(st.integers(1, 4), min_size=1, max_size=2)))
+    s = _max_birkhoff_low_to_low(T, phi, q, N)
+    cells = _grid_cells(T, phi, q, M_list, N)
+    for n in range(1, N + 1):
+        scored = list(_scored_words(T, phi, n))
+        top = max((v for w, v in scored if w[0] in low and w[n] in low), default=LOG_ZERO)
+        assert _same(s[n - 1], top, exact)
+        for M in M_list:
+            # the counted (n+1)-cylinders, each with its best extension
+            best = {}
+            for w, v in scored:
+                if w[0] in low and w[n] in low \
+                        and sum(x in low for x in w[:n]) * M <= n + 1:
+                    best[w[:n + 1]] = max(best.get(w[:n + 1], LOG_ZERO), v)
+            cell, count = cells[M][n - 1], len(best)
+            want = CountB(count, math.log(count) if count else LOG_ZERO,
+                          max(best.values()) / n if count else LOG_ZERO)
+            assert cell.count == count and cell.log_count == want.log_count
+            assert _same(cell.z_phi, want.z_phi, exact)
+    order = T.order_index
+    C = data.draw(st.integers(min_value=-8, max_value=16)) / 8
+    eps = data.draw(st.integers(min_value=-4, max_value=8)) / 8
+    for cond, allowed in (("A", lambda w, n: w[n] in low),
+                          ("B", lambda w, n: w[0] in low),
+                          ("C", lambda w, n: not any(x in low for x in w[:n]))):
+        wit = condition_witness_search(T, phi, cond, q, C, eps, N)
+        for n in range(1, N + 1):
+            found = [(w, v) for w, v in _scored_words(T, phi, n) if allowed(w, n)]
+            top = max((v for _, v in found), default=LOG_ZERO)
+            if top > C - n * eps:
+                break
+        else:
+            assert wit is None
+            continue
+        assert (wit.n, len(wit.word)) == (n, n + max(phi.memory - 1, 1))
+        assert _same(wit.value, top, exact)
+        if exact:
+            # ties: the last k symbols first in state order, then the
+            # earliest x_{n-1}, x_{n-2}, ... in turn
+            first = min((w for w, v in found if v == top),
+                        key=lambda w: ([order(x) for x in w[n:]],
+                                       [order(x) for x in w[n - 1::-1]]))
+            assert wit.word == first
+        else:
+            assert allowed(wit.word, n) and dict(found)[wit.word] == pytest.approx(wit.value)
 
 
 def test_crc_state_route_agrees_with_composition_route(sec52):
