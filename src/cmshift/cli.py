@@ -139,48 +139,73 @@ def _check_horizon(cfg: RunConfig, command: str) -> None:
             raise ConfigError(f"horizon must be >= {least} for {fit}")
 
 
+def _float_text(x: float) -> str:
+    """x at 12 significant digits as JSON: the text of float(that), and nan,
+    inf and -inf as the strings of _fmt.  A .12g text with a point and no
+    exponent is already the shortest repr of its float."""
+    g = f"{x:.12g}"
+    if "." in g and "e" not in g:
+        return g
+    return repr(float(g)) if math.isfinite(x) else f'"{g}"'
+
+
+def _int_text(n: int) -> str:
+    try:
+        return int.__repr__(n)
+    except ValueError:  # above sys.get_int_max_str_digits()
+        return f'"{hex(n)}"'
+
+
+# the JSON text of a leaf, by its exact type; subclasses (numpy.float64,
+# IntEnum, ...) take the isinstance route of _json_text
+_JSON_LEAVES = {
+    float: _float_text, int: _int_text, str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
+}
+
+# a CSV cell or printed value, by its exact type; any other type is _fmt's
+_CELLS = {float: "{:.12g}".format, int: str, str: str, type(None): lambda _: ""}
+
+
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if x == math.inf:
-            return "inf"
-        if x == -math.inf:
-            return "-inf"
-        return f"{x:.12g}"
-    return str(x)
+    """x as a CSV cell or printed value: a float at 12 significant digits
+    (nan, inf and -inf as such), None empty, anything else its str."""
+    cell = _CELLS.get(type(x))
+    if cell is not None:
+        return cell(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _json_text(obj, pad: str = "\n") -> str:
     """obj as indented JSON with sorted keys, floats at 12 significant digits
     and the non-finite ones as the strings of _fmt; pad starts each line of
     obj's items.  An int too long for decimal text is the exact hex string
-    "0x...", and any other object is its str."""
-    if isinstance(obj, float):
-        return repr(float(f"{obj:.12g}")) if math.isfinite(obj) else f'"{_fmt(obj)}"'
-    if isinstance(obj, int):
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        try:
-            return int.__repr__(obj)
-        except ValueError:  # above sys.get_int_max_str_digits()
-            return f'"{hex(obj)}"'
+    "0x...", and any other object is its str.  The items of a list or dict
+    that are leaves are written by _JSON_LEAVES in one pass."""
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        return "[" + ",".join(inner + _json_text(v, inner) for v in obj) + pad + "]"
+        get = _JSON_LEAVES.get
+        items = [leaf(v) if (leaf := get(type(v))) else _json_text(v, inner)
+                 for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
-        items = (f"{inner}{_json_key(k)}: {_json_text(v, inner)}"
-                 for k, v in sorted(obj.items()))
-        return "{" + ",".join(items) + pad + "}"
-    if obj is None:
-        return "null"
+        get = _JSON_LEAVES.get
+        items = [_json_key(k) + ": "
+                 + (leaf(v) if (leaf := get(type(v))) else _json_text(v, inner))
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, int):
+        return ("true" if obj else "false") if isinstance(obj, bool) else _int_text(obj)
     return encode_basestring_ascii(obj if isinstance(obj, str) else str(obj))
 
 
@@ -200,9 +225,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    cell = _CELLS.get
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [",".join([cell(type(x), _fmt)(x) for x in row]) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -359,7 +384,7 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
         out["induced"] = {"value_at_0": ip.value, "pstar": ip.pstar,
                           "delta": ip.delta, "spr": ip.spr}
         if isinstance(bundle.weights, PowerTail):
-            rc = thermo.recurrence_classify(bundle.weights)
+            rc = thermo.recurrence_classify(bundle.weights, P=P)
             out["recurrence"] = {"class": rc.kind, "pressure": rc.pressure,
                                  "return_sum": rc.return_sum,
                                  "mean_return": rc.mean_return}

@@ -155,6 +155,8 @@ def polylog_with_bound(beta: float, log_x: float, tol: float = 1e-12,
     x = math.exp(log_x)
     if x == 1.0:
         raise ValueError(f"polylog tail bound is infinite: x = exp({log_x!r}) rounds to 1")
+    if x == 0.0:
+        return log_x, 0.0  # x underflows: its first term is the whole sum in floats
     terms = []
     k = 1
     total = 0.0

@@ -384,6 +384,14 @@ class BouquetShift(TransitionSystem):
     def state_count(self) -> int:
         return self._count
 
+    def states(self) -> Iterator[State]:
+        """The states in order, without a search per index."""
+        yield ROOT
+        for n in range(2, self.truncate_len + 1):
+            for i in range(1, self.a.count(n) + 1):
+                for k in range(1, n):
+                    yield LoopVertex(n, i, k)
+
 
 # -- indexed graphs ----------------------------------------------------------------
 

@@ -600,27 +600,29 @@ def recurrence_classify(family=None, log_zstar: Sequence[float] | None = None,
     evaluated analytically (with certified zeta bounds): after normalizing the
     pressure to zero, divergence of sum e^{-nP} Z_n is equivalent to
     sum e^{-nP} Z*_n reaching 1, and positive recurrence to a finite mean
-    return series.  Numeric-only inputs with undecidable tails come back
-    'inconclusive' with the partial sums attached.
+    return series.  P is the family's pressure when the caller already holds
+    it (analytic_pressure(family)); without it the root is solved here.  It
+    is read only when the return series exceeds 1 at shift zero: otherwise
+    the pressure is normalized to 0.  Numeric-only inputs (log_zstar with
+    their P) with undecidable tails come back 'inconclusive' with the
+    partial sums attached.
     """
     from .families import PowerTail
-    from .numerics import polylog_with_bound, renewal_pressure, zeta_series_with_bound
+    from .numerics import polylog_with_bound
 
     if family is not None:
         if not isinstance(family, PowerTail):
             raise ValueError("closed-form classification expects a power-tail family")
         beta, logC, logx = family.beta, family.log_coeff, family.log_x
-        if logx > 0 or (beta <= 1 and logx >= 0):
-            # the return series diverges at shift zero: positive pressure
-            lp = renewal_pressure_from_power(family)
-            return _classify_power(PowerTail(beta, logC, logx - lp), lp, tol)
-        lv, lb = polylog_with_bound(beta, logx, tol)
-        total = math.exp(logC + lv)
-        band = total * (lb + tol)
-        if total > 1.0 + band:
-            lp = renewal_pressure_from_power(family)
-            return _classify_power(PowerTail(beta, logC, logx - lp), lp, tol)
-        return _classify_power(family, 0.0, tol, total=total, band=band)
+        if logx <= 0 and (beta > 1 or logx < 0):
+            lv, lb = polylog_with_bound(beta, logx, tol)
+            total = math.exp(logC + lv)
+            band = total * (lb + tol)
+            if total <= 1.0 + band:
+                return _classify_power(family, 0.0, tol, total=total, band=band)
+        # the return series exceeds 1 at shift zero: positive pressure
+        lp = renewal_pressure_from_power(family) if P is None else P
+        return _classify_power(PowerTail(beta, logC, logx - lp), lp, tol)
 
     if log_zstar is None or P is None:
         raise ValueError("pass a closed-form family or (log_zstar, P)")
@@ -659,8 +661,18 @@ def analytic_pressure(weights) -> float | None:
 
 
 def renewal_pressure_from_power(family) -> float:
-    """Pressure of the renewal system with power-tail return weights (root of
-    the shifted series reaching 1)."""
+    """Pressure of the renewal system with power-tail return weights: the
+    root P of g(p) = log C + log Li_beta(e^{log_x - p}) = 0.
+
+    g is a log-sum-exp of affine functions of p, so it is convex and
+    decreasing, with slope -Li_{beta-1}/Li_beta.  Newton steps start at the
+    right end of a doubling bracket; after at most one step they approach the
+    root from the left without overshooting.  A step that leaves the bracket,
+    or is longer than half the step before last, bisects instead, and so does
+    every step after the slope's series first fails to converge.  The root
+    is returned once a step is shorter than 1e-15 * max(1, |p|); a root above
+    1e6 raises ValueError.
+    """
     from .numerics import polylog_with_bound
 
     beta, logC, logx = family.beta, family.log_coeff, family.log_x
@@ -672,27 +684,43 @@ def renewal_pressure_from_power(family) -> float:
         if logC + lvb <= 1e-9 + lbb:
             return logx
 
-    def g(p: float) -> float:
+    def log_li(b: float, p: float) -> float:
         try:
-            lv, _ = polylog_with_bound(beta, logx - p, 1e-13, max_terms=300_000)
+            return polylog_with_bound(b, logx - p, 1e-13, max_terms=300_000)[0]
         except ValueError:
             return math.inf  # at/past the boundary, or too slow to converge
-        return logC + lv
 
     lo, hi = logx, max(1.0, logx + 1.0)
-    while g(hi) > 0:
-        hi *= 2
+    lv = log_li(beta, hi)
+    while logC + lv > 0:
+        lo, hi = hi, 2.0 * hi
         if hi > 1e6:
             raise ValueError("pressure root escaped the search interval")
+        lv = log_li(beta, hi)
+    p, gp = hi, logC + lv
+    last = before = hi - lo  # the last two step lengths
+    newton = True
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
+        if gp == 0.0:
+            return p
+        nxt = math.nan
+        if newton and math.isfinite(gp):
+            lv1 = log_li(beta - 1.0, p)
+            newton = math.isfinite(lv1)
+            nxt = p + gp * math.exp(lv - lv1)  # p - g/g'
+        if not (lo < nxt < hi and abs(nxt - p) <= 0.5 * before):
+            nxt = 0.5 * (lo + hi)
+        before, last = last, abs(nxt - p)
+        p = nxt
+        if last < 1e-15 * max(1.0, abs(p)):
+            return p
+        lv = log_li(beta, p)
+        gp = logC + lv
+        if gp > 0:
+            lo = p
         else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+            hi = p
+    return p
 
 
 def _classify_power(family, P: float, tol: float,

@@ -8,13 +8,14 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
-                         RunConfig, _fmt, _json_text, compare_oracle, main,
-                         run_report)
+                         RunConfig, _fmt, _json_text, _write_csv, compare_oracle,
+                         main, run_report)
 from cmshift.shift import (BouquetShift, FiniteShift, LoopCountFamily,
                            enumerate_words)
 from cmshift.specio import ConfigError
@@ -127,13 +128,29 @@ def test_counts_too_long_for_decimal_are_written_as_hex(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_OK
 
 
+def _old_fmt(x) -> str:
+    # the CSV cell writer before its type table; kept as the oracle of _fmt
+    # and _write_csv
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        if x == math.inf:
+            return "inf"
+        if x == -math.inf:
+            return "-inf"
+        return f"{x:.12g}"
+    return str(x)
+
+
 def _json_ready(obj):
     # the old report writer's value pass, fed to json.dumps; kept as the
     # oracle of _json_text
     if isinstance(obj, float):
         if math.isfinite(obj):
             return float(f"{obj:.12g}")
-        return _fmt(obj)
+        return _old_fmt(obj)
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
@@ -143,14 +160,30 @@ def _json_ready(obj):
     return str(obj)
 
 
+def _oracle_json(obj) -> str:
+    return json.dumps(_json_ready(obj), indent=2, sort_keys=True)
+
+
+# floats whose 12-digit text and shortest repr differ in form: integral
+# values, values past 1e11 where %.12g turns to an exponent and repr does
+# not, values near 1e-5 and 1e-4 where both switch, and numpy's float64
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 1e16, 1e-5, 2**-1074, 1e-4, 1e11, 1e12]),
+    st.integers(-2**60, 2**60).map(float),
+    st.floats(min_value=1e11, max_value=1e17, exclude_max=True),
+    st.floats(min_value=-1e17, max_value=-1e11, exclude_min=True),
+    st.floats(min_value=5e-6, max_value=2e-4),
+    st.floats().map(np.float64))
 _JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.floats(), st.sampled_from([-0.0, 1e16, 1e-5, 2**-1074]),
+    st.none(), st.booleans(), _FLOATS,
     st.integers(), st.integers(min_value=2**64).map(lambda k: k ** 40),
     st.text(), st.text(st.characters(codec="utf-8"), max_size=4),
     st.sampled_from(["\"\\\n\t\x00\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]),
     st.sampled_from([Path("a/b"), complex(1, -2), range(3)]))
 _JSON_DOCS = st.recursive(
-    _JSON_SCALARS,
+    st.one_of(_JSON_SCALARS, st.just([-0.0, 0.0]),
+              # one float object in several lists
+              _FLOATS.map(lambda x: [[x], [x, x], {"x": x}, (x,)])),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=3), inner, max_size=4),
@@ -163,7 +196,60 @@ _JSON_DOCS = st.recursive(
 @settings(max_examples=150)
 @given(doc=_JSON_DOCS)
 def test_json_text_equals_the_json_dumps_route(doc):
-    assert _json_text(doc) == json.dumps(_json_ready(doc), indent=2, sort_keys=True)
+    assert _json_text(doc) == _oracle_json(doc)
+
+
+_CSV_CELLS = st.one_of(st.none(), st.booleans(), _FLOATS, st.integers(),
+                       st.text(max_size=4), st.sampled_from([Path("a/b"), (1, 2)]))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(_CSV_CELLS, max_size=6).map(tuple), max_size=6))
+def test_write_csv_equals_the_isinstance_route(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    _write_csv(path, ["a", "b"], rows)
+    assert path.read_bytes().decode() == "\n".join(
+        ["a,b"] + [",".join(_old_fmt(x) for x in row) for row in rows]) + "\n"
+    assert [_fmt(x) for row in rows for x in row] \
+        == [_old_fmt(x) for row in rows for x in row]
+
+
+_FOUR_STATES = ({"kind": "finite",
+                 "matrix": [[1, 1, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1], [1, 1, 0, 1]]},
+                {"memory": 2, "default": -1.0, "table": [
+                    {"word": list(w), "value": v} for w, v in (
+                        ((1, 1), -0.7), ((1, 2), -0.3), ((1, 3), -1.0),
+                        ((2, 2), -0.5), ((2, 3), -0.7), ((3, 1), -1.9),
+                        ((3, 2), -0.5), ((3, 4), -0.8), ((4, 1), -1.4),
+                        ((4, 2), -1.9), ((4, 4), -0.3))]})
+
+
+@pytest.mark.parametrize("case", ["renewal-ones", "sec53", "finite"])
+def test_written_files_are_the_oracle_rendering_of_the_report(tmp_path, case):
+    out = tmp_path / "out"
+    if case == "finite":
+        specs = _write_specs(tmp_path, *_FOUR_STATES)
+        cfg = RunConfig(shift=specs[1], potential=specs[3], horizon=24, out=str(out))
+    elif case == "sec53":
+        from cmshift import zeta
+        C = 1.5 / zeta(1.5049).value
+        cfg = RunConfig(preset=f"sec53(beta=1.5049,C={C!r})", horizon=50, out=str(out))
+    else:
+        cfg = RunConfig(preset=case, horizon=160, out=str(out))
+    report = run_report(cfg)
+    seq = report["sequences"]
+    expected = {
+        "report.json": _oracle_json(report),
+        "sums.json": _oracle_json({k: seq[k] for k in ("n", "logZ", "logZstar")}),
+    }
+    for key in ("hinf", "delta"):
+        rows = report["profiles"][key]["rows"]
+        expected[f"profile_{key}.csv"] = "\n".join(
+            ["n,M,q,log_z,z_phi"]
+            + [",".join(_old_fmt(r[i]) for i in (0, 1, 2, 4, 5)) for r in rows])
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (out / name).read_text() == text + "\n", name
 
 
 def test_config_error_exit_codes(capsys, tmp_path):
@@ -528,17 +614,18 @@ def test_oracle_names_the_period_of_an_undefined_word_weight(tmp_path, capsys):
 
 def test_preset_argument_errors_name_the_argument(capsys):
     # an argument of the wrong type, NaN or a fractional loop count is a
-    # config error naming the argument; a pressure root out of reach is a refusal
+    # config error naming the argument
     for expr, name in (("sec53(beta=[1,2])", "beta"), ("sec53(C=[1])", "C"),
                        ("sec54(psi=3)", "psi"), ("sec53(a1=1.5)", "a1"),
                        ("sec53(C=nan)", "C"), ("sec54(psi=[0,nan])", "psi")):
         assert main(["report", "--preset", expr, "--horizon", "8"]) == EXIT_CONFIG
         assert f"preset argument {name} must be" in capsys.readouterr().err
+    # a root near log C = 690.8, where e^{-p} underflows past the root's
+    # bracket, is found
     for command in ("report", "spr", "pressure"):
-        assert main([command, "--preset", "sec53(C=1e300)", "--horizon", "8"]) \
-            == EXIT_REFUSAL
-        assert capsys.readouterr().err == "refused: analytic pressure: pressure root " \
-            "escaped the search interval\n"
+        assert main([command, "--preset", "sec53(C=1e300)", "--horizon", "40"]) \
+            == EXIT_OK
+        assert "690.775527898" in capsys.readouterr().out
 
 
 def test_infinite_pressure_leaves_spr_inconclusive(tmp_path, capsys):

@@ -26,3 +26,10 @@ def test_polylog_values_are_frozen(beta, log_x, frozen):
     # the series and zeta routes return these bits, before and after the
     # refusal above was added
     assert polylog_with_bound(beta, log_x) == frozen
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.5])
+def test_polylog_of_an_underflowing_x_is_its_first_term(beta):
+    # exp(-800) is 0.0 in floats: the sum is x itself, log x = -800
+    assert math.exp(-800.0) == 0.0
+    assert polylog_with_bound(beta, -800.0) == (-800.0, 0.0)

@@ -10,6 +10,7 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, LoopVertex, Plain, UnknownStateError,
                      enumerate_words, f_property_count, is_admissible,
                      periodic_points, shortest_connector)
+from cmshift.shift import TransitionSystem, index_graph
 
 
 # -- exact integer matrix powers (path-count oracle) ----------------------------
@@ -310,3 +311,30 @@ def test_huge_branching_refused_with_truncation_hint():
         enumerate_words(T, 3, limit=10)
     with pytest.raises(EnumerationRefusal):
         periodic_points(T, 4, ROOT)
+
+
+# -- listing bouquet states ------------------------------------------------------------------
+
+class _SearchedBouquet(BouquetShift):
+    # the states one order-index search at a time, as every system lists them
+    states = TransitionSystem.states
+
+
+_LOOP_FAMILIES = st.one_of(
+    st.just(LoopCountFamily("ones")),
+    st.builds(LoopCountFamily, st.just("geometric"), st.integers(1, 2), a1=st.just(1)),
+    st.lists(st.integers(0, 3), min_size=1, max_size=10).map(
+        lambda v: LoopCountFamily("list", values=(min(v[0], 1), *v[1:]))))
+
+
+@settings(max_examples=40)
+@given(a=_LOOP_FAMILIES, truncate_len=st.integers(1, 8), memory=st.integers(1, 3))
+def test_bouquet_states_list_the_order_indices(a, truncate_len, memory):
+    try:
+        T = BouquetShift(a, truncate_len)
+    except ValueError:  # no loop within the truncation
+        return
+    searched = _SearchedBouquet(a, truncate_len)
+    assert list(T.states()) == list(searched.states())
+    assert index_graph(T, 20_000, "test", memory) \
+        == index_graph(searched, 20_000, "test", memory)

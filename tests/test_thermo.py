@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      GeometricTail, LoopCountFamily, LoopVertex, PartitionSums,
-                     Plain, Potential, PowerTail, UnknownStateError, birkhoff_sum,
+                     Plain, Potential, PowerTail, UnknownStateError,
+                     analytic_pressure, birkhoff_sum,
                      build_preset, chi_per, condition_witness_search, crc_profile,
                      enumerate_words,
                      induced_pressure, is_admissible,
@@ -20,8 +21,8 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      spr_check, ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
-from cmshift.numerics import LOG_ZERO, logsumexp
-from cmshift.thermo import _max_birkhoff_low_to_low
+from cmshift.numerics import LOG_ZERO, logsumexp, polylog_with_bound
+from cmshift.thermo import _max_birkhoff_low_to_low, renewal_pressure_from_power
 
 LOG2 = math.log(2.0)
 
@@ -756,6 +757,99 @@ def test_recurrence_numeric_inputs_are_inconclusive():
     rc = recurrence_classify(log_zstar=[-n * LOG2 for n in range(1, 21)], P=0.0)
     assert rc.kind == "inconclusive"
     assert rc.evidence["spr"] == "holds"
+
+
+@pytest.mark.parametrize("family", [
+    PowerTail(3.0, math.log(2.0 / zeta(3.0).value)),
+    PowerTail(1.5049, math.log(1.5 / zeta(1.5049).value)),
+    PowerTail(3.0, math.log(1.0 / zeta(3.0).value), 0.7),
+    PowerTail(3.0, math.log(0.5 / zeta(3.0).value)),
+    PowerTail(1.5, math.log(1.0 / zeta(1.5).value)),
+    PowerTail(0.5, 0.0, -0.2),
+    PowerTail(2.0, 690.0),
+])
+def test_recurrence_takes_the_pressure_it_is_given(family):
+    # the report passes its analytic P instead of solving the root again
+    assert recurrence_classify(family, P=analytic_pressure(family)) \
+        == recurrence_classify(family)
+
+
+# -- the power-tail pressure root --------------------------------------------------------------
+
+def _bisection_root(family):
+    # the bisection that the safeguarded Newton root replaced: its oracle
+    beta, logC, logx = family.beta, family.log_coeff, family.log_x
+    if beta > 1:
+        lvb, lbb = polylog_with_bound(beta, 0.0, 1e-13)
+        if logC + lvb <= 1e-9 + lbb:
+            return logx
+
+    def g(p):
+        try:
+            lv, _ = polylog_with_bound(beta, logx - p, 1e-13, max_terms=300_000)
+        except ValueError:
+            return math.inf
+        return logC + lv
+
+    lo, hi = logx, max(1.0, logx + 1.0)
+    while g(hi) > 0:
+        hi *= 2
+        if hi > 1e6:
+            raise ValueError("pressure root escaped the search interval")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 * max(1.0, abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=60)
+@given(beta=st.floats(min_value=1.02, max_value=6.0),
+       log_c=st.floats(min_value=-3.0, max_value=700.0),
+       log_x=st.floats(min_value=-5.0, max_value=0.0))
+def test_newton_pressure_root_matches_the_bisection(beta, log_c, log_x):
+    # a root within 1e-3 above log_x costs both routes series of about 1e5
+    # terms per step, so those draws are skipped, but not the boundary branch
+    # (C zeta(beta) <= 1, P = log_x); closer to beta = 1 zeta refuses in both
+    # routes (test_pressure_root_refusals_are_kept)
+    if log_c + polylog_with_bound(beta, -1e-3, 1e-13)[0] <= 0.0:
+        lz, lb = polylog_with_bound(beta, 0.0, 1e-13)
+        assume(log_c + lz <= 1e-9 + lb)
+    family = PowerTail(beta, log_c, log_x)
+    old = _bisection_root(family)
+    new = renewal_pressure_from_power(family)
+    if old == log_x:
+        assert new == old
+    assert abs(new - old) <= 1e-14 * max(1.0, abs(old))
+
+
+@pytest.mark.parametrize("beta, C, log_x", [
+    (1.5049, 1.5 / zeta(1.5049).value, 0.0), (2.5, 3.0, -0.5), (4.0, 100.0, -2.0),
+    (2.0, 1e300, 0.0), (1.2, 20.0, 0.0),
+])
+def test_newton_pressure_root_solves_the_series_in_mpmath(beta, C, log_x):
+    mpmath = pytest.importorskip("mpmath")
+    P = renewal_pressure_from_power(PowerTail(beta, math.log(C), log_x))
+    with mpmath.workdps(40):
+        total = mpmath.mpf(C) * mpmath.polylog(beta, mpmath.exp(mpmath.mpf(log_x) - P))
+        assert abs(total - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("family, refusal", [
+    # the root of 2e6 + log Li_2(e^-p) = 0 is near p = 2e6, past the 1e6 cap
+    (PowerTail(2.0, 2e6), "pressure root escaped the search interval"),
+    # zeta(1.01) is about 100, and its float slop alone misses 1e-13
+    (PowerTail(1.01, 0.0), "zeta series did not certify tolerance 1e-13 at exponent 1.01"),
+])
+def test_pressure_root_refusals_are_kept(family, refusal):
+    for root in (_bisection_root, renewal_pressure_from_power):
+        with pytest.raises(ValueError) as exc:
+            root(family)
+        assert str(exc.value) == refusal
 
 
 # -- CRC profile ----------------------------------------------------------------------------------
