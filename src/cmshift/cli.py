@@ -156,24 +156,18 @@ def _int_text(n: int) -> str:
         return f'"{hex(n)}"'
 
 
-# the JSON text of a leaf, by its exact type; subclasses (numpy.float64,
-# IntEnum, ...) take the isinstance route of _json_text
+# the JSON text of a leaf, by its exact type; _json_text gives a subclass
+# (numpy.float64, IntEnum, ...) the rule of its base
 _JSON_LEAVES = {
     float: _float_text, int: _int_text, str: encode_basestring_ascii,
     bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
 }
 
-# a CSV cell or printed value, by its exact type; any other type is _fmt's
-_CELLS = {float: "{:.12g}".format, int: str, str: str, type(None): lambda _: ""}
-
 
 def _fmt(x) -> str:
     """x as a CSV cell or printed value: a float at 12 significant digits
     (nan, inf and -inf as such), None empty, anything else its str."""
-    cell = _CELLS.get(type(x))
-    if cell is not None:
-        return cell(x)
-    return f"{x:.12g}" if isinstance(x, float) else str(x)
+    return "" if x is None else f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -202,11 +196,10 @@ def _json_text(obj, pad: str = "\n") -> str:
                  + (leaf(v) if (leaf := get(type(v))) else _json_text(v, inner))
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if isinstance(obj, int):
-        return ("true" if obj else "false") if isinstance(obj, bool) else _int_text(obj)
-    return encode_basestring_ascii(obj if isinstance(obj, str) else str(obj))
+    for base in (float, int, str):  # bool has no subclasses
+        if isinstance(obj, base):
+            return _JSON_LEAVES[base](obj)
+    return encode_basestring_ascii(str(obj))
 
 
 def _json_key(key) -> str:
@@ -225,9 +218,8 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    cell = _CELLS.get
     lines = [",".join(header)]
-    lines += [",".join([cell(type(x), _fmt)(x) for x in row]) for row in rows]
+    lines += [",".join([_fmt(x) for x in row]) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

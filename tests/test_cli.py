@@ -1,6 +1,7 @@
 """Command-line front-end: subcommands, exit codes, byte-stable reports."""
 
 import contextlib
+import enum
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
@@ -129,8 +130,8 @@ def test_counts_too_long_for_decimal_are_written_as_hex(tmp_path, capsys):
 
 
 def _old_fmt(x) -> str:
-    # the CSV cell writer before its type table; kept as the oracle of _fmt
-    # and _write_csv
+    # the CSV cell writer with its own nan and inf branches; kept as the
+    # oracle of _fmt and _write_csv
     if x is None:
         return ""
     if isinstance(x, float):
@@ -164,6 +165,15 @@ def _oracle_json(obj) -> str:
     return json.dumps(_json_ready(obj), indent=2, sort_keys=True)
 
 
+class _Text(str):
+    def __str__(self):
+        return "not the text"
+
+
+# subclasses of float, int and str take the rule of their base
+_SUBCLASSED = [np.float64(1e12), enum.IntEnum("E", "a b").b, _Text("x\u00e9")]
+
+
 # floats whose 12-digit text and shortest repr differ in form: integral
 # values, values past 1e11 where %.12g turns to an exponent and repr does
 # not, values near 1e-5 and 1e-4 where both switch, and numpy's float64
@@ -179,7 +189,8 @@ _JSON_SCALARS = st.one_of(
     st.integers(), st.integers(min_value=2**64).map(lambda k: k ** 40),
     st.text(), st.text(st.characters(codec="utf-8"), max_size=4),
     st.sampled_from(["\"\\\n\t\x00\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]),
-    st.sampled_from([Path("a/b"), complex(1, -2), range(3)]))
+    st.sampled_from([Path("a/b"), complex(1, -2), range(3)]),
+    st.sampled_from(_SUBCLASSED))
 _JSON_DOCS = st.recursive(
     st.one_of(_JSON_SCALARS, st.just([-0.0, 0.0]),
               # one float object in several lists
@@ -195,6 +206,7 @@ _JSON_DOCS = st.recursive(
 
 @settings(max_examples=150)
 @given(doc=_JSON_DOCS)
+@example(doc=_SUBCLASSED + [{"k": x} for x in _SUBCLASSED])
 def test_json_text_equals_the_json_dumps_route(doc):
     assert _json_text(doc) == _oracle_json(doc)
 
