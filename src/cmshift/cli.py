@@ -331,7 +331,7 @@ def _pressure(bundle: _Bundle, cfg: RunConfig
         return ps, pressure, pressure.value
     try:
         return ps, pressure, thermo.analytic_pressure(bundle.weights)
-    except ValueError as exc:  # the root escaped its search interval
+    except ValueError as exc:  # the root is out of reach
         raise EnumerationRefusal(f"analytic pressure: {exc}") from exc
 
 

@@ -38,8 +38,6 @@ from functools import cache
 from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from .potential import Potential
 from .shift import (SWEEP_STATE_CAP, BouquetShift, EnumerationRefusal, LoopCountFamily,
@@ -148,8 +146,11 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
     columns are read or written, and W keeps zeros beyond them.  Best sums
     are float64 over every length, and np.fmax from LOG_ZERO keeps the
     largest candidate best[n - k] + tau(k): NaN never wins, +inf does, and a
-    LOG_ZERO entry gives -inf or NaN, so it never wins.
+    LOG_ZERO entry gives -inf or NaN, so it never wins.  numpy is imported
+    here, on the first fill, so no other route loads it.
     """
+    import numpy as np
+
     with_phi = phi is not None
     jmax = (N + 1) // min(M_list)
     lengths = [k for k in T.loop_lengths() if k <= N]

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 LOG_ZERO = float("-inf")
 
@@ -47,59 +48,136 @@ class TailFit:
 
 
 def _finite_points(ns: Sequence[int], ys: Sequence[float]):
+    """The pairs of (ns, ys), zipped, whose y is finite."""
+    if len(ns) == len(ys) and all(map(math.isfinite, ys)):
+        return tuple(ns), ys
     pts = [(n, y) for n, y in zip(ns, ys) if math.isfinite(y)]
-    return [p[0] for p in pts], [p[1] for p in pts]
+    return tuple(p[0] for p in pts), [p[1] for p in pts]
+
+
+@lru_cache(maxsize=64)
+def _window(ns: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """min, max, sum and sum of squares of the abscissae.  Callers fit many
+    sequences over the same few windows, so these are kept per window."""
+    return int(min(ns)), int(max(ns)), sum(ns), sum(map(mul, ns, ns))
+
+
+def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integers Z and a power of two D with values[i] == Z[i] / D exactly,
+    for finite floats.
+
+    The smallest nonzero magnitude has the finest last bit, so 2**t with
+    t = 53 - its binary exponent scales every value to an integer; values
+    whose scaled size overflows a float take their exact ratios instead.
+    """
+    small = min(map(abs, values), default=0.0) or min(filter(None, map(abs, values)),
+                                                       default=1.0)
+    t = max(0, 53 - math.frexp(small)[1])
+    try:
+        return list(map(int, map(math.ldexp, values, repeat(t)))), 1 << t
+    except OverflowError:
+        ratios = [v.as_integer_ratio() for v in values]
+        D = max(q for _, q in ratios)
+        return [p * (D // q) for p, q in ratios], D
+
+
+def _ratio(num: int, den: int) -> float:
+    """num / den for den > 0, correctly rounded; +-inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def linear_fit(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
-    """Fit y ~ slope*n + intercept on the finite points of (ns, ys)."""
+    """Fit y ~ slope*n + intercept on the finite points of (ns, ys).
+
+    The least-squares solution is exact: the y values are integers over one
+    power of two (_dyadic), the normal equations are solved by cofactors in
+    integers, and slope, intercept, resid_max and the stderr ratio under its
+    square root are each rounded once.  A window with a single abscissa gets
+    the minimum-norm solution.
+    """
     fn, fy = _finite_points(ns, ys)
-    if len(fn) < 2:
+    m = len(fn)
+    if m < 2:
         return TailFit(LOG_ZERO, 0.0, math.inf, math.inf,
-                       (min(ns, default=0), max(ns, default=0)), len(fn),
+                       (min(ns, default=0), max(ns, default=0)), m,
                        degenerate=True)
-    x = np.asarray(fn, dtype=float)
-    y = np.asarray(fy, dtype=float)
-    A = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    resid_max = float(np.max(np.abs(resid))) if len(resid) else 0.0
-    if len(fn) > 2:
-        s2 = float(resid @ resid) / (len(fn) - 2)
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        stderr = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
+    lo, hi, Sx, Sxx = _window(fn)
+    Y, D = _dyadic(fy)
+    Sy, Sxy = sum(Y), sum(map(mul, fn, Y))
+    det = m * Sxx - Sx * Sx
+    if det:
+        den, an, bn = det, Sxx * Sy - Sx * Sxy, m * Sxy - Sx * Sy
     else:
+        x = fn[0]
+        den, an, bn = m * (1 + x * x), Sy, x * Sy
+    scale = den * D  # slope = bn / scale, intercept = an / scale
+    # residual i is (den * Y[i] - bn * x[i] - an) / scale
+    resid = [den * y - bn * x for x, y in zip(fn, Y)]
+    if m == 2:
         stderr = 0.0
-    return TailFit(float(coef[1]), float(coef[0]), stderr, resid_max,
-                   (int(min(fn)), int(max(fn))), len(fn))
+    elif det:
+        # det * RSS in units of 1/D**2, and stderr**2 = m RSS / ((m - 2) det)
+        rss = det * sum(map(mul, Y, Y)) - an * Sy - bn * Sxy
+        stderr = math.sqrt(_ratio(m * rss, (m - 2) * det * scale * D))
+    else:
+        stderr = math.inf
+    return TailFit(_ratio(bn, scale), _ratio(an, scale), stderr,
+                   _ratio(max(max(resid) - an, an - min(resid)), scale), (lo, hi), m)
+
+
+@lru_cache(maxsize=32)
+def _log_design(ns: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The abscissae's half of the fit y ~ a + b n + c log n: the column
+    log n as integers L over a power of two, and the determinant and
+    adjugate entries (00, 01, 02, 11, 12, 22) of the integer normal matrix
+    [[m, Sn, SL], [Sn, Snn, SnL], [SL, SnL, SLL]].  Callers fit many
+    sequences over the same few windows, so it is kept per window."""
+    L = tuple(_dyadic([math.log(n) for n in ns])[0])
+    _, _, Sx, Sxx = _window(ns)
+    m, SL, SxL, SLL = len(ns), sum(L), sum(map(mul, ns, L)), sum(map(mul, L, L))
+    c00, c01, c02 = Sxx * SLL - SxL * SxL, SxL * SL - Sx * SLL, Sx * SxL - Sxx * SL
+    c11, c12, c22 = m * SLL - SL * SL, Sx * SL - m * SxL, m * Sxx - Sx * Sx
+    return L, m * c00 + Sx * c01 + SL * c02, (c00, c01, c02, c11, c12, c22)
 
 
 def linear_fit_with_log(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
     """Fit y ~ slope*n + c*log(n) + intercept; report the n-coefficient.
 
     The log regressor absorbs polynomial prefactors, so sequences of the form
-    log(C) - beta*log(n) + n*s recover the growth rate s exactly.
+    log(C) - beta*log(n) + n*s recover the growth rate s exactly.  The
+    regressor is the float math.log(n), and the least-squares solution on it
+    is exact, rounded once per reported quantity as in linear_fit; the
+    stderr is that of the n-coefficient.  With fewer than three finite
+    points, or fewer than three distinct n, this is linear_fit.
     """
     fn, fy = _finite_points(ns, ys)
-    if len(fn) < 3:
+    m = len(fn)
+    if m < 3:
         return linear_fit(ns, ys)
-    x = np.asarray(fn, dtype=float)
-    y = np.asarray(fy, dtype=float)
-    A = np.column_stack([np.ones_like(x), x, np.log(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    resid_max = float(np.max(np.abs(resid))) if len(resid) else 0.0
-    if len(fn) > 3:
-        s2 = float(resid @ resid) / (len(fn) - 3)
-        try:
-            cov = np.linalg.inv(A.T @ A) * s2
-            stderr = math.sqrt(max(cov[1, 1], 0.0))
-        except np.linalg.LinAlgError:
-            stderr = math.inf
+    L, det, (c00, c01, c02, c11, c12, c22) = _log_design(fn)
+    if not det:
+        return linear_fit(fn, fy)
+    Y, D = _dyadic(fy)
+    Sy, Sxy, SLy = sum(Y), sum(map(mul, fn, Y)), sum(map(mul, L, Y))
+    an = c00 * Sy + c01 * Sxy + c02 * SLy
+    bn = c01 * Sy + c11 * Sxy + c12 * SLy
+    cn = c02 * Sy + c12 * Sxy + c22 * SLy
+    scale = det * D  # slope = bn / scale, intercept = an / scale
+    # residual i is (det * Y[i] - bn * x[i] - cn * L[i] - an) / scale
+    resid = [det * y - bn * x - cn * lg for x, y, lg in zip(fn, Y, L)]
+    if m > 3:
+        # det * RSS in units of 1/D**2; the n-coefficient's variance is
+        # RSS / (m - 3) times entry 11 of the normal matrix's inverse
+        rss = det * sum(map(mul, Y, Y)) - an * Sy - bn * Sxy - cn * SLy
+        stderr = math.sqrt(_ratio(c11 * rss, (m - 3) * det * scale * D))
     else:
         stderr = 0.0
-    return TailFit(float(coef[1]), float(coef[0]), stderr, resid_max,
-                   (int(min(fn)), int(max(fn))), len(fn))
+    lo, hi, _, _ = _window(fn)
+    return TailFit(_ratio(bn, scale), _ratio(an, scale), stderr,
+                   _ratio(max(max(resid) - an, an - min(resid)), scale), (lo, hi), m)
 
 
 def tail_window(n_max: int, fraction: float = 0.5, min_points: int = 4) -> range:
@@ -113,6 +191,15 @@ def tail_window(n_max: int, fraction: float = 0.5, min_points: int = 4) -> range
 # -- certified zeta / polylog ------------------------------------------------
 
 _EM_K = 64
+
+
+class SeriesBudgetError(ValueError):
+    """A series of positive terms ran out of its term budget.  log_partial is
+    the log of the terms summed so far, a lower bound of the log of the sum."""
+
+    def __init__(self, message: str, log_partial: float):
+        super().__init__(message)
+        self.log_partial = log_partial
 
 
 def zeta_series_with_bound(beta: float, tol: float = 1e-9) -> tuple[float, float]:
@@ -137,6 +224,8 @@ def zeta_series_with_bound(beta: float, tol: float = 1e-9) -> tuple[float, float
         bound = abs(omitted) + 8.0 * abs(value) * 2.2e-16
         if bound <= tol:
             return value, bound
+        if 8.0 * (abs(value) - abs(omitted)) * 2.2e-16 > tol:
+            break  # zeta >= value - |omitted|, so no K brings the float slop under tol
         K *= 4
     raise ValueError(f"zeta series did not certify tolerance {tol} at exponent {beta}")
 
@@ -172,7 +261,8 @@ def polylog_with_bound(beta: float, log_x: float, tol: float = 1e-12,
             return math.log(value) + math.log1p(tail / value / 2.0), tail / value
         k += 1
         if k > max_terms:
-            raise ValueError("polylog series did not converge within term budget")
+            raise SeriesBudgetError("polylog series did not converge within term budget",
+                                    math.log(math.fsum(terms)))
 
 
 # -- path DP steps over successor index lists ------------------------------------

@@ -670,10 +670,11 @@ def renewal_pressure_from_power(family) -> float:
     root from the left without overshooting.  A step that leaves the bracket,
     or is longer than half the step before last, bisects instead, and so does
     every step after the slope's series first fails to converge.  The root
-    is returned once a step is shorter than 1e-15 * max(1, |p|); a root above
-    1e6 raises ValueError.
+    is returned once a step is shorter than 1e-15 * max(1, |p|).  A root
+    above 1e6 raises ValueError, and so does a root so close to log_x that
+    the series runs out of terms before its partial sum decides a sign.
     """
-    from .numerics import polylog_with_bound
+    from .numerics import SeriesBudgetError, polylog_with_bound
 
     beta, logC, logx = family.beta, family.log_coeff, family.log_x
     # the series diverges for shifts below logx; when its boundary value
@@ -687,8 +688,17 @@ def renewal_pressure_from_power(family) -> float:
     def log_li(b: float, p: float) -> float:
         try:
             return polylog_with_bound(b, logx - p, 1e-13, max_terms=300_000)[0]
+        except SeriesBudgetError as exc:
+            # a partial sum is a lower bound of Li_beta, so it places p left of
+            # the root (g > 0) only once it reaches 1/C
+            if b == beta and logC + exc.log_partial <= 0.0:
+                raise ValueError(
+                    f"pressure root out of reach: at p = {p:.6g} the series Li_{beta:g} "
+                    f"needs more than 300000 terms, and its partial sum leaves the "
+                    f"sign of log C + log Li open") from None
+            return math.inf  # left of the root, or the slope's series is too slow
         except ValueError:
-            return math.inf  # at/past the boundary, or too slow to converge
+            return math.inf  # at/past the boundary
 
     lo, hi = logx, max(1.0, logx + 1.0)
     lv = log_li(beta, hi)

@@ -456,13 +456,19 @@ def test_crc_with_low_to_low_words_at_one_length_is_skipped(tmp_path, capsys):
     assert "crc_lambda" not in capsys.readouterr().out
 
 
-def test_list_bouquet_report_does_not_import_scipy(tmp_path):
-    # h_top of a finite list family is a bisection; nothing in a report
-    # pulls in scipy
+def _run_python(code: str, *args: str) -> "subprocess.CompletedProcess":
     import os
     import subprocess
     import sys
 
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_list_bouquet_report_does_not_import_scipy(tmp_path):
+    # h_top of a finite list family is a bisection; nothing in a report
+    # pulls in scipy
     shift = {"kind": "bouquet", "a": {"form": "list", "values": [1, 1, 0, 0, 1]},
              "truncate_len": 5}
     specs = _write_specs(tmp_path, shift, {"memory": 2, "default": -0.2, "table": []})
@@ -472,12 +478,53 @@ def test_list_bouquet_report_does_not_import_scipy(tmp_path):
             f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
             "assert 'h_top' in json.load(open(sys.argv[1]))\n"
             "print('scipy' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out" / "report.json")],
-                         capture_output=True, text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": src})
+    run = _run_python(code, str(tmp_path / "out" / "report.json"))
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_numpy_stays_off_the_import_path(tmp_path):
+    # numpy serves only the bouquet composition fill: the CLI imports without
+    # it, and a finite report, pressure and spr run with its import blocked
+    run = _run_python("import sys, cmshift.cli; print('numpy' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+    specs = _write_specs(tmp_path, *_FOUR_STATES)
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from cmshift.cli import main\n"
+            f"assert main(['report', *{specs!r}, '--horizon', '24', "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "for cmd in ('pressure', 'spr'):\n"
+            "    assert main([cmd, '--preset', 'sec53(beta=2)', '--horizon', '40']) == 0\n"
+            "print(sys.modules['numpy'])\n")
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "None"
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_bouquet_report_loads_numpy_for_its_fill(tmp_path):
+    code = ("import sys\n"
+            "from cmshift.cli import main\n"
+            "assert main(['report', '--preset', 'renewal-ones', '--horizon', '40']) == 0\n"
+            "print('numpy' in sys.modules)\n")
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "True"
+
+
+def test_power_root_out_of_series_reach_is_refused(capsys):
+    # C is about 1.5 / zeta(1.05), so the root sits near 2.8e-10 (mpmath),
+    # where Li_1.05 needs far more than the 300000-term budget.  The partial
+    # sums stay below 1/C, so no sign is known there and the report refuses
+    # instead of judging against the budget's edge (P = 8.03e-5, "transient")
+    t0 = time.perf_counter()
+    assert main(["report", "--preset", "sec53(beta=1.05,C=0.072878)",
+                 "--horizon", "40"]) == EXIT_REFUSAL
+    assert time.perf_counter() - t0 < 8.0
+    err = capsys.readouterr().err
+    assert "pressure root out of reach" in err and "300000 terms" in err
 
 
 def test_bouquet_without_loop_totals_runs_the_transfer_dp(tmp_path, capsys):

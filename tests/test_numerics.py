@@ -1,10 +1,14 @@
-"""Certified series evaluation."""
+"""Certified series evaluation and exact tail fits."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from cmshift.numerics import polylog_with_bound
+from cmshift.numerics import (LOG_ZERO, linear_fit, linear_fit_with_log,
+                              polylog_with_bound)
 
 
 @pytest.mark.parametrize("log_x", [-1e-300, -1e-17])
@@ -33,3 +37,109 @@ def test_polylog_of_an_underflowing_x_is_its_first_term(beta):
     # exp(-800) is 0.0 in floats: the sum is x itself, log x = -800
     assert math.exp(-800.0) == 0.0
     assert polylog_with_bound(beta, -800.0) == (-800.0, 0.0)
+
+
+# -- exact tail fits ---------------------------------------------------------------
+
+def _fraction_fit(ns, ys, with_log):
+    """Least squares on the finite points in Fractions: the coefficients
+    (intercept, slope[, log]), the residuals and the slope's stderr**2."""
+    pts = [(n, Fraction(y)) for n, y in zip(ns, ys) if math.isfinite(y)]
+    rows = [[Fraction(1), Fraction(n)] + ([Fraction(math.log(n))] if with_log else [])
+            for n, _ in pts]
+    k, m = len(rows[0]), len(rows)
+    # Gauss-Jordan on [G | I | b], G the normal matrix
+    aug = [[sum(r[i] * r[j] for r in rows) for j in range(k)]
+           + [Fraction(int(i == j)) for j in range(k)]
+           + [sum(r[i] * y for r, (_, y) in zip(rows, pts))] for i in range(k)]
+    for c in range(k):
+        piv = next(i for i in range(c, k) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(k):
+            if i != c and aug[i][c]:
+                aug[i] = [v - aug[i][c] * w for v, w in zip(aug[i], aug[c])]
+    coef = [aug[i][-1] for i in range(k)]
+    resid = [y - sum(c * v for c, v in zip(coef, r)) for r, (_, y) in zip(rows, pts)]
+    var = None
+    if m > k:
+        var = sum(r * r for r in resid) / (m - k) * aug[1][k + 1]  # inverse entry 11
+    return coef, resid, var
+
+
+def _rounded(q):
+    # a Fraction rounded once to a float, +-inf past the float range
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def _lstsq_fit(ns, ys, with_log):
+    # the numpy route the exact fits replaced: slope and intercept
+    np = pytest.importorskip("numpy")
+    pts = [(n, y) for n, y in zip(ns, ys) if math.isfinite(y)]
+    x = np.asarray([p[0] for p in pts], dtype=float)
+    y = np.asarray([p[1] for p in pts], dtype=float)
+    cols = [np.ones_like(x), x] + ([np.log(x)] if with_log else [])
+    A = np.column_stack(cols)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return float(coef[1]), float(coef[0]), float(np.linalg.cond(A))
+
+
+_FIT_VALUES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(lambda s, e, f: s * f * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.integers(-300, 299), st.floats(min_value=1.0, max_value=10.0)),
+    st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _fit_windows(draw):
+    m = draw(st.integers(min_value=1, max_value=400))
+    start = draw(st.integers(min_value=1, max_value=401 - m))
+    ns = list(range(start, start + m))
+    if draw(st.booleans()):  # sequences near a line, as the tail fits see them
+        a, b = draw(st.floats(-50.0, 50.0)), draw(st.floats(-5.0, 5.0))
+        noise = draw(st.floats(0.0, 1e-3))
+        ys = [a + b * n + noise * math.sin(n) for n in ns]
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            ys[i] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    else:
+        ys = draw(st.lists(_FIT_VALUES, min_size=m, max_size=m))
+    return ns, ys
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(window=_fit_windows(), with_log=st.booleans())
+@example(window=([5], [1.0]), with_log=False)
+@example(window=([5, 6], [1.0, math.nan]), with_log=False)
+@example(window=([5, 6], [1.0, 3.0]), with_log=True)
+@example(window=([5, 6, 7], [1.0, math.inf, 3.0]), with_log=True)
+@example(window=([398, 399, 400], [1e300, -1e-300, 2.5]), with_log=True)
+@example(window=(list(range(1, 401)), [0.5 * n for n in range(1, 401)]), with_log=True)
+@example(window=([1, 2, 3], [1.0, 2.5, 4.0, 8.0]), with_log=False)
+@example(window=([1, 2, 3, 4], [1.0, 2.5, 4.0, 8.0, -3.0]), with_log=True)
+def test_fits_are_the_exact_least_squares_rounded_once(window, with_log):
+    ns, ys = window
+    fit = (linear_fit_with_log if with_log else linear_fit)(ns, ys)
+    m = sum(1 for _, y in zip(ns, ys) if math.isfinite(y))  # zip's pairs count
+    if m < 2:
+        assert fit.degenerate and fit.n_points == m and fit.slope == LOG_ZERO
+        return
+    if with_log and m < 3:
+        assert fit == linear_fit(ns, ys)
+        return
+    coef, resid, var = _fraction_fit(ns, ys, with_log)
+    assert not fit.degenerate and fit.n_points == m
+    assert fit.slope == _rounded(coef[1]) and fit.intercept == _rounded(coef[0])
+    assert fit.resid_max == _rounded(max(map(abs, resid)))
+    assert fit.stderr == (0.0 if var is None else math.sqrt(_rounded(var)))
+    finite = [n for n, y in zip(ns, ys) if math.isfinite(y)]
+    assert fit.window == (min(finite), max(finite))
+    # the numpy lstsq route agrees to 1e-9 relative, up to the forward error
+    # of a backward-stable solver, m * eps * cond(A) * max |y|
+    slope, intercept, cond = _lstsq_fit(ns, ys, with_log)
+    slop = m * 2.2e-16 * cond * max(abs(y) for y in ys if math.isfinite(y))
+    assert abs(slope - fit.slope) <= 1e-9 * abs(fit.slope) + slop / max(finite)
+    assert abs(intercept - fit.intercept) <= 1e-9 * abs(fit.intercept) + slop

@@ -21,7 +21,8 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      spr_check, ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
-from cmshift.numerics import LOG_ZERO, logsumexp, polylog_with_bound
+from cmshift import numerics
+from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
 from cmshift.thermo import _max_birkhoff_low_to_low, renewal_pressure_from_power
 
 LOG2 = math.log(2.0)
@@ -850,6 +851,48 @@ def test_pressure_root_refusals_are_kept(family, refusal):
         with pytest.raises(ValueError) as exc:
             root(family)
         assert str(exc.value) == refusal
+
+
+@pytest.mark.parametrize("shrink, decided", [(0.0, True), (-50.0, False)])
+def test_a_series_budget_failure_is_a_sign_only_past_one(monkeypatch, shrink, decided):
+    # every series left of the root runs out of terms; its partial sum is a
+    # lower bound of Li, so it shows p left of the root (g > 0) when it is
+    # the whole sum, and decides nothing when it is e^-50 of it
+    family = PowerTail(2.5, math.log(3.0), -0.5)
+    root = renewal_pressure_from_power(family)
+    real, left = numerics.polylog_with_bound, []
+
+    def polylog(beta, log_x, tol=1e-12, max_terms=2_000_000):
+        value = real(beta, log_x, tol, max_terms)
+        if family.log_x < family.log_x - log_x < root:  # not the boundary's zeta
+            left.append(log_x)
+            raise SeriesBudgetError("polylog series did not converge within term budget",
+                                    value[0] + shrink)
+        return value
+
+    monkeypatch.setattr(numerics, "polylog_with_bound", polylog)
+    if decided:
+        assert renewal_pressure_from_power(family) == pytest.approx(root, rel=1e-14)
+    else:
+        with pytest.raises(ValueError, match="pressure root out of reach"):
+            renewal_pressure_from_power(family)
+    assert left
+
+
+def test_zeta_refuses_at_once_when_its_float_slop_misses_tol(monkeypatch):
+    # 8 eps zeta(1.01) is about 1.8e-13: no K reaches tol 1e-13, and the
+    # refusal comes from the first 64-term round (one partial sum) instead of
+    # eight rounds up to 1M terms; zeta(1.02) still certifies
+    from cmshift.numerics import zeta_series_with_bound
+    sums = []
+    real_fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: sums.append(1) or real_fsum(xs))
+    with pytest.raises(ValueError, match="did not certify tolerance 1e-13 at exponent 1.01"):
+        zeta_series_with_bound(1.01, 1e-13)
+    assert len(sums) == 1
+    monkeypatch.undo()
+    value, bound = zeta_series_with_bound(1.02, 1e-13)
+    assert bound <= 1e-13 and value == pytest.approx(50.5, rel=2e-3)
 
 
 # -- CRC profile ----------------------------------------------------------------------------------
