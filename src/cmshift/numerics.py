@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 LOG_ZERO = float("-inf")
@@ -56,10 +56,12 @@ def _finite_points(ns: Sequence[int], ys: Sequence[float]):
 
 
 @lru_cache(maxsize=64)
-def _window(ns: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """min, max, sum and sum of squares of the abscissae.  Callers fit many
+def _window(ns: tuple[int, ...]) -> tuple[tuple[int, ...], int, int, int, int]:
+    """The abscissae as Python ints (numpy integers would wrap in the
+    products), their min, max, sum and sum of squares.  Callers fit many
     sequences over the same few windows, so these are kept per window."""
-    return int(min(ns)), int(max(ns)), sum(ns), sum(map(mul, ns, ns))
+    xs = tuple(map(index, ns))
+    return xs, min(xs), max(xs), sum(xs), sum(map(mul, xs, xs))
 
 
 def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
@@ -104,7 +106,7 @@ def linear_fit(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
         return TailFit(LOG_ZERO, 0.0, math.inf, math.inf,
                        (min(ns, default=0), max(ns, default=0)), m,
                        degenerate=True)
-    lo, hi, Sx, Sxx = _window(fn)
+    fn, lo, hi, Sx, Sxx = _window(fn)
     Y, D = _dyadic(fy)
     Sy, Sxy = sum(Y), sum(map(mul, fn, Y))
     det = m * Sxx - Sx * Sx
@@ -135,8 +137,8 @@ def _log_design(ns: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, .
     adjugate entries (00, 01, 02, 11, 12, 22) of the integer normal matrix
     [[m, Sn, SL], [Sn, Snn, SnL], [SL, SnL, SLL]].  Callers fit many
     sequences over the same few windows, so it is kept per window."""
+    ns, _, _, Sx, Sxx = _window(ns)
     L = tuple(_dyadic([math.log(n) for n in ns])[0])
-    _, _, Sx, Sxx = _window(ns)
     m, SL, SxL, SLL = len(ns), sum(L), sum(map(mul, ns, L)), sum(map(mul, L, L))
     c00, c01, c02 = Sxx * SLL - SxL * SxL, SxL * SL - Sx * SLL, Sx * SxL - Sxx * SL
     c11, c12, c22 = m * SLL - SL * SL, Sx * SL - m * SxL, m * Sxx - Sx * Sx
@@ -160,6 +162,7 @@ def linear_fit_with_log(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
     L, det, (c00, c01, c02, c11, c12, c22) = _log_design(fn)
     if not det:
         return linear_fit(fn, fy)
+    fn, lo, hi, _, _ = _window(fn)
     Y, D = _dyadic(fy)
     Sy, Sxy, SLy = sum(Y), sum(map(mul, fn, Y)), sum(map(mul, L, Y))
     an = c00 * Sy + c01 * Sxy + c02 * SLy
@@ -175,7 +178,6 @@ def linear_fit_with_log(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
         stderr = math.sqrt(_ratio(c11 * rss, (m - 3) * det * scale * D))
     else:
         stderr = 0.0
-    lo, hi, _, _ = _window(fn)
     return TailFit(_ratio(bn, scale), _ratio(an, scale), stderr,
                    _ratio(max(max(resid) - an, an - min(resid)), scale), (lo, hi), m)
 

@@ -143,3 +143,13 @@ def test_fits_are_the_exact_least_squares_rounded_once(window, with_log):
     slop = m * 2.2e-16 * cond * max(abs(y) for y in ys if math.isfinite(y))
     assert abs(slope - fit.slope) <= 1e-9 * abs(fit.slope) + slop / max(finite)
     assert abs(intercept - fit.intercept) <= 1e-9 * abs(fit.intercept) + slop
+
+
+def test_fits_take_numpy_integer_abscissae():
+    # numpy integers would wrap in the integer normal equations; the fits
+    # read them as Python ints (this window is fitted nowhere else, so the
+    # numpy abscissae are the ones each per-window cache sees first)
+    np = pytest.importorskip("numpy")
+    ys = [0.3 * n - 1.7 * math.log(n) + 1e-3 * math.sin(n) for n in range(5000, 5121)]
+    for fit in (linear_fit, linear_fit_with_log):
+        assert fit(np.arange(5000, 5121), ys) == fit(range(5000, 5121), ys)
