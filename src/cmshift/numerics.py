@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -47,21 +46,12 @@ class TailFit:
         return self.stderr + 2.0 * self.resid_max / span
 
 
-def _finite_points(ns: Sequence[int], ys: Sequence[float]):
-    """The pairs of (ns, ys), zipped, whose y is finite."""
-    if len(ns) == len(ys) and all(map(math.isfinite, ys)):
-        return tuple(ns), ys
-    pts = [(n, y) for n, y in zip(ns, ys) if math.isfinite(y)]
-    return tuple(p[0] for p in pts), [p[1] for p in pts]
-
-
-@lru_cache(maxsize=64)
-def _window(ns: tuple[int, ...]) -> tuple[tuple[int, ...], int, int, int, int]:
-    """The abscissae as Python ints (numpy integers would wrap in the
-    products), their min, max, sum and sum of squares.  Callers fit many
-    sequences over the same few windows, so these are kept per window."""
-    xs = tuple(map(index, ns))
-    return xs, min(xs), max(xs), sum(xs), sum(map(mul, xs, xs))
+def _finite_points(ns: Sequence[int], ys: Sequence[float]) -> tuple[list[int], list[float]]:
+    """The points of (ns, ys), zipped, whose y is finite: the abscissae as
+    Python ints (numpy integers would wrap in the fits' integer products, and
+    a float abscissa is a TypeError) and their y values."""
+    keep = list(map(math.isfinite, ys))[:len(ns)]
+    return list(map(index, compress(ns, keep))), list(compress(ys, keep))
 
 
 def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
@@ -69,8 +59,10 @@ def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
     for finite floats.
 
     The smallest nonzero magnitude has the finest last bit, so 2**t with
-    t = 53 - its binary exponent scales every value to an integer; values
-    whose scaled size overflows a float take their exact ratios instead.
+    t = 53 - its binary exponent scales every value to an integer.  Values
+    spanning more binades than a float holds (about 970) overflow that
+    scaling and take their exact ratios instead, which cost about three
+    times as much per value.
     """
     small = min(map(abs, values), default=0.0) or min(filter(None, map(abs, values)),
                                                        default=1.0)
@@ -106,9 +98,8 @@ def linear_fit(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
         return TailFit(LOG_ZERO, 0.0, math.inf, math.inf,
                        (min(ns, default=0), max(ns, default=0)), m,
                        degenerate=True)
-    fn, lo, hi, Sx, Sxx = _window(fn)
     Y, D = _dyadic(fy)
-    Sy, Sxy = sum(Y), sum(map(mul, fn, Y))
+    Sx, Sxx, Sy, Sxy = sum(fn), sum(map(mul, fn, fn)), sum(Y), sum(map(mul, fn, Y))
     det = m * Sxx - Sx * Sx
     if det:
         den, an, bn = det, Sxx * Sy - Sx * Sxy, m * Sxy - Sx * Sy
@@ -127,22 +118,8 @@ def linear_fit(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
     else:
         stderr = math.inf
     return TailFit(_ratio(bn, scale), _ratio(an, scale), stderr,
-                   _ratio(max(max(resid) - an, an - min(resid)), scale), (lo, hi), m)
-
-
-@lru_cache(maxsize=32)
-def _log_design(ns: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The abscissae's half of the fit y ~ a + b n + c log n: the column
-    log n as integers L over a power of two, and the determinant and
-    adjugate entries (00, 01, 02, 11, 12, 22) of the integer normal matrix
-    [[m, Sn, SL], [Sn, Snn, SnL], [SL, SnL, SLL]].  Callers fit many
-    sequences over the same few windows, so it is kept per window."""
-    ns, _, _, Sx, Sxx = _window(ns)
-    L = tuple(_dyadic([math.log(n) for n in ns])[0])
-    m, SL, SxL, SLL = len(ns), sum(L), sum(map(mul, ns, L)), sum(map(mul, L, L))
-    c00, c01, c02 = Sxx * SLL - SxL * SxL, SxL * SL - Sx * SLL, Sx * SxL - Sxx * SL
-    c11, c12, c22 = m * SLL - SL * SL, Sx * SL - m * SxL, m * Sxx - Sx * Sx
-    return L, m * c00 + Sx * c01 + SL * c02, (c00, c01, c02, c11, c12, c22)
+                   _ratio(max(max(resid) - an, an - min(resid)), scale),
+                   (min(fn), max(fn)), m)
 
 
 def linear_fit_with_log(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
@@ -159,10 +136,16 @@ def linear_fit_with_log(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
     m = len(fn)
     if m < 3:
         return linear_fit(ns, ys)
-    L, det, (c00, c01, c02, c11, c12, c22) = _log_design(fn)
+    # the column log n as integers L over a power of two, and the adjugate
+    # of the integer normal matrix [[m, Sx, SL], [Sx, Sxx, SxL], [SL, SxL, SLL]]
+    L = _dyadic(list(map(math.log, fn)))[0]
+    Sx, Sxx, SL = sum(fn), sum(map(mul, fn, fn)), sum(L)
+    SxL, SLL = sum(map(mul, fn, L)), sum(map(mul, L, L))
+    c00, c01, c02 = Sxx * SLL - SxL * SxL, SxL * SL - Sx * SLL, Sx * SxL - Sxx * SL
+    c11, c12, c22 = m * SLL - SL * SL, Sx * SL - m * SxL, m * Sxx - Sx * Sx
+    det = m * c00 + Sx * c01 + SL * c02
     if not det:
         return linear_fit(fn, fy)
-    fn, lo, hi, _, _ = _window(fn)
     Y, D = _dyadic(fy)
     Sy, Sxy, SLy = sum(Y), sum(map(mul, fn, Y)), sum(map(mul, L, Y))
     an = c00 * Sy + c01 * Sxy + c02 * SLy
@@ -179,7 +162,8 @@ def linear_fit_with_log(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
     else:
         stderr = 0.0
     return TailFit(_ratio(bn, scale), _ratio(an, scale), stderr,
-                   _ratio(max(max(resid) - an, an - min(resid)), scale), (lo, hi), m)
+                   _ratio(max(max(resid) - an, an - min(resid)), scale),
+                   (min(fn), max(fn)), m)
 
 
 def tail_window(n_max: int, fraction: float = 0.5, min_points: int = 4) -> range:

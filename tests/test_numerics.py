@@ -147,9 +147,18 @@ def test_fits_are_the_exact_least_squares_rounded_once(window, with_log):
 
 def test_fits_take_numpy_integer_abscissae():
     # numpy integers would wrap in the integer normal equations; the fits
-    # read them as Python ints (this window is fitted nowhere else, so the
-    # numpy abscissae are the ones each per-window cache sees first)
+    # read them as Python ints
     np = pytest.importorskip("numpy")
     ys = [0.3 * n - 1.7 * math.log(n) + 1e-3 * math.sin(n) for n in range(5000, 5121)]
     for fit in (linear_fit, linear_fit_with_log):
         assert fit(np.arange(5000, 5121), ys) == fit(range(5000, 5121), ys)
+
+
+def test_float_abscissae_are_refused_whatever_was_fitted_before():
+    # a fit keeps nothing between calls, so fitting the equal int window
+    # first does not let a float window through
+    ys = [1.0, 2.5, 4.0, 8.0]
+    for fit in (linear_fit, linear_fit_with_log):
+        fit(range(1, 5), ys)
+        with pytest.raises(TypeError):
+            fit([1.0, 2.0, 3.0, 4.0], ys)
