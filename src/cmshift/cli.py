@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cache
@@ -213,14 +214,26 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write text to path as Path.write_text does (same encoding, newlines
+    and mode of a new file), but in place: an existing file is overwritten
+    and then cut at the end of the new text, never truncated to zero first:
+    ext4 (unless mounted noauto_da_alloc) flushes a file rewritten after a
+    truncate to zero when it is closed.  A write cut off midway can leave
+    old bytes after the new ones."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        f.truncate()
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(_json_text(doc) + "\n")
+    _write_text(path, _json_text(doc) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     lines += [",".join([_fmt(x) for x in row]) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_profile_csv(outdir: Path, key: str, rows: list) -> None:
@@ -329,14 +342,16 @@ def _pressure(bundle: _Bundle, cfg: RunConfig
     pressure = thermo.pressure_estimate(ps)
     if not _closed_form(bundle):
         return ps, pressure, pressure.value
+    return ps, pressure, _analytic_pressure(bundle)
+
+
+def _analytic_pressure(bundle: _Bundle) -> float:
+    """The closed-form pressure of a bundle's return weights; a root out of
+    reach is a refusal."""
     try:
-        return ps, pressure, thermo.analytic_pressure(bundle.weights)
+        return thermo.analytic_pressure(bundle.weights)
     except ValueError as exc:  # the root is out of reach
         raise EnumerationRefusal(f"analytic pressure: {exc}") from exc
-
-
-def _spr(bundle: _Bundle, ps: thermo.PartitionSums, P: float) -> thermo.SprVerdict:
-    return thermo.spr_check(ps.log_zstar, P, closed_form=_closed_form(bundle))
 
 
 def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
@@ -356,7 +371,7 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
     # the fitted estimate stays in the report with its uncertainty
     if _closed_form(bundle):
         out["pressure"]["analytic"] = P
-    spr = _spr(bundle, ps, P)
+    spr = thermo.spr_check(ps.log_zstar, P, closed_form=_closed_form(bundle))
     out["spr"] = {"verdict": spr.verdict, "slope": spr.slope, "tol": spr.tol}
     if spr.reason:
         out["spr"]["reason"] = spr.reason
@@ -690,8 +705,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "spr":
         bundle = _build_bundle(cfg)
-        ps, _, P = _pressure(bundle, cfg)
-        verdict = _spr(bundle, ps, P)
+        closed = _closed_form(bundle)
+        if closed:
+            # SPR compares Z*_n with P alone: a closed form gives both, so
+            # neither the renewal table of Z_n nor its fit is needed
+            log_zstar = families.log_weight_sequence(bundle.weights, cfg.horizon)
+            P = _analytic_pressure(bundle)
+        else:
+            ps, _, P = _pressure(bundle, cfg)
+            log_zstar = ps.log_zstar
+        verdict = thermo.spr_check(log_zstar, P, closed_form=closed)
         print(f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "
               f"pressure {_fmt(P)}, tol {_fmt(verdict.tol)})"
               + (f": {verdict.reason}" if verdict.reason else ""))

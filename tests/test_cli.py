@@ -5,6 +5,7 @@ import enum
 import io
 import json
 import math
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -15,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
-                         RunConfig, _fmt, _json_text, _write_csv, compare_oracle,
-                         main, run_report)
+                         RunConfig, _fmt, _json_text, _write_csv, _write_text,
+                         compare_oracle, main, run_report)
 from cmshift.shift import (BouquetShift, FiniteShift, LoopCountFamily,
                            enumerate_words)
 from cmshift.specio import ConfigError
@@ -795,6 +796,137 @@ def test_oracle_mismatch_exits_with_invariant_code(monkeypatch, capsys):
     code = climod.main(["oracle", "--preset", "renewal-ones", "--truncate", "4"])
     assert code == 4
     assert "invariant breach" in capsys.readouterr().err
+
+
+# -- in-place writer ------------------------------------------------------------------------
+
+def _files(d: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@pytest.mark.parametrize("command,args,horizons", [
+    ("report", ["--preset", "sec52-entry", "--format", "json"], (60, 40, 60)),
+    ("report", ["--preset", "sec52-entry", "--format", "csv"], (60, 40, 60)),
+    ("hinf", ["--preset", "sec52-entry", "--truncate", "20", "--M", "4,8"], (32, 24, 32)),
+    ("oracle", ["--preset", "renewal-ones", "--truncate", "5", "--M", "2,3"], (12, 6, 12)),
+])
+def test_out_files_rewritten_in_place_equal_fresh_runs(tmp_path, capsys, command,
+                                                       args, horizons):
+    # each file shrinks and then grows again in the same directory; a stale
+    # tail from the longer run, or a missing cut, would differ from the file
+    # that a run into a fresh directory writes
+    shared = tmp_path / "shared"
+    for i, N in enumerate(horizons):
+        fresh = tmp_path / f"fresh-{i}"
+        for d in (shared, fresh):
+            assert main([command, *args, "--horizon", str(N), "--out", str(d)]) == EXIT_OK
+        assert _files(shared) == _files(fresh), N
+    sizes = [len(b) for b in _files(tmp_path / "fresh-0").values()]
+    assert sizes != [len(b) for b in _files(tmp_path / "fresh-1").values()]
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(old=st.binary(max_size=300),
+       text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
+@example(old=b"x" * 100, text="")
+@example(old=b"", text="abc\n")
+def test_write_text_equals_write_text_into_a_fresh_file(tmp_path, old, text):
+    fresh = tmp_path / "fresh"
+    fresh.unlink(missing_ok=True)
+    fresh.write_text(text)
+    path = tmp_path / "old"
+    path.write_bytes(old)
+    _write_text(path, text)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_text_gives_a_new_file_the_mode_of_write_text(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "a").write_text("x")
+        _write_text(tmp_path / "b", "x")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "b").stat().st_mode == (tmp_path / "a").stat().st_mode
+    # an existing file keeps its mode, as under Path.write_text
+    for name in ("a", "b"):
+        (tmp_path / name).chmod(0o640)
+    (tmp_path / "a").write_text("yy")
+    _write_text(tmp_path / "b", "yy")
+    assert (tmp_path / "b").stat().st_mode == (tmp_path / "a").stat().st_mode
+
+
+# -- spr on closed-form families --------------------------------------------------------------
+
+def _closed_form_presets():
+    from cmshift import zeta
+
+    beta = 2.5
+    return (["sec52-entry", "sec52-exit", "sec52-mid", "renewal-ones", "sec53(C=1e300)"]
+            + [f"sec53(beta={beta},C={f / zeta(beta).value!r})" for f in (0.6, 1.0, 1.5)])
+
+
+def _spr_line(verdict, P) -> str:
+    return (f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "
+            f"pressure {_fmt(P)}, tol {_fmt(verdict.tol)})"
+            + (f": {verdict.reason}" if verdict.reason else ""))
+
+
+def _refuse_sums(monkeypatch):
+    import cmshift.thermo as thermo
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spr on a closed form needs no Z_n or fit")
+
+    monkeypatch.setattr(thermo, "partition_sums_renewal", refuse)
+    monkeypatch.setattr(thermo, "pressure_estimate", refuse)
+
+
+@pytest.mark.parametrize("preset", _closed_form_presets())
+def test_spr_on_a_closed_form_reads_only_zstar_and_the_analytic_pressure(
+        monkeypatch, capsys, preset):
+    from cmshift import thermo
+    from cmshift.families import build_preset, log_weight_sequence
+
+    weights = build_preset(preset).weights
+    P = thermo.analytic_pressure(weights)
+    expected = {}
+    for N in (5, 40, 200):
+        sums = thermo.partition_sums_renewal(log_wstar=log_weight_sequence(weights, N), N=N)
+        expected[N] = _spr_line(thermo.spr_check(sums.log_zstar, P, closed_form=True), P)
+    _refuse_sums(monkeypatch)
+    for N in (5, 40, 200):
+        assert main(["spr", "--preset", preset, "--horizon", str(N)]) == EXIT_OK
+        assert capsys.readouterr().out == expected[N] + "\n"
+    assert main(["spr", "--preset", preset, "--horizon", "4"]) == EXIT_CONFIG
+    assert "horizon must be >= 5" in capsys.readouterr().err
+
+
+def test_spr_refuses_an_out_of_reach_root_without_the_sums(monkeypatch, capsys):
+    _refuse_sums(monkeypatch)
+    assert main(["spr", "--preset", "sec53(beta=1.05,C=0.072878)",
+                 "--horizon", "40"]) == EXIT_REFUSAL
+    err = capsys.readouterr().err
+    assert err.startswith("refused: analytic pressure: ")
+    assert "pressure root out of reach" in err
+
+
+def test_spr_without_a_closed_form_goes_through_the_sums(monkeypatch, tmp_path, capsys):
+    import cmshift.thermo as thermo
+
+    calls = []
+    for name in ("partition_sums_renewal", "partition_sums_transfer", "pressure_estimate"):
+        real = getattr(thermo, name)
+        monkeypatch.setattr(thermo, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    assert main(["spr", "--preset", "sec54", "--horizon", "40"]) == EXIT_OK
+    assert calls == ["partition_sums_renewal", "pressure_estimate"]
+    calls.clear()
+    specs = _write_specs(tmp_path, _FULL2, {"memory": 1, "default": 0.0, "table": []})
+    assert main(["spr", *specs, "--horizon", "12"]) == EXIT_OK
+    assert calls == ["partition_sums_transfer", "pressure_estimate"]
+    assert capsys.readouterr().out.startswith("spr: ")
 
 
 # -- exit-code fuzz --------------------------------------------------------------------------
