@@ -96,6 +96,8 @@ class RunConfig:
             raise ConfigError("M grid must be non-empty positive integers")
         if not self.q or any(v < 1 for v in self.q):
             raise ConfigError("q grid must be non-empty positive integers")
+        if len(set(self.M)) < len(self.M) or len(set(self.q)) < len(self.q):
+            raise ConfigError("M and q grid values must be distinct")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
         if self.format not in ("csv", "json"):

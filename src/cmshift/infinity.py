@@ -10,12 +10,15 @@ Birkhoff sum collects its terms, compared exactly as count * M <= n + 1.
 Counts are arbitrary-precision integers; ratios and slopes live in log space.
 Both routes fill the whole (n, M) grid of one q at once, carrying per visit
 index the pair (count, best Birkhoff sum) up to the largest visit cap
-(N + 1) // min(M) a grid can read, and share one cell read-off.  On bouquets
-with q = 1 the fill runs over loop-length compositions (parts = low visits),
-so large families never enumerate states.  Its counts are exact integers in
-object arrays: the loops split into runs of consecutive lengths with
-geometric counts a0 * rho**(k - k0), and convolving with a run is the
-first-order recurrence of its rational generating function
+(N + 1) // min(M) a grid can read, and share one cell read-off, which folds
+each row only up to the caps (n + 1) // M, in ascending order.  Grid values
+are positive integers, distinct within the M and within the q list (else a
+ValueError).  On bouquets with q = 1 the fill runs over loop-length
+compositions (parts = low visits), so large families never enumerate
+states.  Its counts are exact integers in object arrays: the loops split
+into runs of consecutive lengths with geometric counts a0 * rho**(k - k0),
+and convolving with a run is the first-order recurrence of its rational
+generating function
 a0 z^k0 (1 - (rho z)^m) / (1 - rho z), exact in integers, so every count
 equals the plain convolution's; it costs a few bigint row operations per
 length n however long the run (a window sliding by two additions per cell
@@ -35,7 +38,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate
 from typing import Sequence
 
 from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
@@ -70,12 +72,20 @@ def _read_off(cells: dict[int, list[CountB]], n: int, counts: Sequence[int],
     counts[v] and bests[v] are the number and the best Birkhoff sum of the
     counted (n+1)-words with v low visits among their first n coordinates;
     cell (n, M) admits v * M <= n + 1, i.e. the running total and maximum
-    over v read at index (n + 1) // M.
+    over v read at the cap (n + 1) // M.  Only the caps are read, in
+    ascending order, each folding one more slice of the prefix into the
+    running sum and max from the left: the folds of accumulate(counts) and
+    accumulate(bests, max) term by term (a NaN at index 0 stays, a later
+    one never wins), without their entries between the caps.
     """
-    totals = list(accumulate(counts))
-    tops = list(accumulate(bests, max))
+    at = {}
+    total, zbest, read = counts[0], bests[0], 1
+    for cap in sorted({(n + 1) // M for M in cells}):
+        total = sum(counts[read:cap + 1], total)
+        zbest = max((zbest, *bests[read:cap + 1]))
+        at[cap], read = (total, zbest), cap + 1
     for M, col in cells.items():
-        total, zbest = totals[(n + 1) // M], tops[(n + 1) // M]
+        total, zbest = at[(n + 1) // M]
         zphi = None
         if with_phi:
             zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
@@ -451,6 +461,10 @@ def _q_direction_diagnostics(rows, q_list, M_list, N):
 def _check_grid(q_list, M_list, N) -> None:
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
+    if min(M_list) < 1 or min(q_list) < 1:
+        raise ValueError("M and q values must be >= 1")
+    if len(set(M_list)) < len(M_list) or len(set(q_list)) < len(q_list):
+        raise ValueError("M and q values must be distinct")
     if N < MIN_PROFILE_HORIZON:
         raise ValueError("horizon too small to fit")
 
@@ -466,15 +480,22 @@ def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
     the neighbouring M as a finite-M proxy.
     """
     _check_grid(q_list, M_list, N)
-    return _entropy_fit(_grid_rows(T, None, q_list, M_list, N), q_list, M_list, N)
+    rows = _grid_rows(T, None, q_list, M_list, N)
+    return _entropy_fit(rows, q_list, M_list, N, _count_diagnostics(rows, q_list, M_list, N))
 
 
-def _entropy_fit(rows, q_list, M_list, N) -> InfinityProfile:
+def _count_diagnostics(rows, q_list, M_list, N) -> tuple[list, list]:
+    return (_monotone_M_check(rows, q_list, M_list, N),
+            _q_direction_diagnostics(rows, q_list, M_list, N))
+
+
+def _entropy_fit(rows, q_list, M_list, N, diagnostics) -> InfinityProfile:
     window = _profile_window(N)
+    lo, hi = window[0], window[-1]
     fits = {}
     for q in q_list:
         for M in M_list:
-            ys = [r[4] for r in rows if r[1] == M and r[2] == q and r[0] in window]
+            ys = [r[4] for r in rows if r[1] == M and r[2] == q and lo <= r[0] <= hi]
             fits[(M, q)] = linear_fit(window, ys)
     qmax, Mmax = max(q_list), max(M_list)
     head = fits[(Mmax, qmax)]
@@ -489,10 +510,7 @@ def _entropy_fit(rows, q_list, M_list, N) -> InfinityProfile:
         estimate, unc = LOG_ZERO, math.inf
         if all(r[3] == 0 for r in rows if r[1] == Mmax and r[2] == qmax):
             unc = 0.0  # empty at every n: nothing at infinity
-    return InfinityProfile("entropy", rows, fits, estimate, unc,
-                           (window[0], window[-1]),
-                           _monotone_M_check(rows, q_list, M_list, N),
-                           _q_direction_diagnostics(rows, q_list, M_list, N))
+    return InfinityProfile("entropy", rows, fits, estimate, unc, (lo, hi), *diagnostics)
 
 
 def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
@@ -506,16 +524,18 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     yields the verdict 'no-evidence' rather than a vacuous pass.
     """
     _check_grid(q_list, M_list, N)
-    return _contraction_fit(_grid_rows(T, phi, q_list, M_list, N),
-                            q_list, M_list, N, P, tol)
+    rows = _grid_rows(T, phi, q_list, M_list, N)
+    return _contraction_fit(rows, q_list, M_list, N, P, tol,
+                            _count_diagnostics(rows, q_list, M_list, N))
 
 
-def _contraction_fit(rows, q_list, M_list, N, P, tol) -> InfinityProfile:
+def _contraction_fit(rows, q_list, M_list, N, P, tol, diagnostics) -> InfinityProfile:
     window = _profile_window(N)
+    lo, hi = window[0], window[-1]
     fits = {}
     for q in q_list:
         for M in M_list:
-            zs = [r[5] for r in rows if r[1] == M and r[2] == q and r[0] in window]
+            zs = [r[5] for r in rows if r[1] == M and r[2] == q and lo <= r[0] <= hi]
             finite = [z for z in zs if z is not None and math.isfinite(z)]
             fits[(M, q)] = (max(finite) if finite else LOG_ZERO,
                             (max(finite) - min(finite)) if finite else math.inf)
@@ -531,11 +551,8 @@ def _contraction_fit(rows, q_list, M_list, N, P, tol) -> InfinityProfile:
     else:
         verdict = "inconclusive"
     return InfinityProfile("contraction", rows, fits, estimate,
-                           band if math.isfinite(band) else math.inf,
-                           (window[0], window[-1]),
-                           _monotone_M_check(rows, q_list, M_list, N),
-                           _q_direction_diagnostics(rows, q_list, M_list, N),
-                           pressure=P, band=band, ci_verdict=verdict)
+                           band if math.isfinite(band) else math.inf, (lo, hi),
+                           *diagnostics, pressure=P, band=band, ci_verdict=verdict)
 
 
 def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
@@ -547,11 +564,13 @@ def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     rows: both routes count exactly in integers, so a weighted grid holds the
     counts of the unweighted one even where the two take different routes (a
     bouquet potential without loop totals at q = 1).  Both profiles are those
-    the two separate calls return.
+    the two separate calls return; the count diagnostics of the delta
+    profile are those of the entropy one, so they are computed once.
     """
     dp = delta_profile(T, phi, q_list, M_list, N, P, tol)
     counts = [r[:5] + (None,) for r in dp.rows]
-    return _entropy_fit(counts, q_list, M_list, N), dp
+    return _entropy_fit(counts, q_list, M_list, N,
+                        (dp.monotone_M_violations, dp.q_diagnostics)), dp
 
 
 def bouquet_hinf_oracle(a: LoopCountFamily) -> float:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import index, mul
+from operator import index, mul, sub
 from typing import Iterable, Sequence
 
 LOG_ZERO = float("-inf")
@@ -24,7 +24,7 @@ def logsumexp(values: Iterable[float]) -> float:
     m = max(xs)
     if math.isinf(m):
         return m
-    total = math.fsum(math.expm1(x - m) for x in xs)
+    total = math.fsum(map(math.expm1, map(sub, xs, repeat(m))))
     return m + math.log1p(total + float(len(xs) - 1))
 
 

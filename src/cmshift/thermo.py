@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
+from operator import add
 from typing import Sequence
 
 from .numerics import (LOG_ZERO, TailFit, count_push, linear_fit,
@@ -178,8 +179,8 @@ def partition_sums_renewal(wstar: Sequence[float] | None = None,
         log_wstar = log_wstar + [LOG_ZERO] * (N - len(log_wstar))
     log_Z = [0.0]  # Z_0 = 1
     for n in range(1, N + 1):
-        log_Z.append(logsumexp(log_wstar[m - 1] + log_Z[n - m]
-                               for m in range(1, n + 1)))
+        # the terms Z*_m Z_{n-m} in the order m = 1..n
+        log_Z.append(logsumexp(map(add, log_wstar[:n], reversed(log_Z))))
     return PartitionSums(base, N, log_Z[1:], log_wstar[:N], "renewal-dp")
 
 
@@ -817,10 +818,12 @@ def _max_birkhoff_low_to_low(T, phi, q, N) -> list[float]:
     if isinstance(T, BouquetShift) and q == 1 and phi.loop_total is not None:
         best = [LOG_ZERO] * (N + 1)
         best[0] = 0.0
-        lengths = T.loop_lengths()
+        # each loop total read once, in the order of the lengths' first use
+        # (at m = k, from best[0])
+        taus = [(k, phi.loop_total(k)) for k in T.loop_lengths() if k <= N]
         for m in range(1, N + 1):
-            cands = [phi.loop_total(k) + best[m - k]
-                     for k in lengths if k <= m and best[m - k] != LOG_ZERO]
+            cands = [tau + best[m - k]
+                     for k, tau in taus if k <= m and best[m - k] != LOG_ZERO]
             best[m] = max(cands) if cands else LOG_ZERO
         return best[1:]
     graph = index_graph(T, DP_STATE_CAP, "contraction profile DP", phi.memory)

@@ -288,6 +288,24 @@ def test_malformed_config_values_are_config_errors(doc, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command, grid", [
+    ("hinf", ["--M", "2,4,8,8"]), ("report", ["--q", "1,1"]),
+    ("oracle", ["--M", "2,2"]), ("report", ["--config", None])])
+def test_repeated_grid_values_are_config_errors(command, grid, tmp_path, capsys):
+    # a repeated top M would serve as its own neighbouring M, and every
+    # repeated value would write its rows twice
+    if grid[-1] is None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"preset": "renewal-ones", "horizon": 12,
+                                       "M": [4, 2, 4]}))
+        argv = [command, "--config", str(cfgfile)]
+    else:
+        argv = [command, "--preset", "renewal-ones", "--horizon", "12", *grid]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: M and q grid values must be distinct\n"
+
+
 @pytest.mark.parametrize("command,horizon,least", [
     ("report", 3, 5), ("report", 4, 5), ("pressure", 3, 5), ("pressure", 4, 5),
     ("spr", 3, 5), ("spr", 4, 5), ("hinf", 3, 4)])

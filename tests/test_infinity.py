@@ -1,6 +1,7 @@
 """Boundary-cylinder counting and entropy/contraction-at-infinity profiles."""
 
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,65 @@ def test_exact_rational_cardinality_comparison(sec52):
             comp[j][m] = sum(comp[j - 1][m - k] for k in range(1, m + 1))
     want = sum(comp[j][n] for j in range(1, 16))
     assert total == want
+
+
+# -- cell read-off ------------------------------------------------------------------------
+
+def _read_off_accumulate(cells, n, counts, bests, with_phi):
+    # the read-off by its definition: the running total and the running
+    # maximum max(acc, x) over every visit index, read at each cap
+    totals = list(accumulate(counts))
+    tops = list(accumulate(bests, max))
+    for M, col in cells.items():
+        total, zbest = totals[(n + 1) // M], tops[(n + 1) // M]
+        zphi = None
+        if with_phi:
+            zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
+        col.append(CountB(total, math.log(total) if total else LOG_ZERO, zphi))
+
+
+def _same_read_off(n, M_list, counts, bests):
+    for with_phi in (True, False):
+        fast, slow = {M: [] for M in M_list}, {M: [] for M in M_list}
+        _read_off(fast, n, counts, bests, with_phi)
+        _read_off_accumulate(slow, n, counts, bests, with_phi)
+        assert repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("n, M_list, bests", [
+    # caps 1 and 3: the second slice starts with a NaN, which must not stop
+    # the 5.0 after it (the max of the slice alone would be NaN)
+    (5, [6, 2], [0.0, 1.0, math.nan, 5.0]),
+    # a NaN at index 0 stays whatever follows
+    (5, [2, 6, 3], [math.nan, 1.0, math.inf, 5.0]),
+    # M = 4 and M = 5 share the cap 2; M = 1 reads the whole row
+    (9, [4, 1, 5], [-math.inf, -0.0, 0.0, math.inf, math.nan, -1.0, 2.0, 3.0, -math.inf,
+                    0.5, 7.0]),
+    # M = 1 alone at n = 1, caps at index 2 of a row of -inf
+    (1, [1], [-math.inf, -math.inf, -math.inf]),
+])
+def test_read_off_equals_the_accumulate_definition(n, M_list, bests):
+    counts = [3 ** (70 + v) if v % 3 else 0 for v in range(len(bests))]
+    _same_read_off(n, M_list, counts, bests)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_read_off_equals_the_accumulate_definition_on_draws(data):
+    # caps in any order, shared or not, rows wider than the largest cap,
+    # bests from the float specials (NaN at index 0 half the time)
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    M_list = data.draw(st.lists(st.integers(min_value=1, max_value=n + 2), min_size=1,
+                                max_size=5, unique=True))
+    width = (n + 1) // min(M_list) + 1 + data.draw(st.integers(min_value=0, max_value=2))
+    counts = data.draw(st.lists(st.integers(min_value=0, max_value=2 ** 80),
+                                min_size=width, max_size=width))
+    floats = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+                       st.floats(min_value=-8, max_value=8))
+    bests = data.draw(st.lists(floats, min_size=width, max_size=width))
+    if data.draw(st.booleans()):
+        bests[0] = math.nan
+    _same_read_off(n, M_list, counts, bests)
 
 
 # -- domination bound (decomposition into prefix/loops/suffix) --------------------------
@@ -634,6 +694,24 @@ def test_delta_profile_no_evidence_on_empty_grid(full3):
     phi = Potential(1, {}, 0.0)
     prof = delta_profile(full3, phi, [3], [2], 10, P=0.0)
     assert prof.ci_verdict == "no-evidence"
+
+
+@pytest.mark.parametrize("q_list, M_list, text", [
+    ([1], [0], "M and q values must be >= 1"),
+    ([1], [-2], "M and q values must be >= 1"),
+    ([0, 1], [2], "M and q values must be >= 1"),
+    ([1], [2, 4, 8, 8], "must be distinct"),
+    ([1, 1], [2, 4], "must be distinct"),
+])
+def test_profiles_refuse_repeated_or_non_positive_grid_values(sec52, q_list, M_list, text):
+    # a repeated M would be its own neighbouring M (and its rows written
+    # twice); M <= 0 has no visit cap
+    T, phi = sec52.system, sec52.potential
+    for call in (lambda: hinf_profile(T, q_list, M_list, 12),
+                 lambda: delta_profile(T, phi, q_list, M_list, 12),
+                 lambda: profile_pair(T, phi, q_list, M_list, 12)):
+        with pytest.raises(ValueError, match=text):
+            call()
 
 
 def _same_profile(a, b):

@@ -199,6 +199,48 @@ def test_renewal_matches_exact_fraction_convolution(weights):
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def _logsumexp_generator(values):
+    # the compensated log-sum with its terms in a generator, as defined
+    xs = [x for x in values if x != LOG_ZERO]
+    if not xs:
+        return LOG_ZERO
+    m = max(xs)
+    if math.isinf(m):
+        return m
+    total = math.fsum(math.expm1(x - m) for x in xs)
+    return m + math.log1p(total + float(len(xs) - 1))
+
+
+def _renewal_double_sum(log_wstar, N):
+    # Z_n = sum over m = 1..n of Z*_m Z_{n-m}, term by term in that order
+    w = list(log_wstar) + [LOG_ZERO] * (N - len(log_wstar))
+    log_Z = [0.0]
+    for n in range(1, N + 1):
+        log_Z.append(_logsumexp_generator(w[m - 1] + log_Z[n - m]
+                                          for m in range(1, n + 1)))
+    return log_Z[1:]
+
+
+_LOG_TERMS = st.one_of(st.just(LOG_ZERO), st.floats(min_value=-40, max_value=3))
+
+
+@settings(max_examples=60)
+@given(log_wstar=st.lists(_LOG_TERMS, min_size=1, max_size=30),
+       extra=st.integers(min_value=0, max_value=5))
+def test_renewal_equals_the_direct_double_sum(log_wstar, extra):
+    # bit for bit, LOG_ZERO weights and a horizon beyond the weights included
+    N = len(log_wstar) + extra
+    ps = partition_sums_renewal(log_wstar=log_wstar, N=N)
+    assert repr(ps.log_z) == repr(_renewal_double_sum(log_wstar, N))
+
+
+@settings(max_examples=100)
+@given(xs=st.lists(st.one_of(st.sampled_from([LOG_ZERO, math.inf, math.nan, -0.0]),
+                             st.floats(min_value=-800, max_value=800)), max_size=12))
+def test_logsumexp_equals_the_generator_definition(xs):
+    assert repr(logsumexp(iter(xs))) == repr(_logsumexp_generator(xs))
+
+
 def test_renewal_identity_against_brute_force(sec52):
     T, phi = sec52.system, sec52.potential
     brute = partition_sums_bruteforce(T, phi, ROOT, 12)
@@ -1071,6 +1113,51 @@ def test_block_graph_dps_match_enumerated_words(data):
             assert wit.word == first
         else:
             assert allowed(wit.word, n) and dict(found)[wit.word] == pytest.approx(wit.value)
+
+
+def _bouquet_best_sums(T, phi, N):
+    # the bouquet branch by its definition: one loop_total call per term
+    best = [LOG_ZERO] * (N + 1)
+    best[0] = 0.0
+    for m in range(1, N + 1):
+        cands = [phi.loop_total(k) + best[m - k]
+                 for k in T.loop_lengths() if k <= m and best[m - k] != LOG_ZERO]
+        best[m] = max(cands) if cands else LOG_ZERO
+    return best[1:]
+
+
+@pytest.mark.parametrize("totals", [
+    (-0.5, math.inf, 0.0, 0.25, -1.0),
+    (-0.5, math.nan, 0.0, 0.25, math.nan),
+    (-math.inf, -0.5, 0.0, -math.inf, 0.25),
+    (math.nan, math.inf, 0.5, -math.inf, -0.0),
+])
+def test_bouquet_best_sums_equal_the_per_term_definition(totals):
+    # loops of lengths 1, 2, 4, 5; totals[k - 1] is the total of length k
+    T = BouquetShift(LoopCountFamily("list", values=(1, 2, 0, 3, 1)), truncate_len=5)
+    phi = Potential(2, {}, 0.0)
+    phi.loop_total = lambda k: totals[k - 1]
+    for N in (1, 3, 12):
+        assert repr(_max_birkhoff_low_to_low(T, phi, 1, N)) \
+            == repr(_bouquet_best_sums(T, phi, N))
+
+
+@pytest.mark.parametrize("N", [8, 12, 30])
+def test_crc_reads_each_loop_total_at_most_once(N):
+    # loops of lengths 1..12; a horizon below 12 reads no longer loop
+    build = build_preset("sec52-entry", truncate_len=12)
+    T, phi = build.system, build.potential
+    plain = crc_profile(T, phi, 1, N)
+    calls, total = [], phi.loop_total
+
+    def counted(k):
+        calls.append(k)
+        return total(k)
+
+    phi.loop_total = counted
+    prof = crc_profile(T, phi, 1, N)
+    assert sorted(calls) == [k for k in T.loop_lengths() if k <= N]
+    assert repr(prof.s) == repr(plain.s) == repr(_bouquet_best_sums(T, phi, N))
 
 
 def test_crc_state_route_agrees_with_composition_route(sec52):
