@@ -2,7 +2,8 @@
 
 Weighted periodic-orbit sums, Gurevich-type pressure estimates, strong
 positive recurrence and contraction diagnostics, entropy-at-infinity
-profiles, and the bouquet example families, with a batch CLI.
+profiles, and the bouquet example families, with a batch CLI.  The
+enumerative oracles are in cmshift.oracle, which this package never imports.
 """
 
 from .families import (BouquetBuild, BouquetRealizationError, BouquetSpec,
@@ -10,20 +11,17 @@ from .families import (BouquetBuild, BouquetRealizationError, BouquetSpec,
                        UnknownTail, build_bouquet, build_preset, htop_solve,
                        normalizing_C, preset_names, zeta)
 from .infinity import (CountB, InfinityProfile, bouquet_hinf_oracle, count_B,
-                       count_B_bruteforce, delta_profile, hinf_profile,
-                       profile_pair)
+                       delta_profile, hinf_profile, profile_pair)
 from .potential import (BirkhoffValue, InadmissibleWordError, Potential,
                         PotentialError, birkhoff_sum, connector_constant)
 from .shift import (ROOT, BouquetShift, ConnectorNotFound, EnumerationRefusal,
                     FiniteShift, LoopCountFamily, LoopVertex, Plain, Root,
                     ShiftError, TransitionSystem, UnknownStateError, Word,
-                    enumerate_words, f_property_count, is_admissible,
-                    periodic_points, shortest_connector)
+                    f_property_count, is_admissible, shortest_connector)
 from .thermo import (ChiPerResult, CrcProfile, InducedPressure, PartitionSums,
                      PressureEstimate, RecurrenceClass, SprVerdict, Witness,
                      analytic_pressure, chi_per, condition_witness_search,
-                     crc_profile, induced_pressure,
-                     partition_sums_bruteforce, partition_sums_renewal,
+                     crc_profile, induced_pressure, partition_sums_renewal,
                      partition_sums_transfer, pressure_estimate,
                      recurrence_classify, spr_check, ucs_check)
 

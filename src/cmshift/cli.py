@@ -26,10 +26,10 @@ from .families import (BouquetRealizationError, FiniteTail, GeometricTail,
                        preset_names)
 from .numerics import LOG_ZERO
 from .potential import Potential
-from .shift import ROOT, BouquetShift, EnumerationRefusal, TransitionSystem
+from .shift import BouquetShift, EnumerationRefusal, TransitionSystem
 from .specio import ConfigError, load_potential, load_shift
 
-__all__ = ["RunConfig", "run_report", "compare_oracle", "main"]
+__all__ = ["RunConfig", "run_report", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,7 +66,6 @@ _CONFIG_TYPES = {
     "truncate": (lambda v: v is None or _is_int(v), "an integer"),
     "M": (_is_int_list, "a list of integers"),
     "q": (_is_int_list, "a list of integers"),
-    "tol": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
     "log2": (lambda v: isinstance(v, bool), "true or false"),
 }
 
@@ -82,7 +81,6 @@ class RunConfig:
     truncate: int | None = None
     M: list[int] = field(default_factory=lambda: [2, 4, 8])
     q: list[int] = field(default_factory=lambda: [1])
-    tol: float = 1e-9
     out: str | None = None
     format: str = "json"
     log2: bool = False
@@ -98,8 +96,6 @@ class RunConfig:
             raise ConfigError("q grid must be non-empty positive integers")
         if len(set(self.M)) < len(self.M) or len(set(self.q)) < len(self.q):
             raise ConfigError("M and q grid values must be distinct")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
         if self.preset is None and self.shift is None:
@@ -454,10 +450,10 @@ def run_report(cfg: RunConfig) -> dict:
     report["profiles"] = _profiles(bundle, cfg, P)
     report["config"] = {
         "label": bundle.label, "horizon": cfg.horizon,
-        "truncate": cfg.truncate, "M": cfg.M, "q": cfg.q, "tol": cfg.tol,
+        "truncate": cfg.truncate, "M": cfg.M, "q": cfg.q,
     }
     report["horizons"] = {"N": cfg.horizon, "L": cfg.truncate}
-    report["tolerances"] = {"tol": cfg.tol, "spr_tol": report["spr"]["tol"]}
+    report["tolerances"] = {"spr_tol": report["spr"]["tol"]}
     report["summary"] = _summary(report)
     if cfg.out:
         outdir = _out_dir(cfg)
@@ -501,75 +497,6 @@ def _summary(report: dict) -> dict:
     return s
 
 
-# -- oracle comparison ----------------------------------------------------------------------
-
-_ORACLE_TRUNCATE_CAP = 6
-_ORACLE_HORIZON_CAP = 12
-
-
-def compare_oracle(cfg: RunConfig) -> tuple[list[tuple], bool]:
-    """Per-quantity agreement table between enumerative and DP paths.
-
-    Compares brute-force Z_n, Z*_n against the renewal DP over the truncated
-    return weights, and brute-force boundary-cylinder counts against the
-    composition/state DP, for n up to min(horizon, 12).  Counts must agree
-    exactly; weighted sums to 1e-12 relative in log space.
-    """
-    cfg.validate()
-    if cfg.truncate is None or cfg.truncate > _ORACLE_TRUNCATE_CAP:
-        raise EnumerationRefusal(
-            f"oracle comparisons need --truncate <= {_ORACLE_TRUNCATE_CAP} "
-            "(brute force is exponential)")
-    bundle = _build_bundle(cfg)
-    T, phi = bundle.system, bundle.potential
-    if not isinstance(T, BouquetShift) or phi is None:
-        raise ConfigError("oracle comparisons run on bouquet presets/specs")
-    N = min(cfg.horizon, _ORACLE_HORIZON_CAP)
-    rows: list[tuple] = []
-    ok = True
-    try:
-        brute = thermo.partition_sums_bruteforce(T, phi, ROOT, N)
-    except ValueError as exc:  # a periodic word weighing +inf and -inf
-        raise EnumerationRefusal(f"brute-force sums: {exc}") from exc
-    logw = families.log_weight_sequence(bundle.truncated_weights, N) \
-        if bundle.truncated_weights is not None else None
-    if logw is None:
-        raise ConfigError("no truncated return weights available for the DP side")
-    dp = thermo.partition_sums_renewal(log_wstar=logw, N=N)
-    for n in range(1, N + 1):
-        for name, b, d in (("logZ", brute.logz(n), dp.logz(n)),
-                           ("logZstar", brute.logzstar(n), dp.logzstar(n))):
-            err = _rel_err(b, d)
-            passed = err <= 1e-12
-            ok &= passed
-            rows.append((name, n, b, d, err, "pass" if passed else "FAIL"))
-    for q in cfg.q:
-        brute_cells = infinity._bruteforce_cells(T, phi, q, cfg.M, N)
-        fast_cells = infinity._grid_cells(T, phi, q, cfg.M, N)
-        for M in cfg.M:
-            for n, bf, fast in zip(range(1, N + 1), brute_cells[M], fast_cells[M]):
-                passed = bf.count == fast.count
-                zerr = _rel_err(bf.z_phi, fast.z_phi)
-                passed = passed and zerr <= 1e-12
-                ok &= passed
-                rows.append((f"z_n(M={M},q={q})", n, bf.count, fast.count,
-                             zerr, "pass" if passed else "FAIL"))
-    return rows, ok
-
-
-def _rel_err(a, b) -> float:
-    if a is None and b is None:
-        return 0.0
-    if a is None or b is None:
-        return math.inf
-    if a == b:
-        return 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return 0.0 if a == b else math.inf
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) / scale
-
-
 # -- argument parsing --------------------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
@@ -580,40 +507,34 @@ def _int_list(text: str) -> list[int]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    # absent flags stay unset (SUPPRESS): RunConfig's fields are the defaults
     p.add_argument("--preset", help="named family, e.g. sec52-entry or sec53(beta=3,C=auto)")
     p.add_argument("--shift", help="path to a shift-spec JSON file")
     p.add_argument("--potential", help="path to a potential-spec JSON file")
-    p.add_argument("--horizon", type=int, default=40)
-    p.add_argument("--truncate", type=int, default=None)
-    p.add_argument("--M", type=_int_list, default=[2, 4, 8])
-    p.add_argument("--q", type=_int_list, default=[1])
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--truncate", type=int)
+    p.add_argument("--M", type=_int_list)
+    p.add_argument("--q", type=_int_list)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--log2", action="store_true",
                    help="display summary values in base-2 logarithm units")
-    p.add_argument("--config", default=None,
-                   help="JSON file with the same keys as the flags")
+    p.add_argument("--config", help="JSON file with the flags' keys; flags override it")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file {args.config} does not exist")
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    doc = {}
+    if "config" in args:
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(Path(args.config).read_text())
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file {args.config} does not exist") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        cfg = RunConfig.from_dict(doc)
-    else:
-        # the parser's list defaults are copied: no two calls share a list
-        cfg = RunConfig(preset=args.preset, shift=args.shift,
-                        potential=args.potential, horizon=args.horizon,
-                        truncate=args.truncate, M=list(args.M), q=list(args.q),
-                        tol=args.tol, out=args.out, format=args.format,
-                        log2=args.log2)
-        cfg.validate()
+            raise ConfigError(f"invalid JSON in {Path(args.config)}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, "", binary bytes
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+    cfg = RunConfig.from_dict(dict(doc, **flags) if isinstance(doc, dict) else doc)
     _check_horizon(cfg, args.command)
     return cfg
 
@@ -643,7 +564,7 @@ def _parser() -> argparse.ArgumentParser:
                       ("hinf", "entropy-at-infinity profile"),
                       ("spr", "strong-positive-recurrence check"),
                       ("presets", "list named families")):
-        p = sub.add_parser(name, help=hlp)
+        p = sub.add_parser(name, help=hlp, argument_default=argparse.SUPPRESS)
         if name != "presets":
             _add_common(p)
     return parser
@@ -675,6 +596,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _print_summary(report, cfg.log2)
         return EXIT_OK
     if args.command == "oracle":
+        from .oracle import compare_oracle  # the enumerations load only here
         rows, ok = compare_oracle(cfg)
         if cfg.out:
             _write_csv(_out_dir(cfg) / "oracle.csv",
@@ -687,7 +609,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("all rows pass")
         return EXIT_OK
     if args.command == "pressure":
-        _, est, _ = _pressure(_build_bundle(cfg), cfg)
+        # the fit alone: the analytic root is not printed, so it is not solved
+        est = thermo.pressure_estimate(_partition_sums(_build_bundle(cfg), cfg))
         print(f"pressure: {_fmt(_display(est.value, cfg.log2))} "
               f"± {_fmt(est.uncertainty)} (window {est.window})")
         return EXIT_OK

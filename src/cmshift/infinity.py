@@ -27,9 +27,9 @@ sums are one np.fmax reduction over every length.  Every other system
 runs one forward state sweep over (low visits so far, state), each visit
 layer pushed by the two step kernels numerics.count_push and maxplus_push.
 A single count_B is the one-cell case of the same fill, and profile_pair
-fits both profiles from one weighted fill per q.  The enumerative oracle
-count_B_bruteforce is likewise the one-cell case of _bruteforce_cells, one
-walk over the words themselves that scores each word on its own.
+fits both profiles from one weighted fill per q.  The reference cells, one
+walk over the words themselves that scores each word on its own, are in
+cmshift.oracle.
 """
 
 from __future__ import annotations
@@ -37,17 +37,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Sequence
 
 from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from .potential import Potential
-from .shift import (SWEEP_STATE_CAP, BouquetShift, EnumerationRefusal, LoopCountFamily,
-                    TransitionSystem, index_graph)
+from .shift import (SWEEP_STATE_CAP, BouquetShift, LoopCountFamily, TransitionSystem,
+                    index_graph)
 
 __all__ = [
     "CountB", "InfinityProfile",
-    "count_B", "count_B_bruteforce", "hinf_profile", "delta_profile",
+    "count_B", "hinf_profile", "delta_profile",
     "profile_pair", "bouquet_hinf_oracle",
 ]
 
@@ -274,103 +273,6 @@ def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) 
     if q <= 0:
         return CountB.empty(phi is not None)
     return _grid_cells(T, phi, q, [M], n)[M][n - 1]
-
-
-def count_B_bruteforce(T: TransitionSystem, phi: Potential | None,
-                       n: int, M: int, q: int, limit: int = 2_000_000) -> CountB:
-    """Reference implementation by word enumeration (oracle for the DPs):
-    the one cell (n, M) of _bruteforce_cells, whose walk counts no shorter
-    words, so only the words of length n + 1 meet the limit."""
-    if q <= 0:
-        return CountB.empty(phi is not None)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _bruteforce_cells(T, phi, q, [M], n, limit, n_min=n)[M][-1]
-
-
-def _bruteforce_cells(T: TransitionSystem, phi: Potential | None, q: int,
-                      M_list: Sequence[int], N: int, limit: int = 2_000_000,
-                      n_min: int = 1) -> dict[int, list[CountB]]:
-    """CountB of every cell (n, M) with n_min <= n <= N, by enumerating words.
-
-    One depth-first walk from each low state, in state order, visits every
-    admissible word of length <= N + 1.  Each prefix carries its low visits
-    (at every coordinate but the last) and its edge weights, each weight
-    computed once per edge.  A word of length n + 1 with a low endpoint counts
-    in every cell (n, M) with visits * M <= n + 1, and its Birkhoff sum is one
-    math.fsum over its n edge weights, taken in word order.  Errors come as
-    the cells raise them one n after the other: a refusal when a word of
-    length n + 1 follows the `limit`-th one that ends low (where an ordered
-    enumeration capped at `limit` stops short), else the first failing sum
-    of that length.
-    """
-    lowset = set(T.states_up_to(q))
-    with_phi = phi is not None
-
-    @cache
-    def step(u):
-        # whether u is low, and its successors v in reverse state order, each
-        # with the weight of the edge u -> v or the error that weight raises
-        edges = []
-        for v in reversed(T.successors(u)):
-            try:
-                edges.append((v, phi.edge_weight(u, v) if with_phi else None, None))
-            except Exception as exc:
-                edges.append((v, None, exc))
-        return u in lowset, edges
-
-    M_low = min(M_list)
-    counts = {M: [0] * (N + 1) for M in M_list}
-    bests = {M: [LOG_ZERO] * (N + 1) for M in M_list}
-    ends = [0] * (N + 2)  # words with a low endpoint, per length
-    failed: dict[int, Exception] = {}
-    top, refused = N + 1, None  # a refusal at length k stops the walk below k
-    # (last state, length, edge weights, first failing edge, low visits
-    # at every coordinate but the last)
-    stack = [(u, 1, (), None, 0) for u in reversed(T.states_up_to(q))]
-    while stack:
-        u, k, ws, err, visits = stack.pop()
-        if k > top:
-            continue
-        low, edges = step(u)
-        n = k - 1
-        if n >= n_min:
-            if ends[k] >= limit:
-                top, refused = n, n
-                if n <= n_min:
-                    break
-                continue
-            if low:
-                ends[k] += 1
-                if visits * M_low <= k:
-                    total = None
-                    if err is not None:
-                        failed.setdefault(n, err)
-                    elif with_phi and n not in failed:
-                        try:
-                            total = math.fsum(ws)
-                        except Exception as exc:  # raised below, in cell order
-                            failed[n] = exc
-                    for M in counts:
-                        if visits * M <= k:
-                            counts[M][n] += 1
-                            if total is not None:
-                                bests[M][n] = max(bests[M][n], total / n)
-        if k < top:
-            visits += low
-            for v, wt, verr in edges:
-                if err is None and with_phi:
-                    stack.append((v, k + 1, ws + (wt,), verr, visits))
-                else:
-                    stack.append((v, k + 1, ws, err, visits))
-    for n in range(n_min, N + 1):
-        if n == refused:
-            raise EnumerationRefusal("brute-force cylinder count hit its limit")
-        if n in failed:
-            raise failed[n]
-    return {M: [CountB(c, math.log(c) if c else LOG_ZERO, z if with_phi else None)
-                for c, z in zip(counts[M][n_min:], bests[M][n_min:])]
-            for M in M_list}
 
 
 # -- profiles -------------------------------------------------------------------------

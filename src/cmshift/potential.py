@@ -5,7 +5,7 @@ the first m symbols of a point.  Weights come from an explicit table over
 admissible m-words, an optional pattern fallback for families too large to
 tabulate, and a default for everything else.  Variations vanish beyond the
 memory, so summable variations holds by construction and the distortion
-constant is a finite sum.
+constant is a finite sum.  cmshift.oracle keeps its own window rule.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .shift import EnumerationRefusal, State, TransitionSystem, Word, is_admissible
+from .shift import TransitionSystem, Word, is_admissible
 
 __all__ = [
     "PotentialError", "InadmissibleWordError",
@@ -75,17 +75,6 @@ class Potential:
             if v is not None:
                 return v
         return self.default
-
-    def edge_weight(self, u: State, v: State) -> float:
-        """The window rule of the enumerative oracles: (u,) for memory 1,
-        (u, v) for memory 2, longer memories refused.  The DPs weigh the
-        edges of shift.index_graph's block graph instead."""
-        if self.memory == 1:
-            return self.weight((u,))
-        if self.memory == 2:
-            return self.weight((u, v))
-        raise EnumerationRefusal(
-            f"edge windows need a potential of memory <= 2 (got memory {self.memory})")
 
     def is_zero(self) -> bool:
         return (self.default == 0.0 and self.fallback is None

@@ -1,14 +1,14 @@
 """Transition systems for countable Markov shifts.
 
-States, admissible words, ordered enumeration, periodic points, shortest
-connectors, path counting between low-index states, and the indexed graphs
-the state DPs run on: the block graph that carries a potential's weights
-on its edges.  Periodic points and word enumeration serve as test oracles
-of those DPs.  Two realizations are
-provided: finite 0/1 transition matrices and bouquets of simple loops attached
-to a single root (always held with an explicit truncation of the loop
-lengths).  All systems are immutable after construction and every enumeration
-is deterministic, ordered by the state-order bijection.
+States, admissible words, shortest connectors, path counting between
+low-index states, and the indexed graphs the state DPs run on: the block
+graph that carries a potential's weights on its edges.  The word and
+periodic-point enumerations that check those DPs are in cmshift.oracle.  Two
+realizations are provided: finite 0/1 transition matrices and bouquets of
+simple loops attached to a single root (always held with an explicit
+truncation of the loop lengths).  All systems are immutable after
+construction and every listing is deterministic, ordered by the state-order
+bijection.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .numerics import count_push
 
@@ -24,9 +24,8 @@ __all__ = [
     "ShiftError", "UnknownStateError", "EnumerationRefusal", "ConnectorNotFound",
     "Root", "LoopVertex", "Plain", "ROOT", "State", "Word",
     "LoopCountFamily", "TransitionSystem", "FiniteShift", "BouquetShift",
-    "WordEnumeration", "FPropertyCount", "IndexedGraph",
-    "is_admissible", "enumerate_words", "periodic_points",
-    "shortest_connector", "f_property_count", "index_graph",
+    "FPropertyCount", "IndexedGraph",
+    "is_admissible", "shortest_connector", "f_property_count", "index_graph",
 ]
 
 
@@ -475,109 +474,6 @@ def is_admissible(T: TransitionSystem, w: Word) -> bool:
     for s in w:
         T.require(s)
     return all(T.has_edge(w[i], w[i + 1]) for i in range(len(w) - 1))
-
-
-def _as_predicate(T: TransitionSystem, flt) -> Callable[[State], bool] | None:
-    if flt is None:
-        return None
-    if callable(flt):
-        return flt
-    if isinstance(flt, (Root, LoopVertex, Plain)):
-        target = flt
-        return lambda s: s == target
-    allowed = set(flt)
-    return lambda s: s in allowed
-
-
-@dataclass(frozen=True)
-class WordEnumeration:
-    words: tuple[Word, ...]
-    exhaustive: bool
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
-
-
-def enumerate_words(T: TransitionSystem, length: int, start=None, end=None,
-                    limit: int = 100_000) -> WordEnumeration:
-    """All admissible words of the given length, in state-order lexicographic
-    order, passing the start/end filters, up to `limit` of them.
-
-    Filters may be None, a state, a collection of states, or a predicate.
-    The exhaustive flag reports whether the limit cut the enumeration short.
-    Systems with unbounded branching raise EnumerationRefusal (from the
-    successor materialization) naming the truncation parameter.
-    """
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    startp = _as_predicate(T, start)
-    endp = _as_predicate(T, end)
-    if length == 0:
-        empty_ok = startp is None and endp is None
-        return WordEnumeration(((),) if empty_ok else (), True)
-
-    if isinstance(start, (Root, LoopVertex, Plain)):
-        T.require(start)
-        roots: list[State] = [start]
-    else:
-        if T.state_count() > _BRANCH_CAP:
-            raise EnumerationRefusal(
-                f"word enumeration over {T.state_count()} states is unbounded "
-                "in practice; pass an explicit start state or a smaller "
-                "truncate_len")
-        roots = [s for s in T.states() if startp is None or startp(s)]
-
-    words: list[Word] = []
-
-    for ridx, first in enumerate(roots):
-        stack: list[tuple[Word, int]] = [((first,), 1)]
-        while stack:
-            word, k = stack.pop()
-            if k == length:
-                if endp is None or endp(word[-1]):
-                    words.append(word)
-                    if len(words) >= limit:
-                        # pending extensions or untried starts mean a real cut
-                        more = bool(stack) or ridx + 1 < len(roots)
-                        return WordEnumeration(tuple(words), not more)
-                continue
-            succ = T.successors(word[-1])
-            for s in reversed(succ):
-                stack.append((word + (s,), k + 1))
-    return WordEnumeration(tuple(words), True)
-
-
-def periodic_points(T: TransitionSystem, n: int, a: State,
-                    max_count: int = 1_000_000) -> list[Word]:
-    """Length-n words w with w[0] = a, admissible, and an admissible wrap edge
-    w[n-1] -> w[0]; each encodes one periodic point of period n through [a].
-
-    The enumeration is ordered and refuses (EnumerationRefusal) if the result
-    would exceed max_count.
-    """
-    if n < 1:
-        raise ValueError("period must be >= 1")
-    T.require(a)
-    out: list[Word] = []
-    stack: list[Word] = [(a,)]
-    while stack:
-        word = stack.pop()
-        if len(word) == n:
-            if T.has_edge(word[-1], a):
-                out.append(word)
-                if len(out) > max_count:
-                    raise EnumerationRefusal(
-                        f"more than {max_count} periodic words of period {n}")
-            continue
-        for s in reversed(T.successors(word[-1])):
-            stack.append(word + (s,))
-    out.sort(key=lambda w: tuple(T.order_index(s) for s in w))
-    return out
 
 
 def shortest_connector(T: TransitionSystem, a: State, b: State) -> Word:

@@ -3,8 +3,8 @@
 Two engines produce the weighted periodic-orbit sums Z_n (period-n points
 through a base state) and Z*_n (those returning for the first time at step
 n): a renewal convolution over per-length return weights, and a transfer DP
-over the block graphs of finite systems, with an
-enumeration of the periodic words as their oracle.  On top sit the growth-rate
+over the block graphs of finite systems; cmshift.oracle enumerates the
+periodic words as their reference.  On top sit the growth-rate
 estimators and the verdict operations: strong positive recurrence, uniform
 contraction (chi_per vs pressure), compact-return contraction profiles, and
 witness searches for the stronger contraction conditions.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from operator import add
 from typing import Sequence
 
@@ -22,15 +22,14 @@ from .numerics import (LOG_ZERO, TailFit, count_push, linear_fit,
                        linear_fit_with_log, logsumexp, maxplus_push,
                        reverse_edges, tail_window)
 from .potential import Potential, birkhoff_sum
-from .shift import (DP_STATE_CAP, ROOT, BouquetShift, EnumerationRefusal,
-                    IndexedGraph, LoopVertex, State, TransitionSystem, Word,
-                    index_graph)
+from .shift import (DP_STATE_CAP, ROOT, BouquetShift, IndexedGraph, LoopVertex,
+                    State, TransitionSystem, Word, index_graph)
 
 __all__ = [
     "PartitionSums", "PressureEstimate", "SprVerdict", "ChiPerResult",
     "InducedPressure", "RecurrenceClass",
     "CrcProfile", "Witness",
-    "analytic_pressure", "partition_sums_bruteforce", "partition_sums_renewal",
+    "analytic_pressure", "partition_sums_renewal",
     "partition_sums_transfer", "pressure_estimate", "chi_per", "ucs_check",
     "spr_check", "induced_pressure", "recurrence_classify",
     "crc_profile", "condition_witness_search",
@@ -64,94 +63,6 @@ class PartitionSums:
 
     def check_star_le_z(self, tol: float = 1e-9) -> bool:
         return all(zs <= z + tol for zs, z in zip(self.log_zstar, self.log_z))
-
-
-def partition_sums_bruteforce(T: TransitionSystem, phi: Potential, a: State,
-                              N: int, max_count: int = 2_000_000) -> PartitionSums:
-    """Exact sums over enumerated periodic words through a, up to horizon N.
-
-    One depth-first walk visits the admissible words w that start at a, in
-    state order.  Each prefix carries the weights of its in-word windows,
-    each weight computed once per window, and whether it has left a for good.
-    A word of length n whose wrap edge leads back to a is a period-n point:
-    its Birkhoff sum is one math.fsum over those weights and the wrap
-    windows, in the window order of birkhoff_sum(..., "periodic"), so it
-    equals that sum bit for bit.  Errors come as a period-by-period
-    enumeration raises them: the smallest period that fails, a refusal (more
-    than max_count words) before the first failing sum of that period.
-    """
-    if N < 1:
-        raise ValueError("horizon must be >= 1")
-    T.require(a)
-    m = phi.memory
-    weight = cache(phi.weight)
-
-    @cache
-    def step(u):
-        # whether u -> a closes a word, and the successors of u in reverse
-        # state order
-        return T.has_edge(u, a), T.successors(u)[::-1]
-
-    def grown(v, ws, err):
-        # in-word window weights of v from those of v[:-1], or the first failure
-        if err is None and len(v) >= m:
-            try:
-                return ws + (weight(v[-m:]),), None
-            except Exception as exc:
-                return ws, exc
-        return ws, err
-
-    counts = [0] * (N + 1)
-    terms: list[list[float]] = [[] for _ in range(N + 1)]
-    star_terms: list[list[float]] = [[] for _ in range(N + 1)]
-    failed: dict[int, Exception] = {}
-    top, refused = N, None  # a refusal at period n stops the walk below n
-    # (word, weights of its in-word windows, first failing window, first return)
-    stack = [((a,), *grown((a,), (), None), True)]
-    while stack:
-        w, ws, err, first = stack.pop()
-        n = len(w)
-        if n > top:
-            continue
-        closes, nexts = step(w[-1])
-        if closes:
-            counts[n] += 1
-            if counts[n] > max_count:
-                top, refused = n - 1, n
-                continue
-            if err is not None:
-                failed.setdefault(n, err)
-            elif n not in failed:
-                try:
-                    wrapped = ws + tuple(
-                        weight(tuple(w[(i + j) % n] for j in range(m)))
-                        for i in range(max(n - m + 1, 0), n))
-                except Exception as exc:  # raised below, in period order
-                    failed[n] = exc
-                else:
-                    try:
-                        total = math.fsum(wrapped)
-                    except ValueError:  # fsum of +inf and -inf
-                        failed[n] = ValueError(
-                            f"the weight of a period-{n} word through {a!r} is "
-                            "undefined: its windows weigh +inf and -inf")
-                    else:
-                        terms[n].append(total)
-                        if first:
-                            star_terms[n].append(total)
-        if n == top:
-            continue
-        for s in nexts:
-            v = w + (s,)
-            stack.append((v, *grown(v, ws, err), first and s != a))
-    for n in range(1, N + 1):
-        if n == refused:
-            raise EnumerationRefusal(f"more than {max_count} periodic words of period {n}")
-        if n in failed:
-            raise failed[n]
-    return PartitionSums(a, N, [logsumexp(t) for t in terms[1:]],
-                         [logsumexp(t) for t in star_terms[1:]], "brute-force",
-                         counts[1:], [len(t) for t in star_terms[1:]])
 
 
 def partition_sums_renewal(wstar: Sequence[float] | None = None,

@@ -10,14 +10,14 @@ import time
 from cmshift import (ROOT, BouquetShift, BouquetSpec, FiniteShift,
                      LoopCountFamily, Plain, Potential, PowerTail, TauSpec,
                      build_bouquet, build_preset, chi_per,
-                     condition_witness_search, count_B, count_B_bruteforce,
+                     condition_witness_search, count_B,
                      crc_profile, delta_profile, hinf_profile,
-                     induced_pressure, normalizing_C,
-                     partition_sums_bruteforce, partition_sums_renewal,
+                     induced_pressure, normalizing_C, partition_sums_renewal,
                      partition_sums_transfer, pressure_estimate,
                      recurrence_classify, spr_check, ucs_check)
 from cmshift.families import htop_solve, log_weight_sequence
 from cmshift.numerics import LOG_ZERO, renewal_pressure
+from cmshift.oracle import count_B_bruteforce, partition_sums_bruteforce
 
 LOG2 = math.log(2.0)
 

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
                          RunConfig, _fmt, _json_text, _write_csv, _write_text,
-                         compare_oracle, main, run_report)
-from cmshift.shift import (BouquetShift, FiniteShift, LoopCountFamily,
-                           enumerate_words)
+                         main, run_report)
+from cmshift.oracle import compare_oracle, enumerate_words
+from cmshift.shift import BouquetShift, FiniteShift, LoopCountFamily
 from cmshift.specio import ConfigError
 
 LOG2 = math.log(2.0)
@@ -273,6 +273,10 @@ def test_config_error_exit_codes(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"preset": "sec52-entry", "horizont": 10}))
     assert main(["report", "--config", str(cfgfile)]) == EXIT_CONFIG
+    # a config path that names no readable text file
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
+    for path in ("", str(tmp_path), str(tmp_path / "bytes.json")):
+        assert main(["report", "--preset", "sec52-entry", "--config", path]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("doc", [
@@ -321,6 +325,51 @@ def test_short_horizon_is_a_config_error(command, horizon, least, capsys):
 def test_shortest_accepted_horizons_run(command, horizon):
     assert main([command, "--preset", "sec52-entry", "--truncate", "5",
                  "--horizon", str(horizon), "--M", "2", "--q", "1"]) == EXIT_OK
+
+
+def test_flags_override_config_keys(tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"preset": "sec52-entry", "horizon": 12}))
+    for overridden, flags in (
+            (["--preset", "renewal-ones", "--horizon", "80"],
+             ["--preset", "renewal-ones", "--horizon", "80"]),
+            (["--horizon", "24"], ["--preset", "sec52-entry", "--horizon", "24"]),
+            ([], ["--preset", "sec52-entry", "--horizon", "12"])):
+        assert main(["pressure", "--config", str(cfgfile), *overridden]) == EXIT_OK
+        merged = capsys.readouterr().out
+        assert main(["pressure", *flags]) == EXIT_OK
+        assert merged == capsys.readouterr().out
+    assert merged == "pressure: 0 ± 0 (window (7, 12))\n"
+
+
+def test_tol_is_refused_as_a_flag_and_as_a_config_key(tmp_path, capsys):
+    # no verdict read it, so it is gone from the options and from report.json
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--preset", "sec52-entry", "--horizon", "12", "--tol", "0.5"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"preset": "sec52-entry", "horizon": 12, "tol": 1e-9}))
+    assert main(["report", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown config keys ['tol']\n"
+    report = run_report(RunConfig(preset="sec52-entry", horizon=12))
+    assert "tol" not in report["config"]
+    assert report["tolerances"] == {"spr_tol": report["spr"]["tol"]}
+
+
+def test_pressure_prints_its_fit_without_solving_the_analytic_root(monkeypatch, capsys):
+    # the root of this preset lies beyond the series budget; `pressure`
+    # prints only the fit, so it neither solves nor refuses the root
+    import cmshift.thermo as thermo
+
+    def never(*args, **kwargs):
+        raise AssertionError("pressure solved an analytic root it does not print")
+
+    monkeypatch.setattr(thermo, "renewal_pressure_from_power", never)
+    assert main(["pressure", "--preset", "sec53(beta=1.05,C=0.072878)",
+                 "--horizon", "40"]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "pressure: -0.0295160788899 ± 0.0039800252721 (window (21, 40))\n"
 
 
 def test_runconfig_strict_keys():
@@ -533,6 +582,29 @@ def test_bouquet_report_loads_numpy_for_its_fill(tmp_path):
     assert run.stdout.splitlines()[-1] == "True"
 
 
+def test_oracle_module_loads_only_for_the_oracle_subcommand():
+    # the enumerations are compiled only when `cmshift oracle` runs: neither
+    # the package, the CLI nor any other subcommand imports cmshift.oracle
+    code = ("import sys\n"
+            "import cmshift\n"
+            "from cmshift.cli import main\n"
+            "print('loaded', 'cmshift.oracle' in sys.modules)\n"
+            "for argv in (['report', '--preset', 'sec52-entry', '--horizon', '12'],\n"
+            "             ['pressure', '--preset', 'sec52-entry', '--horizon', '12'],\n"
+            "             ['spr', '--preset', 'sec53(beta=3,C=auto)', '--horizon', '12'],\n"
+            "             ['hinf', '--preset', 'sec52-entry', '--truncate', '5',\n"
+            "              '--horizon', '12']):\n"
+            "    assert main(argv) == 0\n"
+            "print('loaded', 'cmshift.oracle' in sys.modules)\n"
+            "assert main(['oracle', '--preset', 'renewal-ones', '--truncate', '5',\n"
+            "             '--horizon', '12', '--M', '2,3', '--q', '1']) == 0\n"
+            "print('loaded', 'cmshift.oracle' in sys.modules)\n")
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert [line for line in run.stdout.splitlines() if line.startswith("loaded ")] \
+        == ["loaded False", "loaded False", "loaded True"]
+
+
 def test_power_root_out_of_series_reach_is_refused(capsys):
     # C is about 1.5 / zeta(1.05), so the root sits near 2.8e-10 (mpmath),
     # where Li_1.05 needs far more than the 300000-term budget.  The partial
@@ -595,12 +667,12 @@ def test_chi_per_builds_no_periodic_words_at_any_memory(tmp_path, monkeypatch, c
     # each state.  Every potential is an edge weight on the state graph or on
     # its block graph, so chi_per runs the max-plus DP and builds no periodic
     # word list at any memory
-    import cmshift.shift
+    import cmshift.oracle
 
     def never(*args, **kwargs):
         raise AssertionError("periodic words were enumerated")
 
-    monkeypatch.setattr(cmshift.shift, "periodic_points", never)
+    monkeypatch.setattr(cmshift.oracle, "periodic_points", never)
     shift = {"kind": "finite", "matrix": [[1, 1, 1]] * 3}
     (tmp_path / "shift.json").write_text(json.dumps(shift))
     argv = ["report", "--shift", str(tmp_path / "shift.json"),
@@ -619,8 +691,9 @@ def test_memory3_weights_run_every_edge_weight_dp(tmp_path, capsys):
     # a weighted memory-3 potential is an edge weight on the 2-block graph:
     # the transfer sums, chi_per, the contraction profile and the delta grid
     # all run there and equal an enumeration of the words
-    from cmshift import FiniteShift, Plain, partition_sums_bruteforce
+    from cmshift import FiniteShift, Plain
     from cmshift.numerics import linear_fit, tail_window
+    from cmshift.oracle import partition_sums_bruteforce
     from cmshift.specio import load_potential
 
     shift = {"kind": "finite", "matrix": [[1, 1, 1]] * 3}
@@ -806,11 +879,12 @@ def test_compare_oracle_rows_structure():
 
 def test_oracle_mismatch_exits_with_invariant_code(monkeypatch, capsys):
     import cmshift.cli as climod
+    import cmshift.oracle
 
     def fake_compare(cfg):
         return [("logZ", 1, 0.0, 1.0, 1.0, "FAIL")], False
 
-    monkeypatch.setattr(climod, "compare_oracle", fake_compare)
+    monkeypatch.setattr(cmshift.oracle, "compare_oracle", fake_compare)
     code = climod.main(["oracle", "--preset", "renewal-ones", "--truncate", "4"])
     assert code == 4
     assert "invariant breach" in capsys.readouterr().err

@@ -11,9 +11,10 @@ from cmshift import (ROOT, BouquetRealizationError, BouquetSpec,
                      GeometricTail, LoopCountFamily, LoopVertex, PowerTail,
                      TauSpec, build_bouquet, build_preset, chi_per,
                      htop_solve, induced_pressure, normalizing_C,
-                     partition_sums_bruteforce, preset_names, zeta)
+                     preset_names, zeta)
 from cmshift.families import (ZetaDivergenceError, log_weight_sequence,
                               parse_preset)
+from cmshift.oracle import partition_sums_bruteforce
 
 LOG2 = math.log(2.0)
 

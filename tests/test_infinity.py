@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, Plain, Potential, TauSpec, bouquet_hinf_oracle,
-                     build_bouquet, build_preset, count_B, count_B_bruteforce,
-                     delta_profile, enumerate_words, hinf_profile, profile_pair)
-from cmshift.infinity import (CountB, _bruteforce_cells, _composition_fill,
+                     build_bouquet, build_preset, count_B,
+                     delta_profile, hinf_profile, profile_pair)
+from cmshift.infinity import (CountB, _composition_fill,
                               _count_B_sweep, _loop_runs, _read_off)
 from cmshift.numerics import LOG_ZERO
+from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
+                            enumerate_words)
 from cmshift.shift import SWEEP_STATE_CAP, index_graph
 
 LOG2 = math.log(2.0)
@@ -538,7 +540,7 @@ def _cells_per_word(T, phi, q, M_list, n, limit=2_000_000):
         visits = sum(1 for s in w[:n] if s in low)
         if visits * min(M_list) <= n + 1:
             s = None if phi is None else \
-                math.fsum(phi.edge_weight(w[i], w[i + 1]) for i in range(n))
+                math.fsum(_edge_weight(phi, w[i], w[i + 1]) for i in range(n))
             scored.append((visits, s))
     cells = {}
     for M in M_list:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, LoopVertex, Plain, UnknownStateError,
-                     enumerate_words, f_property_count, is_admissible,
-                     periodic_points, shortest_connector)
+                     f_property_count, is_admissible, shortest_connector)
+from cmshift.oracle import enumerate_words, periodic_points
 from cmshift.shift import TransitionSystem, index_graph
 
 

@@ -13,16 +13,15 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      Plain, Potential, PowerTail, UnknownStateError,
                      analytic_pressure, birkhoff_sum,
                      build_preset, chi_per, condition_witness_search, crc_profile,
-                     enumerate_words,
-                     induced_pressure, is_admissible,
-                     normalizing_C, partition_sums_bruteforce,
+                     induced_pressure, is_admissible, normalizing_C,
                      partition_sums_renewal, partition_sums_transfer,
-                     periodic_points, pressure_estimate, recurrence_classify,
+                     pressure_estimate, recurrence_classify,
                      spr_check, ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
 from cmshift import numerics
 from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
+from cmshift.oracle import enumerate_words, partition_sums_bruteforce, periodic_points
 from cmshift.thermo import _max_birkhoff_low_to_low, renewal_pressure_from_power
 
 LOG2 = math.log(2.0)
@@ -620,12 +619,12 @@ def test_chi_per_max_plus_builds_no_periodic_words(monkeypatch):
     # a 32-state shift at period 40 has far too many periodic words to list;
     # the max-plus route scores one candidate per (period, anchor), on the
     # block graph for memory 3 too
-    import cmshift.shift
+    import cmshift.oracle
 
     def never(*args, **kwargs):
         raise AssertionError("periodic words were enumerated")
 
-    monkeypatch.setattr(cmshift.shift, "periodic_points", never)
+    monkeypatch.setattr(cmshift.oracle, "periodic_points", never)
     rng = random.Random(11)
     S = 32
     matrix = [[int(j == (i + 1) % S) for j in range(S)] for i in range(S)]
