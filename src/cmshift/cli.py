@@ -173,8 +173,9 @@ def _json_text(obj, pad: str = "\n") -> str:
     """obj as indented JSON with sorted keys, floats at 12 significant digits
     and the non-finite ones as the strings of _fmt; pad starts each line of
     obj's items.  An int too long for decimal text is the exact hex string
-    "0x...", and any other object is its str.  The items of a list or dict
-    that are leaves are written by _JSON_LEAVES in one pass."""
+    "0x...", and any other object is its str.  A list of leaves, and a list
+    of equally long lists or tuples of leaves, is written a column at a time
+    by _leaf_texts."""
     leaf = _JSON_LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
@@ -182,9 +183,8 @@ def _json_text(obj, pad: str = "\n") -> str:
         if not obj:
             return "[]"
         inner = pad + "  "
-        get = _JSON_LEAVES.get
-        items = [leaf(v) if (leaf := get(type(v))) else _json_text(v, inner)
-                 for v in obj]
+        items = _leaf_texts(obj) or _table_texts(obj, inner) \
+            or [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -199,6 +199,46 @@ def _json_text(obj, pad: str = "\n") -> str:
         if isinstance(obj, base):
             return _JSON_LEAVES[base](obj)
     return encode_basestring_ascii(str(obj))
+
+
+def _leaf_texts(col) -> list[str] | None:
+    """The JSON texts of a non-empty list or tuple of leaves, or None if an
+    item is a list, tuple or dict.  A column of one exact type is one map of
+    its _JSON_LEAVES rule, an int column one map of int.__repr__ unless an
+    int is past the decimal limit; any other column goes item by item."""
+    types = set(map(type, col))
+    if len(types) == 1:
+        kind = next(iter(types))
+        if kind is int:
+            try:
+                return list(map(int.__repr__, col))
+            except ValueError:  # above sys.get_int_max_str_digits()
+                pass
+        leaf = _JSON_LEAVES.get(kind)
+        if leaf is not None:
+            return list(map(leaf, col))
+    if any(issubclass(t, (list, tuple, dict)) for t in types):
+        return None
+    get = _JSON_LEAVES.get
+    return [leaf(v) if (leaf := get(type(v))) else _json_text(v) for v in col]
+
+
+def _table_texts(rows, pad: str) -> list[str] | None:
+    """The JSON texts of rows, lists or tuples of one nonzero length whose
+    items are leaves, rendered a column at a time; pad starts each row.
+    None for any other list."""
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1 \
+            or not rows[0]:
+        return None
+    texts = []
+    for col in zip(*rows):
+        text = _leaf_texts(col)
+        if text is None:
+            return None
+        texts.append(text)
+    inner = pad + "  "
+    row = ("[" + inner + "{}" + pad + "]").format
+    return list(map(row, map(("," + inner).join, zip(*texts))))
 
 
 def _json_key(key) -> str:
@@ -229,14 +269,36 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """rows as CSV cells of _fmt under header; rows of one nonzero length are
+    written a column at a time."""
+    if len(set(map(len, rows))) == 1 and rows[0]:
+        _write_text(path, _csv_text(header, list(zip(*rows))))
+        return
     lines = [",".join(header)]
     lines += [",".join([_fmt(x) for x in row]) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _csv_text(header: list[str], columns: list) -> str:
+    """The CSV text of equally long columns: a column of one exact type
+    float, int or None is mapped in C (.12g text, decimal text, empty), any
+    other column cell by cell by _fmt."""
+    texts = []
+    for col in columns:
+        types = set(map(type, col))
+        kind = next(iter(types)) if len(types) == 1 else None
+        texts.append(map("%.12g".__mod__, col) if kind is float
+                     else map(int.__repr__, col) if kind is int
+                     else [""] * len(col) if kind is type(None)
+                     else map(_fmt, col))
+    return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
+
+
 def _write_profile_csv(outdir: Path, key: str, rows: list) -> None:
-    _write_csv(outdir / f"profile_{key}.csv", ["n", "M", "q", "log_z", "z_phi"],
-               [(r[0], r[1], r[2], r[4], r[5]) for r in rows])
+    columns = list(zip(*rows)) or [()] * 6
+    _write_text(outdir / f"profile_{key}.csv",
+                _csv_text(["n", "M", "q", "log_z", "z_phi"],
+                          [columns[i] for i in (0, 1, 2, 4, 5)]))
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -596,8 +658,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         _print_summary(report, cfg.log2)
         return EXIT_OK
     if args.command == "oracle":
-        from .oracle import compare_oracle  # the enumerations load only here
+        # the enumerations load only here
+        from .oracle import _ORACLE_HORIZON_CAP, compare_oracle
         rows, ok = compare_oracle(cfg)
+        if cfg.horizon > _ORACLE_HORIZON_CAP:
+            print(f"note: oracle compares n <= _ORACLE_HORIZON_CAP = "
+                  f"{_ORACLE_HORIZON_CAP}; --horizon {cfg.horizon} was clipped",
+                  file=sys.stderr)
         if cfg.out:
             _write_csv(_out_dir(cfg) / "oracle.csv",
                        ["quantity", "n", "enumerated", "dp", "rel_err", "status"],

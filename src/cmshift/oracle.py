@@ -75,9 +75,9 @@ def enumerate_words(T: TransitionSystem, length: int, start=None, end=None,
     else:
         if T.state_count() > _BRANCH_CAP:
             raise EnumerationRefusal(
-                f"word enumeration over {T.state_count()} states is unbounded "
-                "in practice; pass an explicit start state or a smaller "
-                "truncate_len")
+                f"word enumeration over {T.state_count()} states is above "
+                f"_BRANCH_CAP = {_BRANCH_CAP}; pass an explicit start state or a "
+                "smaller truncate_len")
         roots = [s for s in T.states() if startp is None or startp(s)]
     words: list[Word] = []
     for ridx, first in enumerate(roots):
@@ -319,7 +319,8 @@ def _bruteforce_cells(T: TransitionSystem, phi: Potential | None, q: int,
                     stack.append((v, k + 1, ws, err, visits))
     for n in range(n_min, N + 1):
         if n == refused:
-            raise EnumerationRefusal("brute-force cylinder count hit its limit")
+            raise EnumerationRefusal(f"brute-force cylinder count hit its limit "
+                                     f"of {limit} words at n={n}")
         if n in failed:
             raise failed[n]
     return {M: [infinity.CountB(c, math.log(c) if c else LOG_ZERO, z if with_phi else None)

@@ -336,8 +336,9 @@ class BouquetShift(TransitionSystem):
         total = sum(self.a.count(n) for n in self._support if n >= 2)
         if total > _BRANCH_CAP:
             raise EnumerationRefusal(
-                f"the root has {total} successors at truncate_len={self.truncate_len}; "
-                "use the composition/abstract routes or a smaller truncate_len")
+                f"the root has {total} successors at truncate_len={self.truncate_len}, "
+                f"above _BRANCH_CAP = {_BRANCH_CAP}; use the composition/abstract "
+                "routes or a smaller truncate_len")
         out: list[State] = []
         if self.a.count(1) >= 1:
             out.append(ROOT)

@@ -157,6 +157,11 @@ def _json_ready(obj):
         return {k: _json_ready(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        try:
+            int.__repr__(obj)
+        except ValueError:  # past the decimal limit: the exact hex string
+            return hex(obj)
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     return str(obj)
@@ -192,10 +197,37 @@ _JSON_SCALARS = st.one_of(
     st.sampled_from(["\"\\\n\t\x00\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]),
     st.sampled_from([Path("a/b"), complex(1, -2), range(3)]),
     st.sampled_from(_SUBCLASSED))
+# one odd item in an otherwise uniform column: a non-finite float, or an
+# int past the decimal limit (written as hex)
+_ODD_LEAVES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.integers(min_value=0).map(lambda k: 10 ** 4300 + k))
+
+
+@st.composite
+def _tables(draw, leaves, odd):
+    # rows of one length, each a list or a tuple; every column draws its
+    # items from one strategy of leaves, and some put one odd item among them
+    width = draw(st.integers(min_value=1, max_value=4))
+    height = draw(st.integers(min_value=1, max_value=5))
+    columns = []
+    for _ in range(width):
+        column = draw(st.lists(draw(leaves), min_size=height, max_size=height))
+        if draw(st.booleans()):
+            column[draw(st.integers(min_value=0, max_value=height - 1))] = draw(odd)
+        columns.append(column)
+    return [draw(st.sampled_from([list, tuple]))(row) for row in zip(*columns)]
+
+
+_JSON_COLUMNS = st.sampled_from([
+    _FLOATS, st.floats(allow_nan=False, allow_infinity=False),
+    st.floats().map(np.float64), st.integers(),
+    st.integers(min_value=2**64).map(lambda k: k ** 40), st.booleans(),
+    st.just(_SUBCLASSED[1]), st.none(), st.text(max_size=3)])
 _JSON_DOCS = st.recursive(
     st.one_of(_JSON_SCALARS, st.just([-0.0, 0.0]),
               # one float object in several lists
-              _FLOATS.map(lambda x: [[x], [x, x], {"x": x}, (x,)])),
+              _FLOATS.map(lambda x: [[x], [x, x], {"x": x}, (x,)]),
+              _tables(_JSON_COLUMNS, _ODD_LEAVES)),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=3), inner, max_size=4),
@@ -216,8 +248,14 @@ _CSV_CELLS = st.one_of(st.none(), st.booleans(), _FLOATS, st.integers(),
                        st.text(max_size=4), st.sampled_from([Path("a/b"), (1, 2)]))
 
 
+_CSV_COLUMNS = st.sampled_from([
+    _FLOATS, st.floats(allow_nan=False, allow_infinity=False), st.integers(),
+    st.integers(min_value=2**64).map(lambda k: k ** 40), st.none(), _CSV_CELLS])
+
+
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.lists(_CSV_CELLS, max_size=6).map(tuple), max_size=6))
+@given(rows=st.one_of(st.lists(st.lists(_CSV_CELLS, max_size=6).map(tuple), max_size=6),
+                      _tables(_CSV_COLUMNS, st.sampled_from([math.nan, math.inf, -math.inf]))))
 def test_write_csv_equals_the_isinstance_route(tmp_path, rows):
     path = tmp_path / "rows.csv"
     _write_csv(path, ["a", "b"], rows)
@@ -237,10 +275,12 @@ _FOUR_STATES = ({"kind": "finite",
                         ((4, 2), -1.9), ((4, 4), -0.3))]})
 
 
-@pytest.mark.parametrize("case", ["renewal-ones", "sec53", "finite"])
+@pytest.mark.parametrize("case", ["renewal-ones", "sec53", "finite", "renewal-ones-csv"])
 def test_written_files_are_the_oracle_rendering_of_the_report(tmp_path, case):
     out = tmp_path / "out"
-    if case == "finite":
+    if case == "renewal-ones-csv":
+        cfg = RunConfig(preset="renewal-ones", horizon=160, out=str(out), format="csv")
+    elif case == "finite":
         specs = _write_specs(tmp_path, *_FOUR_STATES)
         cfg = RunConfig(shift=specs[1], potential=specs[3], horizon=24, out=str(out))
     elif case == "sec53":
@@ -251,10 +291,14 @@ def test_written_files_are_the_oracle_rendering_of_the_report(tmp_path, case):
         cfg = RunConfig(preset=case, horizon=160, out=str(out))
     report = run_report(cfg)
     seq = report["sequences"]
-    expected = {
-        "report.json": _oracle_json(report),
-        "sums.json": _oracle_json({k: seq[k] for k in ("n", "logZ", "logZstar")}),
-    }
+    expected = {"report.json": _oracle_json(report)}
+    if cfg.format == "csv":
+        expected["sums.csv"] = "\n".join(
+            ["n,logZ,logZstar"] + [",".join(map(_old_fmt, r)) for r in
+                                   zip(seq["n"], seq["logZ"], seq["logZstar"])])
+    else:
+        expected["sums.json"] = _oracle_json(
+            {k: seq[k] for k in ("n", "logZ", "logZstar")})
     for key in ("hinf", "delta"):
         rows = report["profiles"][key]["rows"]
         expected[f"profile_{key}.csv"] = "\n".join(
@@ -834,6 +878,20 @@ def test_oracle_subcommand_passes(tmp_path, capsys):
     assert code == EXIT_OK
     assert "all rows pass" in capsys.readouterr().out
     assert (tmp_path / "oracle.csv").exists()
+
+
+def test_oracle_notes_a_clipped_horizon_on_stderr(capsys):
+    # standard output is the table of n <= 12 either way; only a horizon
+    # past the cap adds the note
+    argv = ["oracle", "--preset", "renewal-ones", "--truncate", "4", "--M", "2"]
+    assert main(argv + ["--horizon", "12"]) == EXIT_OK
+    at_cap = capsys.readouterr()
+    assert main(argv + ["--horizon", "20"]) == EXIT_OK
+    clipped = capsys.readouterr()
+    assert at_cap.err == ""
+    assert clipped.out == at_cap.out and clipped.out.endswith("all rows pass\n")
+    assert clipped.err == ("note: oracle compares n <= _ORACLE_HORIZON_CAP = 12; "
+                           "--horizon 20 was clipped\n")
 
 
 def test_oracle_refuses_large_truncation(capsys):

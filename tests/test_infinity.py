@@ -534,7 +534,8 @@ def _cells_per_word(T, phi, q, M_list, n, limit=2_000_000):
     low = set(T.states_up_to(q))
     words = enumerate_words(T, n + 1, start=low, end=low, limit=limit)
     if not words.exhaustive:
-        raise EnumerationRefusal("brute-force cylinder count hit its limit")
+        raise EnumerationRefusal(f"brute-force cylinder count hit its limit "
+                                 f"of {limit} words at n={n}")
     scored = []
     for w in words:
         visits = sum(1 for s in w[:n] if s in low)
@@ -616,15 +617,14 @@ def test_count_B_bruteforce_refuses_at_its_limit(full3):
     assert count_B_bruteforce(full3, None, 1, 1, 3, limit=9).count == 9
     assert count_B_bruteforce(full3, None, 1, 2, 2, limit=5).count == 4
     for n, M, q, limit in ((1, 1, 3, 8), (2, 2, 2, 5), (1, 2, 1, 1)):
-        with pytest.raises(EnumerationRefusal,
-                           match="^brute-force cylinder count hit its limit$"):
+        refusal = f"^brute-force cylinder count hit its limit of {limit} words at n={n}$"
+        with pytest.raises(EnumerationRefusal, match=refusal):
             count_B_bruteforce(full3, None, n, M, q, limit=limit)
-        with pytest.raises(EnumerationRefusal,
-                           match="^brute-force cylinder count hit its limit$"):
+        with pytest.raises(EnumerationRefusal, match=refusal):
             _cells_per_word(full3, None, q, [M], n, limit)
     # cells of shorter words refuse too when the grid holds them
     with pytest.raises(EnumerationRefusal,
-                       match="^brute-force cylinder count hit its limit$"):
+                       match="^brute-force cylinder count hit its limit of 5 words at n=2$"):
         _bruteforce_cells(full3, None, 2, [2], 3, limit=5)
     with pytest.raises(ValueError, match="n must be >= 1"):
         count_B_bruteforce(full3, None, 0, 2, 1)
@@ -645,7 +645,7 @@ def test_bruteforce_cells_fail_in_cell_order():
         assert _outcome(_bruteforce_cells, T, phi, 2, [1, 2], N, limit) \
             == _outcome(_grid_per_word, T, phi, 2, [1, 2], N, limit) == (KeyError, None)
     assert _outcome(count_B_bruteforce, T, phi, 2, 1, 2, 4) \
-        == (EnumerationRefusal, "brute-force cylinder count hit its limit")
+        == (EnumerationRefusal, "brute-force cylinder count hit its limit of 4 words at n=2")
     # with M = 3 the word (2, 2) passes no cell, so its weight is never read
     assert _bruteforce_cells(T, phi, 2, [3], 1)[3][0].count == 0
 

@@ -307,9 +307,11 @@ def test_untruncated_bouquet_needs_truncation():
 def test_huge_branching_refused_with_truncation_hint():
     fam = LoopCountFamily("geometric", ratio=2, a1=1)
     T = BouquetShift(fam, truncate_len=25)
-    with pytest.raises(EnumerationRefusal, match="truncate_len"):
+    with pytest.raises(EnumerationRefusal,
+                       match="above _BRANCH_CAP = 200000; .* smaller truncate_len$"):
         enumerate_words(T, 3, limit=10)
-    with pytest.raises(EnumerationRefusal):
+    with pytest.raises(EnumerationRefusal, match="^the root has [0-9]+ successors at "
+                       "truncate_len=25, above _BRANCH_CAP = 200000; "):
         periodic_points(T, 4, ROOT)
 
 
