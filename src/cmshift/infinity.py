@@ -27,9 +27,10 @@ sums are one np.fmax reduction over every length.  Every other system
 runs one forward state sweep over (low visits so far, state), each visit
 layer pushed by the two step kernels numerics.count_push and maxplus_push.
 A single count_B is the one-cell case of the same fill, and profile_pair
-fits both profiles from one weighted fill per q.  The reference cells, one
-walk over the words themselves that scores each word on its own, are in
-cmshift.oracle.
+fits both profiles from one weighted fill per q.  A profile keeps the fill
+as one CountB column per (M, q); the fits, the count diagnostics and cell()
+read those columns.  The reference cells, one walk over the words
+themselves that scores each word on its own, are in cmshift.oracle.
 """
 
 from __future__ import annotations
@@ -281,15 +282,17 @@ def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) 
 class InfinityProfile:
     """Grid of boundary-cylinder data with per-(M, q) tail fits.
 
-    rows hold (n, M, q, count, log_count, z_phi); the headline estimate is the
-    fitted slope at the largest grid point (max q, then max M), whose reported
-    uncertainty adds half the gap to the neighbouring M-slope as a
-    finite-M term.  For the contraction profile the estimate is the maximum
-    window value of z_phi at the largest grid point.
+    columns hold the CountB of n = 1..N per (M, q), q-major in grid order;
+    rows flattens them to (n, M, q, count, log_count, z_phi), with z_phi None
+    in the entropy profile.  The headline estimate is the fitted slope at the
+    largest grid point (max q, then max M), whose reported uncertainty adds
+    half the gap to the neighbouring M-slope as a finite-M term.  For the
+    contraction profile the estimate is the maximum window value of z_phi at
+    the largest grid point.
     """
 
     kind: str  # 'entropy' | 'contraction'
-    rows: list[tuple]
+    columns: dict[tuple[int, int], list[CountB]]
     fits: dict
     estimate: float
     uncertainty: float
@@ -300,11 +303,18 @@ class InfinityProfile:
     band: float | None = None
     ci_verdict: str | None = None
 
+    @property
+    def rows(self) -> list[tuple]:
+        return [self.cell(n, M, q) for (M, q), col in self.columns.items()
+                for n in range(1, len(col) + 1)]
+
     def cell(self, n: int, M: int, q: int) -> tuple:
-        for row in self.rows:
-            if row[0] == n and row[1] == M and row[2] == q:
-                return row
-        raise KeyError((n, M, q))
+        col = self.columns.get((M, q), [])
+        if not 1 <= n <= len(col):
+            raise KeyError((n, M, q))
+        cb = col[n - 1]
+        return (n, M, q, cb.count, cb.log_count,
+                cb.z_phi if self.kind == "contraction" else None)
 
     def slope(self, M: int, q: int):
         return self.fits[(M, q)]
@@ -321,46 +331,9 @@ def _profile_window(N: int, min_points: int = 4) -> list[int]:
     return list(range(start, N + 1))
 
 
-def _grid_rows(T, phi, q_list, M_list, N):
-    rows = []
-    for q in q_list:
-        cells = _grid_cells(T, phi, q, M_list, N)
-        for M in M_list:
-            for n, cb in enumerate(cells[M], start=1):
-                rows.append((n, M, q, cb.count, cb.log_count, cb.z_phi))
-    return rows
-
-
-def _monotone_M_check(rows, q_list, M_list, N):
-    violations = []
-    Ms = sorted(M_list)
-    table = {(r[0], r[1], r[2]): r[3] for r in rows}
-    for q in q_list:
-        for n in range(1, N + 1):
-            for lo, hi in zip(Ms, Ms[1:]):
-                if table[(n, hi, q)] > table[(n, lo, q)]:
-                    violations.append((n, lo, hi, q))
-    return violations
-
-
-def _q_direction_diagnostics(rows, q_list, M_list, N):
-    """Cells where the count grows with q at fixed (n, M).
-
-    The limiting rates are non-increasing in q, but finite-horizon counts need
-    not be; these are reported for inspection, never asserted.
-    """
-    notes = []
-    qs = sorted(q_list)
-    table = {(r[0], r[1], r[2]): r[3] for r in rows}
-    for M in M_list:
-        for n in range(1, N + 1):
-            for lo, hi in zip(qs, qs[1:]):
-                if table[(n, M, hi)] > table[(n, M, lo)]:
-                    notes.append((n, M, lo, hi))
-    return notes
-
-
-def _check_grid(q_list, M_list, N) -> None:
+def _grid(T, phi, q_list, M_list, N) -> tuple[dict, tuple[list, list]]:
+    """The columns of a checked grid, filled once per q, and their count
+    diagnostics."""
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
     if min(M_list) < 1 or min(q_list) < 1:
@@ -369,6 +342,25 @@ def _check_grid(q_list, M_list, N) -> None:
         raise ValueError("M and q values must be distinct")
     if N < MIN_PROFILE_HORIZON:
         raise ValueError("horizon too small to fit")
+    columns = {(M, q): col for q in q_list
+               for M, col in _grid_cells(T, phi, q, M_list, N).items()}
+    return columns, _count_diagnostics(columns, q_list, M_list, N)
+
+
+def _count_diagnostics(columns, q_list, M_list, N) -> tuple[list, list]:
+    """Cells whose count grows with M at fixed (n, q), as (n, M_lo, M_hi, q),
+    and cells whose count grows with q at fixed (n, M), as (n, M, q_lo, q_hi).
+
+    The first break the M-monotonicity of the counts.  The limiting rates
+    are non-increasing in q, but finite-horizon counts need not be; the
+    second are reported for inspection, never asserted.
+    """
+    Ms, qs = sorted(M_list), sorted(q_list)
+    by_M = [(n + 1, lo, hi, q) for q in q_list for n in range(N) for lo, hi in zip(Ms, Ms[1:])
+            if columns[hi, q][n].count > columns[lo, q][n].count]
+    by_q = [(n + 1, M, lo, hi) for M in M_list for n in range(N) for lo, hi in zip(qs, qs[1:])
+            if columns[M, hi][n].count > columns[M, lo][n].count]
+    return by_M, by_q
 
 
 def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
@@ -381,24 +373,14 @@ def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
     the slope at the largest (q, M); its uncertainty includes the spread to
     the neighbouring M as a finite-M proxy.
     """
-    _check_grid(q_list, M_list, N)
-    rows = _grid_rows(T, None, q_list, M_list, N)
-    return _entropy_fit(rows, q_list, M_list, N, _count_diagnostics(rows, q_list, M_list, N))
+    return _entropy_fit(*_grid(T, None, q_list, M_list, N), q_list, M_list, N)
 
 
-def _count_diagnostics(rows, q_list, M_list, N) -> tuple[list, list]:
-    return (_monotone_M_check(rows, q_list, M_list, N),
-            _q_direction_diagnostics(rows, q_list, M_list, N))
-
-
-def _entropy_fit(rows, q_list, M_list, N, diagnostics) -> InfinityProfile:
+def _entropy_fit(columns, diagnostics, q_list, M_list, N) -> InfinityProfile:
     window = _profile_window(N)
     lo, hi = window[0], window[-1]
-    fits = {}
-    for q in q_list:
-        for M in M_list:
-            ys = [r[4] for r in rows if r[1] == M and r[2] == q and lo <= r[0] <= hi]
-            fits[(M, q)] = linear_fit(window, ys)
+    fits = {key: linear_fit(window, [cb.log_count for cb in col[lo - 1:hi]])
+            for key, col in columns.items()}
     qmax, Mmax = max(q_list), max(M_list)
     head = fits[(Mmax, qmax)]
     estimate = head.slope
@@ -410,9 +392,9 @@ def _entropy_fit(rows, q_list, M_list, N, diagnostics) -> InfinityProfile:
         unc += 0.5 * gap
     if head.degenerate:
         estimate, unc = LOG_ZERO, math.inf
-        if all(r[3] == 0 for r in rows if r[1] == Mmax and r[2] == qmax):
+        if all(cb.count == 0 for cb in columns[Mmax, qmax]):
             unc = 0.0  # empty at every n: nothing at infinity
-    return InfinityProfile("entropy", rows, fits, estimate, unc, (lo, hi), *diagnostics)
+    return InfinityProfile("entropy", columns, fits, estimate, unc, (lo, hi), *diagnostics)
 
 
 def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
@@ -425,22 +407,17 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     (q, M) grid point; the band is the window spread.  An empty grid cell
     yields the verdict 'no-evidence' rather than a vacuous pass.
     """
-    _check_grid(q_list, M_list, N)
-    rows = _grid_rows(T, phi, q_list, M_list, N)
-    return _contraction_fit(rows, q_list, M_list, N, P, tol,
-                            _count_diagnostics(rows, q_list, M_list, N))
+    return _contraction_fit(*_grid(T, phi, q_list, M_list, N), q_list, M_list, N, P, tol)
 
 
-def _contraction_fit(rows, q_list, M_list, N, P, tol, diagnostics) -> InfinityProfile:
+def _contraction_fit(columns, diagnostics, q_list, M_list, N, P, tol) -> InfinityProfile:
     window = _profile_window(N)
     lo, hi = window[0], window[-1]
     fits = {}
-    for q in q_list:
-        for M in M_list:
-            zs = [r[5] for r in rows if r[1] == M and r[2] == q and lo <= r[0] <= hi]
-            finite = [z for z in zs if z is not None and math.isfinite(z)]
-            fits[(M, q)] = (max(finite) if finite else LOG_ZERO,
-                            (max(finite) - min(finite)) if finite else math.inf)
+    for key, col in columns.items():
+        finite = [cb.z_phi for cb in col[lo - 1:hi] if math.isfinite(cb.z_phi)]
+        fits[key] = (max(finite) if finite else LOG_ZERO,
+                     (max(finite) - min(finite)) if finite else math.inf)
     qmax, Mmax = max(q_list), max(M_list)
     estimate, band = fits[(Mmax, qmax)]
     if estimate == LOG_ZERO:
@@ -452,7 +429,7 @@ def _contraction_fit(rows, q_list, M_list, N, P, tol, diagnostics) -> InfinityPr
         verdict = "fails"
     else:
         verdict = "inconclusive"
-    return InfinityProfile("contraction", rows, fits, estimate,
+    return InfinityProfile("contraction", columns, fits, estimate,
                            band if math.isfinite(band) else math.inf, (lo, hi),
                            *diagnostics, pressure=P, band=band, ci_verdict=verdict)
 
@@ -463,16 +440,16 @@ def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     """hinf_profile and delta_profile of the same grid, from one weighted fill.
 
     The entropy profile is fitted from the counts of the delta profile's
-    rows: both routes count exactly in integers, so a weighted grid holds the
-    counts of the unweighted one even where the two take different routes (a
-    bouquet potential without loop totals at q = 1).  Both profiles are those
-    the two separate calls return; the count diagnostics of the delta
-    profile are those of the entropy one, so they are computed once.
+    columns: both routes count exactly in integers, so a weighted grid holds
+    the counts of the unweighted one even where the two take different
+    routes (a bouquet potential without loop totals at q = 1).  Both
+    profiles are those the two separate calls return; the count diagnostics
+    of the delta profile are those of the entropy one, so they are computed
+    once.
     """
     dp = delta_profile(T, phi, q_list, M_list, N, P, tol)
-    counts = [r[:5] + (None,) for r in dp.rows]
-    return _entropy_fit(counts, q_list, M_list, N,
-                        (dp.monotone_M_violations, dp.q_diagnostics)), dp
+    return _entropy_fit(dp.columns, (dp.monotone_M_violations, dp.q_diagnostics),
+                        q_list, M_list, N), dp
 
 
 def bouquet_hinf_oracle(a: LoopCountFamily) -> float:

@@ -6,8 +6,9 @@ n): a renewal convolution over per-length return weights, and a transfer DP
 over the block graphs of finite systems; cmshift.oracle enumerates the
 periodic words as their reference.  On top sit the growth-rate
 estimators and the verdict operations: strong positive recurrence, uniform
-contraction (chi_per vs pressure), compact-return contraction profiles, and
-witness searches for the stronger contraction conditions.
+contraction (chi_per vs pressure, chi_per read from the exact sums of its
+max-plus DP), compact-return contraction profiles, and witness searches for
+the stronger contraction conditions.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from functools import partial
 from operator import add
 from typing import Sequence
 
-from .numerics import (LOG_ZERO, TailFit, count_push, linear_fit,
+from .numerics import (LOG_ZERO, TailFit, _ratio, count_push, linear_fit,
                        linear_fit_with_log, logsumexp, maxplus_push,
                        reverse_edges, tail_window)
-from .potential import Potential, birkhoff_sum
+from .potential import Potential
 from .shift import (DP_STATE_CAP, ROOT, BouquetShift, IndexedGraph, LoopVertex,
                     State, TransitionSystem, Word, index_graph)
 
@@ -239,10 +240,21 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     The weights sit on the edges of the block graph, so the best closed
     walk through an anchor a at each period n is a max-plus DP (the (a, a)
     entries of the n-th max-plus power, cf. Karp 1978): one candidate per
-    (period, anchor), found in polynomial time.  The candidates are scored
-    by the periodic Birkhoff sum in (period, anchor) order, keeping strictly
-    greater averages only, so value and period are those of an enumeration
-    of every periodic word in that order.
+    (period, anchor), found in polynomial time.
+
+    The edge weights become integers over one power-of-two denominator, so
+    the DP's sums, maxima and ties are exact: g[k][i] is the best sum of a
+    k-edge walk from node i to u, and the candidate closes at the first
+    node u of the anchor (in lexicographic order) with the largest closed
+    walk.  Its average is that exact sum rounded once, then divided by n,
+    as math.fsum of its periodic Birkhoff sum would give, or +-inf past the
+    float range.  Candidates are taken in (period, anchor) order, keeping
+    strictly greater averages only, so value and period are those of an
+    enumeration of every periodic word in that order; only the winner's
+    word is read off, taking the first successor that stays optimal.
+    Edges of weight -inf or nan are dropped (walks over them never score
+    above -inf), and an edge of weight +inf outweighs every finite walk
+    (walks over it score +inf).
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -259,39 +271,15 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     anchors = T.states_up_to(q_cap) if q_cap else list(T.states())
     if isinstance(T, BouquetShift):
         anchors = anchors[:1]
-    best, best_w = -math.inf, None
-    for w in _best_closed_walks(T, phi, anchors, N):
-        avg = birkhoff_sum(T, phi, w, mode="periodic").value / len(w)
-        if avg > best:
-            best, best_w = avg, w
-    return ChiPerResult(best, len(best_w) if best_w else 0, best_w)
-
-
-def _best_closed_walks(T: TransitionSystem, phi: Potential, anchors: list[State],
-                       N: int) -> list[Word]:
-    """Per period n <= N, then per anchor a: the periodic word through a of
-    period n with the largest exact weight sum, state-order first on ties.
-
-    The walks close at a node u of a on the graph that carries phi's
-    weights on its edges, and the word is their first symbols.  The edge
-    weights become integers over one power-of-two denominator, so maxima and
-    ties are those of the exact sums, which math.fsum rounds monotonically:
-    the word scores what the best enumerated word of its (period, anchor)
-    scores.  g[k][i] is the best sum of a k-edge walk from node i to u; the
-    first u (in lexicographic order) with the largest closed walk wins, and
-    the walk is read off forwards, taking the first successor that stays
-    optimal.  Edges of weight -inf or nan are dropped (walks over them never
-    score above -inf), and an edge of weight +inf outweighs every finite
-    walk (walks over it score +inf).  The tables are filled by max-plus
-    steps along the reversed edges, with LOG_ZERO where no walk reaches u.
-    """
     graph = index_graph(T, DP_STATE_CAP, "max-plus chi_per", phi.memory)
     wsucc = [[(j, w) for j, w in js if w > -math.inf]  # not -inf, not nan
              for js in graph.weighted(phi)]
     ratios = {w: w.as_integer_ratio() for js in wsucc for _, w in js if w < math.inf}
     den = max((d for _, d in ratios.values()), default=1)
     exact = {w: num * (den // d) for w, (num, d) in ratios.items()}
-    exact[math.inf] = 2 * N * max(map(abs, exact.values()), default=0) + 1
+    # no walk of at most N finite edges sums past bound; one +inf edge does
+    bound = N * max(map(abs, exact.values()), default=0)
+    exact[math.inf] = 2 * bound + 1
     succ = [[(j, exact[w]) for j, w in js] for js in wsucc]
     pred = reverse_edges(succ)
     tables = []
@@ -302,22 +290,25 @@ def _best_closed_walks(T: TransitionSystem, phi: Potential, anchors: list[State]
             for _ in range(N):
                 g.append(maxplus_push(pred, g[-1]))
             tables[-1].append((u, g))
-    words = []
+    best, win = -math.inf, None
     for n in range(1, N + 1):
         for closing in tables:
-            u, g = closing[0]
-            for t in closing[1:]:  # the first largest closed walk
-                if t[1][n][t[0]] > g[n][u]:
-                    u, g = t
+            # the first largest closed walk
+            u, g = max(closing, key=lambda t: t[1][n][t[0]])
             if g[n][u] == LOG_ZERO:
                 continue
-            word, i = [u], u
-            for k in range(n, 1, -1):
-                i = next(j for j, w in succ[i]
-                         if g[k - 1][j] != LOG_ZERO and g[k - 1][j] + w == g[k][i])
-                word.append(i)
-            words.append(tuple(graph.states[i][0] for i in word))
-    return words
+            avg = math.inf if g[n][u] > bound else _ratio(g[n][u], den) / n
+            if avg > best:
+                best, win = avg, (n, u, g)
+    if win is None:
+        return ChiPerResult(best, 0, None)
+    n, u, g = win
+    word, i = [u], u
+    for k in range(n, 1, -1):
+        i = next(j for j, w in succ[i]
+                 if g[k - 1][j] != LOG_ZERO and g[k - 1][j] + w == g[k][i])
+        word.append(i)
+    return ChiPerResult(best, n, tuple(graph.states[i][0] for i in word))
 
 
 def _nodes_of(graph: IndexedGraph, T: TransitionSystem, a: State) -> range:
@@ -438,11 +429,11 @@ def induced_pressure(weights, p: float = 0.0, tol: float = 1e-12) -> InducedPres
     if isinstance(weights, PowerTail):
         x = weights.log_x + p
         pstar = -weights.log_x
-        if x > 0:
-            value: float | None = math.inf
+        if x > 0 or (x == 0 and weights.beta <= 1):
+            value: float | None = math.inf  # the series diverges
         else:
             lv, _ = polylog_with_bound(weights.beta, x, tol)
-            value = weights.log_coeff + lv if weights.beta > 1 or x < 0 else math.inf
+            value = weights.log_coeff + lv
         if weights.beta > 1:
             lz, _ = polylog_with_bound(weights.beta, 0.0, tol)
             delta = weights.log_coeff + lz

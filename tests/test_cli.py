@@ -847,6 +847,32 @@ def test_infinite_pressure_leaves_spr_inconclusive(tmp_path, capsys):
     assert report["ucs"] == "inconclusive"  # chi_per = P = +inf
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chi_per_past_the_float_range_is_infinite_not_a_traceback(tmp_path, capsys, sign):
+    # three windows of the full 2-shift weigh +-1e308, so a periodic sum over
+    # two of them leaves the float range: chi_per reads +inf from the exact
+    # DP sums, and with -1e308 the loop 22 at weight 0 is the supremum
+    pot = {"memory": 2, "default": 0.0,
+           "table": [{"word": w, "value": sign * 1e308} for w in ([1, 1], [1, 2], [2, 1])]}
+    specs = _write_specs(tmp_path, _FULL2, pot)
+    assert main(["report", *specs, "--horizon", "8", "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    assert f"chi_per: {'inf' if sign > 0 else '0'}\n" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["chi_per"] == ({"period": 2, "value": "inf"} if sign > 0
+                                 else {"period": 1, "value": 0.0})
+
+
+def test_report_on_a_divergent_power_tail_exits_0(tmp_path, capsys):
+    # beta <= 1: the induced series at 0 diverges, as spr, pressure and hinf
+    # on the same preset already take it
+    out = tmp_path / "out"
+    assert main(["report", "--preset", "sec53(beta=0.5,C=0.1)", "--horizon", "12",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["induced"]["value_at_0"] == "inf"
+
+
 def test_parser_is_built_once_and_calls_share_no_list(monkeypatch, capsys):
     import cmshift.cli as climod
 

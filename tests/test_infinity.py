@@ -11,9 +11,9 @@ from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, Plain, Potential, TauSpec, bouquet_hinf_oracle,
                      build_bouquet, build_preset, count_B,
                      delta_profile, hinf_profile, profile_pair)
-from cmshift.infinity import (CountB, _composition_fill,
-                              _count_B_sweep, _loop_runs, _read_off)
-from cmshift.numerics import LOG_ZERO
+from cmshift.infinity import (CountB, _composition_fill, _count_B_sweep, _grid_cells,
+                              _loop_runs, _profile_window, _read_off)
+from cmshift.numerics import LOG_ZERO, linear_fit
 from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
                             enumerate_words)
 from cmshift.shift import SWEEP_STATE_CAP, index_graph
@@ -716,11 +716,13 @@ def test_profiles_refuse_repeated_or_non_positive_grid_values(sec52, q_list, M_l
             call()
 
 
+def _fields(p):
+    return repr((p.rows, p.fits, p.estimate, p.uncertainty, p.window,
+                 p.monotone_M_violations, p.q_diagnostics, p.band, p.ci_verdict))
+
+
 def _same_profile(a, b):
-    assert repr((a.rows, a.fits, a.estimate, a.uncertainty, a.window,
-                 a.monotone_M_violations, a.q_diagnostics, a.band, a.ci_verdict)) \
-        == repr((b.rows, b.fits, b.estimate, b.uncertainty, b.window,
-                 b.monotone_M_violations, b.q_diagnostics, b.band, b.ci_verdict))
+    assert _fields(a) == _fields(b)
 
 
 @settings(max_examples=15)
@@ -753,6 +755,145 @@ def test_profile_pair_equals_separate_profiles_on_a_bouquet(loop_totals):
     hp, dp = profile_pair(T, phi, [1, 2], [2, 4], 12)
     _same_profile(hp, hinf_profile(T, [1, 2], [2, 4], 12))
     _same_profile(dp, delta_profile(T, phi, [1, 2], [2, 4], 12))
+
+
+# -- reference: the profiles fitted by scanning flat rows ---------------------------------
+# rows (n, M, q, count, log_count, z_phi) in (q, M, n) grid order; every fit
+# and diagnostic rescans them, which the column reads must reproduce exactly
+
+def _reference_rows(T, phi, q_list, M_list, N):
+    rows = []
+    for q in q_list:
+        cells = _grid_cells(T, phi, q, M_list, N)
+        for M in M_list:
+            for n, cb in enumerate(cells[M], start=1):
+                rows.append((n, M, q, cb.count, cb.log_count, cb.z_phi))
+    return rows
+
+
+def _reference_monotone_M_check(rows, q_list, M_list, N):
+    violations = []
+    Ms = sorted(M_list)
+    table = {(r[0], r[1], r[2]): r[3] for r in rows}
+    for q in q_list:
+        for n in range(1, N + 1):
+            for lo, hi in zip(Ms, Ms[1:]):
+                if table[(n, hi, q)] > table[(n, lo, q)]:
+                    violations.append((n, lo, hi, q))
+    return violations
+
+
+def _reference_q_direction_diagnostics(rows, q_list, M_list, N):
+    notes = []
+    qs = sorted(q_list)
+    table = {(r[0], r[1], r[2]): r[3] for r in rows}
+    for M in M_list:
+        for n in range(1, N + 1):
+            for lo, hi in zip(qs, qs[1:]):
+                if table[(n, M, hi)] > table[(n, M, lo)]:
+                    notes.append((n, M, lo, hi))
+    return notes
+
+
+def _reference_entropy_fit(rows, q_list, M_list, N):
+    window = _profile_window(N)
+    lo, hi = window[0], window[-1]
+    fits = {}
+    for q in q_list:
+        for M in M_list:
+            ys = [r[4] for r in rows if r[1] == M and r[2] == q and lo <= r[0] <= hi]
+            fits[(M, q)] = linear_fit(window, ys)
+    qmax, Mmax = max(q_list), max(M_list)
+    head = fits[(Mmax, qmax)]
+    estimate = head.slope
+    unc = head.uncertainty
+    others = sorted(M_list)
+    if len(others) > 1:
+        prev = others[-2]
+        gap = abs(fits[(prev, qmax)].slope - estimate)
+        unc += 0.5 * gap
+    if head.degenerate:
+        estimate, unc = LOG_ZERO, math.inf
+        if all(r[3] == 0 for r in rows if r[1] == Mmax and r[2] == qmax):
+            unc = 0.0
+    return repr((rows, fits, estimate, unc, (lo, hi),
+                 _reference_monotone_M_check(rows, q_list, M_list, N),
+                 _reference_q_direction_diagnostics(rows, q_list, M_list, N), None, None))
+
+
+def _reference_contraction_fit(rows, q_list, M_list, N, P, tol=1e-9):
+    window = _profile_window(N)
+    lo, hi = window[0], window[-1]
+    fits = {}
+    for q in q_list:
+        for M in M_list:
+            zs = [r[5] for r in rows if r[1] == M and r[2] == q and lo <= r[0] <= hi]
+            finite = [z for z in zs if z is not None and math.isfinite(z)]
+            fits[(M, q)] = (max(finite) if finite else LOG_ZERO,
+                            (max(finite) - min(finite)) if finite else math.inf)
+    qmax, Mmax = max(q_list), max(M_list)
+    estimate, band = fits[(Mmax, qmax)]
+    if estimate == LOG_ZERO:
+        verdict = "no-evidence"
+        band = math.inf
+    elif estimate + band < P - tol:
+        verdict = "holds"
+    elif estimate - band > P + tol:
+        verdict = "fails"
+    else:
+        verdict = "inconclusive"
+    return repr((rows, fits, estimate, band if math.isfinite(band) else math.inf, (lo, hi),
+                 _reference_monotone_M_check(rows, q_list, M_list, N),
+                 _reference_q_direction_diagnostics(rows, q_list, M_list, N), band, verdict))
+
+
+def _check_against_reference(T, phi, q_list, M_list, N, P):
+    rows = _reference_rows(T, phi, q_list, M_list, N)
+    counts = [r[:5] + (None,) for r in rows]
+    want_h = _reference_entropy_fit(counts, q_list, M_list, N)
+    want_d = _reference_contraction_fit(rows, q_list, M_list, N, P)
+    assert _fields(hinf_profile(T, q_list, M_list, N)) == want_h
+    assert _fields(delta_profile(T, phi, q_list, M_list, N, P)) == want_d
+    hp, dp = profile_pair(T, phi, q_list, M_list, N, P)
+    assert (_fields(hp), _fields(dp)) == (want_h, want_d)
+    for row, count_row in zip(rows, counts):
+        assert repr((hp.cell(*row[:3]), dp.cell(*row[:3]))) == repr((count_row, row))
+    return rows
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_profile_columns_equal_the_row_scan_on_random_shifts(data):
+    # grids of two or three M and q values in any order, so the violation
+    # lists' order is pinned too
+    S = data.draw(st.integers(min_value=2, max_value=5))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    T = FiniteShift(matrix)
+    phi = Potential(2, {
+        (Plain(i + 1), Plain(j + 1)): data.draw(
+            st.floats(min_value=-3, max_value=1, allow_nan=False))
+        for i in range(S) for j in range(S) if matrix[i][j]})
+    q_list = data.draw(st.permutations(sorted(
+        data.draw(st.sets(st.integers(1, S), min_size=2, max_size=3)))))
+    M_list = data.draw(st.permutations(sorted(
+        data.draw(st.sets(st.integers(1, 5), min_size=2, max_size=3)))))
+    N = data.draw(st.integers(min_value=4, max_value=8))
+    P = data.draw(st.sampled_from([-1.0, -0.5, 0.0]))
+    _check_against_reference(T, phi, q_list, M_list, N, P)
+
+
+def test_profile_columns_equal_the_row_scan_on_a_bouquet():
+    # q = 1 takes the composition route, q = 2 the state sweep; counts grow
+    # with q, so the q diagnostics are not empty
+    build = build_preset("sec52-entry", truncate_len=8)
+    T, phi = build.system, build.potential
+    rows = _check_against_reference(T, phi, [2, 1], [4, 2, 3], 12, 0.0)
+    assert _reference_q_direction_diagnostics(rows, [2, 1], [4, 2, 3], 12)
+    prof = hinf_profile(T, [2, 1], [4, 2, 3], 12)
+    for key in ((0, 2, 1), (13, 2, 1), (1, 5, 1), (1, 2, 3)):
+        with pytest.raises(KeyError):
+            prof.cell(*key)
 
 
 # -- growth oracle -----------------------------------------------------------------------

@@ -587,7 +587,7 @@ def test_chi_per_max_plus_matches_enumeration_on_float_weights(data):
     T, phi, N, q_cap = _random_chi_per_case(data, floats)
     res = chi_per(T, phi, N, q_cap=q_cap)
     value, period, _ = _enumerated_chi_per(T, phi, N, q_cap)
-    assert res.value == pytest.approx(value, abs=1e-12)
+    assert res.value == value
     assert res.period == period
     w = res.orbit
     if w is None:
@@ -735,6 +735,15 @@ def test_induced_pressure_beyond_pstar_diverges():
     model = GeometricTail(0.0, -LOG2)
     assert induced_pressure(model, LOG2).value == math.inf
     assert induced_pressure(model, LOG2 + 0.1).value == math.inf
+
+
+def test_induced_pressure_power_family_diverges_at_zero_for_beta_at_most_one():
+    # sum_k C k^-beta diverges for beta <= 1: an infinite value, not a
+    # ValueError from the zeta series
+    for beta in (0.5, 1.0):
+        res = induced_pressure(PowerTail(beta, math.log(0.1), 0.0), 0.0)
+        assert (res.value, res.delta, res.spr) == (math.inf, math.inf, True)
+    assert math.isfinite(induced_pressure(PowerTail(0.5, math.log(0.1), 0.0), -0.1).value)
 
 
 def test_induced_pressure_finite_tail_always_finite():
