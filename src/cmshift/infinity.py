@@ -24,8 +24,10 @@ equals the plain convolution's; it costs a few bigint row operations per
 length n however long the run (a window sliding by two additions per cell
 for rho = 1); the lengths in no run share one dot product.  The best loop
 sums are one np.fmax reduction over every length.  Every other system
-runs one forward state sweep over (low visits so far, state), each visit
-layer pushed by the two step kernels numerics.count_push and maxplus_push.
+runs one forward state sweep over (low visits so far, state) with the two
+step kernels numerics.count_push and maxplus_push.  Its counts are packed
+one int per state, visit layer v in the w-bit slot at bit v * w, so one
+count_push moves every layer; only the best sums keep one list per layer.
 A single count_B is the one-cell case of the same fill, and profile_pair
 fits both profiles from one weighted fill per q.  A profile keeps the fill
 as one CountB column per (M, q); the fits, the count diagnostics and cell()
@@ -76,7 +78,8 @@ def _read_off(cells: dict[int, list[CountB]], n: int, counts: Sequence[int],
     ascending order, each folding one more slice of the prefix into the
     running sum and max from the left: the folds of accumulate(counts) and
     accumulate(bests, max) term by term (a NaN at index 0 stays, a later
-    one never wins), without their entries between the caps.
+    one never wins), without their entries between the caps.  counts may end
+    before the largest cap; the visit numbers past its end count 0.
     """
     at = {}
     total, zbest, read = counts[0], bests[0], 1
@@ -217,13 +220,24 @@ def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
     The DP state is (v, i): paths that start in the low part and now sit at
     node i, with v low visits at positions 0..k-1 (the current endpoint
     counts only once the path steps off it).  Each step first moves the low
-    nodes' entries up one visit layer, then pushes every layer along the
-    edges with the two step kernels.  After step n each M reads off the low
-    endpoints with v <= (n + 1) // M.  v never decreases, so a path beyond
-    the largest cap (N + 1) // min(M) can count for no cell and is dropped.
+    nodes' entries up one visit layer, then pushes them along the edges with
+    the two step kernels.  After step n each M reads off the low endpoints
+    with v <= (n + 1) // M.  v never decreases, so a path beyond the largest
+    cap vcap = (N + 1) // min(M) can count for no cell and is dropped.
     Counts run on the states, as cells count (n+1)-cylinders; best sums run
     on the potential's k-block graph, whose n-step walks are the (n+k)-words
     S_n reads, visits and ends read on first symbols.
+
+    The counts are packed state-major (Kronecker substitution): one int per
+    state holds its layers 0..vcap in slots of w bits, layer v at bit v * w.
+    Moving the low states up a layer is (c << w) & keep, and one count_push
+    of the packed vector pushes every layer with one bigint add per edge.
+    No slot ever exceeds the number of n-step paths from the low part, the
+    same count_push on the unlayered vector, so with w the bit length of its
+    largest value over n <= N (in whole bytes) no carry crosses a slot; the
+    low states' sum is unpacked byte-wise into the per-layer counts.  The
+    best sums keep the visit dimension: one maxplus_push per layer, which
+    skips the layers' LOG_ZERO entries.
     """
     blocks = graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep",
                                  1 if phi is None else phi.memory)
@@ -232,18 +246,31 @@ def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
     S, lo = len(graph.states), graph.low(q)
     B, blo = len(blocks.states), blocks.low(q)
     vcap = (N + 1) // min(M_list)
-    # cnt[v][i] counts the paths in state (v, i); best[v][i] is the maximal
-    # Birkhoff sum of the block walks there, pushed only with a potential
-    cnt = [[1] * lo + [0] * (S - lo)] + [[0] * S for _ in range(vcap)]
+    # cnt[i] packs the path counts of the states (v, i); best[v][i] is the
+    # maximal Birkhoff sum of the block walks there, pushed only with a potential
+    cnt = [1] * lo + [0] * (S - lo)
+    paths, bound = cnt, lo
+    for _ in range(N):
+        paths = count_push(graph.succ, paths)
+        bound = max(bound, sum(paths))
+    width = (bound.bit_length() + 7) // 8  # slot width in bytes
+    w, keep = 8 * width, (1 << (8 * width * (vcap + 1))) - 1
     best = [[0.0] * blo + [LOG_ZERO] * (B - blo)] + [[LOG_ZERO] * B for _ in range(vcap)]
+    bests = [LOG_ZERO] * (vcap + 1)  # the read-off's best sums, all LOG_ZERO without phi
     wsucc = blocks.weighted(phi) if phi is not None else None
     cells: dict[int, list[CountB]] = {M: [] for M in M_list}
     for n in range(1, N + 1):
-        cnt = [count_push(graph.succ, row) for row in _climb(cnt, lo, 0)]
+        cnt[:lo] = [(c << w) & keep for c in cnt[:lo]]
+        cnt = count_push(graph.succ, cnt)
         if wsucc is not None:
             best = [maxplus_push(wsucc, row) for row in _climb(best, blo, LOG_ZERO)]
-        _read_off(cells, n, [sum(row[:lo]) for row in cnt],
-                  [max(row[:blo], default=LOG_ZERO) for row in best], phi is not None)
+            bests = [max(row[:blo], default=LOG_ZERO) for row in best]
+        # no path has more than n visits after n steps; _read_off reads no
+        # count beyond them
+        slots = memoryview(sum(cnt[:lo]).to_bytes(width * (min(n, vcap) + 1), "little"))
+        _read_off(cells, n, [int.from_bytes(slots[k:k + width], "little")
+                             for k in range(0, len(slots), width)],
+                  bests, phi is not None)
     return cells
 
 
@@ -404,8 +431,11 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     contraction verdict (estimate + band < P).
 
     The estimate is the maximum z_phi over the fit window at the largest
-    (q, M) grid point; the band is the window spread.  An empty grid cell
-    yields the verdict 'no-evidence' rather than a vacuous pass.
+    (q, M) grid point; the band is the spread of its finite values.  A
+    window with no counted cell (all empty, or NaN) yields the verdict
+    'no-evidence' rather than a vacuous pass.  A +inf cell (a Birkhoff sum
+    past the float range) is counted: the estimate is +inf, which fails
+    against a finite P and is inconclusive against P = +inf.
     """
     return _contraction_fit(*_grid(T, phi, q_list, M_list, N), q_list, M_list, N, P, tol)
 
@@ -415,9 +445,12 @@ def _contraction_fit(columns, diagnostics, q_list, M_list, N, P, tol) -> Infinit
     lo, hi = window[0], window[-1]
     fits = {}
     for key, col in columns.items():
-        finite = [cb.z_phi for cb in col[lo - 1:hi] if math.isfinite(cb.z_phi)]
-        fits[key] = (max(finite) if finite else LOG_ZERO,
-                     (max(finite) - min(finite)) if finite else math.inf)
+        # empty and NaN cells are no evidence; a +inf cell is
+        counted = [cb.z_phi for cb in col[lo - 1:hi] if cb.z_phi > LOG_ZERO]
+        finite = [z for z in counted if z < math.inf]
+        fits[key] = (max(counted) if counted else LOG_ZERO,
+                     (max(finite) - min(finite)) if finite
+                     else 0.0 if counted else math.inf)
     qmax, Mmax = max(q_list), max(M_list)
     estimate, band = fits[(Mmax, qmax)]
     if estimate == LOG_ZERO:

@@ -425,8 +425,9 @@ class IndexedGraph:
                 for u, js in zip(self.states, self.succ)]
 
 
-# state caps of the DPs over an indexed graph: the profile sweep carries a
-# visit dimension on top of the states, every other DP is linear in them
+# state caps of the DPs over an indexed graph: the profile sweep's best sums
+# carry a visit dimension on top of the states (its counts pack every visit
+# layer into one integer per state), every other DP is linear in them
 SWEEP_STATE_CAP = 4000
 DP_STATE_CAP = 20_000
 

@@ -863,6 +863,20 @@ def test_chi_per_past_the_float_range_is_infinite_not_a_traceback(tmp_path, caps
                                  else {"period": 1, "value": 0.0})
 
 
+def test_report_counts_a_delta_window_of_plus_inf_cells(tmp_path, capsys):
+    # the counted cells of the +1e308 input read +inf: that is evidence, so
+    # delta is +inf, inconclusive against the P = +inf of the same report
+    pot = {"memory": 2, "default": 0.0,
+           "table": [{"word": w, "value": 1e308} for w in ([1, 1], [1, 2], [2, 1])]}
+    specs = _write_specs(tmp_path, _FULL2, pot)
+    assert main(["report", *specs, "--horizon", "8", "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    assert "delta: inf\ndelta_plus_hinf: inf\n" in capsys.readouterr().out
+    delta = json.loads((tmp_path / "out" / "report.json").read_text())["profiles"]["delta"]
+    assert (delta["estimate"], delta["band"], delta["ci_verdict"]) \
+        == ("inf", 0.0, "inconclusive")
+
+
 def test_report_on_a_divergent_power_tail_exits_0(tmp_path, capsys):
     # beta <= 1: the induced series at 0 diverges, as spr, pressure and hinf
     # on the same preset already take it

@@ -11,8 +11,8 @@ from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, Plain, Potential, TauSpec, bouquet_hinf_oracle,
                      build_bouquet, build_preset, count_B,
                      delta_profile, hinf_profile, profile_pair)
-from cmshift.infinity import (CountB, _composition_fill, _count_B_sweep, _grid_cells,
-                              _loop_runs, _profile_window, _read_off)
+from cmshift.infinity import (CountB, _composition_fill, _contraction_fit, _count_B_sweep,
+                              _grid_cells, _loop_runs, _profile_window, _read_off)
 from cmshift.numerics import LOG_ZERO, linear_fit
 from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
                             enumerate_words)
@@ -527,6 +527,93 @@ def test_count_B_sweep_equals_the_edge_loop(data):
         == repr(_count_B_sweep_loops(T, phi, q, M_list, N))
 
 
+def _same_as_the_edge_loop(T, phi, q, M_list, N):
+    cells = _count_B_sweep(T, phi, q, M_list, N)
+    assert repr(cells) == repr(_count_B_sweep_loops(T, phi, q, M_list, N))
+    for col in cells.values():
+        assert all(type(cell.count) is int for cell in col)
+    return cells
+
+
+def _dyadic_potential(T, memory, seed):
+    # weights k/8 whose sums are exact in any order, so the sweep's and the
+    # oracle's best sums are equal and not just close
+    words = enumerate_words(T, memory)
+    return Potential(memory, {w: ((7 * i + seed) % 13 - 9) / 8 for i, w in enumerate(words)},
+                     0.0)
+
+
+@pytest.mark.parametrize("S, N", [(2, 6), (2, 7), (2, 16), (3, 10)])
+def test_packed_sweep_top_slot_reaches_the_bound(S, N):
+    # every state low: each (n+1)-word has n visits, so with M = 1 the top
+    # live slot holds all S**(n+1) words, the largest value the slot width
+    # is chosen for (at S = 2 the value 2**7 of N = 6 sets the top bit of a
+    # one-byte slot, and N = 7 needs a second byte)
+    T = FiniteShift([[1] * S] * S)
+    cells = _same_as_the_edge_loop(T, None, S, [1, 2], N)
+    assert [cell.count for cell in cells[1]] == [S ** (n + 1) for n in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_packed_sweep_counts_past_64_bits(q):
+    # the full 3-shift at N = 48: 3**48 paths, multi-limb slots
+    T = FiniteShift([[1] * 3] * 3)
+    phi = _dyadic_potential(T, 2, q)
+    cells = _same_as_the_edge_loop(T, phi, q, [2, 3, 7], 48)
+    assert max(cell.count for col in cells.values() for cell in col).bit_length() > 64
+    counts = _same_as_the_edge_loop(T, None, q, [2, 3, 7], 48)
+    assert [[c.count for c in col] for col in counts.values()] \
+        == [[c.count for c in col] for col in cells.values()]
+
+
+def test_packed_sweep_with_M_one():
+    # M = [1] gives the largest visit cap, N + 1
+    T = FiniteShift([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    for q in (1, 2, 3):
+        _same_as_the_edge_loop(T, None, q, [1], 12)
+        _same_as_the_edge_loop(T, _dyadic_potential(T, 2, q), q, [1], 12)
+
+
+@pytest.mark.parametrize("with_phi", [False, True])
+def test_packed_sweep_on_one_state(with_phi):
+    T = FiniteShift([[1]])
+    phi = Potential(1, {(Plain(1),): -0.25}, 0.0) if with_phi else None
+    cells = _same_as_the_edge_loop(T, phi, 1, [1, 2, 3], 10)
+    # the one (n+1)-word has n visits: 2n <= n + 1 only at n = 1
+    assert [[cell.count for cell in cells[M]] for M in (1, 2, 3)] \
+        == [[1] * 10, [1] + [0] * 9, [0] * 10]
+
+
+def _memory_3_cells(T, phi, q, M_list, N):
+    # per-word cells of a memory-3 potential: each counted (n+1)-word scored
+    # by the best fsum over its (n+2)-word extensions, the words S_n reads
+    low = set(T.states_up_to(q))
+    cells = {M: [] for M in M_list}
+    for n in range(1, N + 1):
+        scored = {}
+        for w in enumerate_words(T, n + 2, start=low):
+            if w[n] in low:
+                s = math.fsum(phi.weight(w[i:i + 3]) for i in range(n))
+                scored[w[:n + 1]] = max(scored.get(w[:n + 1], LOG_ZERO), s)
+        for M in M_list:
+            sums = [s for w, s in scored.items() if sum(x in low for x in w[:n]) * M <= n + 1]
+            zbest = max(sums, default=LOG_ZERO)
+            cells[M].append(CountB(len(sums), math.log(len(sums)) if sums else LOG_ZERO,
+                                   zbest / n if sums else LOG_ZERO))
+    return cells
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_packed_sweep_memory_3_equals_the_per_word_cells(q):
+    # counts run on the states, best sums on the 2-block graph
+    T = FiniteShift([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
+    phi = _dyadic_potential(T, 3, q)
+    cells = _count_B_sweep(T, phi, q, [1, 2, 3], 8)
+    assert repr(cells) == repr(_memory_3_cells(T, phi, q, [1, 2, 3], 8))
+    for col in cells.values():
+        assert all(type(cell.count) is int for cell in col)
+
+
 def _cells_per_word(T, phi, q, M_list, n, limit=2_000_000):
     # the per-word route the prefix walk replaced, kept as its oracle: the
     # (n+1)-words with low ends enumerated for this n alone, and each word
@@ -698,6 +785,31 @@ def test_delta_profile_no_evidence_on_empty_grid(full3):
     assert prof.ci_verdict == "no-evidence"
 
 
+@pytest.mark.parametrize("P, verdict", [(math.inf, "inconclusive"), (0.0, "fails"),
+                                        (1e308, "fails")])
+def test_delta_profile_counts_plus_inf_cells(P, verdict):
+    # windows of the full 2-shift weighing 1e308: every counted sum of the
+    # fit window leaves the float range, and a +inf cell is evidence, not an
+    # empty grid
+    T = FiniteShift([[1, 1], [1, 1]])
+    phi = Potential(2, {(Plain(i), Plain(j)): 1e308 for i, j in ((1, 1), (1, 2), (2, 1))},
+                    0.0)
+    prof = delta_profile(T, phi, [1], [2, 4, 8], 8, P=P)
+    assert [cb.z_phi for cb in prof.columns[8, 1][4:]] == [LOG_ZERO, LOG_ZERO, _INF, _INF]
+    assert (prof.estimate, prof.band, prof.uncertainty, prof.ci_verdict) \
+        == (_INF, 0.0, 0.0, verdict)
+    assert prof.fits[2, 1] == (_INF, 0.0)
+
+
+def test_delta_profile_window_of_finite_and_plus_inf_cells():
+    # a +inf cell tops the estimate, the band is the spread of the finite
+    # cells, and a NaN cell is no evidence; the window of N = 8 is n = 5..8
+    zs = (9.0, 9.0, 9.0, 9.0, 0.5, _NAN, _INF, -1.0)
+    cols = {(2, 1): [CountB(1, 0.0, z) for z in zs]}
+    prof = _contraction_fit(cols, ([], []), [1], [2], 8, 0.0, 1e-9)
+    assert (prof.estimate, prof.band, prof.ci_verdict) == (_INF, 1.5, "fails")
+
+
 @pytest.mark.parametrize("q_list, M_list, text", [
     ([1], [0], "M and q values must be >= 1"),
     ([1], [-2], "M and q values must be >= 1"),
@@ -828,9 +940,11 @@ def _reference_contraction_fit(rows, q_list, M_list, N, P, tol=1e-9):
     for q in q_list:
         for M in M_list:
             zs = [r[5] for r in rows if r[1] == M and r[2] == q and lo <= r[0] <= hi]
-            finite = [z for z in zs if z is not None and math.isfinite(z)]
-            fits[(M, q)] = (max(finite) if finite else LOG_ZERO,
-                            (max(finite) - min(finite)) if finite else math.inf)
+            counted = [z for z in zs if z is not None and (math.isfinite(z) or z == math.inf)]
+            finite = [z for z in counted if math.isfinite(z)]
+            fits[(M, q)] = (max(counted) if counted else LOG_ZERO,
+                            (max(finite) - min(finite)) if finite
+                            else 0.0 if counted else math.inf)
     qmax, Mmax = max(q_list), max(M_list)
     estimate, band = fits[(Mmax, qmax)]
     if estimate == LOG_ZERO:
