@@ -27,11 +27,17 @@ sums are one np.fmax reduction over every length.  Every other system
 runs one forward state sweep over (low visits so far, state) with the two
 step kernels numerics.count_push and maxplus_push.  Its counts are packed
 one int per state, visit layer v in the w-bit slot at bit v * w, so one
-count_push moves every layer; only the best sums keep one list per layer.
-A single count_B is the one-cell case of the same fill, and profile_pair
-fits both profiles from one weighted fill per q.  A profile keeps the fill
-as one CountB column per (M, q); the fits, the count diagnostics and cell()
-read those columns.  The reference cells, one walk over the words
+count_push moves every layer; only the best sums keep one list per layer,
+pushed in ascending v through one floor per node, which skips every entry
+that a lower layer matches or beats at the same node (exact: see
+_count_B_sweep).  A grid compiles its system once for every q: the count
+graph, the k-block graph and its weighted successor lists, the
+SWEEP_STATE_CAP check, and the slot-width pass, run at the largest q since
+the paths from its low part bound those from every smaller one.  A single
+count_B is the one-cell case of the same fill and compiles its own graph,
+and profile_pair fits both profiles from one weighted fill per q.  A
+profile keeps the fill as one CountB column per (M, q); the fits, the count
+diagnostics and cell() read those columns.  The reference cells, one walk over the words
 themselves that scores each word on its own, are in cmshift.oracle.
 """
 
@@ -40,12 +46,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from .potential import Potential
-from .shift import (SWEEP_STATE_CAP, BouquetShift, LoopCountFamily, TransitionSystem,
-                    index_graph)
+from .shift import (SWEEP_STATE_CAP, BouquetShift, IndexedGraph, LoopCountFamily,
+                    TransitionSystem, index_graph)
 
 __all__ = [
     "CountB", "InfinityProfile",
@@ -213,9 +219,42 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
 
 # -- state sweep (finite systems, any q) --------------------------------------------
 
-def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
-                   M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
-    """CountB of every cell (n, M) with 1 <= n <= N, from one forward sweep.
+class _SweepGraph(NamedTuple):
+    """A system compiled for the state sweep of a grid: the graphs and the
+    weighted successor lists every q of the grid runs on, and the slot width
+    of the packed counts."""
+
+    graph: IndexedGraph  # the states, on which the counts run
+    blocks: IndexedGraph  # the potential's k-block graph, on which the best sums run
+    wsucc: list | None  # the weighted successor lists of blocks, None without a potential
+    width: int  # bytes per visit slot of the packed counts
+
+
+def _compile_sweep(T: TransitionSystem, phi: Potential | None, q: int, N: int) -> _SweepGraph:
+    """Index and weigh T once for sweeps of horizon N at every q' <= q.
+
+    The width pass counts the n-step paths from the low part of q for
+    n <= N; the paths from a smaller low part are among them, so the width
+    it sets holds for every q' <= q.  SWEEP_STATE_CAP is checked here, by
+    index_graph, before any state is listed.
+    """
+    blocks = graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep",
+                                 1 if phi is None else phi.memory)
+    if blocks.block > 1:
+        graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
+    lo = graph.low(q)
+    paths, bound = [1] * lo + [0] * (len(graph.states) - lo), lo
+    for _ in range(N):
+        paths = count_push(graph.succ, paths)
+        bound = max(bound, sum(paths))
+    return _SweepGraph(graph, blocks, None if phi is None else blocks.weighted(phi),
+                       (bound.bit_length() + 7) // 8)
+
+
+def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
+                   N: int) -> dict[int, list[CountB]]:
+    """CountB of every cell (n, M) with 1 <= n <= N, from one forward sweep
+    over a graph compiled for q and N or more.
 
     The DP state is (v, i): paths that start in the low part and now sit at
     node i, with v low visits at positions 0..k-1 (the current endpoint
@@ -232,45 +271,48 @@ def _count_B_sweep(T: TransitionSystem, phi: Potential | None, q: int,
     state holds its layers 0..vcap in slots of w bits, layer v at bit v * w.
     Moving the low states up a layer is (c << w) & keep, and one count_push
     of the packed vector pushes every layer with one bigint add per edge.
-    No slot ever exceeds the number of n-step paths from the low part, the
-    same count_push on the unlayered vector, so with w the bit length of its
-    largest value over n <= N (in whole bytes) no carry crosses a slot; the
-    low states' sum is unpacked byte-wise into the per-layer counts.  The
-    best sums keep the visit dimension: one maxplus_push per layer, which
-    skips the layers' LOG_ZERO entries.
+    No slot ever exceeds the number of n-step paths from the low part, so
+    with w the compiled width no carry crosses a slot; the low states' sum
+    is unpacked byte-wise into the per-layer counts.
+
+    The best sums keep the visit dimension, one list per layer, pushed by
+    maxplus_push in ascending v through one floor per node: an entry (v, i)
+    is skipped when a lower layer v' < v holds a value >= it at node i.  The
+    skip is exact.  Any continuation adds the same visits and the same
+    weight to both entries, float addition rounds monotonically, and every
+    cell that admits v + x admits v' + x.  So an entry that beats every
+    lower layer at its node is reached only from entries that do the same,
+    which are never skipped, and keeps its value bit for bit; any other
+    entry can only drop, to a value that a lower layer at its node matches
+    or beats.  The read-off keeps the first maximum in (v, i) order, which
+    beats every lower layer at its node, so values, the rule that NaN never
+    wins and +inf does, and the sign of zero are those of the full push.
     """
-    blocks = graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep",
-                                 1 if phi is None else phi.memory)
-    if blocks.block > 1:
-        graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
+    graph, blocks, wsucc, width = sweep
     S, lo = len(graph.states), graph.low(q)
     B, blo = len(blocks.states), blocks.low(q)
     vcap = (N + 1) // min(M_list)
     # cnt[i] packs the path counts of the states (v, i); best[v][i] is the
     # maximal Birkhoff sum of the block walks there, pushed only with a potential
     cnt = [1] * lo + [0] * (S - lo)
-    paths, bound = cnt, lo
-    for _ in range(N):
-        paths = count_push(graph.succ, paths)
-        bound = max(bound, sum(paths))
-    width = (bound.bit_length() + 7) // 8  # slot width in bytes
     w, keep = 8 * width, (1 << (8 * width * (vcap + 1))) - 1
     best = [[0.0] * blo + [LOG_ZERO] * (B - blo)] + [[LOG_ZERO] * B for _ in range(vcap)]
     bests = [LOG_ZERO] * (vcap + 1)  # the read-off's best sums, all LOG_ZERO without phi
-    wsucc = blocks.weighted(phi) if phi is not None else None
     cells: dict[int, list[CountB]] = {M: [] for M in M_list}
     for n in range(1, N + 1):
         cnt[:lo] = [(c << w) & keep for c in cnt[:lo]]
         cnt = count_push(graph.succ, cnt)
         if wsucc is not None:
-            best = [maxplus_push(wsucc, row) for row in _climb(best, blo, LOG_ZERO)]
+            floor = [LOG_ZERO] * B
+            best = [maxplus_push(wsucc, row, floor=floor)
+                    for row in _climb(best, blo, LOG_ZERO)]
             bests = [max(row[:blo], default=LOG_ZERO) for row in best]
         # no path has more than n visits after n steps; _read_off reads no
         # count beyond them
         slots = memoryview(sum(cnt[:lo]).to_bytes(width * (min(n, vcap) + 1), "little"))
         _read_off(cells, n, [int.from_bytes(slots[k:k + width], "little")
                              for k in range(0, len(slots), width)],
-                  bests, phi is not None)
+                  bests, wsucc is not None)
     return cells
 
 
@@ -281,12 +323,20 @@ def _climb(layers: list[list], lo: int, empty) -> list[list]:
     return [under[:lo] + row[lo:] for under, row in zip(below, layers)]
 
 
+def _composes(T: TransitionSystem, phi: Potential | None, q: int) -> bool:
+    """Whether the grid of q is filled over loop-length compositions."""
+    return isinstance(T, BouquetShift) and q == 1 \
+        and (phi is None or phi.loop_total is not None)
+
+
 def _grid_cells(T: TransitionSystem, phi: Potential | None, q: int,
-                M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
-    if isinstance(T, BouquetShift) and q == 1 \
-            and (phi is None or phi.loop_total is not None):
+                M_list: Sequence[int], N: int,
+                sweep: _SweepGraph | None = None) -> dict[int, list[CountB]]:
+    """The cells of one q; a sweep compiles its own graph unless one
+    compiled for q (or a larger q) and N is given."""
+    if _composes(T, phi, q):
         return _composition_fill(T, phi, M_list, N)
-    return _count_B_sweep(T, phi, q, M_list, N)
+    return _count_B_sweep(sweep or _compile_sweep(T, phi, q, N), q, M_list, N)
 
 
 def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) -> CountB:
@@ -360,7 +410,8 @@ def _profile_window(N: int, min_points: int = 4) -> list[int]:
 
 def _grid(T, phi, q_list, M_list, N) -> tuple[dict, tuple[list, list]]:
     """The columns of a checked grid, filled once per q, and their count
-    diagnostics."""
+    diagnostics.  The sweeps of every q share one graph, compiled when the
+    first of them starts."""
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
     if min(M_list) < 1 or min(q_list) < 1:
@@ -369,8 +420,13 @@ def _grid(T, phi, q_list, M_list, N) -> tuple[dict, tuple[list, list]]:
         raise ValueError("M and q values must be distinct")
     if N < MIN_PROFILE_HORIZON:
         raise ValueError("horizon too small to fit")
-    columns = {(M, q): col for q in q_list
-               for M, col in _grid_cells(T, phi, q, M_list, N).items()}
+    columns, sweep = {}, None
+    for q in q_list:
+        if sweep is None and not _composes(T, phi, q):
+            # one compiled graph for every q: its width pass at the largest
+            sweep = _compile_sweep(T, phi, max(q_list), N)
+        columns.update(((M, q), col)
+                       for M, col in _grid_cells(T, phi, q, M_list, N, sweep).items())
     return columns, _count_diagnostics(columns, q_list, M_list, N)
 
 

@@ -503,12 +503,14 @@ def recurrence_classify(family=None, log_zstar: Sequence[float] | None = None,
     evaluated analytically (with certified zeta bounds): after normalizing the
     pressure to zero, divergence of sum e^{-nP} Z_n is equivalent to
     sum e^{-nP} Z*_n reaching 1, and positive recurrence to a finite mean
-    return series.  P is the family's pressure when the caller already holds
-    it (analytic_pressure(family)); without it the root is solved here.  It
-    is read only when the return series exceeds 1 at shift zero: otherwise
-    the pressure is normalized to 0.  Numeric-only inputs (log_zstar with
-    their P) with undecidable tails come back 'inconclusive' with the
-    partial sums attached.
+    return series.  The class is decided at the boundary shift P = log_x,
+    where the series is C zeta(beta) (divergent for beta <= 1): when that is
+    at most 1 there is no root above the boundary, and the pressure is
+    log_x.  Otherwise P is the
+    root, the family's pressure when the caller already holds it
+    (analytic_pressure(family)); without it the root is solved here.
+    Numeric-only inputs (log_zstar with their P) with undecidable tails come
+    back 'inconclusive' with the partial sums attached.
     """
     from .families import PowerTail
     from .numerics import polylog_with_bound
@@ -517,13 +519,15 @@ def recurrence_classify(family=None, log_zstar: Sequence[float] | None = None,
         if not isinstance(family, PowerTail):
             raise ValueError("closed-form classification expects a power-tail family")
         beta, logC, logx = family.beta, family.log_coeff, family.log_x
-        if logx <= 0 and (beta > 1 or logx < 0):
-            lv, lb = polylog_with_bound(beta, logx, tol)
+        if beta > 1:
+            lv, lb = polylog_with_bound(beta, 0.0, tol)
             total = math.exp(logC + lv)
             band = total * (lb + tol)
             if total <= 1.0 + band:
-                return _classify_power(family, 0.0, tol, total=total, band=band)
-        # the return series exceeds 1 at shift zero: positive pressure
+                return _classify_power(PowerTail(beta, logC, 0.0), logx, tol,
+                                       total=total, band=band)
+        # the return series exceeds 1 at the boundary (or diverges there):
+        # the pressure is the root above log_x
         lp = renewal_pressure_from_power(family) if P is None else P
         return _classify_power(PowerTail(beta, logC, logx - lp), lp, tol)
 

@@ -11,14 +11,20 @@ from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, Plain, Potential, TauSpec, bouquet_hinf_oracle,
                      build_bouquet, build_preset, count_B,
                      delta_profile, hinf_profile, profile_pair)
-from cmshift.infinity import (CountB, _composition_fill, _contraction_fit, _count_B_sweep,
+from cmshift.infinity import (CountB, _climb, _compile_sweep, _composition_fill,
+                              _contraction_fit, _count_B_sweep, _count_diagnostics,
                               _grid_cells, _loop_runs, _profile_window, _read_off)
-from cmshift.numerics import LOG_ZERO, linear_fit
+from cmshift.numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
                             enumerate_words)
-from cmshift.shift import SWEEP_STATE_CAP, index_graph
+from cmshift.shift import SWEEP_STATE_CAP, IndexedGraph, index_graph
 
 LOG2 = math.log(2.0)
+
+
+def _sweep(T, phi, q, M_list, N):
+    # a lone state sweep, on a graph compiled for this q and N
+    return _count_B_sweep(_compile_sweep(T, phi, q, N), q, M_list, N)
 
 
 @pytest.fixture
@@ -312,7 +318,7 @@ def test_composition_fill_matches_state_sweep_at_long_horizons(data):
                                       min_size=1, max_size=3)))
     N = data.draw(st.integers(min_value=30, max_value=40))
     fast = _composition_fill(T, phi, M_list, N)
-    sweep = _count_B_sweep(T, phi, 1, M_list, N)
+    sweep = _sweep(T, phi, 1, M_list, N)
     assert fast.keys() == sweep.keys()
     for M in M_list:
         for n, (a, b) in enumerate(zip(fast[M], sweep[M]), start=1):
@@ -523,12 +529,113 @@ def test_count_B_sweep_equals_the_edge_loop(data):
     q = data.draw(st.integers(min_value=1, max_value=S + 1))
     M_list = sorted(data.draw(st.sets(st.integers(1, 6), min_size=1, max_size=3)))
     N = data.draw(st.integers(min_value=1, max_value=9))
-    assert repr(_count_B_sweep(T, phi, q, M_list, N)) \
+    assert repr(_sweep(T, phi, q, M_list, N)) \
         == repr(_count_B_sweep_loops(T, phi, q, M_list, N))
 
 
+def _per_layer_sweep(T, phi, q, M_list, N):
+    # the sweep before the dominance skip, kept as the oracle of the layered
+    # push: each visit layer of the counts and of the best sums pushed on its
+    # own, with no floor
+    blocks = graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep", phi.memory)
+    if blocks.block > 1:
+        graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
+    S, lo, B, blo = len(graph.states), graph.low(q), len(blocks.states), blocks.low(q)
+    vcap = (N + 1) // min(M_list)
+    cnt = [[1] * lo + [0] * (S - lo)] + [[0] * S for _ in range(vcap)]
+    best = [[0.0] * blo + [LOG_ZERO] * (B - blo)] + [[LOG_ZERO] * B for _ in range(vcap)]
+    wsucc = blocks.weighted(phi)
+    cells = {M: [] for M in M_list}
+    for n in range(1, N + 1):
+        cnt = [count_push(graph.succ, row) for row in _climb(cnt, lo, 0)]
+        best = [maxplus_push(wsucc, row) for row in _climb(best, blo, LOG_ZERO)]
+        _read_off(cells, n, [sum(row[:lo]) for row in cnt],
+                  [max(row[:blo], default=LOG_ZERO) for row in best], True)
+    return cells
+
+
+_SPECIALS = [_INF, -_INF, _NAN, 0.0, -0.0, 1e308, -1e308]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_layered_push_equals_the_per_layer_sweep(data):
+    # random transitive 1-5-state shifts, memory 1-3, weights from the float
+    # specials and k/8, several q and M: the delta profile of the layered
+    # push equals the one filled from the per-layer sweep in repr, rows,
+    # estimate, band and verdict
+    S = data.draw(st.integers(min_value=1, max_value=5))
+    matrix = [[int(j == (i + 1) % S or data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    T = FiniteShift(matrix)
+    weights = st.one_of(st.sampled_from(_SPECIALS),
+                        st.integers(min_value=-16, max_value=8).map(lambda k: k / 8))
+    memory = data.draw(st.integers(min_value=1, max_value=3))
+    phi = Potential(memory, {w: data.draw(weights) for w in enumerate_words(T, memory)},
+                    data.draw(weights))
+    q_list = data.draw(st.lists(st.integers(1, S + 1), min_size=1, max_size=3, unique=True))
+    M_list = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    N = data.draw(st.integers(min_value=4, max_value=10))
+    P = data.draw(st.sampled_from([0.0, -0.5, 1.0, _INF]))
+    got = delta_profile(T, phi, q_list, M_list, N, P)
+    columns = {(M, q): col for q in q_list
+               for M, col in _per_layer_sweep(T, phi, q, M_list, N).items()}
+    want = _contraction_fit(columns, _count_diagnostics(columns, q_list, M_list, N),
+                            q_list, M_list, N, P, 1e-9)
+    assert repr(got.rows) == repr(want.rows)
+    assert repr((got.estimate, got.band, got.ci_verdict)) \
+        == repr((want.estimate, want.band, want.ci_verdict))
+
+
+@pytest.mark.parametrize("memory, want", [
+    (None, [("index_graph", 1)]),
+    (2, [("index_graph", 2), ("weighted", 1)]),
+    (3, [("index_graph", 3), ("index_graph", 1), ("weighted", 2)]),
+])
+def test_profile_grid_compiles_its_graph_once(monkeypatch, memory, want):
+    # one index_graph per block length (recorded by memory) and one weighted
+    # per grid (recorded by block length), for every q
+    import cmshift.infinity
+
+    calls = []
+    index, weighted = cmshift.infinity.index_graph, IndexedGraph.weighted
+    monkeypatch.setattr(cmshift.infinity, "index_graph",
+                        lambda T, cap, dp, memory=1:
+                        calls.append(("index_graph", memory)) or index(T, cap, dp, memory))
+    monkeypatch.setattr(IndexedGraph, "weighted",
+                        lambda graph, phi:
+                        calls.append(("weighted", graph.block)) or weighted(graph, phi))
+    T = FiniteShift([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 1, 1]])
+    if memory is None:
+        hinf_profile(T, [1, 2, 4], [2, 4, 8], 12)
+    else:
+        delta_profile(T, _dyadic_potential(T, memory, 1), [1, 2, 4], [2, 4, 8], 12)
+    assert calls == want
+    calls.clear()
+    count_B(T, None if memory is None else _dyadic_potential(T, memory, 1), 6, 2, 2)
+    assert calls == want  # a lone call compiles its own
+
+
+def test_profile_grid_refuses_past_the_sweep_cap_before_listing(monkeypatch):
+    # whichever q sweeps first refuses with the cap's text before any state
+    # is listed (for hinf on [1, 2, 4], after the composition fill of q = 1)
+    T = BouquetShift(LoopCountFamily("ones"), 91)
+    assert T.state_count() == 4096 > SWEEP_STATE_CAP
+
+    def never(*args):
+        raise AssertionError("states were listed")
+
+    monkeypatch.setattr(T, "states", never)
+    text = r"^profile state sweep runs on at most 4000 states \(this system has 4096\)$"
+    for q_list in ([1, 2, 4], [4, 2, 1]):
+        with pytest.raises(EnumerationRefusal, match=text):
+            hinf_profile(T, q_list, [2, 4], 8)
+        with pytest.raises(EnumerationRefusal, match=text):
+            delta_profile(T, Potential(2, {}, -0.5), q_list, [2, 4], 8)
+
+
 def _same_as_the_edge_loop(T, phi, q, M_list, N):
-    cells = _count_B_sweep(T, phi, q, M_list, N)
+    cells = _sweep(T, phi, q, M_list, N)
     assert repr(cells) == repr(_count_B_sweep_loops(T, phi, q, M_list, N))
     for col in cells.values():
         assert all(type(cell.count) is int for cell in col)
@@ -608,7 +715,7 @@ def test_packed_sweep_memory_3_equals_the_per_word_cells(q):
     # counts run on the states, best sums on the 2-block graph
     T = FiniteShift([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
     phi = _dyadic_potential(T, 3, q)
-    cells = _count_B_sweep(T, phi, q, [1, 2, 3], 8)
+    cells = _sweep(T, phi, q, [1, 2, 3], 8)
     assert repr(cells) == repr(_memory_3_cells(T, phi, q, [1, 2, 3], 8))
     for col in cells.values():
         assert all(type(cell.count) is int for cell in col)

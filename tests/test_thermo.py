@@ -810,6 +810,14 @@ def test_recurrence_numeric_inputs_are_inconclusive():
     assert rc.evidence["spr"] == "holds"
 
 
+# log x < 0: the class and the pressure are decided at the boundary shift
+# log x, where the return series is C zeta(3) (1.08 and 0.12 here)
+_BELOW_ZERO_BOUNDARY = {
+    PowerTail(3.0, math.log(0.9), -0.2): ("strongly-positive-recurrent", -0.1399774998),
+    PowerTail(3.0, math.log(0.1), -0.2): ("transient", -0.2),
+}
+
+
 @pytest.mark.parametrize("family", [
     PowerTail(3.0, math.log(2.0 / zeta(3.0).value)),
     PowerTail(1.5049, math.log(1.5 / zeta(1.5049).value)),
@@ -818,11 +826,17 @@ def test_recurrence_numeric_inputs_are_inconclusive():
     PowerTail(1.5, math.log(1.0 / zeta(1.5).value)),
     PowerTail(0.5, 0.0, -0.2),
     PowerTail(2.0, 690.0),
+    *_BELOW_ZERO_BOUNDARY,
 ])
 def test_recurrence_takes_the_pressure_it_is_given(family):
     # the report passes its analytic P instead of solving the root again
-    assert recurrence_classify(family, P=analytic_pressure(family)) \
-        == recurrence_classify(family)
+    rc = recurrence_classify(family)
+    assert recurrence_classify(family, P=analytic_pressure(family)) == rc
+    if family in _BELOW_ZERO_BOUNDARY:
+        kind, P = _BELOW_ZERO_BOUNDARY[family]
+        assert rc.kind == kind
+        assert rc.pressure == pytest.approx(P, abs=1e-9)
+        assert rc.pressure == analytic_pressure(family)
 
 
 # -- the power-tail pressure root --------------------------------------------------------------
