@@ -10,22 +10,24 @@ Birkhoff sum collects its terms, compared exactly as count * M <= n + 1.
 Counts are arbitrary-precision integers; ratios and slopes live in log space.
 Both routes fill the whole (n, M) grid of one q at once, carrying per visit
 index the pair (count, best Birkhoff sum) up to the largest visit cap
-(N + 1) // min(M) a grid can read, and share one cell read-off, which folds
-each row only up to the caps (n + 1) // M, in ascending order.  Grid values
+(N + 1) // min(M) a grid can read; cell (n, M) reads the running sum and
+maximum over the visit indices up to its cap (n + 1) // M.  Grid values
 are positive integers, distinct within the M and within the q list (else a
 ValueError).  On bouquets with q = 1 the fill runs over loop-length
 compositions (parts = low visits), so large families never enumerate
-states.  Its counts are exact integers in object arrays: the loops split
-into runs of consecutive lengths with geometric counts a0 * rho**(k - k0),
-and convolving with a run is the first-order recurrence of its rational
-generating function
+states.  The loops split into runs of consecutive lengths with geometric
+counts a0 * rho**(k - k0), and convolving with a run is the first-order
+recurrence of its rational generating function
 a0 z^k0 (1 - (rho z)^m) / (1 - rho z), exact in integers, so every count
 equals the plain convolution's; it costs a few bigint row operations per
-length n however long the run (a window sliding by two additions per cell
-for rho = 1); the lengths in no run share one dot product.  The best loop
-sums are one np.fmax reduction over every length.  Every other system
-runs one forward state sweep over (low visits so far, state) with the two
-step kernels numerics.count_push and maxplus_push.  Its counts are packed
+length n however long the run.  The counts of a row are one int of
+prefix sums over the visit number, one w-bit slot each, so a cell reads
+one slot; counts too wide for that (w above _PACKED_SLOT_BITS) keep one
+int per cell in an object array.  The best loop sums are one np.fmax
+reduction over every length, and the cells read one running maximum.
+Every other system runs one forward state sweep over (low visits so far,
+state) with the two step kernels numerics.count_push and maxplus_push, and
+one read-off that folds each row only up to the caps.  Its counts are packed
 one int per state, visit layer v in the w-bit slot at bit v * w, so one
 count_push moves every layer; only the best sums keep one list per layer,
 pushed in ascending v through one floor per node, which skips every entry
@@ -71,36 +73,6 @@ class CountB:
         return cls(0, LOG_ZERO, LOG_ZERO if with_phi else None)
 
 
-# -- cell read-off ----------------------------------------------------------------
-
-def _read_off(cells: dict[int, list[CountB]], n: int, counts: Sequence[int],
-              bests: Sequence[float], with_phi: bool) -> None:
-    """Append the CountB of cell (n, M) to cells[M] for every M.
-
-    counts[v] and bests[v] are the number and the best Birkhoff sum of the
-    counted (n+1)-words with v low visits among their first n coordinates;
-    cell (n, M) admits v * M <= n + 1, i.e. the running total and maximum
-    over v read at the cap (n + 1) // M.  Only the caps are read, in
-    ascending order, each folding one more slice of the prefix into the
-    running sum and max from the left: the folds of accumulate(counts) and
-    accumulate(bests, max) term by term (a NaN at index 0 stays, a later
-    one never wins), without their entries between the caps.  counts may end
-    before the largest cap; the visit numbers past its end count 0.
-    """
-    at = {}
-    total, zbest, read = counts[0], bests[0], 1
-    for cap in sorted({(n + 1) // M for M in cells}):
-        total = sum(counts[read:cap + 1], total)
-        zbest = max((zbest, *bests[read:cap + 1]))
-        at[cap], read = (total, zbest), cap + 1
-    for M, col in cells.items():
-        total, zbest = at[(n + 1) // M]
-        zphi = None
-        if with_phi:
-            zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
-        col.append(CountB(total, math.log(total) if total else LOG_ZERO, zphi))
-
-
 # -- composition fill (bouquet, q = 1) --------------------------------------------
 
 def _loop_runs(lengths: Sequence[int],
@@ -113,8 +85,13 @@ def _loop_runs(lengths: Sequence[int],
     Stretches are grown left to right while a(k) * a(k-2) == a(k-1)**2, so
     no count is divided until a stretch has three lengths; a pair that
     stops there gives up its first length and starts over from its second.
-    A stretch of two lengths stays two single ones: its recurrence costs
-    three row operations where the two terms of the dot cost two.  A
+    A stretch of two lengths stays two single ones.  On the int rows of
+    _run_rows a run costs up to six operations per row (rho * W,
+    a0 * rows[n - k0] and its addition, the leaving row's product and
+    subtraction, the addition into the row) and a single length at most
+    two (its product and its addition), so a run is never dearer from three
+    lengths on and cheaper from four; on the object rows the two terms of
+    the dot cost two row operations where the recurrence costs three.  A
     stretch whose ratio is not an integer has no run in it, since each
     part of it has the same ratio.
     """
@@ -140,6 +117,92 @@ def _loop_runs(lengths: Sequence[int],
     return runs
 
 
+# the slot width, in bits, up to which _composition_fill packs its counts:
+# the packed rows win below about 430 bits on renewal-ones and below about
+# 1,000 on the sec53 and sec54 families, and lose beyond (README)
+_PACKED_SLOT_BITS = 640
+
+
+def _run_rows(runs: Sequence[tuple[int, int, int, int]], N: int, first, step) -> list:
+    """Rows 0..N of the loop convolution, rows[0] = first and
+    rows[n] = step(sum over loop lengths k <= n of a(k) * rows[n - k]), for
+    rows that are Python ints (plain or packed).
+
+    A run k0..k1 of _loop_runs with a(k) = a0 * rho**(k - k0) contributes
+    W(n) = sum_{k0 <= k <= k1} a(k) * rows[n - k], and
+    W(n) = rho * W(n - 1) + a0 * rows[n - k0] - rho * a(k1) * rows[n - 1 - k1]
+    (rows[m] = 0 for m < 0) is the same sum term by term, so a run costs a few
+    row operations per row however long it is; each single length adds
+    a * rows[n - k].  The arithmetic is exact, so the rows are those of the
+    plain convolution.
+    """
+    # each chain carries its window W(n) and rho * a(k1), the weight of the
+    # row that leaves it
+    chains = [[k0, k1, a0, rho, a0 * rho ** (k1 - k0 + 1), 0] for k0, k1, a0, rho in runs if rho]
+    singles = [(k0, a0) for k0, _, a0, rho in runs if not rho]
+    rows = [first]
+    for n in range(1, N + 1):
+        row = 0  # its first term is taken as is: 0 + term would copy the row
+        for k, a in singles:
+            if k > n:
+                break
+            term = rows[n - k] if a == 1 else a * rows[n - k]
+            row = row + term if row else term
+        for chain in chains:
+            k0, k1, a0, rho, leaving, window = chain
+            if n < k0:
+                break
+            if rho != 1:
+                window *= rho
+            window += rows[n - k0] if a0 == 1 else a0 * rows[n - k0]
+            if n > k1:
+                window -= rows[n - 1 - k1] if leaving == 1 else leaving * rows[n - 1 - k1]
+            chain[5] = window
+            row = row + window if row else window
+        rows.append(step(row))
+    return rows
+
+
+def _object_counts(runs: Sequence[tuple[int, int, int, int]], lengths: Sequence[int],
+                   N: int, jmax: int):
+    """cnt[m, j], the compositions of m into j parts, in an object array of
+    Python ints, by the recurrences of _run_rows on its rows.
+
+    Row n - k has no composition with more than n - k parts, so only the
+    first min(jmax, n) columns are read or written, and a window keeps
+    zeros beyond them; the single lengths are one dot product of their
+    counts with rows n - k.
+    """
+    import numpy as np
+
+    chains = [(k0, k1, a0, rho, a0 * rho ** (k1 - k0 + 1), np.zeros(jmax, dtype=object))
+              for k0, k1, a0, rho in runs if rho]
+    singles = [k0 for k0, _, _, rho in runs if not rho]
+    sk = np.array(singles, dtype=np.intp)
+    sa = np.array([a0 for _, _, a0, rho in runs if not rho], dtype=object)
+    cnt = np.zeros((N + 1, jmax + 1), dtype=object)
+    cnt[0, 0] = 1
+    for n in range(1, N + 1):
+        top = min(jmax, n)
+        if not (top and bisect_right(lengths, n)):
+            continue
+        S = bisect_right(singles, n)
+        row = sa[:S].dot(cnt[n - sk[:S], :top]) if S else None
+        for k0, k1, a0, rho, leaving, window in chains:
+            if n < k0:
+                break
+            w = window[:top]
+            if rho != 1:
+                w *= rho
+            w += cnt[n - k0, :top] if a0 == 1 else a0 * cnt[n - k0, :top]
+            if n > k1:
+                w -= (cnt[n - 1 - k1, :top] if leaving == 1
+                      else leaving * cnt[n - 1 - k1, :top])
+            row = w if row is None else row + w
+        cnt[n, 1:top + 1] = row
+    return cnt
+
+
 def _composition_fill(T: BouquetShift, phi: Potential | None,
                       M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
     """CountB of every cell (n, M) with 1 <= n <= N, from one fill over
@@ -150,71 +213,75 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
     last, i.e. j low visits.  cnt[m, j] is the number of compositions of m
     into j parts (each part weighted by its loop count) and best[m, j] their
     largest total loop weight, for j up to the largest visit cap
-    jmax = (N + 1) // min(M).
+    jmax = (N + 1) // min(M).  Cell (n, M) reads the prefix over j up to the
+    cap (n + 1) // M: the sum of cnt[n] and the maximum of best[n].  The loops
+    are split by _loop_runs, and row n of the counts is
+    sum_k a(k) * cnt[n - k] shifted by one part.
 
-    Row n of the counts is sum_k a(k) * cnt[n - k], shifted by one part.
-    Counts sit in object arrays of Python ints, so they stay exact, and the
-    loops are split by _loop_runs.  A run k0..k1 with a(k) = a0 * rho**(k - k0)
-    contributes W(n) = sum_{k0 <= k <= k1} a(k) * cnt[n - k], and
-    W(n) = rho * W(n - 1) + a0 * cnt[n - k0] - rho * a(k1) * cnt[n - 1 - k1]
-    (cnt[m] = 0 for m < 0) is the same sum term by term, so each run costs a
-    few bigint row operations per row however long it is; for rho = 1 it is a
-    sliding window of two additions per cell.  The single lengths are one
-    dot product of their counts with rows n - k.  Row n - k has no
-    composition with more than n - k parts, so only the first min(jmax, n)
-    columns are read or written, and W keeps zeros beyond them.  Best sums
-    are float64 over every length, and np.fmax from LOG_ZERO keeps the
-    largest candidate best[n - k] + tau(k): NaN never wins, +inf does, and a
-    LOG_ZERO entry gives -inf or NaN, so it never wins.  numpy is imported
-    here, on the first fill, so no other route loads it.
+    The counts run twice through _run_rows.  First the plain totals
+    T(n) = sum_j cnt[n, j] (T(0) = 1), whose largest value sets the slot
+    width w in bits.  Then, when w is at most _PACKED_SLOT_BITS, the packed
+    prefix rows: row n is one int whose slot j, at bit j * w, holds
+    S(n, j) = sum_{i <= j} cnt[n, i].  Prefix sums over j are linear and
+    S(n, j) = sum_k a(k) * S(n - k, j - 1) with S(n, 0) = 0 for n >= 1, so
+    the same recurrences run on these ints from a row 0 with a 1 in every
+    slot, and each step is (row << w) & mask.  No slot of a sum ever exceeds
+    a total T(n) < 2**w, so no carry crosses a slot, and cell (n, M) is the
+    one slot at its cap.  Wider counts, as sec54's 2^(2^k) loops give, keep
+    one Python int per cell in an object array (_object_counts), where a
+    slot would pay w bits for every cell whatever its size; their prefix
+    sums are taken in place, column by column, in the rows n with
+    (n + 1) // min(M) >= j that read column j.  Both are exact, so the
+    counts are the same.
+
+    Best sums are float64 over every length: np.fmax from LOG_ZERO keeps the
+    largest candidate best[n - k] + tau(k), so NaN never wins, +inf does, and
+    a LOG_ZERO entry gives -inf or NaN, so it never wins.  Hence no best sum
+    of a row n >= 1 is NaN, and one np.fmax.accumulate over j is the running
+    maximum the cells read.  Its ties are between equal values, which
+    differ at most in the sign of zero, and no best sum is -0.0 (they start
+    from +0.0, and x + y is -0.0 only when both are), so the maximum is the
+    same whichever of them it keeps.  A cell with no composition has best
+    sums of LOG_ZERO only, so z_phi = best / n is LOG_ZERO there.  numpy is
+    imported here, on the first fill, so no other route loads it.
     """
     import numpy as np
 
-    with_phi = phi is not None
     jmax = (N + 1) // min(M_list)
     lengths = [k for k in T.loop_lengths() if k <= N]
     runs = _loop_runs(lengths, [T.a.count(k) for k in lengths])
-    # each chain carries its window W(n) and rho * a(k1), the weight of the
-    # row that leaves it
-    chains = [(k0, k1, a0, rho, a0 * rho ** (k1 - k0 + 1), np.zeros(jmax, dtype=object))
-              for k0, k1, a0, rho in runs if rho]
-    singles = [k0 for k0, _, _, rho in runs if not rho]
-    sk = np.array(singles, dtype=np.intp)
-    sa = np.array([a0 for _, _, a0, rho in runs if not rho], dtype=object)
-    ks = np.array(lengths, dtype=np.intp)
-    tau = np.array([phi.loop_total(k) if with_phi else 0.0 for k in lengths],
-                   dtype=np.float64)[:, None]
-    cnt = np.zeros((N + 1, jmax + 1), dtype=object)
-    cnt[0, 0] = 1
-    best = np.full((N + 1, jmax + 1), LOG_ZERO)
-    if with_phi:
+    width = max(_run_rows(runs, N, 1, lambda row: row)).bit_length()
+    ns = np.arange(1, N + 1)
+    caps = {M: (ns + 1) // M for M in M_list}
+    if width <= _PACKED_SLOT_BITS:
+        mask, slot = (1 << width * (jmax + 1)) - 1, (1 << width) - 1
+        rows = _run_rows(runs, N, mask // slot, lambda row: (row << width) & mask)
+        counts = {M: [rows[n] >> (n + 1) // M * width & slot for n in range(1, N + 1)]
+                  for M in M_list}
+    else:
+        # prefix sums in place, each column only in the rows whose cap reaches it
+        cnt = _object_counts(runs, lengths, N, jmax)
+        for j in range(1, jmax + 1):
+            first = max(1, j * min(M_list) - 1)
+            cnt[first:, j] += cnt[first:, j - 1]
+        counts = {M: cnt[ns, cap].tolist() for M, cap in caps.items()}
+    if phi is None:
+        zs = dict.fromkeys(M_list, [None] * N)
+    else:
+        ks = np.array(lengths, dtype=np.intp)
+        tau = np.array([phi.loop_total(k) for k in lengths], dtype=np.float64)[:, None]
+        best = np.full((N + 1, jmax + 1), LOG_ZERO)
         best[0, 0] = 0.0
-    cells: dict[int, list[CountB]] = {M: [] for M in M_list}
-    with np.errstate(invalid="ignore", over="ignore"):
-        for n in range(1, N + 1):
-            K = bisect_right(lengths, n)
-            top = min(jmax, n)
-            if K and top:
-                S = bisect_right(singles, n)
-                row = sa[:S].dot(cnt[n - sk[:S], :top]) if S else None
-                for k0, k1, a0, rho, leaving, window in chains:
-                    if n < k0:
-                        break
-                    w = window[:top]
-                    if rho != 1:
-                        w *= rho
-                    w += cnt[n - k0, :top] if a0 == 1 else a0 * cnt[n - k0, :top]
-                    if n > k1:
-                        w -= (cnt[n - 1 - k1, :top] if leaving == 1
-                              else leaving * cnt[n - 1 - k1, :top])
-                    row = w if row is None else row + w
-                cnt[n, 1:top + 1] = row
-                if with_phi:
-                    rows = n - ks[:K]
-                    cand = best[rows, :top] + tau[:K]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for n in range(1, N + 1):
+                K, top = bisect_right(lengths, n), min(jmax, n)
+                if K and top:
+                    cand = best[n - ks[:K], :top] + tau[:K]
                     best[n, 1:top + 1] = np.fmax.reduce(cand, axis=0, initial=LOG_ZERO)
-            _read_off(cells, n, cnt[n].tolist(), best[n].tolist(), with_phi)
-    return cells
+        running = np.fmax.accumulate(best[1:], axis=1)
+        zs = {M: (running[ns - 1, cap] / ns).tolist() for M, cap in caps.items()}
+    return {M: [CountB(c, math.log(c) if c else LOG_ZERO, z) for c, z in zip(counts[M], zs[M])]
+            for M in M_list}
 
 
 # -- state sweep (finite systems, any q) --------------------------------------------
@@ -249,6 +316,37 @@ def _compile_sweep(T: TransitionSystem, phi: Potential | None, q: int, N: int) -
         bound = max(bound, sum(paths))
     return _SweepGraph(graph, blocks, None if phi is None else blocks.weighted(phi),
                        (bound.bit_length() + 7) // 8)
+
+
+def _read_off(cells: dict[int, list[CountB]], n: int, counts: Sequence[int],
+              bests: Sequence[float], with_phi: bool) -> None:
+    """Append the CountB of cell (n, M) to cells[M] for every M, from one
+    row of the state sweep.
+
+    counts[v] and bests[v] are the number and the best Birkhoff sum of the
+    counted (n+1)-words with v low visits among their first n coordinates;
+    cell (n, M) admits v * M <= n + 1, i.e. the running total and maximum
+    over v read at the cap (n + 1) // M.  Only the caps are read, in
+    ascending order, each folding one more slice of the prefix into the
+    running sum and max from the left: the folds of accumulate(counts) and
+    accumulate(bests, max) term by term (a NaN at index 0 stays, a later
+    one never wins, and ties keep the first maximum), without their entries
+    between the caps.  counts may end before the largest cap; the visit
+    numbers past its end count 0.  The composition fill reads its cells
+    from prefix rows of its own.
+    """
+    at = {}
+    total, zbest, read = counts[0], bests[0], 1
+    for cap in sorted({(n + 1) // M for M in cells}):
+        total = sum(counts[read:cap + 1], total)
+        zbest = max((zbest, *bests[read:cap + 1]))
+        at[cap], read = (total, zbest), cap + 1
+    for M, col in cells.items():
+        total, zbest = at[(n + 1) // M]
+        zphi = None
+        if with_phi:
+            zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
+        col.append(CountB(total, math.log(total) if total else LOG_ZERO, zphi))
 
 
 def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],

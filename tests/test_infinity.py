@@ -366,6 +366,26 @@ def _composition_fill_loops(T, phi, M_list, N):
 _INF, _NAN = math.inf, math.nan
 
 
+# (family, truncation, grids (M_list, N)) of the float-rule oracle: the
+# packed prefix rows' edge cases and the object rows of wide counts
+_FILL_CASES = [
+    # loops of lengths 1, 2, 4, 5; M = 1 (N + 2 slots), a cap of 0 and a
+    # loop beyond N
+    (LoopCountFamily("list", values=(1, 2, 0, 3, 1)), 5,
+     [([1, 2, 3], 14), ([2, 5], 9), ([20], 4)]),
+    # a(k) = 1 for every k <= N: the largest total, 2**(N - 1), sets the top
+    # bit of an 8-bit slot at N = 8 and needs a 9-bit slot at N = 9
+    (LoopCountFamily("ones"), 9, [([1, 2], 8), ([1, 3], 9)]),
+    # N = 1: one loop fits and the rest lie beyond N; caps 2, 1 and 0
+    (LoopCountFamily("ones"), 9, [([1, 2], 1), ([3], 1)]),
+    # totals past 64 bits (3**40 > 2**63) in a run of ratio 3
+    (LoopCountFamily("geometric", ratio=3, a1=1), 12, [([1, 2, 5], 40)]),
+    # sec54's a(1) = 1 family: slots wider than _PACKED_SLOT_BITS, so the
+    # object rows
+    (LoopCountFamily("double_exponential", a1=1), 8, [([2, 4, 8], 24), ([1, 30], 12)]),
+]
+
+
 @pytest.mark.parametrize("totals", [
     (-0.5, _INF, 0.0, 0.25, -1.0),
     (-0.5, _NAN, 0.0, 0.25, _NAN),
@@ -375,19 +395,43 @@ _INF, _NAN = math.inf, math.nan
     None,
 ])
 def test_composition_fill_keeps_the_float_rules_of_the_loops(totals):
-    # loops of lengths 1, 2, 4, 5; totals[k - 1] is the total of length k
-    T = BouquetShift(LoopCountFamily("list", values=(1, 2, 0, 3, 1)), truncate_len=5)
+    # totals[(k - 1) % 5] is the total of loop length k
     phi = None
     if totals is not None:
         phi = Potential(2, {}, 0.0)
-        phi.loop_total = lambda k: totals[k - 1]
-    for M_list, N in (([1, 2, 3], 14), ([2, 5], 9), ([20], 4)):
-        fast = _composition_fill(T, phi, M_list, N)
-        assert repr(fast) == repr(_composition_fill_loops(T, phi, M_list, N))
-        for col in fast.values():
-            for cell in col:
-                assert type(cell) is CountB and type(cell.count) is int
-                assert cell.z_phi is None or type(cell.z_phi) is float
+        phi.loop_total = lambda k: totals[(k - 1) % 5]
+    for family, L, grids in _FILL_CASES:
+        T = BouquetShift(family, truncate_len=L)
+        for M_list, N in grids:
+            fast = _composition_fill(T, phi, M_list, N)
+            assert repr(fast) == repr(_composition_fill_loops(T, phi, M_list, N)), (L, N)
+            for col in fast.values():
+                for cell in col:
+                    assert type(cell) is CountB and type(cell.count) is int
+                    assert cell.z_phi is None or type(cell.z_phi) is float
+
+
+@pytest.mark.parametrize("family, L, N, want", [
+    (LoopCountFamily("ones"), 40, 240, ["_run_rows", "_run_rows"]),
+    (LoopCountFamily("geometric", ratio=2, a1=1), 25, 200, ["_run_rows", "_run_rows"]),
+    (LoopCountFamily("double_exponential", a1=1), 8, 60, ["_run_rows", "_object_counts"]),
+])
+def test_composition_fill_packs_only_narrow_counts(monkeypatch, family, L, N, want):
+    # the totals pass, then the packed prefix rows while the largest total
+    # fits _PACKED_SLOT_BITS (renewal-ones, sec53's a(1) = 1 family) and the
+    # object rows beyond it (sec54's a(1) = 1 family), at the presets' L
+    import cmshift.infinity
+
+    calls = []
+    for name in ("_run_rows", "_object_counts"):
+        fill = getattr(cmshift.infinity, name)
+        monkeypatch.setattr(cmshift.infinity, name,
+                            lambda *a, _fill=fill, _name=name:
+                            calls.append((_name, _fill(*a))) or calls[-1][1])
+    _composition_fill(BouquetShift(family, L), None, [2, 4, 8], N)
+    assert [name for name, _ in calls] == want
+    width = max(calls[0][1]).bit_length()
+    assert (width > cmshift.infinity._PACKED_SLOT_BITS) == ("_object_counts" in want)
 
 
 def _runs_of(fam, L):
@@ -427,8 +471,9 @@ def _run_heavy_family(draw):
         return (LoopCountFamily("geometric", ratio=r, a1=a1),
                 draw(st.integers(min_value=2, max_value=60)))
     if kind == "double":
+        # from L = 6 on, the counts are wider than _PACKED_SLOT_BITS at N = 60
         return (LoopCountFamily("double_exponential", a1=draw(st.sampled_from([1, 0]))),
-                draw(st.integers(min_value=2, max_value=5)))
+                draw(st.integers(min_value=2, max_value=8)))
     # geometric stretches a0 * rho**i separated by runs of zero counts
     values = [draw(st.integers(min_value=0, max_value=1))]
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
@@ -452,7 +497,9 @@ def test_composition_fill_equals_the_loops_on_run_heavy_families(data):
         totals = data.draw(st.lists(weights, min_size=L, max_size=L))
         phi = Potential(2, {}, 0.0)
         phi.loop_total = lambda k: totals[k - 1]
-    M_list = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5, 8]),
+    # M = 64 > N + 1 has cap 0 at every n; L and N are drawn apart, so loops
+    # reach beyond N
+    M_list = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5, 8, 64]),
                                       min_size=1, max_size=3)))
     N = data.draw(st.integers(min_value=1, max_value=60))
     fast = _composition_fill(T, phi, M_list, N)
