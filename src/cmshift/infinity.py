@@ -23,8 +23,11 @@ equals the plain convolution's; it costs a few bigint row operations per
 length n however long the run.  The counts of a row are one int of
 prefix sums over the visit number, one w-bit slot each, so a cell reads
 one slot; counts too wide for that (w above _PACKED_SLOT_BITS) keep one
-int per cell in an object array.  The best loop sums are one np.fmax
-reduction over every length, and the cells read one running maximum.
+int per cell in an object array.  The best loop sums are filled one visit
+column at a time, column c holding the best over at most c parts, so a
+cell reads one entry; each column recomputes only the rows within a loop
+length of those the previous column changed, and the fill stops at the
+first column that changes none.
 Every other system runs one forward state sweep over (low visits so far,
 state) with the two step kernels numerics.count_push and maxplus_push, and
 one read-off that folds each row only up to the caps.  Its counts are packed
@@ -123,10 +126,12 @@ def _loop_runs(lengths: Sequence[int],
 _PACKED_SLOT_BITS = 640
 
 
-def _run_rows(runs: Sequence[tuple[int, int, int, int]], N: int, first, step) -> list:
+def _run_rows(runs: Sequence[tuple[int, int, int, int]], N: int, first, step,
+              widest: int | None = None) -> list:
     """Rows 0..N of the loop convolution, rows[0] = first and
     rows[n] = step(sum over loop lengths k <= n of a(k) * rows[n - k]), for
-    rows that are Python ints (plain or packed).
+    rows that are Python ints (plain or packed); with widest, the rows end
+    at the first one wider than widest bits.
 
     A run k0..k1 of _loop_runs with a(k) = a0 * rho**(k - k0) contributes
     W(n) = sum_{k0 <= k <= k1} a(k) * rows[n - k], and
@@ -160,6 +165,8 @@ def _run_rows(runs: Sequence[tuple[int, int, int, int]], N: int, first, step) ->
             chain[5] = window
             row = row + window if row else window
         rows.append(step(row))
+        if widest is not None and rows[-1].bit_length() > widest:
+            break
     return rows
 
 
@@ -203,6 +210,58 @@ def _object_counts(runs: Sequence[tuple[int, int, int, int]], lengths: Sequence[
     return cnt
 
 
+def _best_sums(lengths: Sequence[int], tau, N: int, jmax: int):
+    """The best loop sums by visit column: row c of the array returned holds
+    B(n, c), the largest total loop weight over the compositions of n into
+    at most c parts, at index L + n (0 <= n <= N) after L = lengths[-1]
+    leading LOG_ZERO entries; tau is the column of loop totals of the
+    ascending lengths.
+
+    B(0, c) = 0.0, B(n, 0) = LOG_ZERO for n >= 1, and for c >= 1
+    B(n, c) = fmax over the lengths k of B(n - k, c - 1) + tau(k), where the
+    leading entries make every k > n a LOG_ZERO candidate.  One as_strided
+    view of the array gives a column's candidates as one K x rows gather,
+    so the fill takes one numpy step per column.  Column c recomputes only
+    the rows n >= c from the first row that column c - 1 changed plus the
+    shortest length to its last changed row plus the longest (column 1
+    counts row 0 as changed), and copies the others from column c - 1: a
+    row none of whose inputs changed sees the same candidates as in column
+    c - 1, so it gets the same value, and a row n < c has at most n parts
+    either way.  Once a column changes no row, every later one equals it, so
+    the fill stops there and returns the columns before it (all jmax + 1
+    when none stops it); no lengths give column 0 alone.
+    """
+    import numpy as np
+    from numpy.lib.stride_tricks import as_strided
+
+    L = lengths[-1] if lengths else 0
+    B = np.empty((jmax + 1, L + N + 1))
+    B[0] = LOG_ZERO
+    B[0, L] = 0.0
+    if not lengths:
+        return B[:1]
+    # window[c, d, n] = B[c, d + n], so window[c, L - k, n] = B[c, L + n - k]
+    stride = B.strides[1]
+    window = as_strided(B, (jmax + 1, L + 1, N + 1), (B.strides[0], stride, stride))
+    offsets = L - np.array(lengths, dtype=np.intp)
+    first = last = 0  # the rows that column c - 1 changed
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c in range(1, jmax + 1):
+            lo, hi = max(c, first + lengths[0]), min(N, last + L)
+            if lo > hi:
+                return B[:c]
+            cand = window[c - 1, offsets, lo:hi + 1]
+            cand += tau
+            col = np.fmax.reduce(cand, axis=0, initial=LOG_ZERO)
+            changed = np.flatnonzero(col != B[c - 1, L + lo:L + hi + 1])
+            if not changed.size:
+                return B[:c]
+            B[c] = B[c - 1]
+            B[c, L + lo:L + hi + 1] = col
+            first, last = lo + changed[0], lo + changed[-1]
+    return B
+
+
 def _composition_fill(T: BouquetShift, phi: Potential | None,
                       M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
     """CountB of every cell (n, M) with 1 <= n <= N, from one fill over
@@ -211,46 +270,52 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
     Root-anchored words decompose into complete loops, and a composition
     with j parts visits the root at position 0 and after every part but the
     last, i.e. j low visits.  cnt[m, j] is the number of compositions of m
-    into j parts (each part weighted by its loop count) and best[m, j] their
-    largest total loop weight, for j up to the largest visit cap
-    jmax = (N + 1) // min(M).  Cell (n, M) reads the prefix over j up to the
-    cap (n + 1) // M: the sum of cnt[n] and the maximum of best[n].  The loops
-    are split by _loop_runs, and row n of the counts is
-    sum_k a(k) * cnt[n - k] shifted by one part.
+    into j parts (each part weighted by its loop count), for j up to the
+    largest visit cap jmax = (N + 1) // min(M), and cell (n, M) reads their
+    sum over j up to the cap (n + 1) // M and the largest total loop weight
+    over the same compositions.  The loops are split by _loop_runs, and row
+    n of the counts is sum_k a(k) * cnt[n - k] shifted by one part.
 
     The counts run twice through _run_rows.  First the plain totals
     T(n) = sum_j cnt[n, j] (T(0) = 1), whose largest value sets the slot
-    width w in bits.  Then, when w is at most _PACKED_SLOT_BITS, the packed
-    prefix rows: row n is one int whose slot j, at bit j * w, holds
-    S(n, j) = sum_{i <= j} cnt[n, i].  Prefix sums over j are linear and
-    S(n, j) = sum_k a(k) * S(n - k, j - 1) with S(n, 0) = 0 for n >= 1, so
-    the same recurrences run on these ints from a row 0 with a 1 in every
-    slot, and each step is (row << w) & mask.  No slot of a sum ever exceeds
-    a total T(n) < 2**w, so no carry crosses a slot, and cell (n, M) is the
-    one slot at its cap.  Wider counts, as sec54's 2^(2^k) loops give, keep
-    one Python int per cell in an object array (_object_counts), where a
-    slot would pay w bits for every cell whatever its size; their prefix
-    sums are taken in place, column by column, in the rows n with
-    (n + 1) // min(M) >= j that read column j.  Both are exact, so the
-    counts are the same.
+    width w in bits; the pass stops at the first total wider than
+    _PACKED_SLOT_BITS, since that one settles the route.  Then, when w is at
+    most _PACKED_SLOT_BITS, the packed prefix rows: row n is one int whose
+    slot j, at bit j * w, holds S(n, j) = sum_{i <= j} cnt[n, i].  Prefix
+    sums over j are linear and S(n, j) = sum_k a(k) * S(n - k, j - 1) with
+    S(n, 0) = 0 for n >= 1, so the same recurrences run on these ints from a
+    row 0 with a 1 in every slot, and each step is (row << w) & mask.  No
+    slot of a sum ever exceeds a total T(n) < 2**w, so no carry crosses a
+    slot, and cell (n, M) is the one slot at its cap.  Wider counts, as
+    sec54's 2^(2^k) loops give, keep one Python int per cell in an object
+    array (_object_counts), where a slot would pay w bits for every cell
+    whatever its size; their prefix sums are taken in place, column by
+    column, in the rows n with (n + 1) // min(M) >= j that read column j.
+    Both are exact, so the counts are the same.
 
-    Best sums are float64 over every length: np.fmax from LOG_ZERO keeps the
-    largest candidate best[n - k] + tau(k), so NaN never wins, +inf does, and
-    a LOG_ZERO entry gives -inf or NaN, so it never wins.  Hence no best sum
-    of a row n >= 1 is NaN, and one np.fmax.accumulate over j is the running
-    maximum the cells read.  Its ties are between equal values, which
-    differ at most in the sign of zero, and no best sum is -0.0 (they start
-    from +0.0, and x + y is -0.0 only when both are), so the maximum is the
-    same whichever of them it keeps.  A cell with no composition has best
-    sums of LOG_ZERO only, so z_phi = best / n is LOG_ZERO there.  numpy is
-    imported here, on the first fill, so no other route loads it.
+    The best sums are float64: B(n, c) over the compositions of n into at
+    most c parts (_best_sums), and cell (n, M) reads B(n, (n + 1) // M).
+    This is the running maximum over j <= c of the best sums over exactly j
+    parts, each composition scored on its own, bit for bit: a candidate
+    B(n - k, c - 1) + tau(k) is the same single float addition, and
+    fl(x + t) is monotone in x (a NaN it gives loses as -inf does), so
+    adding tau(k) to the best over at most c - 1 parts gives the largest of
+    the sums over each number of parts.  np.fmax from LOG_ZERO keeps the
+    largest candidate, so NaN never wins, +inf does, and a LOG_ZERO entry
+    gives -inf or NaN, so it never wins; hence no best sum is NaN.  Its ties
+    are between equal values, which differ at most in the sign of zero, and
+    no best sum is -0.0 (they start from +0.0, and x + y is -0.0 only when
+    both are), so the maximum is the same in whatever order fmax meets the
+    candidates.  A cell with no composition has best sum LOG_ZERO, so
+    z_phi = best / n is LOG_ZERO there.  numpy is imported here, on the
+    first fill, so no other route loads it.
     """
     import numpy as np
 
     jmax = (N + 1) // min(M_list)
     lengths = [k for k in T.loop_lengths() if k <= N]
     runs = _loop_runs(lengths, [T.a.count(k) for k in lengths])
-    width = max(_run_rows(runs, N, 1, lambda row: row)).bit_length()
+    width = max(_run_rows(runs, N, 1, lambda row: row, _PACKED_SLOT_BITS)).bit_length()
     ns = np.arange(1, N + 1)
     caps = {M: (ns + 1) // M for M in M_list}
     if width <= _PACKED_SLOT_BITS:
@@ -268,18 +333,10 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
     if phi is None:
         zs = dict.fromkeys(M_list, [None] * N)
     else:
-        ks = np.array(lengths, dtype=np.intp)
         tau = np.array([phi.loop_total(k) for k in lengths], dtype=np.float64)[:, None]
-        best = np.full((N + 1, jmax + 1), LOG_ZERO)
-        best[0, 0] = 0.0
-        with np.errstate(invalid="ignore", over="ignore"):
-            for n in range(1, N + 1):
-                K, top = bisect_right(lengths, n), min(jmax, n)
-                if K and top:
-                    cand = best[n - ks[:K], :top] + tau[:K]
-                    best[n, 1:top + 1] = np.fmax.reduce(cand, axis=0, initial=LOG_ZERO)
-        running = np.fmax.accumulate(best[1:], axis=1)
-        zs = {M: (running[ns - 1, cap] / ns).tolist() for M, cap in caps.items()}
+        best = _best_sums(lengths, tau, N, jmax)
+        L, top = best.shape[1] - N - 1, len(best) - 1
+        zs = {M: (best[np.minimum(cap, top), L + ns] / ns).tolist() for M, cap in caps.items()}
     return {M: [CountB(c, math.log(c) if c else LOG_ZERO, z) for c, z in zip(counts[M], zs[M])]
             for M in M_list}
 

@@ -18,7 +18,9 @@ def logsumexp(values: Iterable[float]) -> float:
     Uses the max-shift trick with a compensated (fsum) accumulation, so exact
     geometric identities survive to within a few ulps.
     """
-    xs = [x for x in values if x != LOG_ZERO]
+    xs = list(values)
+    if LOG_ZERO in xs:
+        xs = [x for x in xs if x != LOG_ZERO]
     if not xs:
         return LOG_ZERO
     m = max(xs)

@@ -383,6 +383,12 @@ _FILL_CASES = [
     # sec54's a(1) = 1 family: slots wider than _PACKED_SLOT_BITS, so the
     # object rows
     (LoopCountFamily("double_exponential", a1=1), 8, [([2, 4, 8], 24), ([1, 30], 12)]),
+    # no loop length <= N: the shortest loop is 5
+    (LoopCountFamily("list", values=(0, 0, 0, 0, 1, 2)), 6, [([1, 2], 4), ([2, 3], 1)]),
+    # lengths 1, 2, 19, 36: gaps of 16 between them, wider than the rows a
+    # column changes while only the short loops reach
+    (LoopCountFamily("list", values=(1, 1) + (0,) * 16 + (2,) + (0,) * 16 + (1,)), 36,
+     [([1, 2, 3], 60), ([4], 40)]),
 ]
 
 
@@ -392,6 +398,13 @@ _FILL_CASES = [
     (-_INF, -0.5, 0.0, -_INF, 0.25),
     (-0.0, -0.0, -0.0, -0.0, -0.0),
     (_NAN, _INF, 0.5, -_INF, -0.0),
+    # +inf on every length, or on length 1 beside loops that never win:
+    # each column changes only the rows it newly reaches, so the best sums
+    # freeze early
+    (_INF, _INF, _INF, _INF, _INF),
+    (_INF, _NAN, -_INF, _NAN, -_INF),
+    # a zero potential: the best sums stop changing after a few columns
+    (0.0, 0.0, 0.0, 0.0, 0.0),
     None,
 ])
 def test_composition_fill_keeps_the_float_rules_of_the_loops(totals):
@@ -430,8 +443,29 @@ def test_composition_fill_packs_only_narrow_counts(monkeypatch, family, L, N, wa
                             calls.append((_name, _fill(*a))) or calls[-1][1])
     _composition_fill(BouquetShift(family, L), None, [2, 4, 8], N)
     assert [name for name, _ in calls] == want
-    width = max(calls[0][1]).bit_length()
+    totals = calls[0][1]
+    width = max(totals).bit_length()
     assert (width > cmshift.infinity._PACKED_SLOT_BITS) == ("_object_counts" in want)
+    # the totals pass runs to N on narrow counts and stops at the first wide total
+    assert max(totals[:-1]).bit_length() <= cmshift.infinity._PACKED_SLOT_BITS
+    assert (len(totals) < N + 1) == ("_object_counts" in want)
+
+
+def test_composition_fill_stops_at_the_first_unchanged_column(monkeypatch):
+    # renewal-ones (zero potential, L = 40) at N = 240: column c of the best
+    # sums reaches the rows n <= 40 c, so columns 1..6 change rows and
+    # column 7 changes none; the fill computes those 7 of its jmax = 120
+    # columns and keeps columns 0..6
+    import cmshift.infinity
+
+    kept = []
+    best_sums = cmshift.infinity._best_sums
+    monkeypatch.setattr(cmshift.infinity, "_best_sums",
+                        lambda *a: kept.append(best_sums(*a)) or kept[-1])
+    build = build_preset("renewal-ones", truncate_len=40)
+    fill = _composition_fill(build.system, build.potential, [2, 4, 8], 240)
+    assert len(kept) == 1 and len(kept[0]) == 7
+    assert {cell.z_phi for col in fill.values() for cell in col} == {0.0, LOG_ZERO}
 
 
 def _runs_of(fam, L):
@@ -462,7 +496,7 @@ def test_loop_runs_of_named_families():
 
 @st.composite
 def _run_heavy_family(draw):
-    kind = draw(st.sampled_from(["ones", "geometric", "stretches", "double"]))
+    kind = draw(st.sampled_from(["ones", "geometric", "stretches", "double", "gaps"]))
     if kind == "ones":
         return LoopCountFamily("ones"), draw(st.integers(min_value=1, max_value=60))
     if kind == "geometric":
@@ -474,6 +508,14 @@ def _run_heavy_family(draw):
         # from L = 6 on, the counts are wider than _PACKED_SLOT_BITS at N = 60
         return (LoopCountFamily("double_exponential", a1=draw(st.sampled_from([1, 0]))),
                 draw(st.integers(min_value=2, max_value=8)))
+    if kind == "gaps":
+        # a few lengths up to 30 apart, the first possibly beyond N: gaps
+        # wider than a column's changed rows, or no loop length <= N
+        values = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            values += [0] * draw(st.integers(min_value=0, max_value=30))
+            values.append(draw(st.integers(min_value=1, max_value=3)) if values else 1)
+        return LoopCountFamily("list", values=tuple(values)), len(values)
     # geometric stretches a0 * rho**i separated by runs of zero counts
     values = [draw(st.integers(min_value=0, max_value=1))]
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
@@ -492,9 +534,15 @@ def test_composition_fill_equals_the_loops_on_run_heavy_families(data):
     fam, L = data.draw(_run_heavy_family())
     T = BouquetShift(fam, L)
     phi = None
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from([None, "drawn", "inf on length 1", "zero"]))
+    if kind is not None:
+        # drawn totals, the same with +inf on length 1, or a zero potential,
+        # whose best sums stop changing after a few columns
         weights = st.integers(min_value=-24, max_value=8).map(lambda k: k / 8)
-        totals = data.draw(st.lists(weights, min_size=L, max_size=L))
+        totals = ([0.0] * L if kind == "zero" else
+                  data.draw(st.lists(weights, min_size=L, max_size=L)))
+        if kind == "inf on length 1":
+            totals[0] = _INF
         phi = Potential(2, {}, 0.0)
         phi.loop_total = lambda k: totals[k - 1]
     # M = 64 > N + 1 has cap 0 at every n; L and N are drawn apart, so loops

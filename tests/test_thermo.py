@@ -237,7 +237,13 @@ def test_renewal_equals_the_direct_double_sum(log_wstar, extra):
 @given(xs=st.lists(st.one_of(st.sampled_from([LOG_ZERO, math.inf, math.nan, -0.0]),
                              st.floats(min_value=-800, max_value=800)), max_size=12))
 def test_logsumexp_equals_the_generator_definition(xs):
-    assert repr(logsumexp(iter(xs))) == repr(_logsumexp_generator(xs))
+    # every form of iterable: a list (left as it was), a tuple, an
+    # iterator, a map and a generator, with LOG_ZERO, NaN and +-inf among
+    # the terms
+    want, before = repr(_logsumexp_generator(xs)), repr(xs)
+    for values in (xs, tuple(xs), iter(xs), map(float, xs), (x for x in xs)):
+        assert repr(logsumexp(values)) == want
+    assert repr(xs) == before
 
 
 def test_renewal_identity_against_brute_force(sec52):
