@@ -207,39 +207,25 @@ def _scheme_fallback(spec: BouquetSpec) -> Callable[[tuple], float | None]:
         u, v = window
         if u == ROOT and v == ROOT:
             return tau(1)
-        if scheme == "entry":
-            if u == ROOT and isinstance(v, LoopVertex) and v.position == 1:
-                return tau(v.loop_len)
-            return None
-        if scheme == "exit":
-            if isinstance(u, LoopVertex) and u.position == u.loop_len - 1 and v == ROOT:
-                return tau(u.loop_len)
-            return None
-        if scheme == "midpoint":
-            n = None
-            if isinstance(u, LoopVertex):
-                n, k = u.loop_len, u.position
-            elif isinstance(v, LoopVertex) and v.position == 1:
-                n, k = v.loop_len, 0
-            if n is None or n < 2:
-                return None
-            if k == math.ceil(n / 2):
-                return tau(n)
-            return None
-        # spread
-        n = None
+        # the edge leaves position k of a loop of length n, the root being 0
         if isinstance(u, LoopVertex):
             n, k = u.loop_len, u.position
-        elif isinstance(v, LoopVertex) and v.position == 1:
+        elif u == ROOT and isinstance(v, LoopVertex) and v.position == 1:
             n, k = v.loop_len, 0
-        if n is None or n < 2:
+        else:
             return None
-        half = n // 2
+        if scheme == "entry":
+            return tau(n) if k == 0 else None
+        if scheme == "exit":
+            return tau(n) if k == n - 1 and v == ROOT else None
+        if n < 2:
+            return None
+        if scheme == "midpoint":
+            return tau(n) if k == math.ceil(n / 2) else None
+        half = n // 2  # spread
         if k < half:
             return 2.0 * tau(n) / n
-        if n % 2 == 1 and k == half:
-            return tau(n) / n
-        return None
+        return tau(n) / n if n % 2 == 1 and k == half else None
 
     return fallback
 

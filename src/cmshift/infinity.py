@@ -30,12 +30,13 @@ length of those the previous column changed, and the fill stops at the
 first column that changes none.
 Every other system runs one forward state sweep over (low visits so far,
 state) with the two step kernels numerics.count_push and maxplus_push, and
-one read-off that folds each row only up to the caps.  Its counts are packed
-one int per state, visit layer v in the w-bit slot at bit v * w, so one
-count_push moves every layer; only the best sums keep one list per layer,
-pushed in ascending v through one floor per node, which skips every entry
-that a lower layer matches or beats at the same node (exact: see
-_count_B_sweep).  A grid compiles its system once for every q: the count
+reads each row's cells as it makes it.  Its counts are packed like the
+fill's: one int per state of prefix sums over the visit number, one w-bit
+slot each, so one count_push moves every slot and a cell reads one slot of
+the low states' sum; only the best sums keep one list per layer, pushed in
+ascending v through one floor per node, which skips every entry that a
+lower layer matches or beats at the same node (exact: see _count_B_sweep).
+A grid compiles its system once for every q: the count
 graph, the k-block graph and its weighted successor lists, the
 SWEEP_STATE_CAP check, and the slot-width pass, run at the largest q since
 the paths from its low part bound those from every smaller one.  A single
@@ -51,6 +52,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
@@ -74,6 +76,17 @@ class CountB:
     @classmethod
     def empty(cls, with_phi: bool) -> "CountB":
         return cls(0, LOG_ZERO, LOG_ZERO if with_phi else None)
+
+    @classmethod
+    def of(cls, count: int, z_phi: float | None) -> "CountB":
+        return cls(count, math.log(count) if count else LOG_ZERO, z_phi)
+
+
+def _slot(row: int, cap: int, width: int) -> int:
+    """Slot cap of a row packed in width-bit slots: in a row of prefix sums
+    over the visit number, the count with at most cap low visits.  Both
+    routes read their packed cells here."""
+    return row >> cap * width & ((1 << width) - 1)
 
 
 # -- composition fill (bouquet, q = 1) --------------------------------------------
@@ -319,9 +332,9 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
     ns = np.arange(1, N + 1)
     caps = {M: (ns + 1) // M for M in M_list}
     if width <= _PACKED_SLOT_BITS:
-        mask, slot = (1 << width * (jmax + 1)) - 1, (1 << width) - 1
-        rows = _run_rows(runs, N, mask // slot, lambda row: (row << width) & mask)
-        counts = {M: [rows[n] >> (n + 1) // M * width & slot for n in range(1, N + 1)]
+        mask = (1 << width * (jmax + 1)) - 1
+        rows = _run_rows(runs, N, mask // ((1 << width) - 1), lambda row: (row << width) & mask)
+        counts = {M: [_slot(rows[n], (n + 1) // M, width) for n in range(1, N + 1)]
                   for M in M_list}
     else:
         # prefix sums in place, each column only in the rows whose cap reaches it
@@ -337,8 +350,7 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
         best = _best_sums(lengths, tau, N, jmax)
         L, top = best.shape[1] - N - 1, len(best) - 1
         zs = {M: (best[np.minimum(cap, top), L + ns] / ns).tolist() for M, cap in caps.items()}
-    return {M: [CountB(c, math.log(c) if c else LOG_ZERO, z) for c, z in zip(counts[M], zs[M])]
-            for M in M_list}
+    return {M: [CountB.of(c, z) for c, z in zip(counts[M], zs[M])] for M in M_list}
 
 
 # -- state sweep (finite systems, any q) --------------------------------------------
@@ -351,7 +363,7 @@ class _SweepGraph(NamedTuple):
     graph: IndexedGraph  # the states, on which the counts run
     blocks: IndexedGraph  # the potential's k-block graph, on which the best sums run
     wsucc: list | None  # the weighted successor lists of blocks, None without a potential
-    width: int  # bytes per visit slot of the packed counts
+    width: int  # bits per visit slot of the packed counts
 
 
 def _compile_sweep(T: TransitionSystem, phi: Potential | None, q: int, N: int) -> _SweepGraph:
@@ -372,38 +384,7 @@ def _compile_sweep(T: TransitionSystem, phi: Potential | None, q: int, N: int) -
         paths = count_push(graph.succ, paths)
         bound = max(bound, sum(paths))
     return _SweepGraph(graph, blocks, None if phi is None else blocks.weighted(phi),
-                       (bound.bit_length() + 7) // 8)
-
-
-def _read_off(cells: dict[int, list[CountB]], n: int, counts: Sequence[int],
-              bests: Sequence[float], with_phi: bool) -> None:
-    """Append the CountB of cell (n, M) to cells[M] for every M, from one
-    row of the state sweep.
-
-    counts[v] and bests[v] are the number and the best Birkhoff sum of the
-    counted (n+1)-words with v low visits among their first n coordinates;
-    cell (n, M) admits v * M <= n + 1, i.e. the running total and maximum
-    over v read at the cap (n + 1) // M.  Only the caps are read, in
-    ascending order, each folding one more slice of the prefix into the
-    running sum and max from the left: the folds of accumulate(counts) and
-    accumulate(bests, max) term by term (a NaN at index 0 stays, a later
-    one never wins, and ties keep the first maximum), without their entries
-    between the caps.  counts may end before the largest cap; the visit
-    numbers past its end count 0.  The composition fill reads its cells
-    from prefix rows of its own.
-    """
-    at = {}
-    total, zbest, read = counts[0], bests[0], 1
-    for cap in sorted({(n + 1) // M for M in cells}):
-        total = sum(counts[read:cap + 1], total)
-        zbest = max((zbest, *bests[read:cap + 1]))
-        at[cap], read = (total, zbest), cap + 1
-    for M, col in cells.items():
-        total, zbest = at[(n + 1) // M]
-        zphi = None
-        if with_phi:
-            zphi = zbest / n if (zbest != LOG_ZERO and total) else LOG_ZERO
-        col.append(CountB(total, math.log(total) if total else LOG_ZERO, zphi))
+                       bound.bit_length())
 
 
 def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
@@ -422,13 +403,18 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
     on the potential's k-block graph, whose n-step walks are the (n+k)-words
     S_n reads, visits and ends read on first symbols.
 
-    The counts are packed state-major (Kronecker substitution): one int per
-    state holds its layers 0..vcap in slots of w bits, layer v at bit v * w.
-    Moving the low states up a layer is (c << w) & keep, and one count_push
-    of the packed vector pushes every layer with one bigint add per edge.
-    No slot ever exceeds the number of n-step paths from the low part, so
-    with w the compiled width no carry crosses a slot; the low states' sum
-    is unpacked byte-wise into the per-layer counts.
+    The counts are packed state-major (Kronecker substitution) as prefix
+    sums, like the composition fill's rows: one int per state holds in its
+    w-bit slot v, at bit v * w, the paths there with at most v visits, for
+    v = 0..vcap, so the low states start with a 1 in every slot.  Moving
+    the low states up a layer is (c << w) & keep, and one count_push of the
+    packed vector pushes every slot with one bigint add per edge; both are
+    linear and shift the slots alike, so the prefix sums obey the
+    recurrence of the layers.  No slot ever exceeds the number of n-step
+    paths from the low part, which the compiled width w holds, so no carry
+    crosses a slot, and cell (n, M) reads the one slot (n + 1) // M of the
+    low states' sum.  Each row's cells are read as it is made and no row is
+    kept.
 
     The best sums keep the visit dimension, one list per layer, pushed by
     maxplus_push in ascending v through one floor per node: an entry (v, i)
@@ -439,20 +425,25 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
     lower layer at its node is reached only from entries that do the same,
     which are never skipped, and keeps its value bit for bit; any other
     entry can only drop, to a value that a lower layer at its node matches
-    or beats.  The read-off keeps the first maximum in (v, i) order, which
+    or beats.  A cell keeps the first maximum in (v, i) order, which
     beats every lower layer at its node, so values, the rule that NaN never
     wins and +inf does, and the sign of zero are those of the full push.
+    Cell (n, M) reads z_phi = accumulate(bests, max)[(n + 1) // M] / n, bests
+    being the low nodes' maximum per layer: the left fold keeps the first
+    maximum, and no layer holds a NaN, since maxplus_push stores only
+    strictly greater sums.  A cell with no counted word has no block walk
+    either, so its best sum is LOG_ZERO, and LOG_ZERO / n is LOG_ZERO.
     """
-    graph, blocks, wsucc, width = sweep
+    graph, blocks, wsucc, w = sweep
     S, lo = len(graph.states), graph.low(q)
     B, blo = len(blocks.states), blocks.low(q)
     vcap = (N + 1) // min(M_list)
-    # cnt[i] packs the path counts of the states (v, i); best[v][i] is the
+    # cnt[i] packs the prefix counts of the states (v, i); best[v][i] is the
     # maximal Birkhoff sum of the block walks there, pushed only with a potential
-    cnt = [1] * lo + [0] * (S - lo)
-    w, keep = 8 * width, (1 << (8 * width * (vcap + 1))) - 1
+    keep = (1 << w * (vcap + 1)) - 1
+    cnt = [keep // ((1 << w) - 1)] * lo + [0] * (S - lo)
     best = [[0.0] * blo + [LOG_ZERO] * (B - blo)] + [[LOG_ZERO] * B for _ in range(vcap)]
-    bests = [LOG_ZERO] * (vcap + 1)  # the read-off's best sums, all LOG_ZERO without phi
+    tops = None  # the running best sums over v, only with a potential
     cells: dict[int, list[CountB]] = {M: [] for M in M_list}
     for n in range(1, N + 1):
         cnt[:lo] = [(c << w) & keep for c in cnt[:lo]]
@@ -461,13 +452,11 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
             floor = [LOG_ZERO] * B
             best = [maxplus_push(wsucc, row, floor=floor)
                     for row in _climb(best, blo, LOG_ZERO)]
-            bests = [max(row[:blo], default=LOG_ZERO) for row in best]
-        # no path has more than n visits after n steps; _read_off reads no
-        # count beyond them
-        slots = memoryview(sum(cnt[:lo]).to_bytes(width * (min(n, vcap) + 1), "little"))
-        _read_off(cells, n, [int.from_bytes(slots[k:k + width], "little")
-                             for k in range(0, len(slots), width)],
-                  bests, wsucc is not None)
+            tops = list(accumulate((max(row[:blo], default=LOG_ZERO) for row in best), max))
+        low = sum(cnt[:lo])
+        for M, col in cells.items():
+            cap = (n + 1) // M
+            col.append(CountB.of(_slot(low, cap, w), None if tops is None else tops[cap] / n))
     return cells
 
 
@@ -556,11 +545,9 @@ class InfinityProfile:
 MIN_PROFILE_HORIZON = 4
 
 
-def _profile_window(N: int, min_points: int = 4) -> list[int]:
-    start = max(1, int(math.ceil(0.75 * N)))
-    if N - start + 1 < min_points:
-        start = max(1, N - min_points + 1)
-    return list(range(start, N + 1))
+def _profile_window(N: int) -> list[int]:
+    """The top quarter of 1..N, and at least its last four."""
+    return list(range(max(1, min(math.ceil(0.75 * N), N - 3)), N + 1))
 
 
 def _grid(T, phi, q_list, M_list, N) -> tuple[dict, tuple[list, list]]:

@@ -168,11 +168,10 @@ def linear_fit_with_log(ns: Sequence[int], ys: Sequence[float]) -> TailFit:
                    (min(fn), max(fn)), m)
 
 
-def tail_window(n_max: int, fraction: float = 0.5, min_points: int = 4) -> range:
-    """Indices [start..n_max] covering the trailing `fraction` of 1..n_max."""
-    start = max(1, int(math.ceil((1.0 - fraction) * n_max)) + 1)
-    if n_max - start + 1 < min_points:
-        start = max(1, n_max - min_points + 1)
+def tail_window(n_max: int) -> range:
+    """Indices [start..n_max] covering the trailing half of 1..n_max, and at
+    least its last four."""
+    start = max(1, min(math.ceil(0.5 * n_max) + 1, n_max - 3))
     return range(start, n_max + 1)
 
 

@@ -570,20 +570,20 @@ def f_property_count(T: TransitionSystem, q: int, N: int,
 
     Equivalently: words w in Sigma_N with ord(w[0]) <= q and w + (b,)
     admissible for some b with ord(b) <= q.  On bouquets with q = 1 this is
-    the renewal count over loop-length compositions of N.  The overflow flag
-    is set when the exact count exceeds `bound`.
+    the renewal count over loop-length compositions of N, run by the
+    composition fill's loop recurrence.  The overflow flag is set when the
+    exact count exceeds `bound`.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if q <= 0:
         return FPropertyCount(0, False, bound)
     if isinstance(T, BouquetShift) and q == 1:
-        comp = [0] * (N + 1)
-        comp[0] = 1
-        lengths = T.loop_lengths()
-        for m in range(1, N + 1):
-            comp[m] = sum(T.a.count(k) * comp[m - k] for k in lengths if k <= m)
-        return FPropertyCount(comp[N], comp[N] > bound, bound)
+        from .infinity import _loop_runs, _run_rows  # infinity imports this module
+        lengths = [k for k in T.loop_lengths() if k <= N]
+        total = _run_rows(_loop_runs(lengths, [T.a.count(k) for k in lengths]), N, 1,
+                          lambda row: row)[N]
+        return FPropertyCount(total, total > bound, bound)
     graph = index_graph(T, DP_STATE_CAP, "path counting")
     vec = [int(i < q) for i in range(len(graph.states))]
     for _ in range(N - 1):

@@ -197,9 +197,9 @@ class PressureEstimate:
         return self.stderr + 2.0 * self.resid_max / span
 
 
-def pressure_estimate(ps: PartitionSums | Sequence[float],
-                      window_fraction: float = 0.5) -> PressureEstimate:
-    """Estimate lim (1/n) log Z_n by a linear fit over the tail of the horizon.
+def pressure_estimate(ps: PartitionSums | Sequence[float]) -> PressureEstimate:
+    """Estimate lim (1/n) log Z_n by a linear fit over the second half of the
+    horizon (numerics.tail_window).
 
     A term log Z_n = +inf makes the pressure +inf, with nothing fitted.
     """
@@ -211,7 +211,7 @@ def pressure_estimate(ps: PartitionSums | Sequence[float],
         return PressureEstimate(math.inf, 0.0, math.inf, math.inf, (1, N))
     if all(v == LOG_ZERO for v in seq):
         return PressureEstimate(LOG_ZERO, 0.0, math.inf, math.inf, (1, N), True)
-    win = tail_window(N, window_fraction)
+    win = tail_window(N)
     fit = linear_fit(list(win), [seq[n - 1] for n in win])
     if fit.degenerate:
         fit = linear_fit(range(1, N + 1), seq)
@@ -659,8 +659,7 @@ def _classify_power(family, P: float, tol: float,
         return RecurrenceClass("transient", P, total, None, evidence)
     # recurrent: mean return series sum n * C n^-beta x^n = C * Li_{beta-1}(x)
     if logx < 0:
-        lv2, _ = polylog_with_bound(beta - 1.0, logx, tol) if beta - 1.0 > 1 or logx < 0 \
-            else (math.inf, 0.0)
+        lv2, _ = polylog_with_bound(beta - 1.0, logx, tol)
         mean = math.exp(logC + lv2)
     elif beta - 1.0 > 1.0:
         lv2, _ = polylog_with_bound(beta - 1.0, 0.0, tol)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmshift import (ROOT, BouquetRealizationError, BouquetSpec,
+from cmshift import (ROOT, BouquetRealizationError, BouquetShift, BouquetSpec,
                      GeometricTail, LoopCountFamily, LoopVertex, PowerTail,
                      TauSpec, build_bouquet, build_preset, chi_per,
                      htop_solve, induced_pressure, normalizing_C,
                      preset_names, zeta)
-from cmshift.families import (ZetaDivergenceError, log_weight_sequence,
-                              parse_preset)
+from cmshift.families import (ZetaDivergenceError, _scheme_fallback,
+                              log_weight_sequence, parse_preset)
 from cmshift.oracle import partition_sums_bruteforce
 
 LOG2 = math.log(2.0)
@@ -183,6 +183,71 @@ def test_spread_variant_weights_sum_along_each_loop():
         word = (ROOT,) + tuple(LoopVertex(n, 1, k) for k in range(1, n)) + (ROOT,)
         total = sum(b.potential.weight((word[t], word[t + 1])) for t in range(n))
         assert total == pytest.approx(-n * LOG2, abs=1e-12)
+
+
+def _per_scheme_fallback(spec):
+    # the fallback that worked out the loop position in each scheme on its
+    # own, kept as the oracle of the one (n, k) rule
+    scheme, tau = spec.scheme, spec.tau
+
+    def fallback(window):
+        if len(window) != 2:
+            return None
+        u, v = window
+        if u == ROOT and v == ROOT:
+            return tau(1)
+        if scheme == "entry":
+            if u == ROOT and isinstance(v, LoopVertex) and v.position == 1:
+                return tau(v.loop_len)
+            return None
+        if scheme == "exit":
+            if isinstance(u, LoopVertex) and u.position == u.loop_len - 1 and v == ROOT:
+                return tau(u.loop_len)
+            return None
+        if scheme == "midpoint":
+            n = None
+            if isinstance(u, LoopVertex):
+                n, k = u.loop_len, u.position
+            elif isinstance(v, LoopVertex) and v.position == 1:
+                n, k = v.loop_len, 0
+            if n is None or n < 2:
+                return None
+            if k == math.ceil(n / 2):
+                return tau(n)
+            return None
+        n = None
+        if isinstance(u, LoopVertex):
+            n, k = u.loop_len, u.position
+        elif isinstance(v, LoopVertex) and v.position == 1:
+            n, k = v.loop_len, 0
+        if n is None or n < 2:
+            return None
+        half = n // 2
+        if k < half:
+            return 2.0 * tau(n) / n
+        if n % 2 == 1 and k == half:
+            return tau(n) / n
+        return None
+
+    return fallback
+
+
+@pytest.mark.parametrize("scheme", ["entry", "exit", "midpoint", "spread"])
+@pytest.mark.parametrize("tau", [
+    TauSpec("halving"),
+    TauSpec("power", beta=2.0, log_C=0.3),
+    TauSpec("table", table=(0.5, -0.0, math.inf, -1.25, math.nan, 3.0, -math.inf, 0.0, -7.5)),
+])
+def test_scheme_fallback_equals_the_per_scheme_rules(scheme, tau):
+    # every ordered pair of states of a list bouquet with up to 3 loops per
+    # length, admissible or not, and windows of length 1 and 3
+    spec = BouquetSpec(LoopCountFamily("list", values=(1, 3, 2, 0, 3, 1, 2, 0, 3)),
+                       scheme, tau, truncate_len=9)
+    states = list(BouquetShift(spec.a, 9).states())
+    windows = [(u,) for u in states] + [(u, v) for u in states for v in states] \
+        + [(u, v, ROOT) for u in states[:12] for v in states[:12]]
+    fast, slow = _scheme_fallback(spec), _per_scheme_fallback(spec)
+    assert repr([fast(w) for w in windows]) == repr([slow(w) for w in windows])
 
 
 # -- presets --------------------------------------------------------------------------------

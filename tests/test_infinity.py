@@ -13,7 +13,7 @@ from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
                      delta_profile, hinf_profile, profile_pair)
 from cmshift.infinity import (CountB, _climb, _compile_sweep, _composition_fill,
                               _contraction_fit, _count_B_sweep, _count_diagnostics,
-                              _grid_cells, _loop_runs, _profile_window, _read_off)
+                              _grid_cells, _loop_runs, _profile_window, _slot)
 from cmshift.numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
                             enumerate_words)
@@ -153,8 +153,8 @@ def test_exact_rational_cardinality_comparison(sec52):
 # -- cell read-off ------------------------------------------------------------------------
 
 def _read_off_accumulate(cells, n, counts, bests, with_phi):
-    # the read-off by its definition: the running total and the running
-    # maximum max(acc, x) over every visit index, read at each cap
+    # the oracles' read-off, by its definition: the running total and the
+    # running maximum max(acc, x) over every visit index, read at each cap
     totals = list(accumulate(counts))
     tops = list(accumulate(bests, max))
     for M, col in cells.items():
@@ -165,48 +165,46 @@ def _read_off_accumulate(cells, n, counts, bests, with_phi):
         col.append(CountB(total, math.log(total) if total else LOG_ZERO, zphi))
 
 
-def _same_read_off(n, M_list, counts, bests):
-    for with_phi in (True, False):
-        fast, slow = {M: [] for M in M_list}, {M: [] for M in M_list}
-        _read_off(fast, n, counts, bests, with_phi)
-        _read_off_accumulate(slow, n, counts, bests, with_phi)
-        assert repr(fast) == repr(slow)
+def _packed_prefix(counts):
+    # the prefix sums of counts, packed at exactly the bit width of the
+    # largest (the last); all-zero counts pack at width 0
+    sums = list(accumulate(counts))
+    width = sums[-1].bit_length()
+    return sum(total << v * width for v, total in enumerate(sums)), width
 
 
-@pytest.mark.parametrize("n, M_list, bests", [
-    # caps 1 and 3: the second slice starts with a NaN, which must not stop
-    # the 5.0 after it (the max of the slice alone would be NaN)
-    (5, [6, 2], [0.0, 1.0, math.nan, 5.0]),
-    # a NaN at index 0 stays whatever follows
-    (5, [2, 6, 3], [math.nan, 1.0, math.inf, 5.0]),
-    # M = 4 and M = 5 share the cap 2; M = 1 reads the whole row
-    (9, [4, 1, 5], [-math.inf, -0.0, 0.0, math.inf, math.nan, -1.0, 2.0, 3.0, -math.inf,
-                    0.5, 7.0]),
-    # M = 1 alone at n = 1, caps at index 2 of a row of -inf
-    (1, [1], [-math.inf, -math.inf, -math.inf]),
+def _same_slot_read(n, M_list, counts):
+    row, width = _packed_prefix(counts)
+    sums = list(accumulate(counts))
+    for M in M_list:
+        assert _slot(row, (n + 1) // M, width) == sums[(n + 1) // M]
+
+
+@pytest.mark.parametrize("n, M_list, counts", [
+    # caps 1 and 3, with an empty visit number between them
+    (5, [6, 2], [3 ** 70, 0, 3 ** 71, 3 ** 72]),
+    # a total of 2**64 - 1 fills every bit of its slot
+    (5, [2, 6, 3], [2 ** 63, 2 ** 62, 2 ** 62 - 1, 0]),
+    # M = 4 and M = 5 share the cap 2; M = 1 reads the last slot
+    (9, [4, 1, 5], [0, 1, 0, 2 ** 80, 0, 7, 2 ** 79, 3, 0, 1, 2 ** 80]),
+    # all counts 0: slots of width 0 read 0
+    (1, [1], [0, 0, 0]),
 ])
-def test_read_off_equals_the_accumulate_definition(n, M_list, bests):
-    counts = [3 ** (70 + v) if v % 3 else 0 for v in range(len(bests))]
-    _same_read_off(n, M_list, counts, bests)
+def test_slot_read_equals_the_accumulate_definition(n, M_list, counts):
+    _same_slot_read(n, M_list, counts)
 
 
 @settings(max_examples=200)
 @given(data=st.data())
-def test_read_off_equals_the_accumulate_definition_on_draws(data):
-    # caps in any order, shared or not, rows wider than the largest cap,
-    # bests from the float specials (NaN at index 0 half the time)
+def test_slot_read_equals_the_accumulate_definition_on_draws(data):
+    # caps in any order, shared or not, rows wider than the largest cap
     n = data.draw(st.integers(min_value=1, max_value=30))
     M_list = data.draw(st.lists(st.integers(min_value=1, max_value=n + 2), min_size=1,
                                 max_size=5, unique=True))
     width = (n + 1) // min(M_list) + 1 + data.draw(st.integers(min_value=0, max_value=2))
     counts = data.draw(st.lists(st.integers(min_value=0, max_value=2 ** 80),
                                 min_size=width, max_size=width))
-    floats = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
-                       st.floats(min_value=-8, max_value=8))
-    bests = data.draw(st.lists(floats, min_size=width, max_size=width))
-    if data.draw(st.booleans()):
-        bests[0] = math.nan
-    _same_read_off(n, M_list, counts, bests)
+    _same_slot_read(n, M_list, counts)
 
 
 # -- domination bound (decomposition into prefix/loops/suffix) --------------------------
@@ -359,7 +357,7 @@ def _composition_fill_loops(T, phi, M_list, N):
                             b[j] = cand
         cnt.append(c)
         best.append(b)
-        _read_off(cells, n, c, b, with_phi)
+        _read_off_accumulate(cells, n, c, b, with_phi)
     return cells
 
 
@@ -595,9 +593,9 @@ def _count_B_sweep_loops(T, phi, q, M_list, N):
                         if cand > nbrow[j]:
                             nbrow[j] = cand
         cnt, best = ncnt, nbest
-        _read_off(cells, n, [sum(row[i] for i in lows) for row in cnt],
-                  [max((row[i] for i in lows), default=LOG_ZERO) for row in best],
-                  phi is not None)
+        _read_off_accumulate(cells, n, [sum(row[i] for i in lows) for row in cnt],
+                             [max((row[i] for i in lows), default=LOG_ZERO)
+                              for row in best], phi is not None)
     return cells
 
 
@@ -644,8 +642,8 @@ def _per_layer_sweep(T, phi, q, M_list, N):
     for n in range(1, N + 1):
         cnt = [count_push(graph.succ, row) for row in _climb(cnt, lo, 0)]
         best = [maxplus_push(wsucc, row) for row in _climb(best, blo, LOG_ZERO)]
-        _read_off(cells, n, [sum(row[:lo]) for row in cnt],
-                  [max(row[:blo], default=LOG_ZERO) for row in best], True)
+        _read_off_accumulate(cells, n, [sum(row[:lo]) for row in cnt],
+                             [max(row[:blo], default=LOG_ZERO) for row in best], True)
     return cells
 
 

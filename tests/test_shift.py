@@ -274,6 +274,34 @@ def test_f_property_state_dp_matches_composition_route(bouquet_ones):
         assert comp == manual
 
 
+def _composition_counts(T, N):
+    # the plain renewal convolution the bouquet branch ran before it read the
+    # composition fill's recurrence, kept as its oracle: entry m counts the
+    # loop-length compositions of m
+    comp = [0] * (N + 1)
+    comp[0] = 1
+    lengths = T.loop_lengths()
+    for m in range(1, N + 1):
+        comp[m] = sum(T.a.count(k) * comp[m - k] for k in lengths if k <= m)
+    return comp
+
+
+@pytest.mark.parametrize("a, truncate", [
+    (LoopCountFamily("ones"), 200),
+    (LoopCountFamily("geometric", ratio=2, a1=1), 200),
+    (LoopCountFamily("geometric", ratio=3, a1=0), 200),
+    (LoopCountFamily("double_exponential", a1=1), 6),
+    # gaps between the loop lengths, and no loop of length <= 6
+    (LoopCountFamily("list", values=(1, 0, 2, 0, 0, 1, 0, 3)), 8),
+    (LoopCountFamily("list", values=(0, 0, 0, 0, 0, 0, 2, 0, 5)), 9),
+])
+def test_f_property_bouquet_equals_the_plain_convolution(a, truncate):
+    T = BouquetShift(a, truncate)
+    comp = _composition_counts(T, 200)
+    for N in range(1, 201):
+        assert f_property_count(T, 1, N).count == comp[N]
+
+
 @settings(max_examples=40)
 @given(data=st.data())
 def test_f_property_count_matches_matrix_power(data):
