@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -323,6 +323,11 @@ class _Bundle:
     profile_note: str | None = None
     profile_skipped: str | None = None
 
+    @cached_property
+    def kernel(self) -> thermo.RenewalSeries:
+        """The renewal series of the closed-form weights, read once per run."""
+        return thermo.RenewalSeries(self.weights)
+
 
 def _build_bundle(cfg: RunConfig) -> _Bundle:
     if cfg.preset is not None:
@@ -397,9 +402,15 @@ def _pressure(bundle: _Bundle, cfg: RunConfig
               ) -> tuple[thermo.PartitionSums, thermo.PressureEstimate, float]:
     """Partition sums, their fitted pressure, and the pressure P that every
     verdict of a run is judged against: the analytic one when the family's
-    return weights have a closed form, the fitted one otherwise."""
+    return weights have a closed form, the fitted one otherwise.  A bouquet
+    of truncation L given without weights, at a horizon N >= L, has all its
+    first returns in Z*_1..Z*_L: they become its finite closed form."""
     ps = _partition_sums(bundle, cfg)
     pressure = thermo.pressure_estimate(ps)
+    T = bundle.system
+    if bundle.weights is None and isinstance(T, BouquetShift) \
+            and cfg.horizon >= T.truncate_len and math.inf not in ps.log_zstar:
+        bundle.weights = FiniteTail(tuple(ps.log_zstar[:T.truncate_len]))
     if not _closed_form(bundle):
         return ps, pressure, pressure.value
     return ps, pressure, _analytic_pressure(bundle)
@@ -409,9 +420,16 @@ def _analytic_pressure(bundle: _Bundle) -> float:
     """The closed-form pressure of a bundle's return weights; a root out of
     reach is a refusal."""
     try:
-        return thermo.analytic_pressure(bundle.weights)
+        return bundle.kernel.pressure
     except ValueError as exc:  # the root is out of reach
         raise EnumerationRefusal(f"analytic pressure: {exc}") from exc
+
+
+def _spr(bundle: _Bundle, log_zstar: list[float], P: float) -> thermo.SprVerdict:
+    """The SPR verdict on log_zstar against P; a finite tail's weights
+    vanish past its table."""
+    return thermo.spr_check(log_zstar, P, closed_form=_closed_form(bundle),
+                            finite_support=isinstance(bundle.weights, FiniteTail))
 
 
 def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
@@ -431,7 +449,7 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
     # the fitted estimate stays in the report with its uncertainty
     if _closed_form(bundle):
         out["pressure"]["analytic"] = P
-    spr = thermo.spr_check(ps.log_zstar, P, closed_form=_closed_form(bundle))
+    spr = _spr(bundle, ps.log_zstar, P)
     out["spr"] = {"verdict": spr.verdict, "slope": spr.slope, "tol": spr.tol}
     if spr.reason:
         out["spr"]["reason"] = spr.reason
@@ -446,12 +464,15 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
                           "q": crc.q, "verdict": crc.verdict}
         except (EnumerationRefusal, ValueError) as exc:
             out["crc"] = {"skipped": str(exc)}
-    if bundle.weights is not None and not isinstance(bundle.weights, UnknownTail):
-        ip = thermo.induced_pressure(bundle.weights, 0.0)
+    if _closed_form(bundle):
+        try:
+            ip = bundle.kernel.induced(0.0)
+            rc = bundle.kernel.classify(P) if isinstance(bundle.weights, PowerTail) else None
+        except ValueError as exc:  # a series out of reach
+            raise EnumerationRefusal(f"renewal series: {exc}") from exc
         out["induced"] = {"value_at_0": ip.value, "pstar": ip.pstar,
                           "delta": ip.delta, "spr": ip.spr}
-        if isinstance(bundle.weights, PowerTail):
-            rc = thermo.recurrence_classify(bundle.weights, P=P)
+        if rc is not None:
             out["recurrence"] = {"class": rc.kind, "pressure": rc.pressure,
                                  "return_sum": rc.return_sum,
                                  "mean_return": rc.mean_return}
@@ -697,8 +718,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "spr":
         bundle = _build_bundle(cfg)
-        closed = _closed_form(bundle)
-        if closed:
+        if _closed_form(bundle):
             # SPR compares Z*_n with P alone: a closed form gives both, so
             # neither the renewal table of Z_n nor its fit is needed
             log_zstar = families.log_weight_sequence(bundle.weights, cfg.horizon)
@@ -706,7 +726,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             ps, _, P = _pressure(bundle, cfg)
             log_zstar = ps.log_zstar
-        verdict = thermo.spr_check(log_zstar, P, closed_form=closed)
+        verdict = _spr(bundle, log_zstar, P)
         print(f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "
               f"pressure {_fmt(P)}, tol {_fmt(verdict.tol)})"
               + (f": {verdict.reason}" if verdict.reason else ""))

@@ -2,8 +2,9 @@
 
 Builds the example systems the rest of the library analyzes: bouquets of
 simple loops with entry-edge, exit-edge, midpoint, or spread weight schemes,
-their aggregate per-length return weights in closed form, the zeta evaluator
-with a certified tail bound, and the topological-entropy root solver.
+their aggregate per-length return weights in closed form with the two
+series of their renewal equation, the zeta evaluator with a certified tail
+bound, and the topological-entropy root solver.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .numerics import LOG_ZERO, zeta_series_with_bound
+from .numerics import (LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound,
+                       zeta_series_with_bound)
 from .potential import Potential
 from .shift import ROOT, BouquetShift, LoopCountFamily, LoopVertex
+from .thermo import RenewalSeries
 
 __all__ = [
     "LOG2", "GeometricTail", "PowerTail", "FiniteTail", "UnknownTail",
@@ -29,9 +32,28 @@ LOG2 = math.log(2.0)
 
 # -- return-weight tail models -----------------------------------------------------
 
+# the relative tolerance of every renewal series a tail sums, and the terms a
+# polylog series may take before its partial sum is all that is known of it
+SERIES_TOL = 1e-13
+SERIES_TERMS = 300_000
+
+
+class _RenewalTail:
+    """The renewal-series interface of the closed-form tails: log_series(p)
+    is log sum_k w*_k e^{-kp}, +inf where the series diverges, and
+    log_mean(p) is log sum_k k w*_k e^{-kp}; both converge for every shift
+    above the boundary log_x.  newton_start is where the pressure root's
+    Newton steps begin."""
+
+    @property
+    def newton_start(self) -> float:
+        return max(1.0, self.log_x + 1.0)
+
+
 @dataclass(frozen=True)
-class GeometricTail:
-    """log w*_k = log_coeff + k * log_ratio for all k >= 1."""
+class GeometricTail(_RenewalTail):
+    """log w*_k = log_coeff + k * log_ratio for all k >= 1: geometric series,
+    summed in closed form, with the closed-form root as the Newton start."""
 
     log_coeff: float
     log_ratio: float
@@ -39,10 +61,29 @@ class GeometricTail:
     def log_weight(self, k: int) -> float:
         return self.log_coeff + k * self.log_ratio
 
+    @property
+    def log_x(self) -> float:
+        return self.log_ratio
+
+    @property
+    def newton_start(self) -> float:
+        # e^c y / (1 - y) = 1 at y = e^{log_ratio - P}  =>  y = 1 / (1 + e^c)
+        return self.log_ratio + math.log1p(math.exp(self.log_coeff))
+
+    def log_series(self, p: float) -> float:
+        x = self.log_ratio - p
+        return self.log_coeff + x - math.log1p(-math.exp(x)) if x < 0 else math.inf
+
+    def log_mean(self, p: float) -> float:
+        # sum_k k y^k = y / (1 - y)^2
+        x = self.log_ratio - p
+        return self.log_coeff + x - 2.0 * math.log1p(-math.exp(x)) if x < 0 else math.inf
+
 
 @dataclass(frozen=True)
-class PowerTail:
-    """log w*_k = log_coeff - beta * log k + k * log_x for all k >= 1."""
+class PowerTail(_RenewalTail):
+    """log w*_k = log_coeff - beta * log k + k * log_x for all k >= 1: the
+    series are C Li_beta and C Li_{beta-1} at e^{log_x - p}."""
 
     beta: float
     log_coeff: float
@@ -51,15 +92,44 @@ class PowerTail:
     def log_weight(self, k: int) -> float:
         return self.log_coeff - self.beta * math.log(k) + k * self.log_x
 
+    def log_series(self, p: float) -> float:
+        return self._log_li(self.beta, p)
+
+    def log_mean(self, p: float) -> float:
+        return self._log_li(self.beta - 1.0, p)
+
+    def _log_li(self, s: float, p: float) -> float:
+        """log C + log Li_s(e^{log_x - p}) to SERIES_TOL.  A series that runs
+        out of its SERIES_TERMS budget raises SeriesBudgetError with the log
+        of C times its partial sum."""
+        x = self.log_x - p
+        if x > 0 or (x == 0 and s <= 1):
+            return math.inf
+        try:
+            return self.log_coeff + polylog_with_bound(s, x, SERIES_TOL, SERIES_TERMS)[0]
+        except SeriesBudgetError as exc:
+            raise SeriesBudgetError(f"the series Li_{s:g} needs more than {SERIES_TERMS} "
+                                    f"terms", self.log_coeff + exc.log_partial) from None
+
 
 @dataclass(frozen=True)
-class FiniteTail:
-    """Finite-support return weights (truncated families): zero beyond the table."""
+class FiniteTail(_RenewalTail):
+    """Finite-support return weights (truncated families): zero beyond the
+    table, so the series are finite sums and converge for every shift."""
 
     log_weights: tuple[float, ...]
+    log_x = LOG_ZERO
 
     def log_weight(self, k: int) -> float:
         return self.log_weights[k - 1] if k <= len(self.log_weights) else LOG_ZERO
+
+    def log_series(self, p: float) -> float:
+        return logsumexp(lw - k * p for k, lw in enumerate(self.log_weights, 1)
+                         if lw != LOG_ZERO)
+
+    def log_mean(self, p: float) -> float:
+        return logsumexp(math.log(k) + lw - k * p
+                         for k, lw in enumerate(self.log_weights, 1) if lw != LOG_ZERO)
 
 
 @dataclass(frozen=True)
@@ -313,11 +383,10 @@ def htop_solve(a: LoopCountFamily) -> float:
 
     Closed forms: pure geometric a(n) = r^n gives h = log(2r); with an a(1)
     override the generating function is rational and solved exactly.  The
-    all-ones family gives log 2.  Finite lists bracket the root of the
-    decreasing map h -> sum a(n) e^{-nh} - 1 in [0, hi] and bisect until the
-    midpoint no longer moves, returning the upper end of the last bracket.
-    The double-exponential family has a divergent series for every h, i.e.
-    infinite entropy.
+    all-ones family gives log 2.  A finite list is the renewal root of the
+    finite tail log a(n) (thermo.RenewalSeries), and a single loop is the
+    one periodic orbit, h = 0.  The double-exponential family has a
+    divergent series for every h, i.e. infinite entropy.
     """
     if a.form == "double_exponential":
         return math.inf
@@ -342,30 +411,13 @@ def htop_solve(a: LoopCountFamily) -> float:
             return LOG2
         # a(1) = 0: x^2/(1-x) = 1 -> x = (sqrt(5)-1)/2
         return -math.log((math.sqrt(5.0) - 1.0) / 2.0)
-    support = a.support(len(a.values))
-    if not support:
+    counts = [a.count(n) for n in range(1, len(a.values) + 1)]
+    if not any(counts):
         raise NoSolutionError("empty loop family")
-
-    if sum(a.count(n) for n in support) == 1:
+    if sum(counts) == 1:
         return 0.0  # a single loop: one periodic orbit
-
-    def g(h: float) -> float:
-        return math.fsum(a.count(n) * math.exp(-n * h) for n in support) - 1.0
-
-    # g(0) = sum a(n) - 1 > 0, so the root lies in [0, hi]
-    lo, hi = 0.0, 1.0
-    while g(hi) > 0:
-        hi *= 2
-        if hi > 1e6:
-            raise NoSolutionError("no entropy root found below 1e6")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    return RenewalSeries(FiniteTail(tuple(math.log(c) if c else LOG_ZERO
+                                          for c in counts))).pressure
 
 
 # -- presets ----------------------------------------------------------------------------------

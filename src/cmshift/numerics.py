@@ -302,39 +302,3 @@ def maxplus_push(wsucc, vec: Sequence, parent: dict | None = None,
                     if parent is not None:
                         parent[j] = i
     return out
-
-
-# -- renewal pressure root ----------------------------------------------------
-
-def renewal_pressure(log_wstar: Sequence[float]) -> float:
-    """Growth rate of the renewal sequence built from return weights.
-
-    Solves sum_n w*_n x^n = 1 on the positive axis and returns -log(x*); for
-    a finite-support weight family this is the exact pressure of the renewal
-    system.  log_wstar is 1-indexed via position (entry i is length i+1).
-    """
-    terms = [(n + 1, lw) for n, lw in enumerate(log_wstar) if lw != LOG_ZERO]
-    if not terms:
-        raise ValueError("all return weights vanish; pressure undefined")
-
-    def g(y: float) -> float:
-        return logsumexp(lw + k * y for k, lw in terms)
-
-    lo, hi = -60.0, 60.0
-    glo, ghi = g(lo), g(hi)
-    if glo > 0.0:
-        # dominated by a huge single weight; widen downwards
-        while glo > 0.0 and lo > -700:
-            lo *= 2
-            glo = g(lo)
-    if ghi < 0.0:
-        while ghi < 0.0 and hi < 700:
-            hi *= 2
-            ghi = g(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return -0.5 * (lo + hi)

@@ -5,7 +5,9 @@ through a base state) and Z*_n (those returning for the first time at step
 n): a renewal convolution over per-length return weights, and a transfer DP
 over the block graphs of finite systems; cmshift.oracle enumerates the
 periodic words as their reference.  On top sit the growth-rate
-estimators and the verdict operations: strong positive recurrence, uniform
+estimators, the renewal series of closed-form return weights (one root,
+the induced values and one recurrence classifier: RenewalSeries), and the
+verdict operations: strong positive recurrence, uniform
 contraction (chi_per vs pressure, chi_per read from the exact sums of its
 max-plus DP), compact-return contraction profiles, and witness searches for
 the stronger contraction conditions.
@@ -14,13 +16,13 @@ the stronger contraction conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from operator import add
 from typing import Sequence
 
-from .numerics import (LOG_ZERO, TailFit, _ratio, count_push, linear_fit,
-                       linear_fit_with_log, logsumexp, maxplus_push,
+from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
+                       linear_fit, linear_fit_with_log, logsumexp, maxplus_push,
                        reverse_edges, tail_window)
 from .potential import Potential
 from .shift import (DP_STATE_CAP, ROOT, BouquetShift, IndexedGraph, LoopVertex,
@@ -28,7 +30,7 @@ from .shift import (DP_STATE_CAP, ROOT, BouquetShift, IndexedGraph, LoopVertex,
 
 __all__ = [
     "PartitionSums", "PressureEstimate", "SprVerdict", "ChiPerResult",
-    "InducedPressure", "RecurrenceClass",
+    "InducedPressure", "RecurrenceClass", "RenewalSeries",
     "CrcProfile", "Witness",
     "analytic_pressure", "partition_sums_renewal",
     "partition_sums_transfer", "pressure_estimate", "chi_per", "ucs_check",
@@ -345,7 +347,7 @@ class SprVerdict:
 
 
 def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
-              closed_form: bool = False) -> SprVerdict:
+              closed_form: bool = False, finite_support: bool = False) -> SprVerdict:
     """Verdict on limsup (1/n) log Z*_n < P.
 
     The slope comes from a least-squares fit of log Z*_n against {1, n, log n}
@@ -354,6 +356,8 @@ def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
     fails when |slope - P| <= tol, inconclusive otherwise.  Default tolerance
     is 1e-6 for closed-form inputs and 1e-2 for fitted ones.  A pressure of
     +inf or -inf leaves nothing to compare with: the verdict is inconclusive.
+    Return weights that vanish eventually, in the tail window or past a
+    finite table (finite_support), have limsup -inf: the verdict holds.
     """
     if len(log_zstar) < MIN_FIT_TERMS:
         raise ValueError(f"SPR check needs at least {MIN_FIT_TERMS} terms")
@@ -366,7 +370,7 @@ def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
     win = list(tail_window(N))
     ys = [log_zstar[n - 1] for n in win]
     finite_in_tail = sum(1 for y in ys if math.isfinite(y))
-    if finite_in_tail == 0:
+    if finite_support or finite_in_tail == 0:
         # the return weights vanish eventually: the limsup is -infinity
         return SprVerdict("holds", LOG_ZERO, P, tol, None)
     if finite_in_tail < 3:
@@ -385,295 +389,177 @@ def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
     return SprVerdict(verdict, slope, P, tol, fit)
 
 
-# -- induced pressure -----------------------------------------------------------------
+# -- the renewal equation ---------------------------------------------------------------
+
+# a return series within this relative band of 1 reads as 1: at the boundary
+# it leaves the pressure at log_x and the family recurrent
+SERIES_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class InducedPressure:
     """Value of log sum_k e^{kp} Z*_k at a given shift p, with the critical
     shift pstar = sup{p : finite} and the value delta at pstar."""
 
-    value: float | None
-    pstar: float | None
-    delta: float | None
+    value: float
+    pstar: float
+    delta: float
     p: float
-    note: str = ""
 
     @property
-    def spr(self) -> bool | None:
+    def spr(self) -> bool:
         """delta > 0 with a small band absorbing closed-form float noise."""
-        if self.delta is None:
-            return None
         return self.delta > 1e-9
 
-
-def induced_pressure(weights, p: float = 0.0, tol: float = 1e-12) -> InducedPressure:
-    """Shifted induced-pressure series over return weights.
-
-    `weights` is a closed-form tail model (GeometricTail / PowerTail /
-    FiniteTail from the families module) or a plain sequence of linear-space
-    Z*_k values.  Closed forms get analytic tail bounds; a truncated family
-    is a finite sum for every p (pstar = +inf); raw sequences with unknown
-    tails return an inconclusive marker instead of a number.
-    """
-    from .families import FiniteTail, GeometricTail, PowerTail, UnknownTail
-    from .numerics import polylog_with_bound
-
-    if isinstance(weights, GeometricTail):
-        x = weights.log_ratio + p
-        pstar = -weights.log_ratio
-        if x < 0:
-            value = weights.log_coeff + x - math.log1p(-math.exp(x))
-        else:
-            value = math.inf
-        return InducedPressure(value, pstar, math.inf, p)
-    if isinstance(weights, PowerTail):
-        x = weights.log_x + p
-        pstar = -weights.log_x
-        if x > 0 or (x == 0 and weights.beta <= 1):
-            value: float | None = math.inf  # the series diverges
-        else:
-            lv, _ = polylog_with_bound(weights.beta, x, tol)
-            value = weights.log_coeff + lv
-        if weights.beta > 1:
-            lz, _ = polylog_with_bound(weights.beta, 0.0, tol)
-            delta = weights.log_coeff + lz
-        else:
-            delta = math.inf
-        return InducedPressure(value, pstar, delta, p)
-    if isinstance(weights, FiniteTail):
-        value = logsumexp(lw + (k + 1) * p for k, lw in enumerate(weights.log_weights))
-        return InducedPressure(value, math.inf, math.inf, p,
-                               note="finite support: finite for every shift")
-    if isinstance(weights, UnknownTail):
-        seq_log = list(weights.log_weights)
-    else:
-        seq = list(weights)
-        if any(w < 0 for w in seq):
-            raise ValueError("return weights must be non-negative")
-        seq_log = [math.log(w) if w > 0 else LOG_ZERO for w in seq]
-
-    terms = [lw + (k + 1) * p for k, lw in enumerate(seq_log)]
-    finite = [t for t in terms if t != LOG_ZERO]
-    partial = logsumexp(terms)
-    fit = linear_fit_with_log(range(1, len(terms) + 1), terms)
-    pstar_est = None
-    starfit = linear_fit_with_log(range(1, len(seq_log) + 1), seq_log)
-    if not starfit.degenerate:
-        pstar_est = -starfit.slope
-    if len(finite) >= 4:
-        tail = [t for t in terms[-4:] if t != LOG_ZERO]
-        if len(tail) >= 3 and tail[-1] > tail[-2] > tail[-3]:
-            return InducedPressure(math.inf, pstar_est, None, p,
-                                   note="tail terms increase: series diverges")
-        if len(tail) >= 3 and tail[-1] < tail[-2] < tail[-3]:
-            ratio = tail[-1] - tail[-2]
-            geo_tail = tail[-1] + ratio - math.log1p(-math.exp(ratio)) \
-                if ratio < 0 else math.inf
-            value = logsumexp([partial, geo_tail])
-            return InducedPressure(value, pstar_est, None, p,
-                                   note="partial sum with fitted geometric tail")
-    return InducedPressure(None, pstar_est, None, p,
-                           note="inconclusive: unknown tail behaviour")
-
-
-# -- recurrence classification ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class RecurrenceClass:
     """Recurrence mode plus the two defining series behind the verdict.
 
-    kind is one of 'transient', 'null-recurrent', 'positive-recurrent',
-    'strongly-positive-recurrent', or 'inconclusive'.  return_sum is
-    sum e^{-nP} Z*_n (recurrent iff it reaches 1) and mean_return is
-    sum n e^{-nP} Z*_n (positive recurrence iff finite).
+    kind is one of 'transient', 'null-recurrent', 'positive-recurrent' or
+    'strongly-positive-recurrent'.  return_sum is sum e^{-nP} Z*_n
+    (recurrent iff it reaches 1) and mean_return is sum n e^{-nP} Z*_n
+    (positive recurrence iff finite; None for a transient family).
     """
 
     kind: str
     pressure: float
-    return_sum: float | None
+    return_sum: float
     mean_return: float | None
-    evidence: dict = field(default_factory=dict)
 
 
-def recurrence_classify(family=None, log_zstar: Sequence[float] | None = None,
-                        P: float | None = None, tol: float = 1e-9) -> RecurrenceClass:
-    """Classify recurrence of a potential from its return-weight data.
-
-    For the power family Z*_n = C n^-beta e^{n log_x} the two series are
-    evaluated analytically (with certified zeta bounds): after normalizing the
-    pressure to zero, divergence of sum e^{-nP} Z_n is equivalent to
-    sum e^{-nP} Z*_n reaching 1, and positive recurrence to a finite mean
-    return series.  The class is decided at the boundary shift P = log_x,
-    where the series is C zeta(beta) (divergent for beta <= 1): when that is
-    at most 1 there is no root above the boundary, and the pressure is
-    log_x.  Otherwise P is the
-    root, the family's pressure when the caller already holds it
-    (analytic_pressure(family)); without it the root is solved here.
-    Numeric-only inputs (log_zstar with their P) with undecidable tails come
-    back 'inconclusive' with the partial sums attached.
+class RenewalSeries:
+    """The renewal equation sum_k w*_k e^{-kP} = 1 of a closed-form tail
+    (families.GeometricTail, PowerTail or FiniteTail: log_series, log_mean
+    and the boundary shift log_x), and what is read from it: the pressure,
+    the induced values and the recurrence class.  The series at the
+    boundary is summed once per object and read by all three, and the
+    pressure is solved once per object.
     """
-    from .families import PowerTail
-    from .numerics import polylog_with_bound
 
-    if family is not None:
-        if not isinstance(family, PowerTail):
-            raise ValueError("closed-form classification expects a power-tail family")
-        beta, logC, logx = family.beta, family.log_coeff, family.log_x
-        if beta > 1:
-            lv, lb = polylog_with_bound(beta, 0.0, tol)
-            total = math.exp(logC + lv)
-            band = total * (lb + tol)
-            if total <= 1.0 + band:
-                return _classify_power(PowerTail(beta, logC, 0.0), logx, tol,
-                                       total=total, band=band)
-        # the return series exceeds 1 at the boundary (or diverges there):
-        # the pressure is the root above log_x
-        lp = renewal_pressure_from_power(family) if P is None else P
-        return _classify_power(PowerTail(beta, logC, logx - lp), lp, tol)
+    def __init__(self, tail):
+        self.tail = tail
 
-    if log_zstar is None or P is None:
-        raise ValueError("pass a closed-form family or (log_zstar, P)")
-    shifted = [lw - (n + 1) * P for n, lw in enumerate(log_zstar)]
-    ret = math.exp(logsumexp(shifted))
-    mean = math.exp(logsumexp(lw + math.log(n + 1) for n, lw in enumerate(shifted)
-                              if lw != LOG_ZERO))
-    verdict = spr_check(log_zstar, P) if len(log_zstar) >= MIN_FIT_TERMS else None
-    return RecurrenceClass("inconclusive", P, ret, mean,
-                           evidence={"partial_return_sum": ret,
-                                     "partial_mean_return": mean,
-                                     "note": "numeric tails are undecidable "
-                                             "without a closed form",
-                                     "spr": verdict.verdict if verdict else None})
+    @cached_property
+    def at_boundary(self) -> float:
+        return self.tail.log_series(self.tail.log_x)
+
+    def log_series(self, p: float) -> float:
+        return self.at_boundary if p == self.tail.log_x else self.tail.log_series(p)
+
+    @cached_property
+    def pressure(self) -> float:
+        """The root P of g(p) = log_series(p) = 0, or the boundary log_x
+        when the series there is at most 1 (within SERIES_BAND).
+
+        g is a log-sum-exp of affine functions of p, so it is convex and
+        decreasing, with slope -exp(log_mean - log_series).  Newton steps
+        start at the right end of a doubling bracket from newton_start;
+        after at most one step they approach the root from the left without
+        overshooting.  A step that leaves the bracket, or is longer than
+        half the step before last, bisects instead, and so does every step
+        after the slope's series first fails to converge.  The root is
+        returned once a step is shorter than 1e-15 * max(1, |p|).  A root
+        above 1e6 raises ValueError, and so does a root so close to log_x
+        that the series runs out of terms before its partial sum decides a
+        sign.
+        """
+        tail, logx = self.tail, self.tail.log_x
+        if self.at_boundary <= SERIES_BAND:
+            return logx
+
+        def g(p: float) -> float:
+            try:
+                return tail.log_series(p)
+            except SeriesBudgetError as exc:
+                # a partial sum is a lower bound of the series, so it places
+                # p left of the root (g > 0) only once it reaches 1
+                if exc.log_partial <= 0.0:
+                    raise ValueError(
+                        f"pressure root out of reach: at p = {p:.6g} {exc}, and its "
+                        f"partial sum leaves the sign of log C + log Li open") from None
+                return math.inf
+            except ValueError:
+                return math.inf  # at/past the boundary
+
+        def log_mean(p: float) -> float:
+            try:
+                return tail.log_mean(p)
+            except ValueError:
+                return math.inf  # the slope's series is too slow
+
+        lo, hi = logx, tail.newton_start
+        gp = g(hi)
+        while gp > 0:
+            lo, hi = hi, max(1.0, 2.0 * hi)
+            if hi > 1e6:
+                raise ValueError("pressure root escaped the search interval")
+            gp = g(hi)
+        p = hi
+        last = before = hi - lo  # the last two step lengths
+        newton = True
+        for _ in range(200):
+            if gp == 0.0:
+                return p
+            nxt = math.nan
+            if newton and math.isfinite(gp):
+                lm = log_mean(p)
+                newton = math.isfinite(lm)
+                nxt = p + gp * math.exp(gp - lm)  # p - g/g'
+            if not (lo < nxt < hi and abs(nxt - p) <= 0.5 * before):
+                nxt = 0.5 * (lo + hi)
+            before, last = last, abs(nxt - p)
+            p = nxt
+            if last < 1e-15 * max(1.0, abs(p)):
+                return p
+            gp = g(p)
+            if gp > 0:
+                lo = p
+            else:
+                hi = p
+        return p
+
+    def induced(self, p: float = 0.0) -> InducedPressure:
+        """log sum_k e^{kp} w*_k at the shift p; pstar is -log_x and delta
+        the series there."""
+        return InducedPressure(self.log_series(-p), -self.tail.log_x, self.at_boundary, p)
+
+    def classify(self, P: float | None = None) -> RecurrenceClass:
+        """The recurrence class at the pressure P (the root when None): after
+        normalizing P to zero, transient when the return series is below 1,
+        null-recurrent when the mean return series diverges, and strongly
+        positive recurrent when P lies above the boundary, where the return
+        weights decay exponentially below the pressure."""
+        P = self.pressure if P is None else P
+        total = math.exp(self.log_series(P))
+        if total < 1.0 - SERIES_BAND:
+            return RecurrenceClass("transient", P, total, None)
+        mean = math.exp(self.tail.log_mean(P))
+        if not math.isfinite(mean):
+            return RecurrenceClass("null-recurrent", P, total, mean)
+        if self.tail.log_x - P < -SERIES_BAND:
+            return RecurrenceClass("strongly-positive-recurrent", P, total, mean)
+        return RecurrenceClass("positive-recurrent", P, total, mean)
 
 
 def analytic_pressure(weights) -> float | None:
-    """Exact pressure of a renewal system with closed-form return weights.
-
-    Solves sum_k w*_k e^{-kP} = 1: in closed form for geometric tails, via the
-    certified series root for power tails, and by bisection on the finite
-    generating polynomial for truncated families.  Returns None when the tail
-    model carries no usable continuation.
-    """
-    from .families import FiniteTail, GeometricTail, PowerTail
-    from .numerics import renewal_pressure
-
-    if isinstance(weights, GeometricTail):
-        # e^c y / (1 - y) = 1 at y = e^{rho - P}  =>  y = 1 / (1 + e^c)
-        return weights.log_ratio + math.log1p(math.exp(weights.log_coeff))
-    if isinstance(weights, PowerTail):
-        return renewal_pressure_from_power(weights)
-    if isinstance(weights, FiniteTail):
-        return renewal_pressure(list(weights.log_weights))
-    return None
+    """Exact pressure of a renewal system with closed-form return weights
+    (RenewalSeries.pressure); None when the tail model carries no usable
+    continuation."""
+    return RenewalSeries(weights).pressure if hasattr(weights, "log_series") else None
 
 
-def renewal_pressure_from_power(family) -> float:
-    """Pressure of the renewal system with power-tail return weights: the
-    root P of g(p) = log C + log Li_beta(e^{log_x - p}) = 0.
-
-    g is a log-sum-exp of affine functions of p, so it is convex and
-    decreasing, with slope -Li_{beta-1}/Li_beta.  Newton steps start at the
-    right end of a doubling bracket; after at most one step they approach the
-    root from the left without overshooting.  A step that leaves the bracket,
-    or is longer than half the step before last, bisects instead, and so does
-    every step after the slope's series first fails to converge.  The root
-    is returned once a step is shorter than 1e-15 * max(1, |p|).  A root
-    above 1e6 raises ValueError, and so does a root so close to log_x that
-    the series runs out of terms before its partial sum decides a sign.
-    """
-    from .numerics import SeriesBudgetError, polylog_with_bound
-
-    beta, logC, logx = family.beta, family.log_coeff, family.log_x
-    # the series diverges for shifts below logx; when its boundary value
-    # already sits at (or numerically at) 1 or below, the pressure is the
-    # boundary itself
-    if beta > 1:
-        lvb, lbb = polylog_with_bound(beta, 0.0, 1e-13)
-        if logC + lvb <= 1e-9 + lbb:
-            return logx
-
-    def log_li(b: float, p: float) -> float:
-        try:
-            return polylog_with_bound(b, logx - p, 1e-13, max_terms=300_000)[0]
-        except SeriesBudgetError as exc:
-            # a partial sum is a lower bound of Li_beta, so it places p left of
-            # the root (g > 0) only once it reaches 1/C
-            if b == beta and logC + exc.log_partial <= 0.0:
-                raise ValueError(
-                    f"pressure root out of reach: at p = {p:.6g} the series Li_{beta:g} "
-                    f"needs more than 300000 terms, and its partial sum leaves the "
-                    f"sign of log C + log Li open") from None
-            return math.inf  # left of the root, or the slope's series is too slow
-        except ValueError:
-            return math.inf  # at/past the boundary
-
-    lo, hi = logx, max(1.0, logx + 1.0)
-    lv = log_li(beta, hi)
-    while logC + lv > 0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e6:
-            raise ValueError("pressure root escaped the search interval")
-        lv = log_li(beta, hi)
-    p, gp = hi, logC + lv
-    last = before = hi - lo  # the last two step lengths
-    newton = True
-    for _ in range(200):
-        if gp == 0.0:
-            return p
-        nxt = math.nan
-        if newton and math.isfinite(gp):
-            lv1 = log_li(beta - 1.0, p)
-            newton = math.isfinite(lv1)
-            nxt = p + gp * math.exp(lv - lv1)  # p - g/g'
-        if not (lo < nxt < hi and abs(nxt - p) <= 0.5 * before):
-            nxt = 0.5 * (lo + hi)
-        before, last = last, abs(nxt - p)
-        p = nxt
-        if last < 1e-15 * max(1.0, abs(p)):
-            return p
-        lv = log_li(beta, p)
-        gp = logC + lv
-        if gp > 0:
-            lo = p
-        else:
-            hi = p
-    return p
+def induced_pressure(weights, p: float = 0.0) -> InducedPressure:
+    """Shifted induced-pressure series over closed-form return weights
+    (RenewalSeries.induced)."""
+    return RenewalSeries(weights).induced(p)
 
 
-def _classify_power(family, P: float, tol: float,
-                    total: float | None = None, band: float | None = None) -> RecurrenceClass:
-    from .families import PowerTail
-    from .numerics import polylog_with_bound
-
-    beta, logC, logx = family.beta, family.log_coeff, family.log_x
-    if total is None:
-        if beta <= 1 and logx >= 0:
-            total, band = math.inf, 0.0
-        else:
-            lv, lb = polylog_with_bound(beta, min(logx, 0.0), tol)
-            total = math.exp(logC + lv)
-            band = total * (lb + tol)
-    evidence = {"return_sum": total, "band": band, "beta": beta,
-                "normalized_shift": logx}
-    if total < 1.0 - band:
-        return RecurrenceClass("transient", P, total, None, evidence)
-    # recurrent: mean return series sum n * C n^-beta x^n = C * Li_{beta-1}(x)
-    if logx < 0:
-        lv2, _ = polylog_with_bound(beta - 1.0, logx, tol)
-        mean = math.exp(logC + lv2)
-    elif beta - 1.0 > 1.0:
-        lv2, _ = polylog_with_bound(beta - 1.0, 0.0, tol)
-        mean = math.exp(logC + lv2)
-    else:
-        mean = math.inf
-    evidence["mean_return"] = mean
-    if not math.isfinite(mean):
-        return RecurrenceClass("null-recurrent", P, total, mean, evidence)
-    # positive recurrent; strongly so iff the return weights decay
-    # exponentially below the pressure (normalized: logx < 0)
-    if logx < -tol:
-        return RecurrenceClass("strongly-positive-recurrent", P, total, mean, evidence)
-    return RecurrenceClass("positive-recurrent", P, total, mean, evidence)
+def recurrence_classify(family, P: float | None = None) -> RecurrenceClass:
+    """Recurrence class of a closed-form tail at P, its pressure when the
+    caller already holds it (analytic_pressure(family)); without it the
+    root is solved here (RenewalSeries.classify)."""
+    return RenewalSeries(family).classify(P)
 
 
 # -- compact-return contraction profile --------------------------------------------------

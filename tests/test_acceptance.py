@@ -9,14 +9,14 @@ import time
 
 from cmshift import (ROOT, BouquetShift, BouquetSpec, FiniteShift,
                      LoopCountFamily, Plain, Potential, PowerTail, TauSpec,
-                     build_bouquet, build_preset, chi_per,
+                     analytic_pressure, build_bouquet, build_preset, chi_per,
                      condition_witness_search, count_B,
                      crc_profile, delta_profile, hinf_profile,
                      induced_pressure, normalizing_C, partition_sums_renewal,
                      partition_sums_transfer, pressure_estimate,
                      recurrence_classify, spr_check, ucs_check)
 from cmshift.families import htop_solve, log_weight_sequence
-from cmshift.numerics import LOG_ZERO, renewal_pressure
+from cmshift.numerics import LOG_ZERO
 from cmshift.oracle import count_B_bruteforce, partition_sums_bruteforce
 
 LOG2 = math.log(2.0)
@@ -221,7 +221,7 @@ def test_criterion_6_contraction_equivalence_directions():
     for build, lengths, totals in families:
         T, phi = build.system, build.potential
         # exact pressure of the truncated family, then normalize to zero
-        P = renewal_pressure(list(build.truncated_weights.log_weights))
+        P = analytic_pressure(build.truncated_weights)
         tau = phi.loop_total
         norm_tau = (lambda t, p: (lambda n: t(n) - n * p))(tau, P)
         norm_phi = Potential(2, {}, 0.0, fallback=None)

@@ -409,7 +409,7 @@ def test_pressure_prints_its_fit_without_solving_the_analytic_root(monkeypatch, 
     def never(*args, **kwargs):
         raise AssertionError("pressure solved an analytic root it does not print")
 
-    monkeypatch.setattr(thermo, "renewal_pressure_from_power", never)
+    monkeypatch.setattr(thermo, "RenewalSeries", never)
     assert main(["pressure", "--preset", "sec53(beta=1.05,C=0.072878)",
                  "--horizon", "40"]) == EXIT_OK
     assert capsys.readouterr().out == \
@@ -660,6 +660,41 @@ def test_power_root_out_of_series_reach_is_refused(capsys):
     assert time.perf_counter() - t0 < 8.0
     err = capsys.readouterr().err
     assert "pressure root out of reach" in err and "300000 terms" in err
+
+
+@pytest.mark.parametrize("preset", ["sec53(beta=2.4948,C=1.1164790335744308)",
+                                    "sec53(beta=4,C=100)"])
+def test_return_sum_at_the_root_reads_one(tmp_path, preset):
+    # the class is read at the root with the series tolerance the root was
+    # solved at, so the return series there prints 1 to 12 digits
+    assert main(["report", "--preset", preset, "--horizon", "40",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    recurrence = json.loads((tmp_path / "report.json").read_text())["recurrence"]
+    assert recurrence["class"] == "strongly-positive-recurrent"
+    assert abs(recurrence["return_sum"] - 1.0) <= 1e-12
+
+
+def test_file_bouquet_past_its_truncation_uses_the_exact_root(tmp_path, capsys):
+    # with N >= L the report holds every first return Z*_1..Z*_L, so P is
+    # the root of their finite sum (-1.04364, not the fit's -1.1227), and
+    # the weights vanish past L: spr and ucs hold; below L the fit stays
+    shift = {"kind": "bouquet", "a": {"form": "ones"}, "truncate_len": 30}
+    pot = {"memory": 2, "scheme": "bouquet_entry", "scheme_params": {"C": 0.1, "beta": 3}}
+    specs = _write_specs(tmp_path, shift, pot)
+    assert main(["report", *specs, "--horizon", "40", "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pressure"]["analytic"] == pytest.approx(-1.04364427942, abs=1e-11)
+    assert (report["spr"]["verdict"], report["ucs"]) == ("holds", "holds")
+    assert report["induced"]["pstar"] == "inf"
+    capsys.readouterr()
+    assert main(["spr", *specs, "--horizon", "40"]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "spr: holds (slope -inf, pressure -1.04364427942, tol 1e-06)\n"
+    assert main(["report", *specs, "--horizon", "20", "--out", str(tmp_path / "fit")]) \
+        == EXIT_OK
+    fitted = json.loads((tmp_path / "fit" / "report.json").read_text())
+    assert "analytic" not in fitted["pressure"] and "induced" not in fitted
 
 
 def test_bouquet_without_loop_totals_runs_the_transfer_dp(tmp_path, capsys):

@@ -74,10 +74,25 @@ def test_htop_single_self_loop_is_zero():
     ((1, 1), math.log((1 + math.sqrt(5)) / 2)),
 ])
 def test_htop_list_bisection_lands_on_known_roots(values, root):
-    # the bisection runs until the midpoint stops moving, so the root is
-    # met to within a few ulps
+    # the renewal root of the finite tail log a(n), which replaced a bisection
+    # that ran until the midpoint stopped moving, meets the root to within a
+    # few ulps
     assert htop_solve(LoopCountFamily("list", values=values)) \
         == pytest.approx(root, rel=1e-15, abs=1e-300)
+
+
+@settings(max_examples=60)
+@given(values=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=9)
+       .filter(lambda v: sum(v) >= 2))
+def test_htop_list_root_matches_mpmath_findroot(values):
+    # the renewal root on the finite tail log a(n) against mpmath's root of
+    # sum_n a(n) e^{-nh} = 1, which is unique since the sum decreases in h
+    h = htop_solve(LoopCountFamily("list", values=tuple(values)))
+    with mpmath.workdps(40):
+        ref = mpmath.findroot(lambda t: mpmath.fsum(a * mpmath.exp(-n * t)
+                                                    for n, a in enumerate(values, 1)) - 1,
+                              mpmath.mpf(h))
+    assert abs(h - ref) <= 1e-14 * abs(ref)
 
 
 def test_htop_double_exponential_is_infinite():

@@ -10,6 +10,7 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, LoopVertex, Plain, UnknownStateError,
                      f_property_count, is_admissible, shortest_connector)
 from cmshift.oracle import enumerate_words, periodic_points
+from cmshift import shift as shift_module
 from cmshift.shift import TransitionSystem, index_graph
 
 
@@ -264,14 +265,21 @@ def test_f_property_bouquet_is_composition_count(bouquet_ones):
     assert manual == res.count
 
 
-def test_f_property_state_dp_matches_composition_route(bouquet_ones):
+def test_f_property_state_dp_matches_composition_route(bouquet_ones, monkeypatch):
+    # the same bouquet as a finite shift (root first) is no BouquetShift, so
+    # f_property_count runs its generic index_graph + count_push branch on it
+    states = list(bouquet_ones.states())
+    matrix = [[int(bouquet_ones.has_edge(u, v)) for v in states] for u in states]
+    graph = FiniteShift(matrix)
+    pushes = []
+    real = shift_module.count_push
+    monkeypatch.setattr(shift_module, "count_push", lambda *a: pushes.append(1) or real(*a))
     for N in range(1, 9):
         comp = f_property_count(bouquet_ones, 1, N).count
-        # force the generic integer DP by asking with q > 1 on the same set:
-        # q = 1 via the DP path is exercised through a finite shift instead
-        words = enumerate_words(bouquet_ones, N, start=ROOT, limit=200000)
-        manual = sum(1 for w in words if bouquet_ones.has_edge(w[-1], ROOT))
-        assert comp == manual
+        assert not pushes  # the composition branch
+        assert f_property_count(graph, 1, N).count == comp
+        assert len(pushes) == N - 1  # the state DP's N - 1 steps
+        pushes.clear()
 
 
 def _composition_counts(T, N):

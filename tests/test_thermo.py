@@ -19,10 +19,10 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      spr_check, ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
-from cmshift import numerics
+from cmshift import families
 from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
 from cmshift.oracle import enumerate_words, partition_sums_bruteforce, periodic_points
-from cmshift.thermo import _max_birkhoff_low_to_low, renewal_pressure_from_power
+from cmshift.thermo import SERIES_BAND, RenewalSeries, _max_birkhoff_low_to_low
 
 LOG2 = math.log(2.0)
 
@@ -759,19 +759,6 @@ def test_induced_pressure_finite_tail_always_finite():
     assert res.pstar == math.inf and res.spr is True
 
 
-def test_induced_pressure_numeric_unknown_tail_is_inconclusive():
-    seq = [0.3, 0.5, 0.2, 0.9, 0.1, 0.6]
-    res = induced_pressure(seq, 0.0)
-    assert res.value is None
-    assert "inconclusive" in res.note
-
-
-def test_induced_pressure_numeric_divergence_heuristic():
-    seq = [2.0 ** n for n in range(1, 12)]
-    res = induced_pressure(seq, 0.0)
-    assert res.value == math.inf
-
-
 @settings(max_examples=25)
 @given(ratio=st.floats(min_value=0.05, max_value=0.9),
        bump=st.floats(min_value=0.0, max_value=1.0))
@@ -810,12 +797,6 @@ def test_recurrence_invariant_under_constant_shift():
     assert shifted.pressure == pytest.approx(c, abs=1e-9)
 
 
-def test_recurrence_numeric_inputs_are_inconclusive():
-    rc = recurrence_classify(log_zstar=[-n * LOG2 for n in range(1, 21)], P=0.0)
-    assert rc.kind == "inconclusive"
-    assert rc.evidence["spr"] == "holds"
-
-
 # log x < 0: the class and the pressure are decided at the boundary shift
 # log x, where the return series is C zeta(3) (1.08 and 0.12 here)
 _BELOW_ZERO_BOUNDARY = {
@@ -843,6 +824,92 @@ def test_recurrence_takes_the_pressure_it_is_given(family):
         assert rc.kind == kind
         assert rc.pressure == pytest.approx(P, abs=1e-9)
         assert rc.pressure == analytic_pressure(family)
+
+
+# -- the renewal kernel ----------------------------------------------------------------------
+
+_KERNEL_TAILS = st.one_of(
+    st.builds(GeometricTail, st.floats(-3.0, 3.0), st.floats(-3.0, 1.0)),
+    st.builds(PowerTail, st.floats(1.05, 6.0), st.floats(-3.0, 3.0), st.floats(-3.0, 0.0)),
+    st.lists(st.one_of(st.just(LOG_ZERO), st.floats(-5.0, 3.0)), min_size=1, max_size=8)
+    .filter(lambda ws: any(w != LOG_ZERO for w in ws)).map(lambda ws: FiniteTail(tuple(ws))),
+)
+
+
+def _mp_series(mpmath, tail, p, mean):
+    # sum_k k^mean w*_k e^{-kp} in mpmath: the geometric closed form, C times
+    # a polylog, or the finite sum; inf where the series diverges
+    if isinstance(tail, GeometricTail):
+        y = mpmath.exp(mpmath.mpf(tail.log_ratio) - p)
+        return mpmath.exp(tail.log_coeff) * y / (1 - y) ** (1 + mean) if y < 1 else mpmath.inf
+    if isinstance(tail, PowerTail):
+        s, x = tail.beta - mean, mpmath.mpf(tail.log_x) - p
+        if x > 0 or (x == 0 and s <= 1):
+            return mpmath.inf
+        return mpmath.exp(tail.log_coeff) * mpmath.polylog(s, mpmath.exp(x))
+    return mpmath.fsum(mpmath.mpf(k) ** mean * mpmath.exp(mpmath.mpf(lw) - k * p)
+                       for k, lw in enumerate(tail.log_weights, 1) if lw != LOG_ZERO)
+
+
+@settings(max_examples=80)
+@given(tail=_KERNEL_TAILS, shift=st.floats(0.01, 5.0), p=st.floats(-3.0, 3.0))
+def test_renewal_kernel_matches_mpmath(tail, shift, p):
+    # log_series and log_mean against mpmath to 1e-12 relative, at a shift
+    # above the boundary and (power tails) at the boundary itself; the root
+    # makes the series 1 to 1e-12, or sits at the boundary with the series
+    # there at most 1; geometric and finite tails are strongly positive
+    # recurrent, and a power tail's return sum at its root is 1 to 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    if not isinstance(tail, FiniteTail):
+        p = tail.log_x + shift
+    points = [p]
+    if isinstance(tail, PowerTail):
+        points.append(tail.log_x)
+        # zeta(s) just above 1 is past its float slop at the series tolerance
+        assume(not 1.0 < tail.beta - 1.0 < 1.05)
+    with mpmath.workdps(40):
+        for q in points:
+            for mean, read in ((0, tail.log_series), (1, tail.log_mean)):
+                ref, got = _mp_series(mpmath, tail, q, mean), read(q)
+                if ref == mpmath.inf:
+                    assert got == math.inf
+                else:
+                    assert abs(mpmath.exp(got) / ref - 1) <= 1e-12, (q, mean)
+        if isinstance(tail, PowerTail) and tail.log_series(tail.log_x + 1e-3) <= 0.0:
+            # a root within 1e-3 of log_x costs series of about 1e5 terms per
+            # step (test_newton_pressure_root_matches_the_bisection)
+            assume(tail.log_series(tail.log_x) <= SERIES_BAND)
+        P = analytic_pressure(tail)
+        total = _mp_series(mpmath, tail, mpmath.mpf(P), 0)
+        if P == tail.log_x:
+            assert total <= 1 + 1e-9
+        else:
+            assert abs(total - 1) <= 1e-12
+    rc = recurrence_classify(tail, P)
+    if isinstance(tail, PowerTail):
+        if P != tail.log_x:
+            assert abs(rc.return_sum - 1) <= 1e-12
+    else:
+        assert rc.kind == "strongly-positive-recurrent"
+
+
+def test_renewal_series_reads_the_boundary_series_once(monkeypatch):
+    # a report on sec53 reads the root, the induced values and the class
+    # from one RenewalSeries: zeta(beta), the series at the boundary log x =
+    # 0, is summed once, and so is zeta(beta - 1) of the boundary mean
+    calls = []
+    real = families.polylog_with_bound
+
+    def polylog(beta, log_x, *args):
+        calls.append((beta, log_x))
+        return real(beta, log_x, *args)
+
+    monkeypatch.setattr(families, "polylog_with_bound", polylog)
+    series = RenewalSeries(PowerTail(3.0, math.log(1.0 / zeta(3.0).value)))
+    assert series.pressure == 0.0
+    series.induced(0.0)
+    assert series.classify(0.0).kind == "positive-recurrent"
+    assert calls == [(3.0, 0.0), (2.0, 0.0)]
 
 
 # -- the power-tail pressure root --------------------------------------------------------------
@@ -892,7 +959,7 @@ def test_newton_pressure_root_matches_the_bisection(beta, log_c, log_x):
         assume(log_c + lz <= 1e-9 + lb)
     family = PowerTail(beta, log_c, log_x)
     old = _bisection_root(family)
-    new = renewal_pressure_from_power(family)
+    new = analytic_pressure(family)
     if old == log_x:
         assert new == old
     assert abs(new - old) <= 1e-14 * max(1.0, abs(old))
@@ -904,7 +971,7 @@ def test_newton_pressure_root_matches_the_bisection(beta, log_c, log_x):
 ])
 def test_newton_pressure_root_solves_the_series_in_mpmath(beta, C, log_x):
     mpmath = pytest.importorskip("mpmath")
-    P = renewal_pressure_from_power(PowerTail(beta, math.log(C), log_x))
+    P = analytic_pressure(PowerTail(beta, math.log(C), log_x))
     with mpmath.workdps(40):
         total = mpmath.mpf(C) * mpmath.polylog(beta, mpmath.exp(mpmath.mpf(log_x) - P))
         assert abs(total - 1) <= 1e-12
@@ -917,7 +984,7 @@ def test_newton_pressure_root_solves_the_series_in_mpmath(beta, C, log_x):
     (PowerTail(1.01, 0.0), "zeta series did not certify tolerance 1e-13 at exponent 1.01"),
 ])
 def test_pressure_root_refusals_are_kept(family, refusal):
-    for root in (_bisection_root, renewal_pressure_from_power):
+    for root in (_bisection_root, analytic_pressure):
         with pytest.raises(ValueError) as exc:
             root(family)
         assert str(exc.value) == refusal
@@ -929,8 +996,8 @@ def test_a_series_budget_failure_is_a_sign_only_past_one(monkeypatch, shrink, de
     # lower bound of Li, so it shows p left of the root (g > 0) when it is
     # the whole sum, and decides nothing when it is e^-50 of it
     family = PowerTail(2.5, math.log(3.0), -0.5)
-    root = renewal_pressure_from_power(family)
-    real, left = numerics.polylog_with_bound, []
+    root = analytic_pressure(family)
+    real, left = families.polylog_with_bound, []
 
     def polylog(beta, log_x, tol=1e-12, max_terms=2_000_000):
         value = real(beta, log_x, tol, max_terms)
@@ -940,12 +1007,12 @@ def test_a_series_budget_failure_is_a_sign_only_past_one(monkeypatch, shrink, de
                                     value[0] + shrink)
         return value
 
-    monkeypatch.setattr(numerics, "polylog_with_bound", polylog)
+    monkeypatch.setattr(families, "polylog_with_bound", polylog)
     if decided:
-        assert renewal_pressure_from_power(family) == pytest.approx(root, rel=1e-14)
+        assert analytic_pressure(family) == pytest.approx(root, rel=1e-14)
     else:
         with pytest.raises(ValueError, match="pressure root out of reach"):
-            renewal_pressure_from_power(family)
+            analytic_pressure(family)
     assert left
 
 
