@@ -36,6 +36,8 @@ LOG2 = math.log(2.0)
 # polylog series may take before its partial sum is all that is known of it
 SERIES_TOL = 1e-13
 SERIES_TERMS = 300_000
+# the absolute error bound certified by zeta (and so by normalizing_C and C=auto)
+ZETA_TOL = 1e-9
 
 
 class _RenewalTail:
@@ -245,19 +247,20 @@ def _aggregate_log_weight(a: LoopCountFamily, tau: TauSpec, n: int) -> float:
 
 
 def abstract_return_weights(spec: BouquetSpec):
-    """Closed-form per-length return weights of the untruncated family."""
+    """Closed-form per-length return weights of the untruncated family, equal
+    to _aggregate_log_weight at every length, n = 1 included."""
     a, tau = spec.a, spec.tau
-    if a.form in ("ones",) and tau.kind == "halving":
+    if a.form in ("ones", "geometric") and a.count(1) == 0:
+        raise ValueError("no closed form for a family without a length-1 loop")
+    if a.form == "ones" and tau.kind == "halving":
         return GeometricTail(0.0, -LOG2)
-    if a.form in ("ones",) and tau.kind == "zero":
+    if a.form == "ones" and tau.kind == "zero":
         return GeometricTail(0.0, 0.0)
-    if a.form == "geometric" and tau.kind == "power":
-        # a(n) e^{log C - n log 2 - beta log n} = C (r/2)^n n^-beta, and the
-        # n = 1 aggregate collapses to C (r/2) ... with r = 2 exactly C n^-beta
-        log_x = math.log(a.ratio) - LOG2
-        return PowerTail(tau.beta, tau.log_C, log_x)
-    if a.form == "ones" and tau.kind == "power":
-        return PowerTail(tau.beta, tau.log_C, -LOG2)
+    if a.form == "geometric" and a.ratio == 2 and tau.kind == "power":
+        # 2^n e^{log C - n log 2 - beta log n} = C n^-beta, and the n = 1
+        # aggregate collapses to e^{tau(1)} = C as well; for another ratio r
+        # (or the ones form, r = 1) C (r/2)^n n^-beta holds only from n = 2
+        return PowerTail(tau.beta, tau.log_C)
     if a.form == "double_exponential" and tau.kind == "psi":
         # a(n) e^{tau(n)} = C e^{-psi(n)}: tabulated, unknown continuation
         return UnknownTail(tuple(tau.log_C - p for p in tau.psi))
@@ -352,21 +355,21 @@ class ZetaValue:
         return self.value
 
 
-def zeta(beta: float, tol: float = 1e-9) -> ZetaValue:
-    """Riemann zeta at real beta > 1 with a certified error bound <= tol.
+def zeta(beta: float) -> ZetaValue:
+    """Riemann zeta at real beta > 1 with a certified error bound <= ZETA_TOL.
 
     Partial sum plus the integral tail, refined by Euler-Maclaurin correction
     terms whose first omitted term bounds the error.
     """
     if beta <= 1.0:
         raise ZetaDivergenceError(f"zeta diverges at exponent {beta}")
-    v, b = zeta_series_with_bound(beta, tol)
+    v, b = zeta_series_with_bound(beta, ZETA_TOL)
     return ZetaValue(v, b)
 
 
-def normalizing_C(beta: float, tol: float = 1e-9) -> ZetaValue:
+def normalizing_C(beta: float) -> ZetaValue:
     """1/zeta(beta) with the propagated error bound."""
-    z = zeta(beta, tol)
+    z = zeta(beta)
     value = 1.0 / z.value
     bound = z.error_bound / (z.value * z.value) * (1.0 + 4e-16) + 4e-16 * value
     return ZetaValue(value, bound)
@@ -571,8 +574,7 @@ def _parse_value(val: str):
         return val
 
 
-def build_preset(text: str, truncate_len: int | None = None,
-                 graph: str | bool = "auto") -> BouquetBuild:
+def build_preset(text: str, truncate_len: int | None = None) -> BouquetBuild:
     """Resolve a preset expression and build the family."""
     name, kwargs = parse_preset(text)
     if name not in PRESETS:
@@ -580,4 +582,4 @@ def build_preset(text: str, truncate_len: int | None = None,
     preset = PRESETS[name]
     L = truncate_len if truncate_len is not None else preset.default_truncate
     spec = preset.build(truncate_len=L, **kwargs)
-    return build_bouquet(spec, graph=graph)
+    return build_bouquet(spec)

@@ -622,11 +622,14 @@ def _entropy_fit(columns, diagnostics, q_list, M_list, N) -> InfinityProfile:
     return InfinityProfile("entropy", columns, fits, estimate, unc, (lo, hi), *diagnostics)
 
 
+# the contraction verdict's band around P, beyond the spread of the estimate
+CONTRACTION_BAND = 1e-9
+
+
 def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
-                  M_list: Sequence[int], N: int, P: float = 0.0,
-                  tol: float = 1e-9) -> InfinityProfile:
+                  M_list: Sequence[int], N: int, P: float = 0.0) -> InfinityProfile:
     """Weighted profile: z_phi grid, contraction-at-infinity estimate, and the
-    contraction verdict (estimate + band < P).
+    contraction verdict (estimate + band < P - CONTRACTION_BAND).
 
     The estimate is the maximum z_phi over the fit window at the largest
     (q, M) grid point; the band is the spread of its finite values.  A
@@ -635,10 +638,10 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     past the float range) is counted: the estimate is +inf, which fails
     against a finite P and is inconclusive against P = +inf.
     """
-    return _contraction_fit(*_grid(T, phi, q_list, M_list, N), q_list, M_list, N, P, tol)
+    return _contraction_fit(*_grid(T, phi, q_list, M_list, N), q_list, M_list, N, P)
 
 
-def _contraction_fit(columns, diagnostics, q_list, M_list, N, P, tol) -> InfinityProfile:
+def _contraction_fit(columns, diagnostics, q_list, M_list, N, P) -> InfinityProfile:
     window = _profile_window(N)
     lo, hi = window[0], window[-1]
     fits = {}
@@ -654,9 +657,9 @@ def _contraction_fit(columns, diagnostics, q_list, M_list, N, P, tol) -> Infinit
     if estimate == LOG_ZERO:
         verdict = "no-evidence"
         band = math.inf
-    elif estimate + band < P - tol:
+    elif estimate + band < P - CONTRACTION_BAND:
         verdict = "holds"
-    elif estimate - band > P + tol:
+    elif estimate - band > P + CONTRACTION_BAND:
         verdict = "fails"
     else:
         verdict = "inconclusive"
@@ -666,8 +669,8 @@ def _contraction_fit(columns, diagnostics, q_list, M_list, N, P, tol) -> Infinit
 
 
 def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
-                 M_list: Sequence[int], N: int, P: float = 0.0,
-                 tol: float = 1e-9) -> tuple[InfinityProfile, InfinityProfile]:
+                 M_list: Sequence[int], N: int,
+                 P: float = 0.0) -> tuple[InfinityProfile, InfinityProfile]:
     """hinf_profile and delta_profile of the same grid, from one weighted fill.
 
     The entropy profile is fitted from the counts of the delta profile's
@@ -678,7 +681,7 @@ def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     of the delta profile are those of the entropy one, so they are computed
     once.
     """
-    dp = delta_profile(T, phi, q_list, M_list, N, P, tol)
+    dp = delta_profile(T, phi, q_list, M_list, N, P)
     return _entropy_fit(dp.columns, (dp.monotone_M_violations, dp.q_diagnostics),
                         q_list, M_list, N), dp
 

@@ -221,12 +221,15 @@ def polylog_with_bound(beta: float, log_x: float, tol: float = 1e-12,
                        max_terms: int = 2_000_000) -> tuple[float, float]:
     """log of sum_{k>=1} x^k k^-beta for x = e^log_x <= 1, with error bound.
 
-    Returns (log_value, relative_bound).  For x == 1 this is log zeta(beta).
+    Returns (log_value, relative_bound).  For x == 1 this is log zeta(beta),
+    certified to the absolute tolerance tol * max(1, 1 / (beta - 1)): since
+    zeta(beta) > max(1, 1 / (beta - 1)), that is a relative tolerance tol.
     """
     if log_x > 0:
         raise ValueError("polylog series diverges for x > 1")
     if log_x == 0.0:
-        v, b = zeta_series_with_bound(beta, tol)
+        v, b = zeta_series_with_bound(beta, tol * max(1.0, 1.0 / (beta - 1.0))
+                                      if beta > 1.0 else tol)
         return math.log(v), b / v
     x = math.exp(log_x)
     if x == 1.0:

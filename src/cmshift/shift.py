@@ -558,13 +558,17 @@ def _bouquet_connector(T: BouquetShift, a: State, b: State) -> Word:
 
 @dataclass(frozen=True)
 class FPropertyCount:
+    """An exact word count, flagged as an overflow above bound."""
+
     count: int
-    overflow: bool
-    bound: int
+    bound = 10 ** 18
+
+    @property
+    def overflow(self) -> bool:
+        return self.count > self.bound
 
 
-def f_property_count(T: TransitionSystem, q: int, N: int,
-                     bound: int = 10 ** 18) -> FPropertyCount:
+def f_property_count(T: TransitionSystem, q: int, N: int) -> FPropertyCount:
     """Number of admissible words of length N that start in the low part
     (order index <= q) and admit a continuation by a low state.
 
@@ -572,21 +576,21 @@ def f_property_count(T: TransitionSystem, q: int, N: int,
     admissible for some b with ord(b) <= q.  On bouquets with q = 1 this is
     the renewal count over loop-length compositions of N, run by the
     composition fill's loop recurrence.  The overflow flag is set when the
-    exact count exceeds `bound`.
+    exact count exceeds FPropertyCount.bound = 10**18.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if q <= 0:
-        return FPropertyCount(0, False, bound)
+        return FPropertyCount(0)
     if isinstance(T, BouquetShift) and q == 1:
         from .infinity import _loop_runs, _run_rows  # infinity imports this module
         lengths = [k for k in T.loop_lengths() if k <= N]
         total = _run_rows(_loop_runs(lengths, [T.a.count(k) for k in lengths]), N, 1,
                           lambda row: row)[N]
-        return FPropertyCount(total, total > bound, bound)
+        return FPropertyCount(total)
     graph = index_graph(T, DP_STATE_CAP, "path counting")
     vec = [int(i < q) for i in range(len(graph.states))]
     for _ in range(N - 1):
         vec = count_push(graph.succ, vec)
     total = sum(c for c, js in zip(vec, graph.succ) if any(j < q for j in js))
-    return FPropertyCount(total, total > bound, bound)
+    return FPropertyCount(total)

@@ -41,6 +41,10 @@ __all__ = [
 
 # -- partition sums -------------------------------------------------------------
 
+# the log-space slack of check_star_le_z
+STAR_SLACK = 1e-9
+
+
 @dataclass
 class PartitionSums:
     """Log-space sequences log Z_n and log Z*_n for 1 <= n <= horizon.
@@ -64,26 +68,15 @@ class PartitionSums:
     def logzstar(self, n: int) -> float:
         return self.log_zstar[n - 1]
 
-    def check_star_le_z(self, tol: float = 1e-9) -> bool:
-        return all(zs <= z + tol for zs, z in zip(self.log_zstar, self.log_z))
+    def check_star_le_z(self) -> bool:
+        return all(zs <= z + STAR_SLACK for zs, z in zip(self.log_zstar, self.log_z))
 
 
-def partition_sums_renewal(wstar: Sequence[float] | None = None,
-                           log_wstar: Sequence[float] | None = None,
-                           N: int | None = None,
-                           base: object = "r") -> PartitionSums:
-    """Renewal convolution Z_n = sum_{m<=n} Z*_m Z_{n-m} with Z_0 = 1.
-
-    Return weights are given per length, either linearly (wstar, all >= 0) or
-    in log space; the convolution itself runs in log space with compensated
-    summation.
+def partition_sums_renewal(log_wstar: Sequence[float], N: int | None = None) -> PartitionSums:
+    """Renewal convolution Z_n = sum_{m<=n} Z*_m Z_{n-m} with Z_0 = 1, from
+    the log return weights per length (the horizon defaults to their
+    number), run in log space with compensated summation.
     """
-    if (wstar is None) == (log_wstar is None):
-        raise ValueError("pass exactly one of wstar / log_wstar")
-    if wstar is not None:
-        if any(w < 0 for w in wstar):
-            raise ValueError("return weights must be non-negative")
-        log_wstar = [math.log(w) if w > 0 else LOG_ZERO for w in wstar]
     log_wstar = list(log_wstar)
     if N is None:
         N = len(log_wstar)
@@ -95,7 +88,7 @@ def partition_sums_renewal(wstar: Sequence[float] | None = None,
     for n in range(1, N + 1):
         # the terms Z*_m Z_{n-m} in the order m = 1..n
         log_Z.append(logsumexp(map(add, log_wstar[:n], reversed(log_Z))))
-    return PartitionSums(base, N, log_Z[1:], log_wstar[:N], "renewal-dp")
+    return PartitionSums("r", N, log_Z[1:], log_wstar[:N], "renewal-dp")
 
 
 def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
@@ -325,13 +318,27 @@ def _loop_word(n: int, i: int = 1) -> Word:
     return (ROOT,) + tuple(LoopVertex(n, i, k) for k in range(1, n))
 
 
-def ucs_check(chi: float, P: float, tol: float = 1e-9) -> str:
-    """'holds' iff the periodic supremum sits strictly below the pressure."""
-    if chi < P - tol:
+# the verdict bands around P: UCS on chi_per, SPR on the slope of log Z*_n
+# (closed-form or fitted sequences)
+UCS_BAND = 1e-9
+SPR_BAND_CLOSED_FORM = 1e-6
+SPR_BAND_FITTED = 1e-2
+
+
+def _band_verdict(x: float, P: float, band: float) -> str:
+    """'holds' below P - band, 'fails' within band of P, and 'inconclusive'
+    above it (or for a NaN)."""
+    if x < P - band:
         return "holds"
-    if abs(chi - P) <= tol:
+    if abs(x - P) <= band:
         return "fails"
     return "inconclusive"
+
+
+def ucs_check(chi: float, P: float) -> str:
+    """'holds' iff the periodic supremum sits below the pressure by more than
+    UCS_BAND."""
+    return _band_verdict(chi, P, UCS_BAND)
 
 
 # -- SPR ---------------------------------------------------------------------------
@@ -346,23 +353,23 @@ class SprVerdict:
     reason: str | None = None  # why an inconclusive verdict has no slope
 
 
-def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
-              closed_form: bool = False, finite_support: bool = False) -> SprVerdict:
+def spr_check(log_zstar: Sequence[float], P: float, closed_form: bool = False,
+              finite_support: bool = False) -> SprVerdict:
     """Verdict on limsup (1/n) log Z*_n < P.
 
     The slope comes from a least-squares fit of log Z*_n against {1, n, log n}
     on the tail half, so polynomial prefactors do not bias the rate (power-law
-    sequences fit slope 0 exactly).  Verdict bands: holds when slope < P - tol,
-    fails when |slope - P| <= tol, inconclusive otherwise.  Default tolerance
-    is 1e-6 for closed-form inputs and 1e-2 for fitted ones.  A pressure of
+    sequences fit slope 0 exactly).  The verdict is the band rule of
+    ucs_check: holds when slope < P - tol, fails when |slope - P| <= tol,
+    inconclusive otherwise, with tol = SPR_BAND_CLOSED_FORM for closed-form
+    inputs and SPR_BAND_FITTED for fitted ones.  A pressure of
     +inf or -inf leaves nothing to compare with: the verdict is inconclusive.
     Return weights that vanish eventually, in the tail window or past a
     finite table (finite_support), have limsup -inf: the verdict holds.
     """
     if len(log_zstar) < MIN_FIT_TERMS:
         raise ValueError(f"SPR check needs at least {MIN_FIT_TERMS} terms")
-    if tol is None:
-        tol = 1e-6 if closed_form else 1e-2
+    tol = SPR_BAND_CLOSED_FORM if closed_form else SPR_BAND_FITTED
     if not math.isfinite(P):
         return SprVerdict("inconclusive", math.nan, P, tol, None,
                           "the pressure is not finite")
@@ -379,14 +386,7 @@ def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
         if sum(1 for y in ys if math.isfinite(y)) < 3:
             return SprVerdict("inconclusive", math.nan, P, tol, None)
     fit = linear_fit_with_log(win, ys)
-    slope = fit.slope
-    if slope < P - tol:
-        verdict = "holds"
-    elif abs(slope - P) <= tol:
-        verdict = "fails"
-    else:
-        verdict = "inconclusive"
-    return SprVerdict(verdict, slope, P, tol, fit)
+    return SprVerdict(_band_verdict(fit.slope, P, tol), fit.slope, P, tol, fit)
 
 
 # -- the renewal equation ---------------------------------------------------------------
@@ -394,6 +394,9 @@ def spr_check(log_zstar: Sequence[float], P: float, tol: float | None = None,
 # a return series within this relative band of 1 reads as 1: at the boundary
 # it leaves the pressure at log_x and the family recurrent
 SERIES_BAND = 1e-9
+# InducedPressure.spr: the value delta at pstar counts as positive above this
+# band, which absorbs the closed forms' float noise
+DELTA_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -408,8 +411,8 @@ class InducedPressure:
 
     @property
     def spr(self) -> bool:
-        """delta > 0 with a small band absorbing closed-form float noise."""
-        return self.delta > 1e-9
+        """delta > DELTA_BAND."""
+        return self.delta > DELTA_BAND
 
 
 @dataclass(frozen=True)
@@ -579,7 +582,7 @@ class CrcProfile:
 
 
 def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
-                P: float = 0.0, tol: float = 0.0) -> CrcProfile:
+                P: float = 0.0) -> CrcProfile:
     """Profile s(n) = max S_n phi over words whose x_0 and x_n have order
     index <= q, plus the fitted affine majorant C_q - n*lambda_q.
 
@@ -587,7 +590,7 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
     max(m - 1, 1): the n-step walks of the k-block graph.
 
     lambda_q is minus the tail-fit slope of s; C_q is then the least constant
-    majorizing every tail point.  The verdict reports lambda_q > P + tol.
+    majorizing every tail point.  The verdict reports lambda_q > P.
     A fit window with low-to-low words of finite weight at fewer than two
     lengths has no slope and is a ValueError.
     """
@@ -602,7 +605,7 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
         raise ValueError(f"{found} in the fit window n = {win[0]}..{win[-1]}")
     lam = -fit.slope
     cq = max(s[n - 1] + n * lam for n in win if math.isfinite(s[n - 1]))
-    return CrcProfile(s, cq, lam, q, lam > P + tol, P, fit)
+    return CrcProfile(s, cq, lam, q, lam > P, P, fit)
 
 
 def _max_birkhoff_low_to_low(T, phi, q, N) -> list[float]:

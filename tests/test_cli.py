@@ -674,6 +674,35 @@ def test_return_sum_at_the_root_reads_one(tmp_path, preset):
     assert abs(recurrence["return_sum"] - 1.0) <= 1e-12
 
 
+def test_a_family_without_length_one_loops_has_no_closed_form(tmp_path, capsys):
+    # sec53 with a1 = 0 has no first return of length 1; the closed form of
+    # the family with one (P = 0.496302605715, strongly positive recurrent)
+    # is not its own, so its P is the exact root of Z*_1..Z*_25, as for a
+    # file bouquet
+    preset = "sec53(beta=3,C=1.5,a1=0)"
+    assert main(["report", "--preset", preset, "--horizon", "60",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["sequences"]["logZstar"][0] == "-inf"
+    assert "recurrence" not in report
+    capsys.readouterr()
+    assert main(["spr", "--preset", preset, "--horizon", "60"]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "spr: holds (slope -inf, pressure -0.244580498645, tol 1e-06)\n"
+
+
+@pytest.mark.parametrize("beta, kind", [(2.01, "positive-recurrent"),
+                                        (1.01, "null-recurrent")])
+def test_the_boundary_zeta_near_one_certifies_a_relative_tolerance(tmp_path, beta, kind):
+    # zeta(1.01) is about 100: an absolute 1e-13 is below its float slop, a
+    # relative one is not, so the root (beta = 1.01) and the boundary mean
+    # zeta(beta - 1) (beta = 2.01) are summed and the report exits 0
+    assert main(["report", "--preset", f"sec53(beta={beta},C=auto)", "--horizon", "40",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["pressure"]["analytic"], report["recurrence"]["class"]) == (0.0, kind)
+
+
 def test_file_bouquet_past_its_truncation_uses_the_exact_root(tmp_path, capsys):
     # with N >= L the report holds every first return Z*_1..Z*_L, so P is
     # the root of their finite sum (-1.04364, not the fit's -1.1227), and

@@ -12,8 +12,10 @@ from cmshift import (ROOT, BouquetRealizationError, BouquetShift, BouquetSpec,
                      TauSpec, build_bouquet, build_preset, chi_per,
                      htop_solve, induced_pressure, normalizing_C,
                      preset_names, zeta)
-from cmshift.families import (ZetaDivergenceError, _scheme_fallback,
+from cmshift.families import (ZetaDivergenceError, _aggregate_log_weight,
+                              _scheme_fallback, abstract_return_weights,
                               log_weight_sequence, parse_preset)
+from cmshift.numerics import zeta_series_with_bound
 from cmshift.oracle import partition_sums_bruteforce
 
 LOG2 = math.log(2.0)
@@ -39,10 +41,10 @@ def test_zeta_diverges_at_one():
 @settings(max_examples=20)
 @given(beta=st.floats(min_value=1.05, max_value=25.0))
 def test_zeta_certified_against_mpmath(beta):
-    z = zeta(beta, tol=1e-10)
+    value, bound = zeta_series_with_bound(beta, 1e-10)
     reference = float(mpmath.zeta(beta))
-    assert abs(z.value - reference) <= z.error_bound + 1e-13
-    assert z.error_bound <= 1e-10
+    assert abs(value - reference) <= bound + 1e-13
+    assert bound <= 1e-10
 
 
 def test_normalizing_constants():
@@ -290,3 +292,21 @@ def test_renewal_ones_weights_are_unit():
     assert isinstance(b.weights, GeometricTail)
     assert [math.exp(w) for w in log_weight_sequence(b.weights, 4)] \
         == pytest.approx([1.0] * 4)
+
+
+@pytest.mark.parametrize("a1", [None, 0, 1, 3])
+@pytest.mark.parametrize("form, ratio", [("ones", 1), ("geometric", 1), ("geometric", 2),
+                                         ("geometric", 3)])
+@pytest.mark.parametrize("kind", ["zero", "halving", "power"])
+def test_closed_forms_agree_with_their_family_at_every_length(form, ratio, a1, kind):
+    # a closed form is the aggregate weight of its family at n = 1 too, where
+    # parallel self-loops collapse and a(1) = 0 leaves no return at all
+    spec = BouquetSpec(LoopCountFamily(form, ratio=ratio, a1=a1), "entry",
+                       TauSpec(kind, beta=3.0, log_C=math.log(1.5)))
+    try:
+        tail = abstract_return_weights(spec)
+    except ValueError:
+        return
+    for n in range(1, 13):
+        want = _aggregate_log_weight(spec.a, spec.tau, n)
+        assert tail.log_weight(n) == pytest.approx(want, rel=1e-12), n

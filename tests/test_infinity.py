@@ -674,7 +674,7 @@ def test_layered_push_equals_the_per_layer_sweep(data):
     columns = {(M, q): col for q in q_list
                for M, col in _per_layer_sweep(T, phi, q, M_list, N).items()}
     want = _contraction_fit(columns, _count_diagnostics(columns, q_list, M_list, N),
-                            q_list, M_list, N, P, 1e-9)
+                            q_list, M_list, N, P)
     assert repr(got.rows) == repr(want.rows)
     assert repr((got.estimate, got.band, got.ci_verdict)) \
         == repr((want.estimate, want.band, want.ci_verdict))
@@ -1006,7 +1006,7 @@ def test_delta_profile_window_of_finite_and_plus_inf_cells():
     # cells, and a NaN cell is no evidence; the window of N = 8 is n = 5..8
     zs = (9.0, 9.0, 9.0, 9.0, 0.5, _NAN, _INF, -1.0)
     cols = {(2, 1): [CountB(1, 0.0, z) for z in zs]}
-    prof = _contraction_fit(cols, ([], []), [1], [2], 8, 0.0, 1e-9)
+    prof = _contraction_fit(cols, ([], []), [1], [2], 8, 0.0)
     assert (prof.estimate, prof.band, prof.ci_verdict) == (_INF, 1.5, "fails")
 
 

@@ -330,9 +330,10 @@ def test_f_property_zero_q(full2):
 
 
 def test_f_property_overflow_flag(full2):
-    res = f_property_count(full2, 2, 10, bound=5)
+    # 2**60 words exceed the bound 10**18
+    res = f_property_count(full2, 2, 60)
     assert res.overflow
-    assert res.count == 2 ** 10
+    assert res.count == 2 ** 60
 
 
 def test_untruncated_bouquet_needs_truncation():

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +20,7 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      spr_check, ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
-from cmshift import families
+from cmshift import families, thermo
 from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
 from cmshift.oracle import enumerate_words, partition_sums_bruteforce, periodic_points
 from cmshift.thermo import SERIES_BAND, RenewalSeries, _max_birkhoff_low_to_low
@@ -167,20 +168,15 @@ def test_bruteforce_errors_come_in_period_order(full2):
 # -- renewal DP ----------------------------------------------------------------------
 
 def test_renewal_halving_weights_give_constant_half():
-    ps = partition_sums_renewal(wstar=[2.0 ** -n for n in range(1, 41)], N=40)
+    ps = partition_sums_renewal(log_wstar=[-n * LOG2 for n in range(1, 41)], N=40)
     for n in range(1, 41):
         assert math.exp(ps.logz(n)) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_renewal_single_weight_is_constant_one():
-    ps = partition_sums_renewal(wstar=[1.0, 0.0, 0.0, 0.0], N=4)
+    ps = partition_sums_renewal(log_wstar=[0.0, LOG_ZERO, LOG_ZERO, LOG_ZERO], N=4)
     for n in range(1, 5):
         assert ps.logz(n) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_renewal_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        partition_sums_renewal(wstar=[0.5, -0.1], N=2)
 
 
 @settings(max_examples=30)
@@ -191,7 +187,8 @@ def test_renewal_matches_exact_fraction_convolution(weights):
     exact = [Fraction(1)]
     for n in range(1, N + 1):
         exact.append(sum(weights[m - 1] * exact[n - m] for m in range(1, n + 1)))
-    ps = partition_sums_renewal(wstar=[float(w) for w in weights], N=N)
+    ps = partition_sums_renewal(
+        log_wstar=[math.log(w) if w > 0 else LOG_ZERO for w in map(float, weights)], N=N)
     for n in range(1, N + 1):
         want = float(exact[n])
         got = math.exp(ps.logz(n)) if ps.logz(n) != LOG_ZERO else 0.0
@@ -453,7 +450,7 @@ def test_block_graph_cap_counts_blocks():
 # -- pressure estimates --------------------------------------------------------------------
 
 def test_pressure_flat_sequence_is_zero():
-    ps = partition_sums_renewal(wstar=[2.0 ** -n for n in range(1, 41)], N=40)
+    ps = partition_sums_renewal(log_wstar=[-n * LOG2 for n in range(1, 41)], N=40)
     est = pressure_estimate(ps)
     assert abs(est.value) < 1e-12
     assert est.uncertainty < 1e-9
@@ -670,6 +667,28 @@ def test_spr_holds_with_margin():
     assert v.verdict == "holds"
 
 
+@pytest.mark.parametrize("P", [0.0, 1.0, -0.7])
+@pytest.mark.parametrize("check, band", [("ucs", 1e-9), ("spr-closed-form", 1e-6),
+                                         ("spr-fitted", 1e-2)])
+def test_verdict_band_edges(monkeypatch, P, check, band):
+    # ucs_check and spr_check read one rule: holds below P - band, fails
+    # within the band of P, inconclusive above it; x is one ulp either side
+    # of each edge (x - P is exact there, so the rounding of the edge decides
+    # nothing)
+    lo, hi = P - band, P + band
+    for x, want in [(math.nextafter(lo, -math.inf), "holds"),
+                    (math.nextafter(lo, math.inf), "fails"),
+                    (math.nextafter(hi, -math.inf), "fails"),
+                    (math.nextafter(hi, math.inf), "inconclusive")]:
+        if check == "ucs":
+            assert ucs_check(x, P) == want, x
+            continue
+        monkeypatch.setattr(thermo, "linear_fit_with_log",
+                            lambda win, ys: SimpleNamespace(slope=x))
+        v = spr_check([0.0] * 8, P, closed_form=check == "spr-closed-form")
+        assert (v.verdict, v.slope, v.tol) == (want, x, band)
+
+
 def test_spr_eventually_zero_weights_hold():
     logzstar = [0.1] + [LOG_ZERO] * 19
     v = spr_check(logzstar, 0.05)
@@ -865,8 +884,6 @@ def test_renewal_kernel_matches_mpmath(tail, shift, p):
     points = [p]
     if isinstance(tail, PowerTail):
         points.append(tail.log_x)
-        # zeta(s) just above 1 is past its float slop at the series tolerance
-        assume(not 1.0 < tail.beta - 1.0 < 1.05)
     with mpmath.workdps(40):
         for q in points:
             for mean, read in ((0, tail.log_series), (1, tail.log_mean)):
@@ -952,8 +969,7 @@ def _bisection_root(family):
 def test_newton_pressure_root_matches_the_bisection(beta, log_c, log_x):
     # a root within 1e-3 above log_x costs both routes series of about 1e5
     # terms per step, so those draws are skipped, but not the boundary branch
-    # (C zeta(beta) <= 1, P = log_x); closer to beta = 1 zeta refuses in both
-    # routes (test_pressure_root_refusals_are_kept)
+    # (C zeta(beta) <= 1, P = log_x)
     if log_c + polylog_with_bound(beta, -1e-3, 1e-13)[0] <= 0.0:
         lz, lb = polylog_with_bound(beta, 0.0, 1e-13)
         assume(log_c + lz <= 1e-9 + lb)
@@ -968,6 +984,8 @@ def test_newton_pressure_root_matches_the_bisection(beta, log_c, log_x):
 @pytest.mark.parametrize("beta, C, log_x", [
     (1.5049, 1.5 / zeta(1.5049).value, 0.0), (2.5, 3.0, -0.5), (4.0, 100.0, -2.0),
     (2.0, 1e300, 0.0), (1.2, 20.0, 0.0),
+    # zeta(1.01) is about 100: the boundary series certifies a relative 1e-13
+    (1.01, 1.0, 0.0),
 ])
 def test_newton_pressure_root_solves_the_series_in_mpmath(beta, C, log_x):
     mpmath = pytest.importorskip("mpmath")
@@ -980,8 +998,6 @@ def test_newton_pressure_root_solves_the_series_in_mpmath(beta, C, log_x):
 @pytest.mark.parametrize("family, refusal", [
     # the root of 2e6 + log Li_2(e^-p) = 0 is near p = 2e6, past the 1e6 cap
     (PowerTail(2.0, 2e6), "pressure root escaped the search interval"),
-    # zeta(1.01) is about 100, and its float slop alone misses 1e-13
-    (PowerTail(1.01, 0.0), "zeta series did not certify tolerance 1e-13 at exponent 1.01"),
 ])
 def test_pressure_root_refusals_are_kept(family, refusal):
     for root in (_bisection_root, analytic_pressure):
