@@ -6,12 +6,12 @@ profiles, and the bouquet example families, with a batch CLI.  The
 enumerative oracles are in cmshift.oracle, which this package never imports.
 """
 
-from .families import (BouquetBuild, BouquetRealizationError, BouquetSpec,
-                       FiniteTail, GeometricTail, PowerTail, TauSpec,
-                       UnknownTail, build_bouquet, build_preset, htop_solve,
-                       normalizing_C, preset_names, zeta)
-from .infinity import (CountB, InfinityProfile, bouquet_hinf_oracle, count_B,
-                       delta_profile, hinf_profile, profile_pair)
+from .families import (BouquetBuild, BouquetSpec, FiniteTail, GeometricTail,
+                       PowerTail, TauSpec, UnknownTail, build_bouquet,
+                       build_preset, htop_solve, normalizing_C, preset_names,
+                       zeta)
+from .infinity import (CountB, InfinityProfile, count_B, delta_profile,
+                       hinf_profile, profile_pair)
 from .potential import (BirkhoffValue, InadmissibleWordError, Potential,
                         PotentialError, birkhoff_sum, connector_constant)
 from .shift import (ROOT, BouquetShift, ConnectorNotFound, EnumerationRefusal,
@@ -19,10 +19,10 @@ from .shift import (ROOT, BouquetShift, ConnectorNotFound, EnumerationRefusal,
                     ShiftError, TransitionSystem, UnknownStateError, Word,
                     f_property_count, is_admissible, shortest_connector)
 from .thermo import (ChiPerResult, CrcProfile, InducedPressure, PartitionSums,
-                     PressureEstimate, RecurrenceClass, SprVerdict, Witness,
-                     analytic_pressure, chi_per, condition_witness_search,
-                     crc_profile, induced_pressure, partition_sums_renewal,
-                     partition_sums_transfer, pressure_estimate,
-                     recurrence_classify, spr_check, ucs_check)
+                     PressureEstimate, RecurrenceClass, RenewalSeries,
+                     SprVerdict, Witness, chi_per, condition_witness_search,
+                     crc_profile, partition_sums_renewal,
+                     partition_sums_transfer, pressure_estimate, spr_check,
+                     ucs_check)
 
 __version__ = "0.1.0"

@@ -21,9 +21,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import families, infinity, thermo
-from .families import (BouquetRealizationError, FiniteTail, GeometricTail,
-                       PowerTail, UnknownTail, build_preset, htop_solve,
-                       preset_names)
+from .families import (FiniteTail, GeometricTail, PowerTail, UnknownTail,
+                       build_preset, htop_solve, preset_names)
 from .numerics import LOG_ZERO
 from .potential import Potential
 from .shift import BouquetShift, EnumerationRefusal, TransitionSystem
@@ -357,7 +356,7 @@ def _build_bundle(cfg: RunConfig) -> _Bundle:
                 bundle.profile_system = mod.system
                 bundle.profile_potential = mod.potential
                 bundle.profile_note = "profiles use the a(1)=1 modified family"
-            except (ValueError, EnumerationRefusal, BouquetRealizationError) as exc:
+            except (ValueError, EnumerationRefusal) as exc:
                 bundle.profile_skipped = f"the a(1)=1 modified family has no graph: {exc}"
         return bundle
     T = load_shift(cfg.shift)
@@ -481,7 +480,7 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
             out["h_top"] = htop_solve(bundle.a_family)
         except ValueError:
             pass
-        out["hinf_oracle"] = infinity.bouquet_hinf_oracle(bundle.a_family)
+        out["hinf_oracle"] = bundle.a_family.growth_rate()
     return out
 
 
@@ -713,7 +712,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"hinf estimate: {_fmt(_display(hp.estimate, cfg.log2))} "
               f"± {_fmt(hp.uncertainty)}")
         if bundle.a_family is not None:
-            oracle = infinity.bouquet_hinf_oracle(bundle.a_family)
+            oracle = bundle.a_family.growth_rate()
             print(f"growth oracle: {_fmt(_display(oracle, cfg.log2))}")
         return EXIT_OK
     if args.command == "spr":

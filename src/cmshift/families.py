@@ -21,8 +21,8 @@ from .thermo import RenewalSeries
 
 __all__ = [
     "LOG2", "GeometricTail", "PowerTail", "FiniteTail", "UnknownTail",
-    "TauSpec", "BouquetSpec", "BouquetBuild", "BouquetRealizationError",
-    "build_bouquet", "ZetaValue", "zeta", "ZetaDivergenceError",
+    "TauSpec", "BouquetSpec", "BouquetBuild", "build_bouquet", "ZetaValue",
+    "zeta", "ZetaDivergenceError",
     "normalizing_C", "htop_solve", "NoSolutionError",
     "PRESETS", "preset_names", "build_preset", "parse_preset",
 ]
@@ -36,7 +36,8 @@ LOG2 = math.log(2.0)
 # polylog series may take before its partial sum is all that is known of it
 SERIES_TOL = 1e-13
 SERIES_TERMS = 300_000
-# the absolute error bound certified by zeta (and so by normalizing_C and C=auto)
+# the error bound certified by zeta (and so by normalizing_C and C=auto),
+# relative to max(1, 1/(beta - 1)), the size of zeta(beta) near 1
 ZETA_TOL = 1e-9
 
 
@@ -196,10 +197,6 @@ class TauSpec:
 
 # -- bouquet construction --------------------------------------------------------------
 
-class BouquetRealizationError(Exception):
-    """Graph realization was requested for a family it cannot carry."""
-
-
 @dataclass(frozen=True)
 class BouquetSpec:
     """A bouquet family: loop counts, weight scheme, totals, truncation.
@@ -262,8 +259,10 @@ def abstract_return_weights(spec: BouquetSpec):
         # (or the ones form, r = 1) C (r/2)^n n^-beta holds only from n = 2
         return PowerTail(tau.beta, tau.log_C)
     if a.form == "double_exponential" and tau.kind == "psi":
-        # a(n) e^{tau(n)} = C e^{-psi(n)}: tabulated, unknown continuation
-        return UnknownTail(tuple(tau.log_C - p for p in tau.psi))
+        # a(n) e^{tau(n)} = C e^{-psi(n)} from n = 2, where no loops
+        # collapse: tabulated, unknown continuation
+        return UnknownTail((_aggregate_log_weight(a, tau, 1),)
+                           + tuple(tau.log_C - p for p in tau.psi[1:]))
     if a.form == "list" or tau.kind == "table":
         L = len(a.values) if a.form == "list" else len(tau.table)
         return FiniteTail(tuple(_aggregate_log_weight(a, tau, n)
@@ -303,32 +302,22 @@ def _scheme_fallback(spec: BouquetSpec) -> Callable[[tuple], float | None]:
     return fallback
 
 
-def build_bouquet(spec: BouquetSpec, graph: str | bool = "auto") -> BouquetBuild:
+def build_bouquet(spec: BouquetSpec) -> BouquetBuild:
     """Build a bouquet family: graph, memory-2 potential, and closed-form
     aggregate return weights (the untruncated family's w*_n).
 
-    graph=True demands a graph realization and raises
-    BouquetRealizationError when a(1) >= 2 (a simple graph cannot carry
-    parallel self-loops; the abstract return-weight route handles those
-    families exactly) or when no truncation bound is given.  graph='auto'
-    builds the graph when possible and otherwise returns only the weights.
-    Families without a recognized closed form still build; their abstract
-    weight model is None and only the truncated weights are attached.
+    The graph, its potential and the truncated weights are built only for a
+    truncated family with a(1) <= 1 (a simple graph cannot carry parallel
+    self-loops; the abstract return-weight route handles those families
+    exactly); otherwise only the weights are returned.  Families without a
+    recognized closed form still build; their abstract weight model is None.
     """
     try:
         weights = abstract_return_weights(spec)
     except ValueError:
         weights = None
-    has_graph = spec.truncate_len is not None and spec.a.count(1) <= 1
-    if graph is True and not has_graph:
-        if spec.a.count(1) > 1:
-            raise BouquetRealizationError(
-                "a(1) >= 2 admits no simple-graph realization; use the abstract "
-                "return weights (graph='auto' or False), or modify the family "
-                "to a(1) <= 1")
-        raise BouquetRealizationError("graph realization needs truncate_len")
     system = potential = truncated = None
-    if graph is not False and has_graph:
+    if spec.truncate_len is not None and spec.a.count(1) <= 1:
         # the weights first: a loop total the family cannot give fails here,
         # before the graph materializes its loop counts
         truncated = FiniteTail(tuple(
@@ -356,14 +345,15 @@ class ZetaValue:
 
 
 def zeta(beta: float) -> ZetaValue:
-    """Riemann zeta at real beta > 1 with a certified error bound <= ZETA_TOL.
+    """Riemann zeta at real beta > 1 with a certified error bound <=
+    ZETA_TOL * max(1, 1/(beta - 1)).
 
     Partial sum plus the integral tail, refined by Euler-Maclaurin correction
     terms whose first omitted term bounds the error.
     """
     if beta <= 1.0:
         raise ZetaDivergenceError(f"zeta diverges at exponent {beta}")
-    v, b = zeta_series_with_bound(beta, ZETA_TOL)
+    v, b = zeta_series_with_bound(beta, ZETA_TOL * max(1.0, 1.0 / (beta - 1.0)))
     return ZetaValue(v, b)
 
 

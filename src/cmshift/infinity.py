@@ -57,13 +57,12 @@ from typing import NamedTuple, Sequence
 
 from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from .potential import Potential
-from .shift import (SWEEP_STATE_CAP, BouquetShift, IndexedGraph, LoopCountFamily,
-                    TransitionSystem, index_graph)
+from .shift import (SWEEP_STATE_CAP, BouquetShift, IndexedGraph, TransitionSystem,
+                    index_graph)
 
 __all__ = [
     "CountB", "InfinityProfile",
-    "count_B", "hinf_profile", "delta_profile",
-    "profile_pair", "bouquet_hinf_oracle",
+    "count_B", "hinf_profile", "delta_profile", "profile_pair",
 ]
 
 
@@ -519,7 +518,6 @@ class InfinityProfile:
     uncertainty: float
     window: tuple[int, int]
     monotone_M_violations: list[tuple] = field(default_factory=list)
-    q_diagnostics: list[tuple] = field(default_factory=list)
     pressure: float | None = None
     band: float | None = None
     ci_verdict: str | None = None
@@ -537,9 +535,6 @@ class InfinityProfile:
         return (n, M, q, cb.count, cb.log_count,
                 cb.z_phi if self.kind == "contraction" else None)
 
-    def slope(self, M: int, q: int):
-        return self.fits[(M, q)]
-
 
 # shortest horizon whose fit window has the four points of _profile_window
 MIN_PROFILE_HORIZON = 4
@@ -550,7 +545,7 @@ def _profile_window(N: int) -> list[int]:
     return list(range(max(1, min(math.ceil(0.75 * N), N - 3)), N + 1))
 
 
-def _grid(T, phi, q_list, M_list, N) -> tuple[dict, tuple[list, list]]:
+def _grid(T, phi, q_list, M_list, N) -> tuple[dict, list]:
     """The columns of a checked grid, filled once per q, and their count
     diagnostics.  The sweeps of every q share one graph, compiled when the
     first of them starts."""
@@ -572,20 +567,12 @@ def _grid(T, phi, q_list, M_list, N) -> tuple[dict, tuple[list, list]]:
     return columns, _count_diagnostics(columns, q_list, M_list, N)
 
 
-def _count_diagnostics(columns, q_list, M_list, N) -> tuple[list, list]:
-    """Cells whose count grows with M at fixed (n, q), as (n, M_lo, M_hi, q),
-    and cells whose count grows with q at fixed (n, M), as (n, M, q_lo, q_hi).
-
-    The first break the M-monotonicity of the counts.  The limiting rates
-    are non-increasing in q, but finite-horizon counts need not be; the
-    second are reported for inspection, never asserted.
-    """
-    Ms, qs = sorted(M_list), sorted(q_list)
-    by_M = [(n + 1, lo, hi, q) for q in q_list for n in range(N) for lo, hi in zip(Ms, Ms[1:])
+def _count_diagnostics(columns, q_list, M_list, N) -> list[tuple]:
+    """Cells whose count grows with M at fixed (n, q), as (n, M_lo, M_hi, q):
+    they break the M-monotonicity of the counts."""
+    Ms = sorted(M_list)
+    return [(n + 1, lo, hi, q) for q in q_list for n in range(N) for lo, hi in zip(Ms, Ms[1:])
             if columns[hi, q][n].count > columns[lo, q][n].count]
-    by_q = [(n + 1, M, lo, hi) for M in M_list for n in range(N) for lo, hi in zip(qs, qs[1:])
-            if columns[M, hi][n].count > columns[M, lo][n].count]
-    return by_M, by_q
 
 
 def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
@@ -619,7 +606,7 @@ def _entropy_fit(columns, diagnostics, q_list, M_list, N) -> InfinityProfile:
         estimate, unc = LOG_ZERO, math.inf
         if all(cb.count == 0 for cb in columns[Mmax, qmax]):
             unc = 0.0  # empty at every n: nothing at infinity
-    return InfinityProfile("entropy", columns, fits, estimate, unc, (lo, hi), *diagnostics)
+    return InfinityProfile("entropy", columns, fits, estimate, unc, (lo, hi), diagnostics)
 
 
 # the contraction verdict's band around P, beyond the spread of the estimate
@@ -665,7 +652,7 @@ def _contraction_fit(columns, diagnostics, q_list, M_list, N, P) -> InfinityProf
         verdict = "inconclusive"
     return InfinityProfile("contraction", columns, fits, estimate,
                            band if math.isfinite(band) else math.inf, (lo, hi),
-                           *diagnostics, pressure=P, band=band, ci_verdict=verdict)
+                           diagnostics, pressure=P, band=band, ci_verdict=verdict)
 
 
 def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
@@ -682,15 +669,4 @@ def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     once.
     """
     dp = delta_profile(T, phi, q_list, M_list, N, P)
-    return _entropy_fit(dp.columns, (dp.monotone_M_violations, dp.q_diagnostics),
-                        q_list, M_list, N), dp
-
-
-def bouquet_hinf_oracle(a: LoopCountFamily) -> float:
-    """Closed-form limsup (1/n) log a(n) for the supported loop-count forms.
-
-    Geometric families give log(ratio), the all-ones family 0, the
-    double-exponential family +infinity; finite lists report the maximum of
-    (1/n) log a(n) over their support (a finite-support limsup proxy).
-    """
-    return a.growth_rate()
+    return _entropy_fit(dp.columns, dp.monotone_M_violations, q_list, M_list, N), dp

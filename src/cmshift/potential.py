@@ -4,8 +4,8 @@ A potential of memory m assigns a weight (natural-log units) determined by
 the first m symbols of a point.  Weights come from an explicit table over
 admissible m-words, an optional pattern fallback for families too large to
 tabulate, and a default for everything else.  Variations vanish beyond the
-memory, so summable variations holds by construction and the distortion
-constant is a finite sum.  cmshift.oracle keeps its own window rule.
+memory, so summable variations holds by construction.  cmshift.oracle keeps
+its own window rule.
 """
 
 from __future__ import annotations
@@ -80,42 +80,13 @@ class Potential:
         return (self.default == 0.0 and self.fallback is None
                 and all(v == 0.0 for v in self.entries.values()))
 
-    def variations(self) -> tuple[float, ...]:
-        """Declared variation sequence (var_2, ..., var_memory).
-
-        var_k vanishes for k >= memory.  For k < memory the supremum is taken
-        over the explicit table conservatively (the default participates in
-        every prefix group), which can only overestimate; the distortion
-        constant is used as an upper bound only.
-        """
-        if self.memory <= 2:
-            return ()
-        groups: dict[Word, list[float]] = {}
-        out = []
-        for k in range(2, self.memory):
-            groups.clear()
-            for word, v in self.entries.items():
-                groups.setdefault(word[:k], []).append(v)
-            var_k = 0.0
-            for vals in groups.values():
-                lo = min(vals + [self.default])
-                hi = max(vals + [self.default])
-                var_k = max(var_k, hi - lo)
-            out.append(var_k)
-        return tuple(out)
-
-    def distortion(self) -> float:
-        """Upper bound on the distortion constant (sum of variations from 2)."""
-        return math.fsum(self.variations())
-
 
 @dataclass(frozen=True)
 class BirkhoffValue:
-    """A Birkhoff sum with its length and exactness on the carrying cylinder."""
+    """A Birkhoff sum with its length, exact on the carrying cylinder."""
 
     value: float
     length: int
-    exact: bool
 
     @property
     def average(self) -> float:
@@ -147,15 +118,15 @@ def birkhoff_sum(T: TransitionSystem, phi: Potential, w: Word,
         # cyclic windows must themselves be admissible; they are, because the
         # periodic extension of an admissible word with admissible wrap is a
         # point of the shift.
-        return BirkhoffValue(total, n, True)
+        return BirkhoffValue(total, n)
     if mode != "cylinder":
         raise ValueError(f"unknown mode {mode!r}")
     terms = n - m + 1
     if terms <= 0:
-        return BirkhoffValue(0.0, 0, True)
+        return BirkhoffValue(0.0, 0)
     total = math.fsum(phi.weight(tuple(w[i + j] for j in range(m)))
                       for i in range(terms))
-    return BirkhoffValue(total, terms, True)
+    return BirkhoffValue(total, terms)
 
 
 def connector_constant(T: TransitionSystem, phi: Potential, q: int) -> float:

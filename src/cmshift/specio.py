@@ -192,7 +192,8 @@ def parse_potential_spec(doc: dict, T: TransitionSystem) -> Potential:
         phi = Potential(memory, entries, default, fallback=fallback, system=T)
     except Exception as exc:
         raise ConfigError(f"bad potential table: {exc}") from exc
-    if loop_total is not None and not entries:
+    # the loop totals hold only when every edge outside the scheme weighs 0
+    if loop_total is not None and not entries and default == 0.0:
         phi.loop_total = loop_total
     return phi
 

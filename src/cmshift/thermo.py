@@ -31,19 +31,13 @@ from .shift import (DP_STATE_CAP, ROOT, BouquetShift, IndexedGraph, LoopVertex,
 __all__ = [
     "PartitionSums", "PressureEstimate", "SprVerdict", "ChiPerResult",
     "InducedPressure", "RecurrenceClass", "RenewalSeries",
-    "CrcProfile", "Witness",
-    "analytic_pressure", "partition_sums_renewal",
+    "CrcProfile", "Witness", "partition_sums_renewal",
     "partition_sums_transfer", "pressure_estimate", "chi_per", "ucs_check",
-    "spr_check", "induced_pressure", "recurrence_classify",
-    "crc_profile", "condition_witness_search",
+    "spr_check", "crc_profile", "condition_witness_search",
 ]
 
 
 # -- partition sums -------------------------------------------------------------
-
-# the log-space slack of check_star_le_z
-STAR_SLACK = 1e-9
-
 
 @dataclass
 class PartitionSums:
@@ -67,9 +61,6 @@ class PartitionSums:
 
     def logzstar(self, n: int) -> float:
         return self.log_zstar[n - 1]
-
-    def check_star_le_z(self) -> bool:
-        return all(zs <= z + STAR_SLACK for zs, z in zip(self.log_zstar, self.log_z))
 
 
 def partition_sums_renewal(log_wstar: Sequence[float], N: int | None = None) -> PartitionSums:
@@ -525,7 +516,9 @@ class RenewalSeries:
     def induced(self, p: float = 0.0) -> InducedPressure:
         """log sum_k e^{kp} w*_k at the shift p; pstar is -log_x and delta
         the series there."""
-        return InducedPressure(self.log_series(-p), -self.tail.log_x, self.at_boundary, p)
+        # 0.0 - x, not -x: a boundary at 0 gives pstar 0.0, never -0.0
+        return InducedPressure(self.log_series(-p), 0.0 - self.tail.log_x,
+                               self.at_boundary, p)
 
     def classify(self, P: float | None = None) -> RecurrenceClass:
         """The recurrence class at the pressure P (the root when None): after
@@ -543,26 +536,6 @@ class RenewalSeries:
         if self.tail.log_x - P < -SERIES_BAND:
             return RecurrenceClass("strongly-positive-recurrent", P, total, mean)
         return RecurrenceClass("positive-recurrent", P, total, mean)
-
-
-def analytic_pressure(weights) -> float | None:
-    """Exact pressure of a renewal system with closed-form return weights
-    (RenewalSeries.pressure); None when the tail model carries no usable
-    continuation."""
-    return RenewalSeries(weights).pressure if hasattr(weights, "log_series") else None
-
-
-def induced_pressure(weights, p: float = 0.0) -> InducedPressure:
-    """Shifted induced-pressure series over closed-form return weights
-    (RenewalSeries.induced)."""
-    return RenewalSeries(weights).induced(p)
-
-
-def recurrence_classify(family, P: float | None = None) -> RecurrenceClass:
-    """Recurrence class of a closed-form tail at P, its pressure when the
-    caller already holds it (analytic_pressure(family)); without it the
-    root is solved here (RenewalSeries.classify)."""
-    return RenewalSeries(family).classify(P)
 
 
 # -- compact-return contraction profile --------------------------------------------------
@@ -603,7 +576,7 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
         found = "no low-to-low word of finite weight" if fit.n_points == 0 else \
             "low-to-low words of finite weight at only one length"
         raise ValueError(f"{found} in the fit window n = {win[0]}..{win[-1]}")
-    lam = -fit.slope
+    lam = 0.0 - fit.slope  # a flat profile gives 0.0, never -0.0
     cq = max(s[n - 1] + n * lam for n in win if math.isfinite(s[n - 1]))
     return CrcProfile(s, cq, lam, q, lam > P, P, fit)
 

@@ -8,13 +8,12 @@ import random
 import time
 
 from cmshift import (ROOT, BouquetShift, BouquetSpec, FiniteShift,
-                     LoopCountFamily, Plain, Potential, PowerTail, TauSpec,
-                     analytic_pressure, build_bouquet, build_preset, chi_per,
-                     condition_witness_search, count_B,
-                     crc_profile, delta_profile, hinf_profile,
-                     induced_pressure, normalizing_C, partition_sums_renewal,
-                     partition_sums_transfer, pressure_estimate,
-                     recurrence_classify, spr_check, ucs_check)
+                     LoopCountFamily, Plain, Potential, PowerTail,
+                     RenewalSeries, TauSpec, build_bouquet, build_preset,
+                     chi_per, condition_witness_search, count_B, crc_profile,
+                     delta_profile, hinf_profile, normalizing_C,
+                     partition_sums_renewal, partition_sums_transfer,
+                     pressure_estimate, spr_check, ucs_check)
 from cmshift.families import htop_solve, log_weight_sequence
 from cmshift.numerics import LOG_ZERO
 from cmshift.oracle import count_B_bruteforce, partition_sums_bruteforce
@@ -43,7 +42,7 @@ def test_criterion_1_halving_family_reproduction():
         ps = partition_sums_renewal(log_wstar=logw, N=40)
         est = pressure_estimate(ps)
         chi = chi_per(build.system, build.potential, 40)
-        ip0 = induced_pressure(build.weights, 0.0)
+        ip0 = RenewalSeries(build.weights).induced(0.0)
         verdict = spr_check(ps.log_zstar, 0.0, closed_form=True)
     checks = {
         "pressure within 1e-9 of 0": abs(est.value) <= 1e-9,
@@ -69,15 +68,13 @@ def test_criterion_2_power_family_reproduction():
             closed = C.value * n ** -beta
             produced = math.exp(weights.log_weight(n))
             worst_rel = max(worst_rel, abs(produced - closed) / closed)
-        ip0 = induced_pressure(weights, 0.0)
+        ip0 = RenewalSeries(weights).induced(0.0)
         logw = log_weight_sequence(weights, 200)
         verdict = spr_check(logw, 0.0, closed_form=True)
         classes = {
-            "a": recurrence_classify(PowerTail(3.0, math.log(normalizing_C(3.0).value))),
-            "null": recurrence_classify(
-                PowerTail(1.5, math.log(normalizing_C(1.5).value))),
-            "c": recurrence_classify(
-                PowerTail(3.0, math.log(0.5 * normalizing_C(3.0).value))),
+            name: RenewalSeries(PowerTail(beta, math.log(scale * normalizing_C(beta).value)))
+            .classify()
+            for name, beta, scale in (("a", 3.0, 1.0), ("null", 1.5, 1.0), ("c", 3.0, 0.5))
         }
     zeta_tol = max(1e-8, C.error_bound * 10)
     checks = {
@@ -110,7 +107,7 @@ def test_criterion_3_infinity_profiles():
                            truncate_len=25)
         build = build_bouquet(spec)
         dprof = delta_profile(T, build.potential, [1], Ms, N, P=0.0)
-        slope_by_M = {M: prof.slope(M, 1).slope for M in Ms}
+        slope_by_M = {M: prof.fits[(M, 1)].slope for M in Ms}
         counts = {(r[0], r[1]): r[3] for r in prof.rows}
         monotone_counts = all(counts[(n, 4)] <= counts[(n, 2)]
                               and counts[(n, 8)] <= counts[(n, 4)]
@@ -221,7 +218,7 @@ def test_criterion_6_contraction_equivalence_directions():
     for build, lengths, totals in families:
         T, phi = build.system, build.potential
         # exact pressure of the truncated family, then normalize to zero
-        P = analytic_pressure(build.truncated_weights)
+        P = RenewalSeries(build.truncated_weights).pressure
         tau = phi.loop_total
         norm_tau = (lambda t, p: (lambda n: t(n) - n * p))(tau, P)
         norm_phi = Potential(2, {}, 0.0, fallback=None)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
                          RunConfig, _fmt, _json_text, _write_csv, _write_text,
                          main, run_report)
-from cmshift.oracle import compare_oracle, enumerate_words
-from cmshift.shift import BouquetShift, FiniteShift, LoopCountFamily
-from cmshift.specio import ConfigError
+from cmshift.oracle import compare_oracle, enumerate_words, partition_sums_bruteforce
+from cmshift.shift import ROOT, BouquetShift, FiniteShift, LoopCountFamily
+from cmshift.specio import ConfigError, load_potential, load_shift
 
 LOG2 = math.log(2.0)
 
@@ -692,15 +692,54 @@ def test_a_family_without_length_one_loops_has_no_closed_form(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("beta, kind", [(2.01, "positive-recurrent"),
-                                        (1.01, "null-recurrent")])
+                                        (1.01, "null-recurrent"),
+                                        (1.0000015, "null-recurrent")])
 def test_the_boundary_zeta_near_one_certifies_a_relative_tolerance(tmp_path, beta, kind):
     # zeta(1.01) is about 100: an absolute 1e-13 is below its float slop, a
     # relative one is not, so the root (beta = 1.01) and the boundary mean
-    # zeta(beta - 1) (beta = 2.01) are summed and the report exits 0
+    # zeta(beta - 1) (beta = 2.01) are summed and the report exits 0; C=auto
+    # certifies zeta(beta) relative to its size too, so at beta = 1.0000015
+    # (zeta about 6.7e5) the preset builds
     assert main(["report", "--preset", f"sec53(beta={beta},C=auto)", "--horizon", "40",
                  "--out", str(tmp_path)]) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
     assert (report["pressure"]["analytic"], report["recurrence"]["class"]) == (0.0, kind)
+
+
+def _negative_zeros(obj, path=""):
+    if isinstance(obj, float):
+        return [path] if obj == 0.0 and math.copysign(1.0, obj) < 0 else []
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _negative_zeros(v, f"{path}/{k}")]
+    if isinstance(obj, list):
+        return [p for i, v in enumerate(obj) for p in _negative_zeros(v, f"{path}[{i}]")]
+    return []
+
+
+@pytest.mark.parametrize("preset", ["renewal-ones", "sec53(beta=3,C=auto)"])
+def test_reports_write_no_negative_zero(tmp_path, preset):
+    # a flat CRC profile (renewal-ones) and a boundary at log x = 0 give
+    # lambda_q and pstar 0.0, not -0.0
+    assert main(["report", "--preset", preset, "--horizon", "60",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert _negative_zeros(json.loads((tmp_path / "report.json").read_text())) == []
+
+
+def test_scheme_with_a_default_weight_sums_every_edge(tmp_path):
+    # the loop edges that carry no scheme weight weigh the default, so the
+    # scheme's loop totals are not the loops' weights: the transfer DP sums
+    # them, as the brute force does
+    shift = {"kind": "bouquet", "a": {"form": "ones"}, "truncate_len": 5}
+    pot = {"memory": 2, "default": -1.0, "scheme": "bouquet_entry",
+           "scheme_params": {"C": 0.5, "beta": 2.0}}
+    _write_specs(tmp_path, shift, pot)
+    report = run_report(RunConfig(shift=str(tmp_path / "shift.json"),
+                                  potential=str(tmp_path / "pot.json"), horizon=12))
+    T = load_shift(tmp_path / "shift.json")
+    brute = partition_sums_bruteforce(T, load_potential(tmp_path / "pot.json", T), ROOT, 12)
+    assert report["sequences"]["method"] == "transfer-dp"
+    assert report["sequences"]["logZstar"] == pytest.approx(brute.log_zstar, abs=1e-12)
+    assert f"{report['pressure']['value']:.12g}" == "-0.64232752359"
 
 
 def test_file_bouquet_past_its_truncation_uses_the_exact_root(tmp_path, capsys):
@@ -1144,7 +1183,7 @@ def test_spr_on_a_closed_form_reads_only_zstar_and_the_analytic_pressure(
     from cmshift.families import build_preset, log_weight_sequence
 
     weights = build_preset(preset).weights
-    P = thermo.analytic_pressure(weights)
+    P = thermo.RenewalSeries(weights).pressure
     expected = {}
     for N in (5, 40, 200):
         sums = thermo.partition_sums_renewal(log_wstar=log_weight_sequence(weights, N), N=N)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmshift import (ROOT, BouquetRealizationError, BouquetShift, BouquetSpec,
-                     GeometricTail, LoopCountFamily, LoopVertex, PowerTail,
-                     TauSpec, build_bouquet, build_preset, chi_per,
-                     htop_solve, induced_pressure, normalizing_C,
-                     preset_names, zeta)
+from cmshift import (ROOT, BouquetShift, BouquetSpec, GeometricTail,
+                     LoopCountFamily, LoopVertex, PowerTail, RenewalSeries,
+                     TauSpec, UnknownTail, build_bouquet, build_preset, chi_per,
+                     htop_solve, normalizing_C, preset_names, zeta)
 from cmshift.families import (ZetaDivergenceError, _aggregate_log_weight,
                               _scheme_fallback, abstract_return_weights,
                               log_weight_sequence, parse_preset)
@@ -149,13 +148,16 @@ def test_sec53_abstract_weights_match_power_form():
 
 
 def test_sec53_graph_realization_requires_small_a1():
-    spec = BouquetSpec(LoopCountFamily("geometric", ratio=2), "entry",
-                       TauSpec("power", beta=3.0, log_C=0.0), truncate_len=6)
-    with pytest.raises(BouquetRealizationError):
-        build_bouquet(spec, graph=True)
+    # no graph when a(1) >= 2 or when no truncation is given: the weights only
+    tau = TauSpec("power", beta=3.0, log_C=0.0)
+    for fam, L in ((LoopCountFamily("geometric", ratio=2), 6),
+                   (LoopCountFamily("geometric", ratio=2, a1=1), None)):
+        b = build_bouquet(BouquetSpec(fam, "entry", tau, truncate_len=L))
+        assert (b.system, b.potential, b.truncated_weights) == (None, None, None)
+        assert isinstance(b.weights, PowerTail)
     modified = BouquetSpec(LoopCountFamily("geometric", ratio=2, a1=1), "entry",
-                           TauSpec("power", beta=3.0, log_C=0.0), truncate_len=6)
-    b = build_bouquet(modified, graph=True)
+                           tau, truncate_len=6)
+    b = build_bouquet(modified)
     assert b.system is not None
     assert math.exp(b.truncated_weights.log_weight(1)) == pytest.approx(1.0)
 
@@ -171,7 +173,7 @@ def test_truncated_weights_match_bruteforce_partition_sums():
 def test_induced_pressure_normalized_family_is_zero():
     for beta in (1.5, 2.0, 3.0):
         C = normalizing_C(beta).value
-        res = induced_pressure(PowerTail(beta, math.log(C)), 0.0)
+        res = RenewalSeries(PowerTail(beta, math.log(C))).induced(0.0)
         assert res.value == pytest.approx(0.0, abs=1e-8)
 
 
@@ -296,17 +298,20 @@ def test_renewal_ones_weights_are_unit():
 
 @pytest.mark.parametrize("a1", [None, 0, 1, 3])
 @pytest.mark.parametrize("form, ratio", [("ones", 1), ("geometric", 1), ("geometric", 2),
-                                         ("geometric", 3)])
-@pytest.mark.parametrize("kind", ["zero", "halving", "power"])
+                                         ("geometric", 3), ("double_exponential", 1)])
+@pytest.mark.parametrize("kind", ["zero", "halving", "power", "psi"])
 def test_closed_forms_agree_with_their_family_at_every_length(form, ratio, a1, kind):
     # a closed form is the aggregate weight of its family at n = 1 too, where
-    # parallel self-loops collapse and a(1) = 0 leaves no return at all
+    # parallel self-loops collapse and a(1) = 0 leaves no return at all; a
+    # tabulated (psi) family agrees over its known entries
     spec = BouquetSpec(LoopCountFamily(form, ratio=ratio, a1=a1), "entry",
-                       TauSpec(kind, beta=3.0, log_C=math.log(1.5)))
+                       TauSpec(kind, beta=3.0, log_C=math.log(1.5),
+                               psi=tuple(0.5 * k for k in range(8))))
     try:
         tail = abstract_return_weights(spec)
     except ValueError:
         return
-    for n in range(1, 13):
+    known = len(tail.log_weights) if isinstance(tail, UnknownTail) else 12
+    for n in range(1, known + 1):
         want = _aggregate_log_weight(spec.a, spec.tau, n)
         assert tail.log_weight(n) == pytest.approx(want, rel=1e-12), n

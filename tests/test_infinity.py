@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
-                     LoopCountFamily, Plain, Potential, TauSpec, bouquet_hinf_oracle,
-                     build_bouquet, build_preset, count_B,
-                     delta_profile, hinf_profile, profile_pair)
+                     LoopCountFamily, Plain, Potential, TauSpec, build_bouquet,
+                     build_preset, count_B, delta_profile, hinf_profile,
+                     profile_pair)
 from cmshift.infinity import (CountB, _climb, _compile_sweep, _composition_fill,
                               _contraction_fit, _count_B_sweep, _count_diagnostics,
                               _grid_cells, _loop_runs, _profile_window, _slot)
@@ -957,14 +957,14 @@ def test_hinf_profile_ones_family_slope_near_zero():
     T = BouquetShift(LoopCountFamily("ones"), truncate_len=30)
     prof = hinf_profile(T, [1], [4, 8], 30)
     assert prof.estimate < 0.2
-    assert bouquet_hinf_oracle(T.a) == 0.0
+    assert T.a.growth_rate() == 0.0
 
 
 def test_hinf_profile_geometric_family_estimates_log2():
     fam = LoopCountFamily("geometric", ratio=2, a1=1)
     T = BouquetShift(fam, truncate_len=20)
     prof = hinf_profile(T, [1], [4, 8], 30)
-    oracle = bouquet_hinf_oracle(fam)
+    oracle = fam.growth_rate()
     assert oracle == pytest.approx(LOG2)
     assert abs(prof.estimate - oracle) <= prof.uncertainty
 
@@ -1030,7 +1030,7 @@ def test_profiles_refuse_repeated_or_non_positive_grid_values(sec52, q_list, M_l
 
 def _fields(p):
     return repr((p.rows, p.fits, p.estimate, p.uncertainty, p.window,
-                 p.monotone_M_violations, p.q_diagnostics, p.band, p.ci_verdict))
+                 p.monotone_M_violations, p.band, p.ci_verdict))
 
 
 def _same_profile(a, b):
@@ -1095,18 +1095,6 @@ def _reference_monotone_M_check(rows, q_list, M_list, N):
     return violations
 
 
-def _reference_q_direction_diagnostics(rows, q_list, M_list, N):
-    notes = []
-    qs = sorted(q_list)
-    table = {(r[0], r[1], r[2]): r[3] for r in rows}
-    for M in M_list:
-        for n in range(1, N + 1):
-            for lo, hi in zip(qs, qs[1:]):
-                if table[(n, M, hi)] > table[(n, M, lo)]:
-                    notes.append((n, M, lo, hi))
-    return notes
-
-
 def _reference_entropy_fit(rows, q_list, M_list, N):
     window = _profile_window(N)
     lo, hi = window[0], window[-1]
@@ -1129,8 +1117,7 @@ def _reference_entropy_fit(rows, q_list, M_list, N):
         if all(r[3] == 0 for r in rows if r[1] == Mmax and r[2] == qmax):
             unc = 0.0
     return repr((rows, fits, estimate, unc, (lo, hi),
-                 _reference_monotone_M_check(rows, q_list, M_list, N),
-                 _reference_q_direction_diagnostics(rows, q_list, M_list, N), None, None))
+                 _reference_monotone_M_check(rows, q_list, M_list, N), None, None))
 
 
 def _reference_contraction_fit(rows, q_list, M_list, N, P, tol=1e-9):
@@ -1157,8 +1144,7 @@ def _reference_contraction_fit(rows, q_list, M_list, N, P, tol=1e-9):
     else:
         verdict = "inconclusive"
     return repr((rows, fits, estimate, band if math.isfinite(band) else math.inf, (lo, hi),
-                 _reference_monotone_M_check(rows, q_list, M_list, N),
-                 _reference_q_direction_diagnostics(rows, q_list, M_list, N), band, verdict))
+                 _reference_monotone_M_check(rows, q_list, M_list, N), band, verdict))
 
 
 def _check_against_reference(T, phi, q_list, M_list, N, P):
@@ -1172,7 +1158,6 @@ def _check_against_reference(T, phi, q_list, M_list, N, P):
     assert (_fields(hp), _fields(dp)) == (want_h, want_d)
     for row, count_row in zip(rows, counts):
         assert repr((hp.cell(*row[:3]), dp.cell(*row[:3]))) == repr((count_row, row))
-    return rows
 
 
 @settings(max_examples=25)
@@ -1198,12 +1183,10 @@ def test_profile_columns_equal_the_row_scan_on_random_shifts(data):
 
 
 def test_profile_columns_equal_the_row_scan_on_a_bouquet():
-    # q = 1 takes the composition route, q = 2 the state sweep; counts grow
-    # with q, so the q diagnostics are not empty
+    # q = 1 takes the composition route, q = 2 the state sweep
     build = build_preset("sec52-entry", truncate_len=8)
     T, phi = build.system, build.potential
-    rows = _check_against_reference(T, phi, [2, 1], [4, 2, 3], 12, 0.0)
-    assert _reference_q_direction_diagnostics(rows, [2, 1], [4, 2, 3], 12)
+    _check_against_reference(T, phi, [2, 1], [4, 2, 3], 12, 0.0)
     prof = hinf_profile(T, [2, 1], [4, 2, 3], 12)
     for key in ((0, 2, 1), (13, 2, 1), (1, 5, 1), (1, 2, 3)):
         with pytest.raises(KeyError):
@@ -1213,11 +1196,10 @@ def test_profile_columns_equal_the_row_scan_on_a_bouquet():
 # -- growth oracle -----------------------------------------------------------------------
 
 def test_oracle_values():
-    assert bouquet_hinf_oracle(LoopCountFamily("geometric", ratio=2)) \
-        == pytest.approx(LOG2)
-    assert bouquet_hinf_oracle(LoopCountFamily("ones")) == 0.0
-    assert bouquet_hinf_oracle(LoopCountFamily("double_exponential")) == math.inf
+    assert LoopCountFamily("geometric", ratio=2).growth_rate() == pytest.approx(LOG2)
+    assert LoopCountFamily("ones").growth_rate() == 0.0
+    assert LoopCountFamily("double_exponential").growth_rate() == math.inf
     fam = LoopCountFamily("list", values=(1, 4, 8))
     # max over the support of (1/n) log a(n)
-    assert bouquet_hinf_oracle(fam) == pytest.approx(
+    assert fam.growth_rate() == pytest.approx(
         max(math.log(1), math.log(4) / 2, math.log(8) / 3))

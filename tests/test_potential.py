@@ -43,7 +43,6 @@ def test_memory2_wrap_sums_table_entries(full2):
     phi = Potential(2, {(Plain(1), Plain(2)): 0.5, (Plain(2), Plain(1)): -1.0})
     bv = birkhoff_sum(full2, phi, (Plain(1), Plain(2), Plain(1)), "periodic")
     assert bv.value == pytest.approx(-0.5)
-    assert bv.exact
 
 
 def test_cylinder_mode_is_partial_sum(full2):
@@ -55,7 +54,7 @@ def test_cylinder_mode_is_partial_sum(full2):
     assert bv.length == 2
     assert bv.value == pytest.approx(-0.5)
     short = birkhoff_sum(full2, phi, (Plain(1),), "cylinder")
-    assert short.length == 0 and short.value == 0.0 and short.exact
+    assert short.length == 0 and short.value == 0.0
 
 
 def test_inadmissible_word_and_wrap_raise(sec52):
@@ -112,13 +111,6 @@ def test_concatenation_additivity_memory2(data):
              + phi.weight((u[-1], v[0]))
              + birkhoff_sum(T, phi, v, "cylinder").value)
     assert whole == pytest.approx(parts, abs=1e-12)
-
-
-def test_distortion_zero_for_low_memory(full2):
-    phi1 = Potential(1, {(Plain(1),): -1.0})
-    phi2 = Potential(2, {(Plain(1), Plain(2)): 3.0})
-    assert phi1.distortion() == 0.0
-    assert phi2.distortion() == 0.0
 
 
 # -- connector constants --------------------------------------------------------------

@@ -12,18 +12,17 @@ from hypothesis import strategies as st
 from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      GeometricTail, LoopCountFamily, LoopVertex, PartitionSums,
                      Plain, Potential, PowerTail, UnknownStateError,
-                     analytic_pressure, birkhoff_sum,
-                     build_preset, chi_per, condition_witness_search, crc_profile,
-                     induced_pressure, is_admissible, normalizing_C,
-                     partition_sums_renewal, partition_sums_transfer,
-                     pressure_estimate, recurrence_classify,
-                     spr_check, ucs_check, zeta)
+                     RenewalSeries, birkhoff_sum, build_preset, chi_per,
+                     condition_witness_search, crc_profile, is_admissible,
+                     normalizing_C, partition_sums_renewal,
+                     partition_sums_transfer, pressure_estimate, spr_check,
+                     ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
 from cmshift import families, thermo
 from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
 from cmshift.oracle import enumerate_words, partition_sums_bruteforce, periodic_points
-from cmshift.thermo import SERIES_BAND, RenewalSeries, _max_birkhoff_low_to_low
+from cmshift.thermo import SERIES_BAND, _max_birkhoff_low_to_low
 
 LOG2 = math.log(2.0)
 
@@ -63,7 +62,7 @@ def test_brute_force_single_self_loop():
 
 def test_star_le_z_always(sec52):
     ps = partition_sums_bruteforce(sec52.system, sec52.potential, ROOT, 10)
-    assert ps.check_star_le_z()
+    assert all(zs <= z for zs, z in zip(ps.log_zstar, ps.log_z))
 
 
 def _partition_sums_per_word(T, phi, a, N, max_count=2_000_000):
@@ -738,7 +737,7 @@ def test_induced_weight_aggregates_equal_zstar(sec52):
 
 def test_induced_pressure_geometric_at_zero():
     model = GeometricTail(0.0, -LOG2)
-    res = induced_pressure(model, 0.0)
+    res = RenewalSeries(model).induced(0.0)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.pstar == pytest.approx(LOG2, abs=1e-12)
     assert res.delta == math.inf
@@ -749,7 +748,7 @@ def test_induced_pressure_power_family_normalized():
     beta = 3.0
     C = normalizing_C(beta).value
     model = PowerTail(beta, math.log(C), 0.0)
-    res = induced_pressure(model, 0.0)
+    res = RenewalSeries(model).induced(0.0)
     assert res.value == pytest.approx(0.0, abs=1e-8)
     assert res.pstar == pytest.approx(0.0, abs=1e-12)
     assert res.delta == pytest.approx(0.0, abs=1e-8)
@@ -758,22 +757,23 @@ def test_induced_pressure_power_family_normalized():
 
 def test_induced_pressure_beyond_pstar_diverges():
     model = GeometricTail(0.0, -LOG2)
-    assert induced_pressure(model, LOG2).value == math.inf
-    assert induced_pressure(model, LOG2 + 0.1).value == math.inf
+    assert RenewalSeries(model).induced(LOG2).value == math.inf
+    assert RenewalSeries(model).induced(LOG2 + 0.1).value == math.inf
 
 
 def test_induced_pressure_power_family_diverges_at_zero_for_beta_at_most_one():
     # sum_k C k^-beta diverges for beta <= 1: an infinite value, not a
     # ValueError from the zeta series
     for beta in (0.5, 1.0):
-        res = induced_pressure(PowerTail(beta, math.log(0.1), 0.0), 0.0)
+        res = RenewalSeries(PowerTail(beta, math.log(0.1), 0.0)).induced(0.0)
         assert (res.value, res.delta, res.spr) == (math.inf, math.inf, True)
-    assert math.isfinite(induced_pressure(PowerTail(0.5, math.log(0.1), 0.0), -0.1).value)
+    below = RenewalSeries(PowerTail(0.5, math.log(0.1), 0.0)).induced(-0.1)
+    assert math.isfinite(below.value)
 
 
 def test_induced_pressure_finite_tail_always_finite():
     model = FiniteTail(tuple(-n * LOG2 for n in range(1, 6)))
-    res = induced_pressure(model, 5.0)
+    res = RenewalSeries(model).induced(5.0)
     assert math.isfinite(res.value)
     assert res.pstar == math.inf and res.spr is True
 
@@ -784,25 +784,25 @@ def test_induced_pressure_finite_tail_always_finite():
 def test_pstar_monotone_under_weight_increase(ratio, bump):
     base = GeometricTail(0.0, math.log(ratio))
     bigger = GeometricTail(bump, math.log(ratio))  # multiply every weight by e^bump
-    assert induced_pressure(bigger, 0.0).pstar <= induced_pressure(base, 0.0).pstar
+    assert RenewalSeries(bigger).induced(0.0).pstar <= RenewalSeries(base).induced(0.0).pstar
 
 
 # -- recurrence classification --------------------------------------------------------------------
 
 def test_recurrence_classes_of_power_family():
     z3 = zeta(3.0).value
-    assert recurrence_classify(PowerTail(3.0, math.log(1.0 / z3))).kind \
+    assert RenewalSeries(PowerTail(3.0, math.log(1.0 / z3))).classify().kind \
         == "positive-recurrent"
     z15 = zeta(1.5).value
-    assert recurrence_classify(PowerTail(1.5, math.log(1.0 / z15))).kind \
+    assert RenewalSeries(PowerTail(1.5, math.log(1.0 / z15))).classify().kind \
         == "null-recurrent"
-    assert recurrence_classify(PowerTail(3.0, math.log(0.5 / z3))).kind \
+    assert RenewalSeries(PowerTail(3.0, math.log(0.5 / z3))).classify().kind \
         == "transient"
 
 
 def test_recurrence_supercritical_family_normalizes_to_spr():
     z3 = zeta(3.0).value
-    rc = recurrence_classify(PowerTail(3.0, math.log(2.0 / z3)))
+    rc = RenewalSeries(PowerTail(3.0, math.log(2.0 / z3))).classify()
     assert rc.kind == "strongly-positive-recurrent"
     assert rc.pressure > 0
 
@@ -810,8 +810,8 @@ def test_recurrence_supercritical_family_normalizes_to_spr():
 def test_recurrence_invariant_under_constant_shift():
     z3 = zeta(3.0).value
     c = 0.7
-    plain = recurrence_classify(PowerTail(3.0, math.log(1.0 / z3), 0.0))
-    shifted = recurrence_classify(PowerTail(3.0, math.log(1.0 / z3), c))
+    plain = RenewalSeries(PowerTail(3.0, math.log(1.0 / z3), 0.0)).classify()
+    shifted = RenewalSeries(PowerTail(3.0, math.log(1.0 / z3), c)).classify()
     assert plain.kind == shifted.kind == "positive-recurrent"
     assert shifted.pressure == pytest.approx(c, abs=1e-9)
 
@@ -836,13 +836,14 @@ _BELOW_ZERO_BOUNDARY = {
 ])
 def test_recurrence_takes_the_pressure_it_is_given(family):
     # the report passes its analytic P instead of solving the root again
-    rc = recurrence_classify(family)
-    assert recurrence_classify(family, P=analytic_pressure(family)) == rc
+    series = RenewalSeries(family)
+    rc = series.classify()
+    assert RenewalSeries(family).classify(series.pressure) == rc
     if family in _BELOW_ZERO_BOUNDARY:
         kind, P = _BELOW_ZERO_BOUNDARY[family]
         assert rc.kind == kind
         assert rc.pressure == pytest.approx(P, abs=1e-9)
-        assert rc.pressure == analytic_pressure(family)
+        assert rc.pressure == RenewalSeries(family).pressure
 
 
 # -- the renewal kernel ----------------------------------------------------------------------
@@ -896,13 +897,13 @@ def test_renewal_kernel_matches_mpmath(tail, shift, p):
             # a root within 1e-3 of log_x costs series of about 1e5 terms per
             # step (test_newton_pressure_root_matches_the_bisection)
             assume(tail.log_series(tail.log_x) <= SERIES_BAND)
-        P = analytic_pressure(tail)
+        P = RenewalSeries(tail).pressure
         total = _mp_series(mpmath, tail, mpmath.mpf(P), 0)
         if P == tail.log_x:
             assert total <= 1 + 1e-9
         else:
             assert abs(total - 1) <= 1e-12
-    rc = recurrence_classify(tail, P)
+    rc = RenewalSeries(tail).classify(P)
     if isinstance(tail, PowerTail):
         if P != tail.log_x:
             assert abs(rc.return_sum - 1) <= 1e-12
@@ -975,7 +976,7 @@ def test_newton_pressure_root_matches_the_bisection(beta, log_c, log_x):
         assume(log_c + lz <= 1e-9 + lb)
     family = PowerTail(beta, log_c, log_x)
     old = _bisection_root(family)
-    new = analytic_pressure(family)
+    new = RenewalSeries(family).pressure
     if old == log_x:
         assert new == old
     assert abs(new - old) <= 1e-14 * max(1.0, abs(old))
@@ -989,7 +990,7 @@ def test_newton_pressure_root_matches_the_bisection(beta, log_c, log_x):
 ])
 def test_newton_pressure_root_solves_the_series_in_mpmath(beta, C, log_x):
     mpmath = pytest.importorskip("mpmath")
-    P = analytic_pressure(PowerTail(beta, math.log(C), log_x))
+    P = RenewalSeries(PowerTail(beta, math.log(C), log_x)).pressure
     with mpmath.workdps(40):
         total = mpmath.mpf(C) * mpmath.polylog(beta, mpmath.exp(mpmath.mpf(log_x) - P))
         assert abs(total - 1) <= 1e-12
@@ -1000,7 +1001,7 @@ def test_newton_pressure_root_solves_the_series_in_mpmath(beta, C, log_x):
     (PowerTail(2.0, 2e6), "pressure root escaped the search interval"),
 ])
 def test_pressure_root_refusals_are_kept(family, refusal):
-    for root in (_bisection_root, analytic_pressure):
+    for root in (_bisection_root, lambda tail: RenewalSeries(tail).pressure):
         with pytest.raises(ValueError) as exc:
             root(family)
         assert str(exc.value) == refusal
@@ -1012,7 +1013,7 @@ def test_a_series_budget_failure_is_a_sign_only_past_one(monkeypatch, shrink, de
     # lower bound of Li, so it shows p left of the root (g > 0) when it is
     # the whole sum, and decides nothing when it is e^-50 of it
     family = PowerTail(2.5, math.log(3.0), -0.5)
-    root = analytic_pressure(family)
+    root = RenewalSeries(family).pressure
     real, left = families.polylog_with_bound, []
 
     def polylog(beta, log_x, tol=1e-12, max_terms=2_000_000):
@@ -1025,10 +1026,10 @@ def test_a_series_budget_failure_is_a_sign_only_past_one(monkeypatch, shrink, de
 
     monkeypatch.setattr(families, "polylog_with_bound", polylog)
     if decided:
-        assert analytic_pressure(family) == pytest.approx(root, rel=1e-14)
+        assert RenewalSeries(family).pressure == pytest.approx(root, rel=1e-14)
     else:
         with pytest.raises(ValueError, match="pressure root out of reach"):
-            analytic_pressure(family)
+            RenewalSeries(family).pressure
     assert left
 
 
