@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -137,14 +138,19 @@ def _check_horizon(cfg: RunConfig, command: str) -> None:
             raise ConfigError(f"horizon must be >= {least} for {fit}")
 
 
-def _float_text(x: float) -> str:
-    """x at 12 significant digits as JSON: the text of float(that), and nan,
-    inf and -inf as the strings of _fmt.  A .12g text with a point and no
-    exponent is already the shortest repr of its float."""
-    g = f"{x:.12g}"
+def _float_json(g: str) -> str:
+    """The JSON text of a float from its %.12g text g: g itself when it has
+    a point and no exponent (then it is already the shortest repr of its
+    float), else the repr of float(g), and nan, inf and -inf as the strings
+    of _fmt."""
     if "." in g and "e" not in g:
         return g
-    return repr(float(g)) if math.isfinite(x) else f'"{g}"'
+    return f'"{g}"' if g in ("nan", "inf", "-inf") else repr(float(g))
+
+
+def _float_text(x: float) -> str:
+    """x at 12 significant digits as JSON (_float_json)."""
+    return _float_json(f"{x:.12g}")
 
 
 def _int_text(n: int) -> str:
@@ -154,12 +160,24 @@ def _int_text(n: int) -> str:
         return f'"{hex(n)}"'
 
 
-# the JSON text of a leaf, by its exact type; _json_text gives a subclass
+# the JSON text of a leaf, by its exact type; _leaf_text gives a subclass
 # (numpy.float64, IntEnum, ...) the rule of its base
 _JSON_LEAVES = {
     float: _float_text, int: _int_text, str: encode_basestring_ascii,
     bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
 }
+
+
+def _leaf_text(x) -> str:
+    """The JSON text of a leaf: the rule of its type in _JSON_LEAVES, else
+    of its base float, int or str, else the string of its str."""
+    leaf = _JSON_LEAVES.get(type(x))
+    if leaf is not None:
+        return leaf(x)
+    for base in (float, int, str):  # bool has no subclasses
+        if isinstance(x, base):
+            return _JSON_LEAVES[base](x)
+    return encode_basestring_ascii(str(x))
 
 
 def _fmt(x) -> str:
@@ -168,76 +186,144 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def _json_text(obj, pad: str = "\n") -> str:
-    """obj as indented JSON with sorted keys, floats at 12 significant digits
-    and the non-finite ones as the strings of _fmt; pad starts each line of
-    obj's items.  An int too long for decimal text is the exact hex string
-    "0x...", and any other object is its str.  A list of leaves, and a list
-    of equally long lists or tuples of leaves, is written a column at a time
-    by _leaf_texts."""
-    leaf = _JSON_LEAVES.get(type(obj))
-    if leaf is not None:
-        return leaf(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        items = _leaf_texts(obj) or _table_texts(obj, inner) \
-            or [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        get = _JSON_LEAVES.get
-        items = [_json_key(k) + ": "
-                 + (leaf(v) if (leaf := get(type(v))) else _json_text(v, inner))
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    for base in (float, int, str):  # bool has no subclasses
-        if isinstance(obj, base):
-            return _JSON_LEAVES[base](obj)
-    return encode_basestring_ascii(str(obj))
-
-
-def _leaf_texts(col) -> list[str] | None:
-    """The JSON texts of a non-empty list or tuple of leaves, or None if an
-    item is a list, tuple or dict.  A column of one exact type is one map of
-    its _JSON_LEAVES rule, an int column one map of int.__repr__ unless an
-    int is past the decimal limit; any other column goes item by item."""
+def _cell_texts(col) -> list[str]:
+    """The CSV cells (_fmt) of a non-empty column: a column of one exact
+    type float, int or None is mapped in C (%.12g text, decimal text,
+    empty), any other column cell by cell."""
     types = set(map(type, col))
-    if len(types) == 1:
-        kind = next(iter(types))
+    kind = next(iter(types)) if len(types) == 1 else None
+    if kind is float:
+        return list(map("%.12g".__mod__, col))
+    if kind is int:
+        return list(map(int.__repr__, col))
+    if kind is type(None):
+        return [""] * len(col)
+    return list(map(_fmt, col))
+
+
+class _Texts:
+    """The texts of the columns of one write, each column rendered once in
+    each form, its CSV cells and its JSON texts.
+
+    A column is a non-empty list or tuple of cells; the profile grids and
+    the sequences of a report are columns of every file written from it.
+    A column whose items are the very objects of a column rendered before
+    takes that column's texts.  Sharing goes by identity, never by value:
+    -0.0 == 0.0 and 1 == 1.0 == True have other texts."""
+
+    def __init__(self) -> None:
+        # per form, (length, id of the first item) -> [(column, texts)]; each
+        # entry holds its column, so the ids stay those of live items
+        self._cells: dict[tuple[int, int], list[tuple]] = {}
+        self._json: dict[tuple[int, int], list[tuple]] = {}
+
+    @staticmethod
+    def _find(done: dict, col) -> list[str] | None:
+        for known, texts in done.get((len(col), id(col[0])), ()):
+            if all(map(operator.is_, known, col)):
+                return texts
+        return None
+
+    @staticmethod
+    def _keep(done: dict, col, texts: list[str]) -> list[str]:
+        done.setdefault((len(col), id(col[0])), []).append((col, texts))
+        return texts
+
+    def cells(self, col) -> list[str]:
+        """The CSV cells of a column (_fmt)."""
+        if not col:
+            return []
+        return self._find(self._cells, col) \
+            or self._keep(self._cells, col, _cell_texts(col))
+
+    def leaves(self, col) -> list[str] | None:
+        """The JSON texts of a non-empty column, or None if an item is a
+        list, tuple or dict."""
+        texts = self._find(self._json, col)
+        if texts is None:
+            texts = self._json_texts(col)
+            if texts is not None:
+                self._keep(self._json, col, texts)
+        return texts
+
+    def _json_texts(self, col) -> list[str] | None:
+        """The JSON texts of a non-empty column: a float or int column's are
+        derived from its cells, a float's by _float_json (the cells
+        themselves when all have a point and no exponent); a column of one
+        other exact type is one map of its _JSON_LEAVES rule; any other goes
+        item by item."""
+        types = set(map(type, col))
+        kind = next(iter(types)) if len(types) == 1 else None
+        if kind is float:
+            cells = self.cells(col)
+            text = "".join(cells)
+            if text.count(".") == len(cells) and "e" not in text:
+                return cells
+            # a JSON text depends on its cell alone: fix each other cell once
+            fix = {g: _float_json(g) for g in set(cells) if "." not in g or "e" in g}
+            return list(map(fix.get, cells, cells))
         if kind is int:
             try:
-                return list(map(int.__repr__, col))
+                return self.cells(col)
             except ValueError:  # above sys.get_int_max_str_digits()
-                pass
-        leaf = _JSON_LEAVES.get(kind)
-        if leaf is not None:
-            return list(map(leaf, col))
-    if any(issubclass(t, (list, tuple, dict)) for t in types):
-        return None
-    get = _JSON_LEAVES.get
-    return [leaf(v) if (leaf := get(type(v))) else _json_text(v) for v in col]
-
-
-def _table_texts(rows, pad: str) -> list[str] | None:
-    """The JSON texts of rows, lists or tuples of one nonzero length whose
-    items are leaves, rendered a column at a time; pad starts each row.
-    None for any other list."""
-    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1 \
-            or not rows[0]:
-        return None
-    texts = []
-    for col in zip(*rows):
-        text = _leaf_texts(col)
-        if text is None:
+                return list(map(_int_text, col))
+        if kind is type(None):
+            return ["null"] * len(col)
+        if kind in _JSON_LEAVES:  # str, bool
+            return list(map(_JSON_LEAVES[kind], col))
+        if any(issubclass(t, (list, tuple, dict)) for t in types):
             return None
-        texts.append(text)
-    inner = pad + "  "
-    row = ("[" + inner + "{}" + pad + "]").format
-    return list(map(row, map(("," + inner).join, zip(*texts))))
+        return list(map(_leaf_text, col))
+
+    def json(self, obj, pad: str = "\n") -> str:
+        """obj as indented JSON with sorted keys, floats at 12 significant
+        digits and the non-finite ones as the strings of _fmt; pad starts
+        each line of obj's items.  An int too long for decimal text is the
+        exact hex string "0x...", and any other object is its str.  A list
+        of leaves, and a list of equally long lists or tuples of leaves, is
+        written a column at a time."""
+        leaf = _JSON_LEAVES.get(type(obj))
+        if leaf is not None:
+            return leaf(obj)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            inner = pad + "  "
+            items = self.leaves(obj) or self._table(obj, inner) \
+                or [self.json(v, inner) for v in obj]
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = pad + "  "
+            get = _JSON_LEAVES.get
+            items = [_json_key(k) + ": "
+                     + (leaf(v) if (leaf := get(type(v))) else self.json(v, inner))
+                     for k, v in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return _leaf_text(obj)
+
+    def _table(self, rows, pad: str) -> list[str] | None:
+        """The JSON texts of rows, lists or tuples of one nonzero length
+        whose items are leaves, rendered a column at a time; pad starts each
+        row.  None for any other list."""
+        if not set(map(type, rows)) <= {list, tuple} \
+                or len(set(map(len, rows))) != 1 or not rows[0]:
+            return None
+        texts = []
+        for col in zip(*rows):
+            text = self.leaves(col)
+            if text is None:
+                return None
+            texts.append(text)
+        inner = pad + "  "
+        sep, start, end = "," + inner, "[" + inner, pad + "]"
+        return [start + row + end for row in map(sep.join, zip(*texts))]
+
+    def csv(self, header: list[str], columns: list) -> str:
+        """The CSV text of equally long columns under header."""
+        texts = list(map(self.cells, columns))
+        return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
 
 
 def _json_key(key) -> str:
@@ -257,52 +343,46 @@ def _write_text(path: Path, text: str) -> None:
     and then cut at the end of the new text, never truncated to zero first:
     ext4 (unless mounted noauto_da_alloc) flushes a file rewritten after a
     truncate to zero when it is closed.  A write cut off midway can leave
-    old bytes after the new ones."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+    old bytes after the new ones.  A path that cannot be opened for writing
+    (a directory, a missing parent) is a config error."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
+    with open(fd, "w") as f:
         f.write(text)
         f.truncate()
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, _json_text(doc) + "\n")
+def _write_json(path: Path, doc: dict, texts: _Texts) -> None:
+    _write_text(path, texts.json(doc) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     """rows as CSV cells of _fmt under header; rows of one nonzero length are
     written a column at a time."""
     if len(set(map(len, rows))) == 1 and rows[0]:
-        _write_text(path, _csv_text(header, list(zip(*rows))))
+        _write_text(path, _Texts().csv(header, list(zip(*rows))))
         return
     lines = [",".join(header)]
     lines += [",".join([_fmt(x) for x in row]) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _csv_text(header: list[str], columns: list) -> str:
-    """The CSV text of equally long columns: a column of one exact type
-    float, int or None is mapped in C (.12g text, decimal text, empty), any
-    other column cell by cell by _fmt."""
-    texts = []
-    for col in columns:
-        types = set(map(type, col))
-        kind = next(iter(types)) if len(types) == 1 else None
-        texts.append(map("%.12g".__mod__, col) if kind is float
-                     else map(int.__repr__, col) if kind is int
-                     else [""] * len(col) if kind is type(None)
-                     else map(_fmt, col))
-    return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
-
-
-def _write_profile_csv(outdir: Path, key: str, rows: list) -> None:
+def _write_profile_csv(outdir: Path, key: str, rows: list, texts: _Texts) -> None:
     columns = list(zip(*rows)) or [()] * 6
     _write_text(outdir / f"profile_{key}.csv",
-                _csv_text(["n", "M", "q", "log_z", "z_phi"],
+                texts.csv(["n", "M", "q", "log_z", "z_phi"],
                           [columns[i] for i in (0, 1, 2, 4, 5)]))
 
 
 def _out_dir(cfg: RunConfig) -> Path:
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {cfg.out!r}: "
+                          f"{exc.strerror}") from exc
     return outdir
 
 
@@ -539,19 +619,19 @@ def run_report(cfg: RunConfig) -> dict:
     report["summary"] = _summary(report)
     if cfg.out:
         outdir = _out_dir(cfg)
-        seq = report["sequences"]
-        rows = list(zip(seq["n"], seq["logZ"], seq["logZstar"]))
+        # every file is built from one set of column texts: the sums and the
+        # profile rows are the very lists report.json holds
+        texts = _Texts()
+        sums = {k: report["sequences"][k] for k in ("n", "logZ", "logZstar")}
         if cfg.format == "csv":
-            _write_csv(outdir / "sums.csv", ["n", "logZ", "logZstar"], rows)
+            _write_text(outdir / "sums.csv", texts.csv(list(sums), list(sums.values())))
         else:
-            _write_json(outdir / "sums.json",
-                        {"n": seq["n"], "logZ": seq["logZ"],
-                         "logZstar": seq["logZstar"]})
+            _write_json(outdir / "sums.json", sums, texts)
         for key in ("hinf", "delta"):
             prof = report["profiles"].get(key)
             if prof and "rows" in prof:
-                _write_profile_csv(outdir, key, prof["rows"])
-        _write_json(outdir / "report.json", report)
+                _write_profile_csv(outdir, key, prof["rows"], texts)
+        _write_json(outdir / "report.json", report, texts)
     return report
 
 
@@ -708,7 +788,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                               or "profiles need a graph realization (set --truncate)")
         hp = infinity.hinf_profile(bundle.profile_system, cfg.q, cfg.M, cfg.horizon)
         if cfg.out:
-            _write_profile_csv(_out_dir(cfg), "hinf", hp.rows)
+            _write_profile_csv(_out_dir(cfg), "hinf", hp.rows, _Texts())
         print(f"hinf estimate: {_fmt(_display(hp.estimate, cfg.log2))} "
               f"± {_fmt(hp.uncertainty)}")
         if bundle.a_family is not None:

@@ -524,8 +524,14 @@ class InfinityProfile:
 
     @property
     def rows(self) -> list[tuple]:
-        return [self.cell(n, M, q) for (M, q), col in self.columns.items()
-                for n in range(1, len(col) + 1)]
+        weighted = self.kind == "contraction"
+        rows = []
+        for (M, q), col in self.columns.items():
+            N = len(col)
+            rows += zip(range(1, N + 1), [M] * N, [q] * N,
+                        [cb.count for cb in col], [cb.log_count for cb in col],
+                        [cb.z_phi for cb in col] if weighted else [None] * N)
+        return rows
 
     def cell(self, n: int, M: int, q: int) -> tuple:
         col = self.columns.get((M, q), [])

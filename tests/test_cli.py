@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
-                         RunConfig, _fmt, _json_text, _write_csv, _write_text,
+                         RunConfig, _fmt, _Texts, _write_csv, _write_text,
                          main, run_report)
 from cmshift.oracle import compare_oracle, enumerate_words, partition_sums_bruteforce
 from cmshift.shift import ROOT, BouquetShift, FiniteShift, LoopCountFamily
@@ -148,7 +148,7 @@ def _old_fmt(x) -> str:
 
 def _json_ready(obj):
     # the old report writer's value pass, fed to json.dumps; kept as the
-    # oracle of _json_text
+    # oracle of _Texts.json
     if isinstance(obj, float):
         if math.isfinite(obj):
             return float(f"{obj:.12g}")
@@ -178,6 +178,7 @@ class _Text(str):
 
 # subclasses of float, int and str take the rule of their base
 _SUBCLASSED = [np.float64(1e12), enum.IntEnum("E", "a b").b, _Text("x\u00e9")]
+_SHARED = 2.5
 
 
 # floats whose 12-digit text and shortest repr differ in form: integral
@@ -240,8 +241,11 @@ _JSON_DOCS = st.recursive(
 @settings(max_examples=150)
 @given(doc=_JSON_DOCS)
 @example(doc=_SUBCLASSED + [{"k": x} for x in _SUBCLASSED])
+# columns that start with one object and are equal after it, but not the
+# same objects: a shared text would be wrong
+@example(doc={"a": [_SHARED, 0.0, 1], "b": [_SHARED, -0.0, True], "c": [_SHARED, 0.0, 1.0]})
 def test_json_text_equals_the_json_dumps_route(doc):
-    assert _json_text(doc) == _oracle_json(doc)
+    assert _Texts().json(doc) == _oracle_json(doc)
 
 
 _CSV_CELLS = st.one_of(st.none(), st.booleans(), _FLOATS, st.integers(),
@@ -275,38 +279,110 @@ _FOUR_STATES = ({"kind": "finite",
                         ((4, 2), -1.9), ((4, 4), -0.3))]})
 
 
-@pytest.mark.parametrize("case", ["renewal-ones", "sec53", "finite", "renewal-ones-csv"])
+# the full 2-shift with weights past the float range: 1e+308 cells and
+# +inf Birkhoff maxima (z_phi) beside -inf empty cells
+_FULL2_HUGE = ({"kind": "finite", "matrix": [[1, 1], [1, 1]]},
+               {"memory": 2, "default": 0.0, "table": [
+                   {"word": list(w), "value": 1e308} for w in ((1, 1), (1, 2), (2, 1))]})
+
+
+@pytest.mark.parametrize("case", ["renewal-ones", "sec53", "finite", "finite-grid",
+                                  "huge-weights", "renewal-ones-csv", "hinf"])
 def test_written_files_are_the_oracle_rendering_of_the_report(tmp_path, case):
     out = tmp_path / "out"
     if case == "renewal-ones-csv":
         cfg = RunConfig(preset="renewal-ones", horizon=160, out=str(out), format="csv")
-    elif case == "finite":
-        specs = _write_specs(tmp_path, *_FOUR_STATES)
-        cfg = RunConfig(shift=specs[1], potential=specs[3], horizon=24, out=str(out))
+    elif case in ("finite", "finite-grid", "huge-weights"):
+        specs = _write_specs(tmp_path, *(_FULL2_HUGE if case == "huge-weights"
+                                         else _FOUR_STATES))
+        grid = {"q": [1, 2, 3], "M": [2, 4, 8]} if case == "finite-grid" else {}
+        cfg = RunConfig(shift=specs[1], potential=specs[3], out=str(out),
+                        horizon=8 if case == "huge-weights" else 24, **grid)
     elif case == "sec53":
         from cmshift import zeta
         C = 1.5 / zeta(1.5049).value
         cfg = RunConfig(preset=f"sec53(beta=1.5049,C={C!r})", horizon=50, out=str(out))
     else:
-        cfg = RunConfig(preset=case, horizon=160, out=str(out))
-    report = run_report(cfg)
-    seq = report["sequences"]
-    expected = {"report.json": _oracle_json(report)}
-    if cfg.format == "csv":
-        expected["sums.csv"] = "\n".join(
-            ["n,logZ,logZstar"] + [",".join(map(_old_fmt, r)) for r in
-                                   zip(seq["n"], seq["logZ"], seq["logZstar"])])
+        cfg = RunConfig(preset="renewal-ones", horizon=160, out=str(out))
+    if case == "hinf":
+        # the hinf subcommand writes the entropy profile alone
+        from cmshift.cli import _build_bundle
+        from cmshift.infinity import hinf_profile
+        assert main(["hinf", "--preset", "renewal-ones", "--horizon", "160",
+                     "--out", str(out)]) == EXIT_OK
+        hp = hinf_profile(_build_bundle(cfg).profile_system, cfg.q, cfg.M, cfg.horizon)
+        expected, profiles = {}, {"hinf": hp.rows}
     else:
-        expected["sums.json"] = _oracle_json(
-            {k: seq[k] for k in ("n", "logZ", "logZstar")})
-    for key in ("hinf", "delta"):
-        rows = report["profiles"][key]["rows"]
+        report = run_report(cfg)
+        seq = report["sequences"]
+        expected = {"report.json": _oracle_json(report)}
+        if cfg.format == "csv":
+            expected["sums.csv"] = "\n".join(
+                ["n,logZ,logZstar"] + [",".join(map(_old_fmt, r)) for r in
+                                       zip(seq["n"], seq["logZ"], seq["logZstar"])])
+        else:
+            expected["sums.json"] = _oracle_json(
+                {k: seq[k] for k in ("n", "logZ", "logZstar")})
+        profiles = {key: report["profiles"][key]["rows"] for key in ("hinf", "delta")}
+    for key, rows in profiles.items():
         expected[f"profile_{key}.csv"] = "\n".join(
             ["n,M,q,log_z,z_phi"]
             + [",".join(_old_fmt(r[i]) for i in (0, 1, 2, 4, 5)) for r in rows])
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (out / name).read_text() == text + "\n", name
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_renders_each_column_once(tmp_path, monkeypatch, fmt):
+    # the files of one report share one rendering of each column in each
+    # form: the delta profile's n, M, q, count and log_count are the entropy
+    # profile's (one fill), and the sums are the sequences of report.json
+    import cmshift.cli
+
+    rendered = {"cells": [], "json": []}
+    cells, json_texts = cmshift.cli._cell_texts, cmshift.cli._Texts._json_texts
+    monkeypatch.setattr(cmshift.cli, "_cell_texts",
+                        lambda col: rendered["cells"].append(col) or cells(col))
+    monkeypatch.setattr(cmshift.cli._Texts, "_json_texts",
+                        lambda self, col: rendered["json"].append(col)
+                        or json_texts(self, col))
+    report = run_report(RunConfig(preset="renewal-ones", horizon=240, out=str(tmp_path),
+                                  format=fmt))
+
+    def renders(col):  # of a column with these values, in each form
+        return [sum(list(c) == list(col) for c in rendered[form])
+                for form in ("cells", "json")]
+
+    seq = report["sequences"]
+    assert [renders(seq[k]) for k in ("n", "logZ", "logZstar")] == [[1, 1]] * 3
+    hinf, delta = (list(zip(*report["profiles"][k]["rows"])) for k in ("hinf", "delta"))
+    assert hinf[:5] == delta[:5] and hinf[5] == (None,) * len(hinf[5])
+    assert [renders(col) for col in delta] + [renders(hinf[5])] == [[1, 1]] * 7
+
+
+_OUT_ARGS = {
+    "report": ["report", "--preset", "sec52-entry", "--horizon", "12"],
+    "hinf": ["hinf", "--preset", "renewal-ones", "--horizon", "12"],
+    "oracle": ["oracle", "--preset", "renewal-ones", "--truncate", "5", "--horizon", "12",
+               "--M", "2,3", "--q", "1"],
+}
+
+
+@pytest.mark.parametrize("command,out,reason", [
+    ("report", "file", "File exists"), ("report", "file/sub", "Not a directory"),
+    ("report", "taken", "Is a directory"), ("hinf", "file", "File exists"),
+    ("oracle", "file", "File exists")])
+def test_an_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys, command,
+                                                         out, reason):
+    # an existing file, a path through one, and a directory where report.json
+    # goes: exit 2 with the path and the OS reason, not a traceback
+    (tmp_path / "file").write_text("")
+    (tmp_path / "taken" / "report.json").mkdir(parents=True)
+    assert main([*_OUT_ARGS[command], "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot ") and str(tmp_path / out) in err \
+        and err.rstrip().endswith(reason), err
 
 
 def test_config_error_exit_codes(capsys, tmp_path):
