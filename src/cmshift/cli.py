@@ -16,7 +16,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -337,182 +337,177 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write text to path as Path.write_text does (same encoding, newlines
-    and mode of a new file), but in place: an existing file is overwritten
-    and then cut at the end of the new text, never truncated to zero first:
-    ext4 (unless mounted noauto_da_alloc) flushes a file rewritten after a
-    truncate to zero when it is closed.  A write cut off midway can leave
-    old bytes after the new ones.  A path that cannot be opened for writing
-    (a directory, a missing parent) is a config error."""
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
-    with open(fd, "w") as f:
-        f.write(text)
-        f.truncate()
-
-
-def _write_json(path: Path, doc: dict, texts: _Texts) -> None:
-    _write_text(path, texts.json(doc) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """rows as CSV cells of _fmt under header; rows of one nonzero length are
-    written a column at a time."""
-    if len(set(map(len, rows))) == 1 and rows[0]:
-        _write_text(path, _Texts().csv(header, list(zip(*rows))))
-        return
-    lines = [",".join(header)]
-    lines += [",".join([_fmt(x) for x in row]) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_profile_csv(outdir: Path, key: str, rows: list, texts: _Texts) -> None:
-    columns = list(zip(*rows)) or [()] * 6
-    _write_text(outdir / f"profile_{key}.csv",
-                texts.csv(["n", "M", "q", "log_z", "z_phi"],
-                          [columns[i] for i in (0, 1, 2, 4, 5)]))
-
-
-def _out_dir(cfg: RunConfig) -> Path:
+def _write_out(cfg: RunConfig, texts: dict[str, str]) -> None:
+    """Write each text to the file of its name in the directory cfg.out,
+    made if missing.  Every file is opened before any is written, so a name
+    that cannot be opened (a directory, say) is a config error that leaves
+    no file of the run behind: the files it created are removed, and the
+    ones that existed keep their bytes.  A file is
+    written as Path.write_text does (same encoding, newlines and mode of a
+    new file), but in place: an existing file is overwritten and then cut at
+    the end of the new text, never truncated to zero first: ext4 (unless
+    mounted noauto_da_alloc) flushes a file rewritten after a truncate to
+    zero when it is closed.  A write cut off midway can leave old bytes
+    after the new ones; it is a runtime failure, not a config error."""
     outdir = Path(cfg.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the output directory {cfg.out!r}: "
                           f"{exc.strerror}") from exc
-    return outdir
+    files, created = [], []
+    try:
+        try:
+            for name in texts:
+                path = outdir / name
+                try:
+                    fd = os.open(path, os.O_WRONLY)
+                except FileNotFoundError:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    created.append(path)
+                files.append(open(fd, "w"))
+        except OSError as exc:
+            for made in created:
+                made.unlink()
+            raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
+        for f, text in zip(files, texts.values()):
+            f.write(text)
+            f.truncate()
+    finally:
+        for f in files:
+            f.close()
 
 
-# -- building blocks ---------------------------------------------------------------------
+def _profile_csv(rows: list, texts: _Texts) -> str:
+    columns = list(zip(*rows)) or [()] * 6
+    return texts.csv(["n", "M", "q", "log_z", "z_phi"], [columns[i] for i in (0, 1, 2, 4, 5)])
 
 
-@dataclass
-class _Bundle:
-    system: TransitionSystem | None
-    potential: Potential | None
-    weights: object | None
-    truncated_weights: FiniteTail | None
-    label: str
-    a_family: object | None = None
-    profile_system: TransitionSystem | None = None
-    profile_potential: Potential | None = None
-    profile_note: str | None = None
-    profile_skipped: str | None = None
-
-    @cached_property
-    def kernel(self) -> thermo.RenewalSeries:
-        """The renewal series of the closed-form weights, read once per run."""
-        return thermo.RenewalSeries(self.weights)
+# -- the run -------------------------------------------------------------------------------
 
 
-def _build_bundle(cfg: RunConfig) -> _Bundle:
-    if cfg.preset is not None:
+class _Run:
+    """One run of a config: its system, potential and family return weights,
+    and the stages read from them, each computed on first use and then kept.
+
+    The stages are the partition sums, their fitted pressure, the
+    closed-form return weights, log Z*_n, the pressure P that every verdict
+    is judged against, the SPR verdict and the profile graph.  A subcommand
+    reads only the stages it prints: `pressure` the fit, `spr` log Z*_n and
+    P (the sums only without a family closed form), `hinf` the profile
+    graph, `report` every stage."""
+
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
+        if cfg.preset is None:
+            T = load_shift(cfg.shift)
+            self.system, self.potential = T, load_potential(cfg.potential, T)
+            self.family_weights = self.truncated_weights = self.spec = None
+            self.label = Path(cfg.shift).stem
+            self.a_family = T.a if isinstance(T, BouquetShift) else None
+            return
         try:
             build = build_preset(cfg.preset, truncate_len=cfg.truncate)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
         except ValueError as exc:
             raise ConfigError(f"bad preset expression: {exc}") from exc
-        bundle = _Bundle(build.system, build.potential, build.weights,
-                         build.truncated_weights, cfg.preset, build.spec.a)
-        bundle.profile_system = build.system
-        bundle.profile_potential = build.potential
-        if build.system is None and build.spec.truncate_len is not None \
-                and build.spec.a.count(1) > 1:
-            # profiles need a graph; families with parallel self-loops are
-            # realized with a(1) capped at 1, which preserves every return
-            # weight except the (collapsed anyway) length-1 aggregate
-            from dataclasses import replace
+        self.system, self.potential = build.system, build.potential
+        self.family_weights, self.truncated_weights = build.weights, build.truncated_weights
+        self.spec, self.label, self.a_family = build.spec, cfg.preset, build.spec.a
 
-            from .families import build_bouquet
-            from .shift import LoopCountFamily
-            fam = build.spec.a
-            modified = LoopCountFamily(fam.form, fam.ratio, fam.values, a1=1)
+    @cached_property
+    def sums(self) -> thermo.PartitionSums:
+        """log Z_n and log Z*_n: the renewal over the family's return weights
+        (to the end of a table without a continuation) or over a bouquet's
+        loop totals, else the transfer DP."""
+        N, w, T = self.cfg.horizon, self.family_weights, self.system
+        if isinstance(w, UnknownTail):
+            if len(w.log_weights) < 5:
+                raise ConfigError("the tabulated weight family is too short to fit")
+            N = min(N, len(w.log_weights))
+            logw = families.log_weight_sequence(w, N)
+        elif w is not None:
+            logw = self.log_zstar
+        elif isinstance(T, BouquetShift) and self.potential.loop_total is not None:
+            logw = [families._aggregate_log_weight(T.a, self.potential.loop_total, n)
+                    if n <= T.truncate_len else LOG_ZERO for n in range(1, N + 1)]
+        elif T is not None:
             try:
-                mod = build_bouquet(replace(build.spec, a=modified))
-                bundle.profile_system = mod.system
-                bundle.profile_potential = mod.potential
-                bundle.profile_note = "profiles use the a(1)=1 modified family"
-            except (ValueError, EnumerationRefusal) as exc:
-                bundle.profile_skipped = f"the a(1)=1 modified family has no graph: {exc}"
-        return bundle
-    T = load_shift(cfg.shift)
-    phi = load_potential(cfg.potential, T)
-    a_family = T.a if isinstance(T, BouquetShift) else None
-    bundle = _Bundle(T, phi, None, None, Path(cfg.shift).stem, a_family)
-    bundle.profile_system = T
-    bundle.profile_potential = phi
-    return bundle
-
-
-def _partition_sums(bundle: _Bundle, cfg: RunConfig) -> thermo.PartitionSums:
-    N = cfg.horizon
-    if isinstance(bundle.weights, UnknownTail):
-        # tabulated weights without a continuation: run to the table edge
-        known = len(bundle.weights.log_weights)
-        if known < 5:
-            raise ConfigError("the tabulated weight family is too short to fit")
-        logw = families.log_weight_sequence(bundle.weights, min(N, known))
-        return thermo.partition_sums_renewal(log_wstar=logw, N=min(N, known))
-    if bundle.weights is not None:
-        logw = families.log_weight_sequence(bundle.weights, N)
+                return thermo.partition_sums_transfer(T, self.potential, T.state_of_order(1), N)
+            except ValueError as exc:  # a periodic word weighing +inf and -inf
+                raise EnumerationRefusal(f"transfer sums: {exc}") from exc
+        else:
+            raise EnumerationRefusal("no computable partition-sum route for this input")
         return thermo.partition_sums_renewal(log_wstar=logw, N=N)
-    T, phi = bundle.system, bundle.potential
-    if isinstance(T, BouquetShift) and phi.loop_total is not None:
-        logw = [families._aggregate_log_weight(T.a, phi.loop_total, n)
-                if n <= T.truncate_len else LOG_ZERO for n in range(1, N + 1)]
-        return thermo.partition_sums_renewal(log_wstar=logw, N=N)
-    if T is not None:
+
+    @cached_property
+    def fit(self) -> thermo.PressureEstimate:
+        return thermo.pressure_estimate(self.sums)
+
+    @cached_property
+    def weights(self) -> GeometricTail | PowerTail | FiniteTail | None:
+        """The closed-form return weights, or None: the family's, or for a
+        bouquet of truncation L given without weights, at a horizon N >= L,
+        its first returns Z*_1..Z*_L, which are all of them."""
+        w, T = self.family_weights, self.system
+        if w is None and isinstance(T, BouquetShift) and self.cfg.horizon >= T.truncate_len \
+                and math.inf not in self.sums.log_zstar:
+            return FiniteTail(tuple(self.sums.log_zstar[:T.truncate_len]))
+        return None if isinstance(w, UnknownTail) else w
+
+    @cached_property
+    def log_zstar(self) -> list[float]:
+        """log Z*_1..Z*_N: a family's closed form gives them without the sums."""
+        w = self.family_weights
+        if w is None or isinstance(w, UnknownTail):
+            return self.sums.log_zstar
+        return families.log_weight_sequence(w, self.cfg.horizon)
+
+    @cached_property
+    def kernel(self) -> thermo.RenewalSeries:
+        """The renewal series of the closed-form weights, read once per run."""
+        return thermo.RenewalSeries(self.weights)
+
+    @cached_property
+    def P(self) -> float:
+        """The pressure every verdict is judged against: the root of the
+        closed-form weights, else the fitted one; a root out of reach is a
+        refusal."""
+        if self.weights is None:
+            return self.fit.value
         try:
-            return thermo.partition_sums_transfer(T, phi, T.state_of_order(1), N)
-        except ValueError as exc:  # a periodic word weighing +inf and -inf
-            raise EnumerationRefusal(f"transfer sums: {exc}") from exc
-    raise EnumerationRefusal("no computable partition-sum route for this input")
+            return self.kernel.pressure
+        except ValueError as exc:  # the root is out of reach
+            raise EnumerationRefusal(f"analytic pressure: {exc}") from exc
+
+    @cached_property
+    def spr(self) -> thermo.SprVerdict:
+        """The SPR verdict on log Z*_n against P; a finite tail's weights
+        vanish past its table."""
+        return thermo.spr_check(self.log_zstar, self.P, closed_form=self.weights is not None,
+                                finite_support=isinstance(self.weights, FiniteTail))
+
+    @cached_property
+    def profile_graph(self) -> tuple[TransitionSystem | None, Potential | None, str | None]:
+        """The graph the boundary profiles are filled on, its potential and a
+        note on it.  A truncated family with parallel self-loops has no graph
+        of its own; its a(1)=1 modified family's keeps every return weight
+        but the (collapsed anyway) length-1 aggregate.  Without a graph the
+        note says why, where that is known."""
+        spec = self.spec
+        if self.system is not None or spec is None or spec.truncate_len is None \
+                or spec.a.count(1) <= 1:
+            return self.system, self.potential, None
+        try:
+            mod = families.build_bouquet(replace(spec, a=replace(spec.a, a1=1)))
+        except (ValueError, EnumerationRefusal) as exc:
+            return None, None, f"the a(1)=1 modified family has no graph: {exc}"
+        return mod.system, mod.potential, "profiles use the a(1)=1 modified family"
 
 
-def _closed_form(bundle: _Bundle) -> bool:
-    return isinstance(bundle.weights, (GeometricTail, PowerTail, FiniteTail))
-
-
-def _pressure(bundle: _Bundle, cfg: RunConfig
-              ) -> tuple[thermo.PartitionSums, thermo.PressureEstimate, float]:
-    """Partition sums, their fitted pressure, and the pressure P that every
-    verdict of a run is judged against: the analytic one when the family's
-    return weights have a closed form, the fitted one otherwise.  A bouquet
-    of truncation L given without weights, at a horizon N >= L, has all its
-    first returns in Z*_1..Z*_L: they become its finite closed form."""
-    ps = _partition_sums(bundle, cfg)
-    pressure = thermo.pressure_estimate(ps)
-    T = bundle.system
-    if bundle.weights is None and isinstance(T, BouquetShift) \
-            and cfg.horizon >= T.truncate_len and math.inf not in ps.log_zstar:
-        bundle.weights = FiniteTail(tuple(ps.log_zstar[:T.truncate_len]))
-    if not _closed_form(bundle):
-        return ps, pressure, pressure.value
-    return ps, pressure, _analytic_pressure(bundle)
-
-
-def _analytic_pressure(bundle: _Bundle) -> float:
-    """The closed-form pressure of a bundle's return weights; a root out of
-    reach is a refusal."""
-    try:
-        return bundle.kernel.pressure
-    except ValueError as exc:  # the root is out of reach
-        raise EnumerationRefusal(f"analytic pressure: {exc}") from exc
-
-
-def _spr(bundle: _Bundle, log_zstar: list[float], P: float) -> thermo.SprVerdict:
-    """The SPR verdict on log_zstar against P; a finite tail's weights
-    vanish past its table."""
-    return thermo.spr_check(log_zstar, P, closed_form=_closed_form(bundle),
-                            finite_support=isinstance(bundle.weights, FiniteTail))
-
-
-def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
-                 pressure: thermo.PressureEstimate, P: float) -> dict:
+def _diagnostics(run: _Run) -> dict:
+    cfg, ps, pressure, P = run.cfg, run.sums, run.fit, run.P
     out: dict = {
         "sequences": {
             "n": list(range(1, ps.horizon + 1)),
@@ -526,27 +521,27 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
     }
     # closed-form families pin the pressure exactly; verdicts use that pin,
     # the fitted estimate stays in the report with its uncertainty
-    if _closed_form(bundle):
+    if run.weights is not None:
         out["pressure"]["analytic"] = P
-    spr = _spr(bundle, ps.log_zstar, P)
+    spr = run.spr
     out["spr"] = {"verdict": spr.verdict, "slope": spr.slope, "tol": spr.tol}
     if spr.reason:
         out["spr"]["reason"] = spr.reason
-    if bundle.system is not None and bundle.potential is not None:
-        chi = thermo.chi_per(bundle.system, bundle.potential, cfg.horizon)
+    T, phi = run.system, run.potential
+    if T is not None:
+        chi = thermo.chi_per(T, phi, cfg.horizon)
         out["chi_per"] = {"value": chi.value, "period": chi.period}
         out["ucs"] = thermo.ucs_check(chi.value, P)
         try:
-            crc = thermo.crc_profile(bundle.system, bundle.potential,
-                                     min(cfg.q), cfg.horizon, P=P)
+            crc = thermo.crc_profile(T, phi, min(cfg.q), cfg.horizon, P=P)
             out["crc"] = {"C_q": crc.C_q, "lambda_q": crc.lambda_q,
                           "q": crc.q, "verdict": crc.verdict}
         except (EnumerationRefusal, ValueError) as exc:
             out["crc"] = {"skipped": str(exc)}
-    if _closed_form(bundle):
+    if run.weights is not None:
         try:
-            ip = bundle.kernel.induced(0.0)
-            rc = bundle.kernel.classify(P) if isinstance(bundle.weights, PowerTail) else None
+            ip = run.kernel.induced(0.0)
+            rc = run.kernel.classify(P) if isinstance(run.weights, PowerTail) else None
         except ValueError as exc:  # a series out of reach
             raise EnumerationRefusal(f"renewal series: {exc}") from exc
         out["induced"] = {"value_at_0": ip.value, "pstar": ip.pstar,
@@ -555,37 +550,33 @@ def _diagnostics(bundle: _Bundle, cfg: RunConfig, ps: thermo.PartitionSums,
             out["recurrence"] = {"class": rc.kind, "pressure": rc.pressure,
                                  "return_sum": rc.return_sum,
                                  "mean_return": rc.mean_return}
-    if bundle.a_family is not None:
+    if run.a_family is not None:
         try:
-            out["h_top"] = htop_solve(bundle.a_family)
+            out["h_top"] = htop_solve(run.a_family)
         except ValueError:
             pass
-        out["hinf_oracle"] = bundle.a_family.growth_rate()
+        out["hinf_oracle"] = run.a_family.growth_rate()
     return out
 
 
-def _profiles(bundle: _Bundle, cfg: RunConfig, P: float) -> dict:
-    out: dict = {}
-    T, phi = bundle.profile_system, bundle.profile_potential
+def _profiles(run: _Run) -> dict:
+    cfg = run.cfg
+    T, phi, note = run.profile_graph
     if T is None:
-        if bundle.profile_skipped:
-            out["skipped"] = bundle.profile_skipped
-        return out
-    if bundle.profile_note:
-        out["note"] = bundle.profile_note
+        return {"skipped": note} if note else {}
+    out: dict = {"note": note} if note else {}
+    # one weighted fill gives both profiles; when it fails, that failure is
+    # the delta skip and the entropy profile is filled alone
     hp = None
-    if phi is not None:
-        # one weighted fill gives both profiles; when it fails, that failure
-        # is the delta skip and the entropy profile is filled alone
-        try:
-            hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=P)
-            out["delta"] = {
-                "estimate": dp.estimate, "band": dp.band,
-                "ci_verdict": dp.ci_verdict, "window": list(dp.window),
-                "rows": [list(r) for r in dp.rows],
-            }
-        except (EnumerationRefusal, ValueError) as exc:
-            out["delta"] = {"skipped": str(exc)}
+    try:
+        hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=run.P)
+        out["delta"] = {
+            "estimate": dp.estimate, "band": dp.band,
+            "ci_verdict": dp.ci_verdict, "window": list(dp.window),
+            "rows": [list(r) for r in dp.rows],
+        }
+    except (EnumerationRefusal, ValueError) as exc:
+        out["delta"] = {"skipped": str(exc)}
     try:
         if hp is None:
             hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
@@ -606,32 +597,29 @@ def run_report(cfg: RunConfig) -> dict:
     """Run the full diagnostics pipeline and (optionally) write report files."""
     cfg.validate()
     _check_horizon(cfg, "report")
-    bundle = _build_bundle(cfg)
-    ps, pressure, P = _pressure(bundle, cfg)
-    report = _diagnostics(bundle, cfg, ps, pressure, P)
-    report["profiles"] = _profiles(bundle, cfg, P)
+    run = _Run(cfg)
+    report = _diagnostics(run)
+    report["profiles"] = _profiles(run)
     report["config"] = {
-        "label": bundle.label, "horizon": cfg.horizon,
+        "label": run.label, "horizon": cfg.horizon,
         "truncate": cfg.truncate, "M": cfg.M, "q": cfg.q,
     }
     report["horizons"] = {"N": cfg.horizon, "L": cfg.truncate}
     report["tolerances"] = {"spr_tol": report["spr"]["tol"]}
     report["summary"] = _summary(report)
     if cfg.out:
-        outdir = _out_dir(cfg)
         # every file is built from one set of column texts: the sums and the
         # profile rows are the very lists report.json holds
         texts = _Texts()
         sums = {k: report["sequences"][k] for k in ("n", "logZ", "logZstar")}
-        if cfg.format == "csv":
-            _write_text(outdir / "sums.csv", texts.csv(list(sums), list(sums.values())))
-        else:
-            _write_json(outdir / "sums.json", sums, texts)
+        files = {"sums.csv": texts.csv(list(sums), list(sums.values()))} \
+            if cfg.format == "csv" else {"sums.json": texts.json(sums) + "\n"}
         for key in ("hinf", "delta"):
             prof = report["profiles"].get(key)
             if prof and "rows" in prof:
-                _write_profile_csv(outdir, key, prof["rows"], texts)
-        _write_json(outdir / "report.json", report, texts)
+                files[f"profile_{key}.csv"] = _profile_csv(prof["rows"], texts)
+        files["report.json"] = texts.json(report) + "\n"
+        _write_out(cfg, files)
     return report
 
 
@@ -766,9 +754,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                   f"{_ORACLE_HORIZON_CAP}; --horizon {cfg.horizon} was clipped",
                   file=sys.stderr)
         if cfg.out:
-            _write_csv(_out_dir(cfg) / "oracle.csv",
-                       ["quantity", "n", "enumerated", "dp", "rel_err", "status"],
-                       rows)
+            header = ["quantity", "n", "enumerated", "dp", "rel_err", "status"]
+            _write_out(cfg, {"oracle.csv": _Texts().csv(header, list(zip(*rows)))})
         worst = max((r[4] for r in rows if math.isfinite(r[4])), default=0.0)
         print(f"rows: {len(rows)}  worst relative error: {_fmt(worst)}")
         if not ok:
@@ -777,37 +764,30 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "pressure":
         # the fit alone: the analytic root is not printed, so it is not solved
-        est = thermo.pressure_estimate(_partition_sums(_build_bundle(cfg), cfg))
+        est = _Run(cfg).fit
         print(f"pressure: {_fmt(_display(est.value, cfg.log2))} "
               f"± {_fmt(est.uncertainty)} (window {est.window})")
         return EXIT_OK
     if args.command == "hinf":
-        bundle = _build_bundle(cfg)
-        if bundle.profile_system is None:
-            raise ConfigError(bundle.profile_skipped
-                              or "profiles need a graph realization (set --truncate)")
-        hp = infinity.hinf_profile(bundle.profile_system, cfg.q, cfg.M, cfg.horizon)
+        run = _Run(cfg)
+        T, _, note = run.profile_graph
+        if T is None:
+            raise ConfigError(note or "profiles need a graph realization (set --truncate)")
+        hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
         if cfg.out:
-            _write_profile_csv(_out_dir(cfg), "hinf", hp.rows, _Texts())
+            _write_out(cfg, {"profile_hinf.csv": _profile_csv(hp.rows, _Texts())})
         print(f"hinf estimate: {_fmt(_display(hp.estimate, cfg.log2))} "
               f"± {_fmt(hp.uncertainty)}")
-        if bundle.a_family is not None:
-            oracle = bundle.a_family.growth_rate()
+        if run.a_family is not None:
+            oracle = run.a_family.growth_rate()
             print(f"growth oracle: {_fmt(_display(oracle, cfg.log2))}")
         return EXIT_OK
     if args.command == "spr":
-        bundle = _build_bundle(cfg)
-        if _closed_form(bundle):
-            # SPR compares Z*_n with P alone: a closed form gives both, so
-            # neither the renewal table of Z_n nor its fit is needed
-            log_zstar = families.log_weight_sequence(bundle.weights, cfg.horizon)
-            P = _analytic_pressure(bundle)
-        else:
-            ps, _, P = _pressure(bundle, cfg)
-            log_zstar = ps.log_zstar
-        verdict = _spr(bundle, log_zstar, P)
+        # SPR compares Z*_n with P alone: the stages compute nothing else
+        run = _Run(cfg)
+        verdict = run.spr
         print(f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "
-              f"pressure {_fmt(P)}, tol {_fmt(verdict.tol)})"
+              f"pressure {_fmt(run.P)}, tol {_fmt(verdict.tol)})"
               + (f": {verdict.reason}" if verdict.reason else ""))
         return EXIT_OK
     raise ConfigError(f"unknown command {args.command!r}")

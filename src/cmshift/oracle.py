@@ -2,18 +2,19 @@
 scored on its own by this module's window rule, with no DP helper.  Only
 `cmshift oracle` and the tests import it.  Word limits: 2,000,000 (brute
 force), 1,000,000 (periodic_points), 100,000 (enumerate_words); `cmshift
-oracle` needs --truncate <= 6 and compares n <= 12.
+oracle` needs a truncation <= 6 (--truncate for a preset, truncate_len for a
+spec) and compares n <= 12.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Sequence
 
 from . import families, infinity, thermo
-from .cli import RunConfig, _build_bundle
+from .cli import RunConfig, _Run
 from .numerics import LOG_ZERO, logsumexp
 from .potential import Potential
 from .shift import (_BRANCH_CAP, ROOT, BouquetShift, EnumerationRefusal, LoopVertex,
@@ -337,32 +338,39 @@ _ORACLE_HORIZON_CAP = 12
 def compare_oracle(cfg: RunConfig) -> tuple[list[tuple], bool]:
     """Per-quantity agreement table between enumerative and DP paths.
 
-    Compares brute-force Z_n, Z*_n against the renewal DP over the truncated
-    return weights, and brute-force boundary-cylinder counts against the
-    composition/state DP, for n up to min(horizon, 12).  Counts must agree
-    exactly; weighted sums to 1e-12 relative in log space.
+    Compares brute-force Z_n, Z*_n against the DP side, and brute-force
+    boundary-cylinder counts against the composition/state DP, for n up to
+    min(horizon, 12).  The DP side of a preset is the renewal DP over its
+    truncated return weights; of a spec, the run's own sums (the renewal
+    over loop totals, or the transfer DP).  A preset's truncation is
+    --truncate, a spec's its truncate_len.  Counts must agree exactly;
+    weighted sums to 1e-12 relative in log space.
     """
     cfg.validate()
-    if cfg.truncate is None or cfg.truncate > _ORACLE_TRUNCATE_CAP:
+    cap = _ORACLE_TRUNCATE_CAP
+    if cfg.preset is not None and (cfg.truncate is None or cfg.truncate > cap):
         raise EnumerationRefusal(
-            f"oracle comparisons need --truncate <= {_ORACLE_TRUNCATE_CAP} "
-            "(brute force is exponential)")
-    bundle = _build_bundle(cfg)
-    T, phi = bundle.system, bundle.potential
-    if not isinstance(T, BouquetShift) or phi is None:
-        raise ConfigError("oracle comparisons run on bouquet presets/specs")
+            f"oracle comparisons need --truncate <= {cap} (brute force is exponential)")
     N = min(cfg.horizon, _ORACLE_HORIZON_CAP)
+    run = _Run(replace(cfg, horizon=N))
+    T, phi = run.system, run.potential
+    if not isinstance(T, BouquetShift):
+        raise ConfigError("oracle comparisons run on bouquet presets/specs")
+    if T.truncate_len > cap:  # a spec's own truncation
+        raise EnumerationRefusal(
+            f"oracle comparisons need a truncate_len <= _ORACLE_TRUNCATE_CAP = {cap} "
+            f"(brute force is exponential); the spec has {T.truncate_len}")
     rows: list[tuple] = []
     ok = True
     try:
         brute = partition_sums_bruteforce(T, phi, ROOT, N)
     except ValueError as exc:  # a periodic word weighing +inf and -inf
         raise EnumerationRefusal(f"brute-force sums: {exc}") from exc
-    logw = families.log_weight_sequence(bundle.truncated_weights, N) \
-        if bundle.truncated_weights is not None else None
-    if logw is None:
-        raise ConfigError("no truncated return weights available for the DP side")
-    dp = thermo.partition_sums_renewal(log_wstar=logw, N=N)
+    if run.truncated_weights is None:
+        dp = run.sums
+    else:
+        logw = families.log_weight_sequence(run.truncated_weights, N)
+        dp = thermo.partition_sums_renewal(log_wstar=logw, N=N)
     for n in range(1, N + 1):
         for name, b, d in (("logZ", brute.logz(n), dp.logz(n)),
                            ("logZstar", brute.logzstar(n), dp.logzstar(n))):

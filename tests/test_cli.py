@@ -16,8 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
-                         RunConfig, _fmt, _Texts, _write_csv, _write_text,
-                         main, run_report)
+                         RunConfig, _fmt, _Texts, _write_out, main, run_report)
 from cmshift.oracle import compare_oracle, enumerate_words, partition_sums_bruteforce
 from cmshift.shift import ROOT, BouquetShift, FiniteShift, LoopCountFamily
 from cmshift.specio import ConfigError, load_potential, load_shift
@@ -132,7 +131,7 @@ def test_counts_too_long_for_decimal_are_written_as_hex(tmp_path, capsys):
 
 def _old_fmt(x) -> str:
     # the CSV cell writer with its own nan and inf branches; kept as the
-    # oracle of _fmt and _write_csv
+    # oracle of _fmt and _Texts.csv
     if x is None:
         return ""
     if isinstance(x, float):
@@ -257,13 +256,18 @@ _CSV_COLUMNS = st.sampled_from([
     st.integers(min_value=2**64).map(lambda k: k ** 40), st.none(), _CSV_CELLS])
 
 
-@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.one_of(st.lists(st.lists(_CSV_CELLS, max_size=6).map(tuple), max_size=6),
+# rows of one width: every table the program writes (the sums, the profile
+# grids and the oracle's 6-tuples) is rectangular
+_CSV_ROWS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda width: st.lists(st.lists(_CSV_CELLS, min_size=width, max_size=width)
+                           .map(tuple), max_size=6))
+
+
+@settings(max_examples=60)
+@given(rows=st.one_of(_CSV_ROWS,
                       _tables(_CSV_COLUMNS, st.sampled_from([math.nan, math.inf, -math.inf]))))
-def test_write_csv_equals_the_isinstance_route(tmp_path, rows):
-    path = tmp_path / "rows.csv"
-    _write_csv(path, ["a", "b"], rows)
-    assert path.read_bytes().decode() == "\n".join(
+def test_write_csv_equals_the_isinstance_route(rows):
+    assert _Texts().csv(["a", "b"], list(zip(*rows))) == "\n".join(
         ["a,b"] + [",".join(_old_fmt(x) for x in row) for row in rows]) + "\n"
     assert [_fmt(x) for row in rows for x in row] \
         == [_old_fmt(x) for row in rows for x in row]
@@ -306,11 +310,11 @@ def test_written_files_are_the_oracle_rendering_of_the_report(tmp_path, case):
         cfg = RunConfig(preset="renewal-ones", horizon=160, out=str(out))
     if case == "hinf":
         # the hinf subcommand writes the entropy profile alone
-        from cmshift.cli import _build_bundle
+        from cmshift.cli import _Run
         from cmshift.infinity import hinf_profile
         assert main(["hinf", "--preset", "renewal-ones", "--horizon", "160",
                      "--out", str(out)]) == EXIT_OK
-        hp = hinf_profile(_build_bundle(cfg).profile_system, cfg.q, cfg.M, cfg.horizon)
+        hp = hinf_profile(_Run(cfg).profile_graph[0], cfg.q, cfg.M, cfg.horizon)
         expected, profiles = {}, {"hinf": hp.rows}
     else:
         report = run_report(cfg)
@@ -369,20 +373,33 @@ _OUT_ARGS = {
 }
 
 
+# the last file each subcommand writes
+_OUT_LAST = {"report": "report.json", "hinf": "profile_hinf.csv", "oracle": "oracle.csv"}
+
+
 @pytest.mark.parametrize("command,out,reason", [
     ("report", "file", "File exists"), ("report", "file/sub", "Not a directory"),
-    ("report", "taken", "Is a directory"), ("hinf", "file", "File exists"),
-    ("oracle", "file", "File exists")])
+    ("report", "taken", "Is a directory"), ("report", "stale", "Is a directory"),
+    ("hinf", "file", "File exists"), ("hinf", "taken", "Is a directory"),
+    ("oracle", "file", "File exists"), ("oracle", "taken", "Is a directory")])
 def test_an_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys, command,
                                                          out, reason):
-    # an existing file, a path through one, and a directory where report.json
-    # goes: exit 2 with the path and the OS reason, not a traceback
+    # an existing file, a path through one, and a directory where the file a
+    # subcommand writes last goes: exit 2 with the path and the OS reason,
+    # not a traceback; no file of the run is left behind, and the sums.json
+    # of an earlier run keeps its bytes
     (tmp_path / "file").write_text("")
-    (tmp_path / "taken" / "report.json").mkdir(parents=True)
+    for name in ("taken", "stale"):
+        (tmp_path / name / _OUT_LAST[command]).mkdir(parents=True)
+    (tmp_path / "stale" / "sums.json").write_text("an earlier run\n")
     assert main([*_OUT_ARGS[command], "--out", str(tmp_path / out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot ") and str(tmp_path / out) in err \
         and err.rstrip().endswith(reason), err
+    assert [p.name for p in (tmp_path / "taken").iterdir()] == [_OUT_LAST[command]]
+    assert sorted(p.name for p in (tmp_path / "stale").iterdir()) \
+        == sorted([_OUT_LAST[command], "sums.json"])
+    assert (tmp_path / "stale" / "sums.json").read_text() == "an earlier run\n"
 
 
 def test_config_error_exit_codes(capsys, tmp_path):
@@ -1118,6 +1135,44 @@ def test_oracle_refuses_large_truncation(capsys):
     assert code == EXIT_REFUSAL
 
 
+_ONES5_POT = {"memory": 2, "scheme": "bouquet_entry", "scheme_params": {"C": 0.5, "beta": 2.0}}
+
+
+@pytest.mark.parametrize("default, method", [(None, "renewal-dp"), (-1.0, "transfer-dp")])
+def test_oracle_runs_on_a_bouquet_spec(tmp_path, capsys, default, method):
+    # a spec's truncation is its truncate_len, and its DP side is the run's
+    # own sums: the renewal over the scheme's loop totals, or the transfer DP
+    # when the loop edges outside the scheme weigh a default
+    from cmshift.cli import _Run
+
+    pot = dict(_ONES5_POT) if default is None else dict(_ONES5_POT, default=default)
+    specs = _write_specs(tmp_path, dict(_ONES, truncate_len=5), pot)
+    assert main(["oracle", *specs, "--horizon", "12", "--M", "2,3", "--q", "1,2",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("rows: 72  ") and out.endswith("all rows pass\n")
+    assert (tmp_path / "out" / "oracle.csv").read_text().count("\n") == 73
+    cfg = RunConfig(shift=specs[1], potential=specs[3], horizon=12)
+    assert _Run(cfg).sums.method == method
+    rows, ok = compare_oracle(cfg)
+    assert ok and [r[:2] for r in rows[:24:2]] == [("logZ", n) for n in range(1, 13)]
+
+
+def test_oracle_refuses_a_spec_past_its_truncation_cap(tmp_path, capsys):
+    specs = _write_specs(tmp_path, dict(_ONES, truncate_len=30), _ONES5_POT)
+    assert main(["oracle", *specs, "--horizon", "12"]) == EXIT_REFUSAL
+    assert capsys.readouterr().err == (
+        "refused: oracle comparisons need a truncate_len <= _ORACLE_TRUNCATE_CAP = 6 "
+        "(brute force is exponential); the spec has 30\n")
+    # a finite shift has no truncation to cap: it is not a bouquet, with or
+    # without --truncate
+    specs = _write_specs(tmp_path, _FULL2, {"memory": 1, "default": 0.0, "table": []})
+    for truncate in ([], ["--truncate", "5"]):
+        assert main(["oracle", *specs, "--horizon", "8", *truncate]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: oracle comparisons run on bouquet presets/specs\n"
+
+
 def test_pressure_subcommand(capsys):
     assert main(["pressure", "--preset", "sec52-entry", "--horizon", "30"]) \
         == EXIT_OK
@@ -1205,7 +1260,7 @@ def test_write_text_equals_write_text_into_a_fresh_file(tmp_path, old, text):
     fresh.write_text(text)
     path = tmp_path / "old"
     path.write_bytes(old)
-    _write_text(path, text)
+    _write_out(RunConfig(out=str(tmp_path)), {"old": text})
     assert path.read_bytes() == fresh.read_bytes()
 
 
@@ -1214,7 +1269,7 @@ def test_write_text_gives_a_new_file_the_mode_of_write_text(tmp_path, umask):
     previous = os.umask(umask)
     try:
         (tmp_path / "a").write_text("x")
-        _write_text(tmp_path / "b", "x")
+        _write_out(RunConfig(out=str(tmp_path)), {"b": "x"})
     finally:
         os.umask(previous)
     assert (tmp_path / "b").stat().st_mode == (tmp_path / "a").stat().st_mode
@@ -1222,7 +1277,7 @@ def test_write_text_gives_a_new_file_the_mode_of_write_text(tmp_path, umask):
     for name in ("a", "b"):
         (tmp_path / name).chmod(0o640)
     (tmp_path / "a").write_text("yy")
-    _write_text(tmp_path / "b", "yy")
+    _write_out(RunConfig(out=str(tmp_path)), {"b": "yy"})
     assert (tmp_path / "b").stat().st_mode == (tmp_path / "a").stat().st_mode
 
 
@@ -1281,21 +1336,39 @@ def test_spr_refuses_an_out_of_reach_root_without_the_sums(monkeypatch, capsys):
     assert "pressure root out of reach" in err
 
 
-def test_spr_without_a_closed_form_goes_through_the_sums(monkeypatch, tmp_path, capsys):
+# the bouquet of ROADMAP item 15: truncation 30, bouquet_entry at C = 0.1, beta = 3
+_ONES30 = (dict(_ONES, truncate_len=30),
+           {"memory": 2, "scheme": "bouquet_entry", "scheme_params": {"C": 0.1, "beta": 3}})
+
+
+@pytest.mark.parametrize("source, horizon, calls, line", [
+    ("sec54", 40, ["partition_sums_renewal", "pressure_estimate"], None),
+    ("full2", 12, ["partition_sums_transfer", "pressure_estimate"], None),
+    # at N >= L the sums hold every first return: P is their exact root, and
+    # no pressure is fitted; below L the fit is P
+    ("ones30", 40, ["partition_sums_renewal"],
+     "spr: holds (slope -inf, pressure -1.04364427942, tol 1e-06)"),
+    ("ones30", 20, ["partition_sums_renewal", "pressure_estimate"],
+     "spr: inconclusive (slope -0.69314718056, pressure -0.906023015471, tol 0.01)")])
+def test_spr_without_a_closed_form_goes_through_the_sums(monkeypatch, tmp_path, capsys,
+                                                         source, horizon, calls, line):
     import cmshift.thermo as thermo
 
-    calls = []
+    if source == "sec54":
+        argv = ["--preset", "sec54"]
+    elif source == "full2":
+        argv = _write_specs(tmp_path, _FULL2, {"memory": 1, "default": 0.0, "table": []})
+    else:
+        argv = _write_specs(tmp_path, *_ONES30)
+    seen = []
     for name in ("partition_sums_renewal", "partition_sums_transfer", "pressure_estimate"):
         real = getattr(thermo, name)
         monkeypatch.setattr(thermo, name, lambda *a, real=real, name=name, **k:
-                            calls.append(name) or real(*a, **k))
-    assert main(["spr", "--preset", "sec54", "--horizon", "40"]) == EXIT_OK
-    assert calls == ["partition_sums_renewal", "pressure_estimate"]
-    calls.clear()
-    specs = _write_specs(tmp_path, _FULL2, {"memory": 1, "default": 0.0, "table": []})
-    assert main(["spr", *specs, "--horizon", "12"]) == EXIT_OK
-    assert calls == ["partition_sums_transfer", "pressure_estimate"]
-    assert capsys.readouterr().out.startswith("spr: ")
+                            seen.append(name) or real(*a, **k))
+    assert main(["spr", *argv, "--horizon", str(horizon)]) == EXIT_OK
+    assert seen == calls
+    out = capsys.readouterr().out
+    assert out.startswith("spr: ") and (line is None or out == line + "\n")
 
 
 # -- exit-code fuzz --------------------------------------------------------------------------
