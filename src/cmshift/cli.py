@@ -695,9 +695,21 @@ def _display(value, log2: bool):
     return value
 
 
+def _emit(line: str) -> None:
+    """Print one line to stdout.  A reader that has closed stdout does not
+    end the run: stdout then points at os.devnull, and the run returns the
+    code it would have returned with stdout open."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_summary(report: dict, log2: bool) -> None:
     for key, value in sorted(report["summary"].items()):
-        print(f"{key}: {_fmt(_display(value, log2))}")
+        _emit(f"{key}: {_fmt(_display(value, log2))}")
 
 
 @cache
@@ -738,7 +750,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "presets":
         for name in preset_names():
-            print(f"{name}: {families.PRESETS[name].describe}")
+            _emit(f"{name}: {families.PRESETS[name].describe}")
         return EXIT_OK
     cfg = _config_from_args(args)
     if args.command == "report":
@@ -757,15 +769,15 @@ def _dispatch(args: argparse.Namespace) -> int:
             header = ["quantity", "n", "enumerated", "dp", "rel_err", "status"]
             _write_out(cfg, {"oracle.csv": _Texts().csv(header, list(zip(*rows)))})
         worst = max((r[4] for r in rows if math.isfinite(r[4])), default=0.0)
-        print(f"rows: {len(rows)}  worst relative error: {_fmt(worst)}")
+        _emit(f"rows: {len(rows)}  worst relative error: {_fmt(worst)}")
         if not ok:
             raise InvariantBreach("enumerative and DP paths disagree")
-        print("all rows pass")
+        _emit("all rows pass")
         return EXIT_OK
     if args.command == "pressure":
         # the fit alone: the analytic root is not printed, so it is not solved
         est = _Run(cfg).fit
-        print(f"pressure: {_fmt(_display(est.value, cfg.log2))} "
+        _emit(f"pressure: {_fmt(_display(est.value, cfg.log2))} "
               f"± {_fmt(est.uncertainty)} (window {est.window})")
         return EXIT_OK
     if args.command == "hinf":
@@ -776,17 +788,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
         if cfg.out:
             _write_out(cfg, {"profile_hinf.csv": _profile_csv(hp.rows, _Texts())})
-        print(f"hinf estimate: {_fmt(_display(hp.estimate, cfg.log2))} "
+        _emit(f"hinf estimate: {_fmt(_display(hp.estimate, cfg.log2))} "
               f"± {_fmt(hp.uncertainty)}")
         if run.a_family is not None:
             oracle = run.a_family.growth_rate()
-            print(f"growth oracle: {_fmt(_display(oracle, cfg.log2))}")
+            _emit(f"growth oracle: {_fmt(_display(oracle, cfg.log2))}")
         return EXIT_OK
     if args.command == "spr":
         # SPR compares Z*_n with P alone: the stages compute nothing else
         run = _Run(cfg)
         verdict = run.spr
-        print(f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "
+        _emit(f"spr: {verdict.verdict} (slope {_fmt(verdict.slope)}, "
               f"pressure {_fmt(run.P)}, tol {_fmt(verdict.tol)})"
               + (f": {verdict.reason}" if verdict.reason else ""))
         return EXIT_OK

@@ -165,6 +165,20 @@ class LoopCountFamily:
 _BRANCH_CAP = 200_000
 
 
+def _distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
+    """Breadth-first edge counts from start over the index lists adj; -1
+    where start does not reach."""
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    order = [start]
+    for u in order:  # grows as the search reaches new states
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                order.append(v)
+    return dist
+
+
 class TransitionSystem:
     """Immutable directed-graph carrier of a Markov shift.
 
@@ -225,29 +239,17 @@ class FiniteShift(TransitionSystem):
             if any(x not in (0, 1) for x in row):
                 raise ValueError("transition matrix entries must be 0 or 1")
         self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        self._succ = tuple(
-            tuple(Plain(j + 1) for j in range(n) if self.matrix[i][j])
-            for i in range(n)
-        )
-        if any(not s for s in self._succ):
+        succ = [[j for j, x in enumerate(row) if x] for row in self.matrix]
+        if not all(succ):
             raise ValueError("every state needs at least one outgoing edge")
-        self._check_transitive()
-
-    def _check_transitive(self) -> None:
-        n = len(self.matrix)
-        for start in range(n):
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in range(n):
-                        if self.matrix[u][v] and v not in seen:
-                            seen.add(v)
-                            nxt.append(v)
-                frontier = nxt
-            if len(seen) != n:
-                raise ValueError("transition matrix is not topologically transitive")
+        self._pred: list[list[int]] = [[] for _ in range(n)]
+        for i, js in enumerate(succ):
+            for j in js:
+                self._pred[j].append(i)
+        # transitive iff state 1 reaches every state and every state reaches it
+        if -1 in _distances(succ, 0) or -1 in _distances(self._pred, 0):
+            raise ValueError("transition matrix is not topologically transitive")
+        self._succ = tuple(tuple(Plain(j + 1) for j in js) for js in succ)
 
     def contains(self, s: State) -> bool:
         return isinstance(s, Plain) and 1 <= s.index <= len(self.matrix)
@@ -255,11 +257,6 @@ class FiniteShift(TransitionSystem):
     def successors(self, s: State) -> tuple[State, ...]:
         self.require(s)
         return self._succ[s.index - 1]
-
-    def predecessors(self, s: State) -> tuple[State, ...]:
-        self.require(s)
-        j = s.index - 1
-        return tuple(Plain(i + 1) for i in range(len(self.matrix)) if self.matrix[i][j])
 
     def has_edge(self, u: State, v: State) -> bool:
         self.require(u)
@@ -492,42 +489,15 @@ def shortest_connector(T: TransitionSystem, a: State, b: State) -> Word:
 
 
 def _bfs_connector(T: FiniteShift, a: State, b: State) -> Word:
-    n = T.state_count()
-    dist = {b: 0}
-    frontier = [b]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in T.predecessors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    candidates = [1 + dist[s] for s in T.successors(a) if s in dist]
-    if T.has_edge(a, b):
-        ell = 1
-    elif candidates:
-        ell = min(candidates)
-    else:
-        raise ConnectorNotFound(f"{b!r} is unreachable from {a!r}", horizon=n)
+    # T is transitive, so every state has a distance to b; b's is 0, so an
+    # edge a -> b gives length 1
+    dist = _distances(T._pred, b.index - 1)
+    ell = 1 + min(dist[s.index - 1] for s in T.successors(a))
     word = [a]
-    current = a
-    for j in range(1, ell):
-        remaining = ell - j
-        step = None
-        for s in T.successors(current):
-            # w_j still needs exactly `remaining` edges to reach b
-            if remaining == 1:
-                ok = T.has_edge(s, b)
-            else:
-                ok = dist.get(s, 10 ** 9) == remaining
-            if ok:
-                step = s
-                break
-        if step is None:
-            raise ConnectorNotFound("connector reconstruction failed", horizon=n)
-        word.append(step)
-        current = step
+    for remaining in range(ell - 1, 0, -1):
+        # the first successor that still needs exactly `remaining` edges to b
+        word.append(next(s for s in T.successors(word[-1])
+                         if dist[s.index - 1] == remaining))
     return tuple(word)
 
 

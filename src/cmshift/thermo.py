@@ -214,15 +214,14 @@ class ChiPerResult:
     orbit: Word | None
 
 
-def chi_per(T: TransitionSystem, phi: Potential, N: int,
-            q_cap: int | None = None) -> ChiPerResult:
+def chi_per(T: TransitionSystem, phi: Potential, N: int) -> ChiPerResult:
     """Supremum of periodic Birkhoff averages over periods <= N.
 
     On bouquets with per-loop total weights attached, the maximum is taken
     exactly over simple loops (orbit averages are convex combinations of
-    simple-loop averages).  Otherwise the periodic orbits through states of
-    order index <= q_cap are searched; on a bouquet every orbit passes the
-    root, which comes first in state order, so the root is the only anchor.
+    simple-loop averages).  Otherwise the periodic orbits through every
+    state are searched; on a bouquet every orbit passes the root, which
+    comes first in state order, so the root is the only anchor.
     The weights sit on the edges of the block graph, so the best closed
     walk through an anchor a at each period n is a max-plus DP (the (a, a)
     entries of the n-th max-plus power, cf. Karp 1978): one candidate per
@@ -234,10 +233,13 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     node u of the anchor (in lexicographic order) with the largest closed
     walk.  Its average is that exact sum rounded once, then divided by n,
     as math.fsum of its periodic Birkhoff sum would give, or +-inf past the
-    float range.  Candidates are taken in (period, anchor) order, keeping
-    strictly greater averages only, so value and period are those of an
-    enumeration of every periodic word in that order; only the winner's
-    word is read off, taking the first successor that stays optimal.
+    float range.  The anchors are filled and scanned one at a time, and only
+    the leader's table is kept: a candidate replaces it when its average is
+    greater, or equal at a shorter period.  So the winner is the first
+    (period, anchor) in period-major order with the largest average, and
+    value and period are those of an enumeration of every periodic word in
+    that order; only the winner's word is read off, taking the first
+    successor that stays optimal.
     Edges of weight -inf or nan are dropped (walks over them never score
     above -inf), and an edge of weight +inf outweighs every finite walk
     (walks over it score +inf).
@@ -254,9 +256,7 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
                 best, best_n = avg, n
         orbit = _loop_word(best_n) if best_n else None
         return ChiPerResult(best, best_n, orbit)
-    anchors = T.states_up_to(q_cap) if q_cap else list(T.states())
-    if isinstance(T, BouquetShift):
-        anchors = anchors[:1]
+    anchors = [ROOT] if isinstance(T, BouquetShift) else list(T.states())
     graph = index_graph(T, DP_STATE_CAP, "max-plus chi_per", phi.memory)
     wsucc = [[(j, w) for j, w in js if w > -math.inf]  # not -inf, not nan
              for js in graph.weighted(phi)]
@@ -268,23 +268,22 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
     exact[math.inf] = 2 * bound + 1
     succ = [[(j, exact[w]) for j, w in js] for js in wsucc]
     pred = reverse_edges(succ)
-    tables = []
+    best, win = -math.inf, None
     for a in anchors:
-        tables.append([])
+        closing = []
         for u in _nodes_of(graph, T, a):
             g = [[0 if i == u else LOG_ZERO for i in range(len(graph.states))]]
             for _ in range(N):
                 g.append(maxplus_push(pred, g[-1]))
-            tables[-1].append((u, g))
-    best, win = -math.inf, None
-    for n in range(1, N + 1):
-        for closing in tables:
+            closing.append((u, g))
+        for n in range(1, N + 1):
             # the first largest closed walk
             u, g = max(closing, key=lambda t: t[1][n][t[0]])
             if g[n][u] == LOG_ZERO:
                 continue
             avg = math.inf if g[n][u] > bound else _ratio(g[n][u], den) / n
-            if avg > best:
+            # the first (period, anchor) in period-major order wins a tie
+            if avg > best or (win is not None and avg == best and n < win[0]):
                 best, win = avg, (n, u, g)
     if win is None:
         return ChiPerResult(best, 0, None)

@@ -1458,3 +1458,27 @@ def test_cli_exit_codes_fuzz(data):
             assert "memory <= 2" not in report.read_text(), argv
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_REFUSAL, EXIT_INVARIANT), argv
     assert elapsed < 10.0, (argv, elapsed)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_keeps_the_exit_code(unbuffered):
+    # the reader closes the pipe before the child prints: the summary lines
+    # go nowhere, and the report still exits 0 with nothing on stderr, whether
+    # the lines meet the broken pipe as they are printed or at the last flush
+    import subprocess
+    import sys
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "cmshift.cli", "report", "--preset",
+                              "sec53(beta=3,C=auto)", "--horizon", "40"],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")

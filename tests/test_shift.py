@@ -1,6 +1,7 @@
 """Shift-core: admissibility, enumeration, periodic points, connectors."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,66 @@ def test_non_transitive_matrix_rejected():
         FiniteShift([[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         FiniteShift([[1, 1], [0, 1]])  # state 2 never reaches state 1
+
+
+def _per_state_search_error(matrix):
+    # the reference check: an empty row, else one breadth-first search per
+    # state over the matrix rows; the error message, or None for a valid matrix
+    n = len(matrix)
+    if not all(any(row) for row in matrix):
+        return "every state needs at least one outgoing edge"
+    for start in range(n):
+        seen, frontier = {start}, [start]
+        while frontier:
+            frontier = [v for u in frontier for v in range(n)
+                        if matrix[u][v] and not (v in seen or seen.add(v))]
+        if len(seen) != n:
+            return "transition matrix is not topologically transitive"
+    return None
+
+
+@st.composite
+def _small_matrices(draw):
+    # random 0/1 matrices of 1-8 states, half of them over a cycle through
+    # every state; some cut so that no edge leads from states >= k back below
+    # k (several classes), some with an empty row
+    n = draw(st.integers(min_value=1, max_value=8))
+    cycle = draw(st.booleans())
+    matrix = [[int((cycle and j == (i + 1) % n) or draw(st.booleans()))
+               for j in range(n)] for i in range(n)]
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    for i in range(k, n):
+        matrix[i][:k] = [0] * k
+    empty = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)))
+    if empty is not None:
+        matrix[empty] = [0] * n
+    return matrix
+
+
+@settings(max_examples=300)
+@given(_small_matrices())
+def test_transitivity_check_matches_a_search_from_every_state(matrix):
+    try:
+        FiniteShift(matrix)
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    assert error == _per_state_search_error(matrix)
+
+
+def test_a_thousand_state_matrix_validates_fast():
+    # a cycle through every state plus two random chords per state: two
+    # searches over the edges, not one search per state over the rows
+    rng = random.Random(3)
+    n = 1000
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in [(i + 1) % n] + rng.sample(range(n), 2):
+            matrix[i][j] = 1
+    t0 = time.perf_counter()
+    T = FiniteShift(matrix)
+    assert time.perf_counter() - t0 < 5.0
+    assert T.state_count() == n
 
 
 # -- state order -------------------------------------------------------------------
