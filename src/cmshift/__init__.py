@@ -14,10 +14,10 @@ from .infinity import (CountB, InfinityProfile, count_B, delta_profile,
                        hinf_profile, profile_pair)
 from .potential import (BirkhoffValue, InadmissibleWordError, Potential,
                         PotentialError, birkhoff_sum, connector_constant)
-from .shift import (ROOT, BouquetShift, ConnectorNotFound, EnumerationRefusal,
-                    FiniteShift, LoopCountFamily, LoopVertex, Plain, Root,
-                    ShiftError, TransitionSystem, UnknownStateError, Word,
-                    f_property_count, is_admissible, shortest_connector)
+from .shift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
+                    LoopCountFamily, LoopVertex, Plain, Root, ShiftError,
+                    TransitionSystem, UnknownStateError, Word, f_property_count,
+                    is_admissible, shortest_connector)
 from .thermo import (ChiPerResult, CrcProfile, InducedPressure, PartitionSums,
                      PressureEstimate, RecurrenceClass, RenewalSeries,
                      SprVerdict, Witness, chi_per, condition_witness_search,

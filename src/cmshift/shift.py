@@ -21,7 +21,7 @@ from typing import Iterator, Sequence, Union
 from .numerics import count_push
 
 __all__ = [
-    "ShiftError", "UnknownStateError", "EnumerationRefusal", "ConnectorNotFound",
+    "ShiftError", "UnknownStateError", "EnumerationRefusal",
     "Root", "LoopVertex", "Plain", "ROOT", "State", "Word",
     "LoopCountFamily", "TransitionSystem", "FiniteShift", "BouquetShift",
     "FPropertyCount", "IndexedGraph",
@@ -39,14 +39,6 @@ class UnknownStateError(ShiftError):
 
 class EnumerationRefusal(ShiftError):
     """An enumeration would be unbounded or exceed its configured cap."""
-
-
-class ConnectorNotFound(ShiftError):
-    """No connecting word was found within the searched horizon."""
-
-    def __init__(self, message: str, horizon: int):
-        super().__init__(message)
-        self.horizon = horizon
 
 
 # -- states -------------------------------------------------------------------

@@ -229,6 +229,82 @@ def test_renewal_equals_the_direct_double_sum(log_wstar, extra):
     assert repr(ps.log_z) == repr(_renewal_double_sum(log_wstar, N))
 
 
+_SPECIAL_WEIGHTS = [LOG_ZERO, math.inf, math.nan, -0.0, 1e308, -1e308, 3e307, -3e307]
+
+
+@st.composite
+def _long_weight_rows(draw):
+    # weight rows long enough for the rows to count their far terms:
+    # geometric, power-law, constant and all-LOG_ZERO, with special values
+    # inside, trailing LOG_ZERO weights and a horizon past the weights
+    N = draw(st.integers(min_value=1, max_value=300))
+    shape = draw(st.sampled_from(["geometric", "power", "constant", "zero"]))
+    if shape == "geometric":
+        a, b = draw(st.floats(0.05, 3)), draw(st.floats(-2, 4))
+        w = [b - a * k for k in range(1, N + 1)]
+    elif shape == "power":
+        c, beta = draw(st.floats(-3, 3)), draw(st.floats(0, 5))
+        w = [c - beta * math.log(k) for k in range(1, N + 1)]
+    elif shape == "constant":
+        w = [draw(st.floats(-3, 3))] * N
+    else:
+        w = [LOG_ZERO] * N
+    for i, x in draw(st.lists(st.tuples(st.integers(0, N - 1),
+                                        st.sampled_from(_SPECIAL_WEIGHTS)), max_size=2)):
+        w[i] = x
+    end = draw(st.one_of(st.just(N), st.integers(0, N)))
+    w[end:] = [LOG_ZERO] * (N - end)
+    return w, N + draw(st.sampled_from([0, 0, 3]))
+
+
+@settings(max_examples=60)
+@given(case=_long_weight_rows())
+def test_long_renewal_rows_equal_the_direct_double_sum(case):
+    # bit for bit where rows count their far terms, and where gaps, +-inf,
+    # NaN or overflow send a row through logsumexp
+    log_wstar, N = case
+    ps = partition_sums_renewal(log_wstar=log_wstar, N=N)
+    assert repr(ps.log_z) == repr(_renewal_double_sum(log_wstar, N))
+
+
+@pytest.mark.parametrize("log_wstar, N", [
+    ([-1e308], 2), ([-1e308], 130), ([-1e308] * 100, 130),
+    # counted rows whose sums grow past the overflow guard
+    ([-1e305] * 100, 300), ([1e305] * 100, 300),
+])
+def test_renewal_rows_near_overflow_equal_the_direct_double_sum(log_wstar, N):
+    # log Z_2 = -2e308 overflows to LOG_ZERO, so rows hold LOG_ZERO terms
+    ps = partition_sums_renewal(log_wstar=log_wstar, N=N)
+    assert repr(ps.log_z) == repr(_renewal_double_sum(log_wstar, N))
+
+
+def test_expm1_is_minus_one_past_the_counting_cut():
+    # the renewal rows count every term whose log ratio to the row's largest
+    # is at most thermo._NEGLIGIBLE as an expm1 of exactly -1.0
+    cut = thermo._NEGLIGIBLE
+    grid = [cut - i / 64 for i in range(int((cut + 745) * 64) + 1)] + [-745.0, -1e308, -math.inf]
+    assert all(math.expm1(d) == -1.0 for d in grid)
+
+
+@pytest.mark.parametrize("preset, N, most, every", [
+    ("renewal-ones", 960, 64 * 960, False),  # Δ = log 2: about 56 terms a row
+    ("sec53(beta=3,C=auto)", 200, 200 * 201 // 2, True),  # a power tail: every term
+])
+def test_renewal_rows_exponentiate_only_the_terms_that_count(monkeypatch, preset, N, most,
+                                                             every):
+    log_wstar = log_weight_sequence(build_preset(preset).weights, N)
+    calls, expm1 = 0, math.expm1
+
+    def counting_expm1(x):
+        nonlocal calls
+        calls += 1
+        return expm1(x)
+
+    monkeypatch.setattr(math, "expm1", counting_expm1)
+    partition_sums_renewal(log_wstar=log_wstar, N=N)
+    assert calls == most if every else calls <= most
+
+
 @settings(max_examples=100)
 @given(xs=st.lists(st.one_of(st.sampled_from([LOG_ZERO, math.inf, math.nan, -0.0]),
                              st.floats(min_value=-800, max_value=800)), max_size=12))
