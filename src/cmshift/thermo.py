@@ -69,14 +69,14 @@ def partition_sums_renewal(log_wstar: Sequence[float], N: int | None = None) -> 
     the log return weights per length (the horizon defaults to their
     number), run in log space with compensated summation.
 
-    Row n runs over the weights' support: trailing LOG_ZERO weights add
-    nothing.  A row of more than _WHOLE = 64 terms, all finite and far from
+    A row of more than _WHOLE = 64 terms, all finite and far from
     overflow, sums a head of its first terms and counts the rest once one
     bound shows that each lies at least 2^56 times below the head's largest
     term, where expm1 of their log ratio is exactly -1; the floats are
     numerics.logsumexp's.  Return weights that decay like e^{-Δk} against
     the pressure need about 40/Δ terms a row, a power tail all n.  Every
-    other row (gaps, +-inf, NaN, overflow) runs logsumexp over its terms.
+    other row (LOG_ZERO weights, +-inf, NaN, overflow) runs logsumexp over
+    its terms.
     """
     log_wstar = list(log_wstar)
     if N is None:
@@ -86,37 +86,25 @@ def partition_sums_renewal(log_wstar: Sequence[float], N: int | None = None) -> 
     if len(log_wstar) < N:
         log_wstar = log_wstar + [LOG_ZERO] * (N - len(log_wstar))
     w = log_wstar[:N]
-    L = N
-    while L and w[L - 1] == LOG_ZERO:
-        L -= 1
-    # rows count only where the weights are finite and far from overflow (a
-    # NaN or inf makes the sum of magnitudes NaN or inf)
-    counted = L > _WHOLE and sum(map(abs, w[:L])) < _FAR_FROM_OVERFLOW
-    wmax = list(accumulate(reversed(w[:L]), max))[::-1] if counted else []  # max(w[k:L])
+    # rows count only while the weights and log sums are finite and far from
+    # overflow (a LOG_ZERO, NaN or inf weight makes the sum of magnitudes inf
+    # or NaN; a row's terms hold every log Z so far)
+    counted = N > _WHOLE and sum(map(abs, w)) < _FAR_FROM_OVERFLOW
+    wmax = list(accumulate(reversed(w), max))[::-1] if counted else []  # max(w[k:])
     log_Z, zmax = [0.0], [0.0]  # Z_0 = 1; zmax[i] = max(log Z_0..log Z_i)
-    # wild: a dropped LOG_ZERO weight meets a log Z_i of +inf or NaN, a NaN
-    # term, so rows run to n; last_wide: the last log Z_i not finite and far
-    # from overflow (a wild row's window holds every log Z_i, so it is not
-    # counted)
-    wild, last_wide, h = False, -1, N
+    h = N
     for n in range(1, N + 1):
-        if n <= L:
-            width = n
-        else:
-            wild = wild or not log_Z[n - 1 - L] < math.inf
-            width = n if wild else L
-        if counted and width > _WHOLE and last_wide < n - width:
-            z, h = _counted_row(w, wmax, log_Z, zmax, width, h)
-            if h == width:  # nothing counted: start the next row whole
+        if counted and n > _WHOLE:
+            z, h = _counted_row(w, wmax, log_Z, zmax, h)
+            if h == n:  # nothing counted: start the next row whole
                 h = N
         else:
-            # the terms Z*_m Z_{n-m} in the order m = 1..width
-            z = logsumexp(map(add, w[:width], reversed(log_Z)))
+            # the terms Z*_m Z_{n-m} in the order m = 1..n
+            z = logsumexp(map(add, w[:n], reversed(log_Z)))
         log_Z.append(z)
         if counted:
             zmax.append(z if z > zmax[-1] else zmax[-1])
-            if not abs(z) < _FAR_FROM_OVERFLOW:
-                last_wide = n
+            counted = abs(z) < _FAR_FROM_OVERFLOW
     return PartitionSums("r", N, log_Z[1:], w, "renewal-dp")
 
 
@@ -133,35 +121,35 @@ _FAR_FROM_OVERFLOW = 2.0 ** 1020
 _WHOLE = 64
 
 
-def _counted_row(w, wmax, log_Z, zmax, width: int, h: int) -> tuple[float, int]:
-    """log Z_n, n = len(log_Z), from its first `width` terms w[j] + log
-    Z_{n-1-j}, all finite, and the head length used.  The head starts at
-    the previous row's length h, grows until the bound wmax[h] + zmax[n-1-h]
-    - m <= _NEGLIGIBLE holds for its largest term m (rounding is monotone,
-    so every later term t then has fl(t - m) <= _NEGLIGIBLE and t < m), and
-    shrinks while the bound holds without its last term.  fsum takes the
-    head's expm1 values and one -1 per counted term as a single number, so
-    it rounds logsumexp's exact sum once, as logsumexp does."""
+def _counted_row(w, wmax, log_Z, zmax, h: int) -> tuple[float, int]:
+    """log Z_n, n = len(log_Z), from its terms w[j] + log Z_{n-1-j}, all
+    finite, and the head length used.  The head starts at the previous
+    row's length h, grows until the bound wmax[h] + zmax[n-1-h] - m <=
+    _NEGLIGIBLE holds for its largest term m (rounding is monotone, so every
+    later term t then has fl(t - m) <= _NEGLIGIBLE and t < m), and shrinks
+    while the bound holds without its last term.  fsum takes the head's
+    expm1 values and one -1 per counted term as a single number, so it
+    rounds logsumexp's exact sum once, as logsumexp does."""
     n = len(log_Z)
-    h = min(h, width)
+    h = min(h, n)
     head = list(map(add, w[:h], reversed(log_Z)))
     m = max(head)
     step = 1
-    while h < width and wmax[h] + zmax[n - 1 - h] - m > _NEGLIGIBLE:
-        h2 = min(width, h + step)
+    while h < n and wmax[h] + zmax[n - 1 - h] - m > _NEGLIGIBLE:
+        h2 = min(n, h + step)
         more = list(map(add, w[h:h2], reversed(log_Z[n - h2:n - h])))
         head += more
         top = max(more)
         if top > m:
             m = top
         h, step = h2, 2 * step
-    while h > 1 and head[h - 1] < m and wmax[h - 1] + zmax[n - h] - m <= _NEGLIGIBLE:
+    while h > 1 and wmax[h - 1] + zmax[n - h] - m <= _NEGLIGIBLE:
         h -= 1
     del head[h:]
     terms = map(math.expm1, map(sub, head, repeat(m)))
-    if h < width:
-        terms = chain(terms, (float(h - width),))
-    return m + math.log1p(math.fsum(terms) + float(width - 1)), h
+    if h < n:
+        terms = chain(terms, (float(h - n),))
+    return m + math.log1p(math.fsum(terms) + float(n - 1)), h
 
 
 def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
