@@ -1,12 +1,13 @@
-"""Log-space arithmetic, tail fits, certified series evaluation, and the
-two step kernels of the state DPs (exact counts and max-plus)."""
+"""Log-space arithmetic (whole sums and the renewal DP's row sums), tail
+fits, certified series evaluation, and the two step kernels of the state
+DPs (exact counts and max-plus)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import index, mul, sub
+from itertools import chain, compress, repeat
+from operator import add, index, mul, sub
 from typing import Iterable, Sequence
 
 LOG_ZERO = float("-inf")
@@ -28,6 +29,45 @@ def logsumexp(values: Iterable[float]) -> float:
         return m
     total = math.fsum(map(math.expm1, map(sub, xs, repeat(m))))
     return m + math.log1p(total + float(len(xs) - 1))
+
+
+# expm1(d) is exactly -1.0 for every double d <= -56 ln 2: e^d <= 2^-56 is an
+# eighth of the spacing of the doubles below 1, so -1 + e^d rounds to -1.0 in
+# glibc's and fdlibm's expm1 alike
+_NEGLIGIBLE = -56 * math.log(2)
+
+
+def renewal_row(w, wmax, log_Z, zmax, h: int) -> tuple[float, int]:
+    """Row n = len(log_Z) of the renewal DP (thermo.partition_sums_renewal):
+    log Z_n from its terms w[j] + log Z_{n-1-j}, all finite and far from
+    overflow (wmax[k] = max(w[k:]), zmax[i] = max(log Z_0..log Z_i)), and
+    the head length used.  The head starts at the previous row's length h,
+    grows until the bound wmax[h] + zmax[n-1-h] - m <= _NEGLIGIBLE holds for
+    its largest term m (rounding is monotone, so every later term t then has
+    fl(t - m) <= _NEGLIGIBLE and t < m), and shrinks while the bound holds
+    without its last term.  fsum takes the head's
+    expm1 values and one -1 per counted term as a single number, so it
+    rounds logsumexp's exact sum once, as logsumexp does."""
+    n = len(log_Z)
+    h = min(h, n)
+    head = list(map(add, w[:h], reversed(log_Z)))
+    m = max(head)
+    step = 1
+    while h < n and wmax[h] + zmax[n - 1 - h] - m > _NEGLIGIBLE:
+        h2 = min(n, h + step)
+        more = list(map(add, w[h:h2], reversed(log_Z[n - h2:n - h])))
+        head += more
+        top = max(more)
+        if top > m:
+            m = top
+        h, step = h2, 2 * step
+    while h > 1 and wmax[h - 1] + zmax[n - h] - m <= _NEGLIGIBLE:
+        h -= 1
+    del head[h:]
+    terms = map(math.expm1, map(sub, head, repeat(m)))
+    if h < n:
+        terms = chain(terms, (float(h - n),))
+    return m + math.log1p(math.fsum(terms) + float(n - 1)), h
 
 
 @dataclass(frozen=True)

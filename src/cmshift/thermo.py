@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, repeat
-from operator import add, sub
+from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
                        linear_fit, linear_fit_with_log, logsumexp, maxplus_push,
-                       reverse_edges, tail_window)
+                       renewal_row, reverse_edges, tail_window)
 from .potential import Potential
 from .shift import (DP_STATE_CAP, ROOT, BouquetShift, IndexedGraph, LoopVertex,
                     State, TransitionSystem, Word, index_graph)
@@ -95,7 +95,7 @@ def partition_sums_renewal(log_wstar: Sequence[float], N: int | None = None) -> 
     h = N
     for n in range(1, N + 1):
         if counted and n > _WHOLE:
-            z, h = _counted_row(w, wmax, log_Z, zmax, h)
+            z, h = renewal_row(w, wmax, log_Z, zmax, h)
             if h == n:  # nothing counted: start the next row whole
                 h = N
         else:
@@ -108,10 +108,6 @@ def partition_sums_renewal(log_wstar: Sequence[float], N: int | None = None) -> 
     return PartitionSums("r", N, log_Z[1:], w, "renewal-dp")
 
 
-# expm1(d) is exactly -1.0 for every double d <= -56 ln 2: e^d <= 2^-56 is an
-# eighth of the spacing of the doubles below 1, so -1 + e^d rounds to -1.0 in
-# glibc's and fdlibm's expm1 alike
-_NEGLIGIBLE = -56 * math.log(2)
 # weights and log sums below this add and subtract without overflow
 _FAR_FROM_OVERFLOW = 2.0 ** 1020
 # rows of at most this many terms are summed whole: on renewal-ones (Δ = log 2)
@@ -119,37 +115,6 @@ _FAR_FROM_OVERFLOW = 2.0 ** 1020
 # same counted or whole (measured), so the presets' 40-60-term report rows
 # skip the bound's set-up
 _WHOLE = 64
-
-
-def _counted_row(w, wmax, log_Z, zmax, h: int) -> tuple[float, int]:
-    """log Z_n, n = len(log_Z), from its terms w[j] + log Z_{n-1-j}, all
-    finite, and the head length used.  The head starts at the previous
-    row's length h, grows until the bound wmax[h] + zmax[n-1-h] - m <=
-    _NEGLIGIBLE holds for its largest term m (rounding is monotone, so every
-    later term t then has fl(t - m) <= _NEGLIGIBLE and t < m), and shrinks
-    while the bound holds without its last term.  fsum takes the head's
-    expm1 values and one -1 per counted term as a single number, so it
-    rounds logsumexp's exact sum once, as logsumexp does."""
-    n = len(log_Z)
-    h = min(h, n)
-    head = list(map(add, w[:h], reversed(log_Z)))
-    m = max(head)
-    step = 1
-    while h < n and wmax[h] + zmax[n - 1 - h] - m > _NEGLIGIBLE:
-        h2 = min(n, h + step)
-        more = list(map(add, w[h:h2], reversed(log_Z[n - h2:n - h])))
-        head += more
-        top = max(more)
-        if top > m:
-            m = top
-        h, step = h2, 2 * step
-    while h > 1 and wmax[h - 1] + zmax[n - h] - m <= _NEGLIGIBLE:
-        h -= 1
-    del head[h:]
-    terms = map(math.expm1, map(sub, head, repeat(m)))
-    if h < n:
-        terms = chain(terms, (float(h - n),))
-    return m + math.log1p(math.fsum(terms) + float(n - 1)), h
 
 
 def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,

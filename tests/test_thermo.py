@@ -19,7 +19,7 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
-from cmshift import families, thermo
+from cmshift import families, numerics, thermo
 from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
 from cmshift.oracle import enumerate_words, partition_sums_bruteforce, periodic_points
 from cmshift.thermo import SERIES_BAND, _max_birkhoff_low_to_low
@@ -280,8 +280,8 @@ def test_renewal_rows_near_overflow_equal_the_direct_double_sum(log_wstar, N):
 
 def test_expm1_is_minus_one_past_the_counting_cut():
     # the renewal rows count every term whose log ratio to the row's largest
-    # is at most thermo._NEGLIGIBLE as an expm1 of exactly -1.0
-    cut = thermo._NEGLIGIBLE
+    # is at most numerics._NEGLIGIBLE as an expm1 of exactly -1.0
+    cut = numerics._NEGLIGIBLE
     grid = [cut - i / 64 for i in range(int((cut + 745) * 64) + 1)] + [-745.0, -1e308, -math.inf]
     assert all(math.expm1(d) == -1.0 for d in grid)
 
