@@ -378,9 +378,9 @@ def _write_out(cfg: RunConfig, texts: dict[str, str]) -> None:
             f.close()
 
 
-def _profile_csv(rows: list, texts: _Texts) -> str:
-    columns = list(zip(*rows)) or [()] * 6
-    return texts.csv(["n", "M", "q", "log_z", "z_phi"], [columns[i] for i in (0, 1, 2, 4, 5)])
+def _profile_csv(table: list, texts: _Texts) -> str:
+    """The CSV of a profile's table (InfinityProfile.table)."""
+    return texts.csv(["n", "M", "q", "log_z", "z_phi"], [table[i] for i in (0, 1, 2, 4, 5)])
 
 
 # -- the run -------------------------------------------------------------------------------
@@ -392,7 +392,8 @@ class _Run:
 
     The stages are the partition sums, their fitted pressure, the
     closed-form return weights, log Z*_n, the pressure P that every verdict
-    is judged against, the SPR verdict and the profile graph.  A subcommand
+    is judged against, the SPR verdict, the profile graph and a bouquet's
+    best loop sums.  A subcommand
     reads only the stages it prints: `pressure` the fit, `spr` log Z*_n and
     P (the sums only without a family closed form), `hinf` the profile
     graph, `report` every stage."""
@@ -505,6 +506,18 @@ class _Run:
             return None, None, f"the a(1)=1 modified family has no graph: {exc}"
         return mod.system, mod.potential, "profiles use the a(1)=1 modified family"
 
+    @cached_property
+    def loop_sums(self) -> infinity.LoopSums | None:
+        """The best loop sums of a bouquet whose profiles run on the system
+        itself at q = 1, up to the grid's largest visit cap: the delta fill
+        reads them, and crc when they settle before that cap.  None when the
+        profiles run elsewhere or no q is 1."""
+        cfg, (T, phi, _) = self.cfg, self.profile_graph
+        if T is not self.system or 1 not in cfg.q or not isinstance(T, BouquetShift) \
+                or phi.loop_total is None:
+            return None
+        return infinity.best_loop_sums(T, phi, cfg.horizon, (cfg.horizon + 1) // min(cfg.M))
+
 
 def _diagnostics(run: _Run) -> dict:
     cfg, ps, pressure, P = run.cfg, run.sums, run.fit, run.P
@@ -533,7 +546,8 @@ def _diagnostics(run: _Run) -> dict:
         out["chi_per"] = {"value": chi.value, "period": chi.period}
         out["ucs"] = thermo.ucs_check(chi.value, P)
         try:
-            crc = thermo.crc_profile(T, phi, min(cfg.q), cfg.horizon, P=P)
+            crc = thermo.crc_profile(T, phi, min(cfg.q), cfg.horizon, P=P,
+                                     loop_sums=run.loop_sums)
             out["crc"] = {"C_q": crc.C_q, "lambda_q": crc.lambda_q,
                           "q": crc.q, "verdict": crc.verdict}
         except (EnumerationRefusal, ValueError) as exc:
@@ -559,38 +573,44 @@ def _diagnostics(run: _Run) -> dict:
     return out
 
 
-def _profiles(run: _Run) -> dict:
+def _profiles(run: _Run) -> tuple[dict, dict]:
+    """The profiles section of a report, and the table of each profile in
+    it (InfinityProfile.table), whose rows it holds."""
     cfg = run.cfg
     T, phi, note = run.profile_graph
     if T is None:
-        return {"skipped": note} if note else {}
+        return {"skipped": note} if note else {}, {}
     out: dict = {"note": note} if note else {}
+    tables = {}
     # one weighted fill gives both profiles; when it fails, that failure is
     # the delta skip and the entropy profile is filled alone
     hp = None
     try:
-        hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=run.P)
+        hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=run.P,
+                                       loop_sums=run.loop_sums)
+        tables["delta"] = dp.table
         out["delta"] = {
             "estimate": dp.estimate, "band": dp.band,
             "ci_verdict": dp.ci_verdict, "window": list(dp.window),
-            "rows": [list(r) for r in dp.rows],
+            "rows": list(map(list, zip(*tables["delta"]))),
         }
     except (EnumerationRefusal, ValueError) as exc:
         out["delta"] = {"skipped": str(exc)}
     try:
         if hp is None:
             hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
+        tables["hinf"] = hp.table
         out["hinf"] = {
             "estimate": hp.estimate, "uncertainty": hp.uncertainty,
             "window": list(hp.window),
             "monotone_M_violations": hp.monotone_M_violations,
             "fits": {f"M={M},q={q}": hp.fits[(M, q)].slope
                      for M in cfg.M for q in cfg.q},
-            "rows": [list(r) for r in hp.rows],
+            "rows": list(map(list, zip(*tables["hinf"]))),
         }
     except (EnumerationRefusal, ValueError) as exc:
         out["hinf"] = {"skipped": str(exc)}
-    return out
+    return out, tables
 
 
 def run_report(cfg: RunConfig) -> dict:
@@ -599,25 +619,28 @@ def run_report(cfg: RunConfig) -> dict:
     _check_horizon(cfg, "report")
     run = _Run(cfg)
     report = _diagnostics(run)
-    report["profiles"] = _profiles(run)
+    report["profiles"], tables = _profiles(run)
     report["config"] = {
         "label": run.label, "horizon": cfg.horizon,
         "truncate": cfg.truncate, "M": cfg.M, "q": cfg.q,
     }
+    # the files need no stage of the run, and its loop table would stay
+    # alive beside the texts they render
+    del run
     report["horizons"] = {"N": cfg.horizon, "L": cfg.truncate}
     report["tolerances"] = {"spr_tol": report["spr"]["tol"]}
     report["summary"] = _summary(report)
     if cfg.out:
-        # every file is built from one set of column texts: the sums and the
-        # profile rows are the very lists report.json holds
+        # every file is built from one set of column texts: the sums are the
+        # very lists report.json holds, and the profile rows hold the very
+        # items of the profile tables
         texts = _Texts()
         sums = {k: report["sequences"][k] for k in ("n", "logZ", "logZstar")}
         files = {"sums.csv": texts.csv(list(sums), list(sums.values()))} \
             if cfg.format == "csv" else {"sums.json": texts.json(sums) + "\n"}
         for key in ("hinf", "delta"):
-            prof = report["profiles"].get(key)
-            if prof and "rows" in prof:
-                files[f"profile_{key}.csv"] = _profile_csv(prof["rows"], texts)
+            if key in tables:
+                files[f"profile_{key}.csv"] = _profile_csv(tables[key], texts)
         files["report.json"] = texts.json(report) + "\n"
         _write_out(cfg, files)
     return report
@@ -787,7 +810,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ConfigError(note or "profiles need a graph realization (set --truncate)")
         hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
         if cfg.out:
-            _write_out(cfg, {"profile_hinf.csv": _profile_csv(hp.rows, _Texts())})
+            _write_out(cfg, {"profile_hinf.csv": _profile_csv(hp.table, _Texts())})
         _emit(f"hinf estimate: {_fmt(_display(hp.estimate, cfg.log2))} "
               f"± {_fmt(hp.uncertainty)}")
         if run.a_family is not None:

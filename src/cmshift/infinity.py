@@ -41,10 +41,15 @@ graph, the k-block graph and its weighted successor lists, the
 SWEEP_STATE_CAP check, and the slot-width pass, run at the largest q since
 the paths from its low part bound those from every smaller one.  A single
 count_B is the one-cell case of the same fill and compiles its own graph,
-and profile_pair fits both profiles from one weighted fill per q.  A
-profile keeps the fill as one CountB column per (M, q); the fits, the count
-diagnostics and cell() read those columns.  The reference cells, one walk over the words
-themselves that scores each word on its own, are in cmshift.oracle.
+and profile_pair fits both profiles from one weighted fill per q.  The
+grid stays in columns: the fill and the sweep return per M a list of int
+counts and one of z_phi, the grid adds the log-count list once per (M, q),
+and the fits, the count diagnostics, rows, cell() and the report writer
+read those lists (a profile's Column per (M, q)); CountB is the one cell
+of count_B and of the oracle's reference cells.  A report fills a bouquet's
+best loop sums once (best_loop_sums) for its delta fill at q = 1 and its
+crc profile.  The reference cells, one walk over the words themselves that
+scores each word on its own, are in cmshift.oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
 from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
@@ -274,10 +279,43 @@ def _best_sums(lengths: Sequence[int], tau, N: int, jmax: int):
     return B
 
 
-def _composition_fill(T: BouquetShift, phi: Potential | None,
-                      M_list: Sequence[int], N: int) -> dict[int, list[CountB]]:
-    """CountB of every cell (n, M) with 1 <= n <= N, from one fill over
-    loop-length compositions.
+class LoopSums(NamedTuple):
+    """The best loop sums of a bouquet for horizon N (_best_sums), filled up
+    to visit column jmax.  A report fills one table and hands it to both
+    its delta fill at q = 1 and its crc profile."""
+
+    table: object  # the float64 array of _best_sums
+    N: int
+    jmax: int
+
+    def settled(self) -> list[float] | None:
+        """The best total over all compositions of n, for n = 1..N, when the
+        fill stopped at a column that changed nothing: every later column
+        equals its last one.  None when the fill ran to column jmax, where
+        a row n > jmax may still gain from more parts."""
+        if len(self.table) > self.jmax:
+            return None
+        return self.table[-1, self.table.shape[1] - self.N:].tolist()
+
+
+def best_loop_sums(T: BouquetShift, phi: Potential, N: int, jmax: int) -> LoopSums:
+    """The best loop sums of T's loops no longer than N, weighed by phi's loop
+    totals (_best_sums), up to visit column jmax."""
+    import numpy as np
+
+    lengths = [k for k in T.loop_lengths() if k <= N]
+    tau = np.array([phi.loop_total(k) for k in lengths], dtype=np.float64)[:, None]
+    return LoopSums(_best_sums(lengths, tau, N, jmax), N, jmax)
+
+
+def _composition_fill(T: BouquetShift, phi: Potential | None, M_list: Sequence[int], N: int,
+                      loop_sums: LoopSums | None = None) -> dict[int, tuple[list, list]]:
+    """The count and z_phi columns of every M, cells n = 1..N, from one fill
+    over loop-length compositions: per M the exact int counts and the float
+    z_phi (None without a potential).  With a potential the best sums are
+    loop_sums when given (best_loop_sums of T, phi, N and a jmax of at least
+    this grid's), so a report fills them once for its fill and its crc
+    profile; a table of another N or a smaller jmax is a ValueError.
 
     Root-anchored words decompose into complete loops, and a composition
     with j parts visits the root at position 0 and after every part but the
@@ -319,8 +357,8 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
     no best sum is -0.0 (they start from +0.0, and x + y is -0.0 only when
     both are), so the maximum is the same in whatever order fmax meets the
     candidates.  A cell with no composition has best sum LOG_ZERO, so
-    z_phi = best / n is LOG_ZERO there.  numpy is imported here, on the
-    first fill, so no other route loads it.
+    z_phi = best / n is LOG_ZERO there.  numpy is imported here and in
+    best_loop_sums, on the first fill, so no other route loads it.
     """
     import numpy as np
 
@@ -343,13 +381,16 @@ def _composition_fill(T: BouquetShift, phi: Potential | None,
             cnt[first:, j] += cnt[first:, j - 1]
         counts = {M: cnt[ns, cap].tolist() for M, cap in caps.items()}
     if phi is None:
-        zs = dict.fromkeys(M_list, [None] * N)
-    else:
-        tau = np.array([phi.loop_total(k) for k in lengths], dtype=np.float64)[:, None]
-        best = _best_sums(lengths, tau, N, jmax)
-        L, top = best.shape[1] - N - 1, len(best) - 1
-        zs = {M: (best[np.minimum(cap, top), L + ns] / ns).tolist() for M, cap in caps.items()}
-    return {M: [CountB.of(c, z) for c, z in zip(counts[M], zs[M])] for M in M_list}
+        return {M: (counts[M], [None] * N) for M in M_list}
+    if loop_sums is None:
+        loop_sums = best_loop_sums(T, phi, N, jmax)
+    elif loop_sums.N != N or loop_sums.jmax < jmax:
+        raise ValueError(f"loop sums for N = {loop_sums.N} up to column {loop_sums.jmax} "
+                         f"cannot serve a grid of N = {N} up to column {jmax}")
+    best = loop_sums.table
+    L, top = best.shape[1] - N - 1, len(best) - 1
+    return {M: (counts[M], (best[np.minimum(cap, top), L + ns] / ns).tolist())
+            for M, cap in caps.items()}
 
 
 # -- state sweep (finite systems, any q) --------------------------------------------
@@ -387,9 +428,9 @@ def _compile_sweep(T: TransitionSystem, phi: Potential | None, q: int, N: int) -
 
 
 def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
-                   N: int) -> dict[int, list[CountB]]:
-    """CountB of every cell (n, M) with 1 <= n <= N, from one forward sweep
-    over a graph compiled for q and N or more.
+                   N: int) -> dict[int, tuple[list, list]]:
+    """The count and z_phi columns of every M, cells n = 1..N, from one
+    forward sweep over a graph compiled for q and N or more.
 
     The DP state is (v, i): paths that start in the low part and now sit at
     node i, with v low visits at positions 0..k-1 (the current endpoint
@@ -442,8 +483,8 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
     keep = (1 << w * (vcap + 1)) - 1
     cnt = [keep // ((1 << w) - 1)] * lo + [0] * (S - lo)
     best = [[0.0] * blo + [LOG_ZERO] * (B - blo)] + [[LOG_ZERO] * B for _ in range(vcap)]
-    tops = None  # the running best sums over v, only with a potential
-    cells: dict[int, list[CountB]] = {M: [] for M in M_list}
+    counts: dict[int, list[int]] = {M: [] for M in M_list}
+    zs: dict[int, list[float]] = {M: [] for M in M_list}
     for n in range(1, N + 1):
         cnt[:lo] = [(c << w) & keep for c in cnt[:lo]]
         cnt = count_push(graph.succ, cnt)
@@ -451,12 +492,14 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
             floor = [LOG_ZERO] * B
             best = [maxplus_push(wsucc, row, floor=floor)
                     for row in _climb(best, blo, LOG_ZERO)]
+            # the running best sums over v
             tops = list(accumulate((max(row[:blo], default=LOG_ZERO) for row in best), max))
+            for M, col in zs.items():
+                col.append(tops[(n + 1) // M] / n)
         low = sum(cnt[:lo])
-        for M, col in cells.items():
-            cap = (n + 1) // M
-            col.append(CountB.of(_slot(low, cap, w), None if tops is None else tops[cap] / n))
-    return cells
+        for M, col in counts.items():
+            col.append(_slot(low, (n + 1) // M, w))
+    return {M: (col, [None] * N if wsucc is None else zs[M]) for M, col in counts.items()}
 
 
 def _climb(layers: list[list], lo: int, empty) -> list[list]:
@@ -473,12 +516,13 @@ def _composes(T: TransitionSystem, phi: Potential | None, q: int) -> bool:
 
 
 def _grid_cells(T: TransitionSystem, phi: Potential | None, q: int,
-                M_list: Sequence[int], N: int,
-                sweep: _SweepGraph | None = None) -> dict[int, list[CountB]]:
-    """The cells of one q; a sweep compiles its own graph unless one
-    compiled for q (or a larger q) and N is given."""
+                M_list: Sequence[int], N: int, sweep: _SweepGraph | None = None,
+                loop_sums: LoopSums | None = None) -> dict[int, tuple[list, list]]:
+    """The count and z_phi columns of one q, per M; a sweep compiles its own
+    graph unless one compiled for q (or a larger q) and N is given, and a
+    composition fill reads loop_sums when given."""
     if _composes(T, phi, q):
-        return _composition_fill(T, phi, M_list, N)
+        return _composition_fill(T, phi, M_list, N, loop_sums)
     return _count_B_sweep(sweep or _compile_sweep(T, phi, q, N), q, M_list, N)
 
 
@@ -493,26 +537,38 @@ def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) 
         raise ValueError("n and M must be >= 1")
     if q <= 0:
         return CountB.empty(phi is not None)
-    return _grid_cells(T, phi, q, [M], n)[M][n - 1]
+    counts, zs = _grid_cells(T, phi, q, [M], n)[M]
+    return CountB.of(counts[-1], zs[-1])
 
 
 # -- profiles -------------------------------------------------------------------------
+
+class Column(NamedTuple):
+    """The cells n = 1..N of one (M, q) of a profile grid, one list each."""
+
+    count: list[int]
+    log_count: list[float]
+    z_phi: list  # floats, or None in every cell of an unweighted fill
+
 
 @dataclass
 class InfinityProfile:
     """Grid of boundary-cylinder data with per-(M, q) tail fits.
 
-    columns hold the CountB of n = 1..N per (M, q), q-major in grid order;
-    rows flattens them to (n, M, q, count, log_count, z_phi), with z_phi None
-    in the entropy profile.  The headline estimate is the fitted slope at the
-    largest grid point (max q, then max M), whose reported uncertainty adds
-    half the gap to the neighbouring M-slope as a finite-M term.  For the
-    contraction profile the estimate is the maximum window value of z_phi at
-    the largest grid point.
+    columns hold one Column per (M, q), q-major in grid order: the counts,
+    their logs and the z_phi of n = 1..N, as the fill made them.  table
+    joins them into six columns over the whole grid, and rows zips those
+    to (n, M, q, count, log_count, z_phi), with z_phi None in the entropy
+    profile; a report writes its files from the table.  The headline
+    estimate is the fitted slope at the largest grid point (max q, then
+    max M), whose reported uncertainty adds half the gap to the
+    neighbouring M-slope as a finite-M term.  For the contraction profile
+    the estimate is the maximum window value of z_phi at the largest grid
+    point.
     """
 
     kind: str  # 'entropy' | 'contraction'
-    columns: dict[tuple[int, int], list[CountB]]
+    columns: dict[tuple[int, int], Column]
     fits: dict
     estimate: float
     uncertainty: float
@@ -523,23 +579,27 @@ class InfinityProfile:
     ci_verdict: str | None = None
 
     @property
-    def rows(self) -> list[tuple]:
+    def table(self) -> list[list]:
+        """The six columns of rows, each over every cell of the grid."""
         weighted = self.kind == "contraction"
-        rows = []
-        for (M, q), col in self.columns.items():
-            N = len(col)
-            rows += zip(range(1, N + 1), [M] * N, [q] * N,
-                        [cb.count for cb in col], [cb.log_count for cb in col],
-                        [cb.z_phi for cb in col] if weighted else [None] * N)
-        return rows
+        table: list[list] = [[] for _ in range(6)]
+        for (M, q), (count, log_count, z_phi) in self.columns.items():
+            N = len(count)
+            for whole, part in zip(table, (range(1, N + 1), repeat(M, N), repeat(q, N), count,
+                                           log_count, z_phi if weighted else repeat(None, N))):
+                whole += part
+        return table
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*self.table))
 
     def cell(self, n: int, M: int, q: int) -> tuple:
-        col = self.columns.get((M, q), [])
-        if not 1 <= n <= len(col):
+        col = self.columns.get((M, q))
+        if col is None or not 1 <= n <= len(col.count):
             raise KeyError((n, M, q))
-        cb = col[n - 1]
-        return (n, M, q, cb.count, cb.log_count,
-                cb.z_phi if self.kind == "contraction" else None)
+        return (n, M, q, col.count[n - 1], col.log_count[n - 1],
+                col.z_phi[n - 1] if self.kind == "contraction" else None)
 
 
 # shortest horizon whose fit window has the four points of _profile_window
@@ -551,10 +611,11 @@ def _profile_window(N: int) -> list[int]:
     return list(range(max(1, min(math.ceil(0.75 * N), N - 3)), N + 1))
 
 
-def _grid(T, phi, q_list, M_list, N) -> tuple[dict, list]:
+def _grid(T, phi, q_list, M_list, N, loop_sums: LoopSums | None = None) -> tuple[dict, list]:
     """The columns of a checked grid, filled once per q, and their count
-    diagnostics.  The sweeps of every q share one graph, compiled when the
-    first of them starts."""
+    diagnostics; each log-count column is taken once, here.  The sweeps of
+    every q share one graph, compiled when the first of them starts, and a
+    composition fill reads loop_sums when given."""
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
     if min(M_list) < 1 or min(q_list) < 1:
@@ -568,8 +629,9 @@ def _grid(T, phi, q_list, M_list, N) -> tuple[dict, list]:
         if sweep is None and not _composes(T, phi, q):
             # one compiled graph for every q: its width pass at the largest
             sweep = _compile_sweep(T, phi, max(q_list), N)
-        columns.update(((M, q), col)
-                       for M, col in _grid_cells(T, phi, q, M_list, N, sweep).items())
+        for M, (count, z_phi) in _grid_cells(T, phi, q, M_list, N, sweep, loop_sums).items():
+            log_count = [math.log(c) if c else LOG_ZERO for c in count]
+            columns[M, q] = Column(count, log_count, z_phi)
     return columns, _count_diagnostics(columns, q_list, M_list, N)
 
 
@@ -578,7 +640,7 @@ def _count_diagnostics(columns, q_list, M_list, N) -> list[tuple]:
     they break the M-monotonicity of the counts."""
     Ms = sorted(M_list)
     return [(n + 1, lo, hi, q) for q in q_list for n in range(N) for lo, hi in zip(Ms, Ms[1:])
-            if columns[hi, q][n].count > columns[lo, q][n].count]
+            if columns[hi, q].count[n] > columns[lo, q].count[n]]
 
 
 def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
@@ -597,8 +659,7 @@ def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
 def _entropy_fit(columns, diagnostics, q_list, M_list, N) -> InfinityProfile:
     window = _profile_window(N)
     lo, hi = window[0], window[-1]
-    fits = {key: linear_fit(window, [cb.log_count for cb in col[lo - 1:hi]])
-            for key, col in columns.items()}
+    fits = {key: linear_fit(window, col.log_count[lo - 1:hi]) for key, col in columns.items()}
     qmax, Mmax = max(q_list), max(M_list)
     head = fits[(Mmax, qmax)]
     estimate = head.slope
@@ -610,7 +671,7 @@ def _entropy_fit(columns, diagnostics, q_list, M_list, N) -> InfinityProfile:
         unc += 0.5 * gap
     if head.degenerate:
         estimate, unc = LOG_ZERO, math.inf
-        if all(cb.count == 0 for cb in columns[Mmax, qmax]):
+        if not any(columns[Mmax, qmax].count):
             unc = 0.0  # empty at every n: nothing at infinity
     return InfinityProfile("entropy", columns, fits, estimate, unc, (lo, hi), diagnostics)
 
@@ -620,7 +681,8 @@ CONTRACTION_BAND = 1e-9
 
 
 def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
-                  M_list: Sequence[int], N: int, P: float = 0.0) -> InfinityProfile:
+                  M_list: Sequence[int], N: int, P: float = 0.0,
+                  loop_sums: LoopSums | None = None) -> InfinityProfile:
     """Weighted profile: z_phi grid, contraction-at-infinity estimate, and the
     contraction verdict (estimate + band < P - CONTRACTION_BAND).
 
@@ -629,9 +691,12 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     window with no counted cell (all empty, or NaN) yields the verdict
     'no-evidence' rather than a vacuous pass.  A +inf cell (a Birkhoff sum
     past the float range) is counted: the estimate is +inf, which fails
-    against a finite P and is inconclusive against P = +inf.
+    against a finite P and is inconclusive against P = +inf.  A bouquet's
+    fill at q = 1 reads its best sums from loop_sums when given:
+    best_loop_sums of T, phi and N up to a column of at least
+    (N + 1) // min(M_list), or a ValueError.
     """
-    return _contraction_fit(*_grid(T, phi, q_list, M_list, N), q_list, M_list, N, P)
+    return _contraction_fit(*_grid(T, phi, q_list, M_list, N, loop_sums), q_list, M_list, N, P)
 
 
 def _contraction_fit(columns, diagnostics, q_list, M_list, N, P) -> InfinityProfile:
@@ -640,7 +705,7 @@ def _contraction_fit(columns, diagnostics, q_list, M_list, N, P) -> InfinityProf
     fits = {}
     for key, col in columns.items():
         # empty and NaN cells are no evidence; a +inf cell is
-        counted = [cb.z_phi for cb in col[lo - 1:hi] if cb.z_phi > LOG_ZERO]
+        counted = [z for z in col.z_phi[lo - 1:hi] if z > LOG_ZERO]
         finite = [z for z in counted if z < math.inf]
         fits[key] = (max(counted) if counted else LOG_ZERO,
                      (max(finite) - min(finite)) if finite
@@ -662,8 +727,8 @@ def _contraction_fit(columns, diagnostics, q_list, M_list, N, P) -> InfinityProf
 
 
 def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
-                 M_list: Sequence[int], N: int,
-                 P: float = 0.0) -> tuple[InfinityProfile, InfinityProfile]:
+                 M_list: Sequence[int], N: int, P: float = 0.0,
+                 loop_sums: LoopSums | None = None) -> tuple[InfinityProfile, InfinityProfile]:
     """hinf_profile and delta_profile of the same grid, from one weighted fill.
 
     The entropy profile is fitted from the counts of the delta profile's
@@ -672,7 +737,7 @@ def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     routes (a bouquet potential without loop totals at q = 1).  Both
     profiles are those the two separate calls return; the count diagnostics
     of the delta profile are those of the entropy one, so they are computed
-    once.
+    once.  loop_sums is delta_profile's.
     """
-    dp = delta_profile(T, phi, q_list, M_list, N, P)
+    dp = delta_profile(T, phi, q_list, M_list, N, P, loop_sums)
     return _entropy_fit(dp.columns, dp.monotone_M_violations, q_list, M_list, N), dp

@@ -382,12 +382,12 @@ def compare_oracle(cfg: RunConfig) -> tuple[list[tuple], bool]:
         brute_cells = _bruteforce_cells(T, phi, q, cfg.M, N)
         fast_cells = infinity._grid_cells(T, phi, q, cfg.M, N)
         for M in cfg.M:
-            for n, bf, fast in zip(range(1, N + 1), brute_cells[M], fast_cells[M]):
-                passed = bf.count == fast.count
-                zerr = _rel_err(bf.z_phi, fast.z_phi)
+            for n, bf, count, z_phi in zip(range(1, N + 1), brute_cells[M], *fast_cells[M]):
+                passed = bf.count == count
+                zerr = _rel_err(bf.z_phi, z_phi)
                 passed = passed and zerr <= 1e-12
                 ok &= passed
-                rows.append((f"z_n(M={M},q={q})", n, bf.count, fast.count,
+                rows.append((f"z_n(M={M},q={q})", n, bf.count, count,
                              zerr, "pass" if passed else "FAIL"))
     return rows, ok
 

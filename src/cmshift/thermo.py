@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
 from operator import add
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
                        linear_fit, linear_fit_with_log, logsumexp, maxplus_push,
@@ -28,6 +28,9 @@ from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
 from .potential import Potential
 from .shift import (DP_STATE_CAP, ROOT, BouquetShift, IndexedGraph, LoopVertex,
                     State, TransitionSystem, Word, index_graph)
+
+if TYPE_CHECKING:  # for an annotation only; thermo never loads infinity
+    from .infinity import LoopSums
 
 __all__ = [
     "PartitionSums", "PressureEstimate", "SprVerdict", "ChiPerResult",
@@ -589,7 +592,7 @@ class CrcProfile:
 
 
 def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
-                P: float = 0.0) -> CrcProfile:
+                P: float = 0.0, loop_sums: LoopSums | None = None) -> CrcProfile:
     """Profile s(n) = max S_n phi over words whose x_0 and x_n have order
     index <= q, plus the fitted affine majorant C_q - n*lambda_q.
 
@@ -600,10 +603,20 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
     majorizing every tail point.  The verdict reports lambda_q > P.
     A fit window with low-to-low words of finite weight at fewer than two
     lengths has no slope and is a ValueError.
+
+    On a bouquet at q = 1, loop_sums may be infinity.best_loop_sums of T,
+    phi and N: when that fill stopped before its last column, its settled
+    column is s, bit for bit (the same max-plus rule over the same float
+    additions), and the recurrence below does not run.  A table that ran to
+    its last column is not read, and a table of another N is a ValueError.
     """
     if q < 1 or N < 1:
         raise ValueError("q and N must be >= 1")
-    s = _max_birkhoff_low_to_low(T, phi, q, N)
+    if loop_sums is not None and loop_sums.N != N:
+        raise ValueError(f"loop sums for N = {loop_sums.N} cannot serve a crc profile of N = {N}")
+    s = None if loop_sums is None or q != 1 else loop_sums.settled()
+    if s is None:
+        s = _max_birkhoff_low_to_low(T, phi, q, N)
     win = list(tail_window(N))
     fit = linear_fit(win, [s[n - 1] for n in win])
     if fit.degenerate:
@@ -623,9 +636,10 @@ def _max_birkhoff_low_to_low(T, phi, q, N) -> list[float]:
         # (at m = k, from best[0])
         taus = [(k, phi.loop_total(k)) for k in T.loop_lengths() if k <= N]
         for m in range(1, N + 1):
-            cands = [tau + best[m - k]
-                     for k, tau in taus if k <= m and best[m - k] != LOG_ZERO]
-            best[m] = max(cands) if cands else LOG_ZERO
+            # the rule of maxplus_push: the first strictly greatest sum, from
+            # LOG_ZERO, so a NaN (+inf + -inf) never wins
+            best[m] = max([c for k, tau in taus if k <= m and (c := tau + best[m - k]) == c],
+                          default=LOG_ZERO)
         return best[1:]
     graph = index_graph(T, DP_STATE_CAP, "contraction profile DP", phi.memory)
     wsucc = graph.weighted(phi)

@@ -902,6 +902,46 @@ def test_report_fills_one_profile_grid_per_q(tmp_path, monkeypatch, capsys):
     assert "hinf: " in capsys.readouterr().out
 
 
+_TAU1_DOMINANT = ({"kind": "bouquet", "a": {"form": "ones"}, "truncate_len": 40},
+                  {"memory": 2, "scheme": "bouquet_entry",
+                   "scheme_params": {"C": 2, "beta": 0}})
+
+
+@pytest.mark.parametrize("case, N, q, tables, recurrences, lines", [
+    # zero potential: the table settles after column 6 and crc reads it
+    ("renewal-ones", 240, "1", [(120, 7)], 0, ["crc_lambda: 0"]),
+    # tau(k) = log 2 for every k: one part more always pays, so the table
+    # runs to column jmax and crc takes its own recurrence
+    ("tau1", 240, "1", [(120, 121)], 1,
+     ["crc_lambda: -0.69314718056", "delta: -0.534624731194"]),
+    # no q = 1: the sweep and crc's state DP need no table
+    ("renewal-ones", 40, "2", [], 1, []),
+    ("renewal-ones", 40, "2,1", [(20, 2)], 0, []),
+])
+def test_report_fills_one_loop_table(tmp_path, monkeypatch, capsys, case, N, q, tables,
+                                     recurrences, lines):
+    # a bouquet report fills its best loop sums at most once, up to the
+    # grid's largest visit cap jmax = (N + 1) // min(M), for the delta fill
+    # and crc together, and never past jmax; "recurrence" counts crc's own
+    # DP (the bouquet recurrence or the state DP)
+    import cmshift.infinity
+
+    calls, recurrence = [], cmshift.thermo._max_birkhoff_low_to_low
+    best_sums = cmshift.infinity._best_sums
+    monkeypatch.setattr(cmshift.infinity, "_best_sums",
+                        lambda lengths, tau, N, jmax:
+                        calls.append((jmax, best_sums(lengths, tau, N, jmax))) or calls[-1][1])
+    monkeypatch.setattr(cmshift.thermo, "_max_birkhoff_low_to_low",
+                        lambda *a: calls.append("recurrence") or recurrence(*a))
+    args = ["--preset", "renewal-ones"] if case == "renewal-ones" \
+        else _write_specs(tmp_path, *_TAU1_DOMINANT)
+    assert main(["report", *args, "--horizon", str(N), "--q", q]) == EXIT_OK
+    assert [(c[0], len(c[1])) for c in calls if c != "recurrence"] == tables
+    assert calls.count("recurrence") == recurrences
+    out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in lines)
+
+
 def test_chi_per_builds_no_periodic_words_at_any_memory(tmp_path, monkeypatch, capsys):
     # the full 3-shift has 3^12 > 500000 periodic words of period 13 through
     # each state.  Every potential is an edge weight on the state graph or on

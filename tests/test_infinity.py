@@ -1,6 +1,7 @@
 """Boundary-cylinder counting and entropy/contraction-at-infinity profiles."""
 
 import math
+from dataclasses import astuple
 from itertools import accumulate
 
 import pytest
@@ -11,20 +12,33 @@ from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, Plain, Potential, TauSpec, build_bouquet,
                      build_preset, count_B, delta_profile, hinf_profile,
                      profile_pair)
-from cmshift.infinity import (CountB, _climb, _compile_sweep, _composition_fill,
+from cmshift.infinity import (Column, CountB, _climb, _compile_sweep, _composition_fill,
                               _contraction_fit, _count_B_sweep, _count_diagnostics,
                               _grid_cells, _loop_runs, _profile_window, _slot)
 from cmshift.numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
                             enumerate_words)
-from cmshift.shift import SWEEP_STATE_CAP, IndexedGraph, index_graph
+from cmshift.shift import ROOT, SWEEP_STATE_CAP, IndexedGraph, index_graph
 
 LOG2 = math.log(2.0)
 
 
+def _cells(columns):
+    # the CountB cells of the per-M count and z_phi columns of a fill or a
+    # sweep, one cell at a time
+    return {M: [CountB.of(count, z_phi) for count, z_phi in zip(*col)]
+            for M, col in columns.items()}
+
+
+def _columns(cells):
+    # the profile Column of each list of CountB cells
+    return {key: Column([cb.count for cb in col], [cb.log_count for cb in col],
+                        [cb.z_phi for cb in col]) for key, col in cells.items()}
+
+
 def _sweep(T, phi, q, M_list, N):
-    # a lone state sweep, on a graph compiled for this q and N
-    return _count_B_sweep(_compile_sweep(T, phi, q, N), q, M_list, N)
+    # a lone state sweep, on a graph compiled for this q and N, as cells
+    return _cells(_count_B_sweep(_compile_sweep(T, phi, q, N), q, M_list, N))
 
 
 @pytest.fixture
@@ -315,7 +329,7 @@ def test_composition_fill_matches_state_sweep_at_long_horizons(data):
     M_list = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5, 8]),
                                       min_size=1, max_size=3)))
     N = data.draw(st.integers(min_value=30, max_value=40))
-    fast = _composition_fill(T, phi, M_list, N)
+    fast = _cells(_composition_fill(T, phi, M_list, N))
     sweep = _sweep(T, phi, 1, M_list, N)
     assert fast.keys() == sweep.keys()
     for M in M_list:
@@ -414,7 +428,7 @@ def test_composition_fill_keeps_the_float_rules_of_the_loops(totals):
     for family, L, grids in _FILL_CASES:
         T = BouquetShift(family, truncate_len=L)
         for M_list, N in grids:
-            fast = _composition_fill(T, phi, M_list, N)
+            fast = _cells(_composition_fill(T, phi, M_list, N))
             assert repr(fast) == repr(_composition_fill_loops(T, phi, M_list, N)), (L, N)
             for col in fast.values():
                 for cell in col:
@@ -461,7 +475,7 @@ def test_composition_fill_stops_at_the_first_unchanged_column(monkeypatch):
     monkeypatch.setattr(cmshift.infinity, "_best_sums",
                         lambda *a: kept.append(best_sums(*a)) or kept[-1])
     build = build_preset("renewal-ones", truncate_len=40)
-    fill = _composition_fill(build.system, build.potential, [2, 4, 8], 240)
+    fill = _cells(_composition_fill(build.system, build.potential, [2, 4, 8], 240))
     assert len(kept) == 1 and len(kept[0]) == 7
     assert {cell.z_phi for col in fill.values() for cell in col} == {0.0, LOG_ZERO}
 
@@ -548,7 +562,7 @@ def test_composition_fill_equals_the_loops_on_run_heavy_families(data):
     M_list = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5, 8, 64]),
                                       min_size=1, max_size=3)))
     N = data.draw(st.integers(min_value=1, max_value=60))
-    fast = _composition_fill(T, phi, M_list, N)
+    fast = _cells(_composition_fill(T, phi, M_list, N))
     assert repr(fast) == repr(_composition_fill_loops(T, phi, M_list, N))
     for col in fast.values():
         assert all(type(cell.count) is int for cell in col)
@@ -671,8 +685,8 @@ def test_layered_push_equals_the_per_layer_sweep(data):
     N = data.draw(st.integers(min_value=4, max_value=10))
     P = data.draw(st.sampled_from([0.0, -0.5, 1.0, _INF]))
     got = delta_profile(T, phi, q_list, M_list, N, P)
-    columns = {(M, q): col for q in q_list
-               for M, col in _per_layer_sweep(T, phi, q, M_list, N).items()}
+    columns = _columns({(M, q): col for q in q_list
+                        for M, col in _per_layer_sweep(T, phi, q, M_list, N).items()})
     want = _contraction_fit(columns, _count_diagnostics(columns, q_list, M_list, N),
                             q_list, M_list, N, P)
     assert repr(got.rows) == repr(want.rows)
@@ -995,7 +1009,7 @@ def test_delta_profile_counts_plus_inf_cells(P, verdict):
     phi = Potential(2, {(Plain(i), Plain(j)): 1e308 for i, j in ((1, 1), (1, 2), (2, 1))},
                     0.0)
     prof = delta_profile(T, phi, [1], [2, 4, 8], 8, P=P)
-    assert [cb.z_phi for cb in prof.columns[8, 1][4:]] == [LOG_ZERO, LOG_ZERO, _INF, _INF]
+    assert prof.columns[8, 1].z_phi[4:] == [LOG_ZERO, LOG_ZERO, _INF, _INF]
     assert (prof.estimate, prof.band, prof.uncertainty, prof.ci_verdict) \
         == (_INF, 0.0, 0.0, verdict)
     assert prof.fits[2, 1] == (_INF, 0.0)
@@ -1005,7 +1019,7 @@ def test_delta_profile_window_of_finite_and_plus_inf_cells():
     # a +inf cell tops the estimate, the band is the spread of the finite
     # cells, and a NaN cell is no evidence; the window of N = 8 is n = 5..8
     zs = (9.0, 9.0, 9.0, 9.0, 0.5, _NAN, _INF, -1.0)
-    cols = {(2, 1): [CountB(1, 0.0, z) for z in zs]}
+    cols = _columns({(2, 1): [CountB(1, 0.0, z) for z in zs]})
     prof = _contraction_fit(cols, ([], []), [1], [2], 8, 0.0)
     assert (prof.estimate, prof.band, prof.ci_verdict) == (_INF, 1.5, "fails")
 
@@ -1076,7 +1090,7 @@ def test_profile_pair_equals_separate_profiles_on_a_bouquet(loop_totals):
 def _reference_rows(T, phi, q_list, M_list, N):
     rows = []
     for q in q_list:
-        cells = _grid_cells(T, phi, q, M_list, N)
+        cells = _cells(_grid_cells(T, phi, q, M_list, N))
         for M in M_list:
             for n, cb in enumerate(cells[M], start=1):
                 rows.append((n, M, q, cb.count, cb.log_count, cb.z_phi))
@@ -1191,6 +1205,82 @@ def test_profile_columns_equal_the_row_scan_on_a_bouquet():
     for key in ((0, 2, 1), (13, 2, 1), (1, 5, 1), (1, 2, 3)):
         with pytest.raises(KeyError):
             prof.cell(*key)
+
+
+# -- the column layout against single cells -------------------------------------------------
+
+def _count_B_rows(T, phi, q_list, M_list, N):
+    # the rows (n, M, q, count, log_count, z_phi) of a grid, one count_B per
+    # cell, in (q, M, n) grid order
+    return [(n, M, q) + astuple(count_B(T, phi, n, M, q))
+            for q in q_list for M in M_list for n in range(1, N + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_profile_rows_and_cells_equal_count_B_cell_by_cell(data):
+    # finite shifts and list bouquets (with loop totals, so q = 1 takes the
+    # composition fill, or without, so every q sweeps), small N, any grid
+    # order: rows and cell() of hinf_profile and profile_pair, and of the
+    # pair read from a shared loop table, are the count_B cells in repr
+    from cmshift.infinity import best_loop_sums
+
+    if data.draw(st.booleans()):
+        S = data.draw(st.integers(min_value=1, max_value=4))
+        T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
+                          for j in range(S)] for i in range(S)])
+    else:
+        L = data.draw(st.integers(min_value=1, max_value=5))
+        values = [data.draw(st.integers(0, 1))] + [data.draw(st.integers(0, 2))
+                                                   for _ in range(L - 1)]
+        values[-1] = values[-1] or 1
+        T = BouquetShift(LoopCountFamily("list", values=tuple(values)), L)
+    S = T.state_count()
+    weights = st.one_of(st.sampled_from(_SPECIALS),
+                        st.integers(min_value=-16, max_value=8).map(lambda k: k / 8))
+    phi = Potential(2, {w: data.draw(weights) for w in enumerate_words(T, 2)},
+                    data.draw(weights))
+    sums = None
+    if isinstance(T, BouquetShift) and data.draw(st.booleans()):
+        # each loop's total on its edge out of the root
+        totals = {k: data.draw(weights) for k in T.loop_lengths()}
+        phi = Potential(2, {(ROOT, v): totals[1 if v == ROOT else v.loop_len]
+                            for v in T.successors(ROOT)}, 0.0)
+        phi.loop_total = totals.__getitem__
+    q_list = data.draw(st.lists(st.integers(1, S + 1), min_size=1, max_size=2, unique=True))
+    M_list = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
+    N = data.draw(st.integers(min_value=4, max_value=7))
+    if phi.loop_total is not None:
+        sums = best_loop_sums(T, phi, N, (N + 1) // min(M_list))
+    counts = [r[:5] + (None,) for r in _count_B_rows(T, None, q_list, M_list, N)]
+    rows = _count_B_rows(T, phi, q_list, M_list, N)
+    assert [r[:5] for r in rows] == [r[:5] for r in counts]
+    for prof in (hinf_profile(T, q_list, M_list, N), *profile_pair(T, phi, q_list, M_list, N),
+                 *profile_pair(T, phi, q_list, M_list, N, loop_sums=sums)):
+        want = rows if prof.kind == "contraction" else counts
+        assert repr(prof.rows) == repr(want)
+        assert repr([prof.cell(*r[:3]) for r in want]) == repr(want)
+
+
+def test_a_loop_table_of_another_grid_is_refused():
+    # a table is read only for the N it was filled for and up to a column no
+    # smaller than the grid's largest cap; a larger one serves as well
+    from cmshift import crc_profile
+    from cmshift.infinity import best_loop_sums
+
+    build = build_preset("sec52-entry", truncate_len=24)
+    T, phi, N, M_list = build.system, build.potential, 40, (2, 4)
+    jmax = (N + 1) // min(M_list)
+    for sums in (best_loop_sums(T, phi, N - 10, jmax), best_loop_sums(T, phi, N, jmax - 1)):
+        with pytest.raises(ValueError, match="loop sums for N"):
+            delta_profile(T, phi, [1], M_list, N, loop_sums=sums)
+        with pytest.raises(ValueError, match="loop sums for N"):
+            profile_pair(T, phi, [1], M_list, N, loop_sums=sums)
+    with pytest.raises(ValueError, match="loop sums for N = 30"):
+        crc_profile(T, phi, 1, N, loop_sums=best_loop_sums(T, phi, N - 10, jmax))
+    plain = delta_profile(T, phi, [1], M_list, N)
+    wide = delta_profile(T, phi, [1], M_list, N, loop_sums=best_loop_sums(T, phi, N, N))
+    assert repr(wide.rows) == repr(plain.rows)
 
 
 # -- growth oracle -----------------------------------------------------------------------

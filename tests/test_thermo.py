@@ -1280,7 +1280,8 @@ def test_block_graph_dps_match_enumerated_words(data):
     low = set(T.states_up_to(q))
     M_list = sorted(data.draw(st.sets(st.integers(1, 4), min_size=1, max_size=2)))
     s = _max_birkhoff_low_to_low(T, phi, q, N)
-    cells = _grid_cells(T, phi, q, M_list, N)
+    cells = {M: [CountB.of(count, z_phi) for count, z_phi in zip(*col)]
+             for M, col in _grid_cells(T, phi, q, M_list, N).items()}
     for n in range(1, N + 1):
         scored = list(_scored_words(T, phi, n))
         top = max((v for w, v in scored if w[0] in low and w[n] in low), default=LOG_ZERO)
@@ -1326,13 +1327,16 @@ def test_block_graph_dps_match_enumerated_words(data):
 
 
 def _bouquet_best_sums(T, phi, N):
-    # the bouquet branch by its definition: one loop_total call per term
+    # the bouquet branch by its definition: one loop_total call per term,
+    # each kept by the rule of maxplus_push (strictly greater, from LOG_ZERO)
     best = [LOG_ZERO] * (N + 1)
     best[0] = 0.0
     for m in range(1, N + 1):
-        cands = [phi.loop_total(k) + best[m - k]
-                 for k in T.loop_lengths() if k <= m and best[m - k] != LOG_ZERO]
-        best[m] = max(cands) if cands else LOG_ZERO
+        for k in T.loop_lengths():
+            if k <= m and best[m - k] != LOG_ZERO:
+                cand = phi.loop_total(k) + best[m - k]
+                if cand > best[m]:
+                    best[m] = cand
     return best[1:]
 
 
@@ -1350,6 +1354,65 @@ def test_bouquet_best_sums_equal_the_per_term_definition(totals):
     for N in (1, 3, 12):
         assert repr(_max_birkhoff_low_to_low(T, phi, 1, N)) \
             == repr(_bouquet_best_sums(T, phi, N))
+
+
+def _entry_potential(T, totals):
+    # each loop's total on its edge out of the root and +0.0 on its other
+    # edges, so the state route adds the same floats as the loop totals
+    # (no best sum is -0.0, and x + 0.0 is x for every other x)
+    table = {(ROOT, v): totals[1 if v == ROOT else v.loop_len]
+             for v in T.successors(ROOT)}
+    phi = Potential(2, table, 0.0)
+    state = Potential(2, table, 0.0)
+    phi.loop_total = totals.__getitem__
+    return phi, state
+
+
+def test_bouquet_best_sums_drop_a_first_nan_candidate():
+    # loops of lengths 2, 3, 3, 4: +inf + -inf is the first candidate at
+    # n = 5, 7 and 8, and the state route keeps none of them
+    T = BouquetShift(LoopCountFamily("list", values=(0, 1, 2, 1)), truncate_len=4)
+    phi, state = _entry_potential(T, {1: 0.125, 2: -math.inf, 3: math.inf, 4: -math.inf})
+    want = [-math.inf, -math.inf, math.inf, -math.inf, -math.inf, math.inf, -math.inf,
+            -math.inf]
+    assert repr(_max_birkhoff_low_to_low(T, state, 1, 8)) == repr(want)
+    assert repr(_max_birkhoff_low_to_low(T, phi, 1, 8)) == repr(want)
+
+
+_LOOP_TOTALS = st.one_of(st.sampled_from([math.inf, -math.inf, 0.0, -0.0]), EIGHTHS)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_bouquet_route_equals_the_state_route(data):
+    # s(n) over loop totals from +-inf, +-0.0 and k/8 is the state route's
+    # over the same edge weights, bit for bit
+    T = _random_list_bouquet(data)
+    totals = {k: data.draw(_LOOP_TOTALS) for k in T.loop_lengths()}
+    phi, state = _entry_potential(T, totals)
+    N = data.draw(st.integers(min_value=1, max_value=14))
+    assert repr(_max_birkhoff_low_to_low(T, phi, 1, N)) \
+        == repr(_max_birkhoff_low_to_low(T, state, 1, N))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_crc_reads_a_settled_loop_table_as_its_recurrence(data):
+    # a best-sum table that stopped before its last column holds s(n) in
+    # that column, bit for bit, and crc reads it without the recurrence
+    from cmshift.infinity import best_loop_sums
+
+    T = _random_list_bouquet(data)
+    phi = Potential(2, {}, 0.0)
+    totals = {k: data.draw(_LOOP_TOTALS) for k in T.loop_lengths()}
+    phi.loop_total = totals.__getitem__
+    N = data.draw(st.integers(min_value=1, max_value=30))
+    sums = best_loop_sums(T, phi, N, (N + 1) // data.draw(st.integers(min_value=1, max_value=4)))
+    settled = sums.settled()
+    assume(settled is not None)
+    assert repr(settled) == repr(_max_birkhoff_low_to_low(T, phi, 1, N))
+    assert _outcome(crc_profile, T, phi, 1, N, loop_sums=sums) \
+        == _outcome(crc_profile, T, phi, 1, N)
 
 
 @pytest.mark.parametrize("N", [8, 12, 30])
