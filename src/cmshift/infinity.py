@@ -23,7 +23,8 @@ equals the plain convolution's; it costs a few bigint row operations per
 length n however long the run.  The counts of a row are one int of
 prefix sums over the visit number, one w-bit slot each, so a cell reads
 one slot; counts too wide for that (w above _PACKED_SLOT_BITS) keep one
-int per cell in an object array.  The best loop sums are filled one visit
+int per cell in a row of a numpy object array, and one recurrence
+(_run_rows) fills both layouts.  The best loop sums are filled one visit
 column at a time, column c holding the best over at most c parts, so a
 cell reads one entry; each column recomputes only the rows within a loop
 length of those the previous column changed, and the fill stops at the
@@ -55,7 +56,6 @@ scores each word on its own, are in cmshift.oracle.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
@@ -105,13 +105,12 @@ def _loop_runs(lengths: Sequence[int],
     Stretches are grown left to right while a(k) * a(k-2) == a(k-1)**2, so
     no count is divided until a stretch has three lengths; a pair that
     stops there gives up its first length and starts over from its second.
-    A stretch of two lengths stays two single ones.  On the int rows of
-    _run_rows a run costs up to six operations per row (rho * W,
-    a0 * rows[n - k0] and its addition, the leaving row's product and
-    subtraction, the addition into the row) and a single length at most
-    two (its product and its addition), so a run is never dearer from three
-    lengths on and cheaper from four; on the object rows the two terms of
-    the dot cost two row operations where the recurrence costs three.  A
+    A stretch of two lengths stays two single ones.  On the rows of
+    _run_rows, ints or object arrays alike, a run costs up to six
+    operations per row (rho * W, a0 * rows[n - k0] and its addition, the
+    leaving row's product and subtraction, the addition into the row) and
+    a single length at most two (its product and its addition), so a run
+    is never dearer from three lengths on and cheaper from four.  A
     stretch whose ratio is not an integer has no run in it, since each
     part of it has the same ratio.
     """
@@ -138,8 +137,8 @@ def _loop_runs(lengths: Sequence[int],
 
 
 # the slot width, in bits, up to which _composition_fill packs its counts:
-# the packed rows win below about 430 bits on renewal-ones and below about
-# 1,000 on the sec53 and sec54 families, and lose beyond (README)
+# the packed rows win below about 500 bits on renewal-ones and below about
+# 900 to 1,100 on the sec53 and sec54 families, and lose beyond (README)
 _PACKED_SLOT_BITS = 640
 
 
@@ -147,8 +146,10 @@ def _run_rows(runs: Sequence[tuple[int, int, int, int]], N: int, first, step,
               widest: int | None = None) -> list:
     """Rows 0..N of the loop convolution, rows[0] = first and
     rows[n] = step(sum over loop lengths k <= n of a(k) * rows[n - k]), for
-    rows that are Python ints (plain or packed); with widest, the rows end
-    at the first one wider than widest bits.
+    rows that are Python ints (plain or packed) or numpy object arrays of
+    Python ints; a row that no loop length reaches is 0 * first, and with
+    widest (int rows only) the rows end at the first one wider than widest
+    bits.
 
     A run k0..k1 of _loop_runs with a(k) = a0 * rho**(k - k0) contributes
     W(n) = sum_{k0 <= k <= k1} a(k) * rows[n - k], and
@@ -156,7 +157,9 @@ def _run_rows(runs: Sequence[tuple[int, int, int, int]], N: int, first, step,
     (rows[m] = 0 for m < 0) is the same sum term by term, so a run costs a few
     row operations per row however long it is; each single length adds
     a * rows[n - k].  The arithmetic is exact, so the rows are those of the
-    plain convolution.
+    plain convolution.  The windows are updated in place, which on arrays
+    changes no stored row: a window starts as the int 0 and becomes a fresh
+    array at its first addition, and on arrays step must return a new one.
     """
     # each chain carries its window W(n) and rho * a(k1), the weight of the
     # row that leaves it
@@ -164,12 +167,12 @@ def _run_rows(runs: Sequence[tuple[int, int, int, int]], N: int, first, step,
     singles = [(k0, a0) for k0, _, a0, rho in runs if not rho]
     rows = [first]
     for n in range(1, N + 1):
-        row = 0  # its first term is taken as is: 0 + term would copy the row
+        row = None  # its first term is taken as is: 0 + term would copy the row
         for k, a in singles:
             if k > n:
                 break
             term = rows[n - k] if a == 1 else a * rows[n - k]
-            row = row + term if row else term
+            row = term if row is None else row + term
         for chain in chains:
             k0, k1, a0, rho, leaving, window = chain
             if n < k0:
@@ -180,51 +183,11 @@ def _run_rows(runs: Sequence[tuple[int, int, int, int]], N: int, first, step,
             if n > k1:
                 window -= rows[n - 1 - k1] if leaving == 1 else leaving * rows[n - 1 - k1]
             chain[5] = window
-            row = row + window if row else window
-        rows.append(step(row))
+            row = window if row is None else row + window
+        rows.append(step(0 * first if row is None else row))
         if widest is not None and rows[-1].bit_length() > widest:
             break
     return rows
-
-
-def _object_counts(runs: Sequence[tuple[int, int, int, int]], lengths: Sequence[int],
-                   N: int, jmax: int):
-    """cnt[m, j], the compositions of m into j parts, in an object array of
-    Python ints, by the recurrences of _run_rows on its rows.
-
-    Row n - k has no composition with more than n - k parts, so only the
-    first min(jmax, n) columns are read or written, and a window keeps
-    zeros beyond them; the single lengths are one dot product of their
-    counts with rows n - k.
-    """
-    import numpy as np
-
-    chains = [(k0, k1, a0, rho, a0 * rho ** (k1 - k0 + 1), np.zeros(jmax, dtype=object))
-              for k0, k1, a0, rho in runs if rho]
-    singles = [k0 for k0, _, _, rho in runs if not rho]
-    sk = np.array(singles, dtype=np.intp)
-    sa = np.array([a0 for _, _, a0, rho in runs if not rho], dtype=object)
-    cnt = np.zeros((N + 1, jmax + 1), dtype=object)
-    cnt[0, 0] = 1
-    for n in range(1, N + 1):
-        top = min(jmax, n)
-        if not (top and bisect_right(lengths, n)):
-            continue
-        S = bisect_right(singles, n)
-        row = sa[:S].dot(cnt[n - sk[:S], :top]) if S else None
-        for k0, k1, a0, rho, leaving, window in chains:
-            if n < k0:
-                break
-            w = window[:top]
-            if rho != 1:
-                w *= rho
-            w += cnt[n - k0, :top] if a0 == 1 else a0 * cnt[n - k0, :top]
-            if n > k1:
-                w -= (cnt[n - 1 - k1, :top] if leaving == 1
-                      else leaving * cnt[n - 1 - k1, :top])
-            row = w if row is None else row + w
-        cnt[n, 1:top + 1] = row
-    return cnt
 
 
 def _best_sums(lengths: Sequence[int], tau, N: int, jmax: int):
@@ -337,11 +300,13 @@ def _composition_fill(T: BouquetShift, phi: Potential | None, M_list: Sequence[i
     row 0 with a 1 in every slot, and each step is (row << w) & mask.  No
     slot of a sum ever exceeds a total T(n) < 2**w, so no carry crosses a
     slot, and cell (n, M) is the one slot at its cap.  Wider counts, as
-    sec54's 2^(2^k) loops give, keep one Python int per cell in an object
-    array (_object_counts), where a slot would pay w bits for every cell
-    whatever its size; their prefix sums are taken in place, column by
-    column, in the rows n with (n + 1) // min(M) >= j that read column j.
-    Both are exact, so the counts are the same.
+    sec54's 2^(2^k) loops give, keep one Python int per cell, where a slot
+    would pay w bits for every cell whatever its size: the same recurrences
+    run on numpy object rows of jmax + 1 counts, slot j of row n holding
+    cnt[n, j], from a row 0 with a 1 in slot 0, and each step shifts a row
+    by one part into a new array.  Their prefix sums are then taken in
+    place, column by column, in the rows n with (n + 1) // min(M) >= j that
+    read column j.  Both are exact, so the counts are the same.
 
     The best sums are float64: B(n, c) over the compositions of n into at
     most c parts (_best_sums), and cell (n, M) reads B(n, (n + 1) // M).
@@ -374,8 +339,10 @@ def _composition_fill(T: BouquetShift, phi: Potential | None, M_list: Sequence[i
         counts = {M: [_slot(rows[n], (n + 1) // M, width) for n in range(1, N + 1)]
                   for M in M_list}
     else:
-        # prefix sums in place, each column only in the rows whose cap reaches it
-        cnt = _object_counts(runs, lengths, N, jmax)
+        # slot j of row n holds cnt[n, j]; prefix sums in place, each column
+        # only in the rows whose cap reaches it
+        row0 = np.array([1] + [0] * jmax, dtype=object)
+        cnt = np.array(_run_rows(runs, N, row0, lambda row: np.concatenate(([0], row[:-1]))))
         for j in range(1, jmax + 1):
             first = max(1, j * min(M_list) - 1)
             cnt[first:, j] += cnt[first:, j - 1]

@@ -3,6 +3,7 @@
 import math
 from dataclasses import astuple
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -395,6 +396,10 @@ _FILL_CASES = [
     # sec54's a(1) = 1 family: slots wider than _PACKED_SLOT_BITS, so the
     # object rows
     (LoopCountFamily("double_exponential", a1=1), 8, [([2, 4, 8], 24), ([1, 30], 12)]),
+    # a(1) = 1 and one run of ratio 2**40 over lengths 2..12, whose totals
+    # pass _PACKED_SLOT_BITS at n = 16: a chain's windows on the object rows
+    # at N = 60 and on packed rows at N = 15
+    (LoopCountFamily("geometric", ratio=2**40, a1=1), 12, [([2, 4, 8], 60), ([1, 3], 15)]),
     # no loop length <= N: the shortest loop is 5
     (LoopCountFamily("list", values=(0, 0, 0, 0, 1, 2)), 6, [([1, 2], 4), ([2, 3], 1)]),
     # lengths 1, 2, 19, 36: gaps of 16 between them, wider than the rows a
@@ -436,31 +441,38 @@ def test_composition_fill_keeps_the_float_rules_of_the_loops(totals):
                     assert cell.z_phi is None or type(cell.z_phi) is float
 
 
-@pytest.mark.parametrize("family, L, N, want", [
-    (LoopCountFamily("ones"), 40, 240, ["_run_rows", "_run_rows"]),
-    (LoopCountFamily("geometric", ratio=2, a1=1), 25, 200, ["_run_rows", "_run_rows"]),
-    (LoopCountFamily("double_exponential", a1=1), 8, 60, ["_run_rows", "_object_counts"]),
+@pytest.mark.parametrize("family, L, N, route", [
+    (LoopCountFamily("ones"), 40, 240, "packed"),
+    (LoopCountFamily("geometric", ratio=2, a1=1), 25, 200, "packed"),
+    (LoopCountFamily("double_exponential", a1=1), 8, 60, "object"),
 ])
-def test_composition_fill_packs_only_narrow_counts(monkeypatch, family, L, N, want):
-    # the totals pass, then the packed prefix rows while the largest total
-    # fits _PACKED_SLOT_BITS (renewal-ones, sec53's a(1) = 1 family) and the
-    # object rows beyond it (sec54's a(1) = 1 family), at the presets' L
+def test_composition_fill_packs_only_narrow_counts(monkeypatch, family, L, N, route):
+    # the totals pass, then the packed prefix rows (one int per row) while
+    # the largest total fits _PACKED_SLOT_BITS (renewal-ones, sec53's
+    # a(1) = 1 family) and the object rows (one object array per row)
+    # beyond it (sec54's a(1) = 1 family), at the presets' L
+    import numpy as np
+
     import cmshift.infinity
 
     calls = []
-    for name in ("_run_rows", "_object_counts"):
-        fill = getattr(cmshift.infinity, name)
-        monkeypatch.setattr(cmshift.infinity, name,
-                            lambda *a, _fill=fill, _name=name:
-                            calls.append((_name, _fill(*a))) or calls[-1][1])
+    run_rows = cmshift.infinity._run_rows
+    monkeypatch.setattr(cmshift.infinity, "_run_rows",
+                        lambda *a: calls.append(run_rows(*a)) or calls[-1])
     _composition_fill(BouquetShift(family, L), None, [2, 4, 8], N)
-    assert [name for name, _ in calls] == want
-    totals = calls[0][1]
+    assert len(calls) == 2
+    totals, rows = calls
+    assert {type(row) for row in totals} == {int}
+    if route == "packed":
+        assert {type(row) for row in rows} == {int}
+    else:
+        assert {(type(row), row.dtype) for row in rows} == {(np.ndarray, np.dtype(object))}
+    assert len(rows) == N + 1
     width = max(totals).bit_length()
-    assert (width > cmshift.infinity._PACKED_SLOT_BITS) == ("_object_counts" in want)
+    assert (width > cmshift.infinity._PACKED_SLOT_BITS) == (route == "object")
     # the totals pass runs to N on narrow counts and stops at the first wide total
     assert max(totals[:-1]).bit_length() <= cmshift.infinity._PACKED_SLOT_BITS
-    assert (len(totals) < N + 1) == ("_object_counts" in want)
+    assert (len(totals) < N + 1) == (route == "object")
 
 
 def test_composition_fill_stops_at_the_first_unchanged_column(monkeypatch):
@@ -543,6 +555,8 @@ def _run_heavy_family(draw):
 def test_composition_fill_equals_the_loops_on_run_heavy_families(data):
     # the run recurrence against the per-entry loops: counts equal as ints,
     # log counts and best sums equal in repr
+    import cmshift.infinity
+
     fam, L = data.draw(_run_heavy_family())
     T = BouquetShift(fam, L)
     phi = None
@@ -562,7 +576,11 @@ def test_composition_fill_equals_the_loops_on_run_heavy_families(data):
     M_list = sorted(data.draw(st.sets(st.sampled_from([1, 2, 3, 5, 8, 64]),
                                       min_size=1, max_size=3)))
     N = data.draw(st.integers(min_value=1, max_value=60))
-    fast = _cells(_composition_fill(T, phi, M_list, N))
+    # every family on both count layouts: object rows at 0, packed rows at
+    # 10**9, and the rule's own choice at 640
+    bits = data.draw(st.sampled_from([0, 640, 10**9]))
+    with patch.object(cmshift.infinity, "_PACKED_SLOT_BITS", bits):
+        fast = _cells(_composition_fill(T, phi, M_list, N))
     assert repr(fast) == repr(_composition_fill_loops(T, phi, M_list, N))
     for col in fast.values():
         assert all(type(cell.count) is int for cell in col)
