@@ -160,24 +160,11 @@ def _int_text(n: int) -> str:
         return f'"{hex(n)}"'
 
 
-# the JSON text of a leaf, by its exact type; _leaf_text gives a subclass
-# (numpy.float64, IntEnum, ...) the rule of its base
+# the JSON text of a leaf, by its exact type; a report holds no other leaf
 _JSON_LEAVES = {
     float: _float_text, int: _int_text, str: encode_basestring_ascii,
     bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
 }
-
-
-def _leaf_text(x) -> str:
-    """The JSON text of a leaf: the rule of its type in _JSON_LEAVES, else
-    of its base float, int or str, else the string of its str."""
-    leaf = _JSON_LEAVES.get(type(x))
-    if leaf is not None:
-        return leaf(x)
-    for base in (float, int, str):  # bool has no subclasses
-        if isinstance(x, base):
-            return _JSON_LEAVES[base](x)
-    return encode_basestring_ascii(str(x))
 
 
 def _fmt(x) -> str:
@@ -237,8 +224,8 @@ class _Texts:
             or self._keep(self._cells, col, _cell_texts(col))
 
     def leaves(self, col) -> list[str] | None:
-        """The JSON texts of a non-empty column, or None if an item is a
-        list, tuple or dict."""
+        """The JSON texts of a non-empty column, or None unless its items
+        are of one exact leaf type."""
         texts = self._find(self._json, col)
         if texts is None:
             texts = self._json_texts(col)
@@ -249,9 +236,9 @@ class _Texts:
     def _json_texts(self, col) -> list[str] | None:
         """The JSON texts of a non-empty column: a float or int column's are
         derived from its cells, a float's by _float_json (the cells
-        themselves when all have a point and no exponent); a column of one
-        other exact type is one map of its _JSON_LEAVES rule; any other goes
-        item by item."""
+        themselves when all have a point and no exponent); a str or bool
+        column's are one map of its _JSON_LEAVES rule.  None for any other
+        column, whose items json writes one at a time."""
         types = set(map(type, col))
         kind = next(iter(types)) if len(types) == 1 else None
         if kind is float:
@@ -271,17 +258,16 @@ class _Texts:
             return ["null"] * len(col)
         if kind in _JSON_LEAVES:  # str, bool
             return list(map(_JSON_LEAVES[kind], col))
-        if any(issubclass(t, (list, tuple, dict)) for t in types):
-            return None
-        return list(map(_leaf_text, col))
+        return None
 
     def json(self, obj, pad: str = "\n") -> str:
         """obj as indented JSON with sorted keys, floats at 12 significant
         digits and the non-finite ones as the strings of _fmt; pad starts
         each line of obj's items.  An int too long for decimal text is the
-        exact hex string "0x...", and any other object is its str.  A list
-        of leaves, and a list of equally long lists or tuples of leaves, is
-        written a column at a time."""
+        exact hex string "0x...".  Keys must be str and leaves of an exact
+        type in _JSON_LEAVES; any other raises TypeError, as json.dumps
+        does.  A list of leaves of one type, and a list of equally long
+        lists or tuples of such columns, is written a column at a time."""
         leaf = _JSON_LEAVES.get(type(obj))
         if leaf is not None:
             return leaf(obj)
@@ -297,11 +283,11 @@ class _Texts:
                 return "{}"
             inner = pad + "  "
             get = _JSON_LEAVES.get
-            items = [_json_key(k) + ": "
+            items = [encode_basestring_ascii(k) + ": "
                      + (leaf(v) if (leaf := get(type(v))) else self.json(v, inner))
                      for k, v in sorted(obj.items())]
             return "{" + inner + ("," + inner).join(items) + pad + "}"
-        return _leaf_text(obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     def _table(self, rows, pad: str) -> list[str] | None:
         """The JSON texts of rows, lists or tuples of one nonzero length
@@ -324,17 +310,6 @@ class _Texts:
         """The CSV text of equally long columns under header."""
         texts = list(map(self.cells, columns))
         return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
-
-
-def _json_key(key) -> str:
-    """A dict key as JSON writes it: str as is; int, float, bool and None as
-    their JSON text."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = json.dumps(key)
-    return encode_basestring_ascii(key)
 
 
 def _write_out(cfg: RunConfig, texts: dict[str, str]) -> None:

@@ -374,36 +374,22 @@ class NoSolutionError(ValueError):
 def htop_solve(a: LoopCountFamily) -> float:
     """Solve sum_n a(n) e^{-n h} = 1 for the topological entropy h.
 
-    Closed forms: pure geometric a(n) = r^n gives h = log(2r); with an a(1)
-    override the generating function is rational and solved exactly.  The
-    all-ones family gives log 2.  A finite list is the renewal root of the
-    finite tail log a(n) (thermo.RenewalSeries), and a single loop is the
-    one periodic orbit, h = 0.  The double-exponential family has a
-    divergent series for every h, i.e. infinite entropy.
+    Geometric a(n) = r^n for n >= 2 (ones: r = 1) with any a(1) has one
+    closed form.  With x = e^{-h}, u = r x and c = a(1)/r the equation is
+    (1 - c) u^2 + (1 + c) u = 1, whose root in (0, 1) is
+    2 / (1 + c + sqrt((1 - c)^2 + 4)): a sum of positive terms, so nothing
+    cancels, and r enters only through c and log r, so no float holds r^2.
+    A finite list is the renewal root of the finite tail log a(n)
+    (thermo.RenewalSeries), and a single loop is the one periodic orbit,
+    h = 0.  The double-exponential family has a divergent series for every
+    h, i.e. infinite entropy.
     """
     if a.form == "double_exponential":
         return math.inf
-    if a.form == "geometric":
-        r = a.ratio
-        a1 = a.count(1)
-        if a1 == r:
-            return math.log(2 * r)
-        # g(x) = a1 x + (rx)^2/(1 - rx) = 1 with x = e^{-h}
-        A = r * r - a1 * r
-        B = a1 + r
-        if A == 0:
-            x = 1.0 / B
-        else:
-            disc = B * B + 4.0 * A
-            x = (-B + math.sqrt(disc)) / (2.0 * A)
-        if not 0 < x < 1.0 / r:
-            raise NoSolutionError("generating series never reaches 1")
-        return -math.log(x)
-    if a.form == "ones":
-        if a.count(1) == 1:
-            return LOG2
-        # a(1) = 0: x^2/(1-x) = 1 -> x = (sqrt(5)-1)/2
-        return -math.log((math.sqrt(5.0) - 1.0) / 2.0)
+    if a.form in ("geometric", "ones"):
+        r = a.ratio if a.form == "geometric" else 1
+        c = a.count(1) / r
+        return math.log(r) + math.log((1 + c + math.hypot(1 - c, 2)) / 2)
     counts = [a.count(n) for n in range(1, len(a.values) + 1)]
     if not any(counts):
         raise NoSolutionError("empty loop family")

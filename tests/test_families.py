@@ -114,6 +114,38 @@ def test_htop_residual_bound():
     assert abs(total - 1.0) <= 1e-8
 
 
+_RATIOS = (1, 2, 3, 4, 7, 10**6, 2**20, 2**26, 2**40, 2**60, 2**600)
+
+
+@pytest.mark.parametrize("k, m", [(0, 0), (0, 1), (0, 3), (1, -1), (1, 0), (1, 1),
+                                  (2, 0), (5, 0)],
+                         ids=["0", "1", "3", "r-1", "r", "r+1", "2r", "5r"])
+@pytest.mark.parametrize("r", _RATIOS, ids=lambda r: f"2**{r.bit_length() - 1}"
+                         if r > 10**6 else str(r))
+def test_htop_geometric_matches_mpmath(r, k, m):
+    # a(1) = k r + m: h against the root of a(1) e^{-h} + sum_{n>=2} (r e^{-h})^n
+    # = 1 at 50 digits, bracketed in h on (log r, log r + 4], where the sum
+    # falls from +inf to below 1 for a(1) <= 5r; a quadratic in e^{-h} cancels
+    # at a(1) next to r, and (a(1) + r)**2 leaves the float range at 2**600
+    a1 = k * r + m
+    h = htop_solve(LoopCountFamily("geometric", ratio=r, a1=a1))
+    with mpmath.workdps(50):
+        def excess(t):
+            y = r * mpmath.exp(-t)
+            return a1 * mpmath.exp(-t) + y * y / (1 - y) - 1
+        log_r = mpmath.log(r)
+        ref = mpmath.findroot(excess, (log_r + mpmath.mpf("1e-3"), log_r + 4),
+                              solver="anderson")
+        assert abs(excess(ref)) < mpmath.mpf(10) ** -40
+    assert abs(h - ref) <= 4 * math.ulp(float(ref))
+
+
+@pytest.mark.parametrize("a1", range(6))
+def test_htop_ones_is_geometric_of_ratio_one(a1):
+    assert htop_solve(LoopCountFamily("ones", a1=a1)) \
+        == htop_solve(LoopCountFamily("geometric", ratio=1, a1=a1))
+
+
 def test_htop_geometric_with_a1_override():
     fam = LoopCountFamily("geometric", ratio=2, a1=1)
     h = htop_solve(fam)
