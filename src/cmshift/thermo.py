@@ -8,14 +8,15 @@ periodic words as their reference.  On top sit the growth-rate
 estimators, the renewal series of closed-form return weights (one root,
 the induced values and one recurrence classifier: RenewalSeries), and the
 verdict operations: strong positive recurrence, uniform
-contraction (chi_per vs pressure, chi_per read from the exact sums of its
-max-plus DP), compact-return contraction profiles, and witness searches for
+contraction (chi_per vs pressure, chi_per from an exact maximum cycle mean
+pass), compact-return contraction profiles, and witness searches for
 the stronger contraction conditions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
@@ -257,30 +258,37 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int) -> ChiPerResult:
 
     On bouquets with per-loop total weights attached, the maximum is taken
     exactly over simple loops (orbit averages are convex combinations of
-    simple-loop averages).  Otherwise the periodic orbits through every
-    state are searched; on a bouquet every orbit passes the root, which
-    comes first in state order, so the root is the only anchor.
-    The weights sit on the edges of the block graph, so the best closed
-    walk through an anchor a at each period n is a max-plus DP (the (a, a)
-    entries of the n-th max-plus power, cf. Karp 1978): one candidate per
-    (period, anchor), found in polynomial time.
+    simple-loop averages).  Otherwise the weights sit on the edges of the
+    state graph or the block graph, become integers over one power-of-two
+    denominator, and every comparison below is exact: a periodic orbit is a
+    closed walk, and its average is a mean edge weight.
 
-    The edge weights become integers over one power-of-two denominator, so
-    the DP's sums, maxima and ties are exact: g[k][i] is the best sum of a
-    k-edge walk from node i to u, and the candidate closes at the first
-    node u of the anchor (in lexicographic order) with the largest closed
-    walk.  Its average is that exact sum rounded once, then divided by n,
-    as math.fsum of its periodic Birkhoff sum would give, or +-inf past the
-    float range.  The anchors are filled and scanned one at a time, and only
-    the leader's table is kept: a candidate replaces it when its average is
-    greater, or equal at a shorter period.  So the winner is the first
-    (period, anchor) in period-major order with the largest average, and
-    value and period are those of an enumeration of every periodic word in
-    that order; only the winner's word is read off, taking the first
-    successor that stays optimal.
+    The winner is the closed walk of at most N edges with the largest exact
+    mean; an exact tie goes to the shorter period, then to the first node
+    (in state order, then lexicographic block order), and the word is read
+    off from that node by taking the first successor that stays optimal.
+    Its value is its exact sum rounded once, then divided by the period, as
+    math.fsum of its periodic Birkhoff sum would give, or +-inf past the
+    float range.
+
+    Two routes find it, and they give the same answer.  The maximum cycle
+    mean of the whole graph and the shortest period p of a cycle reaching
+    it come from one Karp pass (_critical_cycle), O(blocks x edges); when
+    p <= N that cycle is the winner, replayed from its first node for p
+    steps.  Otherwise every cycle of at most N edges averages less, and one
+    max-plus program per anchor runs instead, anchors x N x edges: the
+    closed walks through each node of each anchor at every period (the
+    (a, a) entries of the n-th max-plus power), filled and scanned one
+    anchor at a time, keeping only the leader's tables.  The per-anchor
+    program also runs first where it is the cheaper, when the anchor nodes
+    times N are fewer than the blocks; only a bouquet, whose root is its
+    only anchor, reaches that.
+
     Edges of weight -inf or nan are dropped (walks over them never score
-    above -inf), and an edge of weight +inf outweighs every finite walk
-    (walks over it score +inf).
+    above -inf).  An edge of weight +inf weighs more than every finite walk
+    of the graph's cycle lengths: a walk with a larger share of +inf edges
+    has the larger mean, one with a +inf edge reads +inf, and walks with the
+    same share compare by their finite edges.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -294,44 +302,151 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int) -> ChiPerResult:
                 best, best_n = avg, n
         orbit = _loop_word(best_n) if best_n else None
         return ChiPerResult(best, best_n, orbit)
-    anchors = [ROOT] if isinstance(T, BouquetShift) else list(T.states())
     graph = index_graph(T, DP_STATE_CAP, "max-plus chi_per", phi.memory)
-    wsucc = [[(j, w) for j, w in js if w > -math.inf]  # not -inf, not nan
-             for js in graph.weighted(phi)]
-    ratios = {w: w.as_integer_ratio() for js in wsucc for _, w in js if w < math.inf}
+    blocks = len(graph.states)
+    weighted = graph.weighted(phi)
+    ratios = {w: w.as_integer_ratio() for js in weighted for _, w in js
+              if -math.inf < w < math.inf}
     den = max((d for _, d in ratios.values()), default=1)
     exact = {w: num * (den // d) for w, (num, d) in ratios.items()}
-    # no walk of at most N finite edges sums past bound; one +inf edge does
-    bound = N * max(map(abs, exact.values()), default=0)
-    exact[math.inf] = 2 * bound + 1
-    succ = [[(j, exact[w]) for j, w in js] for js in wsucc]
+    top = max(map(abs, exact.values()), default=0)
+    # no walk of at most N finite edges sums past bound, and one +inf edge
+    # does; the finite parts of two cycles of at most L = max(N, blocks)
+    # edges, cross-multiplied, differ by at most 2 L^2 top, so the larger
+    # share of +inf edges always has the larger mean
+    bound = N * top
+    exact[math.inf] = 2 * max(N, blocks) ** 2 * top + 1
+    # edges of weight -inf or nan have no key: they are dropped
+    succ = [[(j, exact[w]) for j, w in js if w in exact] for js in weighted]
     pred = reverse_edges(succ)
-    best, win = -math.inf, None
-    for a in anchors:
-        closing = []
-        for u in _nodes_of(graph, T, a):
-            g = [[0 if i == u else LOG_ZERO for i in range(len(graph.states))]]
-            for _ in range(N):
-                g.append(maxplus_push(pred, g[-1]))
-            closing.append((u, g))
-        for n in range(1, N + 1):
-            # the first largest closed walk
-            u, g = max(closing, key=lambda t: t[1][n][t[0]])
-            if g[n][u] == LOG_ZERO:
-                continue
-            avg = math.inf if g[n][u] > bound else _ratio(g[n][u], den) / n
-            # the first (period, anchor) in period-major order wins a tie
-            if avg > best or (win is not None and avg == best and n < win[0]):
-                best, win = avg, (n, u, g)
+    # the nodes of each anchor state: every orbit of a bouquet passes the
+    # root, which comes first in state order, so the root is its only anchor
+    groups = list(map(range, graph.starts, graph.starts[1:]))
+    if isinstance(T, BouquetShift):
+        groups = groups[:1]
+    win = None
+    if sum(map(len, groups)) * N >= blocks:
+        critical = _critical_cycle(succ)
+        if critical is None:
+            return ChiPerResult(-math.inf, 0, None)
+        n, u = critical
+        if n <= N:
+            win = n, u, _closing_walks(pred, u, n)
     if win is None:
-        return ChiPerResult(best, 0, None)
+        win = _best_closing_walk(pred, groups, N)
+    if win is None:
+        return ChiPerResult(-math.inf, 0, None)
     n, u, g = win
+    value = math.inf if g[n][u] > bound else _ratio(g[n][u], den) / n
     word, i = [u], u
     for k in range(n, 1, -1):
         i = next(j for j, w in succ[i]
                  if g[k - 1][j] != LOG_ZERO and g[k - 1][j] + w == g[k][i])
         word.append(i)
-    return ChiPerResult(best, n, tuple(graph.states[i][0] for i in word))
+    return ChiPerResult(value, n, tuple(graph.states[i][0] for i in word))
+
+
+def _closing_walks(pred, u: int, N: int) -> list[list]:
+    """g[k][i], k <= N: the best sum of a k-edge walk from node i to u."""
+    g = [[0 if i == u else LOG_ZERO for i in range(len(pred))]]
+    for _ in range(N):
+        g.append(maxplus_push(pred, g[-1]))
+    return g
+
+
+def _best_closing_walk(pred, groups, N: int):
+    """(n, u, g) of the closed walk of at most N edges with the largest mean
+    through the nodes of groups, one anchor's nodes per group, or None: the
+    first largest closed walk of each (anchor, period) is a candidate, and
+    a candidate replaces the leader when its mean is greater, or equal at a
+    shorter period."""
+    best, win = 0, None
+    for nodes in groups:
+        closing = [(u, _closing_walks(pred, u, N)) for u in nodes]
+        for n in range(1, N + 1):
+            u, g = max(closing, key=lambda t: t[1][n][t[0]])
+            s = g[n][u]
+            if s == LOG_ZERO:
+                continue
+            # s / n against best / win[0], exactly; a tie to the shorter period
+            if win is None or (s * win[0], -n) > (best * n, -win[0]):
+                best, win = s, (n, u, g)
+    return win
+
+
+def _critical_cycle(succ) -> tuple[int, int] | None:
+    """(p, u) for the graph of integer edge weights succ: p is the shortest
+    length of a cycle of maximum mean, and u the first node on such a cycle
+    of length p; None for a graph without cycles.
+
+    Karp's theorem (Karp 1978, "A characterization of the minimum cycle
+    mean in a digraph") gives the maximum mean lam from the best k-edge walk
+    sums D_k(v) into each node v from anywhere (D_0 = 0, a super-source, so
+    graphs that are not strongly connected work too): lam is the maximum
+    over v with D_B(v) finite of the minimum over k < B of
+    (D_B(v) - D_k(v)) / (B - k), B the number of nodes.  D_B is filled
+    first and the rows D_k are filled again after it, so two passes of B
+    pushes hold O(B) numbers, and the fractions are compared by
+    cross-multiplication.  Under the weights w d - c, lam = c / d, no cycle
+    is positive; the edges that the longest walks from the super-source
+    make tight carry exactly the cycles of mean lam, and a breadth-first
+    search over them from each node in index order finds the shortest.
+    """
+    B = len(succ)
+    last = [0] * B
+    for _ in range(B):
+        last = maxplus_push(succ, last)
+    ends = [v for v in range(B) if last[v] != LOG_ZERO]
+    if not ends:
+        return None
+    # least[v] = (c, d): the least (D_B(v) - D_k(v)) / (B - k) so far, from D_0 = 0
+    least = {v: (last[v], B) for v in ends}
+    row = [0] * B
+    for k in range(1, B):
+        row = maxplus_push(succ, row)
+        d = B - k
+        for v in ends:
+            if row[v] != LOG_ZERO:
+                c, m = last[v] - row[v], least[v]
+                if c * m[1] < m[0] * d:
+                    least[v] = c, d
+    c, d = least[ends[0]]
+    for m in least.values():
+        if m[0] * d > c * m[1]:
+            c, d = m
+    g = math.gcd(c, d)
+    c, d = c // g, d // g
+    scaled = [[(j, w * d - c) for j, w in js] for js in succ]
+    # longest walks from the super-source, label-correcting in FIFO order
+    pot, queued = [0] * B, [True] * B
+    queue = deque(range(B))
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        for j, w in scaled[i]:
+            if pot[i] + w > pot[j]:
+                pot[j] = pot[i] + w
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+    tight = [[j for j, w in js if pot[i] + w == pot[j]] for i, js in enumerate(scaled)]
+    best = None
+    for u in range(B):
+        seen, frontier, n = {u}, [u], 0
+        while frontier and (best is None or n + 1 < best[0]):
+            n += 1
+            reached = []
+            for i in frontier:
+                for j in tight[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        reached.append(j)
+                    elif j == u:
+                        best = n, u
+            if best is not None and best[1] == u:
+                break
+            frontier = reached
+    return best
 
 
 def _nodes_of(graph: IndexedGraph, T: TransitionSystem, a: State) -> range:

@@ -1105,19 +1105,20 @@ def test_infinite_pressure_leaves_spr_inconclusive(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_chi_per_past_the_float_range_is_infinite_not_a_traceback(tmp_path, capsys, sign):
+def test_chi_per_past_the_float_range_is_exact_not_a_traceback(tmp_path, capsys, sign):
     # three windows of the full 2-shift weigh +-1e308, so a periodic sum over
-    # two of them leaves the float range: chi_per reads +inf from the exact
-    # DP sums, and with -1e308 the loop 22 at weight 0 is the supremum
+    # two of them leaves the float range.  chi_per compares the exact sums:
+    # with +1e308 the orbit 12 (sum 2e308, past the float range) ties the
+    # loop 11 at mean 1e308, and the shorter period wins; with -1e308 the
+    # loop 22 at weight 0 is the supremum
     pot = {"memory": 2, "default": 0.0,
            "table": [{"word": w, "value": sign * 1e308} for w in ([1, 1], [1, 2], [2, 1])]}
     specs = _write_specs(tmp_path, _FULL2, pot)
     assert main(["report", *specs, "--horizon", "8", "--out", str(tmp_path / "out")]) \
         == EXIT_OK
-    assert f"chi_per: {'inf' if sign > 0 else '0'}\n" in capsys.readouterr().out
+    assert f"chi_per: {'1e+308' if sign > 0 else '0'}\n" in capsys.readouterr().out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["chi_per"] == ({"period": 2, "value": "inf"} if sign > 0
-                                 else {"period": 1, "value": 0.0})
+    assert report["chi_per"] == {"period": 1, "value": 1e308 if sign > 0 else 0.0}
 
 
 def test_report_counts_a_delta_window_of_plus_inf_cells(tmp_path, capsys):

@@ -616,15 +616,32 @@ def test_chi_per_matches_exhaustive_cycles():
 
 def _enumerated_chi_per(T, phi, N):
     # every periodic word in (period, anchor, state order) order, keeping
-    # strictly greater averages: the enumeration the max-plus route replaces
-    best, best_w = -math.inf, None
+    # strictly greater scores: the enumeration the max-plus routes replace.
+    # A word with a -inf or nan window never scores; the others compare
+    # exactly, by their share of +inf windows, then by the Fraction sum of
+    # their finite windows per step.  The value is that sum rounded once,
+    # then divided by the period, or +inf
+    m = phi.memory
+    best, best_w = None, None
     for n in range(1, N + 1):
         for a in T.states():
             for w in periodic_points(T, n, a):
-                avg = birkhoff_sum(T, phi, w, "periodic").value / n
-                if avg > best:
-                    best, best_w = avg, w
-    return best, len(best_w) if best_w else 0, best_w
+                ws = [phi.weight(tuple(w[(i + j) % n] for j in range(m))) for i in range(n)]
+                if any(x == -math.inf or math.isnan(x) for x in ws):
+                    continue
+                score = (Fraction(ws.count(math.inf), n),
+                         sum(Fraction(x) for x in ws if x != math.inf) / n)
+                if best is None or score > best:
+                    best, best_w = score, w
+    if best_w is None:
+        return -math.inf, 0, None
+    n, total = len(best_w), best[1] * len(best_w)
+    if best[0]:
+        return math.inf, n, best_w
+    try:
+        return float(total) / n, n, best_w
+    except OverflowError:
+        return math.copysign(math.inf, total), n, best_w
 
 
 def _random_chi_per_case(data, weights):
@@ -659,21 +676,15 @@ def test_chi_per_max_plus_equals_enumeration_on_dyadic_weights(data):
 @settings(max_examples=60)
 @given(data=st.data())
 def test_chi_per_max_plus_matches_enumeration_on_float_weights(data):
+    # the weights become exact integers, so the value, the period and the
+    # word are the exact enumeration's, ties included
     floats = st.floats(min_value=-3, max_value=2, allow_nan=False)
     T, phi, N = _random_chi_per_case(data, floats)
     res = chi_per(T, phi, N)
-    value, period, _ = _enumerated_chi_per(T, phi, N)
-    assert res.value == value
-    assert res.period == period
-    w = res.orbit
-    if w is None:
-        # no period up to N closes through an anchor
-        assert (res.value, res.period) == (-math.inf, 0)
-        return
-    # the orbit is an admissible periodic word of that period whose
-    # periodic average is the value
-    assert len(w) == res.period
-    assert birkhoff_sum(T, phi, w, "periodic").value / len(w) == res.value
+    value, period, orbit = _enumerated_chi_per(T, phi, N)
+    assert (res.value, res.period, res.orbit) == (value, period, orbit)
+    if orbit is not None and math.isfinite(value):
+        assert birkhoff_sum(T, phi, orbit, "periodic").value / period == value
 
 
 @settings(max_examples=40)
@@ -700,14 +711,7 @@ def test_chi_per_max_plus_builds_no_periodic_words(monkeypatch):
 
     monkeypatch.setattr(cmshift.oracle, "periodic_points", never)
     rng = random.Random(11)
-    S = 32
-    matrix = [[int(j == (i + 1) % S) for j in range(S)] for i in range(S)]
-    for i in range(S):
-        for j in rng.sample([j for j in range(S) if not matrix[i][j]], 2):
-            matrix[i][j] = 1
-    T = FiniteShift(matrix)
-    phi = Potential(2, {(Plain(i + 1), Plain(j + 1)): rng.uniform(-2, 0)
-                        for i in range(S) for j in range(S) if matrix[i][j]})
+    T, phi = _ring_with_chords(rng, 32)
     for phi in (phi, Potential(3, {w: rng.uniform(-2, 0) for w in enumerate_words(T, 3)})):
         res = chi_per(T, phi, 40)
         assert 1 <= res.period <= 40
@@ -715,30 +719,138 @@ def test_chi_per_max_plus_builds_no_periodic_words(monkeypatch):
             == res.value
 
 
-def test_chi_per_keeps_one_anchor_table_at_a_time():
-    # each anchor's (N + 1) x S walk table is scanned as soon as it is
-    # filled, and only the leader's is kept: all 60 tables held at once
-    # peaked near 4.7 MB here
-    import tracemalloc
-
-    rng = random.Random(5)
-    S, N = 60, 30
+def _ring_with_chords(rng, S):
+    # the ring i -> i + 1 plus two random chords out of every state, with
+    # memory-2 weights in [-2, 0]
     matrix = [[int(j == (i + 1) % S) for j in range(S)] for i in range(S)]
     for i in range(S):
         for j in rng.sample([j for j in range(S) if not matrix[i][j]], 2):
             matrix[i][j] = 1
-    T = FiniteShift(matrix)
     phi = Potential(2, {(Plain(i + 1), Plain(j + 1)): rng.uniform(-2, 0)
                         for i in range(S) for j in range(S) if matrix[i][j]})
+    return FiniteShift(matrix), phi
+
+
+def test_chi_per_keeps_one_anchor_table_at_a_time():
+    # Karp's passes hold O(blocks) numbers and the winner's replay one
+    # (p + 1) x S table, and the per-anchor program keeps only the leader's
+    # tables: all 60 anchors' (N + 1) x S tables held at once peaked near
+    # 4.7 MB here
+    import tracemalloc
+
+    T, phi = _ring_with_chords(random.Random(5), 60)
     tracemalloc.start()
     try:
-        res = chi_per(T, phi, N)
+        res = chi_per(T, phi, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
     assert birkhoff_sum(T, phi, res.orbit, "periodic").value / res.period \
         == res.value
+
+
+def test_chi_per_runs_one_karp_pass_or_one_program_per_root_node(monkeypatch):
+    # 60 anchors of one node each, N = 30: two Karp passes of at most B
+    # pushes each, then the winner's p pushes (one program per anchor would
+    # make 60 x 30 = 1,800)
+    calls = []
+    push = thermo.maxplus_push
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return push(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "maxplus_push", counted)
+    T, phi = _ring_with_chords(random.Random(5), 60)
+    res = chi_per(T, phi, 30)
+    assert len(calls) <= 2 * 60 + res.period
+    # a bouquet without loop totals whose root node times N is below its
+    # 781 blocks keeps the root-anchored program: N pushes per root node
+    sec52 = build_preset("sec52-entry", truncate_len=40)
+    sec52.potential.loop_total = None
+    calls.clear()
+    res = chi_per(sec52.system, sec52.potential, 40)
+    assert len(calls) <= 40
+    assert res.value == -LOG2 and len(res.orbit) == res.period <= 40
+
+
+def test_chi_per_falls_back_to_the_anchors_below_the_critical_period():
+    # the ring 1 -> 2 -> 3 -> 1 of weight 0 is the only cycle of mean 0; at
+    # N = 2 the best orbit is 12, mean -1/8, which the per-anchor program
+    # finds; from N = 3 on the Karp pass reads the ring
+    T = FiniteShift([[1, 1, 0], [1, 0, 1], [1, 0, 0]])
+    phi = Potential(2, {(Plain(1), Plain(1)): -1.0, (Plain(2), Plain(1)): -0.25}, 0.0)
+    for N, expected in ((1, (-1.0, 1, (Plain(1),))),
+                        (2, (-0.125, 2, (Plain(1), Plain(2)))),
+                        (3, (0.0, 3, (Plain(1), Plain(2), Plain(3)))),
+                        (6, (0.0, 3, (Plain(1), Plain(2), Plain(3))))):
+        res = chi_per(T, phi, N)
+        assert (res.value, res.period, res.orbit) == expected \
+            == _enumerated_chi_per(T, phi, N)
+
+
+def test_chi_per_ranks_infinite_orbits_by_their_share_of_plus_inf_windows():
+    # both orbits read +inf; 156 has a +inf window in 3 steps, 1234 in 4, so
+    # 156 wins, though 1234's finite windows weigh 3 against 156's -2.  A
+    # +inf edge weighed as 2 N max|w| + 1 and compared exactly would rank
+    # 1234 first at N = 4
+    matrix = [[0] * 6 for _ in range(6)]
+    for i, j in ((1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 1)):
+        matrix[i - 1][j - 1] = 1
+    T = FiniteShift(matrix)
+    phi = Potential(2, {(Plain(1), Plain(2)): math.inf, (Plain(1), Plain(5)): math.inf,
+                        (Plain(5), Plain(6)): -1.0, (Plain(6), Plain(1)): -1.0}, 1.0)
+    res = chi_per(T, phi, 4)
+    assert (res.value, res.period, res.orbit) == (math.inf, 3, (Plain(1), Plain(5), Plain(6))) \
+        == _enumerated_chi_per(T, phi, 4)
+
+
+def test_chi_per_reads_the_primitive_orbit_of_an_exact_tie():
+    # ROADMAP's 200-state graph: the 3-cycle 43 152 97 averages
+    # -0.656 / 3, and its 49-fold repeat at period 147 has the same exact
+    # mean, which rounded one ulp higher (-0.21866666666666665) when the
+    # averages were compared after rounding
+    rng = random.Random(1)
+    S = 200
+    matrix = [[0] * S for _ in range(S)]
+    table = {}
+    for i in range(S):
+        for j in rng.sample(range(S), 2) + [(i + 1) % S]:
+            matrix[i][j] = 1
+            table[Plain(i + 1), Plain(j + 1)] = round(rng.uniform(-2, 0), 3)
+    T = FiniteShift(matrix)
+    phi = Potential(2, table, -1.0)
+    for N in (147, 200):
+        res = chi_per(T, phi, N)
+        assert (res.value, res.period, res.orbit) == \
+            (-0.21866666666666668, 3, (Plain(43), Plain(152), Plain(97)))
+
+
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_chi_per_matches_exact_enumeration_with_infinite_and_nan_weights(data):
+    # finite shifts at memory 1-3 and list bouquets without loop totals,
+    # with +-inf and nan windows (so the finite weights may live on a
+    # reducible subgraph, or on none) and horizons on both sides of the
+    # critical period, so both routes run
+    weights = st.one_of(EIGHTHS, st.floats(min_value=-3, max_value=2, allow_nan=False),
+                        _SPECIAL)
+    memory = data.draw(st.sampled_from([1, 2, 3]))
+    if data.draw(st.booleans()):
+        S = data.draw(st.integers(min_value=1, max_value=4))
+        T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
+                          for j in range(S)] for i in range(S)])
+        N = data.draw(st.integers(min_value=1, max_value=6 if S <= 3 else 4))
+    else:
+        T = _random_list_bouquet(data)
+        N = data.draw(st.integers(min_value=1, max_value=7))
+    phi = _random_table_potential(data, T, memory, weights)
+    res = chi_per(T, phi, N)
+    assert (res.value, res.period, res.orbit) == _enumerated_chi_per(T, phi, N)
 
 
 # -- SPR check ------------------------------------------------------------------------------
