@@ -30,13 +30,15 @@ cell reads one entry; each column recomputes only the rows within a loop
 length of those the previous column changed, and the fill stops at the
 first column that changes none.
 Every other system runs one forward state sweep over (low visits so far,
-state) with the two step kernels numerics.count_push and maxplus_push, and
-reads each row's cells as it makes it.  Its counts are packed like the
-fill's: one int per state of prefix sums over the visit number, one w-bit
-slot each, so one count_push moves every slot and a cell reads one slot of
-the low states' sum; only the best sums keep one list per layer, pushed in
-ascending v through one floor per node, which skips every entry that a
-lower layer matches or beats at the same node (exact: see _count_B_sweep).
+state), pushing its counts with numerics.count_push, and reads each row's
+cells as it makes it.  Its counts are packed like the fill's: one int per
+state of prefix sums over the visit number, one w-bit slot each, so one
+count_push moves every slot and a cell reads one slot of the low states'
+sum.  Its best sums keep sparse visit layers: per layer one dict of the
+block nodes whose best sum is strictly above every lower layer's there,
+pushed in ascending v through one running floor per node, so no entry
+that a lower layer matches or beats at its node is stored or pushed
+(exact: see _count_B_sweep).
 A grid compiles its system once for every q: the count
 graph, the k-block graph and its weighted successor lists, the
 SWEEP_STATE_CAP check, and the slot-width pass, run at the largest q since
@@ -57,10 +59,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from .numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
+from .numerics import LOG_ZERO, count_push, linear_fit
 from .potential import Potential
 from .shift import (SWEEP_STATE_CAP, BouquetShift, IndexedGraph, TransitionSystem,
                     index_graph)
@@ -402,10 +404,10 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
     The DP state is (v, i): paths that start in the low part and now sit at
     node i, with v low visits at positions 0..k-1 (the current endpoint
     counts only once the path steps off it).  Each step first moves the low
-    nodes' entries up one visit layer, then pushes them along the edges with
-    the two step kernels.  After step n each M reads off the low endpoints
-    with v <= (n + 1) // M.  v never decreases, so a path beyond the largest
-    cap vcap = (N + 1) // min(M) can count for no cell and is dropped.
+    nodes' entries up one visit layer, then pushes them along the edges.
+    After step n each M reads off the low endpoints with v <= (n + 1) // M.
+    v never decreases, so a path beyond the largest cap
+    vcap = (N + 1) // min(M) can count for no cell and is dropped.
     Counts run on the states, as cells count (n+1)-cylinders; best sums run
     on the potential's k-block graph, whose n-step walks are the (n+k)-words
     S_n reads, visits and ends read on first symbols.
@@ -423,57 +425,83 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
     low states' sum.  Each row's cells are read as it is made and no row is
     kept.
 
-    The best sums keep the visit dimension, one list per layer, pushed by
-    maxplus_push in ascending v through one floor per node: an entry (v, i)
-    is skipped when a lower layer v' < v holds a value >= it at node i.  The
-    skip is exact.  Any continuation adds the same visits and the same
-    weight to both entries, float addition rounds monotonically, and every
-    cell that admits v + x admits v' + x.  So an entry that beats every
-    lower layer at its node is reached only from entries that do the same,
-    which are never skipped, and keeps its value bit for bit; any other
-    entry can only drop, to a value that a lower layer at its node matches
-    or beats.  A cell keeps the first maximum in (v, i) order, which
-    beats every lower layer at its node, so values, the rule that NaN never
-    wins and +inf does, and the sign of zero are those of the full push.
-    Cell (n, M) reads z_phi = accumulate(bests, max)[(n + 1) // M] / n, bests
-    being the low nodes' maximum per layer: the left fold keeps the first
-    maximum, and no layer holds a NaN, since maxplus_push stores only
-    strictly greater sums.  A cell with no counted word has no block walk
-    either, so its best sum is LOG_ZERO, and LOG_ZERO / n is LOG_ZERO.
+    The best sums keep the visit dimension as sparse layers: one dict per
+    visit layer v maps a block node i to the best sum of (v, i), and holds
+    it only when it is strictly above every lower layer at node i.  A step
+    pushes the non-empty layers in ascending v along the weighted edges
+    through one running floor per node, the best sum any lower layer (or
+    the same layer, so far) reached there: a candidate is kept only when it
+    is strictly above the floor at its target, and then raises it.  So each
+    target keeps the maximum of its layer's candidates exactly when that
+    maximum beats every lower layer there.  The low nodes' results are
+    stored one layer up, the climb of the next step, and those of the top
+    layer drop out; the climb moves all the layers of a node alike, so the
+    stored entries stay above the lower layers at their nodes.  Dropping
+    the others is exact.  Any continuation adds the same visits and the
+    same weight to an entry (v, i) and to an entry (v', i), v' < v, with a
+    value >= it, float addition rounds monotonically, and every cell that
+    admits v + x admits v' + x.  So an entry that beats every lower layer
+    at its node is reached only from entries that do the same, which are
+    all kept, and has the value of the full dense push bit for bit; any
+    other entry of the dense push is one that a lower layer matches or
+    beats at its node, and raises no running maximum below.  Every best
+    sum starts at +0.0, so none is -0.0 and ties are between equal floats;
+    no candidate is NaN above the floor, and +inf ones win; so the maximum
+    of a target, and of a layer, does not depend on the order in which the
+    entries are visited.  Cell (n, M) reads z_phi = tops[(n + 1) // M] / n,
+    tops being the running maximum over v of the low nodes' best sums of
+    the layers, which only the stored entries can raise.  A cell with no
+    counted word has no block walk either, so its best sum is LOG_ZERO, and
+    LOG_ZERO / n is LOG_ZERO.
     """
     graph, blocks, wsucc, w = sweep
     S, lo = len(graph.states), graph.low(q)
-    B, blo = len(blocks.states), blocks.low(q)
+    blo = blocks.low(q)
     vcap = (N + 1) // min(M_list)
-    # cnt[i] packs the prefix counts of the states (v, i); best[v][i] is the
-    # maximal Birkhoff sum of the block walks there, pushed only with a potential
+    # cnt[i] packs the prefix counts of the states (v, i); layers[v] maps a
+    # block node to the maximal Birkhoff sum of the block walks there, holding
+    # only the entries above every lower layer at that node, already climbed
+    # for the next push (the low nodes start at layer 1)
     keep = (1 << w * (vcap + 1)) - 1
     cnt = [keep // ((1 << w) - 1)] * lo + [0] * (S - lo)
-    best = [[0.0] * blo + [LOG_ZERO] * (B - blo)] + [[LOG_ZERO] * B for _ in range(vcap)]
+    layers = ([{}, dict.fromkeys(range(blo), 0.0)] + [{} for _ in range(vcap - 1)])[:vcap + 1]
     counts: dict[int, list[int]] = {M: [] for M in M_list}
     zs: dict[int, list[float]] = {M: [] for M in M_list}
+    if wsucc is not None:
+        # each node's weighted successors split at the low part: the results
+        # at low nodes climb a layer, the others stay in theirs
+        lowsucc = [[(j, wt) for j, wt in js if j < blo] for js in wsucc]
+        highsucc = [[(j, wt) for j, wt in js if j >= blo] for js in wsucc]
     for n in range(1, N + 1):
         cnt[:lo] = [(c << w) & keep for c in cnt[:lo]]
         cnt = count_push(graph.succ, cnt)
         if wsucc is not None:
-            floor = [LOG_ZERO] * B
-            best = [maxplus_push(wsucc, row, floor=floor)
-                    for row in _climb(best, blo, LOG_ZERO)]
-            # the running best sums over v
-            tops = list(accumulate((max(row[:blo], default=LOG_ZERO) for row in best), max))
+            # floor[j]: the best sum at node j over the layers pushed so far
+            floor = [LOG_ZERO] * len(wsucc)
+            top, tops, nxt = LOG_ZERO, [], [{}]
+            for v, layer in enumerate(layers):
+                # the low nodes' entries climb a layer (off the top one)
+                here, up = nxt[v], {}
+                for i, s in layer.items():
+                    for j, wt in lowsucc[i]:
+                        cand = s + wt
+                        if cand > floor[j]:
+                            floor[j] = up[j] = cand
+                    for j, wt in highsucc[i]:
+                        cand = s + wt
+                        if cand > floor[j]:
+                            floor[j] = here[j] = cand
+                if up:
+                    top = max(top, max(up.values()))
+                nxt.append(up)
+                tops.append(top)  # the running best sums over v
+            layers = nxt[:vcap + 1]
             for M, col in zs.items():
                 col.append(tops[(n + 1) // M] / n)
         low = sum(cnt[:lo])
         for M, col in counts.items():
             col.append(_slot(low, (n + 1) // M, w))
     return {M: (col, [None] * N if wsucc is None else zs[M]) for M, col in counts.items()}
-
-
-def _climb(layers: list[list], lo: int, empty) -> list[list]:
-    """Move the entries of the low states 0..lo-1 up one visit layer; layer 0
-    gets empty ones, and those of the top layer drop out."""
-    below = [[empty] * lo] + layers[:-1]
-    return [under[:lo] + row[lo:] for under, row in zip(below, layers)]
 
 
 def _composes(T: TransitionSystem, phi: Potential | None, q: int) -> bool:

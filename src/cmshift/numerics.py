@@ -318,26 +318,18 @@ def reverse_edges(wsucc) -> list[list[tuple]]:
     return pred
 
 
-def maxplus_push(wsucc, vec: Sequence, parent: dict | None = None,
-                 floor: list | None = None) -> list:
+def maxplus_push(wsucc, vec: Sequence, parent: dict | None = None) -> list:
     """One max-plus step: entry j of the result is the maximum of vec[i] + w
     over the weighted edges (j, w) in wsucc[i], LOG_ZERO where none arrives.
 
     Sources are scanned in index order and only a strictly greater sum
     replaces an entry, so parent[j] (when a dict is given) records the first
-    source that reaches the maximum.  A source pushes only when it is above
-    floor[i] and then raises floor[i] to its value; without a floor every
-    entry above LOG_ZERO pushes.  Pushing the layers of a layered DP in
-    ascending order through one floor therefore skips every entry that a
-    lower layer matches or beats at the same node.  A NaN source is never
-    above the floor, and would push only NaN sums, which replace no entry.
+    source that reaches the maximum.  Sources at LOG_ZERO push nothing, and
+    a NaN source would push only NaN sums, which replace no entry.
     """
     out = [LOG_ZERO] * len(vec)
-    if floor is None:
-        floor = [LOG_ZERO] * len(vec)
     for i, v in enumerate(vec):
-        if v > floor[i]:
-            floor[i] = v
+        if v > LOG_ZERO:
             for j, w in wsucc[i]:
                 cand = v + w
                 if cand > out[j]:

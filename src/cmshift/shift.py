@@ -415,7 +415,8 @@ class IndexedGraph:
 
 
 # state caps of the DPs over an indexed graph: the profile sweep's best sums
-# carry a visit dimension on top of the states (its counts pack every visit
+# carry a visit dimension on top of the states, in sparse layers that store a
+# state only where it beats every lower layer (its counts pack every visit
 # layer into one integer per state), every other DP is linear in them
 SWEEP_STATE_CAP = 4000
 DP_STATE_CAP = 20_000

@@ -1,6 +1,7 @@
 """Boundary-cylinder counting and entropy/contraction-at-infinity profiles."""
 
 import math
+import random
 from dataclasses import astuple
 from itertools import accumulate
 from unittest.mock import patch
@@ -13,7 +14,7 @@ from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, Plain, Potential, TauSpec, build_bouquet,
                      build_preset, count_B, delta_profile, hinf_profile,
                      profile_pair)
-from cmshift.infinity import (Column, CountB, _climb, _compile_sweep, _composition_fill,
+from cmshift.infinity import (Column, CountB, _compile_sweep, _composition_fill,
                               _contraction_fit, _count_B_sweep, _count_diagnostics,
                               _grid_cells, _loop_runs, _profile_window, _slot)
 from cmshift.numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
@@ -658,10 +659,17 @@ def test_count_B_sweep_equals_the_edge_loop(data):
         == repr(_count_B_sweep_loops(T, phi, q, M_list, N))
 
 
+def _climb(layers, lo, empty):
+    # move the entries of the low states 0..lo-1 up one visit layer; layer 0
+    # gets empty ones, and those of the top layer drop out
+    below = [[empty] * lo] + layers[:-1]
+    return [under[:lo] + row[lo:] for under, row in zip(below, layers)]
+
+
 def _per_layer_sweep(T, phi, q, M_list, N):
-    # the sweep before the dominance skip, kept as the oracle of the layered
-    # push: each visit layer of the counts and of the best sums pushed on its
-    # own, with no floor
+    # the sweep before the dominance skip, kept as the oracle of the sparse
+    # layers: each dense visit layer of the counts and of the best sums
+    # pushed on its own, with no floor
     blocks = graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep", phi.memory)
     if blocks.block > 1:
         graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
@@ -710,6 +718,54 @@ def test_layered_push_equals_the_per_layer_sweep(data):
     assert repr(got.rows) == repr(want.rows)
     assert repr((got.estimate, got.band, got.ci_verdict)) \
         == repr((want.estimate, want.band, want.ci_verdict))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_sparse_layers_equal_the_per_layer_sweep_on_sec52(q):
+    # the bouquet graph of the graph-dp benchmark's sec52-entry delta grid,
+    # where most entries of the dense layers are dominated
+    build = build_preset("sec52-entry", truncate_len=16)
+    T, phi = build.system, build.potential
+    assert repr(_sweep(T, phi, q, [2, 4, 8], 32)) \
+        == repr(_per_layer_sweep(T, phi, q, [2, 4, 8], 32))
+
+
+def _random_graph_potential(S, degree, seed, weight):
+    # a transitive S-state shift, i -> i + 1 and degree - 1 more random
+    # successors per state, with a memory-2 potential of weight(rng) per edge
+    rng = random.Random(seed)
+    matrix = [[0] * S for _ in range(S)]
+    for i in range(S):
+        matrix[i][(i + 1) % S] = 1
+        for j in rng.sample([j for j in range(S) if not matrix[i][j]], degree - 1):
+            matrix[i][j] = 1
+    T = FiniteShift(matrix)
+    phi = Potential(2, {(Plain(i + 1), Plain(j + 1)): weight(rng)
+                        for i in range(S) for j in range(S) if matrix[i][j]}, 0.0)
+    return T, phi
+
+
+@pytest.mark.parametrize("M_list", [[2], [4], [8], [2, 4, 8]])
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_sparse_layers_equal_the_per_layer_sweep_on_a_32_state_graph(q, M_list):
+    # out-degree 3 and weights uniform in [-2, 0], as on the graph-dp
+    # benchmark: values are compared bit for bit, not just close
+    T, phi = _random_graph_potential(32, 3, 900, lambda rng: rng.uniform(-2.0, 0.0))
+    assert repr(_sweep(T, phi, q, M_list, 32)) \
+        == repr(_per_layer_sweep(T, phi, q, M_list, 32))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_layers_equal_the_per_layer_sweep_with_float_specials(seed):
+    # +-inf, NaN, -0.0 and +-1e308 among the edge weights at N = 24: +inf
+    # sums win, NaN and -inf ones never do, and sums past the float range
+    # round to +-inf as in the dense push
+    T, phi = _random_graph_potential(
+        8, 3, seed, lambda rng: rng.choice(_SPECIALS) if rng.random() < 0.25
+        else rng.randint(-16, 8) / 8)
+    for q in (1, 2, 3):
+        assert repr(_sweep(T, phi, q, [2, 3, 5], 24)) \
+            == repr(_per_layer_sweep(T, phi, q, [2, 3, 5], 24))
 
 
 @pytest.mark.parametrize("memory, want", [
