@@ -24,7 +24,6 @@ from pathlib import Path
 from . import families, infinity, thermo
 from .families import (FiniteTail, GeometricTail, PowerTail, UnknownTail,
                        build_preset, htop_solve, preset_names)
-from .numerics import LOG_ZERO
 from .potential import Potential
 from .shift import BouquetShift, EnumerationRefusal, TransitionSystem
 from .specio import ConfigError, load_potential, load_shift
@@ -368,18 +367,22 @@ class _Run:
     The stages are the partition sums, their fitted pressure, the
     closed-form return weights, log Z*_n, the pressure P that every verdict
     is judged against, the SPR verdict, the profile graph and a bouquet's
-    best loop sums.  A subcommand
-    reads only the stages it prints: `pressure` the fit, `spr` log Z*_n and
-    P (the sums only without a family closed form), `hinf` the profile
-    graph, `report` every stage."""
+    best loop sums.  A bouquet's family weights are its closed form: a
+    preset's, else, for a bouquet with loop totals (a preset without a
+    closed form, or a spec), its first returns Z*_1..Z*_L at every N.  A
+    subcommand reads only the stages it prints: `pressure` the fit, `spr`
+    log Z*_n and P (the sums only without family weights), `hinf` the
+    profile graph, `report` every stage."""
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
         if cfg.preset is None:
             T = load_shift(cfg.shift)
             self.system, self.potential = T, load_potential(cfg.potential, T)
-            self.family_weights = self.truncated_weights = self.spec = None
-            self.label = Path(cfg.shift).stem
+            tau = self.potential.loop_total  # a bouquet's loop totals give its Z*_n
+            self.family_weights = self.truncated_weights = None if tau is None else \
+                families.truncated_return_weights(T.a, tau, T.truncate_len)
+            self.label, self.spec = Path(cfg.shift).stem, None
             self.a_family = T.a if isinstance(T, BouquetShift) else None
             return
         try:
@@ -389,14 +392,15 @@ class _Run:
         except ValueError as exc:
             raise ConfigError(f"bad preset expression: {exc}") from exc
         self.system, self.potential = build.system, build.potential
-        self.family_weights, self.truncated_weights = build.weights, build.truncated_weights
+        self.truncated_weights = build.truncated_weights
+        self.family_weights = build.truncated_weights if build.weights is None else build.weights
         self.spec, self.label, self.a_family = build.spec, cfg.preset, build.spec.a
 
     @cached_property
     def sums(self) -> thermo.PartitionSums:
         """log Z_n and log Z*_n: the renewal over the family's return weights
-        (to the end of a table without a continuation) or over a bouquet's
-        loop totals, else the transfer DP."""
+        (to the end of a table without a continuation), else the transfer
+        DP."""
         N, w, T = self.cfg.horizon, self.family_weights, self.system
         if isinstance(w, UnknownTail):
             if len(w.log_weights) < 5:
@@ -405,9 +409,6 @@ class _Run:
             logw = families.log_weight_sequence(w, N)
         elif w is not None:
             logw = self.log_zstar
-        elif isinstance(T, BouquetShift) and self.potential.loop_total is not None:
-            logw = [families._aggregate_log_weight(T.a, self.potential.loop_total, n)
-                    if n <= T.truncate_len else LOG_ZERO for n in range(1, N + 1)]
         elif T is not None:
             try:
                 return thermo.partition_sums_transfer(T, self.potential, T.state_of_order(1), N)
@@ -425,12 +426,13 @@ class _Run:
     def weights(self) -> GeometricTail | PowerTail | FiniteTail | None:
         """The closed-form return weights, or None: the family's, or for a
         bouquet of truncation L given without weights, at a horizon N >= L,
-        its first returns Z*_1..Z*_L, which are all of them."""
+        its first returns Z*_1..Z*_L, which are all of them.  First returns
+        that weigh +inf have no root: P is then the fit."""
         w, T = self.family_weights, self.system
-        if w is None and isinstance(T, BouquetShift) and self.cfg.horizon >= T.truncate_len \
-                and math.inf not in self.sums.log_zstar:
-            return FiniteTail(tuple(self.sums.log_zstar[:T.truncate_len]))
-        return None if isinstance(w, UnknownTail) else w
+        if w is None and isinstance(T, BouquetShift) and self.cfg.horizon >= T.truncate_len:
+            w = FiniteTail(tuple(self.sums.log_zstar[:T.truncate_len]))
+        return None if isinstance(w, UnknownTail) or (
+            isinstance(w, FiniteTail) and math.inf in w.log_weights) else w
 
     @cached_property
     def log_zstar(self) -> list[float]:
@@ -459,10 +461,16 @@ class _Run:
 
     @cached_property
     def spr(self) -> thermo.SprVerdict:
-        """The SPR verdict on log Z*_n against P; a finite tail's weights
-        vanish past its table."""
-        return thermo.spr_check(self.log_zstar, self.P, closed_form=self.weights is not None,
-                                finite_support=isinstance(self.weights, FiniteTail))
+        """The SPR verdict on log Z*_n against P.  A finite tail's weights
+        vanish past its table, and so do a tabulated family's, as far as the
+        tool knows them; any other input without closed-form weights is a
+        finite graph, which is SPR."""
+        if isinstance(self.family_weights, UnknownTail):
+            return thermo.spr_check(self.log_zstar, self.P, finite_support=True,
+                                    reason="only the tabulated returns are known")
+        w = self.weights
+        return thermo.spr_check(self.log_zstar, self.P, finite_support=isinstance(w, FiniteTail),
+                                reason="finite graph" if w is None else None)
 
     @cached_property
     def profile_graph(self) -> tuple[TransitionSystem | None, Potential | None, str | None]:

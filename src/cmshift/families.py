@@ -243,6 +243,12 @@ def _aggregate_log_weight(a: LoopCountFamily, tau: TauSpec, n: int) -> float:
     return math.log(count) + tau(n)
 
 
+def truncated_return_weights(a: LoopCountFamily, tau: TauSpec, L: int) -> FiniteTail:
+    """The first-return weights w*_1..w*_L of the bouquet truncated at L,
+    which are all of them: _aggregate_log_weight at each length."""
+    return FiniteTail(tuple(_aggregate_log_weight(a, tau, n) for n in range(1, L + 1)))
+
+
 def abstract_return_weights(spec: BouquetSpec):
     """Closed-form per-length return weights of the untruncated family, equal
     to _aggregate_log_weight at every length, n = 1 included."""
@@ -264,9 +270,8 @@ def abstract_return_weights(spec: BouquetSpec):
         return UnknownTail((_aggregate_log_weight(a, tau, 1),)
                            + tuple(tau.log_C - p for p in tau.psi[1:]))
     if a.form == "list" or tau.kind == "table":
-        L = len(a.values) if a.form == "list" else len(tau.table)
-        return FiniteTail(tuple(_aggregate_log_weight(a, tau, n)
-                                for n in range(1, L + 1)))
+        return truncated_return_weights(a, tau, len(a.values) if a.form == "list"
+                                        else len(tau.table))
     raise ValueError("no closed form for this loop-count/weight combination")
 
 
@@ -320,9 +325,7 @@ def build_bouquet(spec: BouquetSpec) -> BouquetBuild:
     if spec.truncate_len is not None and spec.a.count(1) <= 1:
         # the weights first: a loop total the family cannot give fails here,
         # before the graph materializes its loop counts
-        truncated = FiniteTail(tuple(
-            _aggregate_log_weight(spec.a, spec.tau, n)
-            for n in range(1, spec.truncate_len + 1)))
+        truncated = truncated_return_weights(spec.a, spec.tau, spec.truncate_len)
         system = BouquetShift(spec.a, spec.truncate_len)
         potential = Potential(2, {}, 0.0, fallback=_scheme_fallback(spec))
         potential.loop_total = spec.tau

@@ -340,9 +340,9 @@ def compare_oracle(cfg: RunConfig) -> tuple[list[tuple], bool]:
 
     Compares brute-force Z_n, Z*_n against the DP side, and brute-force
     boundary-cylinder counts against the composition/state DP, for n up to
-    min(horizon, 12).  The DP side of a preset is the renewal DP over its
-    truncated return weights; of a spec, the run's own sums (the renewal
-    over loop totals, or the transfer DP).  A preset's truncation is
+    min(horizon, 12).  The DP side of a preset, or of a spec with loop
+    totals, is the renewal DP over its truncated return weights; of any
+    other spec, the run's own sums (the transfer DP).  A preset's truncation is
     --truncate, a spec's its truncate_len.  Counts must agree exactly;
     weighted sums to 1e-12 relative in log space.
     """

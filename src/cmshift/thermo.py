@@ -462,10 +462,8 @@ def _loop_word(n: int, i: int = 1) -> Word:
 
 
 # the verdict bands around P: UCS on chi_per, SPR on the slope of log Z*_n
-# (closed-form or fitted sequences)
 UCS_BAND = 1e-9
 SPR_BAND_CLOSED_FORM = 1e-6
-SPR_BAND_FITTED = 1e-2
 
 
 def _band_verdict(x: float, P: float, band: float) -> str:
@@ -480,8 +478,8 @@ def _band_verdict(x: float, P: float, band: float) -> str:
 
 def ucs_check(chi: float, P: float) -> str:
     """'holds' iff the periodic supremum sits below the pressure by more than
-    UCS_BAND."""
-    return _band_verdict(chi, P, UCS_BAND)
+    UCS_BAND; a pressure of +inf or -inf leaves it inconclusive."""
+    return _band_verdict(chi, P, UCS_BAND) if math.isfinite(P) else "inconclusive"
 
 
 # -- SPR ---------------------------------------------------------------------------
@@ -492,44 +490,49 @@ class SprVerdict:
     slope: float
     pressure: float
     tol: float
-    fit: TailFit | None = None
-    reason: str | None = None  # why an inconclusive verdict has no slope
+    reason: str | None = None  # why the verdict reads without the band
 
 
-def spr_check(log_zstar: Sequence[float], P: float, closed_form: bool = False,
-              finite_support: bool = False) -> SprVerdict:
+def spr_check(log_zstar: Sequence[float], P: float, finite_support: bool = False,
+              reason: str | None = None) -> SprVerdict:
     """Verdict on limsup (1/n) log Z*_n < P.
 
     The slope comes from a least-squares fit of log Z*_n against {1, n, log n}
     on the tail half, so polynomial prefactors do not bias the rate (power-law
     sequences fit slope 0 exactly).  The verdict is the band rule of
-    ucs_check: holds when slope < P - tol, fails when |slope - P| <= tol,
-    inconclusive otherwise, with tol = SPR_BAND_CLOSED_FORM for closed-form
-    inputs and SPR_BAND_FITTED for fitted ones.  A pressure of
+    ucs_check with tol = SPR_BAND_CLOSED_FORM: holds when slope < P - tol,
+    fails when |slope - P| <= tol, inconclusive otherwise.  A pressure of
     +inf or -inf leaves nothing to compare with: the verdict is inconclusive.
     Return weights that vanish eventually, in the tail window or past a
     finite table (finite_support), have limsup -inf: the verdict holds.
+
+    A reason says why the verdict holds whatever the slope: it then holds
+    on every finite P, with tol 0, and the slope is only a cross-check.  A
+    finite graph is one.  A closed walk through the anchor's blocks never
+    leaves their strongly connected class C, so Z*_n counts walks in C
+    without those blocks: a proper principal submatrix of an irreducible
+    matrix, whose Perron root is strictly below C's (Gurevich-Savchenko
+    1998; Sarig 2001).
     """
     if len(log_zstar) < MIN_FIT_TERMS:
         raise ValueError(f"SPR check needs at least {MIN_FIT_TERMS} terms")
-    tol = SPR_BAND_CLOSED_FORM if closed_form else SPR_BAND_FITTED
+    tol = 0.0 if reason else SPR_BAND_CLOSED_FORM
     if not math.isfinite(P):
-        return SprVerdict("inconclusive", math.nan, P, tol, None,
-                          "the pressure is not finite")
+        return SprVerdict("inconclusive", math.nan, P, tol, "the pressure is not finite")
     N = len(log_zstar)
     win = list(tail_window(N))
-    ys = [log_zstar[n - 1] for n in win]
-    finite_in_tail = sum(1 for y in ys if math.isfinite(y))
+    finite_in_tail = sum(1 for n in win if math.isfinite(log_zstar[n - 1]))
     if finite_support or finite_in_tail == 0:
         # the return weights vanish eventually: the limsup is -infinity
-        return SprVerdict("holds", LOG_ZERO, P, tol, None)
-    if finite_in_tail < 3:
-        win = list(range(1, N + 1))
+        slope = LOG_ZERO
+    else:
+        if finite_in_tail < 3:
+            win = list(range(1, N + 1))
         ys = [log_zstar[n - 1] for n in win]
-        if sum(1 for y in ys if math.isfinite(y)) < 3:
-            return SprVerdict("inconclusive", math.nan, P, tol, None)
-    fit = linear_fit_with_log(win, ys)
-    return SprVerdict(_band_verdict(fit.slope, P, tol), fit.slope, P, tol, fit)
+        slope = linear_fit_with_log(win, ys).slope \
+            if sum(1 for y in ys if math.isfinite(y)) >= 3 else math.nan
+    verdict = "holds" if reason else _band_verdict(slope, P, tol)
+    return SprVerdict(verdict, slope, P, tol, reason)
 
 
 # -- the renewal equation ---------------------------------------------------------------

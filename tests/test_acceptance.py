@@ -43,7 +43,7 @@ def test_criterion_1_halving_family_reproduction():
         est = pressure_estimate(ps)
         chi = chi_per(build.system, build.potential, 40)
         ip0 = RenewalSeries(build.weights).induced(0.0)
-        verdict = spr_check(ps.log_zstar, 0.0, closed_form=True)
+        verdict = spr_check(ps.log_zstar, 0.0)
     checks = {
         "pressure within 1e-9 of 0": abs(est.value) <= 1e-9,
         "chi_per equals -log 2": abs(chi.value + LOG2) <= 1e-15,
@@ -70,7 +70,7 @@ def test_criterion_2_power_family_reproduction():
             worst_rel = max(worst_rel, abs(produced - closed) / closed)
         ip0 = RenewalSeries(weights).induced(0.0)
         logw = log_weight_sequence(weights, 200)
-        verdict = spr_check(logw, 0.0, closed_form=True)
+        verdict = spr_check(logw, 0.0)
         classes = {
             name: RenewalSeries(PowerTail(beta, math.log(scale * normalizing_C(beta).value)))
             .classify()

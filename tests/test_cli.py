@@ -16,10 +16,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
-                         RunConfig, _fmt, _Texts, _write_out, main, run_report)
+                         RunConfig, _fmt, _Run, _Texts, _write_out, main, run_report)
 from cmshift.oracle import compare_oracle, enumerate_words, partition_sums_bruteforce
-from cmshift.shift import ROOT, BouquetShift, FiniteShift, LoopCountFamily
-from cmshift.specio import _SCHEMES, ConfigError, load_potential, load_shift
+from cmshift.shift import ROOT, BouquetShift, FiniteShift, LoopCountFamily, is_admissible
+from cmshift.specio import (_SCHEMES, ConfigError, load_potential, load_shift,
+                            parse_potential_spec)
 
 LOG2 = math.log(2.0)
 
@@ -859,7 +860,8 @@ def test_scheme_with_a_default_weight_sums_every_edge(tmp_path):
 def test_file_bouquet_past_its_truncation_uses_the_exact_root(tmp_path, capsys):
     # with N >= L the report holds every first return Z*_1..Z*_L, so P is
     # the root of their finite sum (-1.04364, not the fit's -1.1227), and
-    # the weights vanish past L: spr and ucs hold; below L the fit stays
+    # the weights vanish past L: spr and ucs hold; below L the loop totals
+    # give the same closed form, and only the fitted pressure moves
     shift = {"kind": "bouquet", "a": {"form": "ones"}, "truncate_len": 30}
     pot = {"memory": 2, "scheme": "bouquet_entry", "scheme_params": {"C": 0.1, "beta": 3}}
     specs = _write_specs(tmp_path, shift, pot)
@@ -873,10 +875,13 @@ def test_file_bouquet_past_its_truncation_uses_the_exact_root(tmp_path, capsys):
     assert main(["spr", *specs, "--horizon", "40"]) == EXIT_OK
     assert capsys.readouterr().out == \
         "spr: holds (slope -inf, pressure -1.04364427942, tol 1e-06)\n"
-    assert main(["report", *specs, "--horizon", "20", "--out", str(tmp_path / "fit")]) \
+    assert main(["report", *specs, "--horizon", "20", "--out", str(tmp_path / "short")]) \
         == EXIT_OK
-    fitted = json.loads((tmp_path / "fit" / "report.json").read_text())
-    assert "analytic" not in fitted["pressure"] and "induced" not in fitted
+    short = json.loads((tmp_path / "short" / "report.json").read_text())
+    assert short["pressure"]["analytic"] == report["pressure"]["analytic"]
+    assert short["pressure"]["value"] == pytest.approx(-0.906023015471, abs=1e-11)
+    assert short["spr"] == report["spr"]
+    assert (short["induced"], short["ucs"]) == (report["induced"], "holds")
 
 
 def test_bouquet_without_loop_totals_runs_the_transfer_dp(tmp_path, capsys):
@@ -1094,12 +1099,12 @@ def test_infinite_pressure_leaves_spr_inconclusive(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("pressure: inf ")
     assert main(["spr", *specs]) == EXIT_OK
     assert capsys.readouterr().out.startswith(
-        "spr: inconclusive (slope nan, pressure inf, tol 0.01): the pressure is not finite")
+        "spr: inconclusive (slope nan, pressure inf, tol 0): the pressure is not finite")
     assert main(["report", *specs, "--out", str(tmp_path / "out")]) == EXIT_OK
     out = capsys.readouterr().out
     assert "pressure: inf\n" in out and "spr: inconclusive\n" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["spr"] == {"verdict": "inconclusive", "slope": "nan", "tol": 0.01,
+    assert report["spr"] == {"verdict": "inconclusive", "slope": "nan", "tol": 0.0,
                              "reason": "the pressure is not finite"}
     assert report["ucs"] == "inconclusive"  # chi_per = P = +inf
 
@@ -1129,10 +1134,16 @@ def test_report_counts_a_delta_window_of_plus_inf_cells(tmp_path, capsys):
     specs = _write_specs(tmp_path, _FULL2, pot)
     assert main(["report", *specs, "--horizon", "8", "--out", str(tmp_path / "out")]) \
         == EXIT_OK
-    assert "delta: inf\ndelta_plus_hinf: inf\n" in capsys.readouterr().out
-    delta = json.loads((tmp_path / "out" / "report.json").read_text())["profiles"]["delta"]
+    out = capsys.readouterr().out
+    assert "delta: inf\ndelta_plus_hinf: inf\n" in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    delta = report["profiles"]["delta"]
     assert (delta["estimate"], delta["band"], delta["ci_verdict"]) \
         == ("inf", 0.0, "inconclusive")
+    # chi_per = 1e308 is below P = +inf, but an infinite P judges nothing:
+    # ucs is inconclusive, like delta and spr in the same report
+    assert "pressure: inf\n" in out and "ucs: inconclusive\n" in out
+    assert (report["ucs"], report["spr"]["verdict"]) == ("inconclusive", "inconclusive")
 
 
 def test_report_on_a_divergent_power_tail_exits_0(tmp_path, capsys):
@@ -1380,7 +1391,7 @@ def test_spr_on_a_closed_form_reads_only_zstar_and_the_analytic_pressure(
     expected = {}
     for N in (5, 40, 200):
         sums = thermo.partition_sums_renewal(log_wstar=log_weight_sequence(weights, N), N=N)
-        expected[N] = _spr_line(thermo.spr_check(sums.log_zstar, P, closed_form=True), P)
+        expected[N] = _spr_line(thermo.spr_check(sums.log_zstar, P), P)
     _refuse_sums(monkeypatch)
     for N in (5, 40, 200):
         assert main(["spr", "--preset", preset, "--horizon", str(N)]) == EXIT_OK
@@ -1404,24 +1415,21 @@ _ONES30 = (dict(_ONES, truncate_len=30),
 
 
 @pytest.mark.parametrize("source, horizon, calls, line", [
-    ("sec54", 40, ["partition_sums_renewal", "pressure_estimate"], None),
-    ("full2", 12, ["partition_sums_transfer", "pressure_estimate"], None),
-    # at N >= L the sums hold every first return: P is their exact root, and
-    # no pressure is fitted; below L the fit is P
-    ("ones30", 40, ["partition_sums_renewal"],
-     "spr: holds (slope -inf, pressure -1.04364427942, tol 1e-06)"),
-    ("ones30", 20, ["partition_sums_renewal", "pressure_estimate"],
-     "spr: inconclusive (slope -0.69314718056, pressure -0.906023015471, tol 0.01)")])
+    # sec54's 16 tabulated returns are all it knows; its P is their fit
+    ("sec54", 40, ["partition_sums_renewal", "pressure_estimate"],
+     "spr: holds (slope -inf, pressure 0.526503217493, tol 0): "
+     "only the tabulated returns are known"),
+    # a finite graph is SPR; its slope stays as a cross-check
+    ("full2", 12, ["partition_sums_transfer", "pressure_estimate"],
+     "spr: holds (slope 0, pressure 0.69314718056, tol 0): finite graph")])
 def test_spr_without_a_closed_form_goes_through_the_sums(monkeypatch, tmp_path, capsys,
                                                          source, horizon, calls, line):
     import cmshift.thermo as thermo
 
     if source == "sec54":
         argv = ["--preset", "sec54"]
-    elif source == "full2":
-        argv = _write_specs(tmp_path, _FULL2, {"memory": 1, "default": 0.0, "table": []})
     else:
-        argv = _write_specs(tmp_path, *_ONES30)
+        argv = _write_specs(tmp_path, _FULL2, {"memory": 1, "default": 0.0, "table": []})
     seen = []
     for name in ("partition_sums_renewal", "partition_sums_transfer", "pressure_estimate"):
         real = getattr(thermo, name)
@@ -1429,8 +1437,103 @@ def test_spr_without_a_closed_form_goes_through_the_sums(monkeypatch, tmp_path, 
                             seen.append(name) or real(*a, **k))
     assert main(["spr", *argv, "--horizon", str(horizon)]) == EXIT_OK
     assert seen == calls
-    out = capsys.readouterr().out
-    assert out.startswith("spr: ") and (line is None or out == line + "\n")
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("horizon", [20, 30, 40])
+def test_spr_on_loop_totals_reads_the_first_returns_without_the_sums(
+        monkeypatch, tmp_path, capsys, horizon):
+    # a bouquet with loop totals has its first returns Z*_1..Z*_30 in closed
+    # form at every N, below its truncation too: P is their exact root, and
+    # no partition sum is built
+    argv = _write_specs(tmp_path, *_ONES30)
+    _refuse_sums(monkeypatch)
+    assert main(["spr", *argv, "--horizon", str(horizon)]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "spr: holds (slope -inf, pressure -1.04364427942, tol 1e-06)\n"
+
+
+def _block_matrix(T, phi):
+    # the weighted block graph of the transfer DP: the words of length
+    # k = max(m - 1, 1), and u -> v of weight e^phi when v continues u
+    m = phi.memory
+    blocks = enumerate_words(T, max(m - 1, 1)).words
+    W = np.zeros((len(blocks), len(blocks)))
+    for i, u in enumerate(blocks):
+        for j, v in enumerate(blocks):
+            if u[1:] == v[:-1] and is_admissible(T, u + v[-1:]):
+                W[i, j] = math.exp(phi.weight((u + v[-1:])[:m]))
+    return blocks, W
+
+
+def _rho(W, idx) -> float:
+    return max(abs(np.linalg.eigvals(W[np.ix_(idx, idx)])), default=0.0)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_finite_graph_is_spr_by_perron_frobenius(data):
+    # a transitive 1-6 state graph of period d (a cycle through every state,
+    # and chords that keep each step d-periodic), a memory 1-3 potential with
+    # some -inf windows, so that the weighted support may be reducible
+    S = data.draw(st.integers(min_value=1, max_value=6))
+    d = data.draw(st.sampled_from([k for k in range(1, S + 1) if S % k == 0]))
+    matrix = [[int(j == (i + 1) % S or (j - i - 1) % d == 0 and data.draw(st.booleans()))
+               for j in range(S)] for i in range(S)]
+    T = FiniteShift(matrix)
+    memory = data.draw(st.integers(min_value=1, max_value=3))
+    finite = st.floats(min_value=-3, max_value=1)
+    weights = st.one_of(finite, finite, finite, st.just(-math.inf))
+    table = [{"word": [str(s) for s in w], "value": data.draw(weights)}
+             for w in enumerate_words(T, memory).words if data.draw(st.booleans())]
+    pot = {"memory": memory, "default": data.draw(finite), "table": table}
+    # a closed walk through an anchor block stays in that block's class C;
+    # C without the anchor's blocks has a strictly smaller Perron root
+    phi = parse_potential_spec(pot, T)
+    blocks, W = _block_matrix(T, phi)
+    reach = W > 0
+    for k in range(len(blocks)):
+        reach |= reach[:, [k]] & reach[[k], :]
+    anchor = {i for i, u in enumerate(blocks) if u[0] == T.state_of_order(1)}
+    classes = {tuple(j for j in range(len(blocks)) if reach[i, j] and reach[j, i])
+               for i in anchor if reach[i, i]}
+    for C in classes:
+        assert _rho(W, [j for j in C if j not in anchor]) < _rho(W, list(C))
+    if classes:
+        assert max(_rho(W, [j for j in C if j not in anchor]) for C in classes) \
+            < max(_rho(W, list(C)) for C in classes)
+    # spr holds at every horizon with a finite P, and is inconclusive without
+    with tempfile.TemporaryDirectory() as tmp:
+        shift, potential = _write_specs(Path(tmp), {"kind": "finite", "matrix": matrix},
+                                        pot)[1::2]
+        for N in range(5, 13):
+            run = _Run(RunConfig(shift=shift, potential=potential, horizon=N))
+            spr = run.spr
+            if math.isfinite(run.P):  # some Z_n > 0: the anchor lies on a weighted cycle
+                assert classes
+                assert (spr.verdict, spr.tol, spr.reason) == ("holds", 0.0, "finite graph")
+            else:
+                assert (spr.verdict, spr.reason) == ("inconclusive",
+                                                     "the pressure is not finite")
+
+
+def test_the_40_state_ladder_reads_holds(tmp_path, capsys):
+    # a finite graph is SPR however small its gap: the 40-state ladder
+    # (r = 0.3, u = d = 0.5; gap about 3.5e-4) once read inconclusive at
+    # N = 60 and fails at N = 240
+    K, (r, u, d) = 40, (0.3, 0.5, 0.5)
+    matrix = [[int(j == i + 1 or j == i - 1 or i == j == 0) for j in range(K)]
+              for i in range(K)]
+    table = [{"word": [1, 1], "value": math.log(r)}]
+    for i in range(1, K):
+        table += [{"word": [i, i + 1], "value": math.log(u)},
+                  {"word": [i + 1, i], "value": math.log(d)}]
+    specs = _write_specs(tmp_path, {"kind": "finite", "matrix": matrix},
+                         {"memory": 2, "default": 0.0, "table": table})
+    for N in (60, 240):
+        assert main(["spr", *specs, "--horizon", str(N)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("spr: holds (") and out.endswith(", tol 0): finite graph\n")
 
 
 # -- exit-code fuzz --------------------------------------------------------------------------

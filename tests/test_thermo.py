@@ -576,7 +576,7 @@ def test_chi_per_sec52_is_minus_log2(sec52):
     assert res.value == pytest.approx(-LOG2, abs=1e-15)
     # the verdicts a report draws from it at the exact pressure 0
     ps = partition_sums_renewal(log_wstar=log_weight_sequence(sec52.weights, 24), N=24)
-    assert spr_check(ps.log_zstar, 0.0, closed_form=True).verdict == "holds"
+    assert spr_check(ps.log_zstar, 0.0).verdict == "holds"
     assert ucs_check(res.value, 0.0) == "holds"
     assert crc_profile(sec52.system, sec52.potential, 1, 12, P=0.0).verdict is True
 
@@ -857,7 +857,7 @@ def test_chi_per_matches_exact_enumeration_with_infinite_and_nan_weights(data):
 
 def test_spr_holds_for_halving_weights():
     logzstar = [-n * LOG2 for n in range(1, 41)]
-    v = spr_check(logzstar, 0.0, closed_form=True)
+    v = spr_check(logzstar, 0.0)
     assert v.verdict == "holds"
     assert v.slope == pytest.approx(-LOG2, abs=1e-9)
 
@@ -865,20 +865,19 @@ def test_spr_holds_for_halving_weights():
 def test_spr_fails_for_power_weights():
     C = normalizing_C(3.0).value
     logzstar = [math.log(C) - 3.0 * math.log(n) for n in range(1, 201)]
-    v = spr_check(logzstar, 0.0, closed_form=True)
+    v = spr_check(logzstar, 0.0)
     assert v.verdict == "fails"
     assert abs(v.slope) < 1e-6  # polynomial factors vanish in the rate
 
 
 def test_spr_holds_with_margin():
     logzstar = [-n * math.log(4.0) for n in range(1, 31)]
-    v = spr_check(logzstar, -LOG2, closed_form=True)
+    v = spr_check(logzstar, -LOG2)
     assert v.verdict == "holds"
 
 
 @pytest.mark.parametrize("P", [0.0, 1.0, -0.7])
-@pytest.mark.parametrize("check, band", [("ucs", 1e-9), ("spr-closed-form", 1e-6),
-                                         ("spr-fitted", 1e-2)])
+@pytest.mark.parametrize("check, band", [("ucs", 1e-9), ("spr-closed-form", 1e-6)])
 def test_verdict_band_edges(monkeypatch, P, check, band):
     # ucs_check and spr_check read one rule: holds below P - band, fails
     # within the band of P, inconclusive above it; x is one ulp either side
@@ -894,8 +893,30 @@ def test_verdict_band_edges(monkeypatch, P, check, band):
             continue
         monkeypatch.setattr(thermo, "linear_fit_with_log",
                             lambda win, ys: SimpleNamespace(slope=x))
-        v = spr_check([0.0] * 8, P, closed_form=check == "spr-closed-form")
+        v = spr_check([0.0] * 8, P)
         assert (v.verdict, v.slope, v.tol) == (want, x, band)
+
+
+@pytest.mark.parametrize("chi, P", [(1e308, math.inf), (math.inf, math.inf),
+                                    (0.0, -math.inf), (-math.inf, -math.inf),
+                                    (0.0, math.nan)])
+def test_ucs_is_inconclusive_without_a_finite_pressure(chi, P):
+    # chi_per below P = +inf is no evidence of a gap: an infinite P judges
+    # nothing, as in spr_check
+    assert ucs_check(chi, P) == "inconclusive"
+
+
+def test_spr_with_a_reason_holds_whatever_the_slope(monkeypatch):
+    # a finite graph is SPR: the slope is kept as a cross-check, and the
+    # band is not read (tol 0)
+    for x in (-1.0, 0.5 - 1e-9, 0.5, 2.0, math.nan):
+        monkeypatch.setattr(thermo, "linear_fit_with_log",
+                            lambda win, ys, x=x: SimpleNamespace(slope=x))
+        v = spr_check([0.0] * 8, 0.5, reason="finite graph")
+        assert (v.verdict, v.tol, v.reason) == ("holds", 0.0, "finite graph")
+        assert v.slope == x or math.isnan(x) and math.isnan(v.slope)
+    v = spr_check([0.0] * 8, math.inf, reason="finite graph")
+    assert (v.verdict, v.tol, v.reason) == ("inconclusive", 0.0, "the pressure is not finite")
 
 
 def test_spr_eventually_zero_weights_hold():
