@@ -420,7 +420,12 @@ class _Run:
 
     @cached_property
     def fit(self) -> thermo.PressureEstimate:
-        return thermo.pressure_estimate(self.sums)
+        sums = self.sums
+        try:
+            return thermo.pressure_estimate(sums)
+        except ValueError as exc:  # Z_n > 0 at one length n only
+            raise ConfigError(f"the pressure fit: {exc}; pass a --horizon "
+                              f"longer than {self.cfg.horizon}") from exc
 
     @cached_property
     def weights(self) -> GeometricTail | PowerTail | FiniteTail | None:

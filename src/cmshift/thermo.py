@@ -227,6 +227,11 @@ def pressure_estimate(ps: PartitionSums | Sequence[float]) -> PressureEstimate:
     horizon (numerics.tail_window).
 
     A term log Z_n = +inf makes the pressure +inf, with nothing fitted.
+    Sums with a finite log Z_n at exactly one n fit no slope over any window;
+    when 2n is past the horizon they raise a ValueError naming n, since every
+    period-n point is one of period 2n, so Z_2n > 0 and a longer horizon
+    fits.  Within the horizon, a log Z_2n of -inf was lost to the float
+    range, and the estimate stays the degenerate fit's.
     """
     seq = ps.log_z if isinstance(ps, PartitionSums) else list(ps)
     N = len(seq)
@@ -236,6 +241,10 @@ def pressure_estimate(ps: PartitionSums | Sequence[float]) -> PressureEstimate:
         return PressureEstimate(math.inf, 0.0, math.inf, math.inf, (1, N))
     if all(v == LOG_ZERO for v in seq):
         return PressureEstimate(LOG_ZERO, 0.0, math.inf, math.inf, (1, N), True)
+    finite = [n for n, v in enumerate(seq, 1) if math.isfinite(v)]
+    if len(finite) == 1 and 2 * finite[0] > N:
+        raise ValueError(f"only n = {finite[0]} of 1..{N} has a finite log Z_n, "
+                         "and one length fits no pressure")
     win = tail_window(N)
     fit = linear_fit(list(win), [seq[n - 1] for n in win])
     if fit.degenerate:

@@ -8,19 +8,26 @@ import math
 import os
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cmshift.numerics
+import cmshift.shift
+from cmshift import EnumerationRefusal, Plain, Potential
 from cmshift.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_REFUSAL,
                          RunConfig, _fmt, _Run, _Texts, _write_out, main, run_report)
-from cmshift.oracle import compare_oracle, enumerate_words, partition_sums_bruteforce
+from cmshift.oracle import (_bruteforce_cells, compare_oracle, enumerate_words,
+                            partition_sums_bruteforce)
 from cmshift.shift import ROOT, BouquetShift, FiniteShift, LoopCountFamily, is_admissible
 from cmshift.specio import (_SCHEMES, ConfigError, load_potential, load_shift,
                             parse_potential_spec)
+from conftest import ONES5, ORACLE_INPUTS
 
 LOG2 = math.log(2.0)
 
@@ -683,6 +690,41 @@ def test_crc_with_low_to_low_words_at_one_length_is_skipped(tmp_path, capsys):
     assert "crc_lambda" not in capsys.readouterr().out
 
 
+_CYCLE6 = ({"kind": "finite",
+            "matrix": [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]},
+           {"memory": 1, "default": 0.0, "table": []})
+
+
+@pytest.mark.parametrize("N", [6, 8, 11])
+@pytest.mark.parametrize("command", ["pressure", "spr", "report"])
+def test_a_pressure_fit_from_one_length_is_a_config_error(tmp_path, capsys, command, N):
+    # the 6-cycle has Z_6 = 1 and no other Z_n > 0 below n = 12: every
+    # subcommand that fits the pressure stops with exit 2, and writes nothing
+    specs = _write_specs(tmp_path, *_CYCLE6)
+    out = tmp_path / "out"
+    assert main([command, *specs, "--horizon", str(N), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"config error: the pressure fit: only n = 6 of 1..{N} has a finite log Z_n, "
+        f"and one length fits no pressure; pass a --horizon longer than {N}\n")
+
+
+def test_the_6_cycle_fits_at_5_and_12(tmp_path, capsys):
+    # no Z_n > 0 up to n = 5 is the all-zero estimate; Z_6 and Z_12 fit P = 0
+    specs = _write_specs(tmp_path, *_CYCLE6)
+    for N, pressure, spr in (
+            (5, "pressure: -inf ± inf (window (1, 5))",
+             "spr: inconclusive (slope nan, pressure -inf, tol 0): the pressure is not finite"),
+            (12, "pressure: 0 ± 0 (window (6, 12))",
+             "spr: holds (slope -inf, pressure 0, tol 0): finite graph")):
+        assert main(["pressure", *specs, "--horizon", str(N)]) == EXIT_OK
+        assert main(["spr", *specs, "--horizon", str(N)]) == EXIT_OK
+        assert main(["report", *specs, "--horizon", str(N)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [pressure, spr]
+
+
 def _run_python(code: str, *args: str) -> "subprocess.CompletedProcess":
     import os
     import subprocess
@@ -1273,6 +1315,67 @@ def test_log2_display_rescales(capsys):
     assert "chi_per: -1" in out
 
 
+@pytest.mark.parametrize("name, L", ORACLE_INPUTS + [("full3", m) for m in (1, 2, 3)])
+def test_the_oracle_walks_weigh_each_window_once(oracle_input, name, L):
+    # every window a walk weighs is weighed once per call: memory 2 on the
+    # oracle's inputs, memory L = 1-3 on the full 3-shift, where the cells
+    # walk refuses memory 3 without weighing
+    if name == "full3":
+        T, phi, a, N = FiniteShift([[1] * 3] * 3), Potential(L, {}, -0.5), Plain(1), 6
+    else:
+        (T, phi), a, N = oracle_input(name, L), ROOT, 12
+    weight, seen = Potential.weight, Counter()
+
+    def counted(self, window):
+        seen[tuple(window)] += 1
+        return weight(self, window)
+
+    with patch.object(Potential, "weight", counted):
+        partition_sums_bruteforce(T, phi, a, N)
+        assert seen and max(seen.values()) == 1
+        seen.clear()
+        with contextlib.suppress(EnumerationRefusal):
+            _bruteforce_cells(T, phi, 1, [2, 3], N)
+    assert max(seen.values(), default=1) == 1 and bool(seen) == (phi.memory <= 2)
+
+
+def test_the_oracle_walks_run_no_dp_helper(monkeypatch, tmp_path):
+    # compare_oracle's DP side indexes graphs and pushes counts (the
+    # max-plus push serves chi_per and crc, which it does not run); the two
+    # walks it runs beside them call none of the three helpers
+    import sys
+
+    import cmshift.oracle as oracle
+
+    inside, calls = [False], []
+    for owner, name in ((cmshift.shift, "index_graph"), (cmshift.numerics, "count_push"),
+                        (cmshift.numerics, "maxplus_push")):
+        helper = getattr(owner, name)
+
+        def spy(*args, _helper=helper, _name=name, **kwargs):
+            calls.append((_name, inside[0]))
+            return _helper(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("cmshift")]:
+            if getattr(module, name, None) is helper:
+                monkeypatch.setattr(module, name, spy)
+    for name in ("partition_sums_bruteforce", "_bruteforce_cells"):
+        def walk(*args, _walk=getattr(oracle, name), **kwargs):
+            inside[0] = True
+            try:
+                return _walk(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(oracle, name, walk)
+    specs = _write_specs(tmp_path, *ONES5)
+    for cfg in (RunConfig(preset="sec52-mid", truncate=5, horizon=12, M=[2, 3]),
+                RunConfig(shift=specs[1], potential=specs[3], horizon=12, M=[2, 3])):
+        assert compare_oracle(cfg)[1]
+    assert {name for name, _ in calls} == {"index_graph", "count_push"}
+    assert not [call for call in calls if call[1]]
+
+
 def test_compare_oracle_rows_structure():
     cfg = RunConfig(preset="renewal-ones", truncate=4, horizon=8, M=[2], q=[1])
     rows, ok = compare_oracle(cfg)
@@ -1508,6 +1611,11 @@ def test_a_finite_graph_is_spr_by_perron_frobenius(data):
                                         pot)[1::2]
         for N in range(5, 13):
             run = _Run(RunConfig(shift=shift, potential=potential, horizon=N))
+            finite = [n for n, v in enumerate(run.sums.log_z, 1) if math.isfinite(v)]
+            if len(finite) == 1 and 2 * finite[0] > N:  # one length fits no P
+                with pytest.raises(ConfigError, match="one length fits no pressure"):
+                    run.spr
+                continue
             spr = run.spr
             if math.isfinite(run.P):  # some Z_n > 0: the anchor lies on a weighted cycle
                 assert classes

@@ -21,6 +21,7 @@ from cmshift.numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
                             enumerate_words)
 from cmshift.shift import ROOT, SWEEP_STATE_CAP, IndexedGraph, index_graph
+from conftest import ORACLE_INPUTS
 
 LOG2 = math.log(2.0)
 
@@ -983,6 +984,16 @@ def test_bruteforce_cells_equal_the_per_word_route(data):
     n, M = data.draw(st.integers(min_value=1, max_value=N)), M_list[0]
     assert _outcome(count_B_bruteforce, T, phi, n, M, q, limit) \
         == _outcome(lambda: _cells_per_word(T, phi, q, [M], n, limit)[M])
+
+
+@pytest.mark.parametrize("M_list", [[2, 3], [1, 2, 3, 5]])
+@pytest.mark.parametrize("name, L", ORACLE_INPUTS)
+def test_bruteforce_cells_at_the_oracle_size(oracle_input, name, L, M_list):
+    # the cells of `cmshift oracle` itself, q = 1 and n <= 12, equal the
+    # per-word route
+    T, phi = oracle_input(name, L)
+    assert repr(_bruteforce_cells(T, phi, 1, M_list, 12)) \
+        == repr(_grid_per_word(T, phi, 1, M_list, 12))
 
 
 def test_count_B_bruteforce_refuses_at_its_limit(full3):

@@ -23,6 +23,7 @@ from cmshift import families, numerics, thermo
 from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
 from cmshift.oracle import enumerate_words, partition_sums_bruteforce, periodic_points
 from cmshift.thermo import SERIES_BAND, _max_birkhoff_low_to_low
+from conftest import ORACLE_INPUTS
 
 LOG2 = math.log(2.0)
 
@@ -117,6 +118,14 @@ def test_bruteforce_walk_equals_the_per_word_route(data):
         else 2_000_000
     assert _outcome(partition_sums_bruteforce, T, phi, a, N, max_count) \
         == _outcome(_partition_sums_per_word, T, phi, a, N, max_count)
+
+
+@pytest.mark.parametrize("name, L", ORACLE_INPUTS)
+def test_bruteforce_walk_at_the_oracle_size(oracle_input, name, L):
+    # the sums of `cmshift oracle` itself, n <= 12, equal the per-word route
+    T, phi = oracle_input(name, L)
+    assert repr(partition_sums_bruteforce(T, phi, ROOT, 12)) \
+        == repr(_partition_sums_per_word(T, phi, ROOT, 12))
 
 
 def test_bruteforce_refusals_at_small_caps(full2):
@@ -562,6 +571,25 @@ def test_pressure_fit_on_periodic_nonmixing_shift():
     assert [c for c in ps.counts] == [0, 0, 1] * 4
     est = pressure_estimate(ps)
     assert est.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_pressure_from_one_length_is_refused():
+    # the 6-cycle returns to its base state at n = 6 and 12 only: up to
+    # N = 11 one finite log Z_n fits no slope over the tail or the whole range
+    T = FiniteShift([[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)])
+    ps = partition_sums_bruteforce(T, Potential(1, {}, 0.0), Plain(1), 12)
+    for N in range(6, 12):
+        with pytest.raises(ValueError, match=rf"^only n = 6 of 1\.\.{N} has a finite log Z_n"):
+            pressure_estimate(ps.log_z[:N])
+    assert pressure_estimate(ps.log_z[:5]).all_zero
+    est = pressure_estimate(ps)
+    assert (est.value, est.window) == (0.0, (6, 12))
+    with pytest.raises(ValueError, match=r"^only n = 3 of 1\.\.5 "):
+        pressure_estimate([LOG_ZERO, math.nan, -2.0, LOG_ZERO, LOG_ZERO])
+    # Z_4 > 0, as every period-2 point has period 4: its -inf was lost to the
+    # float range, which a longer horizon does not mend
+    assert pressure_estimate([LOG_ZERO, -1e308, LOG_ZERO, LOG_ZERO, LOG_ZERO]).value \
+        == LOG_ZERO
 
 
 def test_pressure_needs_five_terms():
