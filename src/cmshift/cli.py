@@ -25,7 +25,7 @@ from . import families, infinity, thermo
 from .families import (FiniteTail, GeometricTail, PowerTail, UnknownTail,
                        build_preset, htop_solve, preset_names)
 from .potential import Potential
-from .shift import BouquetShift, EnumerationRefusal, TransitionSystem
+from .shift import BlockGraphs, BouquetShift, EnumerationRefusal, TransitionSystem, index_graph
 from .specio import ConfigError, load_potential, load_shift
 
 __all__ = ["RunConfig", "run_report", "main"]
@@ -316,40 +316,47 @@ def _write_out(cfg: RunConfig, texts: dict[str, str]) -> None:
     made if missing.  Every file is opened before any is written, so a name
     that cannot be opened (a directory, say) is a config error that leaves
     no file of the run behind: the files it created are removed, and the
-    ones that existed keep their bytes.  A file is
-    written as Path.write_text does (same encoding, newlines and mode of a
-    new file), but in place: an existing file is overwritten and then cut at
-    the end of the new text, never truncated to zero first: ext4 (unless
-    mounted noauto_da_alloc) flushes a file rewritten after a truncate to
-    zero when it is closed.  A write cut off midway can leave old bytes
-    after the new ones; it is a runtime failure, not a config error."""
+    ones that existed keep their bytes.  A file gets the bytes and a new
+    file the mode that Path.write_text gives it: each text is encoded in the
+    locale's encoding, strictly, with each newline written as os.linesep,
+    before any file is opened.  The bytes go to the file's descriptor with
+    os.write, again after a short write, and os.ftruncate then cuts the
+    file at their length.  So a file is written in place, never truncated
+    to zero first: ext4 (unless mounted noauto_da_alloc) flushes a file
+    rewritten after a truncate to zero when it is closed.  A write cut off
+    midway can leave old bytes after the new ones; it is a runtime failure,
+    not a config error."""
+    import locale  # loaded only by a run that writes files
+    encoding = locale.getpreferredencoding(False)
+    data = [text.replace("\n", os.linesep).encode(encoding) for text in texts.values()]
     outdir = Path(cfg.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the output directory {cfg.out!r}: "
                           f"{exc.strerror}") from exc
-    files, created = [], []
+    fds, created = [], []
     try:
         try:
             for name in texts:
                 path = outdir / name
                 try:
-                    fd = os.open(path, os.O_WRONLY)
+                    fds.append(os.open(path, os.O_WRONLY))
                 except FileNotFoundError:
-                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
                     created.append(path)
-                files.append(open(fd, "w"))
         except OSError as exc:
             for made in created:
                 made.unlink()
             raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
-        for f, text in zip(files, texts.values()):
-            f.write(text)
-            f.truncate()
+        for fd, raw in zip(fds, data):
+            view = memoryview(raw)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(raw))
     finally:
-        for f in files:
-            f.close()
+        for fd in fds:
+            os.close(fd)
 
 
 def _profile_csv(table: list, texts: _Texts) -> str:
@@ -364,15 +371,15 @@ class _Run:
     """One run of a config: its system, potential and family return weights,
     and the stages read from them, each computed on first use and then kept.
 
-    The stages are the partition sums, their fitted pressure, the
-    closed-form return weights, log Z*_n, the pressure P that every verdict
-    is judged against, the SPR verdict, the profile graph and a bouquet's
-    best loop sums.  A bouquet's family weights are its closed form: a
-    preset's, else, for a bouquet with loop totals (a preset without a
-    closed form, or a spec), its first returns Z*_1..Z*_L at every N.  A
-    subcommand reads only the stages it prints: `pressure` the fit, `spr`
-    log Z*_n and P (the sums only without family weights), `hinf` the
-    profile graph, `report` every stage."""
+    The stages are the block graphs of the system, the partition sums,
+    their fitted pressure, the closed-form return weights, log Z*_n, the
+    pressure P that every verdict is judged against, the SPR verdict, the
+    profile graph and a bouquet's best loop sums.  A bouquet's family
+    weights are its closed form: a preset's, else, for a bouquet with loop
+    totals (a preset without a closed form, or a spec), its first returns
+    Z*_1..Z*_L at every N.  A subcommand reads only the stages it prints:
+    `pressure` the fit, `spr` log Z*_n and P (the sums only without family
+    weights), `hinf` the profile graph, `report` every stage."""
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
@@ -397,6 +404,16 @@ class _Run:
         self.spec, self.label, self.a_family = build.spec, cfg.preset, build.spec.a
 
     @cached_property
+    def graphs(self) -> BlockGraphs | None:
+        """The block graphs of the system and their successor lists
+        weighted by its potential, each listed and weighed on first use,
+        once per block length, for every state DP of the run: the transfer
+        sums, chi_per, the crc best sums and the profile sweep.  None
+        without a system."""
+        T = self.system
+        return None if T is None else BlockGraphs(T, self.potential, index_graph)
+
+    @cached_property
     def sums(self) -> thermo.PartitionSums:
         """log Z_n and log Z*_n: the renewal over the family's return weights
         (to the end of a table without a continuation), else the transfer
@@ -411,7 +428,8 @@ class _Run:
             logw = self.log_zstar
         elif T is not None:
             try:
-                return thermo.partition_sums_transfer(T, self.potential, T.state_of_order(1), N)
+                return thermo.partition_sums_transfer(T, self.potential, T.state_of_order(1), N,
+                                                      self.graphs)
             except ValueError as exc:  # a periodic word weighing +inf and -inf
                 raise EnumerationRefusal(f"transfer sums: {exc}") from exc
         else:
@@ -530,12 +548,12 @@ def _diagnostics(run: _Run) -> dict:
         out["spr"]["reason"] = spr.reason
     T, phi = run.system, run.potential
     if T is not None:
-        chi = thermo.chi_per(T, phi, cfg.horizon)
+        chi = thermo.chi_per(T, phi, cfg.horizon, run.graphs)
         out["chi_per"] = {"value": chi.value, "period": chi.period}
         out["ucs"] = thermo.ucs_check(chi.value, P)
         try:
             crc = thermo.crc_profile(T, phi, min(cfg.q), cfg.horizon, P=P,
-                                     loop_sums=run.loop_sums)
+                                     loop_sums=run.loop_sums, graphs=run.graphs)
             out["crc"] = {"C_q": crc.C_q, "lambda_q": crc.lambda_q,
                           "q": crc.q, "verdict": crc.verdict}
         except (EnumerationRefusal, ValueError) as exc:
@@ -570,12 +588,14 @@ def _profiles(run: _Run) -> tuple[dict, dict]:
         return {"skipped": note} if note else {}, {}
     out: dict = {"note": note} if note else {}
     tables = {}
+    # the run's graphs serve a profile graph that is its system
+    graphs = run.graphs if T is run.system else None
     # one weighted fill gives both profiles; when it fails, that failure is
     # the delta skip and the entropy profile is filled alone
     hp = None
     try:
         hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=run.P,
-                                       loop_sums=run.loop_sums)
+                                       loop_sums=run.loop_sums, graphs=graphs)
         tables["delta"] = dp.table
         out["delta"] = {
             "estimate": dp.estimate, "band": dp.band,
@@ -586,7 +606,7 @@ def _profiles(run: _Run) -> tuple[dict, dict]:
         out["delta"] = {"skipped": str(exc)}
     try:
         if hp is None:
-            hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
+            hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon, graphs)
         tables["hinf"] = hp.table
         out["hinf"] = {
             "estimate": hp.estimate, "uncertainty": hp.uncertainty,
@@ -612,8 +632,8 @@ def run_report(cfg: RunConfig) -> dict:
         "label": run.label, "horizon": cfg.horizon,
         "truncate": cfg.truncate, "M": cfg.M, "q": cfg.q,
     }
-    # the files need no stage of the run, and its loop table would stay
-    # alive beside the texts they render
+    # the files need no stage of the run, and its loop table and block
+    # graphs would stay alive beside the texts they render
     del run
     report["horizons"] = {"N": cfg.horizon, "L": cfg.truncate}
     report["tolerances"] = {"spr_tol": report["spr"]["tol"]}

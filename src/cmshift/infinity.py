@@ -42,9 +42,12 @@ that a lower layer matches or beats at its node is stored or pushed
 A grid compiles its system once for every q: the count
 graph, the k-block graph and its weighted successor lists, the
 SWEEP_STATE_CAP check, and the slot-width pass, run at the largest q since
-the paths from its low part bound those from every smaller one.  A single
-count_B is the one-cell case of the same fill and compiles its own graph,
-and profile_pair fits both profiles from one weighted fill per q.  The
+the paths from its low part bound those from every smaller one.  A report's
+grid reads the two graphs and the weighted lists from the block graphs its
+run shares with its other DPs (shift.BlockGraphs), and checks its cap
+against them.  A single count_B is the one-cell case of the same fill and
+compiles its own graph, and profile_pair fits both profiles from one
+weighted fill per q.  The
 grid stays in columns: the fill and the sweep return per M a list of int
 counts and one of z_phi, the grid adds the log-count list once per (M, q),
 and the fits, the count diagnostics, rows, cell() and the report writer
@@ -64,8 +67,8 @@ from typing import NamedTuple, Sequence
 
 from .numerics import LOG_ZERO, count_push, linear_fit
 from .potential import Potential
-from .shift import (SWEEP_STATE_CAP, BouquetShift, IndexedGraph, TransitionSystem,
-                    index_graph)
+from .shift import (SWEEP_STATE_CAP, BlockGraphs, BouquetShift, IndexedGraph,
+                    TransitionSystem, index_graph)
 
 __all__ = [
     "CountB", "InfinityProfile",
@@ -375,24 +378,27 @@ class _SweepGraph(NamedTuple):
     width: int  # bits per visit slot of the packed counts
 
 
-def _compile_sweep(T: TransitionSystem, phi: Potential | None, q: int, N: int) -> _SweepGraph:
-    """Index and weigh T once for sweeps of horizon N at every q' <= q.
+def _compile_sweep(T: TransitionSystem, phi: Potential | None, q: int, N: int,
+                   graphs: BlockGraphs | None = None) -> _SweepGraph:
+    """Index and weigh T once for sweeps of horizon N at every q' <= q,
+    reading the graphs from graphs, those of T and phi, when given.
 
     The width pass counts the n-step paths from the low part of q for
     n <= N; the paths from a smaller low part are among them, so the width
     it sets holds for every q' <= q.  SWEEP_STATE_CAP is checked here, by
-    index_graph, before any state is listed.
+    index_graph (or against the graphs given), before any state is listed.
     """
-    blocks = graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep",
-                                 1 if phi is None else phi.memory)
+    graphs = graphs or BlockGraphs(T, phi, index_graph)
+    blocks = graph = graphs.graph(SWEEP_STATE_CAP, "profile state sweep",
+                                  1 if phi is None else phi.memory)
     if blocks.block > 1:
-        graph = index_graph(T, SWEEP_STATE_CAP, "profile state sweep")
+        graph = graphs.graph(SWEEP_STATE_CAP, "profile state sweep")
     lo = graph.low(q)
     paths, bound = [1] * lo + [0] * (len(graph.states) - lo), lo
     for _ in range(N):
         paths = count_push(graph.succ, paths)
         bound = max(bound, sum(paths))
-    return _SweepGraph(graph, blocks, None if phi is None else blocks.weighted(phi),
+    return _SweepGraph(graph, blocks, None if phi is None else graphs.weighted(blocks),
                        bound.bit_length())
 
 
@@ -606,11 +612,12 @@ def _profile_window(N: int) -> list[int]:
     return list(range(max(1, min(math.ceil(0.75 * N), N - 3)), N + 1))
 
 
-def _grid(T, phi, q_list, M_list, N, loop_sums: LoopSums | None = None) -> tuple[dict, list]:
+def _grid(T, phi, q_list, M_list, N, loop_sums: LoopSums | None = None,
+          graphs: BlockGraphs | None = None) -> tuple[dict, list]:
     """The columns of a checked grid, filled once per q, and their count
     diagnostics; each log-count column is taken once, here.  The sweeps of
-    every q share one graph, compiled when the first of them starts, and a
-    composition fill reads loop_sums when given."""
+    every q share one graph, compiled when the first of them starts (from
+    graphs when given), and a composition fill reads loop_sums when given."""
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
     if min(M_list) < 1 or min(q_list) < 1:
@@ -623,7 +630,7 @@ def _grid(T, phi, q_list, M_list, N, loop_sums: LoopSums | None = None) -> tuple
     for q in q_list:
         if sweep is None and not _composes(T, phi, q):
             # one compiled graph for every q: its width pass at the largest
-            sweep = _compile_sweep(T, phi, max(q_list), N)
+            sweep = _compile_sweep(T, phi, max(q_list), N, graphs)
         for M, (count, z_phi) in _grid_cells(T, phi, q, M_list, N, sweep, loop_sums).items():
             log_count = [math.log(c) if c else LOG_ZERO for c in count]
             columns[M, q] = Column(count, log_count, z_phi)
@@ -639,16 +646,18 @@ def _count_diagnostics(columns, q_list, M_list, N) -> list[tuple]:
 
 
 def hinf_profile(T: TransitionSystem, q_list: Sequence[int],
-                 M_list: Sequence[int], N: int) -> InfinityProfile:
+                 M_list: Sequence[int], N: int,
+                 graphs: BlockGraphs | None = None) -> InfinityProfile:
     """Fill the (n, M, q) grid of cylinder counts and fit tail growth rates.
 
     The per-(M, q) slope is a least-squares fit of log z_n over the top
     quarter of the horizon (the count cap is locally stable there, which a
     half-horizon window is not).  The headline entropy-at-infinity estimate is
     the slope at the largest (q, M); its uncertainty includes the spread to
-    the neighbouring M as a finite-M proxy.
+    the neighbouring M as a finite-M proxy.  A state sweep reads its graph
+    from graphs, those of T, when given.
     """
-    return _entropy_fit(*_grid(T, None, q_list, M_list, N), q_list, M_list, N)
+    return _entropy_fit(*_grid(T, None, q_list, M_list, N, graphs=graphs), q_list, M_list, N)
 
 
 def _entropy_fit(columns, diagnostics, q_list, M_list, N) -> InfinityProfile:
@@ -677,7 +686,8 @@ CONTRACTION_BAND = 1e-9
 
 def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
                   M_list: Sequence[int], N: int, P: float = 0.0,
-                  loop_sums: LoopSums | None = None) -> InfinityProfile:
+                  loop_sums: LoopSums | None = None,
+                  graphs: BlockGraphs | None = None) -> InfinityProfile:
     """Weighted profile: z_phi grid, contraction-at-infinity estimate, and the
     contraction verdict (estimate + band < P - CONTRACTION_BAND).
 
@@ -689,9 +699,11 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     against a finite P and is inconclusive against P = +inf.  A bouquet's
     fill at q = 1 reads its best sums from loop_sums when given:
     best_loop_sums of T, phi and N up to a column of at least
-    (N + 1) // min(M_list), or a ValueError.
+    (N + 1) // min(M_list), or a ValueError.  A state sweep reads its graphs
+    from graphs, those of T and phi, when given.
     """
-    return _contraction_fit(*_grid(T, phi, q_list, M_list, N, loop_sums), q_list, M_list, N, P)
+    return _contraction_fit(*_grid(T, phi, q_list, M_list, N, loop_sums, graphs),
+                            q_list, M_list, N, P)
 
 
 def _contraction_fit(columns, diagnostics, q_list, M_list, N, P) -> InfinityProfile:
@@ -723,7 +735,8 @@ def _contraction_fit(columns, diagnostics, q_list, M_list, N, P) -> InfinityProf
 
 def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
                  M_list: Sequence[int], N: int, P: float = 0.0,
-                 loop_sums: LoopSums | None = None) -> tuple[InfinityProfile, InfinityProfile]:
+                 loop_sums: LoopSums | None = None,
+                 graphs: BlockGraphs | None = None) -> tuple[InfinityProfile, InfinityProfile]:
     """hinf_profile and delta_profile of the same grid, from one weighted fill.
 
     The entropy profile is fitted from the counts of the delta profile's
@@ -732,7 +745,7 @@ def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     routes (a bouquet potential without loop totals at q = 1).  Both
     profiles are those the two separate calls return; the count diagnostics
     of the delta profile are those of the entropy one, so they are computed
-    once.  loop_sums is delta_profile's.
+    once.  loop_sums and graphs are delta_profile's.
     """
-    dp = delta_profile(T, phi, q_list, M_list, N, P, loop_sums)
+    dp = delta_profile(T, phi, q_list, M_list, N, P, loop_sums, graphs)
     return _entropy_fit(dp.columns, dp.monotone_M_violations, q_list, M_list, N), dp

@@ -24,7 +24,7 @@ __all__ = [
     "ShiftError", "UnknownStateError", "EnumerationRefusal",
     "Root", "LoopVertex", "Plain", "ROOT", "State", "Word",
     "LoopCountFamily", "TransitionSystem", "FiniteShift", "BouquetShift",
-    "FPropertyCount", "IndexedGraph",
+    "FPropertyCount", "IndexedGraph", "BlockGraphs",
     "is_admissible", "shortest_connector", "f_property_count", "index_graph",
 ]
 
@@ -422,6 +422,18 @@ SWEEP_STATE_CAP = 4000
 DP_STATE_CAP = 20_000
 
 
+def _check_cap(cap: int, dp: str, memory: int, states: int, blocks: int = 0) -> None:
+    """Refuse the DP named dp, of at most cap states, on a system of that
+    many states, then on its k-block graph of that many blocks, k =
+    max(memory - 1, 1)."""
+    if states > cap:
+        raise EnumerationRefusal(f"{dp} runs on at most {cap} states (this system has {states})")
+    if blocks > cap:
+        raise EnumerationRefusal(
+            f"{dp} runs on at most {cap} states (the {max(memory - 1, 1)}-block graph of "
+            f"this system, for a potential of memory {memory}, has {blocks})")
+
+
 def index_graph(T: TransitionSystem, cap: int, dp: str, memory: int = 1) -> IndexedGraph:
     """List the k-block graph of T, k = max(memory - 1, 1), for the DP named
     dp: the graph on which a potential of that memory is an edge weight.
@@ -429,9 +441,7 @@ def index_graph(T: TransitionSystem, cap: int, dp: str, memory: int = 1) -> Inde
     A system of more than cap states, or of more than cap admissible
     k-words, is refused before any state or word is listed.
     """
-    if T.state_count() > cap:
-        raise EnumerationRefusal(
-            f"{dp} runs on at most {cap} states (this system has {T.state_count()})")
+    _check_cap(cap, dp, memory, T.state_count())
     k = max(memory - 1, 1)
     states = list(T.states())
     index = {s: i for i, s in enumerate(states)}
@@ -439,10 +449,7 @@ def index_graph(T: TransitionSystem, cap: int, dp: str, memory: int = 1) -> Inde
     ends = [1] * len(states)  # admissible words of each length, by last state
     for _ in range(k - 1):
         ends = count_push(succ, ends)
-    if sum(ends) > cap:
-        raise EnumerationRefusal(
-            f"{dp} runs on at most {cap} states (the {k}-block graph of this "
-            f"system, for a potential of memory {memory}, has {sum(ends)})")
+    _check_cap(cap, dp, memory, len(states), sum(ends))
     nodes, starts = [(s,) for s in states], list(range(len(states) + 1))
     for _ in range(k - 1):
         # the (j+1)-words are the edges u -> v of the j-block graph in (u, v)
@@ -453,6 +460,45 @@ def index_graph(T: TransitionSystem, cap: int, dp: str, memory: int = 1) -> Inde
         succ = [list(range(first[j], first[j + 1])) for _, j in edges]
         starts = [first[i] for i in starts]
     return IndexedGraph(nodes, succ, k, starts)
+
+
+class BlockGraphs:
+    """The k-block graphs of one system and their successor lists weighted
+    by one potential, each listed and weighed on first use and then kept:
+    one graph and one weighting per block length.  index lists a graph, as
+    index_graph(T, cap, dp, memory) does; each module passes the index_graph
+    it imports.
+
+    The DPs of one run share one BlockGraphs of its system and potential,
+    and a DP called without one makes its own, so a graph lives as long as
+    the run or the call that made it.  A DP asks with its own cap and name;
+    a kept graph is refused as index_graph refuses it, by the system's state
+    count and then its block count, in the same words.  The graphs and lists
+    handed out are shared: no DP changes them.
+    """
+
+    def __init__(self, T: TransitionSystem, phi, index) -> None:
+        self.system, self.potential, self._index = T, phi, index
+        self._graphs: dict[int, IndexedGraph] = {}
+        self._weighted: dict[int, list[list[tuple[int, float]]]] = {}
+
+    def graph(self, cap: int, dp: str, memory: int = 1) -> IndexedGraph:
+        """The k-block graph, k = max(memory - 1, 1), for the DP named dp
+        (index_graph's arguments but the system)."""
+        k = max(memory - 1, 1)
+        graph = self._graphs.get(k)
+        if graph is None:
+            graph = self._graphs[k] = self._index(self.system, cap, dp, memory)
+        else:
+            _check_cap(cap, dp, memory, self.system.state_count(), len(graph.states))
+        return graph
+
+    def weighted(self, graph: IndexedGraph) -> list[list[tuple[int, float]]]:
+        """graph.weighted(potential), for a graph of this system."""
+        wsucc = self._weighted.get(graph.block)
+        if wsucc is None:
+            wsucc = self._weighted[graph.block] = graph.weighted(self.potential)
+        return wsucc
 
 
 # -- word operations -------------------------------------------------------------

@@ -27,8 +27,8 @@ from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
                        linear_fit, linear_fit_with_log, logsumexp, maxplus_push,
                        renewal_row, reverse_edges, tail_window)
 from .potential import Potential
-from .shift import (DP_STATE_CAP, ROOT, BouquetShift, IndexedGraph, LoopVertex,
-                    State, TransitionSystem, Word, index_graph)
+from .shift import (DP_STATE_CAP, ROOT, BlockGraphs, BouquetShift, IndexedGraph,
+                    LoopVertex, State, TransitionSystem, Word, index_graph)
 
 if TYPE_CHECKING:  # for an annotation only; thermo never loads infinity
     from .infinity import LoopSums
@@ -122,7 +122,7 @@ _WHOLE = 64
 
 
 def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
-                            N: int) -> PartitionSums:
+                            N: int, graphs: BlockGraphs | None = None) -> PartitionSums:
     """Transfer DP over the edges of a finite graph (a finite shift or a
     truncated bouquet): exact log-space Z_n and Z*_n.
 
@@ -131,11 +131,13 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
     along the edge weights of the block graph, where a stands for the blocks
     that start with a.  As in the brute force, a ValueError names the least
     period whose words through a have windows of weight +inf and -inf.
+    The graph is read from graphs, those of T and phi, when given.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     exact = phi.is_zero()
-    graph = index_graph(T, DP_STATE_CAP, "transfer DP", 1 if exact else phi.memory)
+    graphs = graphs or BlockGraphs(T, phi, index_graph)
+    graph = graphs.graph(DP_STATE_CAP, "transfer DP", 1 if exact else phi.memory)
     nodes = _nodes_of(graph, T, a)
     if exact:
         push, one, zero, total = partial(count_push, graph.succ), 1, 0, sum
@@ -143,7 +145,7 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
         # each entry sums its terms in source index order, a fixed order
         # that keeps the floats (and the reports) stable; empty sources are
         # skipped, so a +inf edge out of one adds no -inf + inf
-        wsucc = graph.weighted(phi)
+        wsucc = graphs.weighted(graph)
         one, zero, total = 0.0, LOG_ZERO, logsumexp
         n = _undefined_period(wsucc, nodes, N)
         if n is not None:
@@ -262,7 +264,8 @@ class ChiPerResult:
     orbit: Word | None
 
 
-def chi_per(T: TransitionSystem, phi: Potential, N: int) -> ChiPerResult:
+def chi_per(T: TransitionSystem, phi: Potential, N: int,
+            graphs: BlockGraphs | None = None) -> ChiPerResult:
     """Supremum of periodic Birkhoff averages over periods <= N.
 
     On bouquets with per-loop total weights attached, the maximum is taken
@@ -297,7 +300,8 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int) -> ChiPerResult:
     above -inf).  An edge of weight +inf weighs more than every finite walk
     of the graph's cycle lengths: a walk with a larger share of +inf edges
     has the larger mean, one with a +inf edge reads +inf, and walks with the
-    same share compare by their finite edges.
+    same share compare by their finite edges.  The graph is read from
+    graphs, those of T and phi, when given.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -311,9 +315,10 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int) -> ChiPerResult:
                 best, best_n = avg, n
         orbit = _loop_word(best_n) if best_n else None
         return ChiPerResult(best, best_n, orbit)
-    graph = index_graph(T, DP_STATE_CAP, "max-plus chi_per", phi.memory)
+    graphs = graphs or BlockGraphs(T, phi, index_graph)
+    graph = graphs.graph(DP_STATE_CAP, "max-plus chi_per", phi.memory)
     blocks = len(graph.states)
-    weighted = graph.weighted(phi)
+    weighted = graphs.weighted(graph)
     ratios = {w: w.as_integer_ratio() for js in weighted for _, w in js
               if -math.inf < w < math.inf}
     den = max((d for _, d in ratios.values()), default=1)
@@ -719,7 +724,8 @@ class CrcProfile:
 
 
 def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
-                P: float = 0.0, loop_sums: LoopSums | None = None) -> CrcProfile:
+                P: float = 0.0, loop_sums: LoopSums | None = None,
+                graphs: BlockGraphs | None = None) -> CrcProfile:
     """Profile s(n) = max S_n phi over words whose x_0 and x_n have order
     index <= q, plus the fitted affine majorant C_q - n*lambda_q.
 
@@ -736,6 +742,8 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
     column is s, bit for bit (the same max-plus rule over the same float
     additions), and the recurrence below does not run.  A table that ran to
     its last column is not read, and a table of another N is a ValueError.
+    The recurrence reads its graph from graphs, those of T and phi, when
+    given.
     """
     if q < 1 or N < 1:
         raise ValueError("q and N must be >= 1")
@@ -743,7 +751,7 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
         raise ValueError(f"loop sums for N = {loop_sums.N} cannot serve a crc profile of N = {N}")
     s = None if loop_sums is None or q != 1 else loop_sums.settled()
     if s is None:
-        s = _max_birkhoff_low_to_low(T, phi, q, N)
+        s = _max_birkhoff_low_to_low(T, phi, q, N, graphs)
     win = list(tail_window(N))
     fit = linear_fit(win, [s[n - 1] for n in win])
     if fit.degenerate:
@@ -755,7 +763,7 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
     return CrcProfile(s, cq, lam, q, lam > P, P, fit)
 
 
-def _max_birkhoff_low_to_low(T, phi, q, N) -> list[float]:
+def _max_birkhoff_low_to_low(T, phi, q, N, graphs: BlockGraphs | None = None) -> list[float]:
     if isinstance(T, BouquetShift) and q == 1 and phi.loop_total is not None:
         best = [LOG_ZERO] * (N + 1)
         best[0] = 0.0
@@ -768,8 +776,9 @@ def _max_birkhoff_low_to_low(T, phi, q, N) -> list[float]:
             best[m] = max([c for k, tau in taus if k <= m and (c := tau + best[m - k]) == c],
                           default=LOG_ZERO)
         return best[1:]
-    graph = index_graph(T, DP_STATE_CAP, "contraction profile DP", phi.memory)
-    wsucc = graph.weighted(phi)
+    graphs = graphs or BlockGraphs(T, phi, index_graph)
+    graph = graphs.graph(DP_STATE_CAP, "contraction profile DP", phi.memory)
+    wsucc = graphs.weighted(graph)
     lo = graph.low(q)
     dp = [0.0 if i < lo else LOG_ZERO for i in range(len(graph.states))]
     out = []

@@ -26,7 +26,7 @@ from cmshift.oracle import (_bruteforce_cells, compare_oracle, enumerate_words,
                             partition_sums_bruteforce)
 from cmshift.shift import ROOT, BouquetShift, FiniteShift, LoopCountFamily, is_admissible
 from cmshift.specio import (_SCHEMES, ConfigError, load_potential, load_shift,
-                            parse_potential_spec)
+                            parse_potential_spec, parse_shift_spec)
 from conftest import ONES5, ORACLE_INPUTS
 
 LOG2 = math.log(2.0)
@@ -1785,3 +1785,136 @@ def test_a_closed_stdout_keeps_the_exit_code(unbuffered):
     finally:
         os.close(write_end)
     assert (run.returncode, run.stderr) == (EXIT_OK, "")
+
+
+# -- the graph stage ------------------------------------------------------------------------
+
+def _count_graph_calls(monkeypatch) -> Counter:
+    # index_graph in every module that imports it, and IndexedGraph.weighted
+    import sys
+
+    from cmshift.shift import IndexedGraph
+
+    calls = Counter()
+    index, weighted = cmshift.shift.index_graph, IndexedGraph.weighted
+
+    def spy_index(*args, **kwargs):
+        calls["index_graph"] += 1
+        return index(*args, **kwargs)
+
+    def spy_weighted(graph, phi):
+        calls["weighted"] += 1
+        return weighted(graph, phi)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("cmshift")]:
+        if getattr(module, "index_graph", None) is index:
+            monkeypatch.setattr(module, "index_graph", spy_index)
+    monkeypatch.setattr(IndexedGraph, "weighted", spy_weighted)
+    return calls
+
+
+_FOUR_M3 = {"memory": 3, "default": -0.5, "table": [
+    {"word": list(w), "value": v} for w, v in (
+        ((1, 1, 1), 0.25), ((1, 2, 2), -1.5), ((2, 3, 4), 0.125),
+        ((3, 4, 4), -0.75), ((4, 4, 1), 0.5), ((4, 2, 3), -2.0))]}
+_ZERO1 = {"memory": 1, "default": 0.0, "table": []}
+
+
+@pytest.mark.parametrize("specs, grid, report, alone", [
+    # memory 2: every DP runs on the states
+    (_FOUR_STATES, ["--q", "1,2,3", "--M", "2,4,8"], (1, 1),
+     {"hinf": (1, 0), "pressure": (1, 1), "spr": (1, 1)}),
+    # memory 3: the 2-block graph, and the states for the sweep's counts
+    ((_FOUR_STATES[0], _FOUR_M3), ["--q", "1,2", "--M", "1,3"], (2, 1),
+     {"hinf": (1, 0), "pressure": (1, 1), "spr": (1, 1)}),
+    # a zero potential: the transfer sums count paths, the others weigh
+    ((_FULL2, _ZERO1), [], (1, 1), {"hinf": (1, 0), "pressure": (1, 0), "spr": (1, 0)}),
+])
+def test_a_finite_report_lists_and_weighs_its_graph_once_per_block_length(
+        monkeypatch, tmp_path, capsys, specs, grid, report, alone):
+    calls = _count_graph_calls(monkeypatch)
+    args = [*_write_specs(tmp_path, *specs), "--horizon", "12", *grid]
+    assert main(["report", *args]) == EXIT_OK
+    assert (calls["index_graph"], calls["weighted"]) == report
+    for command, want in alone.items():
+        calls.clear()
+        assert main([command, *args]) == EXIT_OK
+        assert (calls["index_graph"], calls["weighted"]) == want, command
+    capsys.readouterr()
+
+
+_DYADIC = st.integers(-16, 8).map(lambda k: k / 8)
+
+
+@st.composite
+def _stage_inputs(draw):
+    # a transitive 1-6 state finite shift (a cycle and random edges) or a
+    # list bouquet, and a table potential of memory 1-3 on its words: no
+    # scheme, so a bouquet has no loop totals and runs the state DPs
+    if draw(st.booleans()):
+        S = draw(st.integers(1, 6))
+        matrix = [[int(j == (i + 1) % S or draw(st.booleans())) for j in range(S)]
+                  for i in range(S)]
+        shift = {"kind": "finite", "matrix": matrix}
+    else:
+        values = [draw(st.integers(0, 1))] + draw(st.lists(st.integers(0, 2), max_size=4))
+        if not any(values):
+            values[-1] = 1
+        shift = {"kind": "bouquet", "a": {"form": "list", "values": values},
+                 "truncate_len": len(values)}
+    # weights k/8, and in one potential of two some of -0.0, +inf and -inf
+    # (a period through both infinities is a refusal of both runs)
+    specials = draw(st.sampled_from([(), (-0.0,), (math.inf, -0.0), (-math.inf, -0.0),
+                                     (math.inf, -math.inf, -0.0)]))
+    weights = st.one_of(_DYADIC, _DYADIC, st.sampled_from(specials)) if specials else _DYADIC
+    memory = draw(st.integers(1, 3))
+    words = enumerate_words(parse_shift_spec(shift), memory)
+    table = [{"word": [repr(s) for s in w], "value": draw(weights)}
+             for w in words if draw(st.booleans())]
+    potential = {"memory": memory, "default": draw(weights), "table": table}
+    q = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    M = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    return shift, potential, q, M, draw(st.integers(5, 12))
+
+
+def _outcome(cfg):
+    try:
+        return repr(run_report(cfg))
+    except (ConfigError, EnumerationRefusal) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=60)
+@given(case=_stage_inputs())
+def test_a_report_with_the_graph_stage_equals_one_without_it(case):
+    # each DP given the run's graphs returns what it returns alone, where it
+    # lists and weighs its own graph: same report, same refusal
+    shift, potential, q, M, N = case
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_specs(Path(tmp), shift, potential)
+        cfg = RunConfig(shift=str(Path(tmp) / "shift.json"),
+                        potential=str(Path(tmp) / "pot.json"), horizon=N, q=q, M=M)
+        staged = _outcome(cfg)
+        with patch.object(_Run, "graphs", property(lambda run: None)):
+            alone = _outcome(cfg)
+    assert staged == alone
+
+
+def test_a_shared_graph_keeps_each_dp_cap(tmp_path, capsys):
+    # the 4,096 states of the ones bouquet at truncation 91 are within the
+    # cap of the DPs linear in them, which list the graph, and above the
+    # profile sweep's, which refuses the listed graph in its own words
+    from cmshift.shift import SWEEP_STATE_CAP
+
+    specs = _write_specs(tmp_path, dict(_ONES, truncate_len=91),
+                         {"memory": 2, "default": -0.5,
+                          "table": [{"word": ["r", "r"], "value": 0.25}]})
+    assert BouquetShift(LoopCountFamily("ones"), 91).state_count() == 4096 > SWEEP_STATE_CAP
+    out = tmp_path / "out"
+    assert main(["report", *specs, "--horizon", "8", "--q", "1,2", "--out", str(out)]) \
+        == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    text = "profile state sweep runs on at most 4000 states (this system has 4096)"
+    assert report["profiles"] == {"delta": {"skipped": text}, "hinf": {"skipped": text}}
+    assert report["chi_per"]["value"] == 0.25 and "lambda_q" in report["crc"]
+    capsys.readouterr()
