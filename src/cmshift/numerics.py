@@ -1,6 +1,6 @@
 """Log-space arithmetic (whole sums and the renewal DP's row sums), tail
-fits, certified series evaluation, and the two step kernels of the state
-DPs (exact counts and max-plus)."""
+fits, certified series evaluation, and the three step kernels of the state
+DPs (exact counts, log-space sums and max-plus)."""
 
 from __future__ import annotations
 
@@ -316,6 +316,51 @@ def reverse_edges(wsucc) -> list[list[tuple]]:
         for j, w in js:
             pred[j].append((i, w))
     return pred
+
+
+def logsum_pull(pred, vec: Sequence[float]) -> list[float]:
+    """One log-space step: entry j of the result is logsumexp of the terms
+    vec[i] + w over the weighted predecessors (i, w) in pred[j]
+    (reverse_edges of the successor lists), in that order, and LOG_ZERO
+    where no term arrives.  Sources at LOG_ZERO add no term, so a +inf edge
+    out of one adds no -inf + inf.
+
+    Every float is logsumexp's, bit for bit.  One term t gives t + 0.0,
+    which is what logsumexp returns for every t (-0.0 -> 0.0, +-inf, NaN).
+    For k = 2 or 3 terms without LOG_ZERO and with a finite maximum m (the
+    first greatest, as max picks it), the term at m has expm1(m - m) = 0.0,
+    and fsum rounds the exact sum of its inputs once, so fsum of the k
+    expm1 values is the single float addition of the other k - 1 (a NaN
+    among them is NaN either way); the result is then logsumexp's
+    m + log1p(total + (k - 1)).  Entries with a LOG_ZERO term, a maximum of
+    +inf or NaN, or four or more terms run logsumexp.
+    """
+    expm1, log1p, inf = math.expm1, math.log1p, math.inf
+    out = []
+    for ps in pred:
+        t = [vec[i] + w for i, w in ps if vec[i] != LOG_ZERO]
+        k = len(t)
+        if k == 1:
+            out.append(t[0] + 0.0)
+            continue
+        if k == 2:
+            m, x = t
+            if x > m:
+                m, x = x, m
+            if LOG_ZERO < m < inf and x != LOG_ZERO:
+                out.append(m + log1p(expm1(x - m) + 1.0))
+                continue
+        elif k == 3:
+            m, x, y = t
+            if x > m:
+                m, x = x, m
+            if y > m:
+                m, y = y, m
+            if LOG_ZERO < m < inf and x != LOG_ZERO and y != LOG_ZERO:
+                out.append(m + log1p((expm1(x - m) + expm1(y - m)) + 2.0))
+                continue
+        out.append(logsumexp(t))
+    return out
 
 
 def maxplus_push(wsucc, vec: Sequence, parent: dict | None = None) -> list:

@@ -24,8 +24,8 @@ from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
-                       linear_fit, linear_fit_with_log, logsumexp, maxplus_push,
-                       renewal_row, reverse_edges, tail_window)
+                       linear_fit, linear_fit_with_log, logsum_pull, logsumexp,
+                       maxplus_push, renewal_row, reverse_edges, tail_window)
 from .potential import Potential
 from .shift import (DP_STATE_CAP, ROOT, BlockGraphs, BouquetShift, IndexedGraph,
                     LoopVertex, State, TransitionSystem, Word, index_graph)
@@ -127,10 +127,15 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
     truncated bouquet): exact log-space Z_n and Z*_n.
 
     Zero potentials run on integer path counts, so those sums are exact to
-    the last bit (counts are attached); weighted sums push log-space vectors
+    the last bit (counts are attached); weighted sums step log-space vectors
     along the edge weights of the block graph, where a stands for the blocks
-    that start with a.  As in the brute force, a ValueError names the least
-    period whose words through a have windows of weight +inf and -inf.
+    that start with a.  Each step is one numerics.logsum_pull over the
+    predecessor lists: entry j is logsumexp of vec[i] + w over the edges
+    i -> j in source index order, sources at LOG_ZERO skipped, and entries
+    of one to three terms skip the list and fsum without changing a bit
+    (the term at the maximum m adds expm1(0) = 0.0, so fsum is one float
+    addition of the others).  As in the brute force, a ValueError names the
+    least period whose words through a have windows of weight +inf and -inf.
     The graph is read from graphs, those of T and phi, when given.
     """
     if N < 1:
@@ -143,23 +148,14 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
         push, one, zero, total = partial(count_push, graph.succ), 1, 0, sum
     else:
         # each entry sums its terms in source index order, a fixed order
-        # that keeps the floats (and the reports) stable; empty sources are
-        # skipped, so a +inf edge out of one adds no -inf + inf
+        # that keeps the floats (and the reports) stable
         wsucc = graphs.weighted(graph)
         one, zero, total = 0.0, LOG_ZERO, logsumexp
         n = _undefined_period(wsucc, nodes, N)
         if n is not None:
             raise ValueError(f"the weight of a period-{n} word through {a!r} is "
                              "undefined: its windows weigh +inf and -inf")
-
-        def push(vec):
-            terms = [[] for _ in vec]
-            for v, js in zip(vec, wsucc):
-                if v != LOG_ZERO:
-                    for j, w in js:
-                        terms[j].append(v + w)
-            return [logsumexp(t) for t in terms]
-
+        push = partial(logsum_pull, reverse_edges(wsucc))
     # Z_n sums the entries (u, u) of the n-th power of the (counting or
     # log-space) transfer matrix over the nodes u of a, so row u is iterated;
     # vec keeps the walks from u that have not returned to a node of a

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cmshift.numerics import (LOG_ZERO, linear_fit, linear_fit_with_log,
-                              polylog_with_bound)
+from cmshift import numerics
+from cmshift.numerics import (LOG_ZERO, linear_fit, linear_fit_with_log, logsum_pull,
+                              logsumexp, polylog_with_bound, reverse_edges)
 
 
 @pytest.mark.parametrize("log_x", [-1e-300, -1e-17])
@@ -162,3 +163,92 @@ def test_float_abscissae_are_refused_whatever_was_fitted_before():
         fit(range(1, 5), ys)
         with pytest.raises(TypeError):
             fit([1.0, 2.0, 3.0, 4.0], ys)
+
+
+# -- the log-space step kernel ----------------------------------------------------
+
+def _push_reference(wsucc, vec):
+    """The transfer DP's step before logsum_pull: every entry's terms
+    listed in source index order, then one logsumexp per entry."""
+    terms = [[] for _ in vec]
+    for v, js in zip(vec, wsucc):
+        if v != LOG_ZERO:
+            for j, w in js:
+                terms[j].append(v + w)
+    return [logsumexp(t) for t in terms]
+
+
+_SPECIAL = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _weighted_steps(draw):
+    """Weighted successor lists with 0-8 sources per entry (repeated edges
+    among them) and a vector holding LOG_ZERO, +inf and NaN entries."""
+    S = draw(st.integers(1, 8))
+    # moderate weights give terms whose expm1 values round differently when
+    # added in another order; any finite float reaches the float range
+    weights = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_SPECIAL),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    sources = [draw(st.lists(st.tuples(st.integers(0, S - 1), weights), max_size=8))
+               for _ in range(S)]
+    wsucc = [[] for _ in range(S)]
+    for j, js in enumerate(sources):
+        for i, w in js:
+            wsucc[i].append((j, w))
+    for js in wsucc:
+        draw(st.randoms(use_true_random=False)).shuffle(js)
+    vec = draw(st.lists(st.one_of(st.floats(-4.0, 4.0),
+                                  st.sampled_from([LOG_ZERO, math.inf, math.nan, -0.0]),
+                                  st.floats(allow_nan=False, allow_infinity=False)),
+                        min_size=S, max_size=S))
+    return wsucc, vec
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(step=_weighted_steps())
+def test_logsum_pull_equals_the_push_it_replaced(step):
+    # every float bit for bit (repr tells -0.0 from 0.0; NaN prints as nan)
+    wsucc, vec = step
+    assert repr(logsum_pull(reverse_edges(wsucc), vec)) == repr(_push_reference(wsucc, vec))
+
+
+@pytest.mark.parametrize("terms, expected, whole", [
+    ([-0.0], "0.0", False),
+    ([2.5], "2.5", False),
+    ([math.nan], "nan", False),
+    ([math.inf], "inf", False),
+    ([1.5, 1.5], repr(1.5 + math.log(2.0)), False),
+    ([-0.0, -0.0], repr(math.log(2.0)), False),
+    ([1.0, 1.0, 1.0], repr(1.0 + math.log1p(2.0)), False),
+    ([0.5, 3.0, 3.0], None, False),
+    ([0.0, -2.5969072676627962, -0.457698789188302], None, False),
+    ([3.0, -700.0, 3.0], None, False),
+    ([math.nan, 1.0], "nan", True),
+    ([1.0, math.nan], "nan", False),
+    ([math.nan, 1.0, 2.0], "nan", True),
+    ([1.0, 2.0, math.nan], "nan", False),
+    ([1e308, -1e308], "1e+308", False),
+    ([1e308, -1e308, -1e308], "1e+308", False),
+    ([math.nan, math.inf], "nan", True),
+    ([math.inf, math.nan], "inf", True),
+    ([LOG_ZERO, 0.5], "0.5", True),
+    ([LOG_ZERO, LOG_ZERO], "-inf", True),
+    ([0.5, 0.25, LOG_ZERO], None, True),
+    ([0.5, 0.25, 0.125, 1.0], None, True),
+])
+def test_logsum_pull_short_sums(monkeypatch, terms, expected, whole):
+    # one entry whose sources hold the terms, each over a -0.0 edge (t + -0.0
+    # is t), but a LOG_ZERO term comes from a 0.0 source over a -inf edge (a
+    # LOG_ZERO source adds no term); ties, a -0.0 result and NaN first or
+    # last.  Whole sums (a LOG_ZERO term, an infinite or NaN maximum, four
+    # terms) run logsumexp; one to three other terms take the short route
+    calls = []
+    monkeypatch.setattr(numerics, "logsumexp",
+                        lambda t: calls.append(len(t)) or logsumexp(t))
+    vec = [0.0 if t == LOG_ZERO else t for t in terms]
+    pred = [[(i, LOG_ZERO if t == LOG_ZERO else -0.0) for i, t in enumerate(terms)]]
+    got = repr(logsum_pull(pred, vec)[0])
+    assert got == repr(logsumexp(terms))
+    assert expected is None or got == expected
+    assert bool(calls) == whole

@@ -513,6 +513,42 @@ def test_transfer_skips_empty_sources_of_infinite_edges():
         partition_sums_bruteforce(T, phi, ROOT, 3)
 
 
+def _random_graph_recipe(S, memory, seed):
+    """The graph-dp bench's recipe: a random Hamiltonian cycle plus two
+    random edges out of each state (out-degree 3), and a weight drawn
+    uniformly from [-2, 0] on every admissible memory-word."""
+    rng = random.Random(seed)
+    order = list(range(S))
+    rng.shuffle(order)
+    A = [[0] * S for _ in range(S)]
+    for k in range(S):
+        A[order[k]][order[(k + 1) % S]] = 1
+    for i in range(S):
+        for j in rng.sample([j for j in range(S) if not A[i][j]], 2):
+            A[i][j] = 1
+    words = [(i,) for i in range(S)]
+    for _ in range(memory - 1):
+        words = [w + (j,) for w in words for j in range(S) if A[w[-1]][j]]
+    T = FiniteShift(A)
+    return T, Potential(memory, {tuple(Plain(i + 1) for i in w): rng.uniform(-2.0, 0.0)
+                                 for w in words}, 0.0, system=T)
+
+
+@pytest.mark.parametrize("S, memory, N, seed, digest", [
+    (32, 2, 120, 900, "0b8bf5ec1eeedd862dbc7a1d5388b767f83c5bbc0e87eefa6eabfa6e3503eed4"),
+    (10, 3, 60, 903, "55788ec43d8fb7fb8c3c507086402a8ab6a62fbb12a726d11d77453e19c18f03"),
+])
+def test_transfer_sums_keep_their_bytes(S, memory, N, seed, digest):
+    # the weighted transfer sums, log Z_n and log Z*_n through state 1, on a
+    # 32-state graph at memory 2 and a 10-state one at memory 3 (its
+    # 2-block graph): the sha256 of their repr, as the per-entry logsumexp
+    # push before numerics.logsum_pull wrote them
+    import hashlib
+    T, phi = _random_graph_recipe(S, memory, seed)
+    ps = partition_sums_transfer(T, phi, Plain(1), N)
+    assert hashlib.sha256(repr((ps.log_z, ps.log_zstar)).encode()).hexdigest() == digest
+
+
 def test_block_graph_cap_counts_blocks():
     # the full 3-shift has 3^4 = 81 admissible 4-words, the nodes a memory-5
     # potential needs, and 3^10 = 59049 > DP_STATE_CAP 10-words; each cap
