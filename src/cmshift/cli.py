@@ -371,15 +371,16 @@ class _Run:
     """One run of a config: its system, potential and family return weights,
     and the stages read from them, each computed on first use and then kept.
 
-    The stages are the block graphs of the system, the partition sums,
-    their fitted pressure, the closed-form return weights, log Z*_n, the
-    pressure P that every verdict is judged against, the SPR verdict, the
-    profile graph and a bouquet's best loop sums.  A bouquet's family
-    weights are its closed form: a preset's, else, for a bouquet with loop
-    totals (a preset without a closed form, or a spec), its first returns
-    Z*_1..Z*_L at every N.  A subcommand reads only the stages it prints:
-    `pressure` the fit, `spr` log Z*_n and P (the sums only without family
-    weights), `hinf` the profile graph, `report` every stage."""
+    The stages are the block graphs of the system (which also keep a
+    bouquet's best loop sums), the partition sums, their fitted pressure,
+    the closed-form return weights, log Z*_n, the pressure P that every
+    verdict is judged against, the SPR verdict and the profile graph.  A
+    bouquet's family weights are its closed form: a preset's, else, for a
+    bouquet with loop totals (a preset without a closed form, or a spec),
+    its first returns Z*_1..Z*_L at every N.  A subcommand reads only the
+    stages it prints: `pressure` the fit, `spr` log Z*_n and P (the sums
+    only without family weights), `hinf` the profile graph, `report` every
+    stage."""
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
@@ -408,8 +409,9 @@ class _Run:
         """The block graphs of the system and their successor lists
         weighted by its potential, each listed and weighed on first use,
         once per block length, for every state DP of the run: the transfer
-        sums, chi_per, the crc best sums and the profile sweep.  None
-        without a system."""
+        sums, chi_per, crc's state DP and the profile sweep; on a bouquet
+        with loop totals, also the best loop sums that crc and the delta
+        fill at q = 1 read.  None without a system."""
         T = self.system
         return None if T is None else BlockGraphs(T, self.potential, index_graph)
 
@@ -512,18 +514,6 @@ class _Run:
             return None, None, f"the a(1)=1 modified family has no graph: {exc}"
         return mod.system, mod.potential, "profiles use the a(1)=1 modified family"
 
-    @cached_property
-    def loop_sums(self) -> infinity.LoopSums | None:
-        """The best loop sums of a bouquet whose profiles run on the system
-        itself at q = 1, up to the grid's largest visit cap: the delta fill
-        reads them, and crc when they settle before that cap.  None when the
-        profiles run elsewhere or no q is 1."""
-        cfg, (T, phi, _) = self.cfg, self.profile_graph
-        if T is not self.system or 1 not in cfg.q or not isinstance(T, BouquetShift) \
-                or phi.loop_total is None:
-            return None
-        return infinity.best_loop_sums(T, phi, cfg.horizon, (cfg.horizon + 1) // min(cfg.M))
-
 
 def _diagnostics(run: _Run) -> dict:
     cfg, ps, pressure, P = run.cfg, run.sums, run.fit, run.P
@@ -552,8 +542,7 @@ def _diagnostics(run: _Run) -> dict:
         out["chi_per"] = {"value": chi.value, "period": chi.period}
         out["ucs"] = thermo.ucs_check(chi.value, P)
         try:
-            crc = thermo.crc_profile(T, phi, min(cfg.q), cfg.horizon, P=P,
-                                     loop_sums=run.loop_sums, graphs=run.graphs)
+            crc = thermo.crc_profile(T, phi, min(cfg.q), cfg.horizon, P=P, graphs=run.graphs)
             out["crc"] = {"C_q": crc.C_q, "lambda_q": crc.lambda_q,
                           "q": crc.q, "verdict": crc.verdict}
         except (EnumerationRefusal, ValueError) as exc:
@@ -594,8 +583,7 @@ def _profiles(run: _Run) -> tuple[dict, dict]:
     # the delta skip and the entropy profile is filled alone
     hp = None
     try:
-        hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=run.P,
-                                       loop_sums=run.loop_sums, graphs=graphs)
+        hp, dp = infinity.profile_pair(T, phi, cfg.q, cfg.M, cfg.horizon, P=run.P, graphs=graphs)
         tables["delta"] = dp.table
         out["delta"] = {
             "estimate": dp.estimate, "band": dp.band,

@@ -427,6 +427,13 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _positive(value, name: str) -> float:
+    x = _number(value, name)
+    if x <= 0:
+        raise ValueError(f"preset argument {name} must be positive, got {value!r}")
+    return x
+
+
 def _sec53(truncate_len: int | None = None, beta: float = 3.0, C="auto",
            a1: int | None = None, **kw) -> BouquetSpec:
     if kw:
@@ -439,7 +446,7 @@ def _sec53(truncate_len: int | None = None, beta: float = 3.0, C="auto",
             raise ValueError("C must be a number or 'auto'")
         Cval = normalizing_C(beta).value
     else:
-        Cval = _number(C, "C")
+        Cval = _positive(C, "C")
     fam = LoopCountFamily("geometric", ratio=2, a1=a1)
     return BouquetSpec(fam, "entry", TauSpec("power", beta=beta,
                                              log_C=math.log(Cval)), truncate_len)
@@ -453,7 +460,7 @@ def _sec54(truncate_len: int | None = None, psi: Sequence[float] = (),
         raise ValueError(f"preset argument psi must be a list of numbers, got {psi!r}")
     psi = tuple(_number(p, "psi") for p in psi) or tuple(0.0 for _ in range(16))
     return BouquetSpec(LoopCountFamily("double_exponential"), "entry",
-                       TauSpec("psi", log_C=math.log(_number(C, "C")), psi=psi),
+                       TauSpec("psi", log_C=math.log(_positive(C, "C")), psi=psi),
                        truncate_len)
 
 

@@ -52,10 +52,11 @@ grid stays in columns: the fill and the sweep return per M a list of int
 counts and one of z_phi, the grid adds the log-count list once per (M, q),
 and the fits, the count diagnostics, rows, cell() and the report writer
 read those lists (a profile's Column per (M, q)); CountB is the one cell
-of count_B and of the oracle's reference cells.  A report fills a bouquet's
-best loop sums once (best_loop_sums) for its delta fill at q = 1 and its
-crc profile.  The reference cells, one walk over the words themselves that
-scores each word on its own, are in cmshift.oracle.
+of count_B and of the oracle's reference cells.  A bouquet's best loop
+sums (best_loop_sums) are kept by the run's shift.BlockGraphs, one table
+per N, which its delta fill at q = 1 and its crc profile both read.  The
+reference cells, one walk over the words themselves that scores each
+word on its own, are in cmshift.oracle.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ def _best_sums(lengths: Sequence[int], tau, N: int, jmax: int):
 
 class LoopSums(NamedTuple):
     """The best loop sums of a bouquet for horizon N (_best_sums), filled up
-    to visit column jmax.  A report fills one table and hands it to both
-    its delta fill at q = 1 and its crc profile."""
+    to visit column jmax.  shift.BlockGraphs keeps one per N, so a run's
+    delta fill at q = 1 and its crc profile read the same table."""
 
     table: object  # the float64 array of _best_sums
     N: int
@@ -277,13 +278,13 @@ def best_loop_sums(T: BouquetShift, phi: Potential, N: int, jmax: int) -> LoopSu
 
 
 def _composition_fill(T: BouquetShift, phi: Potential | None, M_list: Sequence[int], N: int,
-                      loop_sums: LoopSums | None = None) -> dict[int, tuple[list, list]]:
+                      graphs: BlockGraphs | None = None) -> dict[int, tuple[list, list]]:
     """The count and z_phi columns of every M, cells n = 1..N, from one fill
     over loop-length compositions: per M the exact int counts and the float
     z_phi (None without a potential).  With a potential the best sums are
-    loop_sums when given (best_loop_sums of T, phi, N and a jmax of at least
-    this grid's), so a report fills them once for its fill and its crc
-    profile; a table of another N or a smaller jmax is a ValueError.
+    the table of horizon N that graphs, those of T and phi, keep
+    (BlockGraphs.loop_sums), asked up to this grid's column jmax, so a
+    report fills one table for its fill and its crc profile.
 
     Root-anchored words decompose into complete loops, and a composition
     with j parts visits the root at position 0 and after every part but the
@@ -328,7 +329,8 @@ def _composition_fill(T: BouquetShift, phi: Potential | None, M_list: Sequence[i
     both are), so the maximum is the same in whatever order fmax meets the
     candidates.  A cell with no composition has best sum LOG_ZERO, so
     z_phi = best / n is LOG_ZERO there.  numpy is imported here and in
-    best_loop_sums, on the first fill, so no other route loads it.
+    best_loop_sums, on the first fill or crc table, so no other route loads
+    it.
     """
     import numpy as np
 
@@ -354,12 +356,7 @@ def _composition_fill(T: BouquetShift, phi: Potential | None, M_list: Sequence[i
         counts = {M: cnt[ns, cap].tolist() for M, cap in caps.items()}
     if phi is None:
         return {M: (counts[M], [None] * N) for M in M_list}
-    if loop_sums is None:
-        loop_sums = best_loop_sums(T, phi, N, jmax)
-    elif loop_sums.N != N or loop_sums.jmax < jmax:
-        raise ValueError(f"loop sums for N = {loop_sums.N} up to column {loop_sums.jmax} "
-                         f"cannot serve a grid of N = {N} up to column {jmax}")
-    best = loop_sums.table
+    best = (graphs or BlockGraphs(T, phi, index_graph)).loop_sums(N, jmax).table
     L, top = best.shape[1] - N - 1, len(best) - 1
     return {M: (counts[M], (best[np.minimum(cap, top), L + ns] / ns).tolist())
             for M, cap in caps.items()}
@@ -518,12 +515,12 @@ def _composes(T: TransitionSystem, phi: Potential | None, q: int) -> bool:
 
 def _grid_cells(T: TransitionSystem, phi: Potential | None, q: int,
                 M_list: Sequence[int], N: int, sweep: _SweepGraph | None = None,
-                loop_sums: LoopSums | None = None) -> dict[int, tuple[list, list]]:
+                graphs: BlockGraphs | None = None) -> dict[int, tuple[list, list]]:
     """The count and z_phi columns of one q, per M; a sweep compiles its own
     graph unless one compiled for q (or a larger q) and N is given, and a
-    composition fill reads loop_sums when given."""
+    composition fill reads its best sums from graphs when given."""
     if _composes(T, phi, q):
-        return _composition_fill(T, phi, M_list, N, loop_sums)
+        return _composition_fill(T, phi, M_list, N, graphs)
     return _count_B_sweep(sweep or _compile_sweep(T, phi, q, N), q, M_list, N)
 
 
@@ -612,12 +609,12 @@ def _profile_window(N: int) -> list[int]:
     return list(range(max(1, min(math.ceil(0.75 * N), N - 3)), N + 1))
 
 
-def _grid(T, phi, q_list, M_list, N, loop_sums: LoopSums | None = None,
+def _grid(T, phi, q_list, M_list, N,
           graphs: BlockGraphs | None = None) -> tuple[dict, list]:
     """The columns of a checked grid, filled once per q, and their count
     diagnostics; each log-count column is taken once, here.  The sweeps of
-    every q share one graph, compiled when the first of them starts (from
-    graphs when given), and a composition fill reads loop_sums when given."""
+    every q share one graph, compiled when the first of them starts, and a
+    composition fill reads its best sums; both from graphs when given."""
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
     if min(M_list) < 1 or min(q_list) < 1:
@@ -631,7 +628,7 @@ def _grid(T, phi, q_list, M_list, N, loop_sums: LoopSums | None = None,
         if sweep is None and not _composes(T, phi, q):
             # one compiled graph for every q: its width pass at the largest
             sweep = _compile_sweep(T, phi, max(q_list), N, graphs)
-        for M, (count, z_phi) in _grid_cells(T, phi, q, M_list, N, sweep, loop_sums).items():
+        for M, (count, z_phi) in _grid_cells(T, phi, q, M_list, N, sweep, graphs).items():
             log_count = [math.log(c) if c else LOG_ZERO for c in count]
             columns[M, q] = Column(count, log_count, z_phi)
     return columns, _count_diagnostics(columns, q_list, M_list, N)
@@ -686,7 +683,6 @@ CONTRACTION_BAND = 1e-9
 
 def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
                   M_list: Sequence[int], N: int, P: float = 0.0,
-                  loop_sums: LoopSums | None = None,
                   graphs: BlockGraphs | None = None) -> InfinityProfile:
     """Weighted profile: z_phi grid, contraction-at-infinity estimate, and the
     contraction verdict (estimate + band < P - CONTRACTION_BAND).
@@ -696,13 +692,11 @@ def delta_profile(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     window with no counted cell (all empty, or NaN) yields the verdict
     'no-evidence' rather than a vacuous pass.  A +inf cell (a Birkhoff sum
     past the float range) is counted: the estimate is +inf, which fails
-    against a finite P and is inconclusive against P = +inf.  A bouquet's
-    fill at q = 1 reads its best sums from loop_sums when given:
-    best_loop_sums of T, phi and N up to a column of at least
-    (N + 1) // min(M_list), or a ValueError.  A state sweep reads its graphs
-    from graphs, those of T and phi, when given.
+    against a finite P and is inconclusive against P = +inf.  A state sweep
+    reads its graphs, and a bouquet's fill at q = 1 its best loop sums, from
+    graphs, those of T and phi, when given.
     """
-    return _contraction_fit(*_grid(T, phi, q_list, M_list, N, loop_sums, graphs),
+    return _contraction_fit(*_grid(T, phi, q_list, M_list, N, graphs),
                             q_list, M_list, N, P)
 
 
@@ -735,7 +729,6 @@ def _contraction_fit(columns, diagnostics, q_list, M_list, N, P) -> InfinityProf
 
 def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
                  M_list: Sequence[int], N: int, P: float = 0.0,
-                 loop_sums: LoopSums | None = None,
                  graphs: BlockGraphs | None = None) -> tuple[InfinityProfile, InfinityProfile]:
     """hinf_profile and delta_profile of the same grid, from one weighted fill.
 
@@ -745,7 +738,7 @@ def profile_pair(T: TransitionSystem, phi: Potential, q_list: Sequence[int],
     routes (a bouquet potential without loop totals at q = 1).  Both
     profiles are those the two separate calls return; the count diagnostics
     of the delta profile are those of the entropy one, so they are computed
-    once.  loop_sums and graphs are delta_profile's.
+    once.  graphs is delta_profile's.
     """
-    dp = delta_profile(T, phi, q_list, M_list, N, P, loop_sums, graphs)
+    dp = delta_profile(T, phi, q_list, M_list, N, P, graphs)
     return _entropy_fit(dp.columns, dp.monotone_M_violations, q_list, M_list, N), dp

@@ -448,6 +448,11 @@ def compare_oracle(cfg: RunConfig) -> tuple[list[tuple], bool]:
     N = min(cfg.horizon, _ORACLE_HORIZON_CAP)
     run = _Run(replace(cfg, horizon=N))
     T, phi = run.system, run.potential
+    if T is None:  # a bouquet preset with parallel self-loops
+        a = run.spec.a
+        hint = "; try a1=1, as in sec53(beta=3,C=auto,a1=1)" if a.form == "geometric" else ""
+        raise ConfigError(f"oracle comparisons run on a bouquet graph, and {cfg.preset} has "
+                          f"none: a graph needs a(1) <= 1, and it has a(1) = {a.count(1)}{hint}")
     if not isinstance(T, BouquetShift):
         raise ConfigError("oracle comparisons run on bouquet presets/specs")
     if T.truncate_len > cap:  # a spec's own truncation

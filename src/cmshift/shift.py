@@ -16,9 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .numerics import count_push
+
+if TYPE_CHECKING:  # for an annotation only
+    from .infinity import LoopSums
 
 __all__ = [
     "ShiftError", "UnknownStateError", "EnumerationRefusal",
@@ -475,12 +478,17 @@ class BlockGraphs:
     a kept graph is refused as index_graph refuses it, by the system's state
     count and then its block count, in the same words.  The graphs and lists
     handed out are shared: no DP changes them.
+
+    On a bouquet whose potential has loop totals, it also keeps the best
+    loop sums: one table per horizon N (loop_sums), which the delta grid's
+    composition fill and the crc profile both read.
     """
 
     def __init__(self, T: TransitionSystem, phi, index) -> None:
         self.system, self.potential, self._index = T, phi, index
         self._graphs: dict[int, IndexedGraph] = {}
         self._weighted: dict[int, list[list[tuple[int, float]]]] = {}
+        self._loop_sums: dict[int, LoopSums] = {}
 
     def graph(self, cap: int, dp: str, memory: int = 1) -> IndexedGraph:
         """The k-block graph, k = max(memory - 1, 1), for the DP named dp
@@ -499,6 +507,18 @@ class BlockGraphs:
         if wsucc is None:
             wsucc = self._weighted[graph.block] = graph.weighted(self.potential)
         return wsucc
+
+    def loop_sums(self, N: int, jmax: int) -> LoopSums:
+        """The best loop sums of horizon N (infinity.best_loop_sums), filled
+        up to visit column jmax at least, or to the column where they
+        settled.  A kept table is filled again only when jmax lies beyond
+        its last column and it has not settled."""
+        sums = self._loop_sums.get(N)
+        # a table that ran to its last column has not settled
+        if sums is None or sums.jmax < jmax and len(sums.table) > sums.jmax:
+            from .infinity import best_loop_sums  # infinity imports this module
+            sums = self._loop_sums[N] = best_loop_sums(self.system, self.potential, N, jmax)
+        return sums
 
 
 # -- word operations -------------------------------------------------------------

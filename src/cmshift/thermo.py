@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
 from operator import add
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
                        linear_fit, linear_fit_with_log, logsum_pull, logsumexp,
@@ -29,9 +29,6 @@ from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
 from .potential import Potential
 from .shift import (DP_STATE_CAP, ROOT, BlockGraphs, BouquetShift, IndexedGraph,
                     LoopVertex, State, TransitionSystem, Word, index_graph)
-
-if TYPE_CHECKING:  # for an annotation only; thermo never loads infinity
-    from .infinity import LoopSums
 
 __all__ = [
     "PartitionSums", "PressureEstimate", "SprVerdict", "ChiPerResult",
@@ -720,8 +717,7 @@ class CrcProfile:
 
 
 def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
-                P: float = 0.0, loop_sums: LoopSums | None = None,
-                graphs: BlockGraphs | None = None) -> CrcProfile:
+                P: float = 0.0, graphs: BlockGraphs | None = None) -> CrcProfile:
     """Profile s(n) = max S_n phi over words whose x_0 and x_n have order
     index <= q, plus the fitted affine majorant C_q - n*lambda_q.
 
@@ -731,23 +727,13 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
     lambda_q is minus the tail-fit slope of s; C_q is then the least constant
     majorizing every tail point.  The verdict reports lambda_q > P.
     A fit window with low-to-low words of finite weight at fewer than two
-    lengths has no slope and is a ValueError.
-
-    On a bouquet at q = 1, loop_sums may be infinity.best_loop_sums of T,
-    phi and N: when that fill stopped before its last column, its settled
-    column is s, bit for bit (the same max-plus rule over the same float
-    additions), and the recurrence below does not run.  A table that ran to
-    its last column is not read, and a table of another N is a ValueError.
-    The recurrence reads its graph from graphs, those of T and phi, when
-    given.
+    lengths has no slope and is a ValueError.  s reads its graph, or a
+    bouquet's best loop sums, from graphs, those of T and phi, when given
+    (_max_birkhoff_low_to_low).
     """
     if q < 1 or N < 1:
         raise ValueError("q and N must be >= 1")
-    if loop_sums is not None and loop_sums.N != N:
-        raise ValueError(f"loop sums for N = {loop_sums.N} cannot serve a crc profile of N = {N}")
-    s = None if loop_sums is None or q != 1 else loop_sums.settled()
-    if s is None:
-        s = _max_birkhoff_low_to_low(T, phi, q, N, graphs)
+    s = _max_birkhoff_low_to_low(T, phi, q, N, graphs)
     win = list(tail_window(N))
     fit = linear_fit(win, [s[n - 1] for n in win])
     if fit.degenerate:
@@ -760,19 +746,21 @@ def crc_profile(T: TransitionSystem, phi: Potential, q: int, N: int,
 
 
 def _max_birkhoff_low_to_low(T, phi, q, N, graphs: BlockGraphs | None = None) -> list[float]:
-    if isinstance(T, BouquetShift) and q == 1 and phi.loop_total is not None:
-        best = [LOG_ZERO] * (N + 1)
-        best[0] = 0.0
-        # each loop total read once, in the order of the lengths' first use
-        # (at m = k, from best[0])
-        taus = [(k, phi.loop_total(k)) for k in T.loop_lengths() if k <= N]
-        for m in range(1, N + 1):
-            # the rule of maxplus_push: the first strictly greatest sum, from
-            # LOG_ZERO, so a NaN (+inf + -inf) never wins
-            best[m] = max([c for k, tau in taus if k <= m and (c := tau + best[m - k]) == c],
-                          default=LOG_ZERO)
-        return best[1:]
+    """s(n) for n = 1..N: the best S_n phi over the walks of phi's block
+    graph from the low part of q back to it, by the max-plus state DP.
+
+    On a bouquet at q = 1 whose potential has loop totals, the walks are
+    the loop compositions of n, and s(n) is their best total: the best
+    loop sums that graphs keep (BlockGraphs.loop_sums), asked up to column
+    N + 1.  A composition of n <= N has at most N parts, so column N + 1
+    changes nothing, the table always settles there, and its settled column
+    is s, bit for bit the state DP's over the same additions (np.fmax from
+    LOG_ZERO keeps the greatest sum, so a NaN never wins and +inf does, as
+    in maxplus_push; see infinity._composition_fill).
+    """
     graphs = graphs or BlockGraphs(T, phi, index_graph)
+    if isinstance(T, BouquetShift) and q == 1 and phi.loop_total is not None:
+        return graphs.loop_sums(N, N + 1).settled()
     graph = graphs.graph(DP_STATE_CAP, "contraction profile DP", phi.memory)
     wsucc = graphs.weighted(graph)
     lo = graph.low(q)

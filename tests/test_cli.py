@@ -976,31 +976,36 @@ _TAU1_DOMINANT = ({"kind": "bouquet", "a": {"form": "ones"}, "truncate_len": 40}
 
 
 @pytest.mark.parametrize("case, N, q, tables, recurrences, lines", [
-    # zero potential: the table settles after column 6 and crc reads it
-    ("renewal-ones", 240, "1", [(120, 7)], 0, ["crc_lambda: 0"]),
+    # zero potential: the table settles after column 6
+    ("renewal-ones", 240, "1", [(241, 7)], 0, ["crc_lambda: 0"]),
     # tau(k) = log 2 for every k: one part more always pays, so the table
-    # runs to column jmax and crc takes its own recurrence
-    ("tau1", 240, "1", [(120, 121)], 1,
+    # runs to column N, and column N + 1 changes nothing
+    ("tau1", 240, "1", [(241, 241)], 0,
      ["crc_lambda: -0.69314718056", "delta: -0.534624731194"]),
     # no q = 1: the sweep and crc's state DP need no table
     ("renewal-ones", 40, "2", [], 1, []),
-    ("renewal-ones", 40, "2,1", [(20, 2)], 0, []),
+    ("renewal-ones", 40, "2,1", [(41, 2)], 0, []),
 ])
 def test_report_fills_one_loop_table(tmp_path, monkeypatch, capsys, case, N, q, tables,
                                      recurrences, lines):
-    # a bouquet report fills its best loop sums at most once, up to the
-    # grid's largest visit cap jmax = (N + 1) // min(M), for the delta fill
-    # and crc together, and never past jmax; "recurrence" counts crc's own
-    # DP (the bouquet recurrence or the state DP)
+    # a bouquet report fills its best loop sums at most once: crc asks its
+    # run's block graphs for column N + 1 before the delta fill asks for its
+    # cap (N + 1) // min(M), which the same table serves; "recurrence"
+    # counts crc's state DP
     import cmshift.infinity
 
-    calls, recurrence = [], cmshift.thermo._max_birkhoff_low_to_low
+    calls, graph = [], cmshift.shift.BlockGraphs.graph
     best_sums = cmshift.infinity._best_sums
     monkeypatch.setattr(cmshift.infinity, "_best_sums",
                         lambda lengths, tau, N, jmax:
                         calls.append((jmax, best_sums(lengths, tau, N, jmax))) or calls[-1][1])
-    monkeypatch.setattr(cmshift.thermo, "_max_birkhoff_low_to_low",
-                        lambda *a: calls.append("recurrence") or recurrence(*a))
+
+    def counted(self, cap, dp, *args):
+        if dp == "contraction profile DP":
+            calls.append("recurrence")
+        return graph(self, cap, dp, *args)
+
+    monkeypatch.setattr(cmshift.shift.BlockGraphs, "graph", counted)
     args = ["--preset", "renewal-ones"] if case == "renewal-ones" \
         else _write_specs(tmp_path, *_TAU1_DOMINANT)
     assert main(["report", *args, "--horizon", str(N), "--q", q]) == EXIT_OK
@@ -1286,6 +1291,33 @@ def test_oracle_refuses_a_spec_past_its_truncation_cap(tmp_path, capsys):
         assert main(["oracle", *specs, "--horizon", "8", *truncate]) == EXIT_CONFIG
         assert capsys.readouterr().err == \
             "config error: oracle comparisons run on bouquet presets/specs\n"
+
+
+def test_oracle_refuses_a_preset_without_a_graph(capsys):
+    # sec53 and sec54 are bouquet presets with parallel self-loops, so no
+    # graph to enumerate words on; sec53 has one with a1=1
+    for preset, a1, hint in (
+            ("sec53", 2, "; try a1=1, as in sec53(beta=3,C=auto,a1=1)"),
+            ("sec54", 4, "")):
+        assert main(["oracle", "--preset", preset, "--truncate", "3"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: oracle comparisons run on a bouquet graph, and {preset} has "
+            f"none: a graph needs a(1) <= 1, and it has a(1) = {a1}{hint}\n")
+    assert main(["oracle", "--preset", "sec53(beta=3,C=auto,a1=1)", "--truncate", "3",
+                 "--horizon", "10"]) == EXIT_OK
+    assert "all rows pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", ["sec53(beta=3,C=0)", "sec53(beta=3,C=-1)",
+                                    "sec54(C=0)", "sec54(C=-0.5)"])
+def test_a_non_positive_preset_C_is_a_config_error(preset, capsys):
+    # log C weighs every loop: C <= 0 has no log
+    C = preset.rpartition("C=")[2][:-1]
+    assert main(["report", "--preset", preset, "--horizon", "20"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: bad preset expression: preset argument C "
+                            f"must be positive, got {C}\n")
 
 
 def test_pressure_subcommand(capsys):

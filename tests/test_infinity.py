@@ -20,7 +20,7 @@ from cmshift.infinity import (Column, CountB, _compile_sweep, _composition_fill,
 from cmshift.numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
                             enumerate_words)
-from cmshift.shift import ROOT, SWEEP_STATE_CAP, IndexedGraph, index_graph
+from cmshift.shift import ROOT, SWEEP_STATE_CAP, BlockGraphs, IndexedGraph, index_graph
 from conftest import ORACLE_INPUTS
 
 LOG2 = math.log(2.0)
@@ -1307,9 +1307,8 @@ def test_profile_rows_and_cells_equal_count_B_cell_by_cell(data):
     # finite shifts and list bouquets (with loop totals, so q = 1 takes the
     # composition fill, or without, so every q sweeps), small N, any grid
     # order: rows and cell() of hinf_profile and profile_pair, and of the
-    # pair read from a shared loop table, are the count_B cells in repr
-    from cmshift.infinity import best_loop_sums
-
+    # pair read from shared block graphs (whose loop table crc may have
+    # filled past the grid's cap first), are the count_B cells in repr
     if data.draw(st.booleans()):
         S = data.draw(st.integers(min_value=1, max_value=4))
         T = FiniteShift([[int(j == (i + 1) % S or data.draw(st.booleans()))
@@ -1325,7 +1324,6 @@ def test_profile_rows_and_cells_equal_count_B_cell_by_cell(data):
                         st.integers(min_value=-16, max_value=8).map(lambda k: k / 8))
     phi = Potential(2, {w: data.draw(weights) for w in enumerate_words(T, 2)},
                     data.draw(weights))
-    sums = None
     if isinstance(T, BouquetShift) and data.draw(st.booleans()):
         # each loop's total on its edge out of the root
         totals = {k: data.draw(weights) for k in T.loop_lengths()}
@@ -1335,37 +1333,52 @@ def test_profile_rows_and_cells_equal_count_B_cell_by_cell(data):
     q_list = data.draw(st.lists(st.integers(1, S + 1), min_size=1, max_size=2, unique=True))
     M_list = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
     N = data.draw(st.integers(min_value=4, max_value=7))
+    graphs = BlockGraphs(T, phi, index_graph)
     if phi.loop_total is not None:
-        sums = best_loop_sums(T, phi, N, (N + 1) // min(M_list))
+        graphs.loop_sums(N, data.draw(st.sampled_from([(N + 1) // min(M_list), N + 1])))
     counts = [r[:5] + (None,) for r in _count_B_rows(T, None, q_list, M_list, N)]
     rows = _count_B_rows(T, phi, q_list, M_list, N)
     assert [r[:5] for r in rows] == [r[:5] for r in counts]
     for prof in (hinf_profile(T, q_list, M_list, N), *profile_pair(T, phi, q_list, M_list, N),
-                 *profile_pair(T, phi, q_list, M_list, N, loop_sums=sums)):
+                 *profile_pair(T, phi, q_list, M_list, N, graphs=graphs)):
         want = rows if prof.kind == "contraction" else counts
         assert repr(prof.rows) == repr(want)
         assert repr([prof.cell(*r[:3]) for r in want]) == repr(want)
 
 
-def test_a_loop_table_of_another_grid_is_refused():
-    # a table is read only for the N it was filled for and up to a column no
-    # smaller than the grid's largest cap; a larger one serves as well
+def test_block_graphs_keep_one_loop_table_per_horizon(monkeypatch):
+    # the loop table that crc and the delta grid share: filled once for both,
+    # filled again only when a table that has not settled is asked past its
+    # last column, and kept per horizon
+    import cmshift.infinity
     from cmshift import crc_profile
-    from cmshift.infinity import best_loop_sums
 
-    build = build_preset("sec52-entry", truncate_len=24)
-    T, phi, N, M_list = build.system, build.potential, 40, (2, 4)
-    jmax = (N + 1) // min(M_list)
-    for sums in (best_loop_sums(T, phi, N - 10, jmax), best_loop_sums(T, phi, N, jmax - 1)):
-        with pytest.raises(ValueError, match="loop sums for N"):
-            delta_profile(T, phi, [1], M_list, N, loop_sums=sums)
-        with pytest.raises(ValueError, match="loop sums for N"):
-            profile_pair(T, phi, [1], M_list, N, loop_sums=sums)
-    with pytest.raises(ValueError, match="loop sums for N = 30"):
-        crc_profile(T, phi, 1, N, loop_sums=best_loop_sums(T, phi, N - 10, jmax))
-    plain = delta_profile(T, phi, [1], M_list, N)
-    wide = delta_profile(T, phi, [1], M_list, N, loop_sums=best_loop_sums(T, phi, N, N))
-    assert repr(wide.rows) == repr(plain.rows)
+    fills, fill = [], cmshift.infinity.best_loop_sums
+    monkeypatch.setattr(cmshift.infinity, "best_loop_sums",
+                        lambda T, phi, N, jmax: fills.append((N, jmax)) or fill(T, phi, N, jmax))
+    T, M_list, N = BouquetShift(LoopCountFamily("ones"), 12), (2, 4), 40
+    # tau(k) = log 2 for every k: one part more always pays, so no table
+    # settles before column N; with tau(k) = 0, column 2 changes nothing
+    for tau, grid_fills in ((math.log(2.0), [(N, 20), (N, 41)]), (0.0, [(N, 20)])):
+        phi = Potential(2, {}, 0.0)
+        phi.loop_total = lambda k: tau
+        plain = (repr(crc_profile(T, phi, 1, N)), repr(delta_profile(T, phi, [1], M_list, N).rows))
+        # crc, then the delta grid: one fill, up to column N + 1
+        graphs, fills[:] = BlockGraphs(T, phi, index_graph), []
+        shared = (repr(crc_profile(T, phi, 1, N, graphs=graphs)),
+                  repr(delta_profile(T, phi, [1], M_list, N, graphs=graphs).rows))
+        assert fills == [(N, N + 1)] and shared == plain
+        # the grid first: its capped table serves crc only if it settled
+        graphs, fills[:] = BlockGraphs(T, phi, index_graph), []
+        shared = (repr(delta_profile(T, phi, [1], M_list, N, graphs=graphs).rows),
+                  repr(crc_profile(T, phi, 1, N, graphs=graphs)))
+        delta_profile(T, phi, [1], M_list, N, graphs=graphs)
+        assert fills == grid_fills and shared == plain[::-1]
+        # two horizons keep two tables
+        crc_profile(T, phi, 1, N - 10, graphs=graphs)
+        crc_profile(T, phi, 1, N, graphs=graphs)
+        crc_profile(T, phi, 1, N - 10, graphs=graphs)
+        assert fills == grid_fills + [(N - 10, N - 9)]
 
 
 # -- growth oracle -----------------------------------------------------------------------

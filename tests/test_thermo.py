@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +23,8 @@ from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
 from cmshift import families, numerics, thermo
 from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
 from cmshift.oracle import enumerate_words, partition_sums_bruteforce, periodic_points
+from cmshift.infinity import best_loop_sums
+from cmshift.shift import BlockGraphs, index_graph
 from cmshift.thermo import SERIES_BAND, _max_birkhoff_low_to_low
 from conftest import ORACLE_INPUTS
 
@@ -1592,24 +1595,67 @@ def test_bouquet_route_equals_the_state_route(data):
         == repr(_max_birkhoff_low_to_low(T, state, 1, N))
 
 
-@settings(max_examples=150)
-@given(data=st.data())
-def test_crc_reads_a_settled_loop_table_as_its_recurrence(data):
-    # a best-sum table that stopped before its last column holds s(n) in
-    # that column, bit for bit, and crc reads it without the recurrence
-    from cmshift.infinity import best_loop_sums
+def _loop_recurrence_reference(T, phi, N):
+    # the O(N K) loop-total recurrence crc ran before it read the loop table:
+    # each loop total read once, in the order of the lengths' first use (at
+    # m = k, from best[0]), kept by the rule of maxplus_push (the first
+    # strictly greatest sum, from LOG_ZERO, so a NaN (+inf + -inf) never wins)
+    best = [LOG_ZERO] * (N + 1)
+    best[0] = 0.0
+    taus = [(k, phi.loop_total(k)) for k in T.loop_lengths() if k <= N]
+    for m in range(1, N + 1):
+        best[m] = max([c for k, tau in taus if k <= m and (c := tau + best[m - k]) == c],
+                      default=LOG_ZERO)
+    return best[1:]
 
+
+def _check_table_route(T, phi, N):
+    # crc's table route, s and the whole profile, equals the recurrence's in
+    # repr; its table asked to column N + 1 settled there; returns whether
+    # the table of a grid with M = 2 settles by its cap (N + 1) // 2
+    graphs = BlockGraphs(T, phi, index_graph)
+    with patch.object(thermo, "_max_birkhoff_low_to_low",
+                      lambda T, phi, q, N, graphs=None: _loop_recurrence_reference(T, phi, N)):
+        want = _outcome(crc_profile, T, phi, 1, N)
+    assert repr(_max_birkhoff_low_to_low(T, phi, 1, N, graphs)) \
+        == repr(_loop_recurrence_reference(T, phi, N))
+    assert _outcome(crc_profile, T, phi, 1, N, graphs=graphs) == want
+    assert len(graphs.loop_sums(N, N + 1).table) <= N + 1
+    return len(best_loop_sums(T, phi, N, (N + 1) // 2).table) <= (N + 1) // 2
+
+
+_LOOP_TOTALS_NAN = st.one_of(st.sampled_from([math.inf, -math.inf, 0.0, -0.0, math.nan]),
+                             EIGHTHS)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_crc_table_route_equals_the_loop_recurrence(data):
+    # list bouquets whose loop totals come from +-inf, +-0.0, NaN and k/8,
+    # N = 1..30: s(n) read from the loop table's settled column N + 1, and
+    # the crc profile fitted to it, are the recurrence's in repr
     T = _random_list_bouquet(data)
     phi = Potential(2, {}, 0.0)
-    totals = {k: data.draw(_LOOP_TOTALS) for k in T.loop_lengths()}
+    totals = {k: data.draw(_LOOP_TOTALS_NAN) for k in T.loop_lengths()}
     phi.loop_total = totals.__getitem__
     N = data.draw(st.integers(min_value=1, max_value=30))
-    sums = best_loop_sums(T, phi, N, (N + 1) // data.draw(st.integers(min_value=1, max_value=4)))
-    settled = sums.settled()
-    assume(settled is not None)
-    assert repr(settled) == repr(_max_birkhoff_low_to_low(T, phi, 1, N))
-    assert _outcome(crc_profile, T, phi, 1, N, loop_sums=sums) \
-        == _outcome(crc_profile, T, phi, 1, N)
+    _check_table_route(T, phi, N)
+
+
+@pytest.mark.parametrize("values, totals", [
+    ((1,), {1: 0.125}),
+    ((1, 1, 1), {1: 0.5, 2: 1.125, 3: -0.0}),
+    ((1, 2, 0, 1), {1: 0.0, 2: 0.25, 4: math.nan}),
+])
+@pytest.mark.parametrize("N", [7, 20, 30])
+def test_crc_table_route_past_a_grid_cap(values, totals, N):
+    # one part more pays, so a grid's table of M = 2 has not settled by its
+    # cap (N + 1) // 2: crc's table runs on to a settled column and still
+    # equals the recurrence
+    T = BouquetShift(LoopCountFamily("list", values=values), len(values))
+    phi = Potential(2, {}, 0.0)
+    phi.loop_total = totals.__getitem__
+    assert not _check_table_route(T, phi, N)
 
 
 @pytest.mark.parametrize("N", [8, 12, 30])
