@@ -24,8 +24,7 @@ from pathlib import Path
 from . import families, infinity, thermo
 from .families import (FiniteTail, GeometricTail, PowerTail, UnknownTail,
                        build_preset, htop_solve, preset_names)
-from .potential import Potential
-from .shift import BlockGraphs, BouquetShift, EnumerationRefusal, TransitionSystem, index_graph
+from .shift import BlockGraphs, BouquetShift, EnumerationRefusal
 from .specio import ConfigError, load_potential, load_shift
 
 __all__ = ["RunConfig", "run_report", "main"]
@@ -374,12 +373,15 @@ class _Run:
     The stages are the block graphs of the system (which also keep a
     bouquet's best loop sums), the partition sums, their fitted pressure,
     the closed-form return weights, log Z*_n, the pressure P that every
-    verdict is judged against, the SPR verdict and the profile graph.  A
+    verdict is judged against, the SPR verdict and the profile graphs (the
+    block graphs the profiles read: the run's own, or fresh ones of the
+    a(1)=1 modified family), so every DP of a run reads its graph from one
+    of the two.  A
     bouquet's family weights are its closed form: a preset's, else, for a
     bouquet with loop totals (a preset without a closed form, or a spec),
     its first returns Z*_1..Z*_L at every N.  A subcommand reads only the
     stages it prints: `pressure` the fit, `spr` log Z*_n and P (the sums
-    only without family weights), `hinf` the profile graph, `report` every
+    only without family weights), `hinf` the profile graphs, `report` every
     stage."""
 
     def __init__(self, cfg: RunConfig) -> None:
@@ -409,11 +411,12 @@ class _Run:
         """The block graphs of the system and their successor lists
         weighted by its potential, each listed and weighed on first use,
         once per block length, for every state DP of the run: the transfer
-        sums, chi_per, crc's state DP and the profile sweep; on a bouquet
-        with loop totals, also the best loop sums that crc and the delta
-        fill at q = 1 read.  None without a system."""
+        sums, chi_per, crc's state DP and, through profile_graph, the
+        profile sweep; on a bouquet with loop totals, also the best loop
+        sums that crc and the delta fill at q = 1 read.  None without a
+        system."""
         T = self.system
-        return None if T is None else BlockGraphs(T, self.potential, index_graph)
+        return None if T is None else BlockGraphs(T, self.potential)
 
     @cached_property
     def sums(self) -> thermo.PartitionSums:
@@ -498,21 +501,23 @@ class _Run:
                                 reason="finite graph" if w is None else None)
 
     @cached_property
-    def profile_graph(self) -> tuple[TransitionSystem | None, Potential | None, str | None]:
-        """The graph the boundary profiles are filled on, its potential and a
-        note on it.  A truncated family with parallel self-loops has no graph
-        of its own; its a(1)=1 modified family's keeps every return weight
-        but the (collapsed anyway) length-1 aggregate.  Without a graph the
-        note says why, where that is known."""
+    def profile_graph(self) -> tuple[BlockGraphs | None, str | None]:
+        """The block graphs the boundary profiles are filled on, of a system
+        and its potential, and a note on them: the run's own graphs when it
+        has a system.  A truncated family with parallel self-loops has no
+        graph of its own; its a(1)=1 modified family's keeps every return
+        weight but the (collapsed anyway) length-1 aggregate, and gets block
+        graphs of its own.  Without a graph the note says why, where that
+        is known."""
         spec = self.spec
         if self.system is not None or spec is None or spec.truncate_len is None \
                 or spec.a.count(1) <= 1:
-            return self.system, self.potential, None
+            return self.graphs, None
         try:
             mod = families.build_bouquet(replace(spec, a=replace(spec.a, a1=1)))
         except (ValueError, EnumerationRefusal) as exc:
-            return None, None, f"the a(1)=1 modified family has no graph: {exc}"
-        return mod.system, mod.potential, "profiles use the a(1)=1 modified family"
+            return None, f"the a(1)=1 modified family has no graph: {exc}"
+        return BlockGraphs(mod.system, mod.potential), "profiles use the a(1)=1 modified family"
 
 
 def _diagnostics(run: _Run) -> dict:
@@ -572,13 +577,12 @@ def _profiles(run: _Run) -> tuple[dict, dict]:
     """The profiles section of a report, and the table of each profile in
     it (InfinityProfile.table), whose rows it holds."""
     cfg = run.cfg
-    T, phi, note = run.profile_graph
-    if T is None:
+    graphs, note = run.profile_graph
+    if graphs is None:
         return {"skipped": note} if note else {}, {}
+    T, phi = graphs.system, graphs.potential
     out: dict = {"note": note} if note else {}
     tables = {}
-    # the run's graphs serve a profile graph that is its system
-    graphs = run.graphs if T is run.system else None
     # one weighted fill gives both profiles; when it fails, that failure is
     # the delta skip and the entropy profile is filled alone
     hp = None
@@ -801,10 +805,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "hinf":
         run = _Run(cfg)
-        T, _, note = run.profile_graph
-        if T is None:
+        graphs, note = run.profile_graph
+        if graphs is None:
             raise ConfigError(note or "profiles need a graph realization (set --truncate)")
-        hp = infinity.hinf_profile(T, cfg.q, cfg.M, cfg.horizon)
+        hp = infinity.hinf_profile(graphs.system, cfg.q, cfg.M, cfg.horizon, graphs)
         if cfg.out:
             _write_out(cfg, {"profile_hinf.csv": _profile_csv(hp.table, _Texts())})
         _emit(f"hinf estimate: {_fmt(_display(hp.estimate, cfg.log2))} "

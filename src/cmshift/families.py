@@ -406,7 +406,6 @@ def htop_solve(a: LoopCountFamily) -> float:
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     describe: str
     build: Callable[..., BouquetSpec]
     default_truncate: int
@@ -472,23 +471,17 @@ def _renewal_ones(truncate_len: int | None = None, **kw) -> BouquetSpec:
 
 
 PRESETS: dict[str, Preset] = {
-    "sec52-entry": Preset("sec52-entry",
-                          "one loop per length, weight -n log 2 on the entry edge",
+    "sec52-entry": Preset("one loop per length, weight -n log 2 on the entry edge",
                           _sec52("entry"), 40),
-    "sec52-exit": Preset("sec52-exit",
-                         "one loop per length, weight -n log 2 on the exit edge",
+    "sec52-exit": Preset("one loop per length, weight -n log 2 on the exit edge",
                          _sec52("exit"), 40),
-    "sec52-mid": Preset("sec52-mid",
-                        "one loop per length, weight -n log 2 midway along the loop",
+    "sec52-mid": Preset("one loop per length, weight -n log 2 midway along the loop",
                         _sec52("midpoint"), 40),
-    "sec53": Preset("sec53",
-                    "2^n loops per length, entry weight log C - n log 2 - beta log n",
+    "sec53": Preset("2^n loops per length, entry weight log C - n log 2 - beta log n",
                     _sec53, 25),
-    "sec54": Preset("sec54",
-                    "2^(2^n) loops per length, psi-tabulated entry weights",
+    "sec54": Preset("2^(2^n) loops per length, psi-tabulated entry weights",
                     _sec54, 8),
-    "renewal-ones": Preset("renewal-ones",
-                           "one unweighted loop per length (plain renewal shift)",
+    "renewal-ones": Preset("one unweighted loop per length (plain renewal shift)",
                            _renewal_ones, 40),
 }
 

@@ -39,15 +39,15 @@ block nodes whose best sum is strictly above every lower layer's there,
 pushed in ascending v through one running floor per node, so no entry
 that a lower layer matches or beats at its node is stored or pushed
 (exact: see _count_B_sweep).
-A grid compiles its system once for every q: the count
-graph, the k-block graph and its weighted successor lists, the
-SWEEP_STATE_CAP check, and the slot-width pass, run at the largest q since
-the paths from its low part bound those from every smaller one.  A report's
-grid reads the two graphs and the weighted lists from the block graphs its
-run shares with its other DPs (shift.BlockGraphs), and checks its cap
-against them.  A single count_B is the one-cell case of the same fill and
-compiles its own graph, and profile_pair fits both profiles from one
-weighted fill per q.  The
+Every q of a grid reads its graphs from one shift.BlockGraphs: the count
+graph, the k-block graph and its weighted successor lists, each listed
+once and checked against SWEEP_STATE_CAP at every ask.  A report's grid
+reads those its run shares with its other DPs; any other grid, and a
+single count_B (the one-cell case of the same fill), makes its own.  The
+slot width is set once per grid, at its largest q, since the paths from
+its low part bound those from every smaller one, and each q's sweep is
+handed that int.  profile_pair fits both profiles from one weighted fill
+per q.  The
 grid stays in columns: the fill and the sweep return per M a list of int
 counts and one of z_phi, the grid adds the log-count list once per (M, q),
 and the fits, the count diagnostics, rows, cell() and the report writer
@@ -68,8 +68,7 @@ from typing import NamedTuple, Sequence
 
 from .numerics import LOG_ZERO, count_push, linear_fit
 from .potential import Potential
-from .shift import (SWEEP_STATE_CAP, BlockGraphs, BouquetShift, IndexedGraph,
-                    TransitionSystem, index_graph)
+from .shift import SWEEP_STATE_CAP, BlockGraphs, BouquetShift, IndexedGraph, TransitionSystem
 
 __all__ = [
     "CountB", "InfinityProfile",
@@ -356,7 +355,7 @@ def _composition_fill(T: BouquetShift, phi: Potential | None, M_list: Sequence[i
         counts = {M: cnt[ns, cap].tolist() for M, cap in caps.items()}
     if phi is None:
         return {M: (counts[M], [None] * N) for M in M_list}
-    best = (graphs or BlockGraphs(T, phi, index_graph)).loop_sums(N, jmax).table
+    best = (graphs or BlockGraphs(T, phi)).loop_sums(N, jmax).table
     L, top = best.shape[1] - N - 1, len(best) - 1
     return {M: (counts[M], (best[np.minimum(cap, top), L + ns] / ns).tolist())
             for M, cap in caps.items()}
@@ -364,45 +363,37 @@ def _composition_fill(T: BouquetShift, phi: Potential | None, M_list: Sequence[i
 
 # -- state sweep (finite systems, any q) --------------------------------------------
 
-class _SweepGraph(NamedTuple):
-    """A system compiled for the state sweep of a grid: the graphs and the
-    weighted successor lists every q of the grid runs on, and the slot width
-    of the packed counts."""
-
-    graph: IndexedGraph  # the states, on which the counts run
-    blocks: IndexedGraph  # the potential's k-block graph, on which the best sums run
-    wsucc: list | None  # the weighted successor lists of blocks, None without a potential
-    width: int  # bits per visit slot of the packed counts
-
-
-def _compile_sweep(T: TransitionSystem, phi: Potential | None, q: int, N: int,
-                   graphs: BlockGraphs | None = None) -> _SweepGraph:
-    """Index and weigh T once for sweeps of horizon N at every q' <= q,
-    reading the graphs from graphs, those of T and phi, when given.
-
-    The width pass counts the n-step paths from the low part of q for
-    n <= N; the paths from a smaller low part are among them, so the width
-    it sets holds for every q' <= q.  SWEEP_STATE_CAP is checked here, by
-    index_graph (or against the graphs given), before any state is listed.
-    """
-    graphs = graphs or BlockGraphs(T, phi, index_graph)
+def _sweep_graphs(graphs: BlockGraphs, phi: Potential | None) -> tuple[IndexedGraph, IndexedGraph]:
+    """The graph a sweep counts on, the states, and the potential's k-block
+    graph its best sums run on (the states too without a potential), from
+    graphs, those of the swept system; SWEEP_STATE_CAP is checked against
+    both, before any state is listed."""
     blocks = graph = graphs.graph(SWEEP_STATE_CAP, "profile state sweep",
                                   1 if phi is None else phi.memory)
     if blocks.block > 1:
         graph = graphs.graph(SWEEP_STATE_CAP, "profile state sweep")
+    return graph, blocks
+
+
+def _sweep_width(graphs: BlockGraphs, phi: Potential | None, q: int, N: int) -> int:
+    """Bits per visit slot of the packed counts of a sweep of horizon N at
+    every q' <= q on the graphs of _sweep_graphs: the width of the most
+    n-step paths from the low part of q, n <= N.  The paths from a smaller
+    low part are among them, so a grid sets one width at its largest q."""
+    graph = _sweep_graphs(graphs, phi)[0]
     lo = graph.low(q)
     paths, bound = [1] * lo + [0] * (len(graph.states) - lo), lo
     for _ in range(N):
         paths = count_push(graph.succ, paths)
         bound = max(bound, sum(paths))
-    return _SweepGraph(graph, blocks, None if phi is None else graphs.weighted(blocks),
-                       bound.bit_length())
+    return bound.bit_length()
 
 
-def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
-                   N: int) -> dict[int, tuple[list, list]]:
+def _count_B_sweep(graphs: BlockGraphs, phi: Potential | None, q: int, M_list: Sequence[int],
+                   N: int, w: int) -> dict[int, tuple[list, list]]:
     """The count and z_phi columns of every M, cells n = 1..N, from one
-    forward sweep over a graph compiled for q and N or more.
+    forward sweep over the graphs of _sweep_graphs, with the packed counts
+    in w-bit slots (_sweep_width at q, or at a larger q, and N).
 
     The DP state is (v, i): paths that start in the low part and now sit at
     node i, with v low visits at positions 0..k-1 (the current endpoint
@@ -423,7 +414,7 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
     packed vector pushes every slot with one bigint add per edge; both are
     linear and shift the slots alike, so the prefix sums obey the
     recurrence of the layers.  No slot ever exceeds the number of n-step
-    paths from the low part, which the compiled width w holds, so no carry
+    paths from the low part, which the width w holds, so no carry
     crosses a slot, and cell (n, M) reads the one slot (n + 1) // M of the
     low states' sum.  Each row's cells are read as it is made and no row is
     kept.
@@ -457,7 +448,8 @@ def _count_B_sweep(sweep: _SweepGraph, q: int, M_list: Sequence[int],
     counted word has no block walk either, so its best sum is LOG_ZERO, and
     LOG_ZERO / n is LOG_ZERO.
     """
-    graph, blocks, wsucc, w = sweep
+    graph, blocks = _sweep_graphs(graphs, phi)
+    wsucc = None if phi is None else graphs.weighted(blocks)
     S, lo = len(graph.states), graph.low(q)
     blo = blocks.low(q)
     vcap = (N + 1) // min(M_list)
@@ -513,15 +505,18 @@ def _composes(T: TransitionSystem, phi: Potential | None, q: int) -> bool:
         and (phi is None or phi.loop_total is not None)
 
 
-def _grid_cells(T: TransitionSystem, phi: Potential | None, q: int,
-                M_list: Sequence[int], N: int, sweep: _SweepGraph | None = None,
+def _grid_cells(T: TransitionSystem, phi: Potential | None, q: int, M_list: Sequence[int],
+                N: int, width: int | None = None,
                 graphs: BlockGraphs | None = None) -> dict[int, tuple[list, list]]:
-    """The count and z_phi columns of one q, per M; a sweep compiles its own
-    graph unless one compiled for q (or a larger q) and N is given, and a
-    composition fill reads its best sums from graphs when given."""
+    """The count and z_phi columns of one q, per M: a composition fill, or a
+    sweep with its counts in width-bit slots (_sweep_width at q when None).
+    Both read graphs, those of T (and phi), when given."""
+    graphs = graphs or BlockGraphs(T, phi)
     if _composes(T, phi, q):
         return _composition_fill(T, phi, M_list, N, graphs)
-    return _count_B_sweep(sweep or _compile_sweep(T, phi, q, N), q, M_list, N)
+    if width is None:
+        width = _sweep_width(graphs, phi, q, N)
+    return _count_B_sweep(graphs, phi, q, M_list, N, width)
 
 
 def count_B(T: TransitionSystem, phi: Potential | None, n: int, M: int, q: int) -> CountB:
@@ -612,9 +607,9 @@ def _profile_window(N: int) -> list[int]:
 def _grid(T, phi, q_list, M_list, N,
           graphs: BlockGraphs | None = None) -> tuple[dict, list]:
     """The columns of a checked grid, filled once per q, and their count
-    diagnostics; each log-count column is taken once, here.  The sweeps of
-    every q share one graph, compiled when the first of them starts, and a
-    composition fill reads its best sums; both from graphs when given."""
+    diagnostics; each log-count column is taken once, here.  Every q reads
+    graphs, those of T (and phi), or one BlockGraphs made here, and the
+    sweeps share one slot width, set when the first of them starts."""
     if not q_list or not M_list:
         raise ValueError("grids must be non-empty")
     if min(M_list) < 1 or min(q_list) < 1:
@@ -623,12 +618,13 @@ def _grid(T, phi, q_list, M_list, N,
         raise ValueError("M and q values must be distinct")
     if N < MIN_PROFILE_HORIZON:
         raise ValueError("horizon too small to fit")
-    columns, sweep = {}, None
+    graphs = graphs or BlockGraphs(T, phi)
+    columns, width = {}, None
     for q in q_list:
-        if sweep is None and not _composes(T, phi, q):
-            # one compiled graph for every q: its width pass at the largest
-            sweep = _compile_sweep(T, phi, max(q_list), N, graphs)
-        for M, (count, z_phi) in _grid_cells(T, phi, q, M_list, N, sweep, graphs).items():
+        if width is None and not _composes(T, phi, q):
+            # one width for every q: the paths from the largest low part
+            width = _sweep_width(graphs, phi, max(q_list), N)
+        for M, (count, z_phi) in _grid_cells(T, phi, q, M_list, N, width, graphs).items():
             log_count = [math.log(c) if c else LOG_ZERO for c in count]
             columns[M, q] = Column(count, log_count, z_phi)
     return columns, _count_diagnostics(columns, q_list, M_list, N)

@@ -17,7 +17,10 @@ def logsumexp(values: Iterable[float]) -> float:
     """Accurate log-domain sum of an iterable of log-terms.
 
     Uses the max-shift trick with a compensated (fsum) accumulation, so exact
-    geometric identities survive to within a few ulps.
+    geometric identities survive to within a few ulps.  It rounds twice: the
+    fsum of the expm1 terms is a float near -(k - 1), whose remainder keeps
+    only the bits below ulp(k) before k - 1 is added back, so it loses about
+    log2(k) bits when most of the k terms lie far below the maximum.
     """
     xs = list(values)
     if LOG_ZERO in xs:

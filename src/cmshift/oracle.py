@@ -14,6 +14,14 @@ call.  Against the walks with a tuple per prefix that they replaced, on
 `cmshift oracle --preset sec52-mid --truncate 5 --horizon 12 --M 2,3 --q 1`
 (Python 3.11, a shared 2-core Xeon host, least of 25 in-process calls) the
 sums walk went from 21.4 to 5.4 ms and the cells walk from 12.0 to 7.5 ms.
+
+The reference sums round once: each period's log Z_n and log Z*_n is
+m + log(fsum(exp(t - m))) over its word totals t (_logsum), not
+numerics.logsumexp, whose second rounding drifted past the 1e-12 bound on
+sec53(beta=3,C=auto,a1=1) at truncation 3 (relative errors 1.5e-12 and
+1.0e-12 at n = 11 and 12, over 136,305 and 423,757 words).  The DP side
+of the cells reads the run's block graphs, so a table over several q lists
+and weighs its graph once.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Callable, Sequence
 
 from . import families, infinity, thermo
 from .cli import RunConfig, _Run
-from .numerics import LOG_ZERO, logsumexp
+from .numerics import LOG_ZERO
 from .potential import Potential
 from .shift import (_BRANCH_CAP, ROOT, BouquetShift, EnumerationRefusal, LoopVertex,
                     Plain, Root, State, TransitionSystem, Word)
@@ -297,9 +305,26 @@ def partition_sums_bruteforce(T: TransitionSystem, phi: Potential, a: State,
             raise EnumerationRefusal(f"more than {max_count} periodic words of period {n}")
         if n in failed:
             raise failed[n]
-    return thermo.PartitionSums(a, N, [logsumexp(t) for t in terms[1:]],
-                         [logsumexp(t) for t in star_terms[1:]], "brute-force",
+    return thermo.PartitionSums(a, N, [_logsum(t) for t in terms[1:]],
+                         [_logsum(t) for t in star_terms[1:]], "brute-force",
                          counts[1:], [len(t) for t in star_terms[1:]])
+
+
+def _logsum(terms: Sequence[float]) -> float:
+    """log sum exp(terms), rounded once: m + log(fsum(exp(t - m))) for the
+    largest term m.  numerics.logsumexp adds its expm1 terms near -1 and
+    then k - 1 back, which rounds twice and loses about log2(k) bits when
+    most of the k terms lie far below m; a period of the oracle's sizes has
+    up to half a million terms.  Its special cases hold here too: no terms
+    (or only -inf ones) give LOG_ZERO, a +inf maximum gives +inf, and a NaN
+    propagates."""
+    xs = [t for t in terms if t != LOG_ZERO]
+    if not xs:
+        return LOG_ZERO
+    m = max(xs)
+    if math.isinf(m):
+        return m
+    return m + math.log(math.fsum([math.exp(t - m) for t in xs]))
 
 
 # -- boundary cylinders ------------------------------------------------------------
@@ -479,7 +504,7 @@ def compare_oracle(cfg: RunConfig) -> tuple[list[tuple], bool]:
             rows.append((name, n, b, d, err, "pass" if passed else "FAIL"))
     for q in cfg.q:
         brute_cells = _bruteforce_cells(T, phi, q, cfg.M, N)
-        fast_cells = infinity._grid_cells(T, phi, q, cfg.M, N)
+        fast_cells = infinity._grid_cells(T, phi, q, cfg.M, N, graphs=run.graphs)
         for M in cfg.M:
             for n, bf, count, z_phi in zip(range(1, N + 1), brute_cells[M], *fast_cells[M]):
                 passed = bf.count == count

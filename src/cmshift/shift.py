@@ -182,8 +182,6 @@ class TransitionSystem:
     concurrent reads are safe.
     """
 
-    kind: str = "abstract"
-
     def contains(self, s: State) -> bool:
         raise NotImplementedError
 
@@ -221,8 +219,6 @@ class FiniteShift(TransitionSystem):
     The matrix must define a topologically transitive shift (every row
     non-empty and every ordered pair of states connected by a path).
     """
-
-    kind = "finite"
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         n = len(matrix)
@@ -281,8 +277,6 @@ class BouquetShift(TransitionSystem):
     graph cannot carry parallel self-loops; families with a(1) >= 2 must be
     handled through their aggregate per-length return weights instead.
     """
-
-    kind = "bouquet"
 
     def __init__(self, a: LoopCountFamily, truncate_len: int):
         if truncate_len is None or truncate_len < 1:
@@ -467,10 +461,12 @@ def index_graph(T: TransitionSystem, cap: int, dp: str, memory: int = 1) -> Inde
 
 class BlockGraphs:
     """The k-block graphs of one system and their successor lists weighted
-    by one potential, each listed and weighed on first use and then kept:
-    one graph and one weighting per block length.  index lists a graph, as
-    index_graph(T, cap, dp, memory) does; each module passes the index_graph
-    it imports.
+    by one potential (None for the DPs that only count), each listed by
+    index_graph and weighed on first use and then kept: one graph and one
+    weighting per block length.  This is the one way a DP reaches a graph:
+    graph() is the only caller of index_graph, and it reads the module's
+    index_graph at each call, so a spy or a tracer bound there sees every
+    listing.
 
     The DPs of one run share one BlockGraphs of its system and potential,
     and a DP called without one makes its own, so a graph lives as long as
@@ -484,8 +480,8 @@ class BlockGraphs:
     composition fill and the crc profile both read.
     """
 
-    def __init__(self, T: TransitionSystem, phi, index) -> None:
-        self.system, self.potential, self._index = T, phi, index
+    def __init__(self, T: TransitionSystem, phi) -> None:
+        self.system, self.potential = T, phi
         self._graphs: dict[int, IndexedGraph] = {}
         self._weighted: dict[int, list[list[tuple[int, float]]]] = {}
         self._loop_sums: dict[int, LoopSums] = {}
@@ -496,7 +492,7 @@ class BlockGraphs:
         k = max(memory - 1, 1)
         graph = self._graphs.get(k)
         if graph is None:
-            graph = self._graphs[k] = self._index(self.system, cap, dp, memory)
+            graph = self._graphs[k] = index_graph(self.system, cap, dp, memory)
         else:
             _check_cap(cap, dp, memory, self.system.state_count(), len(graph.states))
         return graph
@@ -617,7 +613,7 @@ def f_property_count(T: TransitionSystem, q: int, N: int) -> FPropertyCount:
         total = _run_rows(_loop_runs(lengths, [T.a.count(k) for k in lengths]), N, 1,
                           lambda row: row)[N]
         return FPropertyCount(total)
-    graph = index_graph(T, DP_STATE_CAP, "path counting")
+    graph = BlockGraphs(T, None).graph(DP_STATE_CAP, "path counting")
     vec = [int(i < q) for i in range(len(graph.states))]
     for _ in range(N - 1):
         vec = count_push(graph.succ, vec)

@@ -23,12 +23,12 @@ from itertools import accumulate
 from operator import add
 from typing import Sequence
 
-from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _ratio, count_push,
+from .numerics import (LOG_ZERO, SeriesBudgetError, TailFit, _dyadic, _ratio, count_push,
                        linear_fit, linear_fit_with_log, logsum_pull, logsumexp,
                        maxplus_push, renewal_row, reverse_edges, tail_window)
 from .potential import Potential
 from .shift import (DP_STATE_CAP, ROOT, BlockGraphs, BouquetShift, IndexedGraph,
-                    LoopVertex, State, TransitionSystem, Word, index_graph)
+                    LoopVertex, State, TransitionSystem, Word)
 
 __all__ = [
     "PartitionSums", "PressureEstimate", "SprVerdict", "ChiPerResult",
@@ -138,7 +138,7 @@ def partition_sums_transfer(T: TransitionSystem, phi: Potential, a: State,
     if N < 1:
         raise ValueError("horizon must be >= 1")
     exact = phi.is_zero()
-    graphs = graphs or BlockGraphs(T, phi, index_graph)
+    graphs = graphs or BlockGraphs(T, phi)
     graph = graphs.graph(DP_STATE_CAP, "transfer DP", 1 if exact else phi.memory)
     nodes = _nodes_of(graph, T, a)
     if exact:
@@ -308,14 +308,13 @@ def chi_per(T: TransitionSystem, phi: Potential, N: int,
                 best, best_n = avg, n
         orbit = _loop_word(best_n) if best_n else None
         return ChiPerResult(best, best_n, orbit)
-    graphs = graphs or BlockGraphs(T, phi, index_graph)
+    graphs = graphs or BlockGraphs(T, phi)
     graph = graphs.graph(DP_STATE_CAP, "max-plus chi_per", phi.memory)
     blocks = len(graph.states)
     weighted = graphs.weighted(graph)
-    ratios = {w: w.as_integer_ratio() for js in weighted for _, w in js
-              if -math.inf < w < math.inf}
-    den = max((d for _, d in ratios.values()), default=1)
-    exact = {w: num * (den // d) for w, (num, d) in ratios.items()}
+    finite = list({w for js in weighted for _, w in js if -math.inf < w < math.inf})
+    nums, den = _dyadic(finite)
+    exact = dict(zip(finite, nums))
     top = max(map(abs, exact.values()), default=0)
     # no walk of at most N finite edges sums past bound, and one +inf edge
     # does; the finite parts of two cycles of at most L = max(N, blocks)
@@ -560,7 +559,6 @@ class InducedPressure:
     value: float
     pstar: float
     delta: float
-    p: float
 
     @property
     def spr(self) -> bool:
@@ -679,8 +677,7 @@ class RenewalSeries:
         """log sum_k e^{kp} w*_k at the shift p; pstar is -log_x and delta
         the series there."""
         # 0.0 - x, not -x: a boundary at 0 gives pstar 0.0, never -0.0
-        return InducedPressure(self.log_series(-p), 0.0 - self.tail.log_x,
-                               self.at_boundary, p)
+        return InducedPressure(self.log_series(-p), 0.0 - self.tail.log_x, self.at_boundary)
 
     def classify(self, P: float | None = None) -> RecurrenceClass:
         """The recurrence class at the pressure P (the root when None): after
@@ -758,7 +755,7 @@ def _max_birkhoff_low_to_low(T, phi, q, N, graphs: BlockGraphs | None = None) ->
     LOG_ZERO keeps the greatest sum, so a NaN never wins and +inf does, as
     in maxplus_push; see infinity._composition_fill).
     """
-    graphs = graphs or BlockGraphs(T, phi, index_graph)
+    graphs = graphs or BlockGraphs(T, phi)
     if isinstance(T, BouquetShift) and q == 1 and phi.loop_total is not None:
         return graphs.loop_sums(N, N + 1).settled()
     graph = graphs.graph(DP_STATE_CAP, "contraction profile DP", phi.memory)
@@ -802,8 +799,9 @@ def condition_witness_search(T: TransitionSystem, phi: Potential, cond: str,
         raise ValueError("condition must be 'A', 'B' or 'C'")
     if N < 1 or q < 1:
         raise ValueError("q and N must be >= 1")
-    graph = index_graph(T, DP_STATE_CAP, "witness DP", phi.memory)
-    wsucc = graph.weighted(phi)
+    graphs = BlockGraphs(T, phi)
+    graph = graphs.graph(DP_STATE_CAP, "witness DP", phi.memory)
+    wsucc = graphs.weighted(graph)
     S, lo = len(graph.states), graph.low(q)
     low = [i < lo for i in range(S)]
     anywhere, outside = [True] * S, [not b for b in low]

@@ -333,7 +333,7 @@ def test_written_files_are_the_oracle_rendering_of_the_report(tmp_path, case):
         from cmshift.infinity import hinf_profile
         assert main(["hinf", "--preset", "renewal-ones", "--horizon", "160",
                      "--out", str(out)]) == EXIT_OK
-        hp = hinf_profile(_Run(cfg).profile_graph[0], cfg.q, cfg.M, cfg.horizon)
+        hp = hinf_profile(_Run(cfg).profile_graph[0].system, cfg.q, cfg.M, cfg.horizon)
         expected, profiles = {}, {"hinf": hp.rows}
     else:
         report = run_report(cfg)
@@ -1308,6 +1308,27 @@ def test_oracle_refuses_a_preset_without_a_graph(capsys):
     assert "all rows pass" in capsys.readouterr().out
 
 
+def test_oracle_passes_sec53_with_one_self_loop_at_its_default_horizon(capsys):
+    # the clipped horizon 12 has 136,305 and 423,757 periodic words at
+    # n = 11 and 12; the reference sums round once, so they stay within a
+    # few ulps of the renewal DP instead of 1.5e-12 off it
+    assert main(["oracle", "--preset", "sec53(beta=3,C=auto,a1=1)", "--truncate", "3"]) \
+        == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "all rows pass"
+    assert float(out[-2].rpartition("worst relative error: ")[2]) < 1e-15
+
+
+def test_the_oracle_lists_and_weighs_its_graph_once_over_every_q(monkeypatch):
+    # the DP cells of q = 2 and 3 read the run's block graphs; q = 1 is a
+    # composition fill and lists none
+    calls = _count_graph_calls(monkeypatch)
+    rows, ok = compare_oracle(RunConfig(preset="sec52-mid", truncate=5, horizon=12,
+                                        M=[2, 3], q=[1, 2, 3]))
+    assert ok and len(rows) == 24 + 3 * 2 * 12
+    assert (calls["index_graph"], calls["weighted"]) == (1, 1)
+
+
 @pytest.mark.parametrize("preset", ["sec53(beta=3,C=0)", "sec53(beta=3,C=-1)",
                                     "sec54(C=0)", "sec54(C=-0.5)"])
 def test_a_non_positive_preset_C_is_a_config_error(preset, capsys):
@@ -1822,9 +1843,8 @@ def test_a_closed_stdout_keeps_the_exit_code(unbuffered):
 # -- the graph stage ------------------------------------------------------------------------
 
 def _count_graph_calls(monkeypatch) -> Counter:
-    # index_graph in every module that imports it, and IndexedGraph.weighted
-    import sys
-
+    # shift.index_graph, which BlockGraphs.graph reads at each call, and
+    # IndexedGraph.weighted
     from cmshift.shift import IndexedGraph
 
     calls = Counter()
@@ -1838,9 +1858,7 @@ def _count_graph_calls(monkeypatch) -> Counter:
         calls["weighted"] += 1
         return weighted(graph, phi)
 
-    for module in [m for key, m in sys.modules.items() if key.startswith("cmshift")]:
-        if getattr(module, "index_graph", None) is index:
-            monkeypatch.setattr(module, "index_graph", spy_index)
+    monkeypatch.setattr(cmshift.shift, "index_graph", spy_index)
     monkeypatch.setattr(IndexedGraph, "weighted", spy_weighted)
     return calls
 
@@ -1920,14 +1938,18 @@ def _outcome(cfg):
 @given(case=_stage_inputs())
 def test_a_report_with_the_graph_stage_equals_one_without_it(case):
     # each DP given the run's graphs returns what it returns alone, where it
-    # lists and weighs its own graph: same report, same refusal
+    # lists and weighs its own graph (a fresh BlockGraphs at every read of
+    # the stage): same report, same refusal
+    from cmshift.shift import BlockGraphs
+
     shift, potential, q, M, N = case
     with tempfile.TemporaryDirectory() as tmp:
         _write_specs(Path(tmp), shift, potential)
         cfg = RunConfig(shift=str(Path(tmp) / "shift.json"),
                         potential=str(Path(tmp) / "pot.json"), horizon=N, q=q, M=M)
         staged = _outcome(cfg)
-        with patch.object(_Run, "graphs", property(lambda run: None)):
+        with patch.object(_Run, "graphs",
+                          property(lambda run: BlockGraphs(run.system, run.potential))):
             alone = _outcome(cfg)
     assert staged == alone
 

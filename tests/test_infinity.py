@@ -14,9 +14,9 @@ from cmshift import (BouquetShift, BouquetSpec, EnumerationRefusal, FiniteShift,
                      LoopCountFamily, Plain, Potential, TauSpec, build_bouquet,
                      build_preset, count_B, delta_profile, hinf_profile,
                      profile_pair)
-from cmshift.infinity import (Column, CountB, _compile_sweep, _composition_fill,
+from cmshift.infinity import (Column, CountB, _composition_fill,
                               _contraction_fit, _count_B_sweep, _count_diagnostics,
-                              _grid_cells, _loop_runs, _profile_window, _slot)
+                              _grid_cells, _loop_runs, _profile_window, _slot, _sweep_width)
 from cmshift.numerics import LOG_ZERO, count_push, linear_fit, maxplus_push
 from cmshift.oracle import (_bruteforce_cells, _edge_weight, count_B_bruteforce,
                             enumerate_words)
@@ -40,8 +40,10 @@ def _columns(cells):
 
 
 def _sweep(T, phi, q, M_list, N):
-    # a lone state sweep, on a graph compiled for this q and N, as cells
-    return _cells(_count_B_sweep(_compile_sweep(T, phi, q, N), q, M_list, N))
+    # a lone state sweep, on block graphs of its own and the slot width of
+    # this q and N, as cells
+    graphs = BlockGraphs(T, phi)
+    return _cells(_count_B_sweep(graphs, phi, q, M_list, N, _sweep_width(graphs, phi, q, N)))
 
 
 @pytest.fixture
@@ -776,12 +778,13 @@ def test_sparse_layers_equal_the_per_layer_sweep_with_float_specials(seed):
 ])
 def test_profile_grid_compiles_its_graph_once(monkeypatch, memory, want):
     # one index_graph per block length (recorded by memory) and one weighted
-    # per grid (recorded by block length), for every q
-    import cmshift.infinity
+    # per grid (recorded by block length), for every q; BlockGraphs lists
+    # through shift.index_graph, so a spy bound there sees every listing
+    import cmshift.shift
 
     calls = []
-    index, weighted = cmshift.infinity.index_graph, IndexedGraph.weighted
-    monkeypatch.setattr(cmshift.infinity, "index_graph",
+    index, weighted = cmshift.shift.index_graph, IndexedGraph.weighted
+    monkeypatch.setattr(cmshift.shift, "index_graph",
                         lambda T, cap, dp, memory=1:
                         calls.append(("index_graph", memory)) or index(T, cap, dp, memory))
     monkeypatch.setattr(IndexedGraph, "weighted",
@@ -1333,7 +1336,7 @@ def test_profile_rows_and_cells_equal_count_B_cell_by_cell(data):
     q_list = data.draw(st.lists(st.integers(1, S + 1), min_size=1, max_size=2, unique=True))
     M_list = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
     N = data.draw(st.integers(min_value=4, max_value=7))
-    graphs = BlockGraphs(T, phi, index_graph)
+    graphs = BlockGraphs(T, phi)
     if phi.loop_total is not None:
         graphs.loop_sums(N, data.draw(st.sampled_from([(N + 1) // min(M_list), N + 1])))
     counts = [r[:5] + (None,) for r in _count_B_rows(T, None, q_list, M_list, N)]
@@ -1364,12 +1367,12 @@ def test_block_graphs_keep_one_loop_table_per_horizon(monkeypatch):
         phi.loop_total = lambda k: tau
         plain = (repr(crc_profile(T, phi, 1, N)), repr(delta_profile(T, phi, [1], M_list, N).rows))
         # crc, then the delta grid: one fill, up to column N + 1
-        graphs, fills[:] = BlockGraphs(T, phi, index_graph), []
+        graphs, fills[:] = BlockGraphs(T, phi), []
         shared = (repr(crc_profile(T, phi, 1, N, graphs=graphs)),
                   repr(delta_profile(T, phi, [1], M_list, N, graphs=graphs).rows))
         assert fills == [(N, N + 1)] and shared == plain
         # the grid first: its capped table serves crc only if it settled
-        graphs, fills[:] = BlockGraphs(T, phi, index_graph), []
+        graphs, fills[:] = BlockGraphs(T, phi), []
         shared = (repr(delta_profile(T, phi, [1], M_list, N, graphs=graphs).rows),
                   repr(crc_profile(T, phi, 1, N, graphs=graphs)))
         delta_profile(T, phi, [1], M_list, N, graphs=graphs)

@@ -438,3 +438,40 @@ def test_bouquet_states_list_the_order_indices(a, truncate_len, memory):
     assert list(T.states()) == list(searched.states())
     assert index_graph(T, 20_000, "test", memory) \
         == index_graph(searched, 20_000, "test", memory)
+
+
+def test_block_graphs_is_the_only_way_to_a_graph():
+    # every DP lists its graph through shift.BlockGraphs: in the package,
+    # index_graph is called only inside BlockGraphs.graph and imported by no
+    # module
+    import ast
+    import pathlib
+
+    import cmshift
+
+    callers, importers = [], []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, name):
+            self.name, self.scope = name, []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_scope
+
+        def visit_ImportFrom(self, node):
+            if any(alias.name == "index_graph" for alias in node.names):
+                importers.append(self.name)
+
+        def visit_Call(self, node):
+            if "index_graph" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.append((self.name, ".".join(self.scope)))
+            self.generic_visit(node)
+
+    for path in sorted(pathlib.Path(cmshift.__file__).parent.glob("*.py")):
+        Calls(path.name).visit(ast.parse(path.read_text()))
+    assert callers == [("shift.py", "BlockGraphs.graph")]
+    assert importers == []

@@ -14,17 +14,17 @@ from cmshift import (ROOT, BouquetShift, EnumerationRefusal, FiniteShift,
                      GeometricTail, LoopCountFamily, LoopVertex, PartitionSums,
                      Plain, Potential, PowerTail, UnknownStateError,
                      RenewalSeries, birkhoff_sum, build_preset, chi_per,
-                     condition_witness_search, crc_profile, is_admissible,
-                     normalizing_C, partition_sums_renewal,
+                     condition_witness_search, crc_profile, f_property_count,
+                     is_admissible, normalizing_C, partition_sums_renewal,
                      partition_sums_transfer, pressure_estimate, spr_check,
                      ucs_check, zeta)
 from cmshift.families import (BouquetSpec, FiniteTail, TauSpec, build_bouquet,
                               log_weight_sequence)
 from cmshift import families, numerics, thermo
 from cmshift.numerics import LOG_ZERO, SeriesBudgetError, logsumexp, polylog_with_bound
-from cmshift.oracle import enumerate_words, partition_sums_bruteforce, periodic_points
+from cmshift.oracle import _logsum, enumerate_words, partition_sums_bruteforce, periodic_points
 from cmshift.infinity import best_loop_sums
-from cmshift.shift import BlockGraphs, index_graph
+from cmshift.shift import BlockGraphs
 from cmshift.thermo import SERIES_BAND, _max_birkhoff_low_to_low
 from conftest import ORACLE_INPUTS
 
@@ -71,7 +71,8 @@ def test_star_le_z_always(sec52):
 
 def _partition_sums_per_word(T, phi, a, N, max_count=2_000_000):
     # the per-word route the prefix walk replaced, kept as its oracle: each
-    # period's words built by periodic_points and scored one by one
+    # period's words built by periodic_points and scored one by one, and
+    # summed by the walk's rule (rounded once, oracle._logsum)
     if N < 1:
         raise ValueError("horizon must be >= 1")
     log_z, log_zstar, counts, star_counts = [], [], [], []
@@ -79,11 +80,22 @@ def _partition_sums_per_word(T, phi, a, N, max_count=2_000_000):
         words = periodic_points(T, n, a, max_count=max_count)
         terms = [birkhoff_sum(T, phi, w, mode="periodic").value for w in words]
         star = [s for w, s in zip(words, terms) if all(x != a for x in w[1:])]
-        log_z.append(logsumexp(terms))
-        log_zstar.append(logsumexp(star))
+        log_z.append(_logsum(terms))
+        log_zstar.append(_logsum(star))
         counts.append(len(words))
         star_counts.append(len(star))
     return PartitionSums(a, N, log_z, log_zstar, "brute-force", counts, star_counts)
+
+
+def test_oracle_logsum_keeps_the_special_cases_of_logsumexp():
+    # no terms give LOG_ZERO, -inf terms drop out, a +inf maximum gives +inf
+    # and a NaN anywhere propagates; finite sums agree to a few ulps
+    nan, inf = math.nan, math.inf
+    for terms in ([], [LOG_ZERO], [LOG_ZERO, 0.5], [inf, 1.0], [1.0, inf, LOG_ZERO],
+                  [nan, 1.0], [1.0, nan], [inf, nan], [0.0, 0.0]):
+        assert repr(_logsum(terms)) == repr(logsumexp(terms)), terms
+    terms = [-0.25 * k for k in range(200)]
+    assert _logsum(terms) == pytest.approx(logsumexp(terms), rel=1e-15)
 
 
 def _outcome(f, *args, **kwargs):
@@ -1613,7 +1625,7 @@ def _check_table_route(T, phi, N):
     # crc's table route, s and the whole profile, equals the recurrence's in
     # repr; its table asked to column N + 1 settled there; returns whether
     # the table of a grid with M = 2 settles by its cap (N + 1) // 2
-    graphs = BlockGraphs(T, phi, index_graph)
+    graphs = BlockGraphs(T, phi)
     with patch.object(thermo, "_max_birkhoff_low_to_low",
                       lambda T, phi, q, N, graphs=None: _loop_recurrence_reference(T, phi, N)):
         want = _outcome(crc_profile, T, phi, 1, N)
@@ -1760,3 +1772,31 @@ def test_witness_search_is_deterministic():
     w2 = condition_witness_search(build.system, build.potential, "A",
                                   q=1, C=1.0, eps=0.1, N=20)
     assert w1.word == w2.word and w1.n == w2.n
+
+
+@pytest.mark.parametrize("call, lists, weighs", [
+    (lambda T, phi: condition_witness_search(T, phi, "B", 2, 1.0, 0.1, 8), [("witness DP", 3)], 1),
+    (lambda T, phi: f_property_count(T, 2, 8), [("path counting", 1)], 0),
+], ids=["witness", "f_property"])
+def test_witness_and_path_count_take_their_graph_from_block_graphs(monkeypatch, call, lists,
+                                                                   weighs):
+    # each lone call makes a BlockGraphs of its own and asks it once, and
+    # shift.index_graph, the one listing, runs once behind it
+    import cmshift.shift as shift
+
+    asked, listed, weighed = [], [], []
+    graph, index, weighted = shift.BlockGraphs.graph, shift.index_graph, \
+        shift.BlockGraphs.weighted
+    monkeypatch.setattr(shift.BlockGraphs, "graph",
+                        lambda self, cap, dp, memory=1:
+                        asked.append((dp, memory)) or graph(self, cap, dp, memory))
+    monkeypatch.setattr(shift, "index_graph",
+                        lambda T, cap, dp, memory=1:
+                        listed.append((dp, memory)) or index(T, cap, dp, memory))
+    monkeypatch.setattr(shift.BlockGraphs, "weighted",
+                        lambda self, g: weighed.append(g.block) or weighted(self, g))
+    T = FiniteShift([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    phi = Potential(3, {(Plain(1), Plain(2), Plain(3)): 2.0}, -0.25)
+    call(T, phi)
+    assert asked == listed == lists
+    assert len(weighed) == weighs
